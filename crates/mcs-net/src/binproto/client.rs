@@ -1,31 +1,22 @@
-//! The binary-protocol client: the same typed surface as
-//! [`crate::McsClient`] — same methods, same [`NetError`] shapes, same
-//! `last_epoch`/`last_shard` echo — over one persistent length-prefixed
-//! connection, plus an explicit pipelining API (`send_*`/`recv_*`) that
-//! keeps many tagged requests in flight on that connection.
-//!
-//! Equivalence with the SOAP client is not aspirational: the seeded
-//! cross-protocol twin suite (`tests/wire_twin.rs`) drives both clients
-//! through identical operation streams and requires byte-identical
-//! results, errors and audit trails.
+//! The binary-protocol side of the typed client: [`BinWire`] carries
+//! calls over one persistent length-prefixed connection, and
+//! [`BinMcsClient`] — the one typed client over that wire — adds the
+//! explicit pipelining API (`send_*`/`recv_*`) that keeps many tagged
+//! requests in flight on it.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use mcs::{
-    Annotation, AttrPredicate, AttrType, Attribute, AuditRecord, Collection,
-    CollectionContents, Credential, ExternalCatalog, FileSpec, FileUpdate, HistoryRecord,
-    LogicalFile, ObjectRef, Permission, UserRecord, View, ViewContents,
-};
+use mcs::{AttrPredicate, Attribute, Credential, FileSpec, FileUpdate, LogicalFile, ObjectRef};
 
-use crate::client::{
-    CacheStatsReport, CatalogInfoReport, DurabilityMode, FaultKind, NetError, Result,
-};
+use crate::client::{Client, FaultKind, NetError, Result, Wire};
+use crate::codec::Reply;
+use crate::dispatch::CallScope;
+use crate::ops::Call;
 
 use super::frame::*;
-use super::Op;
 
 /// One established connection: buffered halves of the same socket.
 struct Conn {
@@ -33,16 +24,10 @@ struct Conn {
     writer: BufWriter<TcpStream>,
 }
 
-/// A synchronous binary-protocol client bound to one MCS endpoint and
-/// one credential. The connection is established lazily on the first
+/// The binary wire. The connection is established lazily on the first
 /// call and then kept for the client's lifetime.
-pub struct BinMcsClient {
+pub struct BinWire {
     addr: String,
-    cred: Credential,
-    durability: Option<DurabilityMode>,
-    cache_bypass: bool,
-    last_epoch: u64,
-    last_shard: usize,
     simulated_rtt: Duration,
     conn: Option<Conn>,
     next_tag: u32,
@@ -54,73 +39,10 @@ pub struct BinMcsClient {
     pending_flush: bool,
 }
 
-impl BinMcsClient {
-    /// Bind a client to an endpoint (`host:port`) and credential. No I/O
-    /// happens until the first call.
-    pub fn connect(addr: impl Into<String>, cred: Credential) -> BinMcsClient {
-        BinMcsClient {
-            addr: addr.into(),
-            cred,
-            durability: None,
-            cache_bypass: false,
-            last_epoch: 0,
-            last_shard: 0,
-            simulated_rtt: Duration::ZERO,
-            conn: None,
-            next_tag: 1,
-            inflight: VecDeque::new(),
-            pending_flush: false,
-        }
-    }
+/// A response frame body and the offset of its payload.
+type Payload = (Vec<u8>, usize);
 
-    /// Like [`BinMcsClient::connect`], with an artificial per-round-trip
-    /// latency for WAN experiments. The sleep is paid once per *wire*
-    /// round trip, not per request — a pipelined burst of N requests
-    /// costs one RTT, which is precisely the effect pipelining exists to
-    /// produce.
-    pub fn with_rtt(addr: impl Into<String>, cred: Credential, rtt: Duration) -> BinMcsClient {
-        let mut c = Self::connect(addr, cred);
-        c.simulated_rtt = rtt;
-        c
-    }
-
-    /// The credential this client presents.
-    pub fn credential(&self) -> &Credential {
-        &self.cred
-    }
-
-    /// Ask the server for a per-request commit durability (`None`
-    /// reverts to the server's store-wide policy) — the flag-bit
-    /// equivalent of the SOAP `mcs:durability` header.
-    pub fn set_durability(&mut self, mode: Option<DurabilityMode>) {
-        self.durability = mode;
-    }
-
-    /// Skip the server's read cache for this client's requests — the
-    /// flag-bit equivalent of `mcs:cache="bypass"`.
-    pub fn set_cache_bypass(&mut self, bypass: bool) {
-        self.cache_bypass = bypass;
-    }
-
-    /// The commit epoch the server echoed on the most recent response
-    /// (0 if that call logged nothing).
-    pub fn last_epoch(&self) -> u64 {
-        self.last_epoch
-    }
-
-    /// The shard [`BinMcsClient::last_epoch`] belongs to; always 0
-    /// against a single-shard catalog.
-    pub fn last_shard(&self) -> usize {
-        self.last_shard
-    }
-
-    /// Number of pipelined requests sent but not yet received.
-    pub fn inflight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    // --- connection plumbing ---
-
+impl BinWire {
     fn ensure_conn(&mut self) -> Result<&mut Conn> {
         if self.conn.is_none() {
             let stream = TcpStream::connect(&self.addr).map_err(frame_err)?;
@@ -139,38 +61,48 @@ impl BinMcsClient {
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    /// Encode one request frame body: tag, opcode, flags, the optional
-    /// durability byte, the credential, then the op's arguments.
-    fn encode_request(&self, tag: u32, op: Op, args: &[u8]) -> Vec<u8> {
-        let mut b = Vec::with_capacity(32 + args.len());
+    /// Encode one request frame body under the next tag and write it to
+    /// the connection without flushing: tag, opcode, flags, the optional
+    /// durability byte, the credential, then the call's arguments. The
+    /// caller moves `next_tag` on once the request is on its way.
+    fn write_request(
+        &mut self,
+        cred: &Credential,
+        scope: CallScope,
+        call: &Call<'_>,
+    ) -> Result<u32> {
+        let tag = self.next_tag;
+        let mut b = Vec::with_capacity(128);
         put_u32(&mut b, tag);
-        put_u8(&mut b, op as u8);
+        put_u8(&mut b, call.op() as u8);
         let mut flags = 0u8;
-        if self.durability.is_some() {
+        if scope.durability.is_some() {
             flags |= FLAG_DURABILITY;
         }
-        if self.cache_bypass {
+        if scope.cache_bypass {
             flags |= FLAG_CACHE_BYPASS;
         }
         put_u8(&mut b, flags);
-        if let Some(mode) = self.durability {
-            put_u8(
-                &mut b,
-                match mode {
-                    DurabilityMode::Always => 0,
-                    DurabilityMode::Group => 1,
-                    DurabilityMode::Async => 2,
-                },
-            );
+        if let Some(mode) = scope.durability {
+            put_u8(&mut b, mode as u8);
         }
-        put_credential(&mut b, &self.cred);
-        b.extend_from_slice(args);
-        b
+        put_credential(&mut b, cred);
+        call.put_args(&mut b);
+        let conn = self.ensure_conn()?;
+        if let Err(e) = write_frame(&mut conn.writer, &b) {
+            self.conn = None;
+            return Err(frame_err(e));
+        }
+        Ok(tag)
     }
 
-    /// Read the response frame for `tag` and split it into the OK
-    /// payload (updating the epoch/shard echo) or a fault.
-    fn read_response(&mut self, tag: u32) -> Result<Vec<u8>> {
+    fn advance_tag(&mut self) {
+        self.next_tag = self.next_tag.wrapping_add(1).max(1);
+    }
+
+    /// Read the response frame for `tag`: the OK payload (recording the
+    /// epoch/shard echo) or a fault.
+    fn read_response(&mut self, tag: u32, echo: &mut (u64, usize)) -> Result<Payload> {
         let conn = self.conn.as_mut().expect("connected before reading");
         let body = match read_frame(&mut conn.reader) {
             Ok(Some(b)) => b,
@@ -196,10 +128,9 @@ impl BinMcsClient {
         match r.u8().map_err(decode_err)? {
             STATUS_OK => {
                 let epoch = r.u64().map_err(decode_err)?;
-                let shard = r.u16().map_err(decode_err)? as usize;
-                self.last_epoch = epoch;
-                self.last_shard = shard;
-                Ok(r.rest().to_vec())
+                *echo = (epoch, r.u16().map_err(decode_err)? as usize);
+                let at = body.len() - r.remaining();
+                Ok((body, at))
             }
             STATUS_FAULT => {
                 let code = r.str().map_err(decode_err)?;
@@ -216,10 +147,67 @@ impl BinMcsClient {
         }
     }
 
+    fn request_once(
+        &mut self,
+        cred: &Credential,
+        scope: CallScope,
+        call: &Call<'_>,
+        echo: &mut (u64, usize),
+    ) -> Result<Payload> {
+        let tag = self.write_request(cred, scope, call)?;
+        let conn = self.conn.as_mut().expect("just written");
+        if let Err(e) = conn.writer.flush() {
+            self.conn = None;
+            return Err(frame_err(e));
+        }
+        if !self.simulated_rtt.is_zero() {
+            std::thread::sleep(self.simulated_rtt);
+        }
+        self.advance_tag();
+        self.pending_flush = false;
+        self.read_response(tag, echo)
+    }
+
+    /// Take the next in-order pipelined response, flushing the send
+    /// buffer first if needed.
+    fn recv_payload(&mut self, echo: &mut (u64, usize)) -> Result<Payload> {
+        let tag = self
+            .inflight
+            .pop_front()
+            .ok_or_else(|| NetError::Frame("recv with no pipelined request in flight".into()))?;
+        if self.pending_flush {
+            let conn = self.conn.as_mut().expect("in-flight requests imply a connection");
+            if let Err(e) = conn.writer.flush() {
+                self.conn = None;
+                self.inflight.clear();
+                return Err(frame_err(e));
+            }
+            if !self.simulated_rtt.is_zero() {
+                std::thread::sleep(self.simulated_rtt);
+            }
+            self.pending_flush = false;
+        }
+        let r = self.read_response(tag, echo);
+        if self.conn.is_none() {
+            // A transport/desync failure invalidates every later
+            // response on this connection too.
+            self.inflight.clear();
+        }
+        r
+    }
+}
+
+impl Wire for BinWire {
     /// One synchronous round trip. Retries once on a fresh connection if
     /// the kept-alive socket turned out stale — but never with pipelined
     /// requests in flight, where a blind resend could duplicate work.
-    fn request(&mut self, op: Op, args: &[u8]) -> Result<Vec<u8>> {
+    fn exchange<R: Reply>(
+        &mut self,
+        cred: &Credential,
+        scope: CallScope,
+        call: &Call<'_>,
+        echo: &mut (u64, usize),
+    ) -> Result<R> {
         if !self.inflight.is_empty() {
             return Err(NetError::Frame(format!(
                 "cannot issue a synchronous call with {} pipelined request(s) in flight; \
@@ -228,606 +216,124 @@ impl BinMcsClient {
             )));
         }
         let had_conn = self.conn.is_some();
-        match self.request_once(op, args) {
+        let payload = match self.request_once(cred, scope, call, echo) {
             Err(NetError::Frame(_)) if had_conn => {
                 // The idle connection may have been reaped; one retry on
                 // a fresh one, like the SOAP client's stale-retry.
                 self.conn = None;
-                self.request_once(op, args)
+                self.request_once(cred, scope, call, echo)
             }
             other => other,
-        }
+        };
+        parse(payload?)
+    }
+}
+
+/// The typed client over the binary protocol.
+pub type BinMcsClient = Client<BinWire>;
+
+impl BinMcsClient {
+    /// Bind a client to an endpoint (`host:port`) and credential. No I/O
+    /// happens until the first call.
+    pub fn connect(addr: impl Into<String>, cred: Credential) -> BinMcsClient {
+        Self::with_rtt(addr, cred, Duration::ZERO)
     }
 
-    fn request_once(&mut self, op: Op, args: &[u8]) -> Result<Vec<u8>> {
-        let tag = self.next_tag;
-        let body = self.encode_request(tag, op, args);
-        let rtt = self.simulated_rtt;
-        let conn = self.ensure_conn()?;
-        if let Err(e) = write_frame(&mut conn.writer, &body).and_then(|_| conn.writer.flush()) {
-            self.conn = None;
-            return Err(frame_err(e));
-        }
-        if !rtt.is_zero() {
-            std::thread::sleep(rtt);
-        }
-        self.next_tag = self.next_tag.wrapping_add(1).max(1);
-        self.pending_flush = false;
-        self.read_response(tag)
+    /// Like [`BinMcsClient::connect`], with an artificial per-round-trip
+    /// latency for WAN experiments. The sleep is paid once per *wire*
+    /// round trip, not per request — a pipelined burst of N requests
+    /// costs one RTT, which is precisely the effect pipelining exists to
+    /// produce.
+    pub fn with_rtt(addr: impl Into<String>, cred: Credential, rtt: Duration) -> BinMcsClient {
+        let wire = BinWire {
+            addr: addr.into(),
+            simulated_rtt: rtt,
+            conn: None,
+            next_tag: 1,
+            inflight: VecDeque::new(),
+            pending_flush: false,
+        };
+        Client::new(wire, cred)
     }
 
-    // --- pipelining ---
+    /// Number of pipelined requests sent but not yet received.
+    pub fn inflight(&self) -> usize {
+        self.wire.inflight.len()
+    }
 
     /// Queue one request without flushing; its tag joins the in-flight
     /// queue. Responses must be drained in the same order with the
     /// matching `recv_*` methods.
-    fn send_op(&mut self, op: Op, args: &[u8]) -> Result<u32> {
-        let tag = self.next_tag;
-        let body = self.encode_request(tag, op, args);
-        let conn = self.ensure_conn()?;
-        if let Err(e) = write_frame(&mut conn.writer, &body) {
-            self.conn = None;
-            return Err(frame_err(e));
-        }
-        self.next_tag = self.next_tag.wrapping_add(1).max(1);
-        self.inflight.push_back(tag);
-        self.pending_flush = true;
+    fn send(&mut self, call: Call<'_>) -> Result<u32> {
+        let tag = self.wire.write_request(&self.cred, self.scope, &call)?;
+        self.wire.advance_tag();
+        self.wire.inflight.push_back(tag);
+        self.wire.pending_flush = true;
         Ok(tag)
     }
 
-    /// Take the next in-order pipelined response's payload, flushing the
-    /// send buffer first if needed.
-    fn recv_payload(&mut self) -> Result<Vec<u8>> {
-        let tag = self.inflight.pop_front().ok_or_else(|| {
-            NetError::Frame("recv with no pipelined request in flight".into())
-        })?;
-        if self.pending_flush {
-            let rtt = self.simulated_rtt;
-            let conn = self.conn.as_mut().expect("in-flight requests imply a connection");
-            if let Err(e) = conn.writer.flush() {
-                self.conn = None;
-                self.inflight.clear();
-                return Err(frame_err(e));
-            }
-            if !rtt.is_zero() {
-                std::thread::sleep(rtt);
-            }
-            self.pending_flush = false;
-        }
-        let r = self.read_response(tag);
-        if self.conn.is_none() {
-            // A transport/desync failure invalidates every later
-            // response on this connection too.
-            self.inflight.clear();
-        }
-        r
+    fn recv<R: Reply>(&mut self) -> Result<R> {
+        parse(self.wire.recv_payload(&mut self.echo)?)
     }
 
     /// Pipeline a `getFile` request (the paper's "simple query").
     pub fn send_get_file(&mut self, name: &str) -> Result<u32> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        self.send_op(Op::GetFile, &a)
+        self.send(Call::GetFile { name })
     }
 
     /// Pipeline a `createFile` request.
     pub fn send_create_file(&mut self, spec: &FileSpec) -> Result<u32> {
-        let mut a = Vec::new();
-        put_filespec(&mut a, spec);
-        self.send_op(Op::CreateFile, &a)
+        self.send(Call::CreateFile { spec })
     }
 
     /// Pipeline an `updateFile` request.
     pub fn send_update_file(&mut self, name: &str, update: &FileUpdate) -> Result<u32> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        put_fileupdate(&mut a, update);
-        self.send_op(Op::UpdateFile, &a)
+        self.send(Call::UpdateFile { name, update })
     }
 
     /// Pipeline a `setAttribute` request.
     pub fn send_set_attribute(&mut self, object: &ObjectRef, attr: &Attribute) -> Result<u32> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        put_attribute(&mut a, attr);
-        self.send_op(Op::SetAttribute, &a)
+        self.send(Call::SetAttribute { object, attr })
     }
 
     /// Pipeline a `queryByAttributes` request.
     pub fn send_query_by_attributes(&mut self, preds: &[AttrPredicate]) -> Result<u32> {
-        let mut a = Vec::new();
-        put_u32(&mut a, preds.len() as u32);
-        for p in preds {
-            put_predicate(&mut a, p);
-        }
-        self.send_op(Op::QueryByAttributes, &a)
+        self.send(Call::QueryByAttributes { preds })
     }
 
     /// Pipeline a `ping` request.
     pub fn send_ping(&mut self) -> Result<u32> {
-        self.send_op(Op::Ping, &[])
+        self.send(Call::Ping {})
     }
 
     /// Receive the next pipelined response as a file record (for
     /// `send_get_file` / `send_create_file` / `send_update_file`).
     pub fn recv_file(&mut self) -> Result<LogicalFile> {
-        let p = self.recv_payload()?;
-        parse(&p, get_file)
+        self.recv()
     }
 
     /// Receive the next pipelined response that carries no payload (for
     /// `send_ping` / `send_set_attribute`).
     pub fn recv_ok(&mut self) -> Result<()> {
-        let p = self.recv_payload()?;
-        parse(&p, |r| {
-            r.finish()?;
-            Ok(())
-        })
+        self.recv()
     }
 
     /// Receive the next pipelined response as query hits (for
     /// `send_query_by_attributes`).
     pub fn recv_hits(&mut self) -> Result<Vec<(String, i64)>> {
-        let p = self.recv_payload()?;
-        parse(&p, get_hits)
-    }
-
-    // --- service topology and durability barriers ---
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<()> {
-        self.request(Op::Ping, &[]).map(drop)
-    }
-
-    /// Server topology and vitals (the `catalogInfo` op).
-    pub fn catalog_info(&mut self) -> Result<CatalogInfoReport> {
-        let p = self.request(Op::CatalogInfo, &[])?;
-        parse(&p, |r| {
-            let shards = r.u32()? as usize;
-            let profile = r.str()?;
-            let files = r.u64()?;
-            let cache_enabled = r.bool()?;
-            let _commit_epochs = get_u64s(r)?;
-            let _durable_epochs = get_u64s(r)?;
-            Ok(CatalogInfoReport { shards, profile, files, cache_enabled })
-        })
-    }
-
-    /// Park on the server until shard 0's durable watermark covers
-    /// `epoch`; returns the watermark.
-    pub fn wait_for_epoch(&mut self, epoch: u64) -> Result<u64> {
-        self.wait_for_epoch_on(0, epoch)
-    }
-
-    /// [`BinMcsClient::wait_for_epoch`] against one shard of a
-    /// partitioned server.
-    pub fn wait_for_epoch_on(&mut self, shard: usize, epoch: u64) -> Result<u64> {
-        let mut a = Vec::new();
-        put_i64(&mut a, epoch as i64);
-        put_u32(&mut a, shard as u32);
-        let p = self.request(Op::WaitForEpoch, &a)?;
-        parse(&p, |r| r.u64())
-    }
-
-    /// Make every acknowledged write durable now; returns the epoch the
-    /// barrier covered (shard 0's on a partitioned server).
-    pub fn sync_now(&mut self) -> Result<u64> {
-        let p = self.request(Op::SyncNow, &[])?;
-        parse(&p, |r| {
-            let epochs = get_u64s(r)?;
-            Ok(epochs.first().copied().unwrap_or(0))
-        })
-    }
-
-    /// Fetch the server's read-cache counters.
-    pub fn cache_stats(&mut self) -> Result<CacheStatsReport> {
-        let p = self.request(Op::CacheStats, &[])?;
-        parse(&p, |r| {
-            Ok(CacheStatsReport {
-                enabled: r.bool()?,
-                hits: r.u64()?,
-                misses: r.u64()?,
-                stale: r.u64()?,
-                evictions: r.u64()?,
-            })
-        })
-    }
-
-    // --- files ---
-
-    /// Create a logical file with creation-time attributes.
-    pub fn create_file(&mut self, spec: &FileSpec) -> Result<LogicalFile> {
-        let mut a = Vec::new();
-        put_filespec(&mut a, spec);
-        let p = self.request(Op::CreateFile, &a)?;
-        parse(&p, get_file)
-    }
-
-    /// Create a batch of logical files in one server-side transaction
-    /// (the `createFiles` bulk op): all-or-nothing per shard, results in
-    /// input order. One round-trip and one commit replace N of each.
-    pub fn create_files(&mut self, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
-        let mut a = Vec::new();
-        put_u32(&mut a, specs.len() as u32);
-        for s in specs {
-            put_filespec(&mut a, s);
-        }
-        let p = self.request(Op::CreateFiles, &a)?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_file(r)).collect()
-        })
-    }
-
-    /// Fetch a file (the paper's "simple query").
-    pub fn get_file(&mut self, name: &str) -> Result<LogicalFile> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        let p = self.request(Op::GetFile, &a)?;
-        parse(&p, get_file)
-    }
-
-    /// Fetch one version of a file.
-    pub fn get_file_version(&mut self, name: &str, version: i64) -> Result<LogicalFile> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        put_i64(&mut a, version);
-        let p = self.request(Op::GetFileVersion, &a)?;
-        parse(&p, get_file)
-    }
-
-    /// All versions of a logical name.
-    pub fn get_file_versions(&mut self, name: &str) -> Result<Vec<LogicalFile>> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        let p = self.request(Op::GetFileVersions, &a)?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_file(r)).collect()
-        })
-    }
-
-    /// Update predefined attributes of a file.
-    pub fn update_file(&mut self, name: &str, update: &FileUpdate) -> Result<LogicalFile> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        put_fileupdate(&mut a, update);
-        let p = self.request(Op::UpdateFile, &a)?;
-        parse(&p, get_file)
-    }
-
-    /// Mark a file invalid without deleting it.
-    pub fn invalidate_file(&mut self, name: &str) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        self.request(Op::InvalidateFile, &a).map(drop)
-    }
-
-    /// Delete a file.
-    pub fn delete_file(&mut self, name: &str) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        self.request(Op::DeleteFile, &a).map(drop)
-    }
-
-    /// Delete one version of a file.
-    pub fn delete_file_version(&mut self, name: &str, version: i64) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        put_i64(&mut a, version);
-        self.request(Op::DeleteFileVersion, &a).map(drop)
-    }
-
-    // --- collections ---
-
-    /// Create a collection (optionally nested).
-    pub fn create_collection(
-        &mut self,
-        name: &str,
-        parent: Option<&str>,
-        description: &str,
-    ) -> Result<Collection> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        put_opt_str(&mut a, &parent.map(str::to_string));
-        put_str(&mut a, description);
-        let p = self.request(Op::CreateCollection, &a)?;
-        parse(&p, get_collection)
-    }
-
-    /// Fetch a collection record.
-    pub fn get_collection(&mut self, name: &str) -> Result<Collection> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        let p = self.request(Op::GetCollection, &a)?;
-        parse(&p, get_collection)
-    }
-
-    /// Delete an empty collection.
-    pub fn delete_collection(&mut self, name: &str) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        self.request(Op::DeleteCollection, &a).map(drop)
-    }
-
-    /// List a collection's direct contents.
-    pub fn list_collection(&mut self, name: &str) -> Result<CollectionContents> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        let p = self.request(Op::ListCollection, &a)?;
-        parse(&p, get_collection_contents)
-    }
-
-    /// Move a file into (or out of) a collection.
-    pub fn assign_collection(&mut self, file: &str, collection: Option<&str>) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, file);
-        put_opt_str(&mut a, &collection.map(str::to_string));
-        self.request(Op::AssignCollection, &a).map(drop)
-    }
-
-    // --- views ---
-
-    /// Create a logical view.
-    pub fn create_view(&mut self, name: &str, description: &str) -> Result<View> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        put_str(&mut a, description);
-        let p = self.request(Op::CreateView, &a)?;
-        parse(&p, get_view)
-    }
-
-    /// Fetch a view record.
-    pub fn get_view(&mut self, name: &str) -> Result<View> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        let p = self.request(Op::GetView, &a)?;
-        parse(&p, get_view)
-    }
-
-    /// Delete a view.
-    pub fn delete_view(&mut self, name: &str) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        self.request(Op::DeleteView, &a).map(drop)
-    }
-
-    /// Add a member to a view.
-    pub fn add_to_view(&mut self, view: &str, member: &ObjectRef) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, view);
-        put_objref(&mut a, member);
-        self.request(Op::AddToView, &a).map(drop)
-    }
-
-    /// Remove a member from a view; returns whether it was present.
-    pub fn remove_from_view(&mut self, view: &str, member: &ObjectRef) -> Result<bool> {
-        let mut a = Vec::new();
-        put_str(&mut a, view);
-        put_objref(&mut a, member);
-        let p = self.request(Op::RemoveFromView, &a)?;
-        parse(&p, |r| r.bool())
-    }
-
-    /// List a view's members.
-    pub fn list_view(&mut self, name: &str) -> Result<ViewContents> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        let p = self.request(Op::ListView, &a)?;
-        parse(&p, get_view_contents)
-    }
-
-    // --- user-defined attributes and discovery ---
-
-    /// Register a user-defined attribute.
-    pub fn define_attribute(
-        &mut self,
-        name: &str,
-        ty: AttrType,
-        description: &str,
-    ) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, name);
-        put_attr_type(&mut a, ty);
-        put_str(&mut a, description);
-        self.request(Op::DefineAttribute, &a).map(drop)
-    }
-
-    /// Set (upsert) an attribute on an object.
-    pub fn set_attribute(&mut self, object: &ObjectRef, attr: &Attribute) -> Result<()> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        put_attribute(&mut a, attr);
-        self.request(Op::SetAttribute, &a).map(drop)
-    }
-
-    /// Remove an attribute; returns whether it was present.
-    pub fn remove_attribute(&mut self, object: &ObjectRef, name: &str) -> Result<bool> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        put_str(&mut a, name);
-        let p = self.request(Op::RemoveAttribute, &a)?;
-        parse(&p, |r| r.bool())
-    }
-
-    /// Fetch an object's user-defined attributes.
-    pub fn get_attributes(&mut self, object: &ObjectRef) -> Result<Vec<Attribute>> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        let p = self.request(Op::GetAttributes, &a)?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_attribute(r)).collect()
-        })
-    }
-
-    /// Attribute-based discovery (the paper's "complex query").
-    pub fn query_by_attributes(&mut self, preds: &[AttrPredicate]) -> Result<Vec<(String, i64)>> {
-        let mut a = Vec::new();
-        put_u32(&mut a, preds.len() as u32);
-        for pr in preds {
-            put_predicate(&mut a, pr);
-        }
-        let p = self.request(Op::QueryByAttributes, &a)?;
-        parse(&p, get_hits)
-    }
-
-    /// EXPLAIN for [`BinMcsClient::query_by_attributes`]: the planner's
-    /// chosen strategy, one line per predicate step.
-    pub fn explain_query(&mut self, preds: &[AttrPredicate]) -> Result<Vec<String>> {
-        let mut a = Vec::new();
-        put_u32(&mut a, preds.len() as u32);
-        for pr in preds {
-            put_predicate(&mut a, pr);
-        }
-        let p = self.request(Op::ExplainQuery, &a)?;
-        parse(&p, get_strs)
-    }
-
-    // --- annotations, audit, history ---
-
-    /// Attach a free-text annotation to an object.
-    pub fn annotate(&mut self, object: &ObjectRef, text: &str) -> Result<()> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        put_str(&mut a, text);
-        self.request(Op::Annotate, &a).map(drop)
-    }
-
-    /// Fetch annotations on an object.
-    pub fn get_annotations(&mut self, object: &ObjectRef) -> Result<Vec<Annotation>> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        let p = self.request(Op::GetAnnotations, &a)?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_annotation(r)).collect()
-        })
-    }
-
-    /// Fetch the audit trail of an object.
-    pub fn get_audit_trail(&mut self, object: &ObjectRef) -> Result<Vec<AuditRecord>> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        let p = self.request(Op::GetAuditTrail, &a)?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_audit(r)).collect()
-        })
-    }
-
-    /// Enable or disable per-access auditing on an object.
-    pub fn set_audit(&mut self, object: &ObjectRef, enabled: bool) -> Result<()> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        put_bool(&mut a, enabled);
-        self.request(Op::SetAudit, &a).map(drop)
-    }
-
-    /// Append a transformation-history record to a file.
-    pub fn add_history(&mut self, file: &str, description: &str) -> Result<()> {
-        let mut a = Vec::new();
-        put_str(&mut a, file);
-        put_str(&mut a, description);
-        self.request(Op::AddHistory, &a).map(drop)
-    }
-
-    /// Fetch a file's transformation history.
-    pub fn get_history(&mut self, file: &str) -> Result<Vec<HistoryRecord>> {
-        let mut a = Vec::new();
-        put_str(&mut a, file);
-        let p = self.request(Op::GetHistory, &a)?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_history(r)).collect()
-        })
-    }
-
-    // --- policy ---
-
-    /// Grant a permission on an object.
-    pub fn grant(
-        &mut self,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        put_str(&mut a, principal);
-        put_permission(&mut a, perm);
-        self.request(Op::Grant, &a).map(drop)
-    }
-
-    /// Revoke a permission.
-    pub fn revoke(
-        &mut self,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        let mut a = Vec::new();
-        put_objref(&mut a, object);
-        put_str(&mut a, principal);
-        put_permission(&mut a, perm);
-        self.request(Op::Revoke, &a).map(drop)
-    }
-
-    // --- registries ---
-
-    /// Register a metadata writer.
-    pub fn register_user(&mut self, user: &UserRecord) -> Result<()> {
-        let mut a = Vec::new();
-        put_user(&mut a, user);
-        self.request(Op::RegisterUser, &a).map(drop)
-    }
-
-    /// Fetch a metadata writer by DN.
-    pub fn get_user(&mut self, dn: &str) -> Result<UserRecord> {
-        let mut a = Vec::new();
-        put_str(&mut a, dn);
-        let p = self.request(Op::GetUser, &a)?;
-        parse(&p, get_user)
-    }
-
-    /// List all metadata writers.
-    pub fn list_users(&mut self) -> Result<Vec<UserRecord>> {
-        let p = self.request(Op::ListUsers, &[])?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_user(r)).collect()
-        })
-    }
-
-    /// Register an external catalog pointer.
-    pub fn register_external_catalog(&mut self, cat: &ExternalCatalog) -> Result<()> {
-        let mut a = Vec::new();
-        put_extcat(&mut a, cat);
-        self.request(Op::RegisterExternalCatalog, &a).map(drop)
-    }
-
-    /// List external catalogs.
-    pub fn list_external_catalogs(&mut self) -> Result<Vec<ExternalCatalog>> {
-        let p = self.request(Op::ListExternalCatalogs, &[])?;
-        parse(&p, |r| {
-            let n = r.seq_len()?;
-            (0..n).map(|_| get_extcat(r)).collect()
-        })
+        self.recv()
     }
 }
 
-/// Decode a full response payload with `f`, requiring every byte
-/// consumed — trailing bytes mean client and server disagree about the
-/// payload shape, which must surface, not be ignored.
-fn parse<T>(payload: &[u8], f: impl FnOnce(&mut Reader) -> FrameResult<T>) -> Result<T> {
-    let mut r = Reader::new(payload);
-    let v = f(&mut r).map_err(decode_err)?;
+/// Decode a full response payload, requiring every byte consumed —
+/// trailing bytes mean client and server disagree about the payload
+/// shape, which must surface, not be ignored.
+fn parse<R: Reply>((body, at): Payload) -> Result<R> {
+    let mut r = Reader::new(&body[at..]);
+    let v = R::get(&mut r).map_err(decode_err)?;
     r.finish().map_err(decode_err)?;
     Ok(v)
 }
-
-/// Alias for the codec's result type (used by `parse` closures).
-type FrameResult<T> = std::result::Result<T, FrameError>;
 
 fn frame_err(e: std::io::Error) -> NetError {
     NetError::Frame(e.to_string())

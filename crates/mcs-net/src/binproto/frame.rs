@@ -410,110 +410,34 @@ pub fn get_value(r: &mut Reader) -> Result<Value> {
 
 // ---------- enums ----------
 
-/// Encode an [`AttrType`] as one byte.
-pub fn put_attr_type(b: &mut Vec<u8>, t: AttrType) {
-    put_u8(
-        b,
-        match t {
-            AttrType::Str => 0,
-            AttrType::Int => 1,
-            AttrType::Float => 2,
-            AttrType::Date => 3,
-            AttrType::Time => 4,
-            AttrType::DateTime => 5,
-        },
-    );
+/// One-byte codes for the catalog's small enums: `put_*` appends the
+/// code, `get_*` decodes it and rejects unassigned bytes.
+macro_rules! byte_enums {
+    ($($ty:ident, $put:ident, $get:ident, $what:literal { $($v:ident = $code:literal),* };)*) => {$(
+        #[doc = concat!("Encode an [`", stringify!($ty), "`] as one byte.")]
+        pub fn $put(b: &mut Vec<u8>, v: $ty) {
+            put_u8(b, match v { $($ty::$v => $code),* });
+        }
+
+        #[doc = concat!("Decode an [`", stringify!($ty), "`].")]
+        pub fn $get(r: &mut Reader) -> Result<$ty> {
+            Ok(match r.u8()? {
+                $($code => $ty::$v,)*
+                other => return Err(bad(format!(concat!("unknown ", $what, " {}"), other))),
+            })
+        }
+    )*};
 }
 
-/// Decode an [`AttrType`].
-pub fn get_attr_type(r: &mut Reader) -> Result<AttrType> {
-    Ok(match r.u8()? {
-        0 => AttrType::Str,
-        1 => AttrType::Int,
-        2 => AttrType::Float,
-        3 => AttrType::Date,
-        4 => AttrType::Time,
-        5 => AttrType::DateTime,
-        other => return Err(bad(format!("unknown attr type {other}"))),
-    })
-}
-
-/// Encode a [`Permission`] as one byte.
-pub fn put_permission(b: &mut Vec<u8>, p: Permission) {
-    put_u8(
-        b,
-        match p {
-            Permission::Read => 0,
-            Permission::Write => 1,
-            Permission::Delete => 2,
-            Permission::Admin => 3,
-        },
-    );
-}
-
-/// Decode a [`Permission`].
-pub fn get_permission(r: &mut Reader) -> Result<Permission> {
-    Ok(match r.u8()? {
-        0 => Permission::Read,
-        1 => Permission::Write,
-        2 => Permission::Delete,
-        3 => Permission::Admin,
-        other => return Err(bad(format!("unknown permission {other}"))),
-    })
-}
-
-/// Encode an [`ObjectType`] as one byte.
-pub fn put_object_type(b: &mut Vec<u8>, t: ObjectType) {
-    put_u8(
-        b,
-        match t {
-            ObjectType::File => 0,
-            ObjectType::Collection => 1,
-            ObjectType::View => 2,
-            ObjectType::Service => 3,
-        },
-    );
-}
-
-/// Decode an [`ObjectType`].
-pub fn get_object_type(r: &mut Reader) -> Result<ObjectType> {
-    Ok(match r.u8()? {
-        0 => ObjectType::File,
-        1 => ObjectType::Collection,
-        2 => ObjectType::View,
-        3 => ObjectType::Service,
-        other => return Err(bad(format!("unknown object type {other}"))),
-    })
-}
-
-/// Encode an [`AttrOp`] as one byte.
-pub fn put_attr_op(b: &mut Vec<u8>, op: AttrOp) {
-    put_u8(
-        b,
-        match op {
-            AttrOp::Eq => 0,
-            AttrOp::Ne => 1,
-            AttrOp::Lt => 2,
-            AttrOp::Le => 3,
-            AttrOp::Gt => 4,
-            AttrOp::Ge => 5,
-            AttrOp::Like => 6,
-        },
-    );
-}
-
-/// Decode an [`AttrOp`].
-pub fn get_attr_op(r: &mut Reader) -> Result<AttrOp> {
-    Ok(match r.u8()? {
-        0 => AttrOp::Eq,
-        1 => AttrOp::Ne,
-        2 => AttrOp::Lt,
-        3 => AttrOp::Le,
-        4 => AttrOp::Gt,
-        5 => AttrOp::Ge,
-        6 => AttrOp::Like,
-        other => return Err(bad(format!("unknown attr op {other}"))),
-    })
+byte_enums! {
+    AttrType, put_attr_type, get_attr_type, "attr type"
+        { Str = 0, Int = 1, Float = 2, Date = 3, Time = 4, DateTime = 5 };
+    Permission, put_permission, get_permission, "permission"
+        { Read = 0, Write = 1, Delete = 2, Admin = 3 };
+    ObjectType, put_object_type, get_object_type, "object type"
+        { File = 0, Collection = 1, View = 2, Service = 3 };
+    AttrOp, put_attr_op, get_attr_op, "attr op"
+        { Eq = 0, Ne = 1, Lt = 2, Le = 3, Gt = 4, Ge = 5, Like = 6 };
 }
 
 // ---------- records ----------

@@ -6,222 +6,28 @@
 //! framing and TCP setup is ~57% of per-call cost. This module is the
 //! escape the AliEn/ALICE catalogue built when it outgrew its WS stack:
 //! the **same operations, same auth, same per-request durability/cache
-//! semantics** (shared dispatch scope, [`crate::dispatch`]) over
-//! length-prefixed binary frames on a persistent connection, with
-//! request pipelining and a batched `createFiles` bulk mutation.
+//! semantics** over length-prefixed binary frames on a persistent
+//! connection, with request pipelining and a batched `createFiles` bulk
+//! mutation.
+//!
+//! Nothing here is per operation. The opcodes, argument order and
+//! result types come from the op table ([`crate::ops`]), the per-type
+//! encodings from [`crate::codec`] over the primitives in [`frame`];
+//! [`BinServer`] hands decoded calls to the same executor as SOAP
+//! ([`crate::dispatch`]), and [`BinMcsClient`] is the one typed client
+//! over [`BinWire`], which adds connection handling, request tags,
+//! the stale-connection retry and the `send_*`/`recv_*` pipelining.
 //!
 //! Frame layout, tagging, error frames and the version byte are
-//! specified in DESIGN.md §7.7; the codec itself lives in [`frame`].
-//! Equivalence with the SOAP front end is enforced by the seeded
-//! cross-protocol twin suite (`tests/wire_twin.rs`), robustness of the
-//! decoder by `tests/bin_fuzz.rs`, and in-order pipelining by
-//! `tests/bin_pipeline_stress.rs`.
+//! specified in DESIGN.md §7.7. `tests/wire_golden.rs` pins every
+//! operation's bytes on both wires, `tests/bin_fuzz.rs` the decoder's
+//! robustness, and `tests/bin_pipeline_stress.rs` in-order pipelining.
 
 pub mod frame;
 
 mod client;
 mod server;
 
-pub use client::BinMcsClient;
+pub use crate::ops::Op;
+pub use client::{BinMcsClient, BinWire};
 pub use server::BinServer;
-
-/// Operation codes — one per catalog op the SOAP front end registers,
-/// plus the batched `createFiles` bulk mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Op {
-    /// Liveness probe.
-    Ping = 0x01,
-    /// Service topology and vitals.
-    CatalogInfo = 0x02,
-    /// Park until a shard's durable watermark covers an epoch.
-    WaitForEpoch = 0x03,
-    /// Make every acknowledged write durable now.
-    SyncNow = 0x04,
-    /// Read-cache counters.
-    CacheStats = 0x05,
-    /// Create one logical file.
-    CreateFile = 0x10,
-    /// Create a batch of logical files in one transaction.
-    CreateFiles = 0x11,
-    /// Fetch a file (the paper's "simple query").
-    GetFile = 0x12,
-    /// Fetch one version of a file.
-    GetFileVersion = 0x13,
-    /// All versions of a logical name.
-    GetFileVersions = 0x14,
-    /// Update predefined attributes.
-    UpdateFile = 0x15,
-    /// Mark a file invalid.
-    InvalidateFile = 0x16,
-    /// Delete a file.
-    DeleteFile = 0x17,
-    /// Delete one version of a file.
-    DeleteFileVersion = 0x18,
-    /// Create a collection.
-    CreateCollection = 0x20,
-    /// Fetch a collection record.
-    GetCollection = 0x21,
-    /// Delete an empty collection.
-    DeleteCollection = 0x22,
-    /// List a collection's direct contents.
-    ListCollection = 0x23,
-    /// Move a file into (or out of) a collection.
-    AssignCollection = 0x24,
-    /// Create a logical view.
-    CreateView = 0x30,
-    /// Fetch a view record.
-    GetView = 0x31,
-    /// Delete a view.
-    DeleteView = 0x32,
-    /// Add a member to a view.
-    AddToView = 0x33,
-    /// Remove a member from a view.
-    RemoveFromView = 0x34,
-    /// List a view's members.
-    ListView = 0x35,
-    /// Register a user-defined attribute.
-    DefineAttribute = 0x40,
-    /// Set (upsert) an attribute on an object.
-    SetAttribute = 0x41,
-    /// Remove an attribute.
-    RemoveAttribute = 0x42,
-    /// Fetch an object's user-defined attributes.
-    GetAttributes = 0x43,
-    /// Attribute-based discovery (the paper's "complex query").
-    QueryByAttributes = 0x44,
-    /// EXPLAIN for queryByAttributes.
-    ExplainQuery = 0x45,
-    /// Attach an annotation.
-    Annotate = 0x50,
-    /// Fetch annotations.
-    GetAnnotations = 0x51,
-    /// Fetch the audit trail.
-    GetAuditTrail = 0x52,
-    /// Enable or disable per-access auditing.
-    SetAudit = 0x53,
-    /// Append a transformation-history record.
-    AddHistory = 0x54,
-    /// Fetch a file's transformation history.
-    GetHistory = 0x55,
-    /// Grant a permission.
-    Grant = 0x60,
-    /// Revoke a permission.
-    Revoke = 0x61,
-    /// Register a metadata writer.
-    RegisterUser = 0x70,
-    /// Fetch a metadata writer by DN.
-    GetUser = 0x71,
-    /// List all metadata writers.
-    ListUsers = 0x72,
-    /// Register an external catalog pointer.
-    RegisterExternalCatalog = 0x73,
-    /// List external catalogs.
-    ListExternalCatalogs = 0x74,
-}
-
-impl Op {
-    /// Decode an opcode byte; `None` for anything unassigned.
-    pub fn from_u8(b: u8) -> Option<Op> {
-        use Op::*;
-        Some(match b {
-            0x01 => Ping,
-            0x02 => CatalogInfo,
-            0x03 => WaitForEpoch,
-            0x04 => SyncNow,
-            0x05 => CacheStats,
-            0x10 => CreateFile,
-            0x11 => CreateFiles,
-            0x12 => GetFile,
-            0x13 => GetFileVersion,
-            0x14 => GetFileVersions,
-            0x15 => UpdateFile,
-            0x16 => InvalidateFile,
-            0x17 => DeleteFile,
-            0x18 => DeleteFileVersion,
-            0x20 => CreateCollection,
-            0x21 => GetCollection,
-            0x22 => DeleteCollection,
-            0x23 => ListCollection,
-            0x24 => AssignCollection,
-            0x30 => CreateView,
-            0x31 => GetView,
-            0x32 => DeleteView,
-            0x33 => AddToView,
-            0x34 => RemoveFromView,
-            0x35 => ListView,
-            0x40 => DefineAttribute,
-            0x41 => SetAttribute,
-            0x42 => RemoveAttribute,
-            0x43 => GetAttributes,
-            0x44 => QueryByAttributes,
-            0x45 => ExplainQuery,
-            0x50 => Annotate,
-            0x51 => GetAnnotations,
-            0x52 => GetAuditTrail,
-            0x53 => SetAudit,
-            0x54 => AddHistory,
-            0x55 => GetHistory,
-            0x60 => Grant,
-            0x61 => Revoke,
-            0x70 => RegisterUser,
-            0x71 => GetUser,
-            0x72 => ListUsers,
-            0x73 => RegisterExternalCatalog,
-            0x74 => ListExternalCatalogs,
-            _ => return None,
-        })
-    }
-
-    /// The op's SOAP method name (used in fault messages so errors read
-    /// the same across protocols).
-    pub fn name(self) -> &'static str {
-        use Op::*;
-        match self {
-            Ping => "ping",
-            CatalogInfo => "catalogInfo",
-            WaitForEpoch => "waitForEpoch",
-            SyncNow => "syncNow",
-            CacheStats => "cacheStats",
-            CreateFile => "createFile",
-            CreateFiles => "createFiles",
-            GetFile => "getFile",
-            GetFileVersion => "getFileVersion",
-            GetFileVersions => "getFileVersions",
-            UpdateFile => "updateFile",
-            InvalidateFile => "invalidateFile",
-            DeleteFile => "deleteFile",
-            DeleteFileVersion => "deleteFileVersion",
-            CreateCollection => "createCollection",
-            GetCollection => "getCollection",
-            DeleteCollection => "deleteCollection",
-            ListCollection => "listCollection",
-            AssignCollection => "assignCollection",
-            CreateView => "createView",
-            GetView => "getView",
-            DeleteView => "deleteView",
-            AddToView => "addToView",
-            RemoveFromView => "removeFromView",
-            ListView => "listView",
-            DefineAttribute => "defineAttribute",
-            SetAttribute => "setAttribute",
-            RemoveAttribute => "removeAttribute",
-            GetAttributes => "getAttributes",
-            QueryByAttributes => "queryByAttributes",
-            ExplainQuery => "explainQuery",
-            Annotate => "annotate",
-            GetAnnotations => "getAnnotations",
-            GetAuditTrail => "getAuditTrail",
-            SetAudit => "setAudit",
-            AddHistory => "addHistory",
-            GetHistory => "getHistory",
-            Grant => "grant",
-            Revoke => "revoke",
-            RegisterUser => "registerUser",
-            GetUser => "getUser",
-            ListUsers => "listUsers",
-            RegisterExternalCatalog => "registerExternalCatalog",
-            ListExternalCatalogs => "listExternalCatalogs",
-        }
-    }
-}

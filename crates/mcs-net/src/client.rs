@@ -1,17 +1,20 @@
-//! Synchronous MCS client — the counterpart of the paper's Java client
-//! API, one method per catalog operation.
+//! The synchronous MCS client — the counterpart of the paper's Java
+//! client API, one method per catalog operation — written once over the
+//! [`Wire`] seam. [`McsClient`] speaks SOAP ([`SoapWire`]);
+//! [`crate::BinMcsClient`] speaks the binary protocol
+//! ([`crate::binproto::BinWire`]). The operation methods themselves are
+//! generated from the op table in [`crate::ops`].
 
 use std::fmt;
 
-use mcs::{
-    Annotation, AttrPredicate, AttrType, Attribute, AuditRecord, Collection,
-    CollectionContents, Credential, ExternalCatalog, FileSpec, FileUpdate, HistoryRecord,
-    LogicalFile, ObjectRef, Permission, UserRecord, View, ViewContents,
-};
+use mcs::Credential;
 use soapstack::xml::{Element, XmlError};
 use soapstack::{SoapClient, SoapError, TransportOpts};
 
-use crate::wire::*;
+use crate::codec::Reply;
+use crate::dispatch::CallScope;
+use crate::ops::Call;
+use crate::wire::credential_el;
 
 /// Error kind reconstructed from a structured server fault code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,21 +134,24 @@ pub type Result<T> = std::result::Result<T, NetError>;
 /// Per-request commit durability a client can ask of the server (the
 /// `mcs:durability` header; see DESIGN.md §7.2). `Async` trades bounded
 /// durability lag for immediate acknowledgement — the server echoes a
-/// commit epoch with each write, and [`McsClient::wait_for_epoch`] /
-/// [`McsClient::sync_now`] turn the weak ack into a hard one.
+/// commit epoch with each write, and [`Client::wait_for_epoch`] /
+/// [`Client::sync_now`] turn the weak ack into a hard one. The
+/// discriminant is the binary protocol's durability byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum DurabilityMode {
     /// One fsync per commit before the response (the default).
-    Always,
+    Always = 0,
     /// Commit parks until a group-commit leader has synced its batch.
-    Group,
+    Group = 1,
     /// Commit is acknowledged as soon as its log position is fixed; the
     /// response carries the commit epoch.
-    Async,
+    Async = 2,
 }
 
 impl DurabilityMode {
-    fn header_value(self) -> &'static str {
+    /// The `mcs:durability` attribute value.
+    pub(crate) fn header_value(self) -> &'static str {
         match self {
             DurabilityMode::Always => "always",
             DurabilityMode::Group => "group",
@@ -182,45 +188,43 @@ pub struct CatalogInfoReport {
     pub files: u64,
     /// Whether the server has a read cache.
     pub cache_enabled: bool,
+    /// Each shard's latest commit epoch.
+    pub commit_epochs: Vec<u64>,
+    /// Each shard's durable-epoch watermark.
+    pub durable_epochs: Vec<u64>,
 }
 
-/// A synchronous client bound to one MCS endpoint and one credential.
-pub struct McsClient {
-    soap: SoapClient,
-    cred: Credential,
-    /// When set, every request carries `mcs:durability="<mode>"`.
-    durability: Option<DurabilityMode>,
-    /// When true, every request carries `mcs:cache="bypass"`.
-    cache_bypass: bool,
-    /// Commit epoch echoed by the last write response (0 if the last
-    /// call logged nothing or predates this feature).
-    last_epoch: u64,
-    /// Shard the last echoed epoch belongs to (0 unless the server is
-    /// sharded and said otherwise).
-    last_shard: usize,
+/// The transport seam under [`Client`]: how one wire carries a [`Call`]
+/// and its answer.
+pub trait Wire {
+    /// Send `call` on behalf of `cred` under the per-request options
+    /// `scope`, and decode the answer as `R`. A successful response's
+    /// `(epoch, shard)` echo goes to `echo` before the answer is decoded.
+    fn exchange<R: Reply>(
+        &mut self,
+        cred: &Credential,
+        scope: CallScope,
+        call: &Call<'_>,
+        echo: &mut (u64, usize),
+    ) -> Result<R>;
 }
 
-impl McsClient {
-    /// Connect to `addr` (e.g. `127.0.0.1:8080`) as `cred`, with default
-    /// transport options (connection per call, no simulated latency).
-    pub fn connect(addr: impl Into<String>, cred: Credential) -> McsClient {
-        McsClient::with_opts(addr, cred, TransportOpts::default())
-    }
+/// A synchronous client bound to one MCS endpoint and one credential,
+/// over the wire `W`. The catalog operations are its methods.
+pub struct Client<W> {
+    pub(crate) wire: W,
+    pub(crate) cred: Credential,
+    /// Durability override and cache bypass sent with every request.
+    pub(crate) scope: CallScope,
+    /// `(epoch, shard)` echoed by the last successful response: the
+    /// commit epoch of whatever it logged (0 if nothing) and the shard
+    /// it landed on.
+    pub(crate) echo: (u64, usize),
+}
 
-    /// Connect with explicit transport options.
-    pub fn with_opts(
-        addr: impl Into<String>,
-        cred: Credential,
-        opts: TransportOpts,
-    ) -> McsClient {
-        McsClient {
-            soap: SoapClient::with_opts(addr, "/mcs", opts),
-            cred,
-            durability: None,
-            cache_bypass: false,
-            last_epoch: 0,
-            last_shard: 0,
-        }
+impl<W> Client<W> {
+    pub(crate) fn new(wire: W, cred: Credential) -> Client<W> {
+        Client { wire, cred, scope: CallScope::default(), echo: (0, 0) }
     }
 
     /// The credential this client acts as.
@@ -232,463 +236,107 @@ impl McsClient {
     /// to the server's store-wide policy). With
     /// [`DurabilityMode::Async`], writes return as soon as their log
     /// position is fixed; read the echoed epoch with
-    /// [`McsClient::last_epoch`] and barrier with
-    /// [`McsClient::wait_for_epoch`] or [`McsClient::sync_now`].
+    /// [`Client::last_epoch`] and barrier with
+    /// [`Client::wait_for_epoch`] or [`Client::sync_now`].
     pub fn set_durability(&mut self, mode: Option<DurabilityMode>) {
-        self.durability = mode;
+        self.scope.durability = mode;
+    }
+
+    /// Ask the server to skip its read cache for this client's requests
+    /// (see DESIGN.md §7.3). The bypass is per-request — other clients
+    /// and the cache itself are unaffected — which makes it the tool for
+    /// A/B measurements and for forcing a read straight from the store.
+    pub fn set_cache_bypass(&mut self, bypass: bool) {
+        self.scope.cache_bypass = bypass;
     }
 
     /// The commit epoch the server echoed on the most recent response (0
     /// if that call logged nothing). Pass it to
-    /// [`McsClient::wait_for_epoch`] to make the write durable.
+    /// [`Client::wait_for_epoch`] to make the write durable.
     pub fn last_epoch(&self) -> u64 {
-        self.last_epoch
+        self.echo.0
     }
 
-    /// The shard [`McsClient::last_epoch`] belongs to. Epochs are per
-    /// shard on a partitioned server (`mcs:shard` response attribute);
-    /// always 0 against a single-shard catalog.
+    /// The shard [`Client::last_epoch`] belongs to. Epochs are per shard
+    /// on a partitioned server; always 0 against a single-shard catalog.
     pub fn last_shard(&self) -> usize {
-        self.last_shard
+        self.echo.1
     }
+}
 
-    /// Ask the server to skip its read cache for this client's requests
-    /// (the `mcs:cache="bypass"` attribute; see DESIGN.md §7.3). The
-    /// bypass is per-request — other clients and the cache itself are
-    /// unaffected — which makes it the tool for A/B measurements and
-    /// for forcing a read straight from the store.
-    pub fn set_cache_bypass(&mut self, bypass: bool) {
-        self.cache_bypass = bypass;
+impl<W: Wire> Client<W> {
+    pub(crate) fn invoke<R: Reply>(&mut self, call: &Call<'_>) -> Result<R> {
+        self.wire.exchange(&self.cred, self.scope, call, &mut self.echo)
     }
-
-    /// Fetch the server's read-cache counters (the `cacheStats` op).
-    pub fn cache_stats(&mut self) -> Result<CacheStatsReport> {
-        let r = self.call("cacheStats", Element::new("a"))?;
-        Ok(CacheStatsReport {
-            enabled: req_text(&r, "enabled")? == "true",
-            hits: req_text(&r, "hits")?.parse().unwrap_or(0),
-            misses: req_text(&r, "misses")?.parse().unwrap_or(0),
-            stale: req_text(&r, "stale")?.parse().unwrap_or(0),
-            evictions: req_text(&r, "evictions")?.parse().unwrap_or(0),
-        })
-    }
-
-    fn call(&mut self, method: &str, mut args: Element) -> Result<Element> {
-        // Every call carries the credential (the GSI context of the
-        // original would ride the TLS layer instead).
-        args.children.insert(0, soapstack::xml::Node::Element(credential_el(&self.cred)));
-        if self.durability.is_some() || self.cache_bypass {
-            args = args.attr("xmlns:mcs", soapstack::soap::MCS_NS);
-        }
-        if let Some(mode) = self.durability {
-            args = args.attr("mcs:durability", mode.header_value());
-        }
-        if self.cache_bypass {
-            args = args.attr("mcs:cache", "bypass");
-        }
-        let r = self.soap.call(method, args)?;
-        // writes echo the commit epoch of whatever they logged (and the
-        // shard it landed on, when the server is partitioned)
-        self.last_epoch = r
-            .attr_value("mcs:epoch")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        self.last_shard = r
-            .attr_value("mcs:shard")
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        Ok(r)
-    }
-
-    // --- durability barriers (DESIGN.md §7.2) ---
 
     /// Park on the server until the durable-epoch watermark covers
-    /// `epoch` (a value from [`McsClient::last_epoch`]); returns the
+    /// `epoch` (a value from [`Client::last_epoch`]); returns the
     /// watermark. Fails with [`FaultKind::DurabilityLost`] if the
     /// server's log writer broke while the epoch was pending.
     pub fn wait_for_epoch(&mut self, epoch: u64) -> Result<u64> {
         self.wait_for_epoch_on(0, epoch)
     }
 
-    /// [`McsClient::wait_for_epoch`] against one shard of a partitioned
+    /// [`Client::wait_for_epoch`] against one shard of a partitioned
     /// server: epochs are per shard, so pair the epoch with the shard the
-    /// write's response named ([`McsClient::last_shard`]).
+    /// write's response named ([`Client::last_shard`]).
     pub fn wait_for_epoch_on(&mut self, shard: usize, epoch: u64) -> Result<u64> {
-        let mut args = Element::new("a").child(text_el("epoch", epoch.to_string()));
-        if shard > 0 {
-            args = args.child(text_el("shard", shard.to_string()));
-        }
-        let r = self.call("waitForEpoch", args)?;
-        Ok(req_text(&r, "durableEpoch")?.parse().unwrap_or(0))
-    }
-
-    /// Server topology and vitals (the `catalogInfo` op).
-    pub fn catalog_info(&mut self) -> Result<CatalogInfoReport> {
-        let r = self.call("catalogInfo", Element::new("a"))?;
-        Ok(CatalogInfoReport {
-            shards: req_text(&r, "shards")?.parse().unwrap_or(1),
-            profile: req_text(&r, "profile")?,
-            files: req_text(&r, "files")?.parse().unwrap_or(0),
-            cache_enabled: req_text(&r, "cacheEnabled")? == "true",
-        })
+        self.wait_epoch(epoch, shard)
     }
 
     /// Make every acknowledged write durable now (the bulk-load final
-    /// barrier); returns the epoch the barrier covered.
+    /// barrier); returns the epoch the barrier covered (shard 0's on a
+    /// partitioned server).
     pub fn sync_now(&mut self) -> Result<u64> {
-        let r = self.call("syncNow", Element::new("a"))?;
-        Ok(req_text(&r, "durableEpoch")?.parse().unwrap_or(0))
+        Ok(self.sync_epochs()?.first().copied().unwrap_or(0))
     }
+}
 
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<()> {
-        self.call("ping", Element::new("a")).map(drop)
-    }
+/// The SOAP/HTTP wire: one envelope per call, the per-request options as
+/// method-element attributes (`mcs:durability`, `mcs:cache`) and the echo
+/// as response attributes (`mcs:epoch`, `mcs:shard`).
+pub struct SoapWire(SoapClient);
 
-    // --- files ---
-
-    /// Create a logical file with creation-time attributes.
-    pub fn create_file(&mut self, spec: &FileSpec) -> Result<LogicalFile> {
-        let r = self.call("createFile", Element::new("a").child(filespec_el(spec)))?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
-    /// Create a batch of logical files in one server-side transaction
-    /// (the `createFiles` bulk op): all-or-nothing per shard, results in
-    /// input order. One round-trip and one commit replace N of each.
-    pub fn create_files(&mut self, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
-        let mut a = Element::new("a");
-        for s in specs {
-            a = a.child(filespec_el(s));
-        }
-        let r = self.call("createFiles", a)?;
-        r.find_all("file").map(|f| Ok(file_from(f)?)).collect()
-    }
-
-    /// Fetch a file's predefined metadata (the paper's "simple query").
-    pub fn get_file(&mut self, name: &str) -> Result<LogicalFile> {
-        let r = self.call("getFile", Element::new("a").child(text_el("name", name)))?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
-    /// Fetch one version of a file.
-    pub fn get_file_version(&mut self, name: &str, version: i64) -> Result<LogicalFile> {
-        let r = self.call(
-            "getFileVersion",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("version", version.to_string())),
-        )?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
-    /// All versions of a logical name.
-    pub fn get_file_versions(&mut self, name: &str) -> Result<Vec<LogicalFile>> {
-        let r = self.call("getFileVersions", Element::new("a").child(text_el("name", name)))?;
-        r.find_all("file").map(|f| Ok(file_from(f)?)).collect()
-    }
-
-    /// Update predefined attributes.
-    pub fn update_file(&mut self, name: &str, update: &FileUpdate) -> Result<LogicalFile> {
-        let r = self.call(
-            "updateFile",
-            Element::new("a").child(text_el("name", name)).child(fileupdate_el(update)),
-        )?;
-        Ok(file_from(r.expect("file")?)?)
-    }
-
-    /// Mark a file invalid.
-    pub fn invalidate_file(&mut self, name: &str) -> Result<()> {
-        self.call("invalidateFile", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
-    /// Delete a file and all its metadata.
-    pub fn delete_file(&mut self, name: &str) -> Result<()> {
-        self.call("deleteFile", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
-    /// Delete one version of a file.
-    pub fn delete_file_version(&mut self, name: &str, version: i64) -> Result<()> {
-        self.call(
-            "deleteFileVersion",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("version", version.to_string())),
-        )
-        .map(drop)
-    }
-
-    // --- collections ---
-
-    /// Create a collection (optionally nested).
-    pub fn create_collection(
+impl Wire for SoapWire {
+    fn exchange<R: Reply>(
         &mut self,
-        name: &str,
-        parent: Option<&str>,
-        description: &str,
-    ) -> Result<Collection> {
-        let mut a = Element::new("a").child(text_el("name", name));
-        if let Some(p) = parent {
-            a = a.child(text_el("parent", p));
+        cred: &Credential,
+        scope: CallScope,
+        call: &Call<'_>,
+        echo: &mut (u64, usize),
+    ) -> Result<R> {
+        // Every call carries the credential (the GSI context of the
+        // original would ride the TLS layer instead).
+        let mut args = Element::new("a").child(credential_el(cred));
+        call.soap_args(&mut args);
+        if scope.durability.is_some() || scope.cache_bypass {
+            args = args.attr("xmlns:mcs", soapstack::soap::MCS_NS);
         }
-        a = a.child(text_el("description", description));
-        let r = self.call("createCollection", a)?;
-        Ok(collection_from(r.expect("collection")?)?)
-    }
-
-    /// Fetch a collection record.
-    pub fn get_collection(&mut self, name: &str) -> Result<Collection> {
-        let r = self.call("getCollection", Element::new("a").child(text_el("name", name)))?;
-        Ok(collection_from(r.expect("collection")?)?)
-    }
-
-    /// Delete an empty collection.
-    pub fn delete_collection(&mut self, name: &str) -> Result<()> {
-        self.call("deleteCollection", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
-    /// List a collection's direct contents.
-    pub fn list_collection(&mut self, name: &str) -> Result<CollectionContents> {
-        let r = self.call("listCollection", Element::new("a").child(text_el("name", name)))?;
-        Ok(collection_contents_from(r.expect("contents")?)?)
-    }
-
-    /// Move a file into (or out of) a collection.
-    pub fn assign_collection(&mut self, file: &str, collection: Option<&str>) -> Result<()> {
-        let mut a = Element::new("a").child(text_el("file", file));
-        if let Some(c) = collection {
-            a = a.child(text_el("collection", c));
+        if let Some(mode) = scope.durability {
+            args = args.attr("mcs:durability", mode.header_value());
         }
-        self.call("assignCollection", a).map(drop)
-    }
-
-    // --- views ---
-
-    /// Create a logical view.
-    pub fn create_view(&mut self, name: &str, description: &str) -> Result<View> {
-        let r = self.call(
-            "createView",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("description", description)),
-        )?;
-        Ok(view_from(r.expect("view")?)?)
-    }
-
-    /// Fetch a view record.
-    pub fn get_view(&mut self, name: &str) -> Result<View> {
-        let r = self.call("getView", Element::new("a").child(text_el("name", name)))?;
-        Ok(view_from(r.expect("view")?)?)
-    }
-
-    /// Delete a view.
-    pub fn delete_view(&mut self, name: &str) -> Result<()> {
-        self.call("deleteView", Element::new("a").child(text_el("name", name))).map(drop)
-    }
-
-    /// Add a member to a view.
-    pub fn add_to_view(&mut self, view: &str, member: &ObjectRef) -> Result<()> {
-        self.call(
-            "addToView",
-            Element::new("a").child(text_el("view", view)).child(objref_el(member)),
-        )
-        .map(drop)
-    }
-
-    /// Remove a member from a view; true if it was present.
-    pub fn remove_from_view(&mut self, view: &str, member: &ObjectRef) -> Result<bool> {
-        let r = self.call(
-            "removeFromView",
-            Element::new("a").child(text_el("view", view)).child(objref_el(member)),
-        )?;
-        Ok(req_text(&r, "removed")? == "true")
-    }
-
-    /// List a view's members.
-    pub fn list_view(&mut self, name: &str) -> Result<ViewContents> {
-        let r = self.call("listView", Element::new("a").child(text_el("name", name)))?;
-        Ok(view_contents_from(r.expect("contents")?)?)
-    }
-
-    // --- attributes & queries ---
-
-    /// Register a user-defined attribute.
-    pub fn define_attribute(
-        &mut self,
-        name: &str,
-        ty: AttrType,
-        description: &str,
-    ) -> Result<()> {
-        self.call(
-            "defineAttribute",
-            Element::new("a")
-                .child(text_el("name", name))
-                .child(text_el("attrType", attr_type_code(ty)))
-                .child(text_el("description", description)),
-        )
-        .map(drop)
-    }
-
-    /// Set (upsert) an attribute on an object.
-    pub fn set_attribute(&mut self, object: &ObjectRef, attr: &Attribute) -> Result<()> {
-        self.call(
-            "setAttribute",
-            Element::new("a").child(objref_el(object)).child(attribute_el(attr)),
-        )
-        .map(drop)
-    }
-
-    /// Remove an attribute; true if it was present.
-    pub fn remove_attribute(&mut self, object: &ObjectRef, name: &str) -> Result<bool> {
-        let r = self.call(
-            "removeAttribute",
-            Element::new("a").child(objref_el(object)).child(text_el("name", name)),
-        )?;
-        Ok(req_text(&r, "removed")? == "true")
-    }
-
-    /// Fetch an object's user-defined attributes.
-    pub fn get_attributes(&mut self, object: &ObjectRef) -> Result<Vec<Attribute>> {
-        let r = self.call("getAttributes", Element::new("a").child(objref_el(object)))?;
-        r.find_all("attribute").map(|a| Ok(attribute_from(a)?)).collect()
-    }
-
-    /// Attribute-based discovery (the paper's "complex query"). Returns
-    /// matching (logical name, version) pairs.
-    pub fn query_by_attributes(&mut self, preds: &[AttrPredicate]) -> Result<Vec<(String, i64)>> {
-        let mut a = Element::new("a");
-        for p in preds {
-            a = a.child(predicate_el(p));
+        if scope.cache_bypass {
+            args = args.attr("mcs:cache", "bypass");
         }
-        let r = self.call("queryByAttributes", a)?;
-        Ok(hits_from(r.expect("hits")?)?)
+        let r = self.0.call(call.op().name(), args)?;
+        let attr = |name| r.attr_value(name).and_then(|v| v.parse().ok()).unwrap_or(0);
+        *echo = (attr("mcs:epoch"), attr("mcs:shard") as usize);
+        Ok(R::from_el(&r)?)
+    }
+}
+
+/// The typed client over SOAP.
+pub type McsClient = Client<SoapWire>;
+
+impl McsClient {
+    /// Connect to `addr` (e.g. `127.0.0.1:8080`) as `cred`, with default
+    /// transport options (connection per call, no simulated latency).
+    pub fn connect(addr: impl Into<String>, cred: Credential) -> McsClient {
+        McsClient::with_opts(addr, cred, TransportOpts::default())
     }
 
-    /// EXPLAIN for [`MetadataCatalogClient::query_by_attributes`]: the
-    /// evaluation plan the server's cost-based planner would choose for
-    /// this conjunction, one human-readable line per step, without
-    /// executing the query.
-    pub fn explain_query(&mut self, preds: &[AttrPredicate]) -> Result<Vec<String>> {
-        let mut a = Element::new("a");
-        for p in preds {
-            a = a.child(predicate_el(p));
-        }
-        let r = self.call("explainQuery", a)?;
-        r.expect("plan")?.find_all("step").map(|s| Ok(s.text_content())).collect()
-    }
-
-    // --- annotations, audit, history ---
-
-    /// Attach an annotation.
-    pub fn annotate(&mut self, object: &ObjectRef, text: &str) -> Result<()> {
-        self.call(
-            "annotate",
-            Element::new("a").child(objref_el(object)).child(text_el("text", text)),
-        )
-        .map(drop)
-    }
-
-    /// Fetch annotations, oldest first.
-    pub fn get_annotations(&mut self, object: &ObjectRef) -> Result<Vec<Annotation>> {
-        let r = self.call("getAnnotations", Element::new("a").child(objref_el(object)))?;
-        r.find_all("annotation").map(|a| Ok(annotation_from(a)?)).collect()
-    }
-
-    /// Fetch the audit trail, oldest first.
-    pub fn get_audit_trail(&mut self, object: &ObjectRef) -> Result<Vec<AuditRecord>> {
-        let r = self.call("getAuditTrail", Element::new("a").child(objref_el(object)))?;
-        r.find_all("audit").map(|a| Ok(audit_from(a)?)).collect()
-    }
-
-    /// Enable or disable per-access auditing.
-    pub fn set_audit(&mut self, object: &ObjectRef, enabled: bool) -> Result<()> {
-        self.call(
-            "setAudit",
-            Element::new("a")
-                .child(objref_el(object))
-                .child(text_el("enabled", enabled.to_string())),
-        )
-        .map(drop)
-    }
-
-    /// Append a transformation-history record.
-    pub fn add_history(&mut self, file: &str, description: &str) -> Result<()> {
-        self.call(
-            "addHistory",
-            Element::new("a")
-                .child(text_el("file", file))
-                .child(text_el("description", description)),
-        )
-        .map(drop)
-    }
-
-    /// Fetch a file's transformation history.
-    pub fn get_history(&mut self, file: &str) -> Result<Vec<HistoryRecord>> {
-        let r = self.call("getHistory", Element::new("a").child(text_el("file", file)))?;
-        r.find_all("history").map(|h| Ok(history_from(h)?)).collect()
-    }
-
-    // --- policy & registries ---
-
-    /// Grant a permission.
-    pub fn grant(
-        &mut self,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        self.call(
-            "grant",
-            Element::new("a")
-                .child(objref_el(object))
-                .child(text_el("principal", principal))
-                .child(text_el("permission", permission_code(perm))),
-        )
-        .map(drop)
-    }
-
-    /// Revoke a permission.
-    pub fn revoke(
-        &mut self,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        self.call(
-            "revoke",
-            Element::new("a")
-                .child(objref_el(object))
-                .child(text_el("principal", principal))
-                .child(text_el("permission", permission_code(perm))),
-        )
-        .map(drop)
-    }
-
-    /// Register a metadata writer.
-    pub fn register_user(&mut self, user: &UserRecord) -> Result<()> {
-        self.call("registerUser", Element::new("a").child(user_el(user))).map(drop)
-    }
-
-    /// Fetch a metadata writer by DN.
-    pub fn get_user(&mut self, dn: &str) -> Result<UserRecord> {
-        let r = self.call("getUser", Element::new("a").child(text_el("dn", dn)))?;
-        Ok(user_from(r.expect("user")?)?)
-    }
-
-    /// List all metadata writers.
-    pub fn list_users(&mut self) -> Result<Vec<UserRecord>> {
-        let r = self.call("listUsers", Element::new("a"))?;
-        r.find_all("user").map(|u| Ok(user_from(u)?)).collect()
-    }
-
-    /// Register an external catalog pointer.
-    pub fn register_external_catalog(&mut self, cat: &ExternalCatalog) -> Result<()> {
-        self.call("registerExternalCatalog", Element::new("a").child(extcat_el(cat))).map(drop)
-    }
-
-    /// List external catalogs.
-    pub fn list_external_catalogs(&mut self) -> Result<Vec<ExternalCatalog>> {
-        let r = self.call("listExternalCatalogs", Element::new("a"))?;
-        r.find_all("externalCatalog").map(|c| Ok(extcat_from(c)?)).collect()
+    /// Connect with explicit transport options.
+    pub fn with_opts(addr: impl Into<String>, cred: Credential, opts: TransportOpts) -> McsClient {
+        Client::new(SoapWire(SoapClient::with_opts(addr, "/mcs", opts)), cred)
     }
 }

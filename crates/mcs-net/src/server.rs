@@ -1,74 +1,34 @@
 //! The MCS web service: every catalog operation exposed as a SOAP method
-//! (the Tomcat/Axis deployment of the paper, Figure 4).
+//! (the Tomcat/Axis deployment of the paper, Figure 4). One handler
+//! serves every method: it decodes the request with the op table's SOAP
+//! codec and runs it through [`crate::dispatch::serve`].
 
 use std::sync::Arc;
 
-use mcs::{McsError, Mcs, ShardedCatalog};
+use mcs::{Credential, Mcs, ShardedCatalog};
 use soapstack::server::{Handler, HttpServer, SoapDispatcher};
-use soapstack::xml::{Element, XmlError};
+use soapstack::xml::Element;
 use soapstack::{Fault, Request, Response};
 
-use crate::wire::*;
-
-/// Structured fault-code suffix for each [`McsError`] variant, so the
-/// client can reconstruct the error kind.
-pub fn fault_kind(e: &McsError) -> &'static str {
-    match e {
-        McsError::NotFound(_) => "NotFound",
-        McsError::AlreadyExists(_) => "AlreadyExists",
-        McsError::PermissionDenied { .. } => "PermissionDenied",
-        McsError::InvalidName(_) => "InvalidName",
-        McsError::CycleDetected(_) => "CycleDetected",
-        McsError::AlreadyInCollection { .. } => "AlreadyInCollection",
-        McsError::CollectionNotEmpty(_) => "CollectionNotEmpty",
-        McsError::BadAttribute(_) => "BadAttribute",
-        McsError::VersionConflict(_) => "VersionConflict",
-        McsError::DurabilityLost(_) => "DurabilityLost",
-        McsError::Db(_) => "Db",
-        McsError::Internal(_) => "Internal",
-    }
-}
-
-pub(crate) fn fault_of(e: McsError) -> Fault {
-    Fault { code: format!("soap:Server.{}", fault_kind(&e)), message: e.to_string() }
-}
-
-pub(crate) fn fault_of_xml(e: XmlError) -> Fault {
-    Fault { code: "soap:Client.BadArguments".into(), message: e.to_string() }
-}
-
-type MethodResult = std::result::Result<Element, Fault>;
-
-fn ok() -> Element {
-    Element::new("r").child(Element::new("ok"))
-}
-
-fn wrap(children: Vec<Element>) -> Element {
-    let mut r = Element::new("r");
-    for c in children {
-        r = r.child(c);
-    }
-    r
-}
+use crate::client::DurabilityMode;
+use crate::dispatch::{bad_arguments, fault_of_xml, serve, CallScope};
+use crate::ops::{decode_soap, Op};
+use crate::wire::credential_from;
 
 /// Parse the per-request `mcs:durability` attribute on the method element
 /// (the SOAP header clients use to relax or harden one call's commit
-/// policy — see DESIGN.md §7.2). `group`/`async` use the server's
-/// default batching window.
-fn durability_override(
-    call: &Element,
-) -> std::result::Result<Option<crate::client::DurabilityMode>, Fault> {
-    let Some(v) = call.attr_value("mcs:durability") else { return Ok(None) };
+/// policy — see DESIGN.md §7.2).
+fn durability_override(call: &Element) -> Result<Option<DurabilityMode>, Fault> {
+    let Some(v) = call.attr_value("mcs:durability") else {
+        return Ok(None);
+    };
     match v {
-        "always" => Ok(Some(crate::client::DurabilityMode::Always)),
-        "group" => Ok(Some(crate::client::DurabilityMode::Group)),
-        "async" => Ok(Some(crate::client::DurabilityMode::Async)),
-        other => Err(Fault {
-            code: "soap:Client.BadArguments".into(),
-            message: format!(
-                "unknown mcs:durability mode `{other}` (expected always|group|async)"
-            ),
-        }),
+        "always" => Ok(Some(DurabilityMode::Always)),
+        "group" => Ok(Some(DurabilityMode::Group)),
+        "async" => Ok(Some(DurabilityMode::Async)),
+        other => Err(bad_arguments(format!(
+            "unknown mcs:durability mode `{other}` (expected always|group|async)"
+        ))),
     }
 }
 
@@ -76,417 +36,47 @@ fn durability_override(
 /// `bypass` makes every read in this call execute the uncached path — the
 /// escape hatch for clients that must observe the raw tables (or measure
 /// them, as the fig14 A/B does). Anything else is rejected.
-fn cache_bypass(call: &Element) -> std::result::Result<bool, Fault> {
+fn cache_bypass(call: &Element) -> Result<bool, Fault> {
     match call.attr_value("mcs:cache") {
         None => Ok(false),
         Some("bypass") => Ok(true),
-        Some(other) => Err(Fault {
-            code: "soap:Client.BadArguments".into(),
-            message: format!("unknown mcs:cache mode `{other}` (expected bypass)"),
-        }),
+        Some(other) => {
+            Err(bad_arguments(format!("unknown mcs:cache mode `{other}` (expected bypass)")))
+        }
     }
 }
 
-fn reg<F>(d: &mut SoapDispatcher, catalog: &Arc<ShardedCatalog>, name: &str, f: F)
-where
-    F: Fn(&ShardedCatalog, &Element) -> MethodResult + Send + Sync + 'static,
-{
-    let catalog = Arc::clone(catalog);
-    d.register(name, move |call| {
-        // Every method passes through here: decode the per-request
-        // headers into the CallScope both wire front ends share, then
-        // run under it — the scope applies the durability override (if
-        // any) and the cache bypass, and reports the commit epoch of
-        // whatever the operation logged, so an async-acknowledged client
-        // has the handle it needs for waitForEpoch. Epochs are per shard,
-        // so a sharded catalog also echoes which shard the commit landed
-        // on.
-        let scope = crate::dispatch::CallScope {
-            durability: durability_override(call)?,
-            cache_bypass: cache_bypass(call)?,
-        };
-        let (result, epoch, shard) =
-            crate::dispatch::run_scoped(&catalog, scope, |c| f(c, call));
-        let mut el = result?;
-        if epoch > 0 {
-            el.attrs.push(("xmlns:mcs".into(), soapstack::soap::MCS_NS.into()));
-            el.attrs.push(("mcs:epoch".into(), epoch.to_string()));
-            if catalog.shards() > 1 {
-                el.attrs.push(("mcs:shard".into(), shard.to_string()));
-            }
+/// Serve one SOAP call of `op`: the headers, the credential (which
+/// `ping` alone ignores) and the arguments, then the answer as the
+/// response element, with the commit epoch (and, on a sharded catalog,
+/// the shard) it logged as attributes.
+fn serve_soap(catalog: &ShardedCatalog, op: Op, call: &Element) -> Result<Element, Fault> {
+    let scope =
+        CallScope { durability: durability_override(call)?, cache_bypass: cache_bypass(call)? };
+    let cred = match op {
+        Op::Ping => Credential::new(""),
+        _ => credential_from(call).map_err(fault_of_xml)?,
+    };
+    let (answer, epoch, shard) =
+        decode_soap(op, call, |c| serve(catalog, &cred, scope, c)).map_err(fault_of_xml)??;
+    let mut el = Element::new("r");
+    answer.reply().to_el(&mut el, catalog.shards());
+    if epoch > 0 {
+        el.attrs.push(("xmlns:mcs".into(), soapstack::soap::MCS_NS.into()));
+        el.attrs.push(("mcs:epoch".into(), epoch.to_string()));
+        if catalog.shards() > 1 {
+            el.attrs.push(("mcs:shard".into(), shard.to_string()));
         }
-        Ok(el)
-    });
-}
-
-fn epoch_list(epochs: &[u64]) -> String {
-    epochs.iter().map(u64::to_string).collect::<Vec<_>>().join(" ")
+    }
+    Ok(el)
 }
 
 /// Register every MCS operation on a dispatcher.
 pub fn register_methods(d: &mut SoapDispatcher, catalog: Arc<ShardedCatalog>) {
-    let d = d;
-    let mcs = &catalog;
-
-    // --- service topology ---
-    reg(d, mcs, "catalogInfo", |mcs, call| {
-        let _cred = credential_from(call).map_err(fault_of_xml)?;
-        Ok(wrap(vec![
-            text_el("shards", mcs.shards().to_string()),
-            text_el("profile", format!("{:?}", mcs.index_profile())),
-            text_el("files", mcs.file_count().map_err(fault_of)?.to_string()),
-            text_el("cacheEnabled", mcs.cache_enabled().to_string()),
-            text_el("commitEpochs", epoch_list(&mcs.commit_epochs())),
-            text_el("durableEpochs", epoch_list(&mcs.durable_epochs())),
-        ]))
-    });
-
-    // --- durability (DESIGN.md §7.2, per shard §7.4) ---
-    reg(d, mcs, "waitForEpoch", |mcs, call| {
-        let _cred = credential_from(call).map_err(fault_of_xml)?;
-        let epoch = req_i64(call, "epoch").map_err(fault_of_xml)?;
-        if epoch < 0 {
-            return Err(fault_of_xml(XmlError::Shape("epoch must be >= 0".into())));
-        }
-        // Epochs are per shard: an async write's echoed `mcs:shard` comes
-        // back here. Absent (a single-shard catalog, or a legacy client)
-        // it defaults to shard 0.
-        let shard = match opt_text(call, "shard") {
-            None => 0,
-            Some(s) => s.parse::<usize>().map_err(|_| {
-                fault_of_xml(XmlError::Shape("shard must be a non-negative integer".into()))
-            })?,
-        };
-        if shard >= mcs.shards() {
-            return Err(fault_of_xml(XmlError::Shape(format!(
-                "shard {shard} out of range (catalog has {})",
-                mcs.shards()
-            ))));
-        }
-        mcs.wait_for_epoch(shard, epoch as u64).map_err(fault_of)?;
-        let durable = mcs.durable_epoch(shard).map_err(fault_of)?;
-        Ok(wrap(vec![text_el("durableEpoch", durable.to_string())]))
-    });
-    reg(d, mcs, "syncNow", |mcs, call| {
-        let _cred = credential_from(call).map_err(fault_of_xml)?;
-        let epochs = mcs.sync_now().map_err(fault_of)?;
-        let mut children = vec![text_el("durableEpoch", epochs[0].to_string())];
-        if mcs.shards() > 1 {
-            children.push(text_el("shards", mcs.shards().to_string()));
-            children.push(text_el("shardEpochs", epoch_list(&epochs)));
-        }
-        Ok(wrap(children))
-    });
-
-    // --- read cache (DESIGN.md §7.3; aggregated across shards) ---
-    reg(d, mcs, "cacheStats", |mcs, call| {
-        let _cred = credential_from(call).map_err(fault_of_xml)?;
-        let stats = mcs.cache_stats().unwrap_or_default();
-        let mut children = vec![
-            text_el("enabled", mcs.cache_enabled().to_string()),
-            text_el("hits", stats.hits.to_string()),
-            text_el("misses", stats.misses.to_string()),
-            text_el("stale", stats.stale.to_string()),
-            text_el("evictions", stats.evictions.to_string()),
-        ];
-        if mcs.shards() > 1 {
-            children.push(text_el("shards", mcs.shards().to_string()));
-        }
-        Ok(wrap(children))
-    });
-
-    // --- files ---
-    reg(d, mcs, "ping", |_mcs, _call| Ok(ok()));
-    reg(d, mcs, "createFile", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let spec =
-            filespec_from(call.expect("fileSpec").map_err(fault_of_xml)?).map_err(fault_of_xml)?;
-        let f = mcs.create_file(&cred, &spec).map_err(fault_of)?;
-        Ok(wrap(vec![file_el(&f)]))
-    });
-    reg(d, mcs, "createFiles", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let specs: Vec<_> = call
-            .find_all("fileSpec")
-            .map(filespec_from)
-            .collect::<crate::wire::Result<_>>()
-            .map_err(fault_of_xml)?;
-        let fs = mcs.create_files(&cred, &specs).map_err(fault_of)?;
-        Ok(wrap(fs.iter().map(file_el).collect()))
-    });
-    reg(d, mcs, "getFile", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let f = mcs.get_file(&cred, &name).map_err(fault_of)?;
-        Ok(wrap(vec![file_el(&f)]))
-    });
-    reg(d, mcs, "getFileVersion", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let version = req_i64(call, "version").map_err(fault_of_xml)?;
-        let f = mcs.get_file_version(&cred, &name, version).map_err(fault_of)?;
-        Ok(wrap(vec![file_el(&f)]))
-    });
-    reg(d, mcs, "getFileVersions", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let fs = mcs.get_file_versions(&cred, &name).map_err(fault_of)?;
-        Ok(wrap(fs.iter().map(file_el).collect()))
-    });
-    reg(d, mcs, "updateFile", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let upd = fileupdate_from(call.expect("fileUpdate").map_err(fault_of_xml)?)
-            .map_err(fault_of_xml)?;
-        let f = mcs.update_file(&cred, &name, &upd).map_err(fault_of)?;
-        Ok(wrap(vec![file_el(&f)]))
-    });
-    reg(d, mcs, "invalidateFile", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        mcs.invalidate_file(&cred, &name).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "deleteFile", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        mcs.delete_file(&cred, &name).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "deleteFileVersion", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let version = req_i64(call, "version").map_err(fault_of_xml)?;
-        mcs.delete_file_version(&cred, &name, version).map_err(fault_of)?;
-        Ok(ok())
-    });
-
-    // --- collections ---
-    reg(d, mcs, "createCollection", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let parent = opt_text(call, "parent");
-        let description = opt_text(call, "description").unwrap_or_default();
-        let c = mcs
-            .create_collection(&cred, &name, parent.as_deref(), &description)
-            .map_err(fault_of)?;
-        Ok(wrap(vec![collection_el(&c)]))
-    });
-    reg(d, mcs, "getCollection", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let c = mcs.get_collection(&cred, &name).map_err(fault_of)?;
-        Ok(wrap(vec![collection_el(&c)]))
-    });
-    reg(d, mcs, "deleteCollection", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        mcs.delete_collection(&cred, &name).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "listCollection", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let c = mcs.list_collection(&cred, &name).map_err(fault_of)?;
-        Ok(wrap(vec![collection_contents_el(&c)]))
-    });
-    reg(d, mcs, "assignCollection", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let file = req_text(call, "file").map_err(fault_of_xml)?;
-        let collection = opt_text(call, "collection");
-        mcs.assign_collection(&cred, &file, collection.as_deref()).map_err(fault_of)?;
-        Ok(ok())
-    });
-
-    // --- views ---
-    reg(d, mcs, "createView", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let description = opt_text(call, "description").unwrap_or_default();
-        let v = mcs.create_view(&cred, &name, &description).map_err(fault_of)?;
-        Ok(wrap(vec![view_el(&v)]))
-    });
-    reg(d, mcs, "getView", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let v = mcs.get_view(&cred, &name).map_err(fault_of)?;
-        Ok(wrap(vec![view_el(&v)]))
-    });
-    reg(d, mcs, "deleteView", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        mcs.delete_view(&cred, &name).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "addToView", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let view = req_text(call, "view").map_err(fault_of_xml)?;
-        let member = objref_from(call).map_err(fault_of_xml)?;
-        mcs.add_to_view(&cred, &view, &member).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "removeFromView", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let view = req_text(call, "view").map_err(fault_of_xml)?;
-        let member = objref_from(call).map_err(fault_of_xml)?;
-        let was = mcs.remove_from_view(&cred, &view, &member).map_err(fault_of)?;
-        Ok(wrap(vec![text_el("removed", was.to_string())]))
-    });
-    reg(d, mcs, "listView", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let c = mcs.list_view(&cred, &name).map_err(fault_of)?;
-        Ok(wrap(vec![view_contents_el(&c)]))
-    });
-
-    // --- attributes & queries ---
-    reg(d, mcs, "defineAttribute", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let ty = attr_type_from(&req_text(call, "attrType").map_err(fault_of_xml)?)
-            .map_err(fault_of_xml)?;
-        let description = opt_text(call, "description").unwrap_or_default();
-        mcs.define_attribute(&cred, &name, ty, &description).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "setAttribute", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let attr = attribute_from(call.expect("attribute").map_err(fault_of_xml)?)
-            .map_err(fault_of_xml)?;
-        mcs.set_attribute(&cred, &object, &attr).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "removeAttribute", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let name = req_text(call, "name").map_err(fault_of_xml)?;
-        let was = mcs.remove_attribute(&cred, &object, &name).map_err(fault_of)?;
-        Ok(wrap(vec![text_el("removed", was.to_string())]))
-    });
-    reg(d, mcs, "getAttributes", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let attrs = mcs.get_attributes(&cred, &object).map_err(fault_of)?;
-        Ok(wrap(attrs.iter().map(attribute_el).collect()))
-    });
-    reg(d, mcs, "queryByAttributes", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let preds: Vec<_> = call
-            .find_all("predicate")
-            .map(predicate_from)
-            .collect::<crate::wire::Result<_>>()
-            .map_err(fault_of_xml)?;
-        let hits = mcs.query_by_attributes(&cred, &preds).map_err(fault_of)?;
-        Ok(wrap(vec![hits_el(&hits)]))
-    });
-    reg(d, mcs, "explainQuery", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let preds: Vec<_> = call
-            .find_all("predicate")
-            .map(predicate_from)
-            .collect::<crate::wire::Result<_>>()
-            .map_err(fault_of_xml)?;
-        let lines = mcs.explain_query(&cred, &preds).map_err(fault_of)?;
-        let mut plan = Element::new("plan");
-        for l in lines {
-            plan = plan.child(text_el("step", l));
-        }
-        Ok(wrap(vec![plan]))
-    });
-
-    // --- annotations, audit, history ---
-    reg(d, mcs, "annotate", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let text = req_text(call, "text").map_err(fault_of_xml)?;
-        mcs.annotate(&cred, &object, &text).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "getAnnotations", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let anns = mcs.get_annotations(&cred, &object).map_err(fault_of)?;
-        Ok(wrap(anns.iter().map(annotation_el).collect()))
-    });
-    reg(d, mcs, "getAuditTrail", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let recs = mcs.get_audit_trail(&cred, &object).map_err(fault_of)?;
-        Ok(wrap(recs.iter().map(audit_el).collect()))
-    });
-    reg(d, mcs, "setAudit", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let enabled = req_bool(call, "enabled").map_err(fault_of_xml)?;
-        mcs.set_audit(&cred, &object, enabled).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "addHistory", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let file = req_text(call, "file").map_err(fault_of_xml)?;
-        let description = req_text(call, "description").map_err(fault_of_xml)?;
-        mcs.add_history(&cred, &file, &description).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "getHistory", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let file = req_text(call, "file").map_err(fault_of_xml)?;
-        let recs = mcs.get_history(&cred, &file).map_err(fault_of)?;
-        Ok(wrap(recs.iter().map(history_el).collect()))
-    });
-
-    // --- policy ---
-    reg(d, mcs, "grant", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let principal = req_text(call, "principal").map_err(fault_of_xml)?;
-        let perm = permission_from(&req_text(call, "permission").map_err(fault_of_xml)?)
-            .map_err(fault_of_xml)?;
-        mcs.grant(&cred, &object, &principal, perm).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "revoke", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let object = objref_from(call).map_err(fault_of_xml)?;
-        let principal = req_text(call, "principal").map_err(fault_of_xml)?;
-        let perm = permission_from(&req_text(call, "permission").map_err(fault_of_xml)?)
-            .map_err(fault_of_xml)?;
-        mcs.revoke(&cred, &object, &principal, perm).map_err(fault_of)?;
-        Ok(ok())
-    });
-
-    // --- registries ---
-    reg(d, mcs, "registerUser", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let user =
-            user_from(call.expect("user").map_err(fault_of_xml)?).map_err(fault_of_xml)?;
-        mcs.register_user(&cred, &user).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "getUser", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let dn = req_text(call, "dn").map_err(fault_of_xml)?;
-        let u = mcs.get_user(&cred, &dn).map_err(fault_of)?;
-        Ok(wrap(vec![user_el(&u)]))
-    });
-    reg(d, mcs, "listUsers", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let us = mcs.list_users(&cred).map_err(fault_of)?;
-        Ok(wrap(us.iter().map(user_el).collect()))
-    });
-    reg(d, mcs, "registerExternalCatalog", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let cat = extcat_from(call.expect("externalCatalog").map_err(fault_of_xml)?)
-            .map_err(fault_of_xml)?;
-        mcs.register_external_catalog(&cred, &cat).map_err(fault_of)?;
-        Ok(ok())
-    });
-    reg(d, mcs, "listExternalCatalogs", |mcs, call| {
-        let cred = credential_from(call).map_err(fault_of_xml)?;
-        let cats = mcs.list_external_catalogs(&cred).map_err(fault_of)?;
-        Ok(wrap(cats.iter().map(extcat_el).collect()))
-    });
+    for &op in Op::ALL {
+        let catalog = Arc::clone(&catalog);
+        d.register(op.name(), move |call| serve_soap(&catalog, op, call));
+    }
 }
 
 /// HTTP handler serving SOAP on POST and the service description on GET.

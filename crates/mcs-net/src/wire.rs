@@ -185,31 +185,6 @@ pub fn attribute_from(e: &Element) -> Result<Attribute> {
     })
 }
 
-fn op_code(op: AttrOp) -> &'static str {
-    match op {
-        AttrOp::Eq => "eq",
-        AttrOp::Ne => "ne",
-        AttrOp::Lt => "lt",
-        AttrOp::Le => "le",
-        AttrOp::Gt => "gt",
-        AttrOp::Ge => "ge",
-        AttrOp::Like => "like",
-    }
-}
-
-fn op_from(s: &str) -> Result<AttrOp> {
-    Ok(match s {
-        "eq" => AttrOp::Eq,
-        "ne" => AttrOp::Ne,
-        "lt" => AttrOp::Lt,
-        "le" => AttrOp::Le,
-        "gt" => AttrOp::Gt,
-        "ge" => AttrOp::Ge,
-        "like" => AttrOp::Like,
-        other => return Err(shape(format!("unknown op `{other}`"))),
-    })
-}
-
 /// Encode a query predicate.
 pub fn predicate_el(p: &AttrPredicate) -> Element {
     Element::new("predicate")
@@ -227,50 +202,36 @@ pub fn predicate_from(e: &Element) -> Result<AttrPredicate> {
     })
 }
 
-/// Encode an [`AttrType`].
-pub fn attr_type_code(t: AttrType) -> &'static str {
-    match t {
-        AttrType::Str => "string",
-        AttrType::Int => "int",
-        AttrType::Float => "float",
-        AttrType::Date => "date",
-        AttrType::Time => "time",
-        AttrType::DateTime => "datetime",
-    }
+/// Text codes for the catalog's small enums: `*_code` gives the code,
+/// `*_from` decodes it and rejects unknown text.
+macro_rules! text_enums {
+    ($($ty:ident, $code:ident, $from:ident, $what:literal { $($v:ident = $text:literal),* };)*) => {$(
+        #[doc = concat!("Encode an [`", stringify!($ty), "`].")]
+        pub fn $code(v: $ty) -> &'static str {
+            match v { $($ty::$v => $text),* }
+        }
+
+        #[doc = concat!("Decode an [`", stringify!($ty), "`].")]
+        pub fn $from(s: &str) -> Result<$ty> {
+            Ok(match s {
+                $($text => $ty::$v,)*
+                other => return Err(shape(format!(concat!("unknown ", $what, " `{}`"), other))),
+            })
+        }
+    )*};
 }
 
-/// Decode an [`AttrType`].
-pub fn attr_type_from(s: &str) -> Result<AttrType> {
-    Ok(match s {
-        "string" => AttrType::Str,
-        "int" => AttrType::Int,
-        "float" => AttrType::Float,
-        "date" => AttrType::Date,
-        "time" => AttrType::Time,
-        "datetime" => AttrType::DateTime,
-        other => return Err(shape(format!("unknown attr type `{other}`"))),
-    })
-}
-
-/// Encode a [`Permission`].
-pub fn permission_code(p: Permission) -> &'static str {
-    match p {
-        Permission::Read => "read",
-        Permission::Write => "write",
-        Permission::Delete => "delete",
-        Permission::Admin => "admin",
-    }
-}
-
-/// Decode a [`Permission`].
-pub fn permission_from(s: &str) -> Result<Permission> {
-    Ok(match s {
-        "read" => Permission::Read,
-        "write" => Permission::Write,
-        "delete" => Permission::Delete,
-        "admin" => Permission::Admin,
-        other => return Err(shape(format!("unknown permission `{other}`"))),
-    })
+text_enums! {
+    AttrOp, op_code, op_from, "op"
+        { Eq = "eq", Ne = "ne", Lt = "lt", Le = "le", Gt = "gt", Ge = "ge", Like = "like" };
+    AttrType, attr_type_code, attr_type_from, "attr type" {
+        Str = "string", Int = "int", Float = "float", Date = "date", Time = "time",
+        DateTime = "datetime"
+    };
+    Permission, permission_code, permission_from, "permission"
+        { Read = "read", Write = "write", Delete = "delete", Admin = "admin" };
+    ObjectType, object_type_code, object_type_from, "object type"
+        { File = "file", Collection = "collection", View = "view", Service = "service" };
 }
 
 // ---------- records ----------
@@ -622,27 +583,6 @@ pub fn extcat_from(e: &Element) -> Result<ExternalCatalog> {
         host: req_text(e, "host")?,
         ip: req_text(e, "ip")?,
         description: req_text(e, "description")?,
-    })
-}
-
-/// Encode an object-type tag.
-pub fn object_type_code(t: ObjectType) -> &'static str {
-    match t {
-        ObjectType::File => "file",
-        ObjectType::Collection => "collection",
-        ObjectType::View => "view",
-        ObjectType::Service => "service",
-    }
-}
-
-/// Decode an object-type tag.
-pub fn object_type_from(s: &str) -> Result<ObjectType> {
-    Ok(match s {
-        "file" => ObjectType::File,
-        "collection" => ObjectType::Collection,
-        "view" => ObjectType::View,
-        "service" => ObjectType::Service,
-        other => return Err(shape(format!("unknown object type `{other}`"))),
     })
 }
 

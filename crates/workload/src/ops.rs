@@ -8,11 +8,14 @@
 //! * **Soap** — through `mcs-net`'s client against a real HTTP server,
 //!   the paper's "MCS with web service" configuration (connection per
 //!   request by default, like the 2003 Axis stack).
+//! * **Bin** — the same typed client over the binary protocol, plus an
+//!   optional pipelined window for simple queries.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use mcs::{Credential, FileSpec, Mcs};
+use mcs_net::client::{Client, Wire};
 use mcs_net::{BinMcsClient, McsClient};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -128,26 +131,7 @@ pub fn make_worker(
         }
         Access::Soap { addr, rtt, keep_alive } => {
             let opts = TransportOpts { keep_alive, simulated_rtt: rtt };
-            let mut client = McsClient::with_opts(addr, cred, opts);
-            let mut counter = 0u64;
-            Box::new(move || match kind {
-                OpKind::AddDelete => {
-                    counter += 1;
-                    let spec = add_spec(host, thread, counter, n_files);
-                    match client.create_file(&spec) {
-                        Ok(_) => client.delete_file(&spec.name).is_ok(),
-                        Err(_) => false,
-                    }
-                }
-                OpKind::SimpleQuery => {
-                    let i = rng.gen_range(0..n_files);
-                    client.get_file(&spec::file_name(i)).is_ok()
-                }
-                OpKind::ComplexQuery { attrs } => {
-                    let i = rng.gen_range(0..n_files);
-                    client.query_by_attributes(&spec::complex_query(i, attrs)).is_ok()
-                }
-            })
+            client_worker(McsClient::with_opts(addr, cred, opts), kind, n_files, host, thread, rng)
         }
         Access::Bin { addr, rtt, pipeline } => {
             let mut client = BinMcsClient::with_rtt(addr, cred, rtt);
@@ -168,27 +152,39 @@ pub fn make_worker(
                     true
                 });
             }
-            let mut counter = 0u64;
-            Box::new(move || match kind {
-                OpKind::AddDelete => {
-                    counter += 1;
-                    let spec = add_spec(host, thread, counter, n_files);
-                    match client.create_file(&spec) {
-                        Ok(_) => client.delete_file(&spec.name).is_ok(),
-                        Err(_) => false,
-                    }
-                }
-                OpKind::SimpleQuery => {
-                    let i = rng.gen_range(0..n_files);
-                    client.get_file(&spec::file_name(i)).is_ok()
-                }
-                OpKind::ComplexQuery { attrs } => {
-                    let i = rng.gen_range(0..n_files);
-                    client.query_by_attributes(&spec::complex_query(i, attrs)).is_ok()
-                }
-            })
+            client_worker(client, kind, n_files, host, thread, rng)
         }
     }
+}
+
+/// One worker over the typed client, whichever wire it speaks.
+fn client_worker<W: Wire + Send + 'static>(
+    mut client: Client<W>,
+    kind: OpKind,
+    n_files: u64,
+    host: usize,
+    thread: usize,
+    mut rng: SmallRng,
+) -> Box<dyn Workload> {
+    let mut counter = 0u64;
+    Box::new(move || match kind {
+        OpKind::AddDelete => {
+            counter += 1;
+            let spec = add_spec(host, thread, counter, n_files);
+            match client.create_file(&spec) {
+                Ok(_) => client.delete_file(&spec.name).is_ok(),
+                Err(_) => false,
+            }
+        }
+        OpKind::SimpleQuery => {
+            let i = rng.gen_range(0..n_files);
+            client.get_file(&spec::file_name(i)).is_ok()
+        }
+        OpKind::ComplexQuery { attrs } => {
+            let i = rng.gen_range(0..n_files);
+            client.query_by_attributes(&spec::complex_query(i, attrs)).is_ok()
+        }
+    })
 }
 
 #[cfg(test)]
