@@ -39,6 +39,23 @@ fn malformed_request_line_gets_400() {
 }
 
 #[test]
+fn malformed_request_with_trailing_bytes_gets_400_then_clean_eof() {
+    // The server gives up on the stream at the bad request line, with
+    // most of what follows still unread. Closing a socket with unread
+    // input resets the connection, which can destroy the 400 before the
+    // client reads it; the server must drain the rest and close cleanly.
+    let server = echo_server(2);
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    s.write_all(b"GARBAGE\r\n\r\n").unwrap();
+    s.write_all(&[0xAB; 32 * 1024]).unwrap();
+    let mut out = Vec::new();
+    s.read_to_end(&mut out).expect("the 400 and a clean EOF, not a reset");
+    let resp = String::from_utf8_lossy(&out);
+    assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+}
+
+#[test]
 fn non_soap_body_gets_fault() {
     let server = echo_server(2);
     let resp = raw(

@@ -37,13 +37,15 @@
 #                      property test (barrier/MVCC/4-shard), and the
 #                      explainQuery SOAP round-trip
 #   verify.sh wire     the binary wire-protocol contract (DESIGN.md
-#                      §7.7): frame codec unit tests, the seeded
-#                      SOAP-vs-binary cross-protocol twin property
-#                      test (barrier/MVCC/4-shard), the frame-decoder
-#                      fuzz/robustness harness, the 8×200 pipelining
-#                      stress test, and the connection-reuse
-#                      regressions shared with the SOAP keep-alive
-#                      client
+#                      §7.7): frame codec unit tests, the golden wire
+#                      corpus (every op's exact bytes on both wires),
+#                      the seeded SOAP-vs-binary cross-protocol twin
+#                      property test (barrier/MVCC/4-shard), the
+#                      frame-decoder fuzz/robustness harness run 50
+#                      times (green must mean deterministic), the
+#                      8×200 pipelining stress test, and the
+#                      connection-reuse regressions shared with the
+#                      SOAP keep-alive client
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -146,7 +148,17 @@ case "$lane" in
       echo "  MCS_WIRE_SEED=<seed> cargo test -p mcs-net --test wire_twin -- --nocapture" >&2
       exit 1
     fi
-    cargo test -q -p mcs-net --test bin_fuzz
+    cargo test -q -p mcs-net --test wire_golden
+    cargo test -q -p mcs-net --test bin_fuzz --no-run
+    i=1
+    while [ "$i" -le 50 ]; do
+      if ! out=$(cargo test -q -p mcs-net --test bin_fuzz 2>&1); then
+        echo "$out" >&2
+        echo "wire lane failed: bin_fuzz run $i of 50 failed." >&2
+        exit 1
+      fi
+      i=$((i + 1))
+    done
     cargo test -q -p mcs-net --test bin_pipeline_stress
     cargo test -q -p soapstack --test keep_alive
     echo "wire lane: $(($(date +%s) - start))s elapsed"
