@@ -1,7 +1,8 @@
 //! WSDL-style service description. The original MCS generated its Java
 //! client stubs from a WSDL document; we emit a compact equivalent listing
 //! every operation (enough for discovery and for humans, not for stub
-//! generation — our client is hand-written and tested against the server).
+//! generation — our client is derived from the same op table as the
+//! server, [`crate::ops`]).
 
 use soapstack::server::SoapDispatcher;
 use soapstack::soap::MCS_NS;
