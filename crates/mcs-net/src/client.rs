@@ -232,6 +232,13 @@ impl<W> Client<W> {
         &self.cred
     }
 
+    /// Act as `cred` from the next request on. Both wires carry the
+    /// credential in every request, so switching identities keeps the
+    /// connection.
+    pub fn set_credential(&mut self, cred: Credential) {
+        self.cred = cred;
+    }
+
     /// Ask the server for a per-request commit durability (`None` reverts
     /// to the server's store-wide policy). With
     /// [`DurabilityMode::Async`], writes return as soon as their log

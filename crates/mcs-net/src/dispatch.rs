@@ -110,6 +110,7 @@ macro_rules! answers {
     ($($variant:ident($ty:ty),)*) => {
         /// The result of one executed call: one variant per result type
         /// of the op table.
+        #[derive(Debug)]
         pub enum Answer {
             $(#[allow(missing_docs)] $variant($ty),)*
         }

@@ -12,7 +12,8 @@
 //!   [`Call::soap_args`], [`decode_bin`], [`decode_soap`]), which only
 //!   sequences the per-type codecs of [`crate::codec`];
 //! * one typed method per operation on [`crate::client::Client`], the
-//!   client behind both [`crate::McsClient`] and [`crate::BinMcsClient`].
+//!   client behind both [`crate::McsClient`] and [`crate::BinMcsClient`],
+//!   and its untyped [`Client::call`].
 //!
 //! Adding an operation is one line here, one arm in
 //! [`crate::dispatch::execute`], and a corpus entry in
@@ -33,6 +34,7 @@ use mcs::{
 use crate::binproto::frame::{self, Reader};
 use crate::client::{Client, Result, Wire};
 use crate::codec::Arg;
+use crate::dispatch::Answer;
 use crate::wire::{self, opt_text};
 
 /// Decodes one SOAP argument: with a default when the entry has one.
@@ -161,6 +163,15 @@ macro_rules! ops {
                     self.invoke(&Call::$variant { $($arg),* })
                 }
             )*
+
+            /// Send any call, answering with the same [`Answer`] the
+            /// server's executor produced: the untyped counterpart of the
+            /// methods above, for callers that build [`Call`]s as data.
+            pub fn call(&mut self, call: &Call<'_>) -> Result<Answer> {
+                match call {
+                    $(Call::$variant { .. } => self.invoke::<$ret>(call).map(Answer::from),)*
+                }
+            }
         }
     };
 }

@@ -6,8 +6,8 @@
 //! structured error frame on an intact connection. After every abuse
 //! the server must still serve a well-behaved client.
 //!
-//! Seeded like the twin suite: `MCS_WIRE_SEED=<seed> cargo test -p
-//! mcs-net --test bin_fuzz` replays a failing randomized round.
+//! Seeded like the twin harness: `MCS_SEED=<seed> cargo test -p mcs-net
+//! --test bin_fuzz` replays a failing randomized round.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -21,34 +21,10 @@ use mcs_net::binproto::frame::{
 };
 use mcs_net::binproto::BinServer;
 use mcs_net::BinMcsClient;
-
-/// xorshift64 — deterministic, seedable, no dependencies.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use testkit::{seeds, Rng};
 
 fn seed() -> u64 {
-    std::env::var("MCS_WIRE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xF0_5EED)
+    seeds(&[0xF0_5EED])[0]
 }
 
 fn admin() -> Credential {
@@ -57,7 +33,7 @@ fn admin() -> Credential {
 
 fn start_server() -> BinServer {
     let catalog = Arc::new(
-        ShardedCatalog::in_memory_opts(
+        ShardedCatalog::in_memory(
             1,
             &admin(),
             IndexProfile::Paper2003,

@@ -39,7 +39,7 @@ enum Expect {
 #[test]
 fn pipelined_clients_stress() {
     let catalog = Arc::new(
-        ShardedCatalog::in_memory_opts(
+        ShardedCatalog::in_memory(
             4,
             &admin(),
             IndexProfile::Paper2003,

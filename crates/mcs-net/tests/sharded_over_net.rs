@@ -31,12 +31,13 @@ fn start_sharded_server(shards: usize) -> McsServer {
     let a = admin();
     let clock = Arc::new(ManualClock::default());
     let catalog = Arc::new(
-        ShardedCatalog::in_memory_cached(
+        ShardedCatalog::in_memory(
             shards,
             &a,
             IndexProfile::Paper2003,
             clock,
             Some(CacheConfig::default()),
+            false,
         )
         .unwrap(),
     );

@@ -518,7 +518,11 @@ impl Mcs {
         Ok(f)
     }
 
-    fn resolve_file_version_uncached(&self, name: &str, version: i64) -> Result<LogicalFile> {
+    pub(crate) fn resolve_file_version_uncached(
+        &self,
+        name: &str,
+        version: i64,
+    ) -> Result<LogicalFile> {
         let rs = self
             .db
             .execute_prepared(&self.stmts.sel_file_name_ver, &[name.into(), version.into()])?;
@@ -678,41 +682,7 @@ impl Mcs {
     /// the first failing spec aborts the whole batch with its error.
     /// Results come back in input order.
     pub fn create_files(&self, cred: &Credential, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
-        // Phase 1 (outside the transaction): per-spec validation,
-        // collection resolution + authorization, attribute type-checks.
-        struct Checked<'a> {
-            spec: &'a FileSpec,
-            version: i64,
-            collection_id: Option<i64>,
-            attr_rows: Vec<[Value; 10]>,
-        }
-        let mut checked = Vec::with_capacity(specs.len());
-        for spec in specs {
-            validate_name(&spec.name)?;
-            let collection_id = match &spec.collection {
-                Some(cname) => {
-                    let c = self.resolve_collection(cname)?;
-                    self.require_collection_perm(cred, &c, Permission::Write)?;
-                    Some(c.id)
-                }
-                None => {
-                    self.require_service_perm(cred, Permission::Write)?;
-                    None
-                }
-            };
-            let attr_rows: Vec<[Value; 10]> = spec
-                .attributes
-                .iter()
-                .map(|a| self.attr_row_values(ObjectType::File, a))
-                .collect::<Result<_>>()?;
-            checked.push(Checked {
-                spec,
-                version: spec.version.unwrap_or(1),
-                collection_id,
-                attr_rows,
-            });
-        }
-
+        let checked = self.check_file_specs(cred, specs)?;
         let now = self.now();
         // Phase 2: one transaction for the whole batch — N file rows, all
         // their attribute rows and audit records, one commit (one fsync
@@ -781,6 +751,44 @@ impl Mcs {
             },
         )?;
         ids.into_iter().map(|id| self.resolve_file_by_id(id)).collect()
+    }
+
+    /// Phase 1 of [`Mcs::create_files`], outside any transaction: every
+    /// spec's name validation, collection resolution and authorization,
+    /// and attribute type-checks, in input order. Reads only global
+    /// state, so on a sharded catalog any shard's mirror answers alike.
+    pub(crate) fn check_file_specs<'a>(
+        &self,
+        cred: &Credential,
+        specs: &'a [FileSpec],
+    ) -> Result<Vec<CheckedSpec<'a>>> {
+        let mut checked = Vec::with_capacity(specs.len());
+        for spec in specs {
+            validate_name(&spec.name)?;
+            let collection_id = match &spec.collection {
+                Some(cname) => {
+                    let c = self.resolve_collection(cname)?;
+                    self.require_collection_perm(cred, &c, Permission::Write)?;
+                    Some(c.id)
+                }
+                None => {
+                    self.require_service_perm(cred, Permission::Write)?;
+                    None
+                }
+            };
+            let attr_rows: Vec<[Value; 10]> = spec
+                .attributes
+                .iter()
+                .map(|a| self.attr_row_values(ObjectType::File, a))
+                .collect::<Result<_>>()?;
+            checked.push(CheckedSpec {
+                spec,
+                version: spec.version.unwrap_or(1),
+                collection_id,
+                attr_rows,
+            });
+        }
+        Ok(checked)
     }
 
     /// Delete a logical file (paper API: "Deleting a logical file").
@@ -873,13 +881,15 @@ impl Mcs {
         if rows.rows.is_empty() {
             return Err(McsError::NotFound(ObjectRef::File(name.to_owned())));
         }
-        let mut out = Vec::with_capacity(rows.rows.len());
-        for r in &rows.rows {
-            let f = Self::file_from_row(r)?;
-            self.require_file_perm(cred, &f, Permission::Read)?;
-            out.push(f);
-        }
+        let mut out: Vec<LogicalFile> =
+            rows.rows.iter().map(|r| Self::file_from_row(r)).collect::<Result<_>>()?;
+        // Check in version order, not row order: the access path the
+        // statement takes decides row order, and the first version denied
+        // is the one the error names.
         out.sort_by_key(|f| f.version);
+        for f in &out {
+            self.require_file_perm(cred, f, Permission::Read)?;
+        }
         Ok(out)
     }
 
@@ -1092,6 +1102,14 @@ pub struct FileUpdate {
     pub container_id: Option<String>,
     /// New container service.
     pub container_service: Option<String>,
+}
+
+/// One [`FileSpec`] that passed [`Mcs::check_file_specs`].
+pub(crate) struct CheckedSpec<'a> {
+    spec: &'a FileSpec,
+    version: i64,
+    collection_id: Option<i64>,
+    attr_rows: Vec<[Value; 10]>,
 }
 
 pub(crate) fn opt_str(s: &Option<String>) -> Value {

@@ -125,6 +125,11 @@ impl Mcs {
                 expr.leaf_count()
             )));
         }
+        // Resolve every leaf's referent before evaluating any: a missing
+        // attribute or collection then fails the query whatever order the
+        // leaves run in — the planner reorders conjunctions, and an empty
+        // group must not short-circuit past the leaf that would fail.
+        self.check_referents(expr)?;
         // One snapshot scope for the whole boolean tree: every leaf (and
         // the NOT complement's full scan) reads the same consistent cut.
         // No-op on the barrier engine.
@@ -140,6 +145,27 @@ impl Mcs {
         }
         out.sort();
         Ok(out)
+    }
+
+    /// The errors a leaf raises whatever the data: an undefined attribute
+    /// or an unknown collection, first in tree order.
+    fn check_referents(&self, expr: &QueryExpr) -> Result<()> {
+        match expr {
+            QueryExpr::Attr(p) => {
+                self.attribute_definition(&p.name)?.ok_or_else(|| {
+                    McsError::BadAttribute(format!("`{}` is not defined", p.name))
+                })?;
+            }
+            QueryExpr::Static(StaticPredicate::InCollection(name)) => {
+                self.resolve_collection(name)?;
+            }
+            QueryExpr::Static(_) => {}
+            QueryExpr::And(subs) | QueryExpr::Or(subs) => {
+                subs.iter().try_for_each(|s| self.check_referents(s))?
+            }
+            QueryExpr::Not(sub) => self.check_referents(sub)?,
+        }
+        Ok(())
     }
 
     /// Set-algebra evaluation: every node yields the set of file ids
@@ -379,6 +405,30 @@ mod tests {
         assert!(m.general_query(&a, &huge).is_err());
         let undefined = QueryExpr::attr_eq("nope", 1i64);
         assert!(m.general_query(&a, &undefined).is_err());
+    }
+
+    /// A conjunction whose planned group comes up empty must still fail
+    /// on an unknown collection the posting-scan order reaches first.
+    #[test]
+    fn missing_referent_fails_whatever_the_evaluation_order() {
+        let a = Credential::new("/CN=admin");
+        let m = Mcs::with_options(
+            &a,
+            crate::schema::IndexProfile::ValueIndexed,
+            Arc::new(crate::clock::ManualClock::default()),
+        )
+        .unwrap();
+        m.define_attribute(&a, "gps", AttrType::Int, "").unwrap();
+        m.create_file(&a, &FileSpec::named("a").attr("gps", 100i64)).unwrap();
+        let q = QueryExpr::And(vec![
+            QueryExpr::attr_eq("gps", 100i64),
+            QueryExpr::Static(StaticPredicate::InCollection("gone".into())),
+            QueryExpr::attr_eq("gps", 7i64),
+        ]);
+        let planned = m.general_query(&a, &q);
+        let naive = m.with_planner_bypass(|m| m.general_query(&a, &q));
+        assert!(matches!(planned, Err(McsError::NotFound(_))), "{planned:?}");
+        assert_eq!(format!("{planned:?}"), format!("{naive:?}"));
     }
 
     #[test]

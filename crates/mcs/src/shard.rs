@@ -101,8 +101,8 @@ pub fn shard_of_name(name: &str, n_shards: usize) -> usize {
 }
 
 /// The global tables mirrored from shard 0 onto every shard, with the
-/// column lists used for diff-sync (`id` first). `acl_entries` mirrors
-/// only non-file rows — file ACEs are per-file state.
+/// column lists used for diff-sync (`id` first). The non-file rows of
+/// `acl_entries` are mirrored too, by content ([`ShardedCatalog::sync_mirrors`]).
 const MIRRORED: &[(&str, &[&str])] = &[
     (
         "logical_collections",
@@ -132,8 +132,11 @@ const MIRRORED: &[(&str, &[&str])] = &[
         ],
     ),
     ("attribute_definitions", &["id", "name", "attr_type", "description", "creator", "created"]),
-    ("acl_entries", &["id", "object_type", "object_id", "principal", "permission"]),
 ];
+
+/// A non-file access-control entry: `(object_type, object_id, principal,
+/// permission)`, unique per shard.
+type Ace = (i64, i64, String, i64);
 
 thread_local! {
     /// (shard, epoch) of the last commit this thread produced through the
@@ -176,34 +179,13 @@ impl ShardedCatalog {
         ShardedCatalog { shards, pool, global: parking_lot::RwLock::new(()) }
     }
 
-    /// A fresh in-memory sharded catalog (the twin-test constructor):
-    /// every shard bootstraps the schema and the admin's service ACL —
-    /// identically, so the mirrored tables start in sync.
-    pub fn in_memory(
-        n_shards: usize,
-        admin: &Credential,
-        profile: IndexProfile,
-        clock: Arc<dyn Clock>,
-    ) -> Result<ShardedCatalog> {
-        Self::in_memory_cached(n_shards, admin, profile, clock, None)
-    }
-
-    /// [`ShardedCatalog::in_memory`] with a per-shard read cache.
-    pub fn in_memory_cached(
-        n_shards: usize,
-        admin: &Credential,
-        profile: IndexProfile,
-        clock: Arc<dyn Clock>,
-        cache: Option<CacheConfig>,
-    ) -> Result<ShardedCatalog> {
-        Self::in_memory_opts(n_shards, admin, profile, clock, cache, false)
-    }
-
-    /// [`ShardedCatalog::in_memory_cached`] with the storage engine
-    /// selectable: with `mvcc` every shard runs on an MVCC database, so
+    /// A fresh in-memory sharded catalog: every shard bootstraps the
+    /// schema and the admin's service ACL — identically, so the mirrored
+    /// tables start in sync. `cache` gives every shard a read cache;
+    /// with `mvcc` every shard runs on an MVCC database, so
     /// scatter-gather reads pin per-shard snapshots instead of taking
     /// shared barriers (DESIGN.md §7.5).
-    pub fn in_memory_opts(
+    pub fn in_memory(
         n_shards: usize,
         admin: &Credential,
         profile: IndexProfile,
@@ -352,7 +334,7 @@ impl ShardedCatalog {
 
     // ---------- mirror maintenance ----------
 
-    /// Snapshot a mirrored table keyed by id (file ACEs excluded).
+    /// Snapshot a mirrored table keyed by id.
     fn mirror_rows(
         db: &Database,
         table: &str,
@@ -362,14 +344,55 @@ impl ShardedCatalog {
         let rs = db.query(&sql, &[])?;
         let mut out = BTreeMap::new();
         for row in rs.rows {
-            if table == "acl_entries"
-                && matches!(&row[1], Value::Int(c) if *c == ObjectType::File.code())
-            {
-                continue;
-            }
             out.insert(row[0].as_int()?, row);
         }
         Ok(out)
+    }
+
+    /// A shard's non-file ACEs, each with its local row id. File ACEs are
+    /// per-file state on the owning shard.
+    fn global_aces(db: &Database) -> Result<BTreeMap<Ace, i64>> {
+        let rs = db.query(
+            "SELECT id, object_type, object_id, principal, permission FROM acl_entries",
+            &[],
+        )?;
+        let mut out = BTreeMap::new();
+        for r in rs.rows {
+            let ot = r[1].as_int()?;
+            if ot != ObjectType::File.code() {
+                let ace = (ot, r[2].as_int()?, r[3].as_str()?.to_owned(), r[4].as_int()?);
+                out.insert(ace, r[0].as_int()?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Force one replica's non-file ACEs to `want` (shard 0's). Unlike the
+    /// id-keyed tables, ACEs mirror by content and take a local id: every
+    /// shard allocates ACE ids for its own file ACEs, so shard 0's ids
+    /// would collide with a replica's.
+    fn sync_mirror_aces(replica: &Mcs, want: &BTreeMap<Ace, i64>) -> Result<()> {
+        let have = Self::global_aces(replica.database())?;
+        let dels: Vec<i64> =
+            have.iter().filter(|(ace, _)| !want.contains_key(*ace)).map(|(_, id)| *id).collect();
+        let ins: Vec<&Ace> = want.keys().filter(|ace| !have.contains_key(*ace)).collect();
+        if dels.is_empty() && ins.is_empty() {
+            return Ok(());
+        }
+        replica.database().transaction(&[("acl_entries", Access::Write)], |s| {
+            for id in &dels {
+                s.execute("DELETE FROM acl_entries WHERE id = ?", &[(*id).into()])?;
+            }
+            for (ot, oid, who, perm) in ins {
+                s.execute(
+                    "INSERT INTO acl_entries (object_type, object_id, principal, permission) \
+                     VALUES (?, ?, ?, ?)",
+                    &[(*ot).into(), (*oid).into(), who.as_str().into(), (*perm).into()],
+                )?;
+            }
+            Ok::<_, McsError>(())
+        })?;
+        Ok(())
     }
 
     /// Force one replica's copy of `table` to `want` (shard 0's rows):
@@ -421,6 +444,10 @@ impl ShardedCatalog {
             for replica in &self.shards[1..] {
                 Self::sync_mirror_table(replica, table, cols, &want)?;
             }
+        }
+        let want = Self::global_aces(self.shards[0].database())?;
+        for replica in &self.shards[1..] {
+            Self::sync_mirror_aces(replica, &want)?;
         }
         Ok(())
     }
@@ -691,18 +718,33 @@ impl ShardedCatalog {
 
     /// See [`Mcs::create_files`] — the bulk mutation behind the wire
     /// protocols' `createFiles`. Specs are grouped by owning shard and
-    /// each shard's group commits in **one** transaction, shards visited
-    /// in shard order under the read side of the catalog lock (so no
-    /// referenced collection can be concurrently deleted). Atomicity is
-    /// per shard, like two-phase membership writes: a failing spec aborts
-    /// its own shard's whole group and stops the remaining shards, but
-    /// groups already committed on lower shards stay. Results return in
-    /// input order; the echoed epoch is the last shard's commit.
+    /// each shard's group commits in **one** transaction. The batch stays
+    /// all-or-nothing across shards: under the write side of the catalog
+    /// lock (so no file can be created or deleted in between) every spec
+    /// is validated first and checked for the conflicts a commit could
+    /// still hit, in input order — the checks and the error a single
+    /// shard's batch would report. Results return in input order; the
+    /// echoed epoch is the last shard's commit.
     pub fn create_files(&self, cred: &Credential, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
         if self.single() {
             return self.record(0, |m| m.create_files(cred, specs));
         }
-        let _g = self.global.read();
+        let _g = self.global.write();
+        self.shards[0].check_file_specs(cred, specs)?;
+        let mut batch = BTreeSet::new();
+        for spec in specs {
+            let version = spec.version.unwrap_or(1);
+            let owner = &self.shards[self.shard_for(&spec.name)];
+            if !batch.insert((spec.name.as_str(), version))
+                || owner.resolve_file_version_uncached(&spec.name, version).is_ok()
+            {
+                return Err(McsError::AlreadyExists(format!("{}.v{version}", spec.name)));
+            }
+            let mut names = BTreeSet::new();
+            if let Some(a) = spec.attributes.iter().find(|a| !names.insert(a.name.as_str())) {
+                return Err(McsError::BadAttribute(format!("duplicate attribute `{}`", a.name)));
+            }
+        }
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, spec) in specs.iter().enumerate() {
             groups.entry(self.shard_for(&spec.name)).or_default().push(i);
@@ -880,17 +922,52 @@ impl ShardedCatalog {
         self.on_zero(|m| m.get_view(cred, name))
     }
 
-    /// See [`Mcs::add_to_view`]: file members land on the file's shard
-    /// (membership lock held); collection/view members are global state
-    /// on shard 0, where the cycle check sees every view edge.
+    /// See [`Mcs::add_to_view`]: file members land on the file's shard;
+    /// collection/view members are global state on shard 0, where the
+    /// cycle check sees every view edge. The `add_member` audit row the
+    /// owner writes for a file member then moves to shard 0, beside the
+    /// rest of the view's trail, so the trail keeps the order the
+    /// catalog saw (timestamps alone tie within a second). The write
+    /// side of the catalog lock serializes the move; a crash before the
+    /// owner's copy is deleted leaves the row on both shards.
     pub fn add_to_view(&self, cred: &Credential, view: &str, member: &ObjectRef) -> Result<()> {
-        match member {
-            ObjectRef::File(n) | ObjectRef::FileVersion(n, _) => {
-                let name = n.clone();
-                self.member_write(&name, |m| m.add_to_view(cred, view, member))
-            }
-            _ => self.on_zero(|m| m.add_to_view(cred, view, member)),
+        let name = match ref_file_name(member) {
+            Some(n) => n.to_owned(),
+            None => return self.on_zero(|m| m.add_to_view(cred, view, member)),
+        };
+        let k = self.shard_for(&name);
+        if k == 0 {
+            return self.member_write(&name, |m| m.add_to_view(cred, view, member));
         }
+        let _g = self.global.write();
+        self.record(k, |m| m.add_to_view(cred, view, member))?;
+        let vid = self.shards[0].resolve_view(view)?.id;
+        let key = [ObjectType::View.code().into(), vid.into()];
+        let rows = self.shards[k]
+            .database()
+            .query(
+                "SELECT object_type, object_id, action, actor, at, details FROM audit_log \
+                 WHERE object_type = ? AND object_id = ? ORDER BY id",
+                &key,
+            )?
+            .rows;
+        if rows.is_empty() {
+            return Ok(());
+        }
+        self.shards[0].database().transaction(&[("audit_log", Access::Write)], |s| {
+            for row in &rows {
+                s.execute(
+                    "INSERT INTO audit_log (object_type, object_id, action, actor, at, details) \
+                     VALUES (?, ?, ?, ?, ?, ?)",
+                    row,
+                )?;
+            }
+            Ok::<_, McsError>(())
+        })?;
+        self.shards[k]
+            .database()
+            .execute("DELETE FROM audit_log WHERE object_type = ? AND object_id = ?", &key)?;
+        Ok(())
     }
 
     /// See [`Mcs::remove_from_view`].
@@ -1066,11 +1143,11 @@ impl ShardedCatalog {
     }
 
     /// See [`Mcs::get_audit_trail`]. File trails live on the owning
-    /// shard. Collection/view/service trails are authoritative on shard
-    /// 0 but routed per-file operations audit on *their* shard (e.g. a
-    /// file listed out of an audited collection), so the trail gathers
-    /// every shard's rows for the object, ordered by timestamp with
-    /// shard-order ties.
+    /// shard. Collection/view/service trails live on shard 0 (a file
+    /// member's `add_member` row is moved there, see
+    /// [`ShardedCatalog::add_to_view`]); the trail still gathers every
+    /// shard's rows for the object — a crash can leave one behind —
+    /// ordered by timestamp with shard-order ties.
     pub fn get_audit_trail(
         &self,
         cred: &Credential,
@@ -1291,6 +1368,8 @@ mod tests {
             &admin(),
             IndexProfile::Paper2003,
             Arc::new(ManualClock::default()),
+            None,
+            false,
         )
         .unwrap()
     }
@@ -1375,6 +1454,79 @@ mod tests {
         sc.grant(&a, &ObjectRef::Collection("locked".into()), &user.dn, Permission::Write)
             .unwrap();
         sc.create_file(&user, &spec).unwrap();
+    }
+
+    /// A replica allocates ids for its own file ACEs; mirroring shard 0's
+    /// later service ACE must not collide with them.
+    #[test]
+    fn file_aces_do_not_collide_with_mirrored_aces() {
+        let a = admin();
+        let sc = catalog(2);
+        let name = (0..).map(|i| format!("g{i}.dat")).find(|n| shard_of_name(n, 2) == 1).unwrap();
+        let user = Credential::new("/O=Grid/CN=user");
+        sc.create_file(&a, &FileSpec::named(name.as_str())).unwrap();
+        sc.grant(&a, &ObjectRef::File(name.clone()), &user.dn, Permission::Read).unwrap();
+        sc.grant(&a, &ObjectRef::Service, &user.dn, Permission::Write).unwrap();
+        sc.revoke(&a, &ObjectRef::File(name.clone()), &user.dn, Permission::Read).unwrap();
+        let v2 = FileSpec { version: Some(2), ..FileSpec::named(name.as_str()) };
+        // The replica owning the file authorizes with the mirrored ACE.
+        sc.create_file(&user, &v2).unwrap();
+    }
+
+    /// A view's trail keeps the catalog's order although its file
+    /// members' `add_member` rows are written on their owners.
+    #[test]
+    fn view_audit_trail_keeps_catalog_order() {
+        let a = admin();
+        let on = |k: usize| (0..).map(|i| format!("v{i}.dat")).find(|n| shard_of_name(n, 4) == k);
+        let (x, y) = (on(1).unwrap(), on(2).unwrap());
+        let trails = [1, 4].map(|n| {
+            let sc = catalog(n);
+            sc.create_view(&a, "v", "").unwrap();
+            sc.set_audit(&a, &ObjectRef::View("v".into()), true).unwrap();
+            for f in [&x, &y] {
+                sc.create_file(&a, &FileSpec::named(f.as_str())).unwrap();
+            }
+            sc.add_to_view(&a, "v", &ObjectRef::File(x.clone())).unwrap();
+            sc.list_view(&a, "v").unwrap();
+            sc.add_to_view(&a, "v", &ObjectRef::File(y.clone())).unwrap();
+            format!("{:?}", sc.get_audit_trail(&a, &ObjectRef::View("v".into())).unwrap())
+        });
+        assert!(trails[0].contains("add_member"), "{}", trails[0]);
+        assert_eq!(trails[0], trails[1]);
+    }
+
+    /// A batch that fails on one shard commits nothing on any other, and
+    /// reports the error one shard's batch reports: the first failing
+    /// spec in input order.
+    #[test]
+    fn create_files_is_all_or_nothing_across_shards() {
+        let a = admin();
+        let names: Vec<String> = (0..8).map(|i| format!("b{i}.dat")).collect();
+        let owners: BTreeSet<usize> = names.iter().map(|n| shard_of_name(n, 4)).collect();
+        assert!(owners.len() > 1, "the batch must span shards");
+        for batch in [
+            // a conflict with an existing file on its own shard...
+            names.iter().map(FileSpec::named).chain([FileSpec::named("taken.dat")]).collect(),
+            // ...or a bad spec after a good one on a higher shard
+            names
+                .iter()
+                .map(FileSpec::named)
+                .chain([FileSpec::named("z.dat").attr("undefined", 1i64)])
+                .collect::<Vec<_>>(),
+        ] {
+            let results: Vec<String> = [1, 4]
+                .map(|n| {
+                    let sc = catalog(n);
+                    sc.create_file(&a, &FileSpec::named("taken.dat")).unwrap();
+                    let r = sc.create_files(&a, &batch);
+                    assert_eq!(sc.file_count().unwrap(), 1, "{n} shards: the batch half-committed");
+                    format!("{r:?}")
+                })
+                .into();
+            assert!(results[0].starts_with("Err"), "{}", results[0]);
+            assert_eq!(results[0], results[1]);
+        }
     }
 
     #[test]

@@ -75,6 +75,17 @@ fn versions_must_be_disambiguated() {
     assert!(versions[0].version < versions[1].version);
 }
 
+/// A caller denied every version hears about the lowest one, whatever
+/// order the rows come back in.
+#[test]
+fn file_versions_denial_names_the_lowest_version() {
+    let (m, a) = setup();
+    m.create_file(&a, &FileSpec { version: Some(2), ..FileSpec::named("f") }).unwrap();
+    m.create_file(&a, &FileSpec::named("f")).unwrap();
+    let err = m.get_file_versions(&Credential::new("/CN=nobody"), "f").unwrap_err();
+    assert!(err.to_string().contains("version 1"), "{err}");
+}
+
 #[test]
 fn invalid_names_rejected() {
     let (m, a) = setup();
@@ -658,4 +669,64 @@ fn external_catalogs_registry() {
     let cats = m.list_external_catalogs(&a).unwrap();
     assert_eq!(cats.len(), 1);
     assert_eq!(cats[0].catalog_type, "MCAT");
+}
+
+// ---------------- read cache ----------------
+
+/// A commit invalidates exactly the cached entries whose input tables it
+/// touched: a write to `user_attributes` revalidates the query entry but
+/// leaves collection and attribute-definition entries warm.
+#[test]
+fn writes_invalidate_only_touched_tables() {
+    let a = admin();
+    let m = Mcs::with_options_cached(
+        &a,
+        IndexProfile::Paper2003,
+        Arc::new(ManualClock::default()),
+        CacheConfig::default(),
+    )
+    .unwrap();
+    m.define_attribute(&a, "run", AttrType::Int, "").unwrap();
+    m.create_file(&a, &FileSpec::named("a.dat").attr("run", 1i64)).unwrap();
+    m.create_file(&a, &FileSpec::named("b.dat").attr("run", 2i64)).unwrap();
+    m.create_collection(&a, "c0", None, "").unwrap();
+
+    let preds = [AttrPredicate { name: "run".into(), op: AttrOp::Eq, value: 1i64.into() }];
+    // Fill three kinds of entries, then read them once more so each is a
+    // confirmed hit before the write.
+    for _ in 0..2 {
+        m.query_by_attributes(&a, &preds).unwrap();
+        m.get_collection(&a, "c0").unwrap();
+        m.attribute_definition("run").unwrap();
+    }
+    let warm = m.cache_stats().unwrap();
+    assert!(warm.hits >= 3, "warm-up should hit on the second pass: {warm:?}");
+
+    // Write to user_attributes only.
+    m.set_attribute(
+        &a,
+        &ObjectRef::File("b.dat".into()),
+        &Attribute { name: "run".into(), value: 1i64.into() },
+    )
+    .unwrap();
+
+    // The query entry is stale (its vector covers user_attributes)...
+    let hits = m.query_by_attributes(&a, &preds).unwrap();
+    assert_eq!(hits, vec![("a.dat".to_owned(), 1), ("b.dat".to_owned(), 1)]);
+    let after_query = m.cache_stats().unwrap();
+    assert_eq!(
+        after_query.stale,
+        warm.stale + 1,
+        "exactly the query entry must go stale: {warm:?} -> {after_query:?}"
+    );
+
+    // ...but entries over untouched tables are still warm hits.
+    m.get_collection(&a, "c0").unwrap();
+    m.attribute_definition("run").unwrap();
+    let still_warm = m.cache_stats().unwrap();
+    assert_eq!(
+        still_warm.stale, after_query.stale,
+        "collection/attrdef entries must not be invalidated: {still_warm:?}"
+    );
+    assert!(still_warm.hits >= after_query.hits + 2);
 }

@@ -136,12 +136,19 @@ impl Database {
     /// * [`Error::TxnState`] if `epoch` was never allocated (it is greater
     ///   than [`Database::commit_epoch`]) — waiting for it would hang
     ///   forever; this guards network callers passing stale numbers.
+    ///
+    /// No-op on a non-durable database: an in-memory MVCC database
+    /// allocates epochs for visibility, but no log will ever make them
+    /// durable, so there is nothing to wait for.
     pub fn wait_for_epoch(&self, epoch: u64) -> Result<()> {
         if epoch > self.commit_epoch() {
             return Err(Error::TxnState(format!(
                 "epoch {epoch} has not been allocated (latest is {})",
                 self.commit_epoch()
             )));
+        }
+        if !self.is_durable() {
+            return Ok(());
         }
         if self.epoch_gate().durable() < epoch {
             // The epoch's group may still be queued behind a leader sitting
@@ -214,6 +221,23 @@ mod tests {
         assert!(matches!(r, Err(Error::DurabilityLost(_))), "{r:?}");
         // epochs at or below the watermark are still fine
         g.wait_for(2).unwrap();
+    }
+
+    /// An in-memory MVCC database allocates commit epochs that no log
+    /// publishes; waiting on one used to park the caller forever.
+    #[test]
+    fn in_memory_mvcc_wait_returns() {
+        let db = std::sync::Arc::new(Database::new_mvcc());
+        db.execute("CREATE TABLE t (v INTEGER)", &[]).unwrap();
+        db.execute("INSERT INTO t (v) VALUES (1)", &[]).unwrap();
+        let epoch = db.commit_epoch();
+        assert!(epoch > 0, "MVCC commits allocate epochs");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::sync::Arc::clone(&db);
+        std::thread::spawn(move || tx.send(waiter.wait_for_epoch(epoch)));
+        let r = rx.recv_timeout(std::time::Duration::from_secs(10)).expect("wait_for_epoch hung");
+        r.unwrap();
+        db.sync_now().unwrap();
     }
 
     #[test]

@@ -85,7 +85,8 @@ pub enum SyncPolicy {
 #[derive(Debug, Default)]
 pub struct WalStats {
     /// `sync_data` calls issued (one per physical commit under
-    /// [`SyncPolicy::EveryWrite`]; zero under [`SyncPolicy::OsBuffered`]).
+    /// [`SyncPolicy::EveryWrite`], plus the snapshot and directory syncs
+    /// of a checkpoint; zero under [`SyncPolicy::OsBuffered`]).
     pub syncs: AtomicU64,
     /// Transaction groups journalled (`Begin..Commit` units).
     pub group_commits: AtomicU64,
@@ -855,11 +856,27 @@ impl Database {
         // slip between snapshot and truncation.
         let mut wal = self.wal_lock();
         let bytes = snapshot_bytes(self)?;
-        let tmp = dir.join("snapshot.tmp");
-        std::fs::write(&tmp, &bytes).map_err(|e| Error::ExecError(format!("snapshot: {e}")))?;
-        std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE))
-            .map_err(|e| Error::ExecError(format!("snapshot rename: {e}")))?;
         let policy = wal.as_ref().map_or(SyncPolicy::OsBuffered, |w| w.policy);
+        // Under `EveryWrite` the snapshot must be on stable storage, and
+        // its name in the directory, before the log that covers the same
+        // state is truncated: otherwise a power cut after the truncate
+        // can leave neither. Both syncs count in `WalStats::syncs`.
+        let durable = policy == SyncPolicy::EveryWrite;
+        let io =
+            |what: &'static str| move |e: std::io::Error| Error::ExecError(format!("{what}: {e}"));
+        let tmp = dir.join("snapshot.tmp");
+        let mut f = File::create(&tmp).map_err(io("snapshot"))?;
+        f.write_all(&bytes).map_err(io("snapshot"))?;
+        if durable {
+            self.wal_stats().syncs.fetch_add(1, Ordering::Relaxed);
+            f.sync_all().map_err(io("snapshot sync"))?;
+        }
+        drop(f);
+        std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE)).map_err(io("snapshot rename"))?;
+        if durable {
+            self.wal_stats().syncs.fetch_add(1, Ordering::Relaxed);
+            File::open(&dir).and_then(|d| d.sync_all()).map_err(io("directory sync"))?;
+        }
         std::fs::write(dir.join(WAL_FILE), b"")
             .map_err(|e| Error::ExecError(format!("wal truncate: {e}")))?;
         *wal = Some(WalWriter::open_append(&dir.join(WAL_FILE), policy, self.wal_stats_arc())?);
@@ -1006,6 +1023,23 @@ mod tests {
         // inserts advances the counter past it
         assert_eq!(r.last_insert_id, Some(3));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_syncs_snapshot_and_directory_before_truncating() {
+        let syncs = |policy: SyncPolicy| {
+            let dir = tmpdir(&format!("ckpt-sync-{policy:?}"));
+            let db = Database::open_durable(&dir, policy).unwrap();
+            seed(&db);
+            let before = db.wal_stats().sync_count();
+            db.checkpoint().unwrap();
+            let synced = db.wal_stats().sync_count() - before;
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
+            synced
+        };
+        assert!(syncs(SyncPolicy::EveryWrite) >= 2);
+        assert_eq!(syncs(SyncPolicy::OsBuffered), 0);
     }
 
     #[test]

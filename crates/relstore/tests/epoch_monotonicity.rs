@@ -11,37 +11,13 @@
 //!   watermark (the snapshot pays all outstanding durability debt).
 //!
 //! The driver is single-threaded so a seed replays the exact interleaving;
-//! concurrency is exercised by the `_stress` tests. Deliberately
-//! hand-rolled xorshift PRNG: the property must not depend on a test-only
-//! dependency being present. Reproduce a failure with
-//! `RELSTORE_EPOCH_SEED=<seed> cargo test -p relstore epoch_monotonicity`.
+//! concurrency is exercised by the `_stress` tests. Reproduce a failure
+//! with `MCS_SEED=<seed> cargo test -p relstore --test epoch_monotonicity`.
 
 use std::time::Duration;
 
 use relstore::{Access, Database, Durability, SyncPolicy, Value};
-
-/// xorshift64 — deterministic, seedable, no dependencies. Seed must be
-/// non-zero (0 is mapped to a fixed constant).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed })
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use testkit::{seeds, Rng};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -162,18 +138,11 @@ fn check_case(seed: u64) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Random interleavings under several fixed seeds (or one from
-/// `RELSTORE_EPOCH_SEED`, for replaying a CI failure).
+/// Random interleavings under several fixed seeds (or the one in
+/// `MCS_SEED`, for replaying a CI failure).
 #[test]
 fn epoch_monotonicity_under_random_interleavings() {
-    if let Some(seed) = std::env::var("RELSTORE_EPOCH_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-    {
-        check_case(seed);
-        return;
-    }
-    for seed in [42, 0xDEAD_BEEF, 0x9E37_79B9_7F4A_7C15, 7, 1_000_003] {
+    for seed in seeds(&[42, 0xDEAD_BEEF, 0x9E37_79B9_7F4A_7C15, 7, 1_000_003]) {
         check_case(seed);
     }
 }

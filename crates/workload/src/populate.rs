@@ -257,7 +257,7 @@ pub fn build_sharded_catalog_opts(
     let admin = Credential::new(ADMIN_DN);
     let clock = Arc::new(ManualClock::default());
     let catalog = Arc::new(
-        ShardedCatalog::in_memory_opts(shards, &admin, profile, clock, cache, mvcc)
+        ShardedCatalog::in_memory(shards, &admin, profile, clock, cache, mvcc)
             .expect("bootstrap"),
     );
     catalog.allow_anyone(&admin).expect("open service");
