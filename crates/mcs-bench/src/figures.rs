@@ -559,7 +559,8 @@ pub fn fig14(cfg: &Config, _deployments: &[Deployment]) -> Figure {
 ///   the scatter-gather planner is held to single-shard answers while
 ///   it fans out.
 pub fn fig15(cfg: &Config, _deployments: &[Deployment]) -> Figure {
-    use mcs::{AttrType, Credential, FileSpec, ManualClock, StoreConfig};
+    use mcs::shard::Route;
+    use mcs::{AttrType, Credential, FileSpec, ManualClock, ShardedCatalog, StoreConfig};
     use workload::{build_sharded_catalog, spec};
 
     const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -580,7 +581,7 @@ pub fn fig15(cfg: &Config, _deployments: &[Deployment]) -> Figure {
             .join(format!("mcs-fig15-{shards}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let catalog = Arc::new(
-            mcs::Mcs::open_sharded(
+            ShardedCatalog::open(
                 &dir,
                 &admin,
                 IndexProfile::Paper2003,
@@ -589,8 +590,9 @@ pub fn fig15(cfg: &Config, _deployments: &[Deployment]) -> Figure {
             )
             .expect("open durable sharded catalog"),
         );
-        catalog.define_attribute(&admin, "experiment", AttrType::Str, "").unwrap();
-        catalog.define_attribute(&admin, "run", AttrType::Int, "").unwrap();
+        for (name, ty) in [("experiment", AttrType::Str), ("run", AttrType::Int)] {
+            catalog.run(Route::Global, |m| m.define_attribute(&admin, name, ty, "")).unwrap();
+        }
 
         let per_writer = total / WRITERS as u64;
         let t0 = std::time::Instant::now();
@@ -603,7 +605,8 @@ pub fn fig15(cfg: &Config, _deployments: &[Deployment]) -> Figure {
                         let spec = FileSpec::named(format!("f-{w}-{i:05}.dat"))
                             .attr("experiment", "bench")
                             .attr("run", (w as u64 * 1_000_000 + i) as i64);
-                        catalog.create_file(&admin, &spec).unwrap();
+                        let create = |m: &mcs::Mcs| m.create_file(&admin, &spec);
+                        catalog.run(Route::Member(&spec.name), create).unwrap();
                     }
                 })
             })

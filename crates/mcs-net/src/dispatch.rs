@@ -14,6 +14,7 @@
 //! epoch/shard echo behave identically whichever framing delivered the
 //! request.
 
+use mcs::shard::Route::{self, Global, Member, Owner, Zero};
 use mcs::{
     Annotation, Attribute, AuditRecord, Collection, CollectionContents, Credential,
     ExternalCatalog, HistoryRecord, LogicalFile, McsError, ShardedCatalog, UserRecord, View,
@@ -174,7 +175,9 @@ impl Call<'_> {
     }
 }
 
-/// Execute one call against the catalog as `cred`.
+/// Execute one call against the catalog as `cred`. An operation on one
+/// shard names its [`Route`] beside the [`mcs::Mcs`] call it makes; the
+/// rest are the catalog's cross-shard operations.
 pub fn execute(c: &ShardedCatalog, cred: &Credential, call: Call<'_>) -> Result<Answer, McsError> {
     Ok(match call {
         Call::Ping {} => ().into(),
@@ -203,56 +206,88 @@ pub fn execute(c: &ShardedCatalog, cred: &Credential, call: Call<'_>) -> Result<
             }
             .into()
         }
-        Call::CreateFile { spec } => c.create_file(cred, spec)?.into(),
+        Call::CreateFile { spec } => {
+            c.run(Member(&spec.name), |m| m.create_file(cred, spec))?.into()
+        }
         Call::CreateFiles { specs } => c.create_files(cred, specs)?.into(),
-        Call::GetFile { name } => c.get_file(cred, name)?.into(),
-        Call::GetFileVersion { name, version } => c.get_file_version(cred, name, version)?.into(),
-        Call::GetFileVersions { name } => c.get_file_versions(cred, name)?.into(),
-        Call::UpdateFile { name, update } => c.update_file(cred, name, update)?.into(),
-        Call::InvalidateFile { name } => c.invalidate_file(cred, name)?.into(),
-        Call::DeleteFile { name } => c.delete_file(cred, name)?.into(),
+        Call::GetFile { name } => c.run(Owner(name), |m| m.get_file(cred, name))?.into(),
+        Call::GetFileVersion { name, version } => {
+            c.run(Owner(name), |m| m.get_file_version(cred, name, version))?.into()
+        }
+        Call::GetFileVersions { name } => {
+            c.run(Owner(name), |m| m.get_file_versions(cred, name))?.into()
+        }
+        Call::UpdateFile { name, update } => {
+            c.run(Owner(name), |m| m.update_file(cred, name, update))?.into()
+        }
+        Call::InvalidateFile { name } => {
+            c.run(Owner(name), |m| m.invalidate_file(cred, name))?.into()
+        }
+        Call::DeleteFile { name } => c.run(Member(name), |m| m.delete_file(cred, name))?.into(),
         Call::DeleteFileVersion { name, version } => {
-            c.delete_file_version(cred, name, version)?.into()
+            c.run(Member(name), |m| m.delete_file_version(cred, name, version))?.into()
         }
         Call::CreateCollection { name, parent, description } => {
-            c.create_collection(cred, name, parent, description)?.into()
+            c.run(Global, |m| m.create_collection(cred, name, parent, description))?.into()
         }
-        Call::GetCollection { name } => c.get_collection(cred, name)?.into(),
+        Call::GetCollection { name } => c.run(Zero, |m| m.get_collection(cred, name))?.into(),
         Call::DeleteCollection { name } => c.delete_collection(cred, name)?.into(),
         Call::ListCollection { name } => c.list_collection(cred, name)?.into(),
         Call::AssignCollection { file, collection } => {
-            c.assign_collection(cred, file, collection)?.into()
+            c.run(Member(file), |m| m.assign_collection(cred, file, collection))?.into()
         }
-        Call::CreateView { name, description } => c.create_view(cred, name, description)?.into(),
-        Call::GetView { name } => c.get_view(cred, name)?.into(),
+        Call::CreateView { name, description } => {
+            c.run(Global, |m| m.create_view(cred, name, description))?.into()
+        }
+        Call::GetView { name } => c.run(Zero, |m| m.get_view(cred, name))?.into(),
         Call::DeleteView { name } => c.delete_view(cred, name)?.into(),
         Call::AddToView { view, member } => c.add_to_view(cred, view, member)?.into(),
-        Call::RemoveFromView { view, member } => c.remove_from_view(cred, view, member)?.into(),
+        Call::RemoveFromView { view, member } => c
+            .run(Route::of(member, Owner, Zero), |m| m.remove_from_view(cred, view, member))?
+            .into(),
         Call::ListView { name } => c.list_view(cred, name)?.into(),
         Call::DefineAttribute { name, ty, description } => {
-            c.define_attribute(cred, name, ty, description)?;
+            c.run(Global, |m| m.define_attribute(cred, name, ty, description))?;
             ().into()
         }
-        Call::SetAttribute { object, attr } => c.set_attribute(cred, object, attr)?.into(),
-        Call::RemoveAttribute { object, name } => c.remove_attribute(cred, object, name)?.into(),
-        Call::GetAttributes { object } => c.get_attributes(cred, object)?.into(),
+        Call::SetAttribute { object, attr } => c
+            .run(Route::of(object, Owner, Zero), |m| m.set_attribute(cred, object, attr))?
+            .into(),
+        Call::RemoveAttribute { object, name } => c
+            .run(Route::of(object, Owner, Zero), |m| m.remove_attribute(cred, object, name))?
+            .into(),
+        Call::GetAttributes { object } => {
+            c.run(Route::of(object, Owner, Zero), |m| m.get_attributes(cred, object))?.into()
+        }
         Call::QueryByAttributes { preds } => c.query_by_attributes(cred, preds)?.into(),
         Call::ExplainQuery { preds } => c.explain_query(cred, preds)?.into(),
-        Call::Annotate { object, text } => c.annotate(cred, object, text)?.into(),
-        Call::GetAnnotations { object } => c.get_annotations(cred, object)?.into(),
-        Call::GetAuditTrail { object } => c.get_audit_trail(cred, object)?.into(),
-        Call::SetAudit { object, enabled } => c.set_audit(cred, object, enabled)?.into(),
-        Call::AddHistory { file, description } => c.add_history(cred, file, description)?.into(),
-        Call::GetHistory { file } => c.get_history(cred, file)?.into(),
-        Call::Grant { object, principal, perm } => c.grant(cred, object, principal, perm)?.into(),
-        Call::Revoke { object, principal, perm } => c.revoke(cred, object, principal, perm)?.into(),
-        Call::RegisterUser { user } => c.register_user(cred, user)?.into(),
-        Call::GetUser { dn } => c.get_user(cred, dn)?.into(),
-        Call::ListUsers {} => c.list_users(cred)?.into(),
-        Call::RegisterExternalCatalog { catalog } => {
-            c.register_external_catalog(cred, catalog)?.into()
+        Call::Annotate { object, text } => {
+            c.run(Route::of(object, Owner, Zero), |m| m.annotate(cred, object, text))?.into()
         }
-        Call::ListExternalCatalogs {} => c.list_external_catalogs(cred)?.into(),
+        Call::GetAnnotations { object } => {
+            c.run(Route::of(object, Owner, Zero), |m| m.get_annotations(cred, object))?.into()
+        }
+        Call::GetAuditTrail { object } => c.get_audit_trail(cred, object)?.into(),
+        Call::SetAudit { object, enabled } => c
+            .run(Route::of(object, Owner, Global), |m| m.set_audit(cred, object, enabled))?
+            .into(),
+        Call::AddHistory { file, description } => {
+            c.run(Owner(file), |m| m.add_history(cred, file, description))?.into()
+        }
+        Call::GetHistory { file } => c.run(Owner(file), |m| m.get_history(cred, file))?.into(),
+        Call::Grant { object, principal, perm } => c
+            .run(Route::of(object, Member, Global), |m| m.grant(cred, object, principal, perm))?
+            .into(),
+        Call::Revoke { object, principal, perm } => c
+            .run(Route::of(object, Member, Global), |m| m.revoke(cred, object, principal, perm))?
+            .into(),
+        Call::RegisterUser { user } => c.run(Zero, |m| m.register_user(cred, user))?.into(),
+        Call::GetUser { dn } => c.run(Zero, |m| m.get_user(cred, dn))?.into(),
+        Call::ListUsers {} => c.run(Zero, |m| m.list_users(cred))?.into(),
+        Call::RegisterExternalCatalog { catalog } => {
+            c.run(Zero, |m| m.register_external_catalog(cred, catalog))?.into()
+        }
+        Call::ListExternalCatalogs {} => c.run(Zero, |m| m.list_external_catalogs(cred))?.into(),
     })
 }
 

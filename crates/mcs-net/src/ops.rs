@@ -15,10 +15,13 @@
 //!   client behind both [`crate::McsClient`] and [`crate::BinMcsClient`],
 //!   and its untyped [`Client::call`].
 //!
-//! Adding an operation is one line here, one arm in
-//! [`crate::dispatch::execute`], and a corpus entry in
-//! `tests/wire_golden.rs`; a new argument or result type also needs its
-//! [`crate::codec`] impl.
+//! Adding an operation takes an [`mcs::Mcs`] method, one line here, one
+//! arm in [`crate::dispatch::execute`] that names the op's
+//! [`mcs::shard::Route`] beside the `Mcs` call, a corpus entry in
+//! `tests/wire_golden.rs` and an arm in the twin generator
+//! (`tests/twin/mod.rs`); a new argument or result type also needs its
+//! [`crate::codec`] impl. `mcs::shard` changes only for an operation
+//! that spans shards.
 //!
 //! Syntax of an entry: `Variant = opcode, "soapName", [pub] fn
 //! client_method(arg: Type = "element", ...) -> Result;`. Record

@@ -132,7 +132,7 @@ pub struct StoreConfig {
     pub cache: Option<crate::cache::CacheConfig>,
     /// Number of hash-partitioned relstore backends ([`crate::shard`]).
     /// The default of 1 keeps today's single-database layout —
-    /// byte-identical on disk; `> 1` makes [`Mcs::open_sharded`] lay the
+    /// byte-identical on disk; `> 1` makes [`crate::ShardedCatalog::open`] lay the
     /// catalog out as `shard-0/..shard-N-1/` subdirectories, each with
     /// its own WAL, commit queue and epoch gate.
     pub shards: usize,
@@ -264,22 +264,6 @@ impl Mcs {
             db.start_vacuum(std::time::Duration::from_millis(100));
         }
         Mcs::with_database_cached(db, admin, profile, clock, cfg.cache)
-    }
-
-    /// Open a hash-partitioned catalog rooted at `dir` honoring
-    /// [`StoreConfig::shards`]: `shards = 1` produces exactly the layout
-    /// [`Mcs::open_durable`] would (the database lives at `dir` itself);
-    /// `shards = N > 1` opens N independent databases under
-    /// `dir/shard-0 .. dir/shard-N-1` and reconciles the mirrored global
-    /// tables on open. See [`crate::shard`].
-    pub fn open_sharded(
-        dir: &std::path::Path,
-        admin: &Credential,
-        profile: IndexProfile,
-        clock: Arc<dyn Clock>,
-        cfg: StoreConfig,
-    ) -> Result<crate::shard::ShardedCatalog> {
-        crate::shard::ShardedCatalog::open(dir, admin, profile, clock, cfg)
     }
 
     /// Open a catalog on an existing database — e.g. one opened durably

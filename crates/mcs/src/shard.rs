@@ -1,5 +1,5 @@
 //! Hash-partitioned catalog: N independent relstore backends behind one
-//! `Mcs`-shaped surface (DESIGN.md §7.4).
+//! router (DESIGN.md §7.4).
 //!
 //! The paper scales *reads* with stateless service replicas in front of
 //! one MySQL instance (§6, figures 10–11); every write still funnels
@@ -24,8 +24,8 @@
 //!   `logical_collections`, `logical_views`, `attribute_definitions` and
 //!   the non-file rows of `acl_entries` — are *mirrored* onto every
 //!   shard (same primary keys, relstore inserts honor explicit
-//!   AUTO_INCREMENT ids), so a routed operation runs entirely on its
-//!   owning shard with plain [`Mcs`] code.
+//!   AUTO_INCREMENT ids), so a routed operation runs entirely on one
+//!   shard with plain [`Mcs`] code ([`Route`], [`ShardedCatalog::run`]).
 //!
 //! ## Two-phase global writes
 //!
@@ -45,8 +45,8 @@
 //!
 //! ## Scatter-gather queries
 //!
-//! Name-equality lookups (`get_file`, `get_attributes` on a file, …)
-//! route to the owning shard. Attribute queries
+//! Lookups by name (`getFile`, `getAttributes` on a file, …) run on the
+//! owning shard ([`Route::Owner`]). Attribute queries
 //! ([`ShardedCatalog::query_by_attributes`], `general_query`) fan out on
 //! a [`soapstack::threadpool::ThreadPool`] — shard 0's slice runs on the
 //! caller's thread — and merge with stable ordering (per-shard result
@@ -67,7 +67,7 @@ use relstore::{Access, Database, Durability, Value};
 use soapstack::threadpool::ThreadPool;
 
 use crate::cache::{CacheConfig, CacheStats};
-use crate::catalog::{FileUpdate, Mcs, StoreConfig};
+use crate::catalog::{Mcs, StoreConfig};
 use crate::clock::Clock;
 use crate::error::{McsError, Result};
 use crate::general_query::QueryExpr;
@@ -141,17 +141,56 @@ type Ace = (i64, i64, String, i64);
 thread_local! {
     /// (shard, epoch) of the last commit this thread produced through the
     /// sharded surface — the per-shard analogue of
-    /// [`relstore::Database::last_commit_epoch`], set by the routing
-    /// wrappers so the network layer can echo `mcs:epoch`/`mcs:shard`.
+    /// [`relstore::Database::last_commit_epoch`], set by `record` so the
+    /// network layer can echo `mcs:epoch`/`mcs:shard`.
     static LAST_WRITE: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Where an operation that touches one shard runs, and which side of the
+/// catalog lock it holds there ([`ShardedCatalog::run`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route<'a> {
+    /// A read or a shard-local write on the shard owning the named file.
+    Owner(&'a str),
+    /// A per-file write that installs a reference to global state (file
+    /// creation, membership, file ACEs) on the file's owner, under the
+    /// read side of the catalog lock, so the referenced collection or
+    /// view cannot be deleted concurrently.
+    Member(&'a str),
+    /// Shard-0-only state: users, external catalogs, and the
+    /// attributes, annotations and view members of non-file objects.
+    Zero,
+    /// A write to mirrored global state: the write side of the catalog
+    /// lock, shard 0 first (authoritative), then every mirror diff-synced.
+    /// On error the mirrors are left untouched — shard 0 rolled back, so
+    /// there is nothing to sync.
+    Global,
+}
+
+impl<'a> Route<'a> {
+    /// The route of an operation on `object`: `if_file` of the file's
+    /// name for a file or file version, `otherwise` for a collection, a
+    /// view or the service.
+    pub fn of(
+        object: &'a ObjectRef,
+        if_file: fn(&'a str) -> Route<'a>,
+        otherwise: Route<'a>,
+    ) -> Route<'a> {
+        match ref_file_name(object) {
+            Some(name) => if_file(name),
+            None => otherwise,
+        }
+    }
 }
 
 /// A catalog hash-partitioned across N independent [`Mcs`] backends.
 ///
-/// Exposes the same operation surface as [`Mcs`] (same names, same
-/// signatures, same error behavior), so the network layer and the
-/// workload driver run against either. With one shard every call
-/// delegates directly — no locking, no mirroring, no pool — keeping
+/// A router, not a second copy of the [`Mcs`] surface: an operation on
+/// one shard is an `Mcs` call handed to [`ShardedCatalog::run`] with its
+/// [`Route`]; the methods here are the operations that span shards
+/// (batch creates, collection and view deletes and listings, queries,
+/// audit trails), topology, epochs and caches. With one shard every
+/// route runs on shard 0 — no locking, no mirroring, no pool — keeping
 /// `shards = 1` a strict no-op.
 pub struct ShardedCatalog {
     shards: Vec<Arc<Mcs>>,
@@ -220,6 +259,10 @@ impl ShardedCatalog {
     /// restores the two-phase invariants after a crash anywhere in a
     /// global write.
     ///
+    /// A store holding a WAL opens only with the shard count it was laid
+    /// out for — the routing hash is taken modulo N — else this fails
+    /// before anything is opened or written.
+    ///
     /// [`reconcile`]: ShardedCatalog::open
     pub fn open(
         dir: &Path,
@@ -228,23 +271,25 @@ impl ShardedCatalog {
         clock: Arc<dyn Clock>,
         cfg: StoreConfig,
     ) -> Result<ShardedCatalog> {
-        if cfg.shards <= 1 {
+        let n = cfg.shards.max(1);
+        check_layout(dir, n)?;
+        if n == 1 {
             let mcs = Mcs::open_durable(dir, admin, profile, clock, cfg)?;
             return Ok(ShardedCatalog::from_single(Arc::new(mcs)));
         }
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for k in 0..cfg.shards {
-            let sub = dir.join(format!("shard-{k}"));
-            std::fs::create_dir_all(&sub)
+        // Every directory exists before any shard writes its WAL, so an
+        // open cut short in between still reads as this layout.
+        let subs: Vec<_> = (0..n).map(|k| dir.join(format!("shard-{k}"))).collect();
+        for sub in &subs {
+            std::fs::create_dir_all(sub)
                 .map_err(|e| McsError::Internal(format!("create {}: {e}", sub.display())))?;
-            shards.push(Arc::new(Mcs::open_durable(
-                &sub,
-                admin,
-                profile,
-                Arc::clone(&clock),
-                cfg,
-            )?));
         }
+        let shards = subs
+            .iter()
+            .map(|sub| {
+                Ok(Arc::new(Mcs::open_durable(sub, admin, profile, Arc::clone(&clock), cfg)?))
+            })
+            .collect::<Result<_>>()?;
         let sc = ShardedCatalog::assemble(shards);
         sc.reconcile()?;
         Ok(sc)
@@ -296,40 +341,28 @@ impl ShardedCatalog {
         r
     }
 
-    /// A read or a shard-local write on the shard owning `name`.
-    fn on_owner<R>(&self, name: &str, f: impl FnOnce(&Mcs) -> R) -> R {
-        self.record(self.shard_for(name), f)
-    }
-
-    /// A per-file write that installs a reference to global state (file
-    /// creation/membership): holds the read side of the catalog lock so
-    /// the referenced collection/view cannot be concurrently deleted.
-    fn member_write<R>(&self, name: &str, f: impl FnOnce(&Mcs) -> R) -> R {
-        if self.single() {
-            return self.record(0, f);
+    /// Run a single-shard operation `f` where `route` says, under the
+    /// lock the route takes, recording its commit for the `(epoch,
+    /// shard)` echo. With one shard every route runs `f` on shard 0
+    /// without a lock.
+    pub fn run<R>(&self, route: Route<'_>, f: impl FnOnce(&Mcs) -> Result<R>) -> Result<R> {
+        match route {
+            Route::Owner(name) => self.record(self.shard_for(name), f),
+            Route::Member(name) => {
+                let _g = (!self.single()).then(|| self.global.read());
+                self.record(self.shard_for(name), f)
+            }
+            Route::Zero => self.record(0, f),
+            Route::Global => {
+                if self.single() {
+                    return self.record(0, f);
+                }
+                let _g = self.global.write();
+                let r = self.record(0, f)?;
+                self.sync_mirrors()?;
+                Ok(r)
+            }
         }
-        let _g = self.global.read();
-        self.record(self.shard_for(name), f)
-    }
-
-    /// Shard-0-only state (users, external catalogs, non-file
-    /// annotations/attributes/audit — nothing mirrored).
-    fn on_zero<R>(&self, f: impl FnOnce(&Mcs) -> R) -> R {
-        self.record(0, f)
-    }
-
-    /// A write to mirrored global state: write lock, shard 0 first
-    /// (authoritative), then diff-sync every mirror. On error the
-    /// mirrors are left untouched — shard 0 rolled back, so there is
-    /// nothing to sync.
-    fn global_write<R>(&self, f: impl FnOnce(&Mcs) -> Result<R>) -> Result<R> {
-        if self.single() {
-            return self.record(0, f);
-        }
-        let _g = self.global.write();
-        let r = self.record(0, f)?;
-        self.sync_mirrors()?;
-        Ok(r)
     }
 
     // ---------- mirror maintenance ----------
@@ -668,11 +701,6 @@ impl ShardedCatalog {
         agg
     }
 
-    /// Per-shard counter snapshots, in shard order.
-    pub fn cache_stats_per_shard(&self) -> Vec<Option<CacheStats>> {
-        self.shards.iter().map(|s| s.cache_stats()).collect()
-    }
-
     /// Run `f` with the read cache bypassed on this thread — and, via
     /// [`ShardedCatalog::scatter`]'s bypass propagation, on every pool
     /// thread a fan-out inside `f` touches.
@@ -708,13 +736,10 @@ impl ShardedCatalog {
         }
         Ok(lines)
     }
-
-    // ---------- files (routed by name) ----------
-
-    /// See [`Mcs::create_file`].
-    pub fn create_file(&self, cred: &Credential, spec: &FileSpec) -> Result<LogicalFile> {
-        self.member_write(&spec.name, |m| m.create_file(cred, spec))
-    }
+    // ---------- cross-shard operations ----------
+    //
+    // Every other operation runs on one shard: its caller names the
+    // `Route` and the `Mcs` call (`mcs_net::dispatch::execute`).
 
     /// See [`Mcs::create_files`] — the bulk mutation behind the wire
     /// protocols' `createFiles`. Specs are grouped by owning shard and
@@ -760,87 +785,6 @@ impl ShardedCatalog {
         Ok(out.into_iter().map(|f| f.expect("every spec was grouped")).collect())
     }
 
-    /// See [`Mcs::get_file`].
-    pub fn get_file(&self, cred: &Credential, name: &str) -> Result<LogicalFile> {
-        self.on_owner(name, |m| m.get_file(cred, name))
-    }
-
-    /// See [`Mcs::get_file_version`].
-    pub fn get_file_version(
-        &self,
-        cred: &Credential,
-        name: &str,
-        version: i64,
-    ) -> Result<LogicalFile> {
-        self.on_owner(name, |m| m.get_file_version(cred, name, version))
-    }
-
-    /// See [`Mcs::get_file_versions`].
-    pub fn get_file_versions(&self, cred: &Credential, name: &str) -> Result<Vec<LogicalFile>> {
-        self.on_owner(name, |m| m.get_file_versions(cred, name))
-    }
-
-    /// See [`Mcs::update_file`].
-    pub fn update_file(
-        &self,
-        cred: &Credential,
-        name: &str,
-        update: &FileUpdate,
-    ) -> Result<LogicalFile> {
-        self.on_owner(name, |m| m.update_file(cred, name, update))
-    }
-
-    /// See [`Mcs::invalidate_file`].
-    pub fn invalidate_file(&self, cred: &Credential, name: &str) -> Result<()> {
-        self.on_owner(name, |m| m.invalidate_file(cred, name))
-    }
-
-    /// See [`Mcs::delete_file`].
-    pub fn delete_file(&self, cred: &Credential, name: &str) -> Result<()> {
-        self.member_write(name, |m| m.delete_file(cred, name))
-    }
-
-    /// See [`Mcs::delete_file_version`].
-    pub fn delete_file_version(&self, cred: &Credential, name: &str, version: i64) -> Result<()> {
-        self.member_write(name, |m| m.delete_file_version(cred, name, version))
-    }
-
-    /// See [`Mcs::assign_collection`]: the file side runs on the owning
-    /// shard under the membership lock; the collection it references is
-    /// resolved from that shard's mirror.
-    pub fn assign_collection(
-        &self,
-        cred: &Credential,
-        file: &str,
-        collection: Option<&str>,
-    ) -> Result<()> {
-        self.member_write(file, |m| m.assign_collection(cred, file, collection))
-    }
-
-    /// See [`Mcs::add_history`].
-    pub fn add_history(&self, cred: &Credential, file: &str, description: &str) -> Result<()> {
-        self.on_owner(file, |m| m.add_history(cred, file, description))
-    }
-
-    /// See [`Mcs::get_history`].
-    pub fn get_history(&self, cred: &Credential, file: &str) -> Result<Vec<HistoryRecord>> {
-        self.on_owner(file, |m| m.get_history(cred, file))
-    }
-
-    // ---------- collections (global, two-phase) ----------
-
-    /// See [`Mcs::create_collection`] — phase one on shard 0, phase two
-    /// mirrors the new row everywhere.
-    pub fn create_collection(
-        &self,
-        cred: &Credential,
-        name: &str,
-        parent: Option<&str>,
-        description: &str,
-    ) -> Result<Collection> {
-        self.global_write(|m| m.create_collection(cred, name, parent, description))
-    }
-
     /// See [`Mcs::delete_collection`]. Two-phase with a cross-shard
     /// emptiness check: under the write lock (no membership write can
     /// race), every shard is checked for files still assigned to the
@@ -865,11 +809,6 @@ impl ShardedCatalog {
         self.sync_mirrors()
     }
 
-    /// See [`Mcs::get_collection`].
-    pub fn get_collection(&self, cred: &Credential, name: &str) -> Result<Collection> {
-        self.on_zero(|m| m.get_collection(cred, name))
-    }
-
     /// See [`Mcs::list_collection`]: resolution, authorization, auditing
     /// and subcollections come from shard 0; member files are gathered
     /// from every shard and merged in name order (ties — versions of one
@@ -891,13 +830,6 @@ impl ShardedCatalog {
         Ok(base)
     }
 
-    // ---------- views ----------
-
-    /// See [`Mcs::create_view`].
-    pub fn create_view(&self, cred: &Credential, name: &str, description: &str) -> Result<View> {
-        self.global_write(|m| m.create_view(cred, name, description))
-    }
-
     /// See [`Mcs::delete_view`]. Phase one cascades on shard 0; phase
     /// two drops the per-shard file-membership rows and the mirrored
     /// view row. A crash between the phases leaves orphans that
@@ -917,11 +849,6 @@ impl ShardedCatalog {
         self.sync_mirrors()
     }
 
-    /// See [`Mcs::get_view`].
-    pub fn get_view(&self, cred: &Credential, name: &str) -> Result<View> {
-        self.on_zero(|m| m.get_view(cred, name))
-    }
-
     /// See [`Mcs::add_to_view`]: file members land on the file's shard;
     /// collection/view members are global state on shard 0, where the
     /// cycle check sees every view edge. The `add_member` audit row the
@@ -931,16 +858,13 @@ impl ShardedCatalog {
     /// side of the catalog lock serializes the move; a crash before the
     /// owner's copy is deleted leaves the row on both shards.
     pub fn add_to_view(&self, cred: &Credential, view: &str, member: &ObjectRef) -> Result<()> {
-        let name = match ref_file_name(member) {
-            Some(n) => n.to_owned(),
-            None => return self.on_zero(|m| m.add_to_view(cred, view, member)),
-        };
-        let k = self.shard_for(&name);
+        let add = |m: &Mcs| m.add_to_view(cred, view, member);
+        let k = ref_file_name(member).map_or(0, |n| self.shard_for(n));
         if k == 0 {
-            return self.member_write(&name, |m| m.add_to_view(cred, view, member));
+            return self.run(Route::of(member, Route::Member, Route::Zero), add);
         }
         let _g = self.global.write();
-        self.record(k, |m| m.add_to_view(cred, view, member))?;
+        self.record(k, add)?;
         let vid = self.shards[0].resolve_view(view)?.id;
         let key = [ObjectType::View.code().into(), vid.into()];
         let rows = self.shards[k]
@@ -970,21 +894,6 @@ impl ShardedCatalog {
         Ok(())
     }
 
-    /// See [`Mcs::remove_from_view`].
-    pub fn remove_from_view(
-        &self,
-        cred: &Credential,
-        view: &str,
-        member: &ObjectRef,
-    ) -> Result<bool> {
-        match member {
-            ObjectRef::File(n) | ObjectRef::FileVersion(n, _) => {
-                self.on_owner(&n.clone(), |m| m.remove_from_view(cred, view, member))
-            }
-            _ => self.on_zero(|m| m.remove_from_view(cred, view, member)),
-        }
-    }
-
     /// See [`Mcs::list_view`]: shard 0 resolves, authorizes, audits and
     /// contributes its members; file members on other shards are
     /// gathered and merged (all three lists come back sorted, as on a
@@ -1005,79 +914,6 @@ impl ShardedCatalog {
         base.files.sort();
         Ok(base)
     }
-
-    // ---------- attributes ----------
-
-    /// See [`Mcs::define_attribute`] (mirrored to every shard so routed
-    /// operations type-check locally).
-    pub fn define_attribute(
-        &self,
-        cred: &Credential,
-        name: &str,
-        attr_type: AttrType,
-        description: &str,
-    ) -> Result<AttributeDefinition> {
-        self.global_write(|m| m.define_attribute(cred, name, attr_type, description))
-    }
-
-    /// See [`Mcs::attribute_definition`].
-    pub fn attribute_definition(&self, name: &str) -> Result<Option<AttributeDefinition>> {
-        self.shards[0].attribute_definition(name)
-    }
-
-    /// See [`Mcs::attribute_definitions`].
-    pub fn attribute_definitions(&self) -> Result<Vec<AttributeDefinition>> {
-        self.shards[0].attribute_definitions()
-    }
-
-    /// See [`Mcs::set_attribute`] — file attributes live with the file,
-    /// collection/view attributes with the authoritative row on shard 0.
-    pub fn set_attribute(
-        &self,
-        cred: &Credential,
-        object: &ObjectRef,
-        attr: &Attribute,
-    ) -> Result<()> {
-        match ref_file_name(object) {
-            Some(n) => self.on_owner(&n.to_owned(), |m| m.set_attribute(cred, object, attr)),
-            None => self.on_zero(|m| m.set_attribute(cred, object, attr)),
-        }
-    }
-
-    /// See [`Mcs::remove_attribute`].
-    pub fn remove_attribute(
-        &self,
-        cred: &Credential,
-        object: &ObjectRef,
-        attr_name: &str,
-    ) -> Result<bool> {
-        match ref_file_name(object) {
-            Some(n) => {
-                self.on_owner(&n.to_owned(), |m| m.remove_attribute(cred, object, attr_name))
-            }
-            None => self.on_zero(|m| m.remove_attribute(cred, object, attr_name)),
-        }
-    }
-
-    /// See [`Mcs::get_attributes`].
-    pub fn get_attributes(&self, cred: &Credential, object: &ObjectRef) -> Result<Vec<Attribute>> {
-        match ref_file_name(object) {
-            Some(n) => self.on_owner(&n.to_owned(), |m| m.get_attributes(cred, object)),
-            None => self.on_zero(|m| m.get_attributes(cred, object)),
-        }
-    }
-
-    /// See [`Mcs::get_attribute`].
-    pub fn get_attribute(
-        &self,
-        cred: &Credential,
-        object: &ObjectRef,
-        attr_name: &str,
-    ) -> Result<Option<Attribute>> {
-        Ok(self.get_attributes(cred, object)?.into_iter().find(|a| a.name == attr_name))
-    }
-
-    // ---------- queries (scatter-gather) ----------
 
     /// See [`Mcs::query_by_attributes`]: the fan-out arm of the planner.
     /// Every shard evaluates the full predicate list over its partition
@@ -1120,28 +956,6 @@ impl ShardedCatalog {
         Ok(total)
     }
 
-    // ---------- annotations / audit ----------
-
-    /// See [`Mcs::annotate`].
-    pub fn annotate(&self, cred: &Credential, object: &ObjectRef, text: &str) -> Result<()> {
-        match ref_file_name(object) {
-            Some(n) => self.on_owner(&n.to_owned(), |m| m.annotate(cred, object, text)),
-            None => self.on_zero(|m| m.annotate(cred, object, text)),
-        }
-    }
-
-    /// See [`Mcs::get_annotations`].
-    pub fn get_annotations(
-        &self,
-        cred: &Credential,
-        object: &ObjectRef,
-    ) -> Result<Vec<Annotation>> {
-        match ref_file_name(object) {
-            Some(n) => self.on_owner(&n.to_owned(), |m| m.get_annotations(cred, object)),
-            None => self.on_zero(|m| m.get_annotations(cred, object)),
-        }
-    }
-
     /// See [`Mcs::get_audit_trail`]. File trails live on the owning
     /// shard. Collection/view/service trails live on shard 0 (a file
     /// member's `add_member` row is moved there, see
@@ -1153,18 +967,13 @@ impl ShardedCatalog {
         cred: &Credential,
         object: &ObjectRef,
     ) -> Result<Vec<AuditRecord>> {
-        match ref_file_name(object) {
-            Some(n) => {
-                return self.on_owner(&n.to_owned(), |m| m.get_audit_trail(cred, object));
-            }
-            None => {}
-        }
-        if self.single() {
-            return self.record(0, |m| m.get_audit_trail(cred, object));
+        let trail = |m: &Mcs| m.get_audit_trail(cred, object);
+        if self.single() || ref_file_name(object).is_some() {
+            return self.run(Route::of(object, Route::Owner, Route::Zero), trail);
         }
         // Resolve + authorize (and learn the object's identity) on the
         // authoritative shard, then gather the per-shard rows.
-        let mut out = self.record(0, |m| m.get_audit_trail(cred, object))?;
+        let mut out = self.record(0, trail)?;
         let (ot, id, _, _) = self.shards[0].resolve_ref(object)?;
         let gathered = self.scatter(move |m| audit_rows_local(m, ot, id));
         for (k, r) in gathered.into_iter().enumerate() {
@@ -1176,118 +985,34 @@ impl ShardedCatalog {
         out.sort_by(|a, b| a.at.cmp(&b.at));
         Ok(out)
     }
+}
 
-    /// See [`Mcs::set_audit`] — flips mirrored state for collections and
-    /// views, per-file state for files.
-    pub fn set_audit(&self, cred: &Credential, object: &ObjectRef, enabled: bool) -> Result<()> {
-        match object {
-            ObjectRef::File(n) | ObjectRef::FileVersion(n, _) => {
-                let name = n.clone();
-                self.on_owner(&name, |m| m.set_audit(cred, object, enabled))
-            }
-            _ => self.global_write(|m| m.set_audit(cred, object, enabled)),
-        }
-    }
-
-    // ---------- authorization ----------
-
-    /// See [`Mcs::grant`]: file ACEs are per-file state; everything else
-    /// is mirrored so routed operations authorize locally.
-    pub fn grant(
-        &self,
-        cred: &Credential,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        match object {
-            ObjectRef::File(n) | ObjectRef::FileVersion(n, _) => {
-                let name = n.clone();
-                self.member_write(&name, |m| m.grant(cred, object, principal, perm))
-            }
-            _ => self.global_write(|m| m.grant(cred, object, principal, perm)),
-        }
-    }
-
-    /// See [`Mcs::revoke`].
-    pub fn revoke(
-        &self,
-        cred: &Credential,
-        object: &ObjectRef,
-        principal: &str,
-        perm: Permission,
-    ) -> Result<()> {
-        match object {
-            ObjectRef::File(n) | ObjectRef::FileVersion(n, _) => {
-                let name = n.clone();
-                self.member_write(&name, |m| m.revoke(cred, object, principal, perm))
-            }
-            _ => self.global_write(|m| m.revoke(cred, object, principal, perm)),
-        }
-    }
-
-    /// See [`Mcs::acl`].
-    pub fn acl(&self, cred: &Credential, object: &ObjectRef) -> Result<Vec<(String, Permission)>> {
-        match ref_file_name(object) {
-            Some(n) => self.on_owner(&n.to_owned(), |m| m.acl(cred, object)),
-            None => self.on_zero(|m| m.acl(cred, object)),
-        }
-    }
-
-    /// See [`Mcs::is_service_admin`].
-    pub fn is_service_admin(&self, cred: &Credential) -> Result<bool> {
-        self.shards[0].is_service_admin(cred)
-    }
-
-    /// See [`Mcs::allow_anyone`] (service ACEs are mirrored).
-    pub fn allow_anyone(&self, cred: &Credential) -> Result<()> {
-        self.global_write(|m| m.allow_anyone(cred))
-    }
-
-    // ---------- users / external catalogs / CAS (shard 0) ----------
-
-    /// See [`Mcs::register_user`].
-    pub fn register_user(&self, cred: &Credential, user: &UserRecord) -> Result<()> {
-        self.on_zero(|m| m.register_user(cred, user))
-    }
-
-    /// See [`Mcs::get_user`].
-    pub fn get_user(&self, cred: &Credential, dn: &str) -> Result<UserRecord> {
-        self.on_zero(|m| m.get_user(cred, dn))
-    }
-
-    /// See [`Mcs::list_users`].
-    pub fn list_users(&self, cred: &Credential) -> Result<Vec<UserRecord>> {
-        self.on_zero(|m| m.list_users(cred))
-    }
-
-    /// See [`Mcs::register_external_catalog`].
-    pub fn register_external_catalog(
-        &self,
-        cred: &Credential,
-        cat: &ExternalCatalog,
-    ) -> Result<()> {
-        self.on_zero(|m| m.register_external_catalog(cred, cat))
-    }
-
-    /// See [`Mcs::list_external_catalogs`].
-    pub fn list_external_catalogs(&self, cred: &Credential) -> Result<Vec<ExternalCatalog>> {
-        self.on_zero(|m| m.list_external_catalogs(cred))
-    }
-
-    /// See [`Mcs::trust_community`].
-    pub fn trust_community(&self, cred: &Credential, community: &str, secret: u64) -> Result<()> {
-        self.shards[0].trust_community(cred, community, secret)
-    }
-
-    /// See [`Mcs::revoke_community_trust`].
-    pub fn revoke_community_trust(&self, cred: &Credential, community: &str) -> Result<()> {
-        self.shards[0].revoke_community_trust(cred, community)
-    }
-
-    /// See [`Mcs::credential_from_assertion`].
-    pub fn credential_from_assertion(&self, assertion: &crate::CasAssertion) -> Result<Credential> {
-        self.shards[0].credential_from_assertion(assertion)
+/// Refuse to open the store at `dir` with `n` shards unless it is fresh
+/// or was laid out for `n`: a WAL at the root is a one-shard store, a WAL
+/// in any `shard-k/` a store of exactly the `shard-k/` directories there.
+fn check_layout(dir: &Path, n: usize) -> Result<()> {
+    let has_wal = |d: &Path| d.join(relstore::wal::WAL_FILE).exists();
+    let found: BTreeSet<String> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.strip_prefix("shard-").is_some_and(|k| k.parse::<usize>().is_ok()))
+        .collect();
+    let want: BTreeSet<String> =
+        if n == 1 { BTreeSet::new() } else { (0..n).map(|k| format!("shard-{k}")).collect() };
+    let laid_out = if n > 1 && has_wal(dir) {
+        Some(1)
+    } else if found != want && found.iter().any(|s| has_wal(&dir.join(s))) {
+        Some(found.len())
+    } else {
+        None
+    };
+    match laid_out {
+        Some(m) => Err(McsError::Internal(format!(
+            "{} holds a {m}-shard catalog; opening it with {n} shards would misroute its files",
+            dir.display()
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -1355,6 +1080,7 @@ fn audit_rows_local(m: &Mcs, ot: ObjectType, id: i64) -> Result<Vec<AuditRecord>
 
 #[cfg(test)]
 mod tests {
+    use super::Route::{Global, Member, Owner};
     use super::*;
     use crate::clock::ManualClock;
 
@@ -1374,6 +1100,10 @@ mod tests {
         .unwrap()
     }
 
+    fn create_file(sc: &ShardedCatalog, cred: &Credential, spec: &FileSpec) -> Result<LogicalFile> {
+        sc.run(Member(&spec.name), |m| m.create_file(cred, spec))
+    }
+
     #[test]
     fn hash_is_stable() {
         // Pinned values: the shard map is on-disk state, so the router
@@ -1388,9 +1118,9 @@ mod tests {
     fn routed_ops_spread_and_queries_merge() {
         let a = admin();
         let sc = catalog(4);
-        sc.define_attribute(&a, "site", AttrType::Str, "").unwrap();
+        sc.run(Global, |m| m.define_attribute(&a, "site", AttrType::Str, "")).unwrap();
         for i in 0..40 {
-            sc.create_file(&a, &FileSpec::named(format!("f{i:03}.dat")).attr("site", "isi"))
+            create_file(&sc, &a, &FileSpec::named(format!("f{i:03}.dat")).attr("site", "isi"))
                 .unwrap();
         }
         assert_eq!(sc.file_count().unwrap(), 40);
@@ -1409,7 +1139,7 @@ mod tests {
     fn collections_mirror_and_membership_routes() {
         let a = admin();
         let sc = catalog(3);
-        sc.create_collection(&a, "run-a", None, "").unwrap();
+        sc.run(Global, |m| m.create_collection(&a, "run-a", None, "")).unwrap();
         // The mirrored row exists on every shard, same id.
         for k in 0..3 {
             let c = sc.shard(k).get_collection(&a, "run-a").unwrap();
@@ -1417,7 +1147,7 @@ mod tests {
         }
         for i in 0..12 {
             let spec = FileSpec::named(format!("m{i:03}.dat")).in_collection("run-a");
-            sc.create_file(&a, &spec).unwrap();
+            create_file(&sc, &a, &spec).unwrap();
         }
         let listing = sc.list_collection(&a, "run-a").unwrap();
         assert_eq!(listing.files.len(), 12);
@@ -1428,7 +1158,8 @@ mod tests {
             Err(McsError::CollectionNotEmpty("run-a".into()))
         );
         for i in 0..12 {
-            sc.delete_file(&a, &format!("m{i:03}.dat")).unwrap();
+            let name = format!("m{i:03}.dat");
+            sc.run(Member(&name), |m| m.delete_file(&a, &name)).unwrap();
         }
         sc.delete_collection(&a, "run-a").unwrap();
         for k in 0..3 {
@@ -1443,17 +1174,17 @@ mod tests {
     fn acl_changes_mirror_to_replicas() {
         let a = admin();
         let sc = catalog(2);
-        sc.create_collection(&a, "locked", None, "").unwrap();
+        sc.run(Global, |m| m.create_collection(&a, "locked", None, "")).unwrap();
         let user = Credential::new("/O=Grid/CN=user");
         let spec = FileSpec::named("denied.dat").in_collection("locked");
         // No grant yet: the owning shard's mirrored ACLs deny the write.
         assert!(matches!(
-            sc.create_file(&user, &spec),
+            create_file(&sc, &user, &spec),
             Err(McsError::PermissionDenied { .. })
         ));
-        sc.grant(&a, &ObjectRef::Collection("locked".into()), &user.dn, Permission::Write)
-            .unwrap();
-        sc.create_file(&user, &spec).unwrap();
+        let locked = ObjectRef::Collection("locked".into());
+        sc.run(Global, |m| m.grant(&a, &locked, &user.dn, Permission::Write)).unwrap();
+        create_file(&sc, &user, &spec).unwrap();
     }
 
     /// A replica allocates ids for its own file ACEs; mirroring shard 0's
@@ -1464,13 +1195,14 @@ mod tests {
         let sc = catalog(2);
         let name = (0..).map(|i| format!("g{i}.dat")).find(|n| shard_of_name(n, 2) == 1).unwrap();
         let user = Credential::new("/O=Grid/CN=user");
-        sc.create_file(&a, &FileSpec::named(name.as_str())).unwrap();
-        sc.grant(&a, &ObjectRef::File(name.clone()), &user.dn, Permission::Read).unwrap();
-        sc.grant(&a, &ObjectRef::Service, &user.dn, Permission::Write).unwrap();
-        sc.revoke(&a, &ObjectRef::File(name.clone()), &user.dn, Permission::Read).unwrap();
+        create_file(&sc, &a, &FileSpec::named(name.as_str())).unwrap();
+        let file = ObjectRef::File(name.clone());
+        sc.run(Member(&name), |m| m.grant(&a, &file, &user.dn, Permission::Read)).unwrap();
+        sc.run(Global, |m| m.grant(&a, &ObjectRef::Service, &user.dn, Permission::Write)).unwrap();
+        sc.run(Member(&name), |m| m.revoke(&a, &file, &user.dn, Permission::Read)).unwrap();
         let v2 = FileSpec { version: Some(2), ..FileSpec::named(name.as_str()) };
         // The replica owning the file authorizes with the mirrored ACE.
-        sc.create_file(&user, &v2).unwrap();
+        create_file(&sc, &user, &v2).unwrap();
     }
 
     /// A view's trail keeps the catalog's order although its file
@@ -1482,10 +1214,10 @@ mod tests {
         let (x, y) = (on(1).unwrap(), on(2).unwrap());
         let trails = [1, 4].map(|n| {
             let sc = catalog(n);
-            sc.create_view(&a, "v", "").unwrap();
-            sc.set_audit(&a, &ObjectRef::View("v".into()), true).unwrap();
+            sc.run(Global, |m| m.create_view(&a, "v", "")).unwrap();
+            sc.run(Global, |m| m.set_audit(&a, &ObjectRef::View("v".into()), true)).unwrap();
             for f in [&x, &y] {
-                sc.create_file(&a, &FileSpec::named(f.as_str())).unwrap();
+                create_file(&sc, &a, &FileSpec::named(f.as_str())).unwrap();
             }
             sc.add_to_view(&a, "v", &ObjectRef::File(x.clone())).unwrap();
             sc.list_view(&a, "v").unwrap();
@@ -1518,7 +1250,7 @@ mod tests {
             let results: Vec<String> = [1, 4]
                 .map(|n| {
                     let sc = catalog(n);
-                    sc.create_file(&a, &FileSpec::named("taken.dat")).unwrap();
+                    create_file(&sc, &a, &FileSpec::named("taken.dat")).unwrap();
                     let r = sc.create_files(&a, &batch);
                     assert_eq!(sc.file_count().unwrap(), 1, "{n} shards: the batch half-committed");
                     format!("{r:?}")
@@ -1529,25 +1261,61 @@ mod tests {
         }
     }
 
+    /// The routing hash is taken modulo the shard count, so a store opens
+    /// only with the count it was laid out for, and a refused open leaves
+    /// the store as it was.
+    #[test]
+    fn reopening_with_another_shard_count_is_refused() {
+        let dir = std::env::temp_dir().join(format!("mcs-shard-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = |n: usize| {
+            let cfg = StoreConfig {
+                sync: relstore::SyncPolicy::OsBuffered,
+                ..StoreConfig::default().sharded(n)
+            };
+            let clock = Arc::new(ManualClock::default());
+            ShardedCatalog::open(&dir, &admin(), IndexProfile::Paper2003, clock, cfg)
+        };
+        let listing = || {
+            let mut names: Vec<_> =
+                std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+            names.sort();
+            names
+        };
+        let a = admin();
+        create_file(&open(4).unwrap(), &a, &FileSpec::named("kept.dat")).unwrap();
+        let before = listing();
+        for n in [1, 2, 8] {
+            assert!(open(n).is_err(), "a 4-shard store opened with {n} shards");
+            assert_eq!(listing(), before, "the refused {n}-shard open wrote to the store");
+        }
+        let sc = open(4).unwrap();
+        assert_eq!(sc.file_count().unwrap(), 1);
+        sc.run(Owner("kept.dat"), |m| m.get_file(&a, "kept.dat")).unwrap();
+        drop(sc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn single_shard_is_plain_delegation() {
         let a = admin();
         let sc = catalog(1);
         assert_eq!(sc.shards(), 1);
         assert!(sc.pool.is_none());
-        sc.create_file(&a, &FileSpec::named("solo.dat")).unwrap();
+        create_file(&sc, &a, &FileSpec::named("solo.dat")).unwrap();
         assert_eq!(sc.file_count().unwrap(), 1);
-        assert_eq!(sc.get_file(&a, "solo.dat").unwrap().name, "solo.dat");
+        let f = sc.run(Owner("solo.dat"), |m| m.get_file(&a, "solo.dat")).unwrap();
+        assert_eq!(f.name, "solo.dat");
     }
 
     #[test]
     fn views_gather_file_members_across_shards() {
         let a = admin();
         let sc = catalog(4);
-        sc.create_view(&a, "everything", "").unwrap();
+        sc.run(Global, |m| m.create_view(&a, "everything", "")).unwrap();
         for i in 0..10 {
             let name = format!("v{i:03}.dat");
-            sc.create_file(&a, &FileSpec::named(&name)).unwrap();
+            create_file(&sc, &a, &FileSpec::named(&name)).unwrap();
             sc.add_to_view(&a, "everything", &ObjectRef::File(name)).unwrap();
         }
         let contents = sc.list_view(&a, "everything").unwrap();

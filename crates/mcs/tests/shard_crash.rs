@@ -11,6 +11,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use mcs::shard::Route::{Global, Member};
 use mcs::{
     shard_of_name, Credential, FileSpec, IndexProfile, ManualClock, McsError, ShardedCatalog,
     StoreConfig,
@@ -108,7 +109,7 @@ fn check_cut_shard(cut_shard: usize) {
     let dir = tmpdir(&format!("build-{cut_shard}"));
     {
         let m = open(&dir);
-        m.create_file(&a, &FileSpec::named(FILE)).unwrap();
+        m.run(Member(FILE), |s| s.create_file(&a, &FileSpec::named(FILE))).unwrap();
         for k in 0..SHARDS {
             m.shard(k).database().checkpoint().unwrap();
         }
@@ -116,8 +117,8 @@ fn check_cut_shard(cut_shard: usize) {
     let before = wal_len(&dir, cut_shard);
     {
         let m = open(&dir);
-        m.create_collection(&a, COLL, None, "").unwrap();
-        m.assign_collection(&a, FILE, Some(COLL)).unwrap();
+        m.run(Global, |s| s.create_collection(&a, COLL, None, "")).unwrap();
+        m.run(Member(FILE), |s| s.assign_collection(&a, FILE, Some(COLL))).unwrap();
     }
     let after = wal_len(&dir, cut_shard);
     assert!(after > before, "the operation must journal on shard {cut_shard}");
@@ -132,11 +133,11 @@ fn check_cut_shard(cut_shard: usize) {
 
             // Replay the whole operation: every step must either apply
             // or report it already applied — nothing else.
-            match m.create_collection(&a, COLL, None, "") {
+            match m.run(Global, |s| s.create_collection(&a, COLL, None, "")) {
                 Ok(_) | Err(McsError::AlreadyExists(_)) => {}
                 Err(e) => panic!("{ctx}: create_collection replay failed: {e:?}"),
             }
-            match m.assign_collection(&a, FILE, Some(COLL)) {
+            match m.run(Member(FILE), |s| s.assign_collection(&a, FILE, Some(COLL))) {
                 Ok(()) => {}
                 Err(McsError::AlreadyInCollection { collection, .. }) => {
                     assert_eq!(collection, COLL, "{ctx}: file stuck in wrong collection");

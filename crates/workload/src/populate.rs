@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use mcs::shard::Route;
 use mcs::{Credential, IndexProfile, ManualClock, Mcs, ShardedCatalog};
 use relstore::{Database, Value};
 
@@ -260,10 +261,11 @@ pub fn build_sharded_catalog_opts(
         ShardedCatalog::in_memory(shards, &admin, profile, clock, cache, mvcc)
             .expect("bootstrap"),
     );
-    catalog.allow_anyone(&admin).expect("open service");
+    catalog.run(Route::Global, |m| m.allow_anyone(&admin)).expect("open service");
     for (a, name) in ATTR_NAMES.iter().enumerate() {
+        let desc = "evaluation workload attribute";
         catalog
-            .define_attribute(&admin, name, ATTR_TYPES[a], "evaluation workload attribute")
+            .run(Route::Global, |m| m.define_attribute(&admin, name, ATTR_TYPES[a], desc))
             .expect("define attribute");
     }
     let created = Value::DateTime(spec::load_timestamp());
@@ -380,12 +382,9 @@ mod tests {
             );
         }
         // collection attributes live on shard 0 and resolve globally
+        let coll = mcs::ObjectRef::Collection(spec::collection_name(0));
         assert_eq!(
-            sharded
-                .catalog
-                .get_attributes(&cred, &mcs::ObjectRef::Collection(spec::collection_name(0)))
-                .unwrap()
-                .len(),
+            sharded.catalog.run(Route::Zero, |m| m.get_attributes(&cred, &coll)).unwrap().len(),
             10
         );
     }

@@ -26,9 +26,12 @@
 #                      tests, the touched-tables invalidation test, and
 #                      the SOAP bypass/stats round-trip
 #   verify.sh shard    the sharded-catalog contract (DESIGN.md §7.4):
-#                      the two-phase membership crash matrix, the
-#                      parallel loader equivalence test, and the SOAP
-#                      shard-routing round-trip
+#                      the router's unit tests (routing, mirrors,
+#                      cross-shard ops, reopening with another shard
+#                      count), the two-phase membership crash matrix,
+#                      the parallel loader equivalence test, and the
+#                      wire round-trips, including every committing
+#                      write's (epoch, shard) echo
 #   verify.sh mvcc     the snapshot-read contract (DESIGN.md §7.5):
 #                      relstore version-chain/snapshot/vacuum unit
 #                      tests, the snapshot-isolation test, and the
@@ -105,6 +108,7 @@ case "$lane" in
     ;;
   shard)
     start=$(date +%s)
+    cargo test -q -p mcs --lib shard::
     cargo test -q -p mcs --test shard_crash
     cargo test -q -p workload sharded
     cargo test -q -p mcs-net --test sharded_over_net
