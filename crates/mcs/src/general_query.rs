@@ -130,21 +130,13 @@ impl Mcs {
         // leaves run in — the planner reorders conjunctions, and an empty
         // group must not short-circuit past the leaf that would fail.
         self.check_referents(expr)?;
-        // One snapshot scope for the whole boolean tree: every leaf (and
-        // the NOT complement's full scan) reads the same consistent cut.
-        // No-op on the barrier engine.
-        let ids = self.db.with_snapshot(|| self.eval_expr(expr))?;
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            match self.resolve_file_by_id(id) {
-                Ok(f) if f.valid => out.push((f.name, f.version)),
-                Ok(_) => {}
-                Err(McsError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        out.sort();
-        Ok(out)
+        // One snapshot scope for the whole boolean tree and the resolve
+        // pass: every leaf (and the NOT complement's full scan) reads the
+        // same consistent cut. No-op on the barrier engine.
+        self.db.with_snapshot(|| {
+            let ids = self.eval_expr(expr)?;
+            self.valid_hits(&crate::plan::sorted_ids(ids.into_iter().collect()))
+        })
     }
 
     /// The errors a leaf raises whatever the data: an undefined attribute
@@ -178,7 +170,7 @@ impl Mcs {
                 })?;
                 let handle = self.db.table("user_attributes")?;
                 let t = handle.read();
-                self.eval_predicate(&t, p, def.attr_type)?
+                self.eval_predicate(&t, p, def.attr_type)?.into_iter().collect()
             }
             QueryExpr::Static(sp) => self.eval_static(sp)?,
             QueryExpr::And(subs) => {
@@ -221,7 +213,7 @@ impl Mcs {
                         let handle = self.db.table("user_attributes")?;
                         let t = handle.read();
                         let plan = crate::plan::plan_conjunction(&t, &group)?;
-                        self.run_attr_plan(&t, &group, &plan)?
+                        self.run_attr_plan(&t, &group, &plan)?.into_iter().collect()
                     } else {
                         self.eval_expr(s)?
                     };

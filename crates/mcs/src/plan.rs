@@ -28,7 +28,7 @@
 //! [`DIVE_CAP`]: relstore::planner::DIVE_CAP
 
 use std::cell::Cell;
-use std::collections::HashSet;
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 use relstore::planner::DIVE_CAP;
@@ -394,30 +394,30 @@ impl Mcs {
         Ok(plan.lines(&checked))
     }
 
-    /// Execute a compiled plan, returning matching **file** object ids.
+    /// Execute a compiled plan, returning matching **file** object ids,
+    /// sorted and deduplicated.
     pub(crate) fn run_attr_plan(
         &self,
         t: &Table,
         checked: &[(&AttrPredicate, AttrType)],
         plan: &AttrPlan,
-    ) -> Result<HashSet<i64>> {
-        let mut acc: Option<HashSet<i64>> = None;
+    ) -> Result<Vec<i64>> {
+        let mut acc: Option<Vec<i64>> = None;
         for step in &plan.steps {
             let (p, ty) = checked[step.pred];
             let value = coerced_value(p, ty);
             acc = Some(match (&step.role, acc) {
                 (Role::SeedIndex(a), None) => self.eval_access(t, p, ty, &value, a)?,
                 (Role::SeedPosting, None) => {
-                    self.posting_scan(t, p, ty, ty.full_row_column(), &value)?
+                    self.posting_scan(t, p, ty.full_row_column(), &value)?
                 }
                 (Role::Intersect(a), Some(prev)) => {
-                    let ids = self.eval_access(t, p, ty, &value, a)?;
-                    prev.intersection(&ids).copied().collect()
+                    intersect_sorted(&prev, &self.eval_access(t, p, ty, &value, a)?)
                 }
-                (Role::Residual, Some(prev)) => self.residual_filter(t, prev, p, ty, &value)?,
+                (Role::Residual, Some(prev)) => self.residual_filter(t, &prev, p, ty, &value)?,
                 _ => return Err(McsError::Internal("malformed attribute plan".into())),
             });
-            if acc.as_ref().is_some_and(HashSet::is_empty) {
+            if acc.as_ref().is_some_and(Vec::is_empty) {
                 break;
             }
         }
@@ -425,8 +425,9 @@ impl Mcs {
     }
 
     /// Evaluate one access path on the composite index of `ty`,
-    /// returning matching file object ids. Includes the MVCC stale-entry
-    /// re-check and the residual LIKE match for prefix ranges.
+    /// returning matching file object ids, sorted and deduplicated.
+    /// Includes the MVCC stale-entry re-check and the residual LIKE
+    /// match for prefix ranges.
     pub(crate) fn eval_access(
         &self,
         t: &Table,
@@ -434,7 +435,7 @@ impl Mcs {
         ty: AttrType,
         value: &Value,
         access: &Access,
-    ) -> Result<HashSet<i64>> {
+    ) -> Result<Vec<i64>> {
         let ix = t.index(value_index_name(ty)).ok_or_else(|| {
             McsError::Internal(format!("missing index {}", value_index_name(ty)))
         })?;
@@ -447,7 +448,7 @@ impl Mcs {
         };
         let needs_like = matches!(access, Access::Range { like: true, .. });
         let val_col = ty.full_row_column();
-        let mut out = HashSet::new();
+        let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             // Under MVCC a deleted row's index entries linger until
             // vacuum and a pending row is not yet visible — both read
@@ -466,16 +467,9 @@ impl Mcs {
                 // Stale entries may describe a superseded image —
                 // re-check the *full* predicate on what this snapshot
                 // actually sees (this also covers the LIKE residual).
-                if !matches!(&row[3], Value::Str(s) if s.as_ref() == p.name) {
-                    continue;
-                }
-                let ok = match p.op {
-                    AttrOp::Like => like_match(row[val_col].as_str()?, value.as_str()?),
-                    op => row[val_col]
-                        .sql_cmp(value)
-                        .is_some_and(|ord| cmp_matches(op, ord)),
-                };
-                if !ok {
+                if !matches!(&row[3], Value::Str(s) if s.as_ref() == p.name)
+                    || !value_matches(p.op, &row[val_col], value)?
+                {
                     continue;
                 }
             } else if needs_like && !like_match(row[val_col].as_str()?, value.as_str()?) {
@@ -483,9 +477,9 @@ impl Mcs {
                 // pattern's tail may still reject the row.
                 continue;
             }
-            out.insert(row[2].as_int()?);
+            out.push(row[2].as_int()?);
         }
-        Ok(out)
+        Ok(sorted_ids(out))
     }
 
     /// Residual evaluation: keep the candidates whose `(File, id, name)`
@@ -493,23 +487,28 @@ impl Mcs {
     /// per candidate — satisfies the predicate. Same semantics as a
     /// posting scan: the attribute must exist on the file (so `!=`
     /// means "exists with a different value").
+    ///
+    /// `prev` is ascending, so consecutive probes descend the same
+    /// B-tree path, and one probe key per predicate serves them all —
+    /// only its object-id slot changes.
     fn residual_filter(
         &self,
         t: &Table,
-        prev: HashSet<i64>,
+        prev: &[i64],
         p: &AttrPredicate,
         ty: AttrType,
         value: &Value,
-    ) -> Result<HashSet<i64>> {
+    ) -> Result<Vec<i64>> {
         let ix = t
             .index("ua_object")
             .ok_or_else(|| McsError::Internal("missing index ua_object".into()))?;
         let val_col = ty.full_row_column();
         let file_code = Value::Int(ObjectType::File.code());
-        let mut out = HashSet::with_capacity(prev.len());
-        for oid in prev {
-            let key =
-                IndexKey(vec![file_code.clone(), Value::Int(oid), Value::from(p.name.as_str())]);
+        let mut key =
+            IndexKey(vec![file_code.clone(), Value::Int(0), Value::from(p.name.as_str())]);
+        let mut out = Vec::with_capacity(prev.len());
+        for &oid in prev {
+            key.0[1] = Value::Int(oid);
             for id in ix.get_eq(&key) {
                 let Some(row) = relstore::snapshot_row(t, id) else {
                     if t.is_mvcc() {
@@ -521,17 +520,13 @@ impl Mcs {
                 // stale index key it was found through.
                 if t.is_mvcc()
                     && (row[1] != file_code
-                        || row[2] != Value::Int(oid)
+                        || row[2] != key.0[1]
                         || !matches!(&row[3], Value::Str(s) if s.as_ref() == p.name))
                 {
                     continue;
                 }
-                let matched = match p.op {
-                    AttrOp::Like => like_match(row[val_col].as_str()?, value.as_str()?),
-                    op => row[val_col].sql_cmp(value).is_some_and(|ord| cmp_matches(op, ord)),
-                };
-                if matched {
-                    out.insert(oid);
+                if value_matches(p.op, &row[val_col], value)? {
+                    out.push(oid);
                 }
                 break; // at most one image of (file, name) is visible
             }
@@ -575,8 +570,13 @@ impl Mcs {
     }
 }
 
-fn cmp_matches(op: AttrOp, ord: std::cmp::Ordering) -> bool {
-    match op {
+/// Whether a stored attribute value satisfies `op value` (the per-row
+/// test every evaluation path shares).
+pub(crate) fn value_matches(op: AttrOp, stored: &Value, value: &Value) -> Result<bool> {
+    if op == AttrOp::Like {
+        return Ok(like_match(stored.as_str()?, value.as_str()?));
+    }
+    Ok(stored.sql_cmp(value).is_some_and(|ord| match op {
         AttrOp::Eq => ord.is_eq(),
         AttrOp::Ne => ord.is_ne(),
         AttrOp::Lt => ord.is_lt(),
@@ -584,7 +584,36 @@ fn cmp_matches(op: AttrOp, ord: std::cmp::Ordering) -> bool {
         AttrOp::Gt => ord.is_gt(),
         AttrOp::Ge => ord.is_ge(),
         AttrOp::Like => false,
+    }))
+}
+
+/// Sort and deduplicate collected object ids: the form every candidate
+/// set takes between plan steps.
+pub(crate) fn sorted_ids(mut ids: Vec<i64>) -> Vec<i64> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Intersection of two ascending id lists by one linear merge; the
+/// result is ascending and free of duplicates even if the inputs are not.
+pub(crate) fn intersect_sorted(a: &[i64], b: &[i64]) -> Vec<i64> {
+    let (mut i, mut j) = (0, 0);
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                if out.last() != Some(&a[i]) {
+                    out.push(a[i]);
+                }
+                i += 1;
+                j += 1;
+            }
+        }
     }
+    out
 }
 
 #[cfg(test)]
@@ -605,6 +634,36 @@ mod tests {
         assert_eq!(str_successor("a\u{10FFFF}").as_deref(), Some("b"));
         assert_eq!(str_successor("\u{10FFFF}"), None);
         assert_eq!(str_successor(""), None);
+    }
+
+    /// The sorted-merge intersection against `BTreeSet` intersection on
+    /// seeded random inputs, empty and duplicate-laden ones included.
+    #[test]
+    fn intersect_sorted_matches_btreeset_intersection() {
+        use std::collections::BTreeSet;
+        for seed in testkit::seeds(&[1, 2, 3, 4]) {
+            let mut rng = testkit::Rng::new(seed);
+            for _ in 0..500 {
+                let mut draw = || -> Vec<i64> {
+                    let (len, span) = (rng.below(40), 1 + rng.below(60));
+                    let mut v: Vec<i64> = (0..len).map(|_| rng.below(span) as i64 - 10).collect();
+                    v.sort_unstable();
+                    v
+                };
+                let (a, b) = (draw(), draw());
+                let expect: Vec<i64> = a
+                    .iter()
+                    .copied()
+                    .collect::<BTreeSet<_>>()
+                    .intersection(&b.iter().copied().collect())
+                    .copied()
+                    .collect();
+                assert_eq!(intersect_sorted(&a, &b), expect, "seed {seed}: {a:?} ∩ {b:?}");
+                assert_eq!(intersect_sorted(&b, &a), expect, "seed {seed}: {b:?} ∩ {a:?}");
+            }
+        }
+        assert!(intersect_sorted(&[], &[1, 2]).is_empty());
+        assert_eq!(intersect_sorted(&[3, 3, 3], &[3, 3]), vec![3]);
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //!   or probe per-candidate — see [`Mcs::explain_query`] for the chosen
 //!   shape and [`Mcs::with_planner_bypass`] for the naive oracle.
 
-use std::collections::HashSet;
-
-use relstore::predicate::like_match;
 use relstore::{IndexKey, Value};
 
 use crate::catalog::Mcs;
@@ -70,76 +67,89 @@ impl Mcs {
         // Resolve definitions and type-check before touching the table.
         let checked = self.check_predicates(preds)?;
 
-        // Under MVCC the whole predicate evaluation runs inside one
-        // snapshot scope, so every posting list is read from the same
+        // Under MVCC the whole evaluation — every posting list and the
+        // resolve pass — runs inside one snapshot scope, so it reads one
         // consistent cut; on the barrier engine `with_snapshot` is a no-op
-        // and the table read lock provides per-statement isolation.
-        let candidates: Option<HashSet<i64>> = self.db.with_snapshot(|| {
-            let mut candidates: Option<HashSet<i64>> = None;
+        // and the table read locks provide per-statement isolation.
+        let out = self.db.with_snapshot(|| {
             let handle = self.db.table("user_attributes")?;
             let t = handle.read();
-            let intersect = |acc: Option<HashSet<i64>>, ids: HashSet<i64>| {
-                Some(match acc {
-                    None => ids,
-                    Some(prev) => prev.intersection(&ids).copied().collect(),
-                })
-            };
-            if self.profile == IndexProfile::ValueIndexed && !crate::plan::bypass_active() {
+            let ids = if self.profile == IndexProfile::ValueIndexed && !crate::plan::bypass_active()
+            {
                 // Compile the conjunction into a cost-based plan: the
                 // most selective predicate (by index dive / statistics)
                 // seeds the candidate set, the rest intersect via their
                 // composite indexes or run as per-candidate residual
                 // probes — see `crate::plan` and `Mcs::explain_query`.
                 let plan = crate::plan::plan_conjunction(&t, &checked)?;
-                candidates = Some(self.run_attr_plan(&t, &checked, &plan)?);
-            } else if self.profile == IndexProfile::ValueIndexed {
-                // Planner bypass: the naive oracle — one `ua_name`
-                // posting scan per predicate, intersected in syntactic
-                // order. Twin tests diff this against the planned path.
+                self.run_attr_plan(&t, &checked, &plan)?
+            } else {
+                // The 2003 evaluation, and the naive oracle twin tests
+                // diff the planned path against: one `ua_name` posting
+                // scan per predicate, intersected in syntactic order.
+                let mut acc: Option<Vec<i64>> = None;
                 for (p, ty) in &checked {
                     let value = crate::plan::coerced_value(p, *ty);
-                    let ids = self.posting_scan(&t, p, *ty, ty.full_row_column(), &value)?;
-                    candidates = intersect(candidates, ids);
-                    if candidates.as_ref().is_some_and(HashSet::is_empty) {
+                    let ids = self.posting_scan(&t, p, ty.full_row_column(), &value)?;
+                    acc = Some(match acc {
+                        None => ids,
+                        Some(prev) => crate::plan::intersect_sorted(&prev, &ids),
+                    });
+                    if acc.as_ref().is_some_and(Vec::is_empty) {
                         break;
                     }
                 }
-            } else {
-                for (p, ty) in &checked {
-                    let ids = self.eval_predicate(&t, p, *ty)?;
-                    candidates = intersect(candidates, ids);
-                    if candidates.as_ref().is_some_and(HashSet::is_empty) {
-                        break;
-                    }
-                }
-            }
-            Ok::<_, McsError>(candidates)
-        })?; // release the attribute-table lock before touching logical_files
-        let ids = candidates.unwrap_or_default();
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            match self.resolve_file_by_id(id) {
-                Ok(f) if f.valid => out.push((f.name, f.version)),
-                Ok(_) => {} // invalidated files are not discoverable
-                Err(McsError::NotFound(_)) => {} // attribute row raced a delete
-                Err(e) => return Err(e),
-            }
-        }
-        out.sort();
+                acc.unwrap_or_default()
+            };
+            // Writers lock audit_log → logical_files → user_attributes:
+            // release the attribute table before touching logical_files.
+            drop(t);
+            self.valid_hits(&ids)
+        })?;
         if let Some((cache, key, stamp)) = fill {
             cache.insert(key, crate::cache::CacheValue::Hits(out.clone()), stamp);
         }
         Ok(out)
     }
 
+    /// Resolve candidate file ids (ascending) to the `(name, version)` of
+    /// each **valid** file, sorted: one pass down `pk_logical_files` under
+    /// one read of the table, reading only the three columns it needs.
+    /// Ids with no visible row (an attribute row that raced a delete) and
+    /// invalidated files are skipped. Under MVCC a stale pk entry can lead
+    /// to another image, so the visible row's id is re-checked.
+    pub(crate) fn valid_hits(&self, ids: &[i64]) -> Result<Vec<(String, i64)>> {
+        self.db.read_table("logical_files", |t| {
+            let pk = t
+                .index("pk_logical_files")
+                .ok_or_else(|| McsError::Internal("missing index pk_logical_files".into()))?;
+            let mut key = IndexKey(vec![Value::Int(0)]);
+            let mut out = Vec::with_capacity(ids.len());
+            for &id in ids {
+                key.0[0] = Value::Int(id);
+                let row = pk
+                    .get_eq(&key)
+                    .filter_map(|rid| relstore::snapshot_row(t, rid))
+                    .find(|row| row[0] == key.0[0]);
+                if let Some(row) = row {
+                    if row[4].as_bool()? {
+                        out.push((row[1].as_str()?.to_owned(), row[2].as_int()?));
+                    }
+                }
+            }
+            out.sort();
+            Ok(out)
+        })?
+    }
+
     /// Evaluate one predicate against the attribute table, returning the
-    /// set of matching **file** object ids.
+    /// matching **file** object ids, sorted and deduplicated.
     pub(crate) fn eval_predicate(
         &self,
         t: &relstore::Table,
         p: &AttrPredicate,
         ty: AttrType,
-    ) -> Result<HashSet<i64>> {
+    ) -> Result<Vec<i64>> {
         let value = crate::plan::coerced_value(p, ty);
 
         // Value-indexed fast path (the §9 "future work" profile): point
@@ -155,26 +165,26 @@ impl Mcs {
             }
         }
 
-        self.posting_scan(t, p, ty, ty.full_row_column(), &value)
+        self.posting_scan(t, p, ty.full_row_column(), &value)
     }
 
     /// The 2003 evaluation path: walk every attribute row with this name
-    /// and compare its value column. Cost ∝ rows-with-this-name ∝
-    /// database size (each file carries each workload attribute), which is
-    /// the source of the complex-query scaling in Figures 7/10/11.
+    /// and compare its value column, returning matching file object ids,
+    /// sorted and deduplicated. Cost ∝ rows-with-this-name ∝ database
+    /// size (each file carries each workload attribute), which is the
+    /// source of the complex-query scaling in Figures 7/10/11.
     pub(crate) fn posting_scan(
         &self,
         t: &relstore::Table,
         p: &AttrPredicate,
-        _ty: AttrType,
         val_col: usize,
         value: &Value,
-    ) -> Result<HashSet<i64>> {
+    ) -> Result<Vec<i64>> {
         let ix = t
             .index("ua_name")
             .ok_or_else(|| McsError::Internal("missing index ua_name".into()))?;
         let key = IndexKey(vec![Value::from(p.name.as_str())]);
-        let mut out = HashSet::new();
+        let mut out = Vec::new();
         for id in ix.get_eq(&key) {
             let Some(row) = relstore::snapshot_row(t, id) else {
                 if t.is_mvcc() {
@@ -185,32 +195,16 @@ impl Mcs {
             if row[1] != Value::Int(ObjectType::File.code()) {
                 continue;
             }
-            // Stale-entry guard for MVCC (see eval_predicate): the visible
+            // Stale-entry guard for MVCC (see eval_access): the visible
             // image may no longer carry this attribute name.
             if t.is_mvcc() && !matches!(&row[3], Value::Str(s) if s.as_ref() == p.name) {
                 continue;
             }
-            let stored = &row[val_col];
-            let matches = match p.op {
-                AttrOp::Like => like_match(stored.as_str()?, value.as_str()?),
-                op => match stored.sql_cmp(value) {
-                    None => false,
-                    Some(ord) => match op {
-                        AttrOp::Eq => ord.is_eq(),
-                        AttrOp::Ne => ord.is_ne(),
-                        AttrOp::Lt => ord.is_lt(),
-                        AttrOp::Le => ord.is_le(),
-                        AttrOp::Gt => ord.is_gt(),
-                        AttrOp::Ge => ord.is_ge(),
-                        AttrOp::Like => unreachable!(),
-                    },
-                },
-            };
-            if matches {
-                out.insert(row[2].as_int()?);
+            if crate::plan::value_matches(p.op, &row[val_col], value)? {
+                out.push(row[2].as_int()?);
             }
         }
-        Ok(out)
+        Ok(crate::plan::sorted_ids(out))
     }
 
     /// List a collection's direct contents (paper API: "Querying the

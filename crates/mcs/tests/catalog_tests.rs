@@ -467,6 +467,117 @@ fn value_indexed_profile_agrees_with_paper_profile() {
     }
 }
 
+// ---------------- resolving query hits ----------------
+
+/// Value-indexed catalogs on both engines, barrier and in-memory MVCC.
+/// Each holds 40 files: file `i` is `f<(39 - i) / 2>` in version
+/// `2 - i % 2`, so neither names nor versions follow creation (id)
+/// order, and carries `x = i % 4` and `s = v<i % 3>`.
+fn resolve_pass_catalogs() -> Vec<(&'static str, Mcs)> {
+    let a = admin();
+    [("barrier", relstore::Database::new()), ("mvcc", relstore::Database::new_mvcc())]
+        .into_iter()
+        .map(|(engine, db)| {
+            let clock = Arc::new(ManualClock::default());
+            let m =
+                Mcs::with_database(Arc::new(db), &a, IndexProfile::ValueIndexed, clock).unwrap();
+            m.define_attribute(&a, "x", AttrType::Int, "").unwrap();
+            m.define_attribute(&a, "s", AttrType::Str, "").unwrap();
+            for i in 0..40i64 {
+                let spec = FileSpec::named(format!("f{:02}", (39 - i) / 2))
+                    .attr("x", i % 4)
+                    .attr("s", format!("v{}", i % 3));
+                m.create_file(&a, &FileSpec { version: Some(2 - i % 2), ..spec }).unwrap();
+            }
+            (engine, m)
+        })
+        .collect()
+}
+
+fn pred(name: &str, op: AttrOp, value: impl Into<Value>) -> AttrPredicate {
+    AttrPredicate { name: name.into(), op, value: value.into() }
+}
+
+/// Planned, bypassed (the posting-scan oracle) and general-query answers
+/// to one conjunction; they must agree before any is returned.
+fn answer(engine: &str, m: &Mcs, preds: &[AttrPredicate]) -> Vec<(String, i64)> {
+    let a = admin();
+    let planned = m.query_by_attributes(&a, preds).unwrap();
+    let oracle = m.with_planner_bypass(|m| m.query_by_attributes(&a, preds)).unwrap();
+    assert_eq!(planned, oracle, "{engine}: planner and oracle disagree on {preds:?}");
+    let expr = QueryExpr::And(preds.iter().cloned().map(QueryExpr::Attr).collect());
+    assert_eq!(m.general_query(&a, &expr).unwrap(), planned, "{engine}: general query");
+    planned
+}
+
+#[test]
+fn resolve_pass_skips_invalidated_files() {
+    let a = admin();
+    for (engine, m) in resolve_pass_catalogs() {
+        for name in ["solo_a", "solo_b"] {
+            m.create_file(&a, &FileSpec::named(name).attr("x", 9i64).attr("s", "w")).unwrap();
+        }
+        let preds = [pred("x", AttrOp::Eq, 9i64), pred("s", AttrOp::Like, "w%")];
+        assert_eq!(answer(engine, &m, &preds).len(), 2, "{engine}");
+        m.invalidate_file(&a, "solo_a").unwrap();
+        assert_eq!(answer(engine, &m, &preds), vec![("solo_b".to_string(), 1)], "{engine}");
+    }
+}
+
+/// An attribute row whose file row is gone (the race the resolve pass
+/// guards against: a delete landing between the candidate phase and the
+/// resolve) yields no hit. Deleting the file row alone leaves its
+/// attribute rows indexed.
+#[test]
+fn resolve_pass_skips_files_deleted_under_their_attributes() {
+    let a = admin();
+    for (engine, m) in resolve_pass_catalogs() {
+        for name in ["orphan", "kept"] {
+            m.create_file(&a, &FileSpec::named(name).attr("x", 9i64).attr("s", "w")).unwrap();
+        }
+        m.database()
+            .execute("DELETE FROM logical_files WHERE name = ?", &[Value::from("orphan")])
+            .unwrap();
+        let preds = [pred("x", AttrOp::Eq, 9i64), pred("s", AttrOp::Eq, "w")];
+        assert_eq!(answer(engine, &m, &preds), vec![("kept".to_string(), 1)], "{engine}");
+        let only_orphans = [pred("x", AttrOp::Eq, 9i64), pred("s", AttrOp::Ne, "w")];
+        assert!(answer(engine, &m, &only_orphans).is_empty(), "{engine}");
+    }
+}
+
+#[test]
+fn resolve_pass_sorts_hits_by_name_then_version() {
+    let mut every: Vec<(String, i64)> =
+        (0..20).flat_map(|n| [1, 2].map(|v| (format!("f{n:02}"), v))).collect();
+    every.sort();
+    for (engine, m) in resolve_pass_catalogs() {
+        let all = answer(engine, &m, &[pred("x", AttrOp::Ge, 0i64)]);
+        assert_eq!(all, every, "{engine}");
+        let some = answer(engine, &m, &[pred("s", AttrOp::Ne, "v1"), pred("x", AttrOp::Lt, 2i64)]);
+        assert!(some.len() > 1 && some.windows(2).all(|w| w[0] < w[1]), "{engine}: {some:?}");
+    }
+}
+
+#[test]
+fn resolve_pass_multi_hit_queries_match_the_oracle() {
+    for (engine, m) in resolve_pass_catalogs() {
+        for preds in [
+            vec![pred("x", AttrOp::Eq, 1i64)],
+            vec![pred("x", AttrOp::Eq, 1i64), pred("s", AttrOp::Eq, "v2")],
+            vec![pred("x", AttrOp::Ge, 2i64), pred("s", AttrOp::Like, "v%")],
+            vec![pred("s", AttrOp::Ne, "v0"), pred("x", AttrOp::Le, 2i64)],
+            vec![
+                pred("x", AttrOp::Gt, 0i64),
+                pred("s", AttrOp::Lt, "v2"),
+                pred("x", AttrOp::Ne, 3i64),
+            ],
+        ] {
+            let hits = answer(engine, &m, &preds);
+            assert!(hits.len() > 1, "{engine}: {preds:?} should match several files: {hits:?}");
+        }
+    }
+}
+
 // ---------------- authorization ----------------
 
 #[test]

@@ -251,6 +251,20 @@ impl Database {
         f()
     }
 
+    /// Read table `name` directly, isolated the way one SELECT on it is:
+    /// under MVCC inside this thread's snapshot scope (pinning one if none
+    /// is set), on the barrier engine under the table's shared statement
+    /// barrier, so an in-flight transaction's writes stay invisible. `f`
+    /// runs under the table's read lock; read rows via [`snapshot_row`].
+    pub fn read_table<R>(&self, name: &str, f: impl FnOnce(&Table) -> R) -> Result<R> {
+        let handle = self.table(name)?;
+        let _barrier =
+            (!self.mvcc).then(|| self.barriers.statement_guard(&[name.to_ascii_lowercase()]));
+        let _scope = self.snapshot_scope();
+        let t = handle.read();
+        Ok(f(&t))
+    }
+
     /// Run `f` reading at an explicit snapshot epoch. The caller must keep
     /// a [`SnapshotPin`] at or below `epoch` alive for the duration — this
     /// only sets the thread-local, it does not pin (the shard scatter path:

@@ -380,32 +380,35 @@ impl BoundExpr {
 /// Case-sensitive (MySQL's default collation was case-insensitive; the MCS
 /// treats logical names as case-sensitive identifiers, which we follow).
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    // Iterative two-pointer algorithm with backtracking on the last `%`.
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    // Iterative two-pointer algorithm with backtracking on the last `%`,
+    // over byte offsets: each step decodes one char where it stands, so
+    // nothing is allocated and `_` still consumes exactly one char.
+    let char_at = |text: &str, at: usize| text[at..].chars().next();
     let (mut si, mut pi) = (0usize, 0usize);
     let mut star: Option<(usize, usize)> = None; // (pi after %, si at that time)
-    while si < s.len() {
+    while let Some(c) = char_at(s, si) {
         // `%` must be tested before literal equality: the subject string
         // may itself contain `%` characters.
-        if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, si));
-            pi += 1;
-        } else if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if let Some((sp, ss)) = star {
-            pi = sp;
-            si = ss + 1;
-            star = Some((sp, si));
-        } else {
-            return false;
+        match char_at(pattern, pi) {
+            Some('%') => {
+                star = Some((pi + 1, si));
+                pi += 1;
+            }
+            Some(pc) if pc == '_' || pc == c => {
+                si += c.len_utf8();
+                pi += pc.len_utf8();
+            }
+            _ => match star {
+                Some((sp, ss)) => {
+                    pi = sp;
+                    si = ss + char_at(s, ss).map_or(1, char::len_utf8);
+                    star = Some((sp, si));
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[pi..].bytes().all(|b| b == b'%')
 }
 
 #[cfg(test)]
@@ -512,6 +515,56 @@ mod tests {
         assert!(!like_match("xabc", "%.abc.%"));
         assert!(like_match("aaa", "%a"));
         assert!(!like_match("", "_"));
+    }
+
+    #[test]
+    fn like_patterns_walk_chars_not_bytes() {
+        // `_` consumes one char, however many bytes it takes.
+        assert!(like_match("héllo", "h_llo"));
+        assert!(!like_match("héllo", "h__llo"));
+        assert!(like_match("日本語", "___"));
+        assert!(!like_match("日本語", "__"));
+        assert!(like_match("日本語", "日%"));
+        assert!(like_match("日本語", "%語"));
+        assert!(like_match("ça_ŝ%ø", "ç%ø"));
+        assert!(like_match("emoji 🛰 run", "emoji _ %"));
+        assert!(!like_match("🛰", ""));
+        // a `%` inside the subject is an ordinary char of the subject
+        assert!(like_match("x%é%y", "x_é_y"));
+        assert!(!like_match("x%é%y", "x_é_"));
+        assert!(like_match("ab%ü", "%%ü"));
+        assert!(like_match("50%ü", "50%"));
+        assert!(!like_match("5%ü", "5%ü_"));
+    }
+
+    /// Against a recursive definition of LIKE over char slices, on seeded
+    /// random subjects and patterns mixing multi-byte chars and wildcards.
+    #[test]
+    fn like_match_agrees_with_recursive_definition() {
+        fn reference(s: &[char], p: &[char]) -> bool {
+            match p.split_first() {
+                None => s.is_empty(),
+                Some(('%', rest)) => (0..=s.len()).any(|k| reference(&s[k..], rest)),
+                Some((&c, rest)) => {
+                    s.first().is_some_and(|&sc| c == '_' || c == sc) && reference(&s[1..], rest)
+                }
+            }
+        }
+        const ALPHABET: [char; 6] = ['a', 'é', '日', '🛰', '%', '_'];
+        for seed in testkit::seeds(&[1, 2, 3]) {
+            let mut rng = testkit::Rng::new(seed);
+            for _ in 0..2_000 {
+                let mut draw = |max| -> String {
+                    (0..rng.below(max)).map(|_| *rng.pick(&ALPHABET)).collect()
+                };
+                let (s, p) = (draw(7), draw(6));
+                let expect = reference(
+                    &s.chars().collect::<Vec<_>>(),
+                    &p.chars().collect::<Vec<_>>(),
+                );
+                assert_eq!(like_match(&s, &p), expect, "seed {seed}: {s:?} LIKE {p:?}");
+            }
+        }
     }
 
     #[test]

@@ -38,9 +38,11 @@
 #                      MVCC WAL-truncation crash matrix
 #   verify.sh planner  the cost-based-planner contract (DESIGN.md
 #                      §7.6): relstore statistics/index-dive unit
-#                      tests, plan construction unit tests, the
+#                      tests, the LIKE matcher tests, plan construction
+#                      and sorted-intersection unit tests, the
 #                      plan-shape + statistics edge-case regressions,
-#                      and the explainQuery SOAP round-trip
+#                      the resolve-pass tests on both engines, and the
+#                      explainQuery SOAP round-trip
 #   verify.sh wire     the binary wire-protocol contract (DESIGN.md
 #                      §7.7): frame codec unit tests, the golden wire
 #                      corpus (every op's exact bytes on both wires),
@@ -127,8 +129,10 @@ case "$lane" in
     cargo test -q -p relstore --lib stats
     cargo test -q -p relstore --lib statistics
     cargo test -q -p relstore --lib planner
+    cargo test -q -p relstore --lib like
     cargo test -q -p mcs --lib plan
     cargo test -q -p mcs --test plan_shape
+    cargo test -q -p mcs --test catalog_tests resolve_pass
     cargo test -q -p mcs-net --test roundtrip explain
     echo "planner lane: $(($(date +%s) - start))s elapsed"
     ;;
