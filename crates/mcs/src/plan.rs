@@ -255,24 +255,21 @@ pub(crate) fn access_for(p: &AttrPredicate, ty: AttrType, value: &Value) -> Opti
 /// the count fits under [`DIVE_CAP`], otherwise the capped dive floor
 /// widened by the table's statistics (range selectivity × this name's
 /// posting count). Returns `(estimate, exact)`.
-fn estimate(t: &Table, ty: AttrType, name: &str, access: &Access) -> Result<(usize, bool)> {
+/// `name` is the attribute name as a [`Value`], built once per predicate.
+fn estimate(t: &Table, ty: AttrType, name: &Value, access: &Access) -> Result<(usize, bool)> {
     let ix = t
         .index(value_index_name(ty))
         .ok_or_else(|| McsError::Internal(format!("missing index {}", value_index_name(ty))))?;
+    let prefix = std::slice::from_ref(name);
     Ok(match access {
-        Access::Point(v) => {
-            (ix.count_eq(&IndexKey(vec![Value::from(name), v.clone()])), true)
-        }
+        Access::Point(v) => (ix.count_eq(&[name.clone(), v.clone()]), true),
         Access::Range { low, high, .. } => {
-            let prefix = [Value::from(name)];
             let (n, capped) =
-                ix.count_prefix_range(&prefix, low.as_ref(), high.as_ref(), DIVE_CAP);
+                ix.count_prefix_range(prefix, low.as_ref(), high.as_ref(), DIVE_CAP);
             if !capped {
                 (n, true)
             } else {
-                let posting = t
-                    .index("ua_name")
-                    .map_or(n, |nx| nx.count_eq(&IndexKey(vec![Value::from(name)])));
+                let posting = t.index("ua_name").map_or(n, |nx| nx.count_eq(prefix));
                 let sel = t.statistics().range_selectivity(ty.full_row_column());
                 (((posting as f64 * sel) as usize).max(n), false)
             }
@@ -299,9 +296,10 @@ pub(crate) fn plan_conjunction(
     for (p, ty) in checked {
         let value = coerced_value(p, *ty);
         let access = access_for(p, *ty, &value);
-        let posting = name_ix.count_eq(&IndexKey(vec![Value::from(p.name.as_str())]));
+        let name = Value::from(p.name.as_str());
+        let posting = name_ix.count_eq(std::slice::from_ref(&name));
         let (est, exact) = match &access {
-            Some(a) => estimate(t, *ty, &p.name, a)?,
+            Some(a) => estimate(t, *ty, &name, a)?,
             None => (posting, true),
         };
         infos.push(Info { access, est, exact, posting });
@@ -441,9 +439,12 @@ impl Mcs {
         })?;
         let name_val = Value::from(p.name.as_str());
         let ids: Vec<relstore::RowId> = match access {
-            Access::Point(v) => ix.get_eq(&IndexKey(vec![name_val, v.clone()])).collect(),
+            Access::Point(v) => ix.get_eq(&[name_val, v.clone()]).collect(),
             Access::Range { low, high, .. } => {
-                ix.iter_prefix_range(vec![name_val], low.clone(), high.clone()).collect()
+                let mut ids = Vec::new();
+                let prefix = std::slice::from_ref(&name_val);
+                ix.scan_prefix_range(prefix, low.as_ref(), high.as_ref(), &mut ids);
+                ids
             }
         };
         let needs_like = matches!(access, Access::Range { like: true, .. });

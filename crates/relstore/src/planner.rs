@@ -235,7 +235,7 @@ pub fn plan_table_costed(table: &Table, pred: Option<&BoundExpr>, base: usize) -
         };
         // Cardinality: exact dive where cheap, statistics past the cap.
         let (est_rows, exact) = if eq_len == ix.def.columns.len() && range_col.is_none() {
-            (ix.count_eq(&crate::index::IndexKey(prefix.clone())) as f64, true)
+            (ix.count_eq(&prefix) as f64, true)
         } else {
             let (n, capped) = ix.count_prefix_range(&prefix, as_ref(&low), as_ref(&high), DIVE_CAP);
             if capped {
@@ -297,7 +297,7 @@ pub fn candidate_iter<'t>(
             if prefix.len() == ix.def.columns.len()
                 && matches!((low, high), (Bound::Unbounded, Bound::Unbounded))
             {
-                Box::new(ix.get_eq(&crate::index::IndexKey(prefix.clone())))
+                Box::new(ix.get_eq(prefix))
             } else {
                 Box::new(ix.iter_prefix_range(prefix.clone(), low.clone(), high.clone()))
             }

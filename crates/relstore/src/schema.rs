@@ -1,6 +1,7 @@
 //! Table schemas: column definitions, constraints, and name lookup.
 
 use crate::error::{Error, Result};
+use crate::index::MAX_INDEX_WIDTH;
 use crate::value::{Value, ValueType};
 
 /// Definition of one column.
@@ -98,6 +99,12 @@ impl TableSchema {
                     )));
                 }
             }
+        }
+        if primary_key_cols.len() > MAX_INDEX_WIDTH {
+            return Err(Error::ExecError(format!(
+                "primary key of `{name}` has {} columns; an index takes at most {MAX_INDEX_WIDTH}",
+                primary_key_cols.len()
+            )));
         }
         for pk in primary_key_cols {
             let idx = schema.column_index(pk)?;

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 
 use crate::error::{Error, Result};
-use crate::index::{Index, IndexDef, IndexKey};
+use crate::index::{Index, IndexDef, IndexKey, MAX_INDEX_WIDTH};
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::stats::{self, TableStatistics, MIN_STALE_WRITES, STALE_FRACTION};
@@ -339,6 +339,13 @@ impl Table {
         if self.indexes.iter().any(|ix| ix.def.name.eq_ignore_ascii_case(&def.name)) {
             return Err(Error::IndexExists(def.name));
         }
+        if def.columns.is_empty() || def.columns.len() > MAX_INDEX_WIDTH {
+            return Err(Error::ExecError(format!(
+                "index `{}` has {} columns; an index takes 1 to {MAX_INDEX_WIDTH}",
+                def.name,
+                def.columns.len()
+            )));
+        }
         for &c in &def.columns {
             if c >= self.schema.arity() {
                 return Err(Error::NoSuchColumn(format!("{}[{}]", self.schema.name, c)));
@@ -347,9 +354,8 @@ impl Table {
         let mut ix = Index::new(def);
         for (slot, row) in self.rows.iter().enumerate() {
             if let Some(row) = row {
-                let key = ix.key_of(row);
-                ix.check_unique(&key)?;
-                ix.insert(key, RowId(slot as u64));
+                ix.check_unique_row(row, |id| self.get(id))?;
+                ix.insert_row(row, RowId(slot as u64));
             }
         }
         self.indexes.push(ix);
@@ -419,13 +425,12 @@ impl Table {
         let row = self.prepare_row(values)?;
         // Validate all unique indexes before touching any of them, so a
         // failed insert leaves every index unchanged.
-        let keys: Vec<IndexKey> = self.indexes.iter().map(|ix| ix.key_of(&row)).collect();
-        for (i, key) in keys.iter().enumerate() {
-            self.check_unique_live(i, key)?;
+        for ix in &self.indexes {
+            ix.check_unique_row(&row, |id| self.get(id))?;
         }
         let id = RowId(self.rows.len() as u64);
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert(key, id);
+        for ix in &mut self.indexes {
+            ix.insert_row(&row, id);
         }
         self.rows.push(Some(row));
         self.live += 1;
@@ -435,32 +440,6 @@ impl Table {
             self.pending_slots.push(id);
         }
         Ok(id)
-    }
-
-    /// Uniqueness check that tolerates the dangling index entries MVCC's
-    /// deferred cleanup leaves behind: a key conflicts only if some row's
-    /// *latest* image actually carries it. Equivalent to
-    /// [`Index::check_unique`] when MVCC is off (every entry is live).
-    fn check_unique_live(&self, ix_pos: usize, key: &IndexKey) -> Result<()> {
-        let ix = &self.indexes[ix_pos];
-        if !self.mvcc {
-            return ix.check_unique(key);
-        }
-        if !ix.def.unique || key.0.iter().any(Value::is_null) {
-            return Ok(());
-        }
-        for id in ix.get_eq(key) {
-            if self.get(id).is_some_and(|row| &ix.key_of(row) == key) {
-                return Err(Error::UniqueViolation {
-                    index: ix.def.name.clone(),
-                    key: format!(
-                        "({})",
-                        key.0.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", ")
-                    ),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Re-insert a previously deleted row at its original id (transaction
@@ -474,8 +453,7 @@ impl Table {
             return Err(Error::ExecError(format!("slot {} is occupied", id.0)));
         }
         for ix in &mut self.indexes {
-            let key = ix.key_of(&row);
-            ix.insert(key, id);
+            ix.insert_row(&row, id);
         }
         *slot = Some(row);
         self.live += 1;
@@ -508,8 +486,7 @@ impl Table {
             return Ok(row);
         }
         for ix in &mut self.indexes {
-            let key = ix.key_of(&row);
-            ix.remove(&key, id);
+            ix.remove_row(&row, id);
         }
         Ok(row)
     }
@@ -524,27 +501,19 @@ impl Table {
             .clone();
         let new = self.prepare_row(values)?;
         // Uniqueness: only keys that actually change can conflict.
-        let changes: Vec<(usize, IndexKey, IndexKey)> = self
-            .indexes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, ix)| {
-                let old_key = ix.key_of(&old);
-                let new_key = ix.key_of(&new);
-                (old_key != new_key).then_some((i, old_key, new_key))
-            })
-            .collect();
-        for (i, _, new_key) in &changes {
-            self.check_unique_live(*i, new_key)?;
+        let changed: Vec<usize> =
+            (0..self.indexes.len()).filter(|&i| !self.indexes[i].same_key(&old, &new)).collect();
+        for &i in &changed {
+            self.indexes[i].check_unique_row(&new, |id| self.get(id))?;
         }
         self.note_write();
         if self.mvcc {
             // Insert new keys but keep the old ones: snapshots pinned
             // before this commit still look the old row up by them.
-            // (Index::insert is set-based, so re-acquiring a key the slot
-            // held earlier in its history is a no-op.)
-            for (i, _, new_key) in changes {
-                self.indexes[i].insert(new_key, id);
+            // (Index::insert_row is set-based, so re-acquiring a key the
+            // slot held earlier in its history is a no-op.)
+            for i in changed {
+                self.indexes[i].insert_row(&new, id);
             }
             let slot = id.0 as usize;
             self.history.entry(slot).or_default().push(Version {
@@ -558,9 +527,9 @@ impl Table {
             self.bump_versions_created();
             return Ok(old);
         }
-        for (i, old_key, new_key) in changes {
-            self.indexes[i].remove(&old_key, id);
-            self.indexes[i].insert(new_key, id);
+        for i in changed {
+            self.indexes[i].remove_row(&old, id);
+            self.indexes[i].insert_row(&new, id);
         }
         self.rows[id.0 as usize] = Some(new);
         Ok(old)
@@ -581,8 +550,7 @@ impl Table {
             .ok_or(Error::NoSuchRow(id.0))?;
         self.live -= 1;
         for ix in &mut self.indexes {
-            let key = ix.key_of(&row);
-            ix.remove(&key, id);
+            ix.remove_row(&row, id);
         }
         self.pending_slots.retain(|&p| p != id);
         self.note_write();
@@ -634,17 +602,16 @@ impl Table {
             .ok_or(Error::NoSuchRow(id.0))?
             .take()
             .ok_or(Error::NoSuchRow(id.0))?;
-        for ix_pos in 0..self.indexes.len() {
-            let new_key = self.indexes[ix_pos].key_of(&current);
-            if new_key == self.indexes[ix_pos].key_of(&v.row) {
+        for ix in &mut self.indexes {
+            if ix.same_key(&current, &v.row) {
                 continue;
             }
             let still_needed = self
                 .history
                 .get(&slot)
-                .is_some_and(|vs| vs.iter().any(|sv| self.indexes[ix_pos].key_of(&sv.row) == new_key));
+                .is_some_and(|vs| vs.iter().any(|sv| ix.same_key(&sv.row, &current)));
             if !still_needed {
-                self.indexes[ix_pos].remove(&new_key, id);
+                ix.remove_row(&current, id);
             }
         }
         self.rows[slot] = Some(v.row);
@@ -674,40 +641,43 @@ impl Table {
     /// nothing.
     pub fn check_integrity(&self) -> Result<()> {
         for ix in &self.indexes {
+            ix.check_layout()?;
+            // Does `row` carry exactly the entry's key?
+            let carries = |row: &Row, key: &[Value]| {
+                ix.def.columns.iter().zip(key).all(|(&c, v)| row[c] == *v)
+            };
             let mut seen = 0usize;
-            for (key, ids) in ix.iter() {
-                for &id in ids {
-                    let latest = self.get(id);
-                    if let Some(row) = latest {
-                        if &ix.key_of(row) == key {
-                            seen += 1;
-                            continue;
-                        }
+            for (key, id) in ix.entries() {
+                let latest = self.get(id);
+                if let Some(row) = latest {
+                    if carries(row, key) {
+                        seen += 1;
+                        continue;
                     }
-                    if self.mvcc {
-                        let backed = self
-                            .history
-                            .get(&(id.0 as usize))
-                            .is_some_and(|vs| vs.iter().any(|v| &ix.key_of(&v.row) == key));
-                        if backed {
-                            continue;
-                        }
-                        return Err(Error::ExecError(format!(
-                            "index `{}` has a dangling entry for row {} backed by no version",
-                            ix.def.name, id.0
-                        )));
-                    }
-                    if latest.is_none() {
-                        return Err(Error::ExecError(format!(
-                            "index `{}` points at dead row {}",
-                            ix.def.name, id.0
-                        )));
+                }
+                if self.mvcc {
+                    let backed = self
+                        .history
+                        .get(&(id.0 as usize))
+                        .is_some_and(|vs| vs.iter().any(|v| carries(&v.row, key)));
+                    if backed {
+                        continue;
                     }
                     return Err(Error::ExecError(format!(
-                        "index `{}` key mismatch for row {}",
+                        "index `{}` has a dangling entry for row {} backed by no version",
                         ix.def.name, id.0
                     )));
                 }
+                if latest.is_none() {
+                    return Err(Error::ExecError(format!(
+                        "index `{}` points at dead row {}",
+                        ix.def.name, id.0
+                    )));
+                }
+                return Err(Error::ExecError(format!(
+                    "index `{}` key mismatch for row {}",
+                    ix.def.name, id.0
+                )));
             }
             if seen != self.live {
                 return Err(Error::ExecError(format!(
@@ -827,6 +797,19 @@ mod tests {
         t.create_index(IndexDef { name: "by_size".into(), columns: vec![2], unique: false })
             .unwrap();
         t.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn index_widths_outside_one_to_four_rejected() {
+        let mut t = table();
+        for columns in [vec![], vec![0, 1, 2, 1, 0]] {
+            let def = IndexDef { name: "wide".into(), columns, unique: false };
+            assert!(matches!(t.create_index(def), Err(Error::ExecError(_))));
+        }
+        assert_eq!(t.indexes().len(), 2);
+        let cols: Vec<ColumnDef> =
+            (0..5).map(|i| ColumnDef::nullable(&format!("c{i}"), ValueType::Int)).collect();
+        assert!(TableSchema::new("w", cols, &["c0", "c1", "c2", "c3", "c4"]).is_err());
     }
 
     #[test]

@@ -59,7 +59,7 @@ use std::sync::Arc;
 
 use crate::db::{Database, Durability};
 use crate::error::{Error, Result};
-use crate::index::IndexDef;
+use crate::index::{IndexDef, MAX_INDEX_WIDTH};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::table::Table;
 use crate::value::{Date, DateTime, Time, Value, ValueType};
@@ -698,6 +698,9 @@ fn load_snapshot(db: &Database, bytes: &[u8]) -> Result<()> {
         let mut pk_cols = Vec::with_capacity(n_pk as usize);
         for _ in 0..n_pk {
             pk_cols.push(c.u32()? as usize);
+        }
+        if pk_cols.len() > MAX_INDEX_WIDTH {
+            return Err(Cursor::corrupt("primary key wider than an index"));
         }
         let mut schema = TableSchema::new(&name, cols, &[])?;
         schema.primary_key = pk_cols;

@@ -38,7 +38,9 @@
 #                      MVCC WAL-truncation crash matrix
 #   verify.sh planner  the cost-based-planner contract (DESIGN.md
 #                      §7.6): relstore statistics/index-dive unit
-#                      tests, the LIKE matcher tests, plan construction
+#                      tests, the seeded index model test (inline keys
+#                      and one-or-many postings against a plain
+#                      BTreeMap), the LIKE matcher tests, plan construction
 #                      and sorted-intersection unit tests, the
 #                      plan-shape + statistics edge-case regressions,
 #                      the resolve-pass tests on both engines, and the
@@ -129,6 +131,7 @@ case "$lane" in
     cargo test -q -p relstore --lib stats
     cargo test -q -p relstore --lib statistics
     cargo test -q -p relstore --lib planner
+    cargo test -q -p relstore --test index_model
     cargo test -q -p relstore --lib like
     cargo test -q -p mcs --lib plan
     cargo test -q -p mcs --test plan_shape
