@@ -578,6 +578,70 @@ fn resolve_pass_multi_hit_queries_match_the_oracle() {
     }
 }
 
+/// An attribute row is non-NULL in exactly one typed value column, and an
+/// index stores no key with a NULL component, so each `ua_name_<type>`
+/// holds exactly the rows of the attributes declared that type, through
+/// creates, `setAttribute` upserts, deletes and vacuum; the SQL lookup by
+/// name alone still returns every row with that name.
+#[test]
+fn typed_value_indexes_hold_only_their_types_rows() {
+    let a = admin();
+    let typed = [
+        (AttrType::Str, "ua_name_str"),
+        (AttrType::Int, "ua_name_int"),
+        (AttrType::Float, "ua_name_float"),
+        (AttrType::Date, "ua_name_date"),
+        (AttrType::Time, "ua_name_time"),
+        (AttrType::DateTime, "ua_name_datetime"),
+    ];
+    for (engine, m) in resolve_pass_catalogs() {
+        m.define_attribute(&a, "w", AttrType::Float, "").unwrap();
+        m.define_attribute(&a, "d", AttrType::Date, "").unwrap();
+        for n in 0..10 {
+            let file = ObjectRef::FileVersion(format!("f{n:02}"), 1);
+            for (name, value) in [
+                ("w", Value::Float(n as f64)),
+                ("x", Value::Int(100 + n)),
+                ("d", Value::Date(Date::new(2003, 11, 1 + n as u8).unwrap())),
+            ] {
+                m.set_attribute(&a, &file, &Attribute { name: name.into(), value }).unwrap();
+            }
+        }
+        for n in 5..15 {
+            m.delete_file_version(&a, &format!("f{n:02}"), 2).unwrap();
+        }
+        let db = m.database();
+        db.vacuum();
+        let handle = db.table("user_attributes").unwrap();
+        let t = handle.read();
+        t.check_integrity().unwrap_or_else(|e| panic!("{engine}: {e}"));
+        for (ty, ix) in typed {
+            let want: Vec<relstore::RowId> = t
+                .scan()
+                .filter(|(_, row)| row[4] == Value::Int(ty.code()))
+                .map(|(id, _)| id)
+                .collect();
+            let mut got: Vec<relstore::RowId> =
+                t.index(ix).unwrap().entries().map(|(_, id)| id).collect();
+            got.sort();
+            assert_eq!(got, want, "{engine}: {ix}");
+        }
+        for name in ["x", "s", "w", "d"] {
+            let want: Vec<Value> = t
+                .scan()
+                .filter(|(_, row)| row[3] == Value::from(name))
+                .map(|(_, row)| row[0].clone())
+                .collect();
+            assert!(!want.is_empty(), "{engine}: no `{name}` rows");
+            let got = db
+                .query("SELECT id FROM user_attributes WHERE name = ? ORDER BY id", &[name.into()])
+                .unwrap();
+            let got: Vec<Value> = got.rows.into_iter().map(|mut row| row.remove(0)).collect();
+            assert_eq!(got, want, "{engine}: name = {name}");
+        }
+    }
+}
+
 // ---------------- authorization ----------------
 
 #[test]

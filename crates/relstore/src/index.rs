@@ -29,6 +29,17 @@
 //! [`Value::index_cmp`]: NULL first, `Int(3)` equal to `Float(3.0)`. A
 //! scan starts at its prefix padded with NULLs, the least value, so it
 //! meets every key that extends the prefix.
+//!
+//! # No NULL keys
+//!
+//! An index never stores a key that has a NULL component, as Oracle's
+//! B-tree indexes do: writes skip such rows, and a lookup of such a key
+//! finds nothing. So an index holds only the rows that are non-NULL in
+//! all of its columns, and may serve only a scan that constrains each of
+//! its nullable columns with a non-NULL comparison, which excludes the
+//! rows left out anyway; `relstore::planner` keeps to that rule. A
+//! catalog attribute row is non-NULL in exactly one typed value column,
+//! so it enters one of the six `(name, value)` indexes, not all six.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -322,7 +333,6 @@ impl<'a, P: AsRef<[Value]>, V: Borrow<Value>> Iterator for Groups<'a, P, V> {
         let plen = prefix.len();
         let low = self.low.as_ref().map(Borrow::borrow);
         let high = self.high.as_ref().map(Borrow::borrow);
-        let ranged = !matches!((low, high), (Bound::Unbounded, Bound::Unbounded));
         for (key, posting) in self.entries.by_ref() {
             // Stop once the key no longer begins with the prefix, or its
             // next component exceeds the high bound.
@@ -338,12 +348,11 @@ impl<'a, P: AsRef<[Value]>, V: Borrow<Value>> Iterator for Groups<'a, P, V> {
             }
             let skip = match next {
                 Some(next) => {
-                    (ranged && next.is_null())
-                        || matches!(low, Bound::Excluded(lo) if next.index_cmp(lo) == Ordering::Equal)
+                    matches!(low, Bound::Excluded(lo) if next.index_cmp(lo) == Ordering::Equal)
                 }
                 // Key is exactly the prefix: included only when no range
                 // on the next column was requested.
-                None => ranged,
+                None => !matches!((low, high), (Bound::Unbounded, Bound::Unbounded)),
             };
             if !skip {
                 return Some(posting);
@@ -379,9 +388,17 @@ impl Index {
         }
     }
 
-    /// Extract this index's key from a full row.
-    pub fn key_of(&self, row: &[Value]) -> IndexKey {
-        IndexKey(self.def.columns.iter().map(|&c| row[c].clone()).collect())
+    /// Extract this index's key from a full row; `None` if the key has a
+    /// NULL component, and so is never stored.
+    pub fn key_of(&self, row: &[Value]) -> Option<IndexKey> {
+        (!self.has_null(row))
+            .then(|| IndexKey(self.def.columns.iter().map(|&c| row[c].clone()).collect()))
+    }
+
+    /// Is one of this index's columns NULL in `row` (a full row), so that
+    /// the row has no entry here?
+    pub(crate) fn has_null(&self, row: &[Value]) -> bool {
+        self.def.columns.iter().any(|&c| row[c].is_null())
     }
 
     /// Do two full rows carry the same key in this index (values equal
@@ -411,7 +428,7 @@ impl Index {
         latest: impl Fn(RowId) -> Option<&'r Row>,
     ) -> Result<()> {
         let cols = &self.def.columns;
-        if !self.def.unique || cols.iter().any(|&c| row[c].is_null()) {
+        if !self.def.unique || self.has_null(row) {
             return Ok(());
         }
         let posting = self.tree.get(|i| row[cols[i]].clone());
@@ -426,17 +443,22 @@ impl Index {
         Ok(())
     }
 
-    /// Insert the entry for `row` (a full row) at `id`. Caller checks
-    /// uniqueness first (so that multi-index inserts can validate all
-    /// indexes before mutating any).
+    /// Insert the entry for `row` (a full row) at `id`, unless its key has
+    /// a NULL component. Caller checks uniqueness first (so that
+    /// multi-index inserts can validate all indexes before mutating any).
     pub fn insert_row(&mut self, row: &[Value], id: RowId) {
+        if self.has_null(row) {
+            return;
+        }
         let cols = &self.def.columns;
         self.entries += usize::from(self.tree.insert(|i| row[cols[i]].clone(), id));
     }
 
     /// Remove an entry; returns true if it was present.
     pub fn remove(&mut self, key: &IndexKey, id: RowId) -> bool {
-        let removed = self.fits(&key.0) && self.tree.remove(|i| key.0[i].clone(), id);
+        let removed = self.fits(&key.0)
+            && !key.0.iter().any(Value::is_null)
+            && self.tree.remove(|i| key.0[i].clone(), id);
         self.entries -= usize::from(removed);
         removed
     }
@@ -444,6 +466,9 @@ impl Index {
     /// Remove the entry for `row` (a full row) at `id`; returns true if it
     /// was present.
     pub fn remove_row(&mut self, row: &[Value], id: RowId) -> bool {
+        if self.has_null(row) {
+            return false;
+        }
         let cols = &self.def.columns;
         let removed = self.tree.remove(|i| row[cols[i]].clone(), id);
         self.entries -= usize::from(removed);
@@ -473,9 +498,9 @@ impl Index {
         self.posting(key.as_ref()).map_or(0, Posting::len)
     }
 
-    /// Number of distinct keys currently in the tree (planner statistic:
-    /// for a composite index this is the distinct count of the column
-    /// *tuple*, which per-column stats cannot provide).
+    /// Number of distinct keys currently in the tree (for a composite
+    /// index, the distinct count of the column *tuple*); tests check it
+    /// against a reference model.
     pub fn distinct_keys(&self) -> usize {
         self.tree.len()
     }
@@ -493,8 +518,7 @@ impl Index {
     /// the least key that begins with `p`. An `Excluded` low bound starts at
     /// the bound value and filters out exact matches below, because
     /// excluding it from the range start would also skip longer keys
-    /// sharing the component. NULLs sort first and never satisfy a range
-    /// predicate, so ranged scans skip them.
+    /// sharing the component.
     fn groups<P: AsRef<[Value]>, V: Borrow<Value>>(
         &self,
         prefix: P,

@@ -15,6 +15,13 @@
 //! `log2(rows) + estimated_fetches` for an index path versus `rows` for a
 //! full scan; the cheapest plan wins, so a predicate matching most of the
 //! table correctly degenerates to the scan it would cause anyway.
+//!
+//! An index stores no key with a NULL component (see [`crate::index`]),
+//! so it holds only the rows that are non-NULL in all of its columns. It
+//! is therefore a candidate only if each of its nullable columns is in
+//! the equality prefix or is the range column: a comparison with a
+//! non-NULL literal there already excludes the rows the index leaves
+//! out, so the scan misses nothing.
 
 use std::ops::Bound;
 
@@ -210,7 +217,10 @@ pub fn plan_table_costed(table: &Table, pred: Option<&BoundExpr>, base: usize) -
             .get(eq_len)
             .copied()
             .filter(|&col| cons[col].low.is_some() || cons[col].high.is_some());
-        if eq_len == 0 && range_col.is_none() {
+        let constrained = eq_len + usize::from(range_col.is_some());
+        if constrained == 0
+            || ix.def.columns[constrained..].iter().any(|&col| table.schema.columns[col].nullable)
+        {
             continue;
         }
         let prefix: Vec<Value> = ix.def.columns[..eq_len]
@@ -518,6 +528,58 @@ mod tests {
         assert!(p.exact);
         assert_eq!(p.est_rows, (total as f64 / 8.0).ceil());
         assert!(matches!(p.path, AccessPath::Index { .. }));
+    }
+
+    #[test]
+    fn index_with_unconstrained_nullable_column_is_not_a_candidate() {
+        let schema = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::auto_id("id"),
+                ColumnDef::required("name", ValueType::Str),
+                ColumnDef::nullable("score", ValueType::Float),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        let mut t = Table::new(schema);
+        t.create_index(IndexDef { name: "name_score".into(), columns: vec![1, 2], unique: false })
+            .unwrap();
+        for i in 0..20i64 {
+            let score = if i % 2 == 0 { Value::Null } else { Value::Float(i as f64) };
+            t.insert(vec![Value::Null, format!("f{}", i % 5).into(), score]).unwrap();
+        }
+        // The index holds no row whose score is NULL, so `name = 'f1'`
+        // alone must not walk it: the scan still meets ids 7 and 17.
+        let e = Expr::col_eq("name", "f1");
+        let p = plan(&t, &e);
+        assert_eq!(p, AccessPath::FullScan);
+        let f1: Vec<i64> = candidates(&t, &p)
+            .into_iter()
+            .filter_map(|id| t.get(id))
+            .filter(|row| row[1] == Value::from("f1"))
+            .map(|row| row[0].as_int().unwrap())
+            .collect();
+        assert_eq!(f1, vec![2, 7, 12, 17]);
+        // A range on `score` excludes NULL rows anyway: the index serves it.
+        let e = Expr::And(
+            Box::new(Expr::col_eq("name", "f1")),
+            Box::new(Expr::Cmp(
+                CmpOp::Ge,
+                Box::new(Expr::col("score")),
+                Box::new(Expr::lit(0.0f64)),
+            )),
+        );
+        let p = plan(&t, &e);
+        match &p {
+            AccessPath::Index { index, prefix, low, .. } => {
+                assert_eq!(t.indexes()[*index].def.name, "name_score");
+                assert_eq!(prefix, &vec![Value::from("f1")]);
+                assert_eq!(*low, Bound::Included(Value::Float(0.0)));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(candidates(&t, &p), vec![crate::row::RowId(1), crate::row::RowId(11)]);
     }
 
     #[test]

@@ -244,29 +244,20 @@ impl Table {
             reclaimed += dead.len() as u64;
             let id = RowId(slot as u64);
             for ix_pos in 0..self.indexes.len() {
-                let mut to_remove: Vec<IndexKey> = Vec::new();
-                {
-                    let ix = &self.indexes[ix_pos];
-                    // Keys the slot still needs: the latest image's plus
-                    // every surviving version's.
-                    let mut needed: BTreeSet<IndexKey> = BTreeSet::new();
-                    if let Some(row) = self.rows.get(slot).and_then(Option::as_ref) {
-                        needed.insert(ix.key_of(row));
-                    }
-                    if let Some(vs) = self.history.get(&slot) {
-                        for v in vs {
-                            needed.insert(ix.key_of(&v.row));
-                        }
-                    }
-                    let mut seen: BTreeSet<IndexKey> = BTreeSet::new();
-                    for v in &dead {
-                        let key = ix.key_of(&v.row);
-                        if !needed.contains(&key) && seen.insert(key.clone()) {
-                            to_remove.push(key);
-                        }
-                    }
+                // The dead versions' stored keys, less those the slot still
+                // needs: the latest image's and every surviving version's.
+                let ix = &self.indexes[ix_pos];
+                let mut gone: BTreeSet<IndexKey> =
+                    dead.iter().filter_map(|v| ix.key_of(&v.row)).collect();
+                if gone.is_empty() {
+                    continue;
                 }
-                for key in to_remove {
+                let latest = self.rows.get(slot).and_then(Option::as_ref);
+                let kept = self.history.get(&slot).into_iter().flatten().map(|v| &v.row);
+                for key in latest.into_iter().chain(kept).filter_map(|row| ix.key_of(row)) {
+                    gone.remove(&key);
+                }
+                for key in gone {
                     self.indexes[ix_pos].remove(&key, id);
                 }
             }
@@ -634,9 +625,10 @@ impl Table {
             .filter_map(|(i, r)| r.as_ref().map(|row| (RowId(i as u64), row)))
     }
 
-    /// Internal integrity check used by property tests: every index entry
-    /// points at a live row with a matching key, and every live row appears
-    /// exactly once in every index. Under MVCC an entry may instead be
+    /// Internal integrity check used by property tests: no index entry has
+    /// a NULL component, every entry points at a live row with a matching
+    /// key, and every live row with no NULL in an index's columns appears
+    /// exactly once in that index. Under MVCC an entry may instead be
     /// backed by a history version (deferred cleanup), but never by
     /// nothing.
     pub fn check_integrity(&self) -> Result<()> {
@@ -648,6 +640,12 @@ impl Table {
             };
             let mut seen = 0usize;
             for (key, id) in ix.entries() {
+                if key.iter().any(Value::is_null) {
+                    return Err(Error::ExecError(format!(
+                        "index `{}` stores a NULL key component for row {}",
+                        ix.def.name, id.0
+                    )));
+                }
                 let latest = self.get(id);
                 if let Some(row) = latest {
                     if carries(row, key) {
@@ -679,10 +677,11 @@ impl Table {
                     ix.def.name, id.0
                 )));
             }
-            if seen != self.live {
+            let keyed = self.scan().filter(|(_, row)| !ix.has_null(row)).count();
+            if seen != keyed {
                 return Err(Error::ExecError(format!(
-                    "index `{}` has {} entries for {} live rows",
-                    ix.def.name, seen, self.live
+                    "index `{}` has {seen} entries for {keyed} live rows with a key",
+                    ix.def.name
                 )));
             }
         }

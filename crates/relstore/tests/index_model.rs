@@ -11,6 +11,11 @@
 //! shrink back, and `Excluded` low bounds land on components that longer
 //! keys share. Each seed asserts it exercised those cases.
 //!
+//! An index stores no key with a NULL component, so the reference leaves
+//! out every row with a NULL in an indexed column, and a lookup, remove
+//! or scan naming a NULL finds nothing in it. Each seed asserts that it
+//! offered such rows at every width and that the index entered none.
+//!
 //! Replay one seed: `MCS_SEED=<seed> cargo test -p relstore --test
 //! index_model -- --nocapture`.
 
@@ -59,7 +64,10 @@ struct Coverage {
     absent_removes: usize,
     int_float_merges: usize,
     excluded_low_on_shared: usize,
-    null_keys: usize,
+    /// NULL-keyed rows offered, per width.
+    null_rows: [usize; 4],
+    /// Entries the index added for them.
+    null_rows_entered: usize,
 }
 
 fn pool() -> Vec<Value> {
@@ -94,9 +102,6 @@ fn bound(rng: &mut Rng) -> Bound<Value> {
 fn in_range(next: Option<&Value>, low: &Bound<Value>, high: &Bound<Value>) -> bool {
     let ranged = !matches!((low, high), (Bound::Unbounded, Bound::Unbounded));
     let Some(next) = next else { return !ranged };
-    if ranged && next.is_null() {
-        return false;
-    }
     let above = match low {
         Bound::Unbounded => true,
         Bound::Included(lo) => next.index_cmp(lo) != Ordering::Less,
@@ -148,17 +153,22 @@ fn run(seed: u64, width: usize, steps: usize, cov: &mut Coverage) {
             0..=2 => {
                 let key = values(&mut rng, width);
                 let id = RowId(rng.below(12));
-                if let Some((stored, _)) = model.get_key_value(&RefKey(key.clone())) {
-                    if stored.0 != key {
-                        cov.int_float_merges += 1;
+                let before = ix.len();
+                ix.insert_row(&row_of(&key), id);
+                if key.iter().any(Value::is_null) {
+                    cov.null_rows[width - 1] += 1;
+                    cov.null_rows_entered += ix.len() - before;
+                } else {
+                    if let Some((stored, _)) = model.get_key_value(&RefKey(key.clone())) {
+                        if stored.0 != key {
+                            cov.int_float_merges += 1;
+                        }
+                    }
+                    let ids = model.entry(RefKey(key)).or_default();
+                    if ids.insert(id) && ids.len() == 2 {
+                        cov.one_to_many += 1;
                     }
                 }
-                cov.null_keys += usize::from(key.iter().any(Value::is_null));
-                let ids = model.entry(RefKey(key.clone())).or_default();
-                if ids.insert(id) && ids.len() == 2 {
-                    cov.one_to_many += 1;
-                }
-                ix.insert_row(&row_of(&key), id);
             }
             3 | 4 => {
                 // Mostly an entry that is there, sometimes one that is not.
@@ -185,7 +195,8 @@ fn run(seed: u64, width: usize, steps: usize, cov: &mut Coverage) {
                 assert_eq!(removed, expected, "{ctx}: remove");
             }
             5 => {
-                // Full-width keys, and shorter ones, which match nothing.
+                // Full-width keys, and shorter ones, which match nothing;
+                // so do keys with a NULL, which the model never holds.
                 let n = 1 + rng.below(width as u64) as usize;
                 let key = values(&mut rng, n);
                 let expected: Vec<RowId> = model
@@ -286,7 +297,15 @@ fn index_matches_reference_model() {
             cov.excluded_low_on_shared > 0,
             "seed {seed}: no Excluded low on a shared component"
         );
-        assert!(cov.null_keys > 0, "seed {seed}: no NULL component");
+        assert!(
+            cov.null_rows.iter().all(|&n| n > 0),
+            "seed {seed}: NULL-keyed rows offered per width {:?}",
+            cov.null_rows
+        );
+        assert_eq!(
+            cov.null_rows_entered, 0,
+            "seed {seed}: the index entered NULL-keyed rows"
+        );
     }
 }
 

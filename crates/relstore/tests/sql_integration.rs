@@ -246,3 +246,90 @@ fn concurrent_readers_during_writes() {
     let t = db.table("files").unwrap();
     t.read().check_integrity().unwrap();
 }
+
+/// An index stores no key with a NULL component, so `r_name_score` holds
+/// only rows whose `score` is set, and the planner may use it only where
+/// `score` is compared with a value. Every query over the nullable
+/// indexed column must still answer what a full scan answers: the same
+/// writes go to `r` (indexed) and `plain` (no secondary index), on both
+/// engines, through a NULL -> v -> NULL update, a pinned MVCC snapshot
+/// and a vacuum.
+#[test]
+fn nullable_indexed_column_answers_like_a_full_scan() {
+    const QUERIES: &[&str] = &[
+        "SELECT id FROM {t} WHERE name = 'n0' ORDER BY id",
+        "SELECT COUNT(*) FROM {t} WHERE name = 'n1'",
+        "SELECT id, score FROM {t} WHERE name = 'n0' ORDER BY score, id",
+        "SELECT id FROM {t} WHERE name = 'n0' AND score >= 5 ORDER BY id",
+        "SELECT id FROM {t} WHERE name = 'n1' AND score < 30 ORDER BY score",
+        "SELECT id FROM {t} WHERE name = 'n2' AND score > 2 AND score <= 38 ORDER BY id",
+        "SELECT id FROM {t} WHERE name = 'n0' AND score IS NULL ORDER BY id",
+        "SELECT id FROM {t} WHERE score IS NULL ORDER BY id",
+        "SELECT id FROM {t} WHERE score IS NOT NULL AND score > 20 ORDER BY id",
+        "SELECT name, score FROM {t} ORDER BY score, id",
+    ];
+    let check = |db: &Database, when: &str| {
+        for q in QUERIES {
+            let got = db.query(&q.replace("{t}", "r"), &[]).unwrap().rows;
+            let want = db.query(&q.replace("{t}", "plain"), &[]).unwrap().rows;
+            assert_eq!(got, want, "mvcc {} {when}: {q}", db.is_mvcc());
+        }
+    };
+    for db in [Database::new(), Database::new_mvcc()] {
+        db.execute_script(
+            "CREATE TABLE r (
+                id INTEGER PRIMARY KEY AUTO_INCREMENT,
+                name VARCHAR(16) NOT NULL,
+                score INTEGER
+            );
+            CREATE INDEX r_name_score ON r (name, score);
+            CREATE TABLE plain (
+                id INTEGER PRIMARY KEY AUTO_INCREMENT,
+                name VARCHAR(16) NOT NULL,
+                score INTEGER
+            );",
+        )
+        .unwrap();
+        let write = |sql: &str| {
+            for t in ["r", "plain"] {
+                db.execute(&sql.replace("{t}", t), &[]).unwrap();
+            }
+        };
+        for i in 0..40 {
+            // Every third row has no score.
+            let score = if i % 3 == 0 { "NULL".to_owned() } else { i.to_string() };
+            write(&format!("INSERT INTO {{t}} (name, score) VALUES ('n{}', {score})", i % 4));
+        }
+        // The index serves a scan that constrains `score`, and only that.
+        let plan = |sql: &str| db.explain(sql, &[]).unwrap()[0].clone();
+        assert!(plan("SELECT id FROM r WHERE name = 'n0' AND score >= 5")
+            .contains("index r_name_score eq(1)+range"));
+        assert!(plan("SELECT id FROM r WHERE name = 'n0'").contains("full scan"));
+        check(&db, "after load");
+
+        // Row 1 (n0) goes NULL -> 7; a snapshot pinned here must still
+        // find it by score after it goes back to NULL.
+        write("UPDATE {t} SET score = 7 WHERE id = 1");
+        let pin = db.pin_snapshot();
+        write("UPDATE {t} SET score = NULL WHERE id = 1");
+        write("UPDATE {t} SET score = NULL WHERE id = 5");
+        write("DELETE FROM {t} WHERE id = 9");
+        write("UPDATE {t} SET score = 99 WHERE id = 4");
+        check(&db, "after updates");
+        if let Some(pin) = &pin {
+            db.with_snapshot_at(pin.epoch(), || check(&db, "at the pinned snapshot"));
+            let old = db.with_snapshot_at(pin.epoch(), || {
+                db.query("SELECT score FROM r WHERE name = 'n0' AND score = 7", &[]).unwrap()
+            });
+            assert_eq!(old.rows, vec![vec![Value::Int(7)]]);
+        }
+        drop(pin);
+        db.vacuum();
+        check(&db, "after vacuum");
+        let r = db.table("r").unwrap();
+        r.read().check_integrity().unwrap();
+        let ix = r.read().index("r_name_score").unwrap().len();
+        let scored = db.query("SELECT COUNT(*) FROM r WHERE score IS NOT NULL", &[]).unwrap();
+        assert_eq!(Value::Int(ix as i64), scored.rows[0][0], "mvcc {}", db.is_mvcc());
+    }
+}

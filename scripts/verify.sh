@@ -40,7 +40,11 @@
 #                      §7.6): relstore statistics/index-dive unit
 #                      tests, the seeded index model test (inline keys
 #                      and one-or-many postings against a plain
-#                      BTreeMap), the LIKE matcher tests, plan construction
+#                      BTreeMap), the no-NULL-keys rule (DESIGN.md
+#                      §6.1: the planner's index-eligibility unit test,
+#                      the nullable-indexed-column SQL test on both
+#                      engines, the typed value-index catalog test),
+#                      the LIKE matcher tests, plan construction
 #                      and sorted-intersection unit tests, the
 #                      plan-shape + statistics edge-case regressions,
 #                      the resolve-pass tests on both engines, and the
@@ -132,6 +136,8 @@ case "$lane" in
     cargo test -q -p relstore --lib statistics
     cargo test -q -p relstore --lib planner
     cargo test -q -p relstore --test index_model
+    cargo test -q -p relstore --test sql_integration nullable_indexed_column
+    cargo test -q -p mcs --test catalog_tests typed_value_indexes
     cargo test -q -p relstore --lib like
     cargo test -q -p mcs --lib plan
     cargo test -q -p mcs --test plan_shape
