@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mcs::{Mcs, ShardedCatalog};
+use mcs::{Mcs, Outcome, ShardedCatalog};
 use soapstack::server::{linger_close, ServerStats};
 use soapstack::threadpool::ThreadPool;
 use soapstack::Fault;
@@ -185,7 +185,7 @@ pub fn handle_frame(catalog: &ShardedCatalog, body: &[u8]) -> Vec<u8> {
     // MIN_FRAME guarantees the tag is present.
     put_u32(&mut b, r.u32().unwrap_or(0));
     match run_request(catalog, &mut r) {
-        Ok((answer, epoch, shard)) => {
+        Ok((answer, Outcome { epoch, shard })) => {
             put_u8(&mut b, STATUS_OK);
             put_u64(&mut b, epoch);
             // A call that logged nothing echoes (0, 0), matching the SOAP
@@ -212,7 +212,7 @@ fn fault_of_frame(e: FrameError) -> Fault {
 
 /// Decode the request header, the credential and the arguments, then
 /// serve the call.
-fn run_request(catalog: &ShardedCatalog, r: &mut Reader) -> Result<(Answer, u64, usize), Fault> {
+fn run_request(catalog: &ShardedCatalog, r: &mut Reader) -> Result<(Answer, Outcome), Fault> {
     let opcode = r.u8().map_err(fault_of_frame)?;
     let flags = r.u8().map_err(fault_of_frame)?;
     if flags & !(FLAG_DURABILITY | FLAG_CACHE_BYPASS) != 0 {

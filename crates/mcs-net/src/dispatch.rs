@@ -2,10 +2,12 @@
 //!
 //! A front end decodes a request into a credential, a [`CallScope`] and
 //! a [`Call`], and hands them to [`serve`]: it checks the arguments that
-//! depend on the catalog's shape, runs [`execute`] — the only code that
-//! calls catalog methods — under the scope, and returns the [`Answer`]
-//! with the `(epoch, shard)` echo. The front end encodes that answer
-//! with the answer's [`Reply`] codec, or the error as a [`Fault`].
+//! depend on the catalog's shape, turns the scope into the request's
+//! [`OpCtx`], runs [`execute`] — the only code that calls catalog
+//! methods — on a catalog handle in that context, and returns the
+//! [`Answer`] with the [`Outcome`] it committed, the `(epoch, shard)`
+//! echo. The front end encodes that answer with the answer's [`Reply`]
+//! codec, or the error as a [`Fault`].
 //!
 //! SOAP carries the per-request options as method-element attributes
 //! (`mcs:durability`, `mcs:cache`); the binary protocol carries them as
@@ -17,8 +19,8 @@
 use mcs::shard::Route::{self, Global, Member, Owner, Zero};
 use mcs::{
     Annotation, Attribute, AuditRecord, Collection, CollectionContents, Credential,
-    ExternalCatalog, HistoryRecord, LogicalFile, McsError, ShardedCatalog, UserRecord, View,
-    ViewContents,
+    ExternalCatalog, HistoryRecord, LogicalFile, McsError, OpCtx, Outcome, ShardedCatalog,
+    UserRecord, View, ViewContents,
 };
 use soapstack::xml::XmlError;
 use soapstack::Fault;
@@ -49,27 +51,15 @@ pub fn durability_of(mode: DurabilityMode) -> mcs::Durability {
     }
 }
 
-/// Run one request body under its [`CallScope`]: apply the durability
-/// override (if any) and the cache bypass, and report the `(epoch,
-/// shard)` of whatever the operation committed — the handle an
-/// async-acknowledged client needs for `waitForEpoch`. Epoch 0 means the
-/// call logged nothing.
-pub fn run_scoped<R>(
-    catalog: &ShardedCatalog,
-    scope: CallScope,
-    f: impl FnOnce(&ShardedCatalog) -> R,
-) -> (R, u64, usize) {
-    let bypass = scope.cache_bypass;
-    let run = move |c: &ShardedCatalog| {
-        if bypass {
-            c.with_cache_bypass(f)
-        } else {
-            f(c)
+impl CallScope {
+    /// The context a call in this scope runs in on `catalog`: the decoded
+    /// options over the rest of the handle's own scope.
+    pub fn on(self, catalog: &ShardedCatalog) -> OpCtx {
+        OpCtx {
+            durability: self.durability.map(durability_of),
+            cache_bypass: self.cache_bypass,
+            ..catalog.ctx().clone()
         }
-    };
-    match scope.durability {
-        Some(mode) => catalog.with_durability(durability_of(mode), run),
-        None => catalog.track_epoch(run),
     }
 }
 
@@ -291,16 +281,18 @@ pub fn execute(c: &ShardedCatalog, cred: &Credential, call: Call<'_>) -> Result<
     })
 }
 
-/// Serve one decoded request: check it, execute it under `scope`, and
-/// return the answer with the `(epoch, shard)` echo of what it
-/// committed, or the fault either wire sends instead.
+/// Serve one decoded request: check it, execute it in `scope`, and
+/// return the answer with the [`Outcome`] of what it committed — the
+/// handle an async-acknowledged client needs for `waitForEpoch`; epoch 0
+/// means the call logged nothing — or the fault either wire sends
+/// instead.
 pub fn serve(
     catalog: &ShardedCatalog,
     cred: &Credential,
     scope: CallScope,
     call: Call<'_>,
-) -> Result<(Answer, u64, usize), Fault> {
+) -> Result<(Answer, Outcome), Fault> {
     call.check(catalog.shards()).map_err(fault_of_xml)?;
-    let (answer, epoch, shard) = run_scoped(catalog, scope, |c| execute(c, cred, call));
-    Ok((answer.map_err(fault_of)?, epoch, shard))
+    let (answer, outcome) = catalog.scoped(scope.on(catalog), |c| execute(c, cred, call));
+    Ok((answer.map_err(fault_of)?, outcome))
 }

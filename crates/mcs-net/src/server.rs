@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use mcs::{Credential, Mcs, ShardedCatalog};
+use mcs::{Credential, Mcs, Outcome, ShardedCatalog};
 use soapstack::server::{Handler, HttpServer, SoapDispatcher};
 use soapstack::xml::Element;
 use soapstack::{Fault, Request, Response};
@@ -57,7 +57,7 @@ fn serve_soap(catalog: &ShardedCatalog, op: Op, call: &Element) -> Result<Elemen
         Op::Ping => Credential::new(""),
         _ => credential_from(call).map_err(fault_of_xml)?,
     };
-    let (answer, epoch, shard) =
+    let (answer, Outcome { epoch, shard }) =
         decode_soap(op, call, |c| serve(catalog, &cred, scope, c)).map_err(fault_of_xml)??;
     let mut el = Element::new("r");
     answer.reply().to_el(&mut el, catalog.shards());

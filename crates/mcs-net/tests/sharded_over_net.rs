@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use mcs::{
     shard_of_name, AttrPredicate, AttrType, Attribute, CacheConfig, Credential, ExternalCatalog,
-    FileSpec, FileUpdate, IndexProfile, ManualClock, Mcs, ObjectRef, Permission, ShardedCatalog,
-    StoreConfig, SyncPolicy, UserRecord,
+    FileSpec, FileUpdate, IndexProfile, ManualClock, Mcs, ObjectRef, Outcome, Permission,
+    ShardedCatalog, StoreConfig, SyncPolicy, UserRecord,
 };
 use mcs_net::client::DurabilityMode;
 use mcs_net::dispatch::{self, CallScope};
@@ -147,7 +147,8 @@ fn committing_writes_echo_the_routed_shard() {
     let f = (0..).map(|i| format!("route.{i}.dat")).find(|n| shard_of_name(n, 4) == 3).unwrap();
     let expect = |call: Call<'_>, shard: usize| {
         let op = call.op();
-        let (_, epoch, echoed) = dispatch::serve(&catalog, &a, CallScope::default(), call)
+        let (_, Outcome { epoch, shard: echoed }) =
+            dispatch::serve(&catalog, &a, CallScope::default(), call)
             .unwrap_or_else(|e| panic!("{op:?}: {e:?}"));
         assert!(epoch > 0, "{op:?} echoed no commit");
         assert_eq!(echoed, shard, "{op:?} echoed shard {echoed}, not {shard}");

@@ -26,11 +26,11 @@ use std::time::Duration;
 
 use mcs::{
     AttrOp, AttrPredicate, AttrType, Attribute, CacheConfig, Credential, ExternalCatalog, FileSpec,
-    FileUpdate, IndexProfile, ManualClock, ObjectRef, ObjectType, Permission, QueryExpr,
+    FileUpdate, IndexProfile, ManualClock, ObjectRef, ObjectType, OpCtx, Permission, QueryExpr,
     ShardedCatalog, StaticPredicate, StoreConfig, UserRecord, ANYONE,
 };
 use mcs_net::client::Wire;
-use mcs_net::dispatch::{fault_of, run_scoped, serve, Answer, CallScope};
+use mcs_net::dispatch::{fault_of, serve, Answer, CallScope};
 use mcs_net::ops::{Call, Op};
 use mcs_net::{
     BinMcsClient, BinServer, Client, DurabilityMode, FaultKind, McsClient, McsServer, NetError,
@@ -371,12 +371,17 @@ fn echo(epoch: u64, shard: usize) -> (u64, usize) {
 }
 
 fn direct(c: &ShardedCatalog, cred: &Credential, scope: CallScope, call: Call<'_>) -> Outcome {
-    serve(c, cred, scope, call).map(|(a, epoch, shard)| (a, echo(epoch, shard))).map_err(fault)
+    serve(c, cred, scope, call).map(|(a, o)| (a, echo(o.epoch, o.shard))).map_err(fault)
 }
 
 fn general(c: &ShardedCatalog, cred: &Credential, scope: CallScope, q: &QueryExpr) -> Outcome {
-    let (r, epoch, shard) = run_scoped(c, scope, |c| c.general_query(cred, q));
-    r.map(|hits| (Answer::from(hits), echo(epoch, shard))).map_err(|e| fault(fault_of(e)))
+    let (r, o) = c.scoped(scope.on(c), |c| c.general_query(cred, q));
+    r.map(|hits| (Answer::from(hits), echo(o.epoch, o.shard))).map_err(|e| fault(fault_of(e)))
+}
+
+/// The reference runs every call with the planner bypassed.
+fn oracle<R>(reference: &ShardedCatalog, f: impl FnOnce(&ShardedCatalog) -> R) -> R {
+    reference.scoped(OpCtx { planner_bypass: true, ..OpCtx::default() }, f).0
 }
 
 fn remote<W: Wire>(c: &mut Client<W>, cred: &Credential, scope: CallScope, call: Call) -> Outcome {
@@ -540,7 +545,7 @@ impl Twin {
     fn call(&mut self, cred: &Credential, scope: CallScope, call: Call<'_>) {
         self.seen.insert(call.op());
         self.calls += 1;
-        let want = self.reference.with_planner_bypass(|c| direct(c, cred, scope, call));
+        let want = oracle(&self.reference, |c| direct(c, cred, scope, call));
         let what = format!("{call:?} as {} under {scope:?}", cred.dn);
         self.compare(want, &what, CONFIG_LOCAL.contains(&call.op()), |s| s.run(cred, scope, call));
     }
@@ -548,7 +553,7 @@ impl Twin {
     /// Run a general boolean query and compare. No wire op carries one,
     /// so it runs in process on every subject's catalog.
     fn query(&mut self, cred: &Credential, scope: CallScope, q: &QueryExpr) {
-        let want = self.reference.with_planner_bypass(|c| general(c, cred, scope, q));
+        let want = oracle(&self.reference, |c| general(c, cred, scope, q));
         let what = format!("general_query {q:?} as {} under {scope:?}", cred.dn);
         self.compare(want, &what, false, |s| general(&s.catalog, cred, scope, q));
     }

@@ -18,7 +18,7 @@ impl Mcs {
             return Err(McsError::Internal("cannot annotate the service".into()));
         }
         self.require_ref_perm(cred, object, Permission::Read)?;
-        self.db.transaction(
+        self.txn(
             &[("annotations", relstore::Access::Write), ("audit_log", relstore::Access::Write)],
             |s| {
                 s.execute(
@@ -49,7 +49,7 @@ impl Mcs {
     ) -> Result<Vec<Annotation>> {
         let (ot, id, _, _) = self.resolve_ref(object)?;
         self.require_ref_perm(cred, object, Permission::Read)?;
-        let rs = self.db.execute(
+        let rs = self.exec_sql(
             "SELECT annotation, creator, created FROM annotations \
              WHERE object_type = ? AND object_id = ? ORDER BY id",
             &[ot.code().into(), id.into()],

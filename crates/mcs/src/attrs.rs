@@ -50,7 +50,7 @@ impl Mcs {
             }
             return Ok(existing);
         }
-        self.db.execute(
+        self.exec_sql(
             "INSERT INTO attribute_definitions (name, attr_type, description, creator, created) \
              VALUES (?, ?, ?, ?, ?)",
             &[
@@ -88,7 +88,7 @@ impl Mcs {
     }
 
     fn attribute_definition_uncached(&self, name: &str) -> Result<Option<AttributeDefinition>> {
-        let rs = self.db.execute_prepared(&self.stmts.sel_attrdef, &[name.into()])?;
+        let rs = self.exec(&self.stmts.sel_attrdef, &[name.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .first()
@@ -108,7 +108,7 @@ impl Mcs {
 
     /// All attribute definitions, sorted by name.
     pub fn attribute_definitions(&self) -> Result<Vec<AttributeDefinition>> {
-        let rs = self.db.query(
+        let rs = self.query_sql(
             "SELECT name, attr_type, description FROM attribute_definitions ORDER BY name",
             &[],
         )?;
@@ -211,7 +211,7 @@ impl Mcs {
         let vals = self.attr_row_values(ot, attr)?;
         // Upsert = delete + insert: atomic, so a crash can't lose the old
         // value without having written the new one.
-        self.db.transaction(
+        self.txn(
             &[("audit_log", relstore::Access::Write), ("user_attributes", relstore::Access::Write)],
             |s| {
                 s.execute_prepared(
@@ -248,7 +248,7 @@ impl Mcs {
     ) -> Result<bool> {
         let (ot, id, audit, name) = self.resolve_ref(object)?;
         self.require_ref_perm(cred, object, Permission::Write)?;
-        self.db.transaction(
+        self.txn(
             &[("audit_log", relstore::Access::Write), ("user_attributes", relstore::Access::Write)],
             |s| {
                 let res = s.execute_prepared(
@@ -280,7 +280,7 @@ impl Mcs {
             self.audit_action(ot, id, "query_attributes", cred, &name)?;
         }
         let rs =
-            self.db.execute_prepared(&self.stmts.sel_attrs_obj, &[ot.code().into(), id.into()])?;
+            self.exec(&self.stmts.sel_attrs_obj, &[ot.code().into(), id.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .iter()

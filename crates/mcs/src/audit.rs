@@ -20,7 +20,7 @@ impl Mcs {
         cred: &Credential,
         details: &str,
     ) -> Result<()> {
-        self.db.execute_prepared(&self.stmts.ins_audit, &self.audit_params(ot, id, action, cred, details))?;
+        self.exec(&self.stmts.ins_audit, &self.audit_params(ot, id, action, cred, details))?;
         Ok(())
     }
 
@@ -65,7 +65,7 @@ impl Mcs {
     ) -> Result<Vec<AuditRecord>> {
         let (ot, id, _, _) = self.resolve_ref(object)?;
         self.require_ref_perm(cred, object, Permission::Read)?;
-        let rs = self.db.execute(
+        let rs = self.exec_sql(
             "SELECT action, actor, at, details FROM audit_log \
              WHERE object_type = ? AND object_id = ? ORDER BY id",
             &[ot.code().into(), id.into()],
@@ -105,7 +105,7 @@ impl Mcs {
                 return Err(McsError::Internal("service has no audit flag".into()))
             }
         };
-        self.db.execute(
+        self.exec_sql(
             &format!("UPDATE {table} SET audit_enabled = ? WHERE id = ?"),
             &[enabled.into(), id.into()],
         )?;

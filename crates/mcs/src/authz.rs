@@ -23,14 +23,14 @@ impl Mcs {
         principal: &str,
         perm: Permission,
     ) -> Result<()> {
-        match self.db.execute(
+        match self.exec_sql(
             Self::INS_ACE_SQL,
             &[ot.code().into(), id.into(), principal.into(), perm.code().into()],
         ) {
             Ok(_) => Ok(()),
             // granting twice is idempotent
-            Err(relstore::Error::UniqueViolation { .. }) => Ok(()),
-            Err(e) => Err(e.into()),
+            Err(McsError::Db(relstore::Error::UniqueViolation { .. })) => Ok(()),
+            Err(e) => Err(e),
         }
     }
 
@@ -78,7 +78,7 @@ impl Mcs {
     ) -> Result<()> {
         let (ot, id, _, _) = self.resolve_ref(object)?;
         self.require_admin(cred, object)?;
-        self.db.execute(
+        self.exec_sql(
             "DELETE FROM acl_entries WHERE object_type = ? AND object_id = ? \
              AND principal = ? AND permission = ?",
             &[ot.code().into(), id.into(), principal.into(), perm.code().into()],
@@ -114,7 +114,7 @@ impl Mcs {
 
     fn acl_entries_uncached(&self, ot: ObjectType, id: i64) -> Result<Vec<(String, Permission)>> {
         let rs =
-            self.db.execute_prepared(&self.stmts.sel_acl_obj, &[ot.code().into(), id.into()])?;
+            self.exec(&self.stmts.sel_acl_obj, &[ot.code().into(), id.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .iter()
@@ -296,7 +296,7 @@ impl Mcs {
     /// (read + write + delete). Requires service Admin.
     pub fn allow_anyone(&self, cred: &Credential) -> Result<()> {
         self.require_service_perm(cred, Permission::Admin)?;
-        self.db.transaction(&[("acl_entries", relstore::Access::Write)], |s| {
+        self.txn(&[("acl_entries", relstore::Access::Write)], |s| {
             for p in [Permission::Read, Permission::Write, Permission::Delete] {
                 self.insert_ace_in(s, ObjectType::Service, 0, ANYONE, p)?;
             }

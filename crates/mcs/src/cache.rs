@@ -14,9 +14,10 @@
 //!
 //! The cache is **off by default** (Figures 5–11 reproduce the 2003
 //! shapes untouched) and enabled via
-//! [`StoreConfig::cache`](crate::StoreConfig); requests can opt out per
-//! call with [`Mcs::with_cache_bypass`], which the network layer maps to
-//! the `mcs:cache="bypass"` attribute.
+//! [`StoreConfig::cache`](crate::StoreConfig); a request opts out with
+//! the `cache_bypass` flag of its scope ([`relstore::OpCtx`]), which the
+//! network layer sets from the `mcs:cache="bypass"` attribute and
+//! [`Mcs::with_cache_bypass`] sets for in-process callers.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -307,25 +308,14 @@ impl McsCache {
     }
 }
 
-thread_local! {
-    /// Per-operation cache bypass; see [`Mcs::with_cache_bypass`].
-    static CACHE_BYPASS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Whether this thread is inside a [`Mcs::with_cache_bypass`] scope. The
-/// scatter-gather planner ([`crate::shard`]) reads this before handing
-/// per-shard work to pool threads so a request-scoped bypass follows the
-/// query onto every shard it touches.
-pub(crate) fn bypass_active() -> bool {
-    CACHE_BYPASS.get()
-}
-
 impl Mcs {
-    /// The cache handle, unless caching is disabled or this thread is
-    /// inside a [`Mcs::with_cache_bypass`] scope. Every cached read path
-    /// goes through this, so bypass really does re-run the uncached code.
+    /// The cache handle, unless caching is disabled or this handle's
+    /// scope bypasses it — a planner bypass skips the cache too, since
+    /// its point is to measure (and twin-test) the actual evaluation.
+    /// Every cached read path goes through this, so bypass really does
+    /// re-run the uncached code.
     pub(crate) fn read_cache(&self) -> Option<&McsCache> {
-        if CACHE_BYPASS.get() {
+        if self.ctx.cache_bypass || self.ctx.planner_bypass {
             return None;
         }
         self.cache.as_ref()
@@ -341,20 +331,12 @@ impl Mcs {
         self.cache.as_ref().map(McsCache::stats)
     }
 
-    /// Run `f` with the read cache bypassed on this thread: every read
-    /// `f` makes executes the uncached path (and fills nothing). This is
-    /// the per-request `mcs:cache="bypass"` knob of the network layer,
-    /// mirroring [`Mcs::with_durability`]. Restores the previous state on
-    /// exit, including across panics; nesting is a no-op.
+    /// Run `f` on a handle whose scope bypasses the read cache: every
+    /// read `f` makes executes the uncached path (and fills nothing).
+    /// The network layer's per-request `mcs:cache="bypass"` knob sets the
+    /// same flag in the scope it builds; nesting is a no-op.
     pub fn with_cache_bypass<R>(&self, f: impl FnOnce(&Mcs) -> R) -> R {
-        struct Restore(bool);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                CACHE_BYPASS.set(self.0);
-            }
-        }
-        let _restore = Restore(CACHE_BYPASS.replace(true));
-        f(self)
+        self.rescoped(relstore::OpCtx { cache_bypass: true, ..self.ctx.clone() }, f)
     }
 }
 

@@ -6,14 +6,16 @@
 //! ([`crate::authz`]), queries ([`crate::query`]), annotations, audit,
 //! history, users and external catalogs.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use relstore::{Access, Database, Prepared, Value};
+use relstore::{Access, Database, ExecResult, OpCtx, Prepared, ResultSet, Session, Value};
 
 use crate::clock::{Clock, SystemClock};
 use crate::error::{McsError, Result};
 use crate::model::*;
 use crate::schema::{bootstrap, IndexProfile};
+use crate::shard::Outcome;
 
 /// Prepared statements for the catalog's hot paths (the original MCS used
 /// JDBC prepared statements against MySQL for the same reason).
@@ -207,7 +209,22 @@ impl StoreConfig {
 /// All operations take a [`Credential`] and enforce the ACL model of
 /// paper §3/§5 (effective permissions are the union of object permissions
 /// and those of the enclosing collection hierarchy).
+///
+/// An `Mcs` is a handle: the catalog's state is shared, and each handle
+/// carries the request scope ([`OpCtx`]) its calls run in and the epoch
+/// of the last commit they made. [`Mcs::with_cache_bypass`] and
+/// [`Mcs::with_planner_bypass`] hand their closure a scoped handle
+/// (DESIGN.md §7.9).
 pub struct Mcs {
+    state: Arc<McsState>,
+    pub(crate) ctx: OpCtx,
+    /// Commit epoch of the last WAL unit a call on this handle logged.
+    epoch: AtomicU64,
+}
+
+/// The state every handle of one catalog shares.
+#[doc(hidden)]
+pub struct McsState {
     pub(crate) db: Arc<Database>,
     pub(crate) clock: Arc<dyn Clock>,
     pub(crate) stmts: Statements,
@@ -217,6 +234,14 @@ pub struct Mcs {
     pub(crate) cache: Option<crate::cache::McsCache>,
     /// Trusted communities for CAS assertions (community -> shared secret).
     pub(crate) cas_trust: parking_lot::RwLock<std::collections::HashMap<String, u64>>,
+}
+
+impl std::ops::Deref for Mcs {
+    type Target = McsState;
+
+    fn deref(&self) -> &McsState {
+        &self.state
+    }
 }
 
 impl Mcs {
@@ -295,17 +320,18 @@ impl Mcs {
             bootstrap(&db, profile)?;
         }
         let stmts = Statements::prepare(&db)?;
-        let mcs = Mcs {
+        let state = Arc::new(McsState {
             db,
             clock,
             stmts,
             profile,
             cache: cache.as_ref().map(crate::cache::McsCache::new),
             cas_trust: parking_lot::RwLock::new(std::collections::HashMap::new()),
-        };
+        });
+        let mcs = Mcs { state, ctx: OpCtx::default(), epoch: AtomicU64::new(0) };
         if fresh {
             // Bootstrap ACL: the admin can do everything on the service.
-            mcs.db.transaction(&[("acl_entries", Access::Write)], |s| {
+            mcs.txn(&[("acl_entries", Access::Write)], |s| {
                 for p in
                     [Permission::Read, Permission::Write, Permission::Delete, Permission::Admin]
                 {
@@ -328,36 +354,87 @@ impl Mcs {
         &self.db
     }
 
-    // ---------- commit durability / epochs (DESIGN.md §7.2) ----------
+    // ---------- request scope (DESIGN.md §7.9) ----------
 
-    /// Run `f` with `durability` overriding the store-wide commit policy
-    /// for every commit `f` makes on this thread, and return `f`'s result
-    /// together with the commit epoch of the *last* WAL unit it produced
-    /// (0 if it wrote nothing — e.g. a pure read, or a failed operation
-    /// that never reached commit). This is how the network layer maps a
-    /// per-request `mcs:durability` header onto one catalog call and
-    /// echoes the epoch back to the client.
-    pub fn with_durability<R>(
-        &self,
-        durability: relstore::Durability,
-        f: impl FnOnce(&Mcs) -> R,
-    ) -> (R, u64) {
-        let before = Database::last_commit_epoch();
-        let r = self.db.with_durability(durability, || f(self));
-        let after = Database::last_commit_epoch();
-        (r, if after > before { after } else { 0 })
+    /// A handle of this catalog in scope `ctx`.
+    pub(crate) fn handle(&self, ctx: OpCtx) -> Mcs {
+        Mcs { state: Arc::clone(&self.state), ctx, epoch: AtomicU64::new(0) }
     }
+
+    /// Run `f` on a handle of this catalog in scope `ctx`, returning its
+    /// result and the [`Outcome`] of the last WAL unit it logged (epoch 0
+    /// if none; the shard is always 0).
+    pub fn scoped<R>(&self, ctx: OpCtx, f: impl FnOnce(&Mcs) -> R) -> (R, Outcome) {
+        let m = self.handle(ctx);
+        let r = f(&m);
+        (r, Outcome { epoch: m.epoch.into_inner(), shard: 0 })
+    }
+
+    /// [`Mcs::scoped`], crediting what `f` committed to this handle.
+    pub(crate) fn rescoped<R>(&self, ctx: OpCtx, f: impl FnOnce(&Mcs) -> R) -> R {
+        let (r, outcome) = self.scoped(ctx, f);
+        self.note(outcome.epoch);
+        r
+    }
+
+    /// Run `f` with every read at one snapshot: this handle's, or on an
+    /// MVCC database one pinned now and held until `f` returns.
+    pub(crate) fn pinned<R>(&self, f: impl FnOnce(&Mcs) -> R) -> R {
+        if self.ctx.snapshot.is_some() || !self.db.is_mvcc() {
+            return f(self);
+        }
+        self.rescoped(OpCtx { snapshot: self.db.pin_snapshot(), ..self.ctx.clone() }, f)
+    }
+
+    /// The snapshot this handle's reads filter against.
+    pub(crate) fn at(&self) -> Option<&relstore::SnapshotPin> {
+        self.ctx.snapshot.as_ref()
+    }
+
+    fn note(&self, epoch: u64) {
+        if epoch != 0 {
+            self.epoch.store(epoch, Ordering::Relaxed);
+        }
+    }
+
+    /// Execute one statement outside a transaction, in this handle's
+    /// scope.
+    pub(crate) fn exec(&self, p: &Prepared, params: &[Value]) -> Result<ExecResult> {
+        let (epoch, r) = self.db.execute_in(&self.ctx, p, params);
+        self.note(epoch);
+        Ok(r?)
+    }
+
+    /// [`Mcs::exec`] of SQL text.
+    pub(crate) fn exec_sql(&self, sql: &str, params: &[Value]) -> Result<ExecResult> {
+        self.exec(&self.db.prepare(sql)?, params)
+    }
+
+    /// The rows of a SELECT, in this handle's scope.
+    pub(crate) fn query_sql(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
+        self.exec_sql(sql, params)?
+            .rows
+            .ok_or_else(|| McsError::Internal("statement returned no rows".into()))
+    }
+
+    /// One catalog transaction in this handle's scope; see
+    /// [`relstore::Database::transaction`].
+    pub(crate) fn txn<T>(
+        &self,
+        claims: &[(&str, Access)],
+        f: impl FnOnce(&mut Session) -> Result<T>,
+    ) -> Result<T> {
+        let (v, epoch) = self.db.transaction_in(&self.ctx, claims, f)?;
+        self.note(epoch);
+        Ok(v)
+    }
+
+    // ---------- commit epochs (DESIGN.md §7.2) ----------
 
     /// The most recently allocated commit epoch on the underlying
     /// database. See [`relstore::Database::commit_epoch`].
     pub fn commit_epoch(&self) -> u64 {
         self.db.commit_epoch()
-    }
-
-    /// The commit epoch of the last WAL unit **this thread** produced (0
-    /// if none). See [`relstore::Database::last_commit_epoch`].
-    pub fn last_commit_epoch() -> u64 {
-        Database::last_commit_epoch()
     }
 
     /// The durable-epoch watermark. See
@@ -473,7 +550,7 @@ impl Mcs {
     }
 
     fn resolve_file_uncached(&self, name: &str) -> Result<LogicalFile> {
-        let rs = self.db.execute_prepared(&self.stmts.sel_file_versions, &[name.into()])?;
+        let rs = self.exec(&self.stmts.sel_file_versions, &[name.into()])?;
         let rows = rs.rows.expect("select");
         match rows.rows.len() {
             0 => Err(McsError::NotFound(ObjectRef::File(name.to_owned()))),
@@ -519,7 +596,7 @@ impl Mcs {
     }
 
     pub(crate) fn resolve_file_by_id(&self, id: i64) -> Result<LogicalFile> {
-        let rs = self.db.execute_prepared(&self.stmts.sel_file_by_id, &[id.into()])?;
+        let rs = self.exec(&self.stmts.sel_file_by_id, &[id.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .first()
@@ -546,7 +623,7 @@ impl Mcs {
     }
 
     fn resolve_collection_uncached(&self, name: &str) -> Result<Collection> {
-        let rs = self.db.execute_prepared(&self.stmts.sel_coll_by_name, &[name.into()])?;
+        let rs = self.exec(&self.stmts.sel_coll_by_name, &[name.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .first()
@@ -556,7 +633,7 @@ impl Mcs {
     }
 
     pub(crate) fn resolve_collection_by_id(&self, id: i64) -> Result<Collection> {
-        let rs = self.db.execute_prepared(&self.stmts.sel_coll_by_id, &[id.into()])?;
+        let rs = self.exec(&self.stmts.sel_coll_by_id, &[id.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .first()
@@ -598,7 +675,7 @@ impl Mcs {
         // One transaction: the file row, its attribute rows, and the audit
         // record commit together or not at all — a failure at any point
         // (and a crash at any statement boundary) leaves no trace.
-        let id = self.db.transaction(
+        let id = self.txn(
             &[
                 ("audit_log", Access::Write),
                 ("logical_files", Access::Write),
@@ -672,7 +749,7 @@ impl Mcs {
         // their attribute rows and audit records, one commit (one fsync
         // under `Durability::Always`, which is where the bulk op's win
         // over N createFile round-trips comes from).
-        let ids = self.db.transaction(
+        let ids = self.txn(
             &[
                 ("audit_log", Access::Write),
                 ("logical_files", Access::Write),
@@ -795,7 +872,7 @@ impl Mcs {
         // history, ACEs, view memberships) go in one transaction: a crash
         // at any statement boundary leaves either the whole file or none
         // of it — never orphaned dependents.
-        self.db.transaction(
+        self.txn(
             &[
                 ("acl_entries", Access::Write),
                 ("annotations", Access::Write),
@@ -860,7 +937,7 @@ impl Mcs {
 
     /// All versions of a logical name, ascending.
     pub fn get_file_versions(&self, cred: &Credential, name: &str) -> Result<Vec<LogicalFile>> {
-        let rs = self.db.execute_prepared(&self.stmts.sel_file_versions, &[name.into()])?;
+        let rs = self.exec(&self.stmts.sel_file_versions, &[name.into()])?;
         let rows = rs.rows.expect("select");
         if rows.rows.is_empty() {
             return Err(McsError::NotFound(ObjectRef::File(name.to_owned())));
@@ -917,7 +994,7 @@ impl Mcs {
         params.push(self.now());
         params.push(f.id.into());
         let sql = format!("UPDATE logical_files SET {} WHERE id = ?", sets.join(", "));
-        self.db.transaction(
+        self.txn(
             &[("audit_log", Access::Write), ("logical_files", Access::Write)],
             |s| {
                 s.execute(&sql, &params)?;
@@ -961,7 +1038,7 @@ impl Mcs {
                 None
             }
         };
-        let id = self.db.transaction(&[("logical_collections", Access::Write)], |s| {
+        let id = self.txn(&[("logical_collections", Access::Write)], |s| {
             let res = s.execute_prepared(
                 &self.stmts.ins_coll,
                 &[
@@ -991,7 +1068,7 @@ impl Mcs {
         // The emptiness checks run inside the transaction — `logical_files`
         // is claimed for read — so a concurrent create_file into this
         // collection cannot slip between check and delete.
-        self.db.transaction(
+        self.txn(
             &[
                 ("acl_entries", Access::Write),
                 ("annotations", Access::Write),
@@ -1065,7 +1142,7 @@ impl Mcs {
             }
             None => Value::Null,
         };
-        self.db.execute_prepared(
+        self.exec(
             &self.stmts.upd_file_coll,
             &[new_id, cred.dn.as_str().into(), self.now(), f.id.into()],
         )?;

@@ -16,7 +16,7 @@ impl Mcs {
     ) -> Result<()> {
         validate_name(&cat.name)?;
         self.require_service_perm(cred, Permission::Write)?;
-        match self.db.execute(
+        match self.exec_sql(
             "INSERT INTO external_catalogs (name, catalog_type, host, ip, description) \
              VALUES (?, ?, ?, ?, ?)",
             &[
@@ -28,17 +28,17 @@ impl Mcs {
             ],
         ) {
             Ok(_) => Ok(()),
-            Err(relstore::Error::UniqueViolation { .. }) => {
+            Err(McsError::Db(relstore::Error::UniqueViolation { .. })) => {
                 Err(McsError::AlreadyExists(cat.name.clone()))
             }
-            Err(e) => Err(e.into()),
+            Err(e) => Err(e),
         }
     }
 
     /// All registered external catalogs, by name. Requires service Read.
     pub fn list_external_catalogs(&self, cred: &Credential) -> Result<Vec<ExternalCatalog>> {
         self.require_service_perm(cred, Permission::Read)?;
-        let rs = self.db.query(
+        let rs = self.query_sql(
             "SELECT name, catalog_type, host, ip, description FROM external_catalogs \
              ORDER BY name",
             &[],

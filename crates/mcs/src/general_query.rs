@@ -95,15 +95,18 @@ impl QueryExpr {
 /// Evaluation limit: queries with more leaves than this are rejected.
 const MAX_LEAVES: usize = 64;
 
-/// Iterate the rows a reader should see: on the barrier engine, the live
-/// latest images ([`relstore::Table::scan`]); under MVCC, every slot
-/// filtered through this thread's snapshot — a slot whose latest image is
+/// Iterate the rows a reader at `at` should see: on the barrier engine,
+/// the live latest images ([`relstore::Table::scan`]); under MVCC, every
+/// slot filtered through the snapshot — a slot whose latest image is
 /// deleted or uncommitted may still carry a version the snapshot sees.
-fn snapshot_scan(t: &relstore::Table) -> Box<dyn Iterator<Item = &relstore::Row> + '_> {
+fn snapshot_scan<'t>(
+    t: &'t relstore::Table,
+    at: Option<&'t relstore::SnapshotPin>,
+) -> Box<dyn Iterator<Item = &'t relstore::Row> + 't> {
     if t.is_mvcc() {
         Box::new(
             (0..t.slot_count() as u64)
-                .filter_map(move |i| relstore::snapshot_row(t, relstore::RowId(i))),
+                .filter_map(move |i| relstore::snapshot_row(t, relstore::RowId(i), at)),
         )
     } else {
         Box::new(t.scan().map(|(_, r)| r))
@@ -130,12 +133,12 @@ impl Mcs {
         // leaves run in — the planner reorders conjunctions, and an empty
         // group must not short-circuit past the leaf that would fail.
         self.check_referents(expr)?;
-        // One snapshot scope for the whole boolean tree and the resolve
-        // pass: every leaf (and the NOT complement's full scan) reads the
-        // same consistent cut. No-op on the barrier engine.
-        self.db.with_snapshot(|| {
-            let ids = self.eval_expr(expr)?;
-            self.valid_hits(&crate::plan::sorted_ids(ids.into_iter().collect()))
+        // One snapshot for the whole boolean tree and the resolve pass:
+        // every leaf (and the NOT complement's full scan) reads the same
+        // consistent cut. No-op on the barrier engine.
+        self.pinned(|m| {
+            let ids = m.eval_expr(expr)?;
+            m.valid_hits(&crate::plan::sorted_ids(ids.into_iter().collect()))
         })
     }
 
@@ -185,7 +188,7 @@ impl Mcs {
                 // that fail type-checking stay sequential so they error
                 // (or not) exactly where the naive path would.
                 let planned = self.profile == crate::schema::IndexProfile::ValueIndexed
-                    && !crate::plan::bypass_active();
+                    && !self.ctx.planner_bypass;
                 let mut grouped = vec![false; subs.len()];
                 let mut group: Vec<(&AttrPredicate, AttrType)> = Vec::new();
                 if planned {
@@ -238,7 +241,7 @@ impl Mcs {
                 let exclude = self.eval_expr(sub)?;
                 let handle = self.db.table("logical_files")?;
                 let t = handle.read();
-                snapshot_scan(&t)
+                snapshot_scan(&t, self.at())
                     .filter_map(|row| row[0].as_int().ok())
                     .filter(|id| !exclude.contains(id))
                     .collect()
@@ -258,7 +261,7 @@ impl Mcs {
                     .index("lf_collection")
                     .ok_or_else(|| McsError::Internal("missing lf_collection index".into()))?;
                 for id in ix.get_eq(&relstore::IndexKey(vec![Value::Int(c.id)])) {
-                    if let Some(row) = relstore::snapshot_row(&t, id) {
+                    if let Some(row) = relstore::snapshot_row(&t, id, self.at()) {
                         // MVCC keeps superseded keys in the index until
                         // vacuum; confirm the visible image is still in
                         // this collection (always true on the barrier
@@ -272,7 +275,7 @@ impl Mcs {
             other => {
                 // full scan over predefined columns (these are the paper's
                 // "static attributes"; only names are indexed)
-                for row in snapshot_scan(&t) {
+                for row in snapshot_scan(&t, self.at()) {
                     let matches = match other {
                         StaticPredicate::NameLike(pat) => like_match(row[1].as_str()?, pat),
                         StaticPredicate::DataTypeIs(dt) => {

@@ -13,7 +13,7 @@ impl Mcs {
     pub fn add_history(&self, cred: &Credential, file: &str, description: &str) -> Result<()> {
         let f = self.resolve_file(file)?;
         self.require_file_perm(cred, &f, Permission::Write)?;
-        self.db.transaction(
+        self.txn(
             &[
                 ("audit_log", relstore::Access::Write),
                 ("transformation_history", relstore::Access::Write),
@@ -36,7 +36,7 @@ impl Mcs {
     pub fn get_history(&self, cred: &Credential, file: &str) -> Result<Vec<HistoryRecord>> {
         let f = self.resolve_file(file)?;
         self.require_file_perm(cred, &f, Permission::Read)?;
-        let rs = self.db.execute(
+        let rs = self.exec_sql(
             "SELECT description, actor, at FROM transformation_history \
              WHERE file_id = ? ORDER BY id",
             &[f.id.into()],

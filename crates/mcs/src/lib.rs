@@ -72,7 +72,7 @@ pub use model::{
 pub use general_query::{QueryExpr, StaticPredicate};
 pub use query::CollectionContents;
 pub use replication::{ReplicatedMcs, WriteOp};
-pub use shard::{shard_of_name, ShardedCatalog};
-pub use relstore::{Durability, SyncPolicy};
+pub use shard::{shard_of_name, Outcome, ShardedCatalog};
+pub use relstore::{Durability, OpCtx, SyncPolicy};
 pub use schema::IndexProfile;
 pub use views::ViewContents;

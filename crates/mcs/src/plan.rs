@@ -19,15 +19,14 @@
 //! candidate) — whichever touches fewer rows. Estimates are advisory:
 //! they pick the plan shape, never change answers.
 //!
-//! [`Mcs::with_planner_bypass`] disables the planner on the current
-//! thread (and skips the read cache) so tests and benchmarks can compare
-//! the planned evaluation against the naive posting-scan oracle on the
-//! same store.
+//! [`Mcs::with_planner_bypass`] hands its closure a handle whose scope
+//! disables the planner (and skips the read cache), so tests and
+//! benchmarks can compare the planned evaluation against the naive
+//! posting-scan oracle on the same store.
 //!
 //! [`IndexProfile::ValueIndexed`]: crate::schema::IndexProfile::ValueIndexed
 //! [`DIVE_CAP`]: relstore::planner::DIVE_CAP
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::ops::Bound;
 
@@ -39,19 +38,6 @@ use crate::catalog::Mcs;
 use crate::error::{McsError, Result};
 use crate::model::{AttrOp, AttrPredicate, AttrType, Credential, ObjectType, Permission};
 use crate::schema::IndexProfile;
-
-thread_local! {
-    /// Per-thread planner bypass; see [`Mcs::with_planner_bypass`].
-    static PLANNER_BYPASS: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether this thread is inside a [`Mcs::with_planner_bypass`] scope.
-/// Read by the query paths (to fall back to pure posting scans) and by
-/// the scatter-gather fan-out, so a request-scoped bypass follows the
-/// query onto every shard's worker thread.
-pub(crate) fn bypass_active() -> bool {
-    PLANNER_BYPASS.with(Cell::get)
-}
 
 /// The composite `(name, value)` index serving one attribute type.
 pub(crate) fn value_index_name(ty: AttrType) -> &'static str {
@@ -349,21 +335,13 @@ pub(crate) fn plan_conjunction(
 }
 
 impl Mcs {
-    /// Run `f` with the cost-based attribute planner bypassed on this
-    /// thread: conjunctive queries evaluate every predicate by a pure
+    /// Run `f` on a handle whose scope bypasses the cost-based attribute
+    /// planner: conjunctive queries evaluate every predicate by a pure
     /// `ua_name` posting scan (the 2003 evaluation), and the read cache
-    /// is skipped so the comparison measures real work. The flag is
-    /// restored on exit, including across panics. Twin tests and the
-    /// figure-17 A/B benchmark use this as the planner's oracle.
+    /// is skipped so the comparison measures real work. Twin tests and
+    /// the figure-17 A/B benchmark use this as the planner's oracle.
     pub fn with_planner_bypass<R>(&self, f: impl FnOnce(&Mcs) -> R) -> R {
-        struct Restore(bool);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                PLANNER_BYPASS.with(|b| b.set(self.0));
-            }
-        }
-        let _restore = Restore(PLANNER_BYPASS.with(|b| b.replace(true)));
-        f(self)
+        self.rescoped(relstore::OpCtx { planner_bypass: true, ..self.ctx.clone() }, f)
     }
 
     /// EXPLAIN for [`Mcs::query_by_attributes`]: the plan the cost-based
@@ -380,7 +358,7 @@ impl Mcs {
             return Err(McsError::BadAttribute("query needs at least one predicate".into()));
         }
         let checked = self.check_predicates(preds)?;
-        if self.profile != IndexProfile::ValueIndexed || bypass_active() {
+        if self.profile != IndexProfile::ValueIndexed || self.ctx.planner_bypass {
             return Ok(checked
                 .iter()
                 .map(|(p, _)| format!("posting scan: {} {} via ua_name", p.name, op_sym(p.op)))
@@ -455,7 +433,7 @@ impl Mcs {
             // vacuum and a pending row is not yet visible — both read
             // back as `None` and are skipped. On the barrier engine a
             // dangling entry is a corruption signal.
-            let Some(row) = relstore::snapshot_row(t, id) else {
+            let Some(row) = relstore::snapshot_row(t, id, self.at()) else {
                 if t.is_mvcc() {
                     continue;
                 }
@@ -511,7 +489,7 @@ impl Mcs {
         for &oid in prev {
             key.0[1] = Value::Int(oid);
             for id in ix.get_eq(&key) {
-                let Some(row) = relstore::snapshot_row(t, id) else {
+                let Some(row) = relstore::snapshot_row(t, id, self.at()) else {
                     if t.is_mvcc() {
                         continue;
                     }

@@ -50,39 +50,34 @@ impl Mcs {
         // is never cached) and take the version vector of the query's
         // input tables before computing, so the fill below can only stamp
         // a state at least as old as what it read — any write landing
-        // mid-compute bumps a version and the entry self-invalidates. A
-        // planner bypass also skips the cache: its point is to measure
-        // (and twin-test) the actual evaluation, not a memoized answer.
+        // mid-compute bumps a version and the entry self-invalidates.
         let mut fill = None;
-        if !crate::plan::bypass_active() {
-            if let Some(cache) = self.read_cache() {
-                let key = crate::cache::query_key(preds, self.profile);
-                match cache.lookup(&self.db, &key) {
-                    crate::cache::Lookup::Hit(crate::cache::CacheValue::Hits(h)) => return Ok(h),
-                    crate::cache::Lookup::Hit(_) => {}
-                    crate::cache::Lookup::Miss(stamp) => fill = Some((cache, key, stamp)),
-                }
+        if let Some(cache) = self.read_cache() {
+            let key = crate::cache::query_key(preds, self.profile);
+            match cache.lookup(&self.db, &key) {
+                crate::cache::Lookup::Hit(crate::cache::CacheValue::Hits(h)) => return Ok(h),
+                crate::cache::Lookup::Hit(_) => {}
+                crate::cache::Lookup::Miss(stamp) => fill = Some((cache, key, stamp)),
             }
         }
         // Resolve definitions and type-check before touching the table.
         let checked = self.check_predicates(preds)?;
 
         // Under MVCC the whole evaluation — every posting list and the
-        // resolve pass — runs inside one snapshot scope, so it reads one
-        // consistent cut; on the barrier engine `with_snapshot` is a no-op
-        // and the table read locks provide per-statement isolation.
-        let out = self.db.with_snapshot(|| {
-            let handle = self.db.table("user_attributes")?;
+        // resolve pass — reads at one pinned snapshot, so it sees one
+        // consistent cut; on the barrier engine `pinned` is a no-op and
+        // the table read locks provide per-statement isolation.
+        let out = self.pinned(|m| {
+            let handle = m.db.table("user_attributes")?;
             let t = handle.read();
-            let ids = if self.profile == IndexProfile::ValueIndexed && !crate::plan::bypass_active()
-            {
+            let ids = if m.profile == IndexProfile::ValueIndexed && !m.ctx.planner_bypass {
                 // Compile the conjunction into a cost-based plan: the
                 // most selective predicate (by index dive / statistics)
                 // seeds the candidate set, the rest intersect via their
                 // composite indexes or run as per-candidate residual
                 // probes — see `crate::plan` and `Mcs::explain_query`.
                 let plan = crate::plan::plan_conjunction(&t, &checked)?;
-                self.run_attr_plan(&t, &checked, &plan)?
+                m.run_attr_plan(&t, &checked, &plan)?
             } else {
                 // The 2003 evaluation, and the naive oracle twin tests
                 // diff the planned path against: one `ua_name` posting
@@ -90,7 +85,7 @@ impl Mcs {
                 let mut acc: Option<Vec<i64>> = None;
                 for (p, ty) in &checked {
                     let value = crate::plan::coerced_value(p, *ty);
-                    let ids = self.posting_scan(&t, p, ty.full_row_column(), &value)?;
+                    let ids = m.posting_scan(&t, p, ty.full_row_column(), &value)?;
                     acc = Some(match acc {
                         None => ids,
                         Some(prev) => crate::plan::intersect_sorted(&prev, &ids),
@@ -104,7 +99,7 @@ impl Mcs {
             // Writers lock audit_log → logical_files → user_attributes:
             // release the attribute table before touching logical_files.
             drop(t);
-            self.valid_hits(&ids)
+            m.valid_hits(&ids)
         })?;
         if let Some((cache, key, stamp)) = fill {
             cache.insert(key, crate::cache::CacheValue::Hits(out.clone()), stamp);
@@ -119,7 +114,7 @@ impl Mcs {
     /// invalidated files are skipped. Under MVCC a stale pk entry can lead
     /// to another image, so the visible row's id is re-checked.
     pub(crate) fn valid_hits(&self, ids: &[i64]) -> Result<Vec<(String, i64)>> {
-        self.db.read_table("logical_files", |t| {
+        self.db.read_table(self.at(), "logical_files", |t, at| {
             let pk = t
                 .index("pk_logical_files")
                 .ok_or_else(|| McsError::Internal("missing index pk_logical_files".into()))?;
@@ -129,7 +124,7 @@ impl Mcs {
                 key.0[0] = Value::Int(id);
                 let row = pk
                     .get_eq(&key)
-                    .filter_map(|rid| relstore::snapshot_row(t, rid))
+                    .filter_map(|rid| relstore::snapshot_row(t, rid, at))
                     .find(|row| row[0] == key.0[0]);
                 if let Some(row) = row {
                     if row[4].as_bool()? {
@@ -159,7 +154,7 @@ impl Mcs {
         // no useful access path (everything *but* one key) and falls
         // back to the posting scan; in a conjunction the planner demotes
         // it to a per-candidate residual probe instead.
-        if self.profile == IndexProfile::ValueIndexed && !crate::plan::bypass_active() {
+        if self.profile == IndexProfile::ValueIndexed && !self.ctx.planner_bypass {
             if let Some(access) = crate::plan::access_for(p, ty, &value) {
                 return self.eval_access(t, p, ty, &value, &access);
             }
@@ -186,7 +181,7 @@ impl Mcs {
         let key = IndexKey(vec![Value::from(p.name.as_str())]);
         let mut out = Vec::new();
         for id in ix.get_eq(&key) {
-            let Some(row) = relstore::snapshot_row(t, id) else {
+            let Some(row) = relstore::snapshot_row(t, id, self.at()) else {
                 if t.is_mvcc() {
                     continue; // dangling entry awaiting vacuum, or invisible version
                 }
@@ -217,11 +212,11 @@ impl Mcs {
         }
         let mut out = CollectionContents::default();
         let files =
-            self.db.execute_prepared(&self.stmts.files_in_coll, &[c.id.into()])?.rows.unwrap();
+            self.exec(&self.stmts.files_in_coll, &[c.id.into()])?.rows.unwrap();
         for r in &files.rows {
             out.files.push((r[1].as_str()?.to_owned(), r[2].as_int()?));
         }
-        let kids = self.db.execute_prepared(&self.stmts.sel_subcolls, &[c.id.into()])?;
+        let kids = self.exec(&self.stmts.sel_subcolls, &[c.id.into()])?;
         for r in &kids.rows.unwrap().rows {
             out.subcollections.push(r[0].as_str()?.to_owned());
         }
@@ -235,9 +230,9 @@ impl Mcs {
         if t.is_mvcc() {
             // `Table::len` counts latest images including other threads'
             // uncommitted inserts; count what a snapshot actually sees.
-            return Ok(self.db.with_snapshot(|| {
+            return Ok(self.pinned(|m| {
                 (0..t.slot_count() as u64)
-                    .filter(|&i| relstore::snapshot_row(&t, relstore::RowId(i)).is_some())
+                    .filter(|&i| relstore::snapshot_row(&t, relstore::RowId(i), m.at()).is_some())
                     .count()
             }));
         }

@@ -51,19 +51,19 @@
 //! a [`soapstack::threadpool::ThreadPool`] — shard 0's slice runs on the
 //! caller's thread — and merge with stable ordering (per-shard result
 //! sets are disjoint by name, concatenated in shard order, then sorted
-//! exactly like the single-shard path sorts its output). A thread-local
-//! cache bypass on the caller is re-established on every pool thread, so
-//! the PR 4 cache contract holds per shard; epochs stay per shard too:
-//! [`ShardedCatalog::wait_for_epoch`] takes a shard index and
-//! [`ShardedCatalog::sync_now`] / [`ShardedCatalog::cache_stats`]
-//! aggregate.
+//! exactly like the single-shard path sorts its output). Each worker gets
+//! a shard handle carrying the request's scope and that shard's pinned
+//! snapshot (DESIGN.md §7.9), so a cache or planner bypass holds on every
+//! shard; epochs stay per shard too: [`ShardedCatalog::wait_for_epoch`]
+//! takes a shard index and [`ShardedCatalog::sync_now`] /
+//! [`ShardedCatalog::cache_stats`] aggregate.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use relstore::{Access, Database, Durability, Value};
+use relstore::{Access, Database, OpCtx, Value};
 use soapstack::threadpool::ThreadPool;
 
 use crate::cache::{CacheConfig, CacheStats};
@@ -138,12 +138,15 @@ const MIRRORED: &[(&str, &[&str])] = &[
 /// permission)`, unique per shard.
 type Ace = (i64, i64, String, i64);
 
-thread_local! {
-    /// (shard, epoch) of the last commit this thread produced through the
-    /// sharded surface — the per-shard analogue of
-    /// [`relstore::Database::last_commit_epoch`], set by `record` so the
-    /// network layer can echo `mcs:epoch`/`mcs:shard`.
-    static LAST_WRITE: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
+/// What the calls on a scoped handle committed last
+/// ([`ShardedCatalog::scoped`], [`Mcs::scoped`]): the network layer
+/// echoes it as `mcs:epoch`/`mcs:shard`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Outcome {
+    /// Commit epoch of the last commit, 0 if nothing was logged.
+    pub epoch: u64,
+    /// The shard that commit landed on (0 when nothing was logged).
+    pub shard: usize,
 }
 
 /// Where an operation that touches one shard runs, and which side of the
@@ -192,7 +195,21 @@ impl<'a> Route<'a> {
 /// audit trails), topology, epochs and caches. With one shard every
 /// route runs on shard 0 — no locking, no mirroring, no pool — keeping
 /// `shards = 1` a strict no-op.
+///
+/// Like [`Mcs`], a handle: [`ShardedCatalog::scoped`] runs a request on
+/// a handle carrying its scope, and every shard call made through it
+/// runs on a shard handle in that scope.
 pub struct ShardedCatalog {
+    router: Arc<Router>,
+    ctx: OpCtx,
+    /// `Outcome` of the last routed commit on this handle.
+    last_epoch: AtomicU64,
+    last_shard: AtomicUsize,
+}
+
+/// The state every handle of one sharded catalog shares.
+#[doc(hidden)]
+pub struct Router {
     shards: Vec<Arc<Mcs>>,
     /// Scatter workers (`None` with a single shard). Sized N-1: shard
     /// 0's slice of a fan-out runs on the calling thread.
@@ -200,6 +217,14 @@ pub struct ShardedCatalog {
     /// Orders global-state writes (write side) against per-file
     /// membership writes (read side); see the module docs.
     global: parking_lot::RwLock<()>,
+}
+
+impl std::ops::Deref for ShardedCatalog {
+    type Target = Router;
+
+    fn deref(&self) -> &Router {
+        &self.router
+    }
 }
 
 impl ShardedCatalog {
@@ -215,7 +240,27 @@ impl ShardedCatalog {
     fn assemble(shards: Vec<Arc<Mcs>>) -> ShardedCatalog {
         let pool =
             if shards.len() > 1 { Some(ThreadPool::new(shards.len() - 1)) } else { None };
-        ShardedCatalog { shards, pool, global: parking_lot::RwLock::new(()) }
+        let router = Router { shards, pool, global: parking_lot::RwLock::new(()) };
+        ShardedCatalog::handle(Arc::new(router), OpCtx::default())
+    }
+
+    fn handle(router: Arc<Router>, ctx: OpCtx) -> ShardedCatalog {
+        let (last_epoch, last_shard) = (AtomicU64::new(0), AtomicUsize::new(0));
+        ShardedCatalog { router, ctx, last_epoch, last_shard }
+    }
+
+    /// Run `f` on a handle of this catalog in scope `ctx` — one request's
+    /// options — and return its result with the [`Outcome`] of the last
+    /// routed commit it made.
+    pub fn scoped<R>(&self, ctx: OpCtx, f: impl FnOnce(&ShardedCatalog) -> R) -> (R, Outcome) {
+        let sc = ShardedCatalog::handle(Arc::clone(&self.router), ctx);
+        let r = f(&sc);
+        (r, Outcome { epoch: sc.last_epoch.into_inner(), shard: sc.last_shard.into_inner() })
+    }
+
+    /// The scope this handle's calls run in.
+    pub fn ctx(&self) -> &OpCtx {
+        &self.ctx
     }
 
     /// A fresh in-memory sharded catalog: every shard bootstraps the
@@ -324,19 +369,13 @@ impl ShardedCatalog {
 
     // ---------- routing primitives ----------
 
-    /// Run `f` against shard `k`, recording `(shard, epoch)` in the
-    /// thread-local if it committed anything.
+    /// Run `f` on shard `k` in this handle's scope, recording its last
+    /// commit as the handle's [`Outcome`].
     fn record<R>(&self, k: usize, f: impl FnOnce(&Mcs) -> R) -> R {
-        // Zero the thread's epoch marker first: epoch counters are per
-        // shard, so "changed" is not detectable by value comparison —
-        // shard 0's next epoch can equal the one shard 3 just left here.
-        let before = Database::swap_last_commit_epoch(0);
-        let r = f(&self.shards[k]);
-        let after = Database::last_commit_epoch();
-        if after != 0 {
-            LAST_WRITE.set((k, after));
-        } else {
-            Database::swap_last_commit_epoch(before);
+        let (r, Outcome { epoch, .. }) = self.shards[k].scoped(self.ctx.clone(), f);
+        if epoch != 0 {
+            self.last_epoch.store(epoch, Ordering::Relaxed);
+            self.last_shard.store(k, Ordering::Relaxed);
         }
         r
     }
@@ -412,7 +451,7 @@ impl ShardedCatalog {
         if dels.is_empty() && ins.is_empty() {
             return Ok(());
         }
-        replica.database().transaction(&[("acl_entries", Access::Write)], |s| {
+        replica.txn(&[("acl_entries", Access::Write)], |s| {
             for id in &dels {
                 s.execute("DELETE FROM acl_entries WHERE id = ?", &[(*id).into()])?;
             }
@@ -457,7 +496,7 @@ impl ShardedCatalog {
             cols.join(", "),
             vec!["?"; cols.len()].join(", ")
         );
-        replica.database().transaction(&[(table, Access::Write)], |s| {
+        replica.txn(&[(table, Access::Write)], |s| {
             for id in &dels {
                 s.execute(&del_sql, &[(*id).into()])?;
             }
@@ -470,16 +509,19 @@ impl ShardedCatalog {
     }
 
     /// Phase two of every global write: push shard 0's mirrored tables to
-    /// all replicas. Also the first half of crash recovery.
+    /// all replicas, committing in this handle's scope. Also the first
+    /// half of crash recovery.
     fn sync_mirrors(&self) -> Result<()> {
+        let replicas: Vec<Mcs> =
+            self.shards[1..].iter().map(|r| r.handle(self.ctx.clone())).collect();
         for (table, cols) in MIRRORED {
             let want = Self::mirror_rows(self.shards[0].database(), table, cols)?;
-            for replica in &self.shards[1..] {
+            for replica in &replicas {
                 Self::sync_mirror_table(replica, table, cols, &want)?;
             }
         }
         let want = Self::global_aces(self.shards[0].database())?;
-        for replica in &self.shards[1..] {
+        for replica in &replicas {
             Self::sync_mirror_aces(replica, &want)?;
         }
         Ok(())
@@ -530,75 +572,41 @@ impl ShardedCatalog {
     // ---------- scatter-gather ----------
 
     /// Run `f` on every shard — shard 0 on the calling thread, the rest
-    /// on the pool — and return the results in shard order. The caller's
-    /// cache-bypass scope is re-established on every worker. On MVCC
-    /// shards the coordinator pins a per-shard snapshot *vector* before
-    /// dispatching: each worker reads its shard at the pinned epoch
-    /// (holding the vacuum horizon there for the scatter's duration), so
-    /// a fan-out observes one consistent cut per shard even while
-    /// writers commit underneath it.
+    /// on the pool — and return the results in shard order. Each shard's
+    /// handle carries this handle's scope and, on MVCC shards, a snapshot
+    /// pinned for every shard before any worker starts: each worker reads
+    /// its shard at that epoch, and the pin holds the vacuum horizon
+    /// until the worker's handle drops, so a fan-out observes one
+    /// consistent cut per shard even while writers commit underneath it.
     fn scatter<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(&Mcs) -> R + Send + Sync + 'static,
     {
-        let n = self.shards.len();
-        if n == 1 {
-            let m = &self.shards[0];
-            return vec![m.database().with_snapshot(|| f(m))];
-        }
-        // The pins must outlive every worker: `with_snapshot_at` only
-        // sets the reading thread's epoch, the coordinator's pin is what
-        // keeps vacuum from reclaiming the versions being read.
-        let pins: Vec<Option<relstore::SnapshotPin>> =
-            self.shards.iter().map(|s| s.database().pin_snapshot()).collect();
-        let epochs: Vec<Option<u64>> =
-            pins.iter().map(|p| p.as_ref().map(|p| p.epoch())).collect();
+        let handles: Vec<Mcs> = self
+            .shards
+            .iter()
+            .map(|s| s.handle(OpCtx { snapshot: s.database().pin_snapshot(), ..self.ctx.clone() }))
+            .collect();
+        let mut handles = handles.into_iter();
+        let first = handles.next().expect("a catalog has shard 0");
+        let Some(pool) = &self.pool else {
+            return vec![f(&first)];
+        };
         let f = Arc::new(f);
-        let bypass = crate::cache::bypass_active();
-        let planner_bypass = crate::plan::bypass_active();
         let (tx, rx) = mpsc::channel();
-        let pool = self.pool.as_ref().expect("multi-shard catalogs have a pool");
-        for k in 1..n {
-            let shard = Arc::clone(&self.shards[k]);
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            let epoch = epochs[k];
+        for (k, m) in (1..).zip(handles) {
+            let (f, tx) = (Arc::clone(&f), tx.clone());
             pool.execute(move || {
-                let run = || {
-                    // Both bypasses are thread-locals on the caller;
-                    // re-establish whichever were active so the scoped
-                    // request behaves identically on every worker.
-                    let call = |m: &Mcs| {
-                        if planner_bypass {
-                            m.with_planner_bypass(|m| f(m))
-                        } else {
-                            f(m)
-                        }
-                    };
-                    if bypass {
-                        shard.with_cache_bypass(call)
-                    } else {
-                        call(&shard)
-                    }
-                };
-                let r = match epoch {
-                    Some(e) => shard.database().with_snapshot_at(e, run),
-                    None => run(),
-                };
-                let _ = tx.send((k, r));
+                let _ = tx.send((k, f(&m)));
             });
         }
         drop(tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        out[0] = Some(match epochs[0] {
-            Some(e) => self.shards[0].database().with_snapshot_at(e, || f(&self.shards[0])),
-            None => f(&self.shards[0]),
-        });
+        let mut out: Vec<Option<R>> = (0..self.shards.len()).map(|_| None).collect();
+        out[0] = Some(f(&first));
         for (k, r) in rx.iter() {
             out[k] = Some(r);
         }
-        drop(pins); // every worker has reported; release the horizons
         out.into_iter()
             .map(|r| r.expect("every scatter worker reports"))
             .collect()
@@ -619,27 +627,6 @@ impl ShardedCatalog {
     }
 
     // ---------- epochs / durability (per shard) ----------
-
-    /// Run `f` with `durability` overriding every commit it makes on
-    /// this thread — on any shard; the override is thread-local, not
-    /// per-database — and return `f`'s result with the `(epoch, shard)`
-    /// of the last routed commit (epoch 0 if `f` wrote nothing).
-    pub fn with_durability<R>(
-        &self,
-        durability: Durability,
-        f: impl FnOnce(&ShardedCatalog) -> R,
-    ) -> (R, u64, usize) {
-        self.track_epoch(|sc| sc.shards[0].database().with_durability(durability, || f(sc)))
-    }
-
-    /// Like [`ShardedCatalog::with_durability`] without the override:
-    /// just report which shard (if any) `f`'s last commit landed on.
-    pub fn track_epoch<R>(&self, f: impl FnOnce(&ShardedCatalog) -> R) -> (R, u64, usize) {
-        LAST_WRITE.set((0, 0));
-        let r = f(self);
-        let (shard, epoch) = LAST_WRITE.get();
-        (r, epoch, shard)
-    }
 
     /// Park until shard `shard`'s durable watermark covers `epoch`.
     /// Epochs are per shard — a `(shard, epoch)` pair echoed by an
@@ -701,23 +688,6 @@ impl ShardedCatalog {
         agg
     }
 
-    /// Run `f` with the read cache bypassed on this thread — and, via
-    /// [`ShardedCatalog::scatter`]'s bypass propagation, on every pool
-    /// thread a fan-out inside `f` touches.
-    ///
-    /// [`ShardedCatalog::scatter`]: ShardedCatalog::query_by_attributes
-    pub fn with_cache_bypass<R>(&self, f: impl FnOnce(&ShardedCatalog) -> R) -> R {
-        self.shards[0].with_cache_bypass(|_| f(self))
-    }
-
-    /// Run `f` with the cost-based attribute planner bypassed on this
-    /// thread — and, via the scatter's bypass propagation, on every pool
-    /// thread a fan-out inside `f` touches. See
-    /// [`Mcs::with_planner_bypass`].
-    pub fn with_planner_bypass<R>(&self, f: impl FnOnce(&ShardedCatalog) -> R) -> R {
-        self.shards[0].with_planner_bypass(|_| f(self))
-    }
-
     /// See [`Mcs::explain_query`]. Attribute queries scatter the same
     /// conjunction to every shard, so the plan is shown once (computed
     /// against shard 0's statistics) with a scatter header when the
@@ -727,7 +697,7 @@ impl ShardedCatalog {
         cred: &Credential,
         preds: &[AttrPredicate],
     ) -> Result<Vec<String>> {
-        let mut lines = self.shards[0].explain_query(cred, preds)?;
+        let mut lines = self.record(0, |m| m.explain_query(cred, preds))?;
         if self.shards.len() > 1 {
             lines.insert(
                 0,
@@ -755,13 +725,13 @@ impl ShardedCatalog {
             return self.record(0, |m| m.create_files(cred, specs));
         }
         let _g = self.global.write();
-        self.shards[0].check_file_specs(cred, specs)?;
+        self.record(0, |m| m.check_file_specs(cred, specs))?;
         let mut batch = BTreeSet::new();
         for spec in specs {
             let version = spec.version.unwrap_or(1);
-            let owner = &self.shards[self.shard_for(&spec.name)];
-            if !batch.insert((spec.name.as_str(), version))
-                || owner.resolve_file_version_uncached(&spec.name, version).is_ok()
+            let owner = self.shard_for(&spec.name);
+            let resolve = |m: &Mcs| m.resolve_file_version_uncached(&spec.name, version);
+            if !batch.insert((spec.name.as_str(), version)) || self.record(owner, resolve).is_ok()
             {
                 return Err(McsError::AlreadyExists(format!("{}.v{version}", spec.name)));
             }
@@ -796,12 +766,12 @@ impl ShardedCatalog {
             return self.record(0, |m| m.delete_collection(cred, name));
         }
         let _g = self.global.write();
-        let c = self.shards[0].resolve_collection(name)?;
-        for shard in &self.shards[1..] {
-            if !files_in_collection_local(shard, c.id)?.is_empty() {
+        let c = self.record(0, |m| m.resolve_collection(name))?;
+        for k in 1..self.shards.len() {
+            if !self.record(k, |m| files_in_collection_local(m, c.id))?.is_empty() {
                 // Same check order as the single-shard path: resolve,
                 // authorize, then emptiness.
-                self.shards[0].require_collection_perm(cred, &c, Permission::Delete)?;
+                self.record(0, |m| m.require_collection_perm(cred, &c, Permission::Delete))?;
                 return Err(McsError::CollectionNotEmpty(name.to_owned()));
             }
         }
@@ -819,7 +789,7 @@ impl ShardedCatalog {
             return self.record(0, |m| m.list_collection(cred, name));
         }
         let mut base = self.record(0, |m| m.list_collection(cred, name))?;
-        let cid = self.shards[0].resolve_collection(name)?.id;
+        let cid = self.record(0, |m| m.resolve_collection(name))?.id;
         let gathered = self.scatter(move |m| files_in_collection_local(m, cid));
         let mut files = Vec::new();
         for r in gathered {
@@ -839,12 +809,11 @@ impl ShardedCatalog {
             return self.record(0, |m| m.delete_view(cred, name));
         }
         let _g = self.global.write();
-        let vid = self.shards[0].resolve_view(name)?.id;
+        let vid = self.record(0, |m| m.resolve_view(name))?.id;
         self.record(0, |m| m.delete_view(cred, name))?;
         for replica in &self.shards[1..] {
-            replica
-                .database()
-                .execute("DELETE FROM view_members WHERE view_id = ?", &[vid.into()])?;
+            let replica = replica.handle(self.ctx.clone());
+            replica.exec_sql("DELETE FROM view_members WHERE view_id = ?", &[vid.into()])?;
         }
         self.sync_mirrors()
     }
@@ -865,11 +834,12 @@ impl ShardedCatalog {
         }
         let _g = self.global.write();
         self.record(k, add)?;
-        let vid = self.shards[0].resolve_view(view)?.id;
+        let vid = self.record(0, |m| m.resolve_view(view))?.id;
         let key = [ObjectType::View.code().into(), vid.into()];
-        let rows = self.shards[k]
-            .database()
-            .query(
+        let zero = self.shards[0].handle(self.ctx.clone());
+        let owner = self.shards[k].handle(self.ctx.clone());
+        let rows = owner
+            .query_sql(
                 "SELECT object_type, object_id, action, actor, at, details FROM audit_log \
                  WHERE object_type = ? AND object_id = ? ORDER BY id",
                 &key,
@@ -878,7 +848,7 @@ impl ShardedCatalog {
         if rows.is_empty() {
             return Ok(());
         }
-        self.shards[0].database().transaction(&[("audit_log", Access::Write)], |s| {
+        zero.txn(&[("audit_log", Access::Write)], |s| {
             for row in &rows {
                 s.execute(
                     "INSERT INTO audit_log (object_type, object_id, action, actor, at, details) \
@@ -888,9 +858,7 @@ impl ShardedCatalog {
             }
             Ok::<_, McsError>(())
         })?;
-        self.shards[k]
-            .database()
-            .execute("DELETE FROM audit_log WHERE object_type = ? AND object_id = ?", &key)?;
+        owner.exec_sql("DELETE FROM audit_log WHERE object_type = ? AND object_id = ?", &key)?;
         Ok(())
     }
 
@@ -903,7 +871,7 @@ impl ShardedCatalog {
             return self.record(0, |m| m.list_view(cred, name));
         }
         let mut base = self.record(0, |m| m.list_view(cred, name))?;
-        let vid = self.shards[0].resolve_view(name)?.id;
+        let vid = self.record(0, |m| m.resolve_view(name))?.id;
         let gathered = self.scatter(move |m| view_files_local(m, vid));
         for (k, r) in gathered.into_iter().enumerate() {
             if k == 0 {
@@ -927,7 +895,7 @@ impl ShardedCatalog {
         preds: &[AttrPredicate],
     ) -> Result<Vec<(String, i64)>> {
         if self.single() {
-            return self.shards[0].query_by_attributes(cred, preds);
+            return self.record(0, |m| m.query_by_attributes(cred, preds));
         }
         let cred = cred.clone();
         let preds = preds.to_vec();
@@ -940,7 +908,7 @@ impl ShardedCatalog {
     /// complement.
     pub fn general_query(&self, cred: &Credential, expr: &QueryExpr) -> Result<Vec<(String, i64)>> {
         if self.single() {
-            return self.shards[0].general_query(cred, expr);
+            return self.record(0, |m| m.general_query(cred, expr));
         }
         let cred = cred.clone();
         let expr = expr.clone();
@@ -974,7 +942,7 @@ impl ShardedCatalog {
         // Resolve + authorize (and learn the object's identity) on the
         // authoritative shard, then gather the per-shard rows.
         let mut out = self.record(0, trail)?;
-        let (ot, id, _, _) = self.shards[0].resolve_ref(object)?;
+        let (ot, id, _, _) = self.record(0, |m| m.resolve_ref(object))?;
         let gathered = self.scatter(move |m| audit_rows_local(m, ot, id));
         for (k, r) in gathered.into_iter().enumerate() {
             if k == 0 {
@@ -1028,7 +996,7 @@ fn ref_file_name(object: &ObjectRef) -> Option<&str> {
 /// the gather leg of [`ShardedCatalog::list_collection`]; no
 /// authorization or auditing (the authoritative shard already did both).
 fn files_in_collection_local(m: &Mcs, coll_id: i64) -> Result<Vec<(String, i64)>> {
-    let rs = m.database().execute_prepared(&m.stmts.files_in_coll, &[coll_id.into()])?;
+    let rs = m.exec(&m.stmts.files_in_coll, &[coll_id.into()])?;
     let rows = rs.rows.expect("select");
     rows.rows
         .iter()
@@ -1052,7 +1020,7 @@ fn view_files_local(m: &Mcs, view_id: i64) -> Result<Vec<(String, i64)>> {
 /// One shard's audit rows for `(ot, id)`, oldest first — the gather leg
 /// of [`ShardedCatalog::get_audit_trail`].
 fn audit_rows_local(m: &Mcs, ot: ObjectType, id: i64) -> Result<Vec<AuditRecord>> {
-    let rs = m.database().query(
+    let rs = m.query_sql(
         "SELECT action, actor, at, details FROM audit_log \
          WHERE object_type = ? AND object_id = ? ORDER BY id",
         &[ot.code().into(), id.into()],

@@ -19,7 +19,7 @@ impl Mcs {
             .map(|r| r[0].clone());
         match exists {
             Some(id) => {
-                self.db.execute(
+                self.exec_sql(
                     "UPDATE mcs_users SET description = ?, institution = ?, email = ?, \
                      phone = ? WHERE id = ?",
                     &[
@@ -32,7 +32,7 @@ impl Mcs {
                 )?;
             }
             None => {
-                self.db.execute(
+                self.exec_sql(
                     "INSERT INTO mcs_users (dn, description, institution, email, phone) \
                      VALUES (?, ?, ?, ?, ?)",
                     &[
@@ -51,7 +51,7 @@ impl Mcs {
     /// Look up a writer by DN.
     pub fn get_user(&self, cred: &Credential, dn: &str) -> Result<UserRecord> {
         self.require_service_perm(cred, Permission::Read)?;
-        let rs = self.db.query(
+        let rs = self.query_sql(
             "SELECT dn, description, institution, email, phone FROM mcs_users WHERE dn = ?",
             &[dn.into()],
         )?;
@@ -65,7 +65,7 @@ impl Mcs {
     /// All registered writers, by DN.
     pub fn list_users(&self, cred: &Credential) -> Result<Vec<UserRecord>> {
         self.require_service_perm(cred, Permission::Read)?;
-        let rs = self.db.query(
+        let rs = self.query_sql(
             "SELECT dn, description, institution, email, phone FROM mcs_users ORDER BY dn",
             &[],
         )?;

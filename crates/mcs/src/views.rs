@@ -22,7 +22,7 @@ pub struct ViewContents {
 impl Mcs {
     pub(crate) fn resolve_view(&self, name: &str) -> Result<View> {
         let rs =
-            self.db.execute("SELECT * FROM logical_views WHERE name = ?", &[name.into()])?;
+            self.exec_sql("SELECT * FROM logical_views WHERE name = ?", &[name.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .first()
@@ -32,7 +32,7 @@ impl Mcs {
     }
 
     pub(crate) fn resolve_view_by_id(&self, id: i64) -> Result<View> {
-        let rs = self.db.execute("SELECT * FROM logical_views WHERE id = ?", &[id.into()])?;
+        let rs = self.exec_sql("SELECT * FROM logical_views WHERE id = ?", &[id.into()])?;
         let rows = rs.rows.expect("select");
         rows.rows
             .first()
@@ -74,7 +74,7 @@ impl Mcs {
         self.require_service_perm(cred, Permission::Write)?;
         // The view row and the creator's ACEs commit together: a crash
         // cannot leave a view nobody can administer.
-        let id = self.db.transaction(
+        let id = self.txn(
             &[("acl_entries", relstore::Access::Write), ("logical_views", relstore::Access::Write)],
             |s| {
                 let res = s.execute(
@@ -105,7 +105,7 @@ impl Mcs {
     pub fn delete_view(&self, cred: &Credential, name: &str) -> Result<()> {
         let v = self.resolve_view(name)?;
         self.require_view_perm(cred, &v, Permission::Delete)?;
-        self.db.transaction(
+        self.txn(
             &[
                 ("acl_entries", relstore::Access::Write),
                 ("annotations", relstore::Access::Write),
@@ -158,7 +158,7 @@ impl Mcs {
         // The cycle check runs inside the transaction (view_members is
         // claimed for write, and reads on claimed tables are re-entrant),
         // so a concurrent membership edit cannot race it into a cycle.
-        self.db.transaction(
+        self.txn(
             &[("audit_log", relstore::Access::Write), ("view_members", relstore::Access::Write)],
             |s| {
                 if mt == ObjectType::View {
@@ -199,7 +199,7 @@ impl Mcs {
         let v = self.resolve_view(view)?;
         self.require_view_perm(cred, &v, Permission::Write)?;
         let (mt, mid, _, _) = self.resolve_ref(member)?;
-        let res = self.db.execute(
+        let res = self.exec_sql(
             "DELETE FROM view_members WHERE view_id = ? AND member_type = ? AND member_id = ?",
             &[v.id.into(), mt.code().into(), mid.into()],
         )?;
@@ -208,7 +208,7 @@ impl Mcs {
 
     /// Raw member list of a view.
     pub(crate) fn view_members(&self, view_id: i64) -> Result<Vec<ViewMember>> {
-        let rs = self.db.execute(
+        let rs = self.exec_sql(
             "SELECT member_type, member_id FROM view_members WHERE view_id = ?",
             &[view_id.into()],
         )?;

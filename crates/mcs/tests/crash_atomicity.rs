@@ -13,7 +13,7 @@ use std::time::Duration;
 use mcs::{
     AttrType, Credential, FileSpec, IndexProfile, ManualClock, Mcs, ObjectRef, Permission,
 };
-use relstore::{Access, Database, Durability, SyncPolicy};
+use relstore::{Access, Database, Durability, OpCtx, SyncPolicy};
 
 const WAL: &str = "wal.log";
 
@@ -396,15 +396,15 @@ fn mixed_durability_epoch_contract_under_any_truncation() {
                 "group" => Durability::Group { max_wait: Duration::from_millis(50), max_batch: 1 },
                 _ => weak,
             };
-            db.with_durability(d, || {
-                db.transaction(&[("t", Access::Write)], |s| {
+            let ctx = OpCtx { durability: Some(d), ..OpCtx::default() };
+            let ((), epoch) = db
+                .transaction_in(&ctx, &[("t", Access::Write)], |s| {
                     s.execute(&format!("INSERT INTO t (v) VALUES ({v})"), &[])?;
                     s.execute(&format!("INSERT INTO t (v) VALUES ({})", v + 1000), &[])?;
                     Ok::<_, relstore::Error>(())
                 })
-            })
-            .unwrap();
-            commits.push((Database::last_commit_epoch(), v));
+                .unwrap();
+            commits.push((epoch, v));
             samples.push((wal_len(&dir), db.durable_epoch()));
         }
         // Harness sanity: epochs strictly increase, samples never regress,
@@ -420,15 +420,14 @@ fn mixed_durability_epoch_contract_under_any_truncation() {
         );
 
         // Final async commit: acked with an epoch, never flushed.
-        db.with_durability(weak, || {
-            db.transaction(&[("t", Access::Write)], |s| {
+        let ctx = OpCtx { durability: Some(weak), ..OpCtx::default() };
+        let ((), lost_epoch) = db
+            .transaction_in(&ctx, &[("t", Access::Write)], |s| {
                 s.execute(&format!("INSERT INTO t (v) VALUES ({lost_val})"), &[])?;
                 s.execute(&format!("INSERT INTO t (v) VALUES ({})", lost_val + 1000), &[])?;
                 Ok::<_, relstore::Error>(())
             })
-        })
-        .unwrap();
-        let lost_epoch = Database::last_commit_epoch();
+            .unwrap();
         assert!(lost_epoch > db.durable_epoch(), "the straggler must be acked, not durable");
         assert!(db.wal_stats().acked_not_durable_count() >= 1);
 

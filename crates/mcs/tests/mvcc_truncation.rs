@@ -19,8 +19,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mcs::{
-    AttrType, Credential, FileSpec, IndexProfile, ManualClock, Mcs, ObjectRef, StoreConfig,
+    AttrType, Credential, FileSpec, IndexProfile, ManualClock, Mcs, ObjectRef, OpCtx, StoreConfig,
 };
+use relstore::SnapshotPin;
 
 const WAL: &str = "wal.log";
 
@@ -186,14 +187,12 @@ fn snapshot_pinned_before_commit_never_sees_it() {
 
     // Reads at the early snapshot never see the later commit, no matter
     // how long after it they run; reads at the later snapshot always do.
-    let at = |epoch: u64| db.with_snapshot_at(epoch, || m.file_count().unwrap());
-    assert_eq!(at(pin_before.epoch()), 1);
-    assert_eq!(at(pin_after.epoch()), 2);
-    let seen = db.with_snapshot_at(pin_before.epoch(), || {
-        m.get_file(&a, "after.dat").is_ok()
-    });
+    let at = |pin: &SnapshotPin| OpCtx { snapshot: Some(pin.clone()), ..OpCtx::default() };
+    assert_eq!(m.scoped(at(&pin_before), |m| m.file_count().unwrap()).0, 1);
+    assert_eq!(m.scoped(at(&pin_after), |m| m.file_count().unwrap()).0, 2);
+    let (seen, _) = m.scoped(at(&pin_before), |m| m.get_file(&a, "after.dat").is_ok());
     assert!(!seen, "snapshot pinned before the commit saw it");
-    assert!(db.with_snapshot_at(pin_after.epoch(), || m.get_file(&a, "after.dat").is_ok()));
+    assert!(m.scoped(at(&pin_after), |m| m.get_file(&a, "after.dat").is_ok()).0);
 
     // The pins hold the vacuum horizon: with them dropped, vacuum may
     // reclaim and a fresh read sees the latest state.

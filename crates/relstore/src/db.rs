@@ -1,5 +1,11 @@
 //! The database object: a named collection of tables, SQL entry points,
 //! prepared statements, and sessions with transaction support.
+//!
+//! A request's scope reaches the engine as a value, [`OpCtx`]: a commit
+//! takes its durability override from it and returns its own epoch
+//! ([`Database::transaction_in`], [`Database::execute_in`]), and a read
+//! takes its MVCC snapshot as a pinned [`SnapshotPin`], never as a bare
+//! epoch ([`snapshot_row`], [`Database::read_table`]).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -75,7 +81,7 @@ pub enum Durability {
     /// epoch instead of parking; a background flusher (reusing the
     /// group-commit leader path) appends and syncs batches and publishes
     /// the durable-epoch watermark. The committer learns its epoch via
-    /// [`Database::last_commit_epoch`] and can turn the weak ack into a
+    /// [`Database::transaction_in`] and can turn the weak ack into a
     /// durable one with [`Database::wait_for_epoch`] or
     /// [`Database::sync_now`] — the paper's bulk-load clients batch
     /// thousands of adds and only need one final barrier. What "acked"
@@ -148,49 +154,33 @@ pub struct Database {
     vacuum_running: AtomicBool,
 }
 
-thread_local! {
-    /// Per-operation durability override; see [`Database::with_durability`].
-    static DURABILITY_OVERRIDE: std::cell::Cell<Option<Durability>> =
-        const { std::cell::Cell::new(None) };
-    /// Epoch of the most recent WAL unit this thread produced (commit or
-    /// autocommit append); see [`Database::last_commit_epoch`].
-    static LAST_COMMIT_EPOCH: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// The snapshot epoch this thread's MVCC reads filter against, when
-    /// inside a snapshot scope ([`Database::with_snapshot`]).
-    static CURRENT_SNAPSHOT: std::cell::Cell<Option<u64>> =
-        const { std::cell::Cell::new(None) };
+/// One request's scope, carried as a value from the wire front ends
+/// down to the storage engine (DESIGN.md §7.9). The engine reads the
+/// durability override and the snapshot; the catalog layer above it
+/// reads the two bypass flags.
+#[derive(Debug, Clone, Default)]
+pub struct OpCtx {
+    /// The commit policy of every commit made in this scope, overriding
+    /// the database-wide [`Database::durability`].
+    pub durability: Option<Durability>,
+    /// Run every catalog read on the uncached path.
+    pub cache_bypass: bool,
+    /// Evaluate attribute queries without the cost-based planner.
+    pub planner_bypass: bool,
+    /// The snapshot MVCC reads in this scope filter against; `None`
+    /// pins one per statement or table read. Only a live pin can be
+    /// given, so no read runs at an epoch vacuum may already reclaim.
+    pub snapshot: Option<SnapshotPin>,
 }
 
-pub(crate) fn note_commit_epoch(epoch: u64) {
-    LAST_COMMIT_EPOCH.set(epoch);
-}
-
-/// The snapshot epoch pinned on this thread, if any (MVCC read scope).
-pub fn current_snapshot() -> Option<u64> {
-    CURRENT_SNAPSHOT.get()
-}
-
-/// Fetch a row honoring this thread's pinned snapshot when the table keeps
-/// version chains; identical to [`Table::get`] otherwise. The raw-read
-/// escape hatch for layers (the MCS query paths) that scan table handles
-/// directly instead of going through SQL.
-pub fn snapshot_row(t: &Table, id: RowId) -> Option<&Row> {
-    match CURRENT_SNAPSHOT.get() {
-        Some(s) if t.is_mvcc() => t.get_visible(id, s),
+/// Fetch a row as a read at `at` sees it: the version visible to that
+/// snapshot when the table keeps version chains, the latest image
+/// otherwise. The raw-read path for layers (the MCS query paths) that
+/// scan table handles directly instead of going through SQL.
+pub fn snapshot_row<'t>(t: &'t Table, id: RowId, at: Option<&SnapshotPin>) -> Option<&'t Row> {
+    match at {
+        Some(pin) if t.is_mvcc() => t.get_visible(id, pin.epoch()),
         _ => t.get(id),
-    }
-}
-
-/// RAII scope that set this thread's snapshot epoch; restores the previous
-/// value (and drops the pin, if this scope created one) on exit.
-pub struct SnapshotGuard {
-    prev: Option<u64>,
-    _pin: Option<SnapshotPin>,
-}
-
-impl Drop for SnapshotGuard {
-    fn drop(&mut self) {
-        CURRENT_SNAPSHOT.set(self.prev);
     }
 }
 
@@ -220,62 +210,31 @@ impl Database {
     }
 
     /// Pin a snapshot at the current watermark, holding the vacuum horizon
-    /// until the pin drops. `None` on barrier-engine databases. Used by
-    /// coordinators (sharded scatter-gather) that hand the epoch to worker
-    /// threads via [`Database::with_snapshot_at`].
+    /// until the pin drops. `None` on barrier-engine databases. Readers
+    /// that make several reads at one cut (a catalog query, a sharded
+    /// scatter-gather) pin once and pass the pin to each read.
     pub fn pin_snapshot(&self) -> Option<SnapshotPin> {
         self.mvcc.then(|| SnapshotPin::new(Arc::clone(&self.mvcc_state)))
     }
 
-    /// Open a snapshot scope on this thread: pins the current watermark
-    /// and makes MVCC reads filter against it until the guard drops. If a
-    /// scope is already open (an enclosing pure-read transaction), the
-    /// existing snapshot is reused — nested reads stay repeatable. `None`
-    /// (no-op) on barrier-engine databases.
-    pub(crate) fn snapshot_scope(&self) -> Option<SnapshotGuard> {
-        if !self.mvcc {
-            return None;
-        }
-        let prev = CURRENT_SNAPSHOT.get();
-        if prev.is_some() {
-            return None; // reuse the enclosing scope's snapshot
-        }
-        let pin = SnapshotPin::new(Arc::clone(&self.mvcc_state));
-        CURRENT_SNAPSHOT.set(Some(pin.epoch()));
-        Some(SnapshotGuard { prev, _pin: Some(pin) })
-    }
-
-    /// Run `f` inside a snapshot scope (see [`Database::snapshot_scope`]).
-    pub fn with_snapshot<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _scope = self.snapshot_scope();
-        f()
-    }
-
     /// Read table `name` directly, isolated the way one SELECT on it is:
-    /// under MVCC inside this thread's snapshot scope (pinning one if none
-    /// is set), on the barrier engine under the table's shared statement
+    /// under MVCC at snapshot `at` (pinning one for the call when `at` is
+    /// `None`), on the barrier engine under the table's shared statement
     /// barrier, so an in-flight transaction's writes stay invisible. `f`
-    /// runs under the table's read lock; read rows via [`snapshot_row`].
-    pub fn read_table<R>(&self, name: &str, f: impl FnOnce(&Table) -> R) -> Result<R> {
+    /// runs under the table's read lock and is handed the snapshot to
+    /// read rows at via [`snapshot_row`].
+    pub fn read_table<R>(
+        &self,
+        at: Option<&SnapshotPin>,
+        name: &str,
+        f: impl FnOnce(&Table, Option<&SnapshotPin>) -> R,
+    ) -> Result<R> {
         let handle = self.table(name)?;
         let _barrier =
             (!self.mvcc).then(|| self.barriers.statement_guard(&[name.to_ascii_lowercase()]));
-        let _scope = self.snapshot_scope();
+        let own = if at.is_none() { self.pin_snapshot() } else { None };
         let t = handle.read();
-        Ok(f(&t))
-    }
-
-    /// Run `f` reading at an explicit snapshot epoch. The caller must keep
-    /// a [`SnapshotPin`] at or below `epoch` alive for the duration — this
-    /// only sets the thread-local, it does not pin (the shard scatter path:
-    /// the coordinator pins, workers read).
-    pub fn with_snapshot_at<R>(&self, epoch: u64, f: impl FnOnce() -> R) -> R {
-        if !self.mvcc {
-            return f();
-        }
-        let prev = CURRENT_SNAPSHOT.replace(Some(epoch));
-        let _scope = SnapshotGuard { prev, _pin: None };
-        f()
+        Ok(f(&t, at.or(own.as_ref())))
     }
 
     /// Stamp this thread's pending row versions in `tables` with `epoch`,
@@ -409,47 +368,6 @@ impl Database {
         *self.durability.write() = d;
     }
 
-    /// Run `f` with `d` as this thread's commit durability, overriding the
-    /// database-wide policy for every commit `f` makes (the per-operation
-    /// knob the MCS layer exposes as a SOAP header). Restores the previous
-    /// override on exit, including across panics; nested overrides stack.
-    pub fn with_durability<R>(&self, d: Durability, f: impl FnOnce() -> R) -> R {
-        struct Restore(Option<Durability>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                DURABILITY_OVERRIDE.set(self.0);
-            }
-        }
-        let _restore = Restore(DURABILITY_OVERRIDE.replace(Some(d)));
-        f()
-    }
-
-    /// The durability policy the *next* commit on this thread will use:
-    /// the [`Database::with_durability`] override when one is active,
-    /// otherwise the database-wide policy.
-    pub fn effective_durability(&self) -> Durability {
-        DURABILITY_OVERRIDE.get().unwrap_or_else(|| self.durability())
-    }
-
-    /// The commit epoch allocated by the most recent durable commit (or
-    /// autocommit write) made by **this thread**, 0 if it has made none.
-    /// Thread-local so layered APIs (the MCS write paths) can return
-    /// `(result, epoch)` without threading the epoch through every
-    /// signature.
-    pub fn last_commit_epoch() -> u64 {
-        LAST_COMMIT_EPOCH.get()
-    }
-
-    /// Replace this thread's last-commit-epoch marker, returning the old
-    /// value. Epoch counters are per database, so a router over several
-    /// databases (the sharded MCS catalog) cannot tell "no commit" from
-    /// "a commit whose epoch happens to equal another shard's last one"
-    /// by comparing [`Database::last_commit_epoch`] before and after; it
-    /// zeroes the marker first and restores it when nothing committed.
-    pub fn swap_last_commit_epoch(epoch: u64) -> u64 {
-        LAST_COMMIT_EPOCH.replace(epoch)
-    }
-
     pub(crate) fn commit_epochs(&self) -> &AtomicU64 {
         &self.commit_epochs
     }
@@ -564,15 +482,17 @@ impl Database {
         sql: &str,
         params: &[Value],
         undo: Option<&mut crate::txn::UndoLog>,
-    ) -> Result<ExecResult> {
+        at: Option<&SnapshotPin>,
+    ) -> (u64, Result<ExecResult>) {
         self.stats.bump(stmt);
-        // MVCC: a SELECT takes no barrier at all — it pins a snapshot
-        // epoch (or reuses the enclosing scope's) and visibility-filters
-        // version chains. Writers below keep the shared statement guard,
-        // which serializes them against claimed transactions' exclusive
+        // MVCC: a SELECT takes no barrier at all — it reads at the
+        // caller's snapshot (or pins one) and visibility-filters version
+        // chains. Writers below keep the shared statement guard, which
+        // serializes them against claimed transactions' exclusive
         // barriers.
         if self.mvcc && matches!(stmt, Statement::Select(_)) {
-            return self.with_snapshot(|| exec_statement(self, stmt, params, undo));
+            let own = if at.is_none() { self.pin_snapshot() } else { None };
+            return (0, exec_statement(self, stmt, params, undo, at.or(own.as_ref())));
         }
         let _stmt_barriers = self.barriers.statement_guard(tables);
         if Self::is_write(stmt) {
@@ -581,10 +501,12 @@ impl Database {
                 // drain queued commit groups ahead of this record: they
                 // executed before us (their barriers preceded ours), so
                 // they must precede us in the log too
-                let epoch = self.append_after_queue(w, |w| w.append(sql, params))?;
-                note_commit_epoch(epoch);
+                let epoch = match self.append_after_queue(w, |w| w.append(sql, params)) {
+                    Ok(epoch) => epoch,
+                    Err(e) => return (0, Err(e)),
+                };
                 // hold the lock across execution so log order == exec order
-                let r = exec_statement(self, stmt, params, undo);
+                let r = exec_statement(self, stmt, params, undo, None);
                 if r.is_ok() {
                     self.bump_table_versions(tables);
                 }
@@ -595,10 +517,10 @@ impl Database {
                     // watermark.
                     self.mvcc_commit(tables, epoch);
                 }
-                return r;
+                return (epoch, r);
             }
             drop(wal);
-            let r = exec_statement(self, stmt, params, undo);
+            let r = exec_statement(self, stmt, params, undo, None);
             if r.is_ok() {
                 self.bump_table_versions(tables);
                 if self.mvcc {
@@ -606,16 +528,16 @@ impl Database {
                     self.mvcc_commit(tables, epoch);
                 }
             }
-            return r;
+            return (0, r);
         }
-        exec_statement(self, stmt, params, undo)
+        (0, exec_statement(self, stmt, params, undo, at))
     }
 
     /// Parse and execute one statement outside any transaction.
     pub fn execute(&self, sql: &str, params: &[Value]) -> Result<ExecResult> {
         let stmt = parse(sql)?;
         let tables = Self::stmt_tables(&stmt);
-        self.run_logged(&stmt, &tables, sql, params, None)
+        self.run_logged(&stmt, &tables, sql, params, None, None).1
     }
 
     /// Shorthand for `execute` returning the result set of a SELECT.
@@ -662,7 +584,21 @@ impl Database {
 
     /// Execute a prepared statement.
     pub fn execute_prepared(&self, p: &Prepared, params: &[Value]) -> Result<ExecResult> {
-        self.run_logged(&p.stmt, &p.tables, &p.text, params, None)
+        self.execute_in(&OpCtx::default(), p, params).1
+    }
+
+    /// Execute a prepared statement outside any transaction, in `ctx`: a
+    /// SELECT reads at its snapshot. Returns the commit epoch of the
+    /// statement's WAL record beside the result — also when the
+    /// statement failed after it was logged — or 0 when nothing was
+    /// logged.
+    pub fn execute_in(
+        &self,
+        ctx: &OpCtx,
+        p: &Prepared,
+        params: &[Value],
+    ) -> (u64, Result<ExecResult>) {
+        self.run_logged(&p.stmt, &p.tables, &p.text, params, None, ctx.snapshot.as_ref())
     }
 
     /// Open a session (connection) with transaction support.
@@ -673,6 +609,7 @@ impl Database {
             pending_log: Vec::new(),
             allowed: None,
             txn_id: 0,
+            snapshot: None,
         }
     }
 
@@ -714,6 +651,22 @@ impl Database {
     where
         E: From<Error>,
     {
+        self.transaction_in(&OpCtx::default(), claims, f).map(|(v, _)| v)
+    }
+
+    /// [`Database::transaction`] in `ctx`: the commit takes its
+    /// durability override, a pure-read transaction on an MVCC database
+    /// reads at its snapshot, and the commit epoch comes back beside
+    /// `f`'s value (0 when nothing was logged).
+    pub fn transaction_in<T, E>(
+        self: &Arc<Self>,
+        ctx: &OpCtx,
+        claims: &[(&str, Access)],
+        f: impl FnOnce(&mut Session) -> std::result::Result<T, E>,
+    ) -> std::result::Result<(T, u64), E>
+    where
+        E: From<Error>,
+    {
         // Normalize: lowercase, sort, dedup with Write winning over Read.
         let mut norm: Vec<(String, Access)> =
             claims.iter().map(|(n, a)| (n.to_ascii_lowercase(), *a)).collect();
@@ -744,13 +697,15 @@ impl Database {
         } else {
             Some(self.barriers.transaction_guard(&norm).map_err(E::from)?)
         };
-        let _snapshot = if self.mvcc && pure_read { self.snapshot_scope() } else { None };
         let mut session = self.session();
+        if self.mvcc && pure_read {
+            session.snapshot = ctx.snapshot.clone().or_else(|| self.pin_snapshot());
+        }
         session.begin().map_err(E::from)?;
         session.allowed = Some(norm.into_iter().map(|(n, _)| n).collect());
         let result = f(&mut session);
         match result {
-            Ok(v) => match session.commit_publish() {
+            Ok(v) => match session.commit_publish(ctx.durability) {
                 // The group is enqueued: its log position can no longer be
                 // reordered against any conflicting write (later grouped
                 // commits queue behind it; later direct appends drain the
@@ -759,14 +714,14 @@ impl Database {
                 // of these tables executes while the batch leader is in
                 // `sync_data`, which is what lets serialized workloads
                 // share fsyncs. Durability still gates the return.
-                Ok(Some(pending)) => {
+                Ok((epoch, Some(pending))) => {
                     drop(barriers);
                     pending.finish().map_err(E::from)?;
-                    Ok(v)
+                    Ok((v, epoch))
                 }
-                Ok(None) => {
+                Ok((epoch, None)) => {
                     drop(barriers);
-                    Ok(v)
+                    Ok((v, epoch))
                 }
                 Err(e) => {
                     drop(barriers);
@@ -863,6 +818,8 @@ pub struct Session {
     allowed: Option<Vec<String>>,
     /// Id journalled in the transaction's Begin/Commit WAL frames.
     txn_id: u64,
+    /// The snapshot a pure-read transaction on an MVCC database reads at.
+    snapshot: Option<SnapshotPin>,
 }
 
 impl Session {
@@ -894,9 +851,9 @@ impl Session {
     /// to the commit queue and returns once a batch leader has synced it
     /// (see [`crate::group_commit`]).
     pub fn commit(&mut self) -> Result<()> {
-        match self.commit_publish()? {
-            None => Ok(()),
-            Some(wait) => wait.finish(),
+        match self.commit_publish(None)? {
+            (_, None) => Ok(()),
+            (_, Some(wait)) => wait.finish(),
         }
     }
 
@@ -909,7 +866,12 @@ impl Session {
     /// [`PendingCommit::finish`] — crucially, *after* releasing the
     /// transaction's barriers, so the next conflicting transaction can
     /// execute and join the batch while this one's sync is in flight.
-    pub(crate) fn commit_publish(&mut self) -> Result<Option<PendingCommit>> {
+    /// `durability` overrides the database-wide policy; the group's
+    /// commit epoch comes back first (0 when nothing was logged).
+    pub(crate) fn commit_publish(
+        &mut self,
+        durability: Option<Durability>,
+    ) -> Result<(u64, Option<PendingCommit>)> {
         let txn =
             self.txn.take().ok_or_else(|| Error::TxnState("no open transaction".into()))?;
         // MVCC: the tables whose pending row stamps this commit must
@@ -933,9 +895,9 @@ impl Session {
                 let epoch = self.db.alloc_local_epoch();
                 self.db.mvcc_commit(tables, epoch);
             }
-            return Ok(None);
+            return Ok((0, None));
         }
-        match self.db.effective_durability() {
+        match durability.unwrap_or_else(|| self.db.durability()) {
             Durability::Always => {
                 let txn_id = self.txn_id;
                 let mut wal = self.db.wal_lock();
@@ -947,10 +909,10 @@ impl Session {
                         w.append_transaction(txn_id, &records)
                     }) {
                         Ok(epoch) => {
-                            note_commit_epoch(epoch);
                             if let Some(tables) = &mvcc_touched {
                                 self.db.mvcc_commit(tables, epoch);
                             }
+                            return Ok((epoch, None));
                         }
                         Err(e) => {
                             // A failed append leaves the in-memory writes
@@ -972,39 +934,34 @@ impl Session {
                     let epoch = self.db.alloc_local_epoch();
                     self.db.mvcc_commit(tables, epoch);
                 }
-                Ok(None)
+                Ok((0, None))
             }
             Durability::Group { max_wait, max_batch } => {
                 let group = crate::wal::WalWriter::encode_transaction(self.txn_id, &records);
                 let (ticket, epoch) = self.db.group_enqueue(group, true);
-                note_commit_epoch(epoch);
                 // Visibility before durability, matching the existing
                 // Group semantics (barriers drop before the sync): the
                 // log position is fixed, so stamp and publish now.
                 if let Some(tables) = &mvcc_touched {
                     self.db.mvcc_commit(tables, epoch);
                 }
-                Ok(Some(PendingCommit {
-                    db: Arc::clone(&self.db),
-                    ticket,
-                    max_wait,
-                    max_batch,
-                }))
+                let pending =
+                    PendingCommit { db: Arc::clone(&self.db), ticket, max_wait, max_batch };
+                Ok((epoch, Some(pending)))
             }
             Durability::Async { max_wait, max_batch } => {
                 // Same enqueue as `Group` (log position fixed, FIFO), but
-                // nobody parks: the caller gets the commit epoch via
-                // `Database::last_commit_epoch` and a background flusher
+                // nobody parks: the caller gets the commit epoch back
+                // from `commit_publish` and a background flusher
                 // pays the durability later. `wants_result = false` keeps
                 // the results map from accumulating entries no one reads.
                 let group = crate::wal::WalWriter::encode_transaction(self.txn_id, &records);
                 let (_, epoch) = self.db.group_enqueue(group, false);
-                note_commit_epoch(epoch);
                 if let Some(tables) = &mvcc_touched {
                     self.db.mvcc_commit(tables, epoch);
                 }
                 self.db.ensure_flusher(max_wait, max_batch);
-                Ok(None)
+                Ok((epoch, None))
             }
         }
     }
@@ -1082,7 +1039,7 @@ impl Session {
             // inside a transaction: execute with undo, buffer the log
             // record for commit time (only when a WAL will consume it)
             self.db.stats.bump(stmt);
-            let r = exec_statement(&self.db, stmt, params, self.txn.as_mut())?;
+            let r = exec_statement(&self.db, stmt, params, self.txn.as_mut(), None)?;
             // bump while the transaction's exclusive barriers (claimed
             // mode) still hide the write; bump-before-visible only causes
             // spurious cache misses, never stale hits
@@ -1096,9 +1053,9 @@ impl Session {
             // every table checked above, so the statement-scope acquire
             // would be a pure re-entrant no-op — skip it
             self.db.stats.bump(stmt);
-            exec_statement(&self.db, stmt, params, self.txn.as_mut())
+            exec_statement(&self.db, stmt, params, self.txn.as_mut(), self.snapshot.as_ref())
         } else {
-            self.db.run_logged(stmt, tables, sql, params, self.txn.as_mut())
+            self.db.run_logged(stmt, tables, sql, params, self.txn.as_mut(), None).1
         }
     }
 
@@ -1571,12 +1528,18 @@ mod tests {
         assert_eq!(count_files(&db), 2, "committed state visible to everyone");
     }
 
+    fn count_in(s: &mut Session) -> i64 {
+        let rs = s.execute("SELECT COUNT(*) FROM files", &[]).unwrap().rows.unwrap();
+        let Value::Int(n) = rs.rows[0][0] else { panic!("count") };
+        n
+    }
+
     #[test]
     fn mvcc_pure_read_transaction_is_repeatable() {
         let db = mvcc_db();
         db.execute("INSERT INTO files (name) VALUES ('a')", &[]).unwrap();
         db.transaction(&[("files", Access::Read)], |s| {
-            assert_eq!(count_files(s.database()), 1);
+            assert_eq!(count_in(s), 1);
             // A writer commits mid-transaction without blocking (no
             // barriers are held) ...
             let db2 = Arc::clone(&db);
@@ -1586,7 +1549,7 @@ mod tests {
             .join()
             .unwrap();
             // ... but this transaction's snapshot was pinned at its start
-            assert_eq!(count_files(s.database()), 1, "snapshot must be repeatable");
+            assert_eq!(count_in(s), 1, "snapshot must be repeatable");
             Ok::<_, Error>(())
         })
         .unwrap();
@@ -1601,10 +1564,14 @@ mod tests {
         db.execute("INSERT INTO files (name) VALUES ('b')", &[]).unwrap();
         let after = db.pin_snapshot().unwrap();
         let db2 = Arc::clone(&db);
-        let (e_before, e_after) = (before.epoch(), after.epoch());
         std::thread::spawn(move || {
-            assert_eq!(db2.with_snapshot_at(e_before, || count_files(&db2)), 1);
-            assert_eq!(db2.with_snapshot_at(e_after, || count_files(&db2)), 2);
+            let count = db2.prepare("SELECT COUNT(*) FROM files").unwrap();
+            let at = |pin| {
+                let ctx = OpCtx { snapshot: Some(pin), ..OpCtx::default() };
+                db2.execute_in(&ctx, &count, &[]).1.unwrap().rows.unwrap().rows[0][0].clone()
+            };
+            assert_eq!(at(before), Value::Int(1));
+            assert_eq!(at(after), Value::Int(2));
         })
         .join()
         .unwrap();

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::db::Database;
+use crate::mvcc::SnapshotPin;
 use crate::error::{Error, Result};
 use crate::index::IndexDef;
 use crate::planner::{candidate_iter, candidates, plan_table, plan_table_costed, AccessPath};
@@ -51,13 +52,15 @@ pub struct ExecResult {
 }
 
 /// Execute a parsed statement. `undo`, when present, records inverse
-/// operations for rollback. BEGIN/COMMIT/ROLLBACK are session-level and
+/// operations for rollback; a SELECT reads at snapshot `at` (the latest
+/// images when `None`). BEGIN/COMMIT/ROLLBACK are session-level and
 /// rejected here.
 pub(crate) fn exec_statement(
     db: &Database,
     stmt: &Statement,
     params: &[Value],
     mut undo: Option<&mut UndoLog>,
+    at: Option<&SnapshotPin>,
 ) -> Result<ExecResult> {
     match stmt {
         Statement::CreateTable { name, columns, primary_key, if_not_exists } => {
@@ -89,7 +92,7 @@ pub(crate) fn exec_statement(
             exec_insert(db, table, columns, rows, params, undo.as_deref_mut())
         }
         Statement::Select(sel) => {
-            Ok(ExecResult { rows: Some(exec_select(db, sel, params)?), ..Default::default() })
+            Ok(ExecResult { rows: Some(exec_select(db, sel, params, at)?), ..Default::default() })
         }
         Statement::Update { table, sets, where_clause } => {
             exec_update(db, table, sets, where_clause.as_ref(), params, undo.as_deref_mut())
@@ -325,7 +328,12 @@ fn exec_delete(
 }
 
 /// Execute a SELECT and materialize the result set.
-pub(crate) fn exec_select(db: &Database, sel: &Select, params: &[Value]) -> Result<ResultSet> {
+pub(crate) fn exec_select(
+    db: &Database,
+    sel: &Select,
+    params: &[Value],
+    at: Option<&SnapshotPin>,
+) -> Result<ResultSet> {
     // Resolve all tables, sort lock acquisition by table name to avoid
     // deadlocks with concurrent multi-table readers/writers.
     let mut names: Vec<&str> = std::iter::once(sel.from.table.as_str())
@@ -399,10 +407,10 @@ pub(crate) fn exec_select(db: &Database, sel: &Select, params: &[Value]) -> Resu
             } else {
                 None
             };
-            for id in candidate_iter(t, &plan.path) {
-                // Snapshot-filtered when this thread has a pinned MVCC
-                // snapshot (index candidates can be dangling or too new).
-                let Some(row) = crate::db::snapshot_row(t, id) else { continue };
+            for id in candidate_iter(t, &plan.path, at) {
+                // Snapshot-filtered under MVCC (index candidates can be
+                // dangling or too new).
+                let Some(row) = crate::db::snapshot_row(t, id, at) else { continue };
                 if let Some(w) = &where_bound {
                     if !w.matches(row)? {
                         continue;
@@ -425,6 +433,7 @@ pub(crate) fn exec_select(db: &Database, sel: &Select, params: &[Value]) -> Resu
                 &on_bound,
                 where_bound.as_ref(),
                 &mut matched,
+                at,
             )?;
         }
     }
@@ -686,6 +695,7 @@ fn join_level(
     on_bound: &[BoundExpr],
     where_bound: Option<&BoundExpr>,
     out: &mut Vec<Vec<Value>>,
+    at: Option<&SnapshotPin>,
 ) -> Result<()> {
     if level == tables.len() {
         if let Some(w) = where_bound {
@@ -735,19 +745,18 @@ fn join_level(
     }
     let combined = combine_and(sargable);
     let path = plan_table(t, combined.as_ref(), base);
-    let ids = candidates(t, &path);
+    let ids: Vec<RowId> = candidate_iter(t, &path, at).collect();
     'rows: for id in ids {
-        // Snapshot-filtered when this thread has a pinned MVCC snapshot
-        // (index candidates can be dangling or too new); plain latest-image
-        // fetch otherwise.
-        let Some(row) = crate::db::snapshot_row(t, id) else { continue };
+        // Snapshot-filtered under MVCC (index candidates can be dangling
+        // or too new); plain latest-image fetch otherwise.
+        let Some(row) = crate::db::snapshot_row(t, id, at) else { continue };
         buf[base..base + row.len()].clone_from_slice(row);
         for f in &level_filters {
             if !f.matches(buf)? {
                 continue 'rows;
             }
         }
-        join_level(tables, bases, level + 1, buf, on_bound, where_bound, out)?;
+        join_level(tables, bases, level + 1, buf, on_bound, where_bound, out, at)?;
     }
     // clear this level's slots so stale values never leak into siblings
     for v in &mut buf[base..visible] {

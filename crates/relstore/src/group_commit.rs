@@ -448,7 +448,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use crate::db::Durability;
+    use crate::db::{Durability, OpCtx};
     use crate::lock::Access;
     use crate::value::Value;
     use crate::wal::SyncPolicy;
@@ -659,12 +659,12 @@ mod tests {
             db.execute("CREATE TABLE t (v INTEGER)", &[]).unwrap();
             let mut last = 0u64;
             for v in 0..16 {
-                db.transaction(&[("t", Access::Write)], |s| {
-                    s.execute(&format!("INSERT INTO t (v) VALUES ({v})"), &[])?;
-                    Ok::<_, crate::Error>(())
-                })
-                .unwrap();
-                let e = Database::last_commit_epoch();
+                let ((), e) = db
+                    .transaction_in(&OpCtx::default(), &[("t", Access::Write)], |s| {
+                        s.execute(&format!("INSERT INTO t (v) VALUES ({v})"), &[])?;
+                        Ok::<_, crate::Error>(())
+                    })
+                    .unwrap();
                 assert!(e > last, "epochs must be strictly increasing: {e} after {last}");
                 last = e;
             }
@@ -697,12 +697,12 @@ mod tests {
         .unwrap();
         db.execute("CREATE TABLE t (v INTEGER)", &[]).unwrap();
         let started = std::time::Instant::now();
-        db.transaction(&[("t", Access::Write)], |s| {
-            s.execute("INSERT INTO t (v) VALUES (1)", &[])?;
-            Ok::<_, crate::Error>(())
-        })
-        .unwrap();
-        let epoch = Database::last_commit_epoch();
+        let ((), epoch) = db
+            .transaction_in(&OpCtx::default(), &[("t", Access::Write)], |s| {
+                s.execute("INSERT INTO t (v) VALUES (1)", &[])?;
+                Ok::<_, crate::Error>(())
+            })
+            .unwrap();
         assert!(
             started.elapsed() < Duration::from_millis(50),
             "async commit must ack without waiting for the flusher"
@@ -720,7 +720,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Per-commit `with_durability` overrides: Always, Group and Async
+    /// Per-commit durability overrides: Always, Group and Async
     /// writers interleave on one table/queue and all survive reopen in
     /// order.
     #[test]
@@ -737,17 +737,15 @@ mod tests {
                 Durability::Always,
             ];
             for (v, mode) in modes.iter().enumerate() {
-                db.with_durability(*mode, || {
-                    db.transaction(&[("t", Access::Write)], |s| {
-                        s.execute(&format!("INSERT INTO t (v) VALUES ({v})"), &[])?;
-                        Ok::<_, crate::Error>(())
-                    })
+                let ctx = OpCtx { durability: Some(*mode), ..OpCtx::default() };
+                db.transaction_in(&ctx, &[("t", Access::Write)], |s| {
+                    s.execute(&format!("INSERT INTO t (v) VALUES ({v})"), &[])?;
+                    Ok::<_, crate::Error>(())
                 })
                 .unwrap();
             }
-            // the override is scoped: outside the closure the db-wide
-            // policy is back in force
-            assert_eq!(db.effective_durability(), grouped());
+            // the override is per call: the db-wide policy is untouched
+            assert_eq!(db.durability(), grouped());
             db.sync_now().unwrap();
             assert_eq!(db.wal_stats().acked_not_durable_count(), 0);
         }
@@ -773,18 +771,18 @@ mod tests {
         .unwrap();
         db.execute("CREATE TABLE t (v INTEGER)", &[]).unwrap();
         // park the flusher in its (huge) window with one async group
-        db.transaction(&[("t", Access::Write)], |s| {
-            s.execute("INSERT INTO t (v) VALUES (1)", &[])?;
-            Ok::<_, crate::Error>(())
-        })
-        .unwrap();
-        let async_epoch = Database::last_commit_epoch();
-        let started = std::time::Instant::now();
-        db.with_durability(Durability::Group { max_wait: Duration::from_millis(50), max_batch: 8 }, || {
-            db.transaction(&[("t", Access::Write)], |s| {
-                s.execute("INSERT INTO t (v) VALUES (2)", &[])?;
+        let ((), async_epoch) = db
+            .transaction_in(&OpCtx::default(), &[("t", Access::Write)], |s| {
+                s.execute("INSERT INTO t (v) VALUES (1)", &[])?;
                 Ok::<_, crate::Error>(())
             })
+            .unwrap();
+        let started = std::time::Instant::now();
+        let group = Durability::Group { max_wait: Duration::from_millis(50), max_batch: 8 };
+        let ctx = OpCtx { durability: Some(group), ..OpCtx::default() };
+        db.transaction_in(&ctx, &[("t", Access::Write)], |s| {
+            s.execute("INSERT INTO t (v) VALUES (2)", &[])?;
+            Ok::<_, crate::Error>(())
         })
         .unwrap();
         assert!(

@@ -51,10 +51,7 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
-pub use db::{
-    current_snapshot, snapshot_row, Database, Durability, Prepared, Session, SnapshotGuard,
-    Stats,
-};
+pub use db::{snapshot_row, Database, Durability, OpCtx, Prepared, Session, Stats};
 pub use error::{Error, Result};
 pub use executor::{ExecResult, ResultSet};
 pub use index::{Index, IndexDef, IndexKey};

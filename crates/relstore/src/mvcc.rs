@@ -120,6 +120,14 @@ impl SnapshotPin {
     }
 }
 
+impl Clone for SnapshotPin {
+    /// A second pin at the same epoch: the horizon is already held there.
+    fn clone(&self) -> SnapshotPin {
+        *self.state.pins_lock().entry(self.epoch).or_insert(0) += 1;
+        SnapshotPin { state: Arc::clone(&self.state), epoch: self.epoch }
+    }
+}
+
 impl Drop for SnapshotPin {
     fn drop(&mut self) {
         self.state.unpin(self.epoch);

@@ -25,6 +25,7 @@
 
 use std::ops::Bound;
 
+use crate::mvcc::SnapshotPin;
 use crate::predicate::{BoundExpr, CmpOp};
 use crate::table::Table;
 use crate::value::Value;
@@ -284,19 +285,21 @@ pub fn plan_table(table: &Table, pred: Option<&BoundExpr>, base: usize) -> Acces
 }
 
 /// Stream the candidate row ids for an access path in index-key order
-/// (slot order for full scans). Lazy: a consumer that stops early — LIMIT,
-/// short-circuiting intersection — never walks the rest of the index.
+/// (slot order for full scans), for a read at snapshot `at`. Lazy: a
+/// consumer that stops early — LIMIT, short-circuiting intersection —
+/// never walks the rest of the index.
 pub fn candidate_iter<'t>(
     table: &'t Table,
     path: &AccessPath,
+    at: Option<&SnapshotPin>,
 ) -> Box<dyn Iterator<Item = crate::row::RowId> + 't> {
     match path {
         AccessPath::FullScan => {
-            // Under a pinned MVCC snapshot a full scan must visit every
-            // heap slot: a tombstoned slot can still hold the version
-            // visible to this snapshot. The visibility filter happens at
+            // At a pinned MVCC snapshot a full scan must visit every heap
+            // slot: a tombstoned slot can still hold the version visible
+            // to this snapshot. The visibility filter happens at
             // row-fetch time (`crate::db::snapshot_row`).
-            if table.is_mvcc() && crate::db::current_snapshot().is_some() {
+            if table.is_mvcc() && at.is_some() {
                 Box::new((0..table.slot_count() as u64).map(crate::row::RowId))
             } else {
                 Box::new(table.scan().map(|(id, _)| id))
@@ -315,9 +318,10 @@ pub fn candidate_iter<'t>(
     }
 }
 
-/// Materialize the candidate row ids for an access path.
+/// Materialize the candidate row ids for an access path, for a read of
+/// the latest images (a write's scan).
 pub fn candidates(table: &Table, path: &AccessPath) -> Vec<crate::row::RowId> {
-    candidate_iter(table, path).collect()
+    candidate_iter(table, path, None).collect()
 }
 
 fn as_ref(b: &Bound<Value>) -> Bound<&Value> {

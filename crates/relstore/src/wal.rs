@@ -1237,12 +1237,13 @@ mod tests {
             stats: db.wal_stats_arc(),
             poisoned: false,
         });
-        db.transaction(&[("t", crate::lock::Access::Write)], |s| {
-            s.execute("INSERT INTO t (v) VALUES (1)", &[])?;
-            Ok::<_, Error>(())
-        })
-        .unwrap();
-        let epoch = Database::last_commit_epoch();
+        let ctx = crate::db::OpCtx::default();
+        let ((), epoch) = db
+            .transaction_in(&ctx, &[("t", crate::lock::Access::Write)], |s| {
+                s.execute("INSERT INTO t (v) VALUES (1)", &[])?;
+                Ok::<_, Error>(())
+            })
+            .unwrap();
         assert!(epoch > 0);
         let r = db.wait_for_epoch(epoch);
         assert!(

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use relstore::{Access, Database, Durability, SyncPolicy, Value};
+use relstore::{Access, Database, Durability, OpCtx, SyncPolicy, Value};
 
 const WRITERS: usize = 8;
 const TXNS_PER_WRITER: usize = 200;
@@ -89,12 +89,13 @@ fn wait_for_epoch_never_deadlocks_stress() {
                 std::thread::spawn(move || {
                     let table = format!("w{w}");
                     for t in 0..TXNS_PER_WRITER {
-                        db.transaction(&[(table.as_str(), Access::Write)], |s| {
-                            s.execute(&format!("INSERT INTO w{w} (v) VALUES ({t})"), &[])?;
-                            Ok::<_, relstore::Error>(())
-                        })
-                        .unwrap();
-                        let e = Database::last_commit_epoch();
+                        let claims = [(table.as_str(), Access::Write)];
+                        let ((), e) = db
+                            .transaction_in(&OpCtx::default(), &claims, |s| {
+                                s.execute(&format!("INSERT INTO w{w} (v) VALUES ({t})"), &[])?;
+                                Ok::<_, relstore::Error>(())
+                            })
+                            .unwrap();
                         freshest.fetch_max(e, Ordering::AcqRel);
                         // occasionally turn the weak ack into a hard one
                         // mid-stream, so waits race live flusher batches
@@ -153,23 +154,27 @@ fn mixed_mode_writers_and_epoch_waiters_stress() {
             .map(|w| {
                 let db = Arc::clone(&db);
                 std::thread::spawn(move || {
-                    let asynchronous =
-                        Durability::Async { max_wait: Duration::from_millis(2), max_batch: 64 };
+                    let asynchronous = OpCtx {
+                        durability: Some(Durability::Async {
+                            max_wait: Duration::from_millis(2),
+                            max_batch: 64,
+                        }),
+                        ..OpCtx::default()
+                    };
                     for t in 0..100 {
                         let v = (w as i64) * 1000 + t;
                         if (w + t as usize) % 2 == 0 {
                             // async commit, then immediately chase it
-                            db.with_durability(asynchronous, || {
-                                db.transaction(&[("shared", Access::Write)], |s| {
+                            let ((), e) = db
+                                .transaction_in(&asynchronous, &[("shared", Access::Write)], |s| {
                                     s.execute(
                                         &format!("INSERT INTO shared (v) VALUES ({v})"),
                                         &[],
                                     )?;
                                     Ok::<_, relstore::Error>(())
                                 })
-                            })
-                            .unwrap();
-                            db.wait_for_epoch(Database::last_commit_epoch()).unwrap();
+                                .unwrap();
+                            db.wait_for_epoch(e).unwrap();
                         } else {
                             // group commit: parks until a leader syncs it
                             db.transaction(&[("shared", Access::Write)], |s| {

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use relstore::{Access, Database, Durability, SyncPolicy, Value};
+use relstore::{Access, Database, Durability, OpCtx, SyncPolicy, Value};
 use testkit::{seeds, Rng};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -60,15 +60,14 @@ fn check_case(seed: u64) {
                         max_batch: 16,
                     },
                 };
-                db.with_durability(mode, || {
-                    db.transaction(&[("t", Access::Write)], |s| {
+                let ctx = OpCtx { durability: Some(mode), ..OpCtx::default() };
+                let ((), e) = db
+                    .transaction_in(&ctx, &[("t", Access::Write)], |s| {
                         s.execute(&format!("INSERT INTO t (v) VALUES ({step})"), &[])?;
                         Ok::<_, relstore::Error>(())
                     })
-                })
-                .unwrap();
+                    .unwrap();
                 committed += 1;
-                let e = Database::last_commit_epoch();
                 assert!(
                     e > last_commit,
                     "seed {seed} step {step}: commit epoch not strictly increasing \
@@ -78,9 +77,10 @@ fn check_case(seed: u64) {
             }
             // 6: an autocommit statement — also a logged unit, also epoch'd
             6 => {
-                db.execute(&format!("INSERT INTO t (v) VALUES ({step})"), &[]).unwrap();
+                let insert = db.prepare(&format!("INSERT INTO t (v) VALUES ({step})")).unwrap();
+                let (e, r) = db.execute_in(&OpCtx::default(), &insert, &[]);
+                r.unwrap();
                 committed += 1;
-                let e = Database::last_commit_epoch();
                 assert!(
                     e > last_commit,
                     "seed {seed} step {step}: autocommit epoch not strictly increasing"

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use relstore::{Database, Error, Value};
+use relstore::{Database, Error, OpCtx, Value};
 
 fn db() -> Arc<Database> {
     let db = Arc::new(Database::new());
@@ -268,13 +268,18 @@ fn nullable_indexed_column_answers_like_a_full_scan() {
         "SELECT id FROM {t} WHERE score IS NOT NULL AND score > 20 ORDER BY id",
         "SELECT name, score FROM {t} ORDER BY score, id",
     ];
-    let check = |db: &Database, when: &str| {
+    let query = |db: &Database, ctx: &OpCtx, sql: &str| {
+        let p = db.prepare(sql).unwrap();
+        db.execute_in(ctx, &p, &[]).1.unwrap().rows.unwrap().rows
+    };
+    let check_at = |db: &Database, ctx: &OpCtx, when: &str| {
         for q in QUERIES {
-            let got = db.query(&q.replace("{t}", "r"), &[]).unwrap().rows;
-            let want = db.query(&q.replace("{t}", "plain"), &[]).unwrap().rows;
+            let got = query(db, ctx, &q.replace("{t}", "r"));
+            let want = query(db, ctx, &q.replace("{t}", "plain"));
             assert_eq!(got, want, "mvcc {} {when}: {q}", db.is_mvcc());
         }
     };
+    let check = |db: &Database, when: &str| check_at(db, &OpCtx::default(), when);
     for db in [Database::new(), Database::new_mvcc()] {
         db.execute_script(
             "CREATE TABLE r (
@@ -316,14 +321,12 @@ fn nullable_indexed_column_answers_like_a_full_scan() {
         write("DELETE FROM {t} WHERE id = 9");
         write("UPDATE {t} SET score = 99 WHERE id = 4");
         check(&db, "after updates");
-        if let Some(pin) = &pin {
-            db.with_snapshot_at(pin.epoch(), || check(&db, "at the pinned snapshot"));
-            let old = db.with_snapshot_at(pin.epoch(), || {
-                db.query("SELECT score FROM r WHERE name = 'n0' AND score = 7", &[]).unwrap()
-            });
-            assert_eq!(old.rows, vec![vec![Value::Int(7)]]);
+        if pin.is_some() {
+            let ctx = OpCtx { snapshot: pin, ..OpCtx::default() };
+            check_at(&db, &ctx, "at the pinned snapshot");
+            let old = query(&db, &ctx, "SELECT score FROM r WHERE name = 'n0' AND score = 7");
+            assert_eq!(old, vec![vec![Value::Int(7)]]);
         }
-        drop(pin);
         db.vacuum();
         check(&db, "after vacuum");
         let r = db.table("r").unwrap();

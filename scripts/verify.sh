@@ -7,13 +7,19 @@
 # serialise behind the fast unit tests:
 #
 #   verify.sh          build + the whole suite (the tier-1 gate)
-#   verify.sh unit     everything except *_truncation / *_stress tests
+#   verify.sh unit     everything except *_truncation / *_stress tests,
+#                      after the request-scope guard: a request's options
+#                      travel as one `OpCtx` value (DESIGN.md §7.9), so
+#                      `thread_local!` may not appear in non-test code of
+#                      crates/relstore/src or crates/mcs/src (the part of
+#                      a file above its first `#[cfg(test)]`)
 #   verify.sh crash    WAL crash-recovery matrix (*_truncation tests)
 #   verify.sh stress   concurrent-commit stress runs (*_stress tests)
 #   verify.sh async-durability
 #                      the async epoch/ack contract: mixed-durability
 #                      crash matrix, wait_for_epoch liveness, epoch
-#                      monotonicity property test, SOAP round-trip
+#                      monotonicity property test, SOAP round-trip, and
+#                      the per-catalog epoch echo of a scoped write
 #   verify.sh twin     the one twin harness (DESIGN.md §7.8): a seeded
 #                      stream of calls drawn from the op table against
 #                      the reference catalog and every configuration —
@@ -29,9 +35,10 @@
 #                      the router's unit tests (routing, mirrors,
 #                      cross-shard ops, reopening with another shard
 #                      count), the two-phase membership crash matrix,
-#                      the parallel loader equivalence test, and the
-#                      wire round-trips, including every committing
-#                      write's (epoch, shard) echo
+#                      the parallel loader equivalence test, the wire
+#                      round-trips, including every committing write's
+#                      (epoch, shard) echo, and a scope's cache and
+#                      planner bypasses reaching every shard
 #   verify.sh mvcc     the snapshot-read contract (DESIGN.md §7.5):
 #                      relstore version-chain/snapshot/vacuum unit
 #                      tests, the snapshot-isolation test, and the
@@ -62,6 +69,16 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Print every `thread_local!` in non-test, non-comment code of the crates
+# that carry a request; fail if there is one.
+thread_locals() {
+  find crates/relstore/src crates/mcs/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { t = 0 }
+    /^#\[cfg\(test\)\]/ { t = 1 }
+    !t && !/^[[:space:]]*\/\// && /thread_local!/ { print FILENAME ":" FNR ": " $0; n++ }
+    END { exit n > 0 }'
+}
+
 lane="${1:-all}"
 case "$lane" in
   all)
@@ -69,6 +86,11 @@ case "$lane" in
     cargo test -q
     ;;
   unit)
+    if ! thread_locals; then
+      echo "unit lane failed: request-scoped state in a thread-local (above);" >&2
+      echo "carry it in relstore::OpCtx instead (DESIGN.md §7.9)." >&2
+      exit 1
+    fi
     cargo build --release
     cargo test -q -- --skip _truncation --skip _stress
     ;;
@@ -92,6 +114,7 @@ case "$lane" in
     fi
     cargo test -q -p relstore epoch
     cargo test -q -p mcs --test crash_atomicity mixed_durability_epoch_contract
+    cargo test -q -p mcs --test request_scope scoped_write_echoes_its_own_catalogs_epoch
     cargo test -q -p mcs-net --test async_durability
     echo "async-durability lane: $(($(date +%s) - start))s elapsed"
     ;;
@@ -118,6 +141,7 @@ case "$lane" in
     start=$(date +%s)
     cargo test -q -p mcs --lib shard::
     cargo test -q -p mcs --test shard_crash
+    cargo test -q -p mcs --test request_scope bypass_scopes_reach_every_shard
     cargo test -q -p workload sharded
     cargo test -q -p mcs-net --test sharded_over_net
     echo "shard lane: $(($(date +%s) - start))s elapsed"
