@@ -68,7 +68,7 @@ pub fn value_from(e: &Element) -> Result<Value> {
             t => t.parse().map_err(|_| shape(format!("bad float `{t}`")))?,
         }),
         "string" => Value::from(text),
-        "bool" => Value::Bool(text == "true"),
+        "bool" => Value::Bool(parse_bool(&text)?),
         "date" => Value::Date(Date::parse(&text).map_err(|e| shape(e.to_string()))?),
         "time" => Value::Time(Time::parse(&text).map_err(|e| shape(e.to_string()))?),
         "datetime" => {
@@ -100,7 +100,18 @@ pub fn req_i64(e: &Element, name: &str) -> Result<i64> {
 
 /// Required child parsed as bool.
 pub fn req_bool(e: &Element, name: &str) -> Result<bool> {
-    Ok(req_text(e, name)? == "true")
+    parse_bool(&req_text(e, name)?)
+}
+
+/// Exactly the `true` or `false` the encoders write; anything else is a
+/// malformed request, as a bool byte other than 0 or 1 is on the binary
+/// wire.
+fn parse_bool(text: &str) -> Result<bool> {
+    match text {
+        "true" => Ok(true),
+        "false" => Ok(false),
+        t => Err(shape(format!("bad bool `{t}`"))),
+    }
 }
 
 fn req_datetime(e: &Element, name: &str) -> Result<DateTime> {
@@ -405,7 +416,7 @@ pub fn fileupdate_el(u: &FileUpdate) -> Element {
 pub fn fileupdate_from(e: &Element) -> Result<FileUpdate> {
     Ok(FileUpdate {
         data_type: opt_text(e, "dataType"),
-        valid: opt_text(e, "valid").map(|s| s == "true"),
+        valid: opt_text(e, "valid").map(|s| parse_bool(&s)).transpose()?,
         master_copy: opt_text(e, "masterCopy"),
         container_id: opt_text(e, "containerId"),
         container_service: opt_text(e, "containerService"),

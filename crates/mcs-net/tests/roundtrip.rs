@@ -287,3 +287,42 @@ fn explain_query_over_the_wire() {
     // Empty predicate lists fault, like the query itself.
     assert!(c.explain_query(&[]).is_err());
 }
+
+/// A SOAP boolean is exactly the `true` or `false` the encoders write:
+/// each of the three decoders faults on any other text.
+#[test]
+fn soap_bool_decoders_accept_only_true_and_false() {
+    use mcs_net::wire;
+    use soapstack::xml::Element;
+    let el = |text: &str| Element::new("r").child(Element::new("valid").text(text));
+    let value = |text: &str| Element::new("value").attr("type", "bool").text(text);
+    for (text, want) in [("true", true), ("false", false)] {
+        assert_eq!(wire::req_bool(&el(text), "valid").unwrap(), want);
+        assert_eq!(wire::value_from(&value(text)).unwrap(), Value::Bool(want));
+        assert_eq!(wire::fileupdate_from(&el(text)).unwrap().valid, Some(want));
+    }
+    for text in ["TRUE", "True", "1", "0", "yes", "banana", ""] {
+        assert!(wire::req_bool(&el(text), "valid").is_err(), "req_bool {text:?}");
+        assert!(wire::value_from(&value(text)).is_err(), "value_from {text:?}");
+        assert!(wire::fileupdate_from(&el(text)).is_err(), "fileupdate_from {text:?}");
+    }
+}
+
+/// A raw SOAP `updateFile` with `<valid>TRUE</valid>` is a malformed
+/// request, not an order to invalidate the file.
+#[test]
+fn soap_bool_uppercase_valid_faults_and_leaves_the_file_valid() {
+    use soapstack::xml::Element;
+    use soapstack::{SoapClient, SoapError};
+    let (server, m) = start_server();
+    client(&server).create_file(&FileSpec::named("f")).unwrap();
+    let args = Element::new("args")
+        .child(mcs_net::wire::credential_el(&admin()))
+        .child(Element::new("name").text("f"))
+        .child(Element::new("fileUpdate").child(Element::new("valid").text("TRUE")));
+    match SoapClient::new(server.addr().to_string(), "/mcs").call("updateFile", args) {
+        Err(SoapError::Fault(f)) => assert_eq!(f.code, "soap:Client.BadArguments", "{f:?}"),
+        other => panic!("expected a BadArguments fault, got {other:?}"),
+    }
+    assert!(m.get_file(&admin(), "f").unwrap().valid);
+}

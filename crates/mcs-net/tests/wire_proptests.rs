@@ -3,83 +3,90 @@
 
 use mcs::{AttrOp, AttrPredicate, Attribute, Credential, FileSpec, LogicalFile, ObjectRef};
 use mcs_net::wire;
-use proptest::prelude::*;
 use relstore::{Date, DateTime, Time, Value};
 use soapstack::xml::parse;
+use testkit::{check, Rng};
 
-fn text() -> impl Strategy<Value = String> {
-    // printable including XML-hostile characters
-    "[ -~]{0,32}"
+const TARGET: &str = "-p mcs-net --test wire_proptests";
+
+/// Printable ASCII, XML-hostile characters included.
+fn text(rng: &mut Rng) -> String {
+    rng.string(" -~", 0..33)
 }
 
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_filter("NaN breaks PartialEq", |f| !f.is_nan()).prop_map(Value::Float),
-        text().prop_map(Value::from),
-        any::<bool>().prop_map(Value::Bool),
-        (-100_000i64..100_000).prop_map(|z| Value::Date(Date::from_days_from_epoch(z))),
-        (0u32..86_400).prop_map(|s| {
+fn value(rng: &mut Rng) -> Value {
+    match rng.below(8) {
+        0 => Value::Null,
+        1 => Value::Int(rng.next() as i64),
+        // NaN breaks PartialEq
+        2 => Value::Float(std::iter::repeat_with(|| rng.f64()).find(|f| !f.is_nan()).unwrap()),
+        3 => Value::from(text(rng)),
+        4 => Value::Bool(rng.one_in(2)),
+        5 => Value::Date(Date::from_days_from_epoch(rng.range(-100_000..100_000))),
+        6 => {
+            let s = rng.below(86_400);
             Value::Time(Time::new((s / 3600) as u8, ((s % 3600) / 60) as u8, (s % 60) as u8).unwrap())
-        }),
-        (-10_000_000_000i64..10_000_000_000)
-            .prop_map(|s| Value::DateTime(DateTime::from_seconds_from_epoch(s))),
-    ]
+        }
+        _ => Value::DateTime(DateTime::from_seconds_from_epoch(
+            rng.range(-10_000_000_000..10_000_000_000),
+        )),
+    }
+}
+
+/// A value other than NULL: attributes and predicates never carry one.
+fn non_null(rng: &mut Rng) -> Value {
+    std::iter::repeat_with(|| value(rng)).find(|v| !v.is_null()).unwrap()
 }
 
 fn roundtrip_el(e: soapstack::xml::Element) -> soapstack::xml::Element {
     parse(&e.to_xml()).expect("wire xml parses")
 }
 
-proptest! {
-    #[test]
-    fn values_roundtrip(v in arb_value()) {
+#[test]
+fn values_roundtrip() {
+    check(TARGET, 64, |rng| {
+        let v = value(rng);
         let got = wire::value_from(&roundtrip_el(wire::value_el("value", &v))).unwrap();
-        prop_assert_eq!(got, v);
-    }
+        assert_eq!(got, v);
+    });
+}
 
-    #[test]
-    fn attributes_roundtrip(name in "[a-zA-Z][a-zA-Z0-9_/@.#]{0,24}", v in arb_value()) {
-        prop_assume!(!v.is_null()); // attributes are never NULL-valued
-        let a = Attribute { name, value: v };
+#[test]
+fn attributes_roundtrip() {
+    check(TARGET, 64, |rng| {
+        let name = rng.string("a-zA-Z", 1..2) + &rng.string("a-zA-Z0-9_/@.#", 0..25);
+        let a = Attribute { name, value: non_null(rng) };
         let got = wire::attribute_from(&roundtrip_el(wire::attribute_el(&a))).unwrap();
-        prop_assert_eq!(got, a);
-    }
+        assert_eq!(got, a);
+    });
+}
 
-    #[test]
-    fn predicates_roundtrip(
-        name in "[a-z_]{1,16}",
-        op_i in 0usize..7,
-        v in arb_value(),
-    ) {
-        prop_assume!(!v.is_null());
-        let op = [AttrOp::Eq, AttrOp::Ne, AttrOp::Lt, AttrOp::Le, AttrOp::Gt, AttrOp::Ge, AttrOp::Like][op_i];
-        let p = AttrPredicate { name, op, value: v };
+#[test]
+fn predicates_roundtrip() {
+    check(TARGET, 64, |rng| {
+        let name = rng.string("a-z_", 1..17);
+        use AttrOp::*;
+        let op = *rng.pick(&[Eq, Ne, Lt, Le, Gt, Ge, Like]);
+        let p = AttrPredicate { name, op, value: non_null(rng) };
         let got = wire::predicate_from(&roundtrip_el(wire::predicate_el(&p))).unwrap();
-        prop_assert_eq!(got, p);
-    }
+        assert_eq!(got, p);
+    });
+}
 
-    #[test]
-    fn filespecs_roundtrip(
-        name in "[a-zA-Z0-9._-]{1,32}",
-        version in proptest::option::of(1i64..100),
-        data_type in proptest::option::of(text()),
-        collection in proptest::option::of("[a-z]{1,12}"),
-        master in proptest::option::of(text()),
-        audit in any::<bool>(),
-        attrs in prop::collection::vec(("[a-z]{1,8}", arb_value()), 0..5),
-    ) {
+#[test]
+fn filespecs_roundtrip() {
+    check(TARGET, 64, |rng| {
         let mut spec = FileSpec {
-            name,
-            version,
-            data_type,
-            collection,
+            name: rng.string("a-zA-Z0-9._-", 1..33),
+            version: rng.option(|r| r.range(1..100)),
+            data_type: rng.option(text),
+            collection: rng.option(|r| r.string("a-z", 1..13)),
             container_id: None,
             container_service: None,
-            master_copy: master,
-            audit,
-            attributes: attrs
+            master_copy: rng.option(text),
+            audit: rng.one_in(2),
+            attributes: rng
+                .vec(0..5, |r| (r.string("a-z", 1..9), value(r)))
                 .into_iter()
                 .filter(|(_, v)| !v.is_null())
                 .map(|(name, value)| Attribute { name, value })
@@ -93,65 +100,64 @@ proptest! {
             }
         }
         let got = wire::filespec_from(&roundtrip_el(wire::filespec_el(&spec))).unwrap();
-        prop_assert_eq!(got.name, spec.name);
-        prop_assert_eq!(got.version, spec.version);
-        prop_assert_eq!(got.data_type, spec.data_type);
-        prop_assert_eq!(got.collection, spec.collection);
-        prop_assert_eq!(got.master_copy, spec.master_copy);
-        prop_assert_eq!(got.audit, spec.audit);
-        prop_assert_eq!(got.attributes, spec.attributes);
-    }
+        assert_eq!(got.name, spec.name);
+        assert_eq!(got.version, spec.version);
+        assert_eq!(got.data_type, spec.data_type);
+        assert_eq!(got.collection, spec.collection);
+        assert_eq!(got.master_copy, spec.master_copy);
+        assert_eq!(got.audit, spec.audit);
+        assert_eq!(got.attributes, spec.attributes);
+    });
+}
 
-    #[test]
-    fn files_roundtrip(
-        id in 1i64..1_000_000,
-        name in "[a-zA-Z0-9._-]{1,32}",
-        version in 1i64..50,
-        valid in any::<bool>(),
-        coll in proptest::option::of(1i64..1000),
-        creator in "[ -~]{1,24}",
-        secs in 0i64..2_000_000_000,
-        audit in any::<bool>(),
-    ) {
+#[test]
+fn files_roundtrip() {
+    check(TARGET, 64, |rng| {
         let f = LogicalFile {
-            id,
-            name,
-            version,
+            id: rng.range(1..1_000_000),
+            name: rng.string("a-zA-Z0-9._-", 1..33),
+            version: rng.range(1..50),
             data_type: None,
-            valid,
-            collection_id: coll,
+            valid: rng.one_in(2),
+            collection_id: rng.option(|r| r.range(1..1000)),
             container_id: None,
             container_service: None,
-            creator,
-            created: DateTime::from_seconds_from_epoch(secs),
+            creator: rng.string(" -~", 1..25),
+            created: DateTime::from_seconds_from_epoch(rng.range(0..2_000_000_000)),
             last_modifier: None,
             last_modified: None,
             master_copy: None,
-            audit_enabled: audit,
+            audit_enabled: rng.one_in(2),
         };
         let got = wire::file_from(&roundtrip_el(wire::file_el(&f))).unwrap();
-        prop_assert_eq!(got, f);
-    }
+        assert_eq!(got, f);
+    });
+}
 
-    #[test]
-    fn credentials_roundtrip(dn in "[ -~]{1,40}", groups in prop::collection::vec("[a-z-]{1,16}", 0..4)) {
-        let c = Credential { dn, groups };
+#[test]
+fn credentials_roundtrip() {
+    check(TARGET, 64, |rng| {
+        let dn = rng.string(" -~", 1..41);
+        let c = Credential { dn, groups: rng.vec(0..4, |r| r.string("a-z-", 1..17)) };
         let call = soapstack::xml::Element::new("call").child(wire::credential_el(&c));
         let got = wire::credential_from(&roundtrip_el(call)).unwrap();
-        prop_assert_eq!(got, c);
-    }
+        assert_eq!(got, c);
+    });
+}
 
-    #[test]
-    fn objrefs_roundtrip(kind in 0usize..5, name in "[a-zA-Z0-9._-]{1,24}", v in 1i64..50) {
-        let r = match kind {
+#[test]
+fn objrefs_roundtrip() {
+    check(TARGET, 64, |rng| {
+        let name = rng.string("a-zA-Z0-9._-", 1..25);
+        let r = match rng.below(5) {
             0 => ObjectRef::File(name),
-            1 => ObjectRef::FileVersion(name, v),
+            1 => ObjectRef::FileVersion(name, rng.range(1..50)),
             2 => ObjectRef::Collection(name),
             3 => ObjectRef::View(name),
             _ => ObjectRef::Service,
         };
         let call = soapstack::xml::Element::new("call").child(wire::objref_el(&r));
         let got = wire::objref_from(&roundtrip_el(call)).unwrap();
-        prop_assert_eq!(got, r);
-    }
+        assert_eq!(got, r);
+    });
 }

@@ -8,8 +8,10 @@ use mcs::{
     AttrPredicate, AttrType, Attribute, Credential, FileSpec, IndexProfile, ManualClock,
     McsError, Mcs, ObjectRef,
 };
-use proptest::prelude::*;
 use relstore::Value;
+use testkit::{check, Rng};
+
+const TARGET: &str = "-p mcs --test proptests";
 
 fn admin() -> Credential {
     Credential::new("/CN=admin")
@@ -30,15 +32,15 @@ enum Op {
     Invalidate { name: String },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+fn op(rng: &mut Rng) -> Op {
     // tiny name space to force collisions and reuse
-    let name = "[ab][0-3]";
-    prop_oneof![
-        (name, "[xy]", 0i64..5).prop_map(|(name, s, n)| Op::Create { name, s, n }),
-        name.prop_map(|name| Op::Delete { name }),
-        (name, 0i64..5).prop_map(|(name, n)| Op::SetAttr { name, n }),
-        name.prop_map(|name| Op::Invalidate { name }),
-    ]
+    let name = format!("{}{}", rng.pick(&["a", "b"]), rng.below(4));
+    match rng.below(4) {
+        0 => Op::Create { name, s: rng.string("xy", 1..2), n: rng.range(0..5) },
+        1 => Op::Delete { name },
+        2 => Op::SetAttr { name, n: rng.range(0..5) },
+        _ => Op::Invalidate { name },
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -48,12 +50,12 @@ struct ModelFile {
     valid: bool,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-    /// The catalog agrees with an in-memory reference model under random
-    /// create/delete/set/invalidate sequences, for both index profiles.
-    #[test]
-    fn catalog_matches_model(ops in prop::collection::vec(arb_op(), 1..40)) {
+/// The catalog agrees with an in-memory reference model under random
+/// create/delete/set/invalidate sequences, for both index profiles.
+#[test]
+fn catalog_matches_model() {
+    check(TARGET, 40, |rng| {
+        let ops = rng.vec(1..40, op);
         let a = admin();
         for profile in [IndexProfile::Paper2003, IndexProfile::ValueIndexed] {
             let m = catalog(profile);
@@ -66,18 +68,18 @@ proptest! {
                             .attr("n", *n);
                         let r = m.create_file(&a, &spec);
                         if model.contains_key(name) {
-                            prop_assert!(matches!(r, Err(McsError::AlreadyExists(_))));
+                            assert!(matches!(r, Err(McsError::AlreadyExists(_))));
                         } else {
-                            prop_assert!(r.is_ok(), "{r:?}");
+                            assert!(r.is_ok(), "{r:?}");
                             model.insert(name.clone(), ModelFile { s: s.clone(), n: *n, valid: true });
                         }
                     }
                     Op::Delete { name } => {
                         let r = m.delete_file(&a, name);
                         if model.remove(name).is_some() {
-                            prop_assert!(r.is_ok());
+                            assert!(r.is_ok());
                         } else {
-                            prop_assert!(matches!(r, Err(McsError::NotFound(_))));
+                            assert!(matches!(r, Err(McsError::NotFound(_))));
                         }
                     }
                     Op::SetAttr { name, n } => {
@@ -88,32 +90,32 @@ proptest! {
                         );
                         match model.get_mut(name) {
                             Some(f) => {
-                                prop_assert!(r.is_ok());
+                                assert!(r.is_ok());
                                 f.n = *n;
                             }
-                            None => prop_assert!(matches!(r, Err(McsError::NotFound(_)))),
+                            None => assert!(matches!(r, Err(McsError::NotFound(_)))),
                         }
                     }
                     Op::Invalidate { name } => {
                         let r = m.invalidate_file(&a, name);
                         match model.get_mut(name) {
                             Some(f) => {
-                                prop_assert!(r.is_ok());
+                                assert!(r.is_ok());
                                 f.valid = false;
                             }
-                            None => prop_assert!(matches!(r, Err(McsError::NotFound(_)))),
+                            None => assert!(matches!(r, Err(McsError::NotFound(_)))),
                         }
                     }
                 }
             }
             // final state agrees
-            prop_assert_eq!(m.file_count().unwrap(), model.len());
+            assert_eq!(m.file_count().unwrap(), model.len());
             for (name, mf) in &model {
                 let f = m.get_file(&a, name).unwrap();
-                prop_assert_eq!(f.valid, mf.valid);
+                assert_eq!(f.valid, mf.valid);
                 let attrs = m.get_attributes(&a, &ObjectRef::File(name.clone())).unwrap();
                 let n = attrs.iter().find(|x| x.name == "n").unwrap();
-                prop_assert_eq!(&n.value, &Value::Int(mf.n));
+                assert_eq!(&n.value, &Value::Int(mf.n));
             }
             // every query result agrees with a model-side filter
             for probe in 0i64..5 {
@@ -126,19 +128,20 @@ proptest! {
                     .map(|(name, _)| (name.clone(), 1))
                     .collect();
                 expect.sort();
-                prop_assert_eq!(hits, expect, "profile {:?} probe {}", profile, probe);
+                assert_eq!(hits, expect, "profile {:?} probe {}", profile, probe);
             }
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(30))]
-    /// Attribute round-trip: any representable value set on a file comes
-    /// back identical through the public API.
-    #[test]
-    fn attribute_values_roundtrip(sv in "\\PC{0,24}", nv in any::<i64>(), fv in any::<f64>()) {
-        prop_assume!(!fv.is_nan()); // NaN ≠ NaN under PartialEq
+/// Attribute round-trip: any representable value set on a file comes
+/// back identical through the public API.
+#[test]
+fn attribute_values_roundtrip() {
+    check(TARGET, 30, |rng| {
+        let (sv, nv) = (rng.text(0..25), rng.next() as i64);
+        // NaN ≠ NaN under PartialEq
+        let fv = std::iter::repeat_with(|| rng.f64()).find(|f| !f.is_nan()).unwrap();
         let a = admin();
         let m = catalog(IndexProfile::Paper2003);
         m.define_attribute(&a, "f", AttrType::Float, "").unwrap();
@@ -152,15 +155,19 @@ proptest! {
         .unwrap();
         let attrs = m.get_attributes(&a, &ObjectRef::File("file".into())).unwrap();
         let get = |k: &str| attrs.iter().find(|x| x.name == k).unwrap().value.clone();
-        prop_assert_eq!(get("s"), Value::from(sv));
-        prop_assert_eq!(get("n"), Value::Int(nv));
-        prop_assert_eq!(get("f"), Value::Float(fv));
-    }
+        assert_eq!(get("s"), Value::from(sv));
+        assert_eq!(get("n"), Value::Int(nv));
+        assert_eq!(get("f"), Value::Float(fv));
+    });
+}
 
-    /// Range queries partition the space: every file matches exactly one
-    /// of (< k), (= k), (> k).
-    #[test]
-    fn range_predicates_partition(values in prop::collection::vec(0i64..20, 1..25), k in 0i64..20) {
+/// Range queries partition the space: every file matches exactly one
+/// of (< k), (= k), (> k).
+#[test]
+fn range_predicates_partition() {
+    check(TARGET, 30, |rng| {
+        let values = rng.vec(1..25, |r| r.range(0..20));
+        let k = rng.range(0..20);
         let a = admin();
         let m = catalog(IndexProfile::Paper2003);
         for (i, v) in values.iter().enumerate() {
@@ -172,9 +179,9 @@ proptest! {
                 .len()
         };
         let (lt, eq, gt) = (q(mcs::AttrOp::Lt), q(mcs::AttrOp::Eq), q(mcs::AttrOp::Gt));
-        prop_assert_eq!(lt + eq + gt, values.len());
-        prop_assert_eq!(q(mcs::AttrOp::Le), lt + eq);
-        prop_assert_eq!(q(mcs::AttrOp::Ge), gt + eq);
-        prop_assert_eq!(q(mcs::AttrOp::Ne), lt + gt);
-    }
+        assert_eq!(lt + eq + gt, values.len());
+        assert_eq!(q(mcs::AttrOp::Le), lt + eq);
+        assert_eq!(q(mcs::AttrOp::Ge), gt + eq);
+        assert_eq!(q(mcs::AttrOp::Ne), lt + gt);
+    });
 }

@@ -1,11 +1,13 @@
 //! Property-based tests for the storage engine's core invariants.
 
-use proptest::prelude::*;
 use relstore::predicate::like_match;
 use relstore::{
     ColumnDef, Database, Date, DateTime, IndexDef, Table, TableSchema, Value, ValueType,
 };
 use std::sync::Arc;
+use testkit::{check, Rng};
+
+const TARGET: &str = "-p relstore --test proptests";
 
 // ---------- LIKE vs a reference implementation ----------
 
@@ -21,67 +23,79 @@ fn like_ref(s: &[char], p: &[char]) -> bool {
     }
 }
 
-proptest! {
-    #[test]
-    fn like_matches_reference(s in "[abc_%]{0,12}", p in "[abc_%]{0,8}") {
+#[test]
+fn like_matches_reference() {
+    check(TARGET, 64, |rng| {
+        let (s, p) = (rng.string("abc_%", 0..13), rng.string("abc_%", 0..9));
         let sc: Vec<char> = s.chars().collect();
         let pc: Vec<char> = p.chars().collect();
-        prop_assert_eq!(like_match(&s, &p), like_ref(&sc, &pc));
-    }
+        assert_eq!(like_match(&s, &p), like_ref(&sc, &pc));
+    });
 }
 
 // ---------- civil date arithmetic ----------
 
-proptest! {
-    #[test]
-    fn date_epoch_roundtrip(z in -1_000_000i64..1_000_000) {
+#[test]
+fn date_epoch_roundtrip() {
+    check(TARGET, 64, |rng| {
+        let z = rng.range(-1_000_000..1_000_000);
         let d = Date::from_days_from_epoch(z);
-        prop_assert_eq!(d.days_from_epoch(), z);
+        assert_eq!(d.days_from_epoch(), z);
         // components must be valid
-        prop_assert!(Date::new(d.year, d.month, d.day).is_ok());
-    }
+        assert!(Date::new(d.year, d.month, d.day).is_ok());
+    });
+}
 
-    #[test]
-    fn date_epoch_monotonic(z in -500_000i64..500_000) {
+#[test]
+fn date_epoch_monotonic() {
+    check(TARGET, 64, |rng| {
+        let z = rng.range(-500_000..500_000);
         let a = Date::from_days_from_epoch(z);
         let b = Date::from_days_from_epoch(z + 1);
-        prop_assert!(a < b);
-    }
+        assert!(a < b);
+    });
+}
 
-    #[test]
-    fn datetime_epoch_roundtrip(s in -50_000_000_000i64..50_000_000_000) {
+#[test]
+fn datetime_epoch_roundtrip() {
+    check(TARGET, 64, |rng| {
+        let s = rng.range(-50_000_000_000..50_000_000_000);
         let dt = DateTime::from_seconds_from_epoch(s);
-        prop_assert_eq!(dt.seconds_from_epoch(), s);
-    }
+        assert_eq!(dt.seconds_from_epoch(), s);
+    });
 }
 
 // ---------- value ordering is a total order ----------
 
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_map(Value::Float),
-        "[a-z]{0,6}".prop_map(Value::from),
-        any::<bool>().prop_map(Value::Bool),
-        (-100_000i64..100_000).prop_map(|z| Value::Date(Date::from_days_from_epoch(z))),
-    ]
+fn value(rng: &mut Rng) -> Value {
+    match rng.below(6) {
+        0 => Value::Null,
+        1 => Value::Int(rng.next() as i64),
+        2 => Value::Float(rng.f64()),
+        3 => Value::from(rng.string("a-z", 0..7)),
+        4 => Value::Bool(rng.one_in(2)),
+        _ => Value::Date(Date::from_days_from_epoch(rng.range(-100_000..100_000))),
+    }
 }
 
-proptest! {
-    #[test]
-    fn index_cmp_antisymmetric(a in arb_value(), b in arb_value()) {
-        prop_assert_eq!(a.index_cmp(&b), b.index_cmp(&a).reverse());
-    }
+#[test]
+fn index_cmp_antisymmetric() {
+    check(TARGET, 64, |rng| {
+        let (a, b) = (value(rng), value(rng));
+        assert_eq!(a.index_cmp(&b), b.index_cmp(&a).reverse());
+    });
+}
 
-    #[test]
-    fn index_cmp_transitive(a in arb_value(), b in arb_value(), c in arb_value()) {
+#[test]
+fn index_cmp_transitive() {
+    check(TARGET, 64, |rng| {
         use std::cmp::Ordering::*;
+        let (a, b, c) = (value(rng), value(rng), value(rng));
         let (ab, bc, ac) = (a.index_cmp(&b), b.index_cmp(&c), a.index_cmp(&c));
-        if ab == Less && bc == Less { prop_assert_eq!(ac, Less); }
-        if ab == Greater && bc == Greater { prop_assert_eq!(ac, Greater); }
-        if ab == Equal && bc == Equal { prop_assert_eq!(ac, Equal); }
-    }
+        if ab == Less && bc == Less { assert_eq!(ac, Less); }
+        if ab == Greater && bc == Greater { assert_eq!(ac, Greater); }
+        if ab == Equal && bc == Equal { assert_eq!(ac, Equal); }
+    });
 }
 
 // ---------- table/index integrity under random operation sequences ----------
@@ -93,13 +107,14 @@ enum Op {
     UpdateSize { name: String, size: i64 },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    let name = "[ab][0-9]"; // small key space to force collisions
-    prop_oneof![
-        (name, any::<i64>()).prop_map(|(name, size)| Op::Insert { name, size }),
-        name.prop_map(Op::DeleteByName),
-        (name, any::<i64>()).prop_map(|(name, size)| Op::UpdateSize { name, size }),
-    ]
+fn op(rng: &mut Rng) -> Op {
+    // small key space to force collisions
+    let name = format!("{}{}", rng.pick(&["a", "b"]), rng.below(10));
+    match rng.below(3) {
+        0 => Op::Insert { name, size: rng.next() as i64 },
+        1 => Op::DeleteByName(name),
+        _ => Op::UpdateSize { name, size: rng.next() as i64 },
+    }
 }
 
 fn mk_table() -> Table {
@@ -119,11 +134,11 @@ fn mk_table() -> Table {
     t
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn table_integrity_under_random_ops(ops in prop::collection::vec(arb_op(), 1..60)) {
+#[test]
+fn table_integrity_under_random_ops() {
+    check(TARGET, 64, |rng| {
         use std::collections::HashMap;
+        let ops = rng.vec(1..60, op);
         let mut t = mk_table();
         let mut model: HashMap<String, (relstore::RowId, i64)> = HashMap::new();
         for op in ops {
@@ -131,7 +146,7 @@ proptest! {
                 Op::Insert { name, size } => {
                     let r = t.insert(vec![Value::Null, name.as_str().into(), Value::Int(size)]);
                     if model.contains_key(&name) {
-                        prop_assert!(r.is_err(), "duplicate insert must fail");
+                        assert!(r.is_err(), "duplicate insert must fail");
                     } else {
                         model.insert(name, (r.unwrap(), size));
                     }
@@ -154,26 +169,43 @@ proptest! {
             t.check_integrity().unwrap();
         }
         // final state matches the model
-        prop_assert_eq!(t.len(), model.len());
+        assert_eq!(t.len(), model.len());
         for (name, (id, size)) in &model {
             let row = t.get(*id).unwrap();
-            prop_assert_eq!(&row[1], &Value::from(name.as_str()));
-            prop_assert_eq!(&row[2], &Value::Int(*size));
+            assert_eq!(&row[1], &Value::from(name.as_str()));
+            assert_eq!(&row[2], &Value::Int(*size));
+        }
+    });
+}
+
+/// The default seeds draw every kind of op: fresh and duplicate inserts,
+/// and deletes and updates of rows that exist.
+#[test]
+fn op_mix_hits_every_kind() {
+    let mut hits = [0usize; 4];
+    for seed in 1..=64 {
+        let mut live = std::collections::HashSet::new();
+        for op in Rng::for_case(seed).vec(1..60, op) {
+            let kind = match op {
+                Op::Insert { name, .. } => usize::from(!live.insert(name)),
+                Op::DeleteByName(name) if live.remove(&name) => 2,
+                Op::UpdateSize { name, .. } if live.contains(&name) => 3,
+                _ => continue,
+            };
+            hits[kind] += 1;
         }
     }
+    assert!(hits.iter().all(|&n| n > 0), "{hits:?}");
 }
 
 // ---------- planner: indexed access must agree with a full scan ----------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    #[test]
-    fn indexed_query_equals_full_scan(
-        rows in prop::collection::vec(("[a-c]", 0i64..20), 0..40),
-        probe_name in "[a-c]",
-        lo in 0i64..20,
-        hi in 0i64..20,
-    ) {
+#[test]
+fn indexed_query_equals_full_scan() {
+    check(TARGET, 48, |rng| {
+        let rows = rng.vec(0..40, |r| (r.string("a-c", 1..2), r.range(0..20)));
+        let probe_name = rng.string("a-c", 1..2);
+        let (lo, hi) = (rng.range(0..20), rng.range(0..20));
         let db = Arc::new(Database::new());
         db.execute_script(
             "CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT,
@@ -206,7 +238,7 @@ proptest! {
         for (sql, ps) in sqls.iter().zip(params.iter()) {
             let rt = db.query(&sql.replace("{T}", "t"), ps).unwrap();
             let ru = db.query(&sql.replace("{T}", "u"), ps).unwrap();
-            prop_assert_eq!(rt.rows, ru.rows);
+            assert_eq!(rt.rows, ru.rows);
         }
-    }
+    });
 }

@@ -1,8 +1,8 @@
 //! Deterministic fuzz/property tests for the SQL front end.
 //!
-//! A seeded PRNG drives an AST generator over the full supported grammar;
-//! each generated statement is rendered back to SQL text and re-parsed,
-//! and the roundtripped AST must equal the original. A second battery
+//! `testkit`'s seeded generator drives an AST generator over the full
+//! supported grammar; each generated statement is rendered back to SQL
+//! text and re-parsed, and the roundtripped AST must equal the original. A second battery
 //! feeds malformed input to the parser and requires a clean `Err` —
 //! never a panic — since SOAP clients hand the service arbitrary query
 //! strings (paper §4: the service validates requests, it does not trust
@@ -14,29 +14,7 @@ use relstore::sql::ast::{
 use relstore::sql::parse;
 use relstore::value::{Date, DateTime, Time};
 use relstore::{CmpOp, Expr, Value, ValueType};
-
-// ---------- seeded PRNG (SplitMix64: tiny, deterministic, no deps) ----------
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, pct: u64) -> bool {
-        self.below(100) < pct
-    }
-}
+use testkit::{check, Rng};
 
 // ---------- AST generation ----------
 
@@ -545,23 +523,19 @@ fn render(s: &Statement) -> String {
 
 #[test]
 fn generated_statements_roundtrip_through_the_parser() {
-    // Fixed seeds: failures reproduce exactly; print the seed + statement
-    // index on mismatch so a regression is one `cargo test` away.
-    for seed in [1u64, 0xdead_beef, 42, 0x5eed_5eed_5eed_5eed] {
-        let mut rng = Rng(seed);
+    // Each seed draws 500 statements; a failure names the seed, and the
+    // statement's index within it.
+    check("-p relstore --test sql_proptests", 4, |rng| {
         for case in 0..500 {
-            let mut want = statement(&mut rng);
+            let mut want = statement(rng);
             renumber(&mut want);
             let sql = render(&want);
             let got = parse(&sql).unwrap_or_else(|e| {
-                panic!("seed {seed:#x} case {case}: render produced unparsable SQL\n  sql: {sql}\n  err: {e}")
+                panic!("case {case}: render produced unparsable SQL\n  sql: {sql}\n  err: {e}")
             });
-            assert_eq!(
-                got, want,
-                "seed {seed:#x} case {case}: roundtrip changed the AST\n  sql: {sql}"
-            );
+            assert_eq!(got, want, "case {case}: roundtrip changed the AST\n  sql: {sql}");
         }
-    }
+    });
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use relstore::{Database, SyncPolicy, Value};
+use testkit::{check, Rng};
 
 #[derive(Debug, Clone)]
 enum Stmt {
@@ -15,13 +15,13 @@ enum Stmt {
     Delete { name: String },
 }
 
-fn arb_stmt() -> impl Strategy<Value = Stmt> {
-    let name = "[ab][0-2]";
-    prop_oneof![
-        (name, any::<i64>()).prop_map(|(name, v)| Stmt::Insert { name, v }),
-        (name, any::<i64>()).prop_map(|(name, v)| Stmt::Update { name, v }),
-        name.prop_map(|name| Stmt::Delete { name }),
-    ]
+fn stmt(rng: &mut Rng) -> Stmt {
+    let name = format!("{}{}", rng.pick(&["a", "b"]), rng.below(3));
+    match rng.below(3) {
+        0 => Stmt::Insert { name, v: rng.next() as i64 },
+        1 => Stmt::Update { name, v: rng.next() as i64 },
+        _ => Stmt::Delete { name },
+    }
 }
 
 fn apply(db: &Database, s: &Stmt) {
@@ -48,13 +48,11 @@ fn dump(db: &Database) -> Vec<Vec<Value>> {
 const DDL: &str = "CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT,
                                    name VARCHAR(8) NOT NULL UNIQUE, v INTEGER)";
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    #[test]
-    fn recovery_matches_memory(
-        ops in prop::collection::vec(arb_stmt(), 1..30),
-        checkpoint_at in 0usize..30,
-    ) {
+#[test]
+fn recovery_matches_memory() {
+    check("-p relstore --test wal_proptests", 24, |rng| {
+        let ops = rng.vec(1..30, stmt);
+        let checkpoint_at = rng.below(30) as usize;
         let dir = std::env::temp_dir().join(format!(
             "relstore-walprop-{}-{:?}",
             std::process::id(),
@@ -74,15 +72,38 @@ proptest! {
                     durable.checkpoint().unwrap();
                 }
             }
-            prop_assert_eq!(dump(&durable), dump(&reference));
+            assert_eq!(dump(&durable), dump(&reference));
         } // crash: no final checkpoint
 
         let recovered = Database::open_durable(&dir, SyncPolicy::OsBuffered).unwrap();
-        prop_assert_eq!(dump(&recovered), dump(&reference));
+        assert_eq!(dump(&recovered), dump(&reference));
         // the recovered database stays fully usable
         recovered.execute("INSERT INTO t (name, v) VALUES ('zz', 1)", &[]).unwrap();
         let t = recovered.table("t").unwrap();
         t.read().check_integrity().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    });
+}
+
+/// The default seeds draw inserts, and updates and deletes of rows that
+/// exist.
+#[test]
+fn statement_mix_hits_every_kind() {
+    let mut hits = [0usize; 3];
+    for seed in 1..=24 {
+        let mut live = std::collections::HashSet::new();
+        for op in Rng::for_case(seed).vec(1..30, stmt) {
+            let kind = match op {
+                Stmt::Insert { name, .. } => {
+                    live.insert(name);
+                    0
+                }
+                Stmt::Update { name, .. } if live.contains(&name) => 1,
+                Stmt::Delete { name } if live.remove(&name) => 2,
+                _ => continue,
+            };
+            hits[kind] += 1;
+        }
     }
+    assert!(hits.iter().all(|&n| n > 0), "{hits:?}");
 }

@@ -316,7 +316,9 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             el.attrs.push((an, unescape(raw, vstart)?));
         }
-        // content
+        // content; a whitespace-only run before the first child is
+        // indentation, unless nothing follows it: then it is the text
+        let mut indent: Option<String> = None;
         loop {
             if self.pos >= self.bytes.len() {
                 return Err(self.err(format!("unterminated <{}>", el.name)));
@@ -332,6 +334,9 @@ impl<'a> Parser<'a> {
                     return Err(self.err("expected `>`"));
                 }
                 self.pos += 1;
+                if let (Some(t), true) = (indent, el.children.is_empty()) {
+                    el.children.push(Node::Text(t));
+                }
                 return Ok(el);
             }
             if self.starts_with("<![CDATA[") {
@@ -370,9 +375,9 @@ impl<'a> Parser<'a> {
             let raw = &self.input[start..self.pos];
             let text = unescape(raw, start)?;
             if !text.trim().is_empty() || !el.children.is_empty() {
-                // keep interior whitespace but drop pure-indentation runs
-                // before the first child
                 push_text(&mut el, text);
+            } else {
+                indent.get_or_insert_with(String::new).push_str(&text);
             }
         }
     }
@@ -497,6 +502,16 @@ mod tests {
     fn whitespace_only_leading_text_dropped() {
         let e = parse("<a>\n  <b/>\n</a>").unwrap();
         assert_eq!(e.elements().count(), 1);
+        assert!(matches!(&e.children[0], Node::Element(_)));
+    }
+
+    /// Whitespace that is an element's whole content is its text: a SOAP
+    /// string value `" "` must not come back as `""`.
+    #[test]
+    fn whitespace_only_content_is_text() {
+        assert_eq!(parse("<v> </v>").unwrap().text_content(), " ");
+        assert_eq!(parse("<v>\n <!-- c --> </v>").unwrap().text_content(), "\n  ");
+        assert_eq!(parse("<v> <!-- c -->x</v>").unwrap().text_content(), "x");
     }
 
     #[test]

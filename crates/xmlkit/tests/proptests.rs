@@ -1,63 +1,71 @@
 //! Property tests: XML serialize→parse is the identity on element trees.
 
-use proptest::prelude::*;
+use testkit::{check, Rng};
 use xmlkit::{parse, Element, Node};
 
-fn arb_name() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9]{0,6}(:[a-z][a-z0-9]{0,4})?"
+/// `[a-z][a-z0-9]{0,6}`, half the time with a `:[a-z][a-z0-9]{0,4}` suffix.
+fn name(rng: &mut Rng) -> String {
+    let mut s = rng.string("a-z", 1..2) + &rng.string("a-z0-9", 0..7);
+    if rng.one_in(2) {
+        s += &format!(":{}{}", rng.string("a-z", 1..2), rng.string("a-z0-9", 0..5));
+    }
+    s
 }
 
 /// Text with tricky characters but never whitespace-only (the parser
 /// canonicalizes indentation-only runs away).
-fn arb_text() -> impl Strategy<Value = String> {
-    "[a-z<>&\"' ]{0,10}[a-z<>&\"']"
+fn text(rng: &mut Rng) -> String {
+    rng.string("a-z<>&\"' ", 0..11) + &rng.string("a-z<>&\"'", 1..2)
 }
 
-fn arb_element() -> impl Strategy<Value = Element> {
-    let leaf = (arb_name(), prop::collection::vec((arb_name(), arb_text()), 0..3)).prop_map(
-        |(name, attrs)| {
-            let mut e = Element::new(name);
-            e.attrs = dedup_attrs(attrs);
-            e
-        },
-    );
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        (
-            arb_name(),
-            prop::collection::vec((arb_name(), arb_text()), 0..3),
-            prop::collection::vec(
-                prop_oneof![
-                    inner.prop_map(Node::Element),
-                    arb_text().prop_map(Node::Text),
-                ],
-                0..4,
-            ),
-        )
-            .prop_map(|(name, attrs, children)| {
-                let mut e = Element::new(name);
-                e.attrs = dedup_attrs(attrs);
-                // merge adjacent text nodes (parser always coalesces them)
-                for c in children {
-                    match (e.children.last_mut(), c) {
-                        (Some(Node::Text(prev)), Node::Text(t)) => prev.push_str(&t),
-                        (_, c) => e.children.push(c),
-                    }
-                }
-                e
-            })
-    })
-}
-
-fn dedup_attrs(attrs: Vec<(String, String)>) -> Vec<(String, String)> {
+/// Up to three attributes, first name wins.
+fn attrs(rng: &mut Rng) -> Vec<(String, String)> {
     let mut seen = std::collections::HashSet::new();
+    let attrs = rng.vec(0..3, |r| (name(r), text(r)));
     attrs.into_iter().filter(|(n, _)| seen.insert(n.clone())).collect()
 }
 
-proptest! {
-    #[test]
-    fn xml_serialize_parse_roundtrip(e in arb_element()) {
+/// An element nested `depth` levels: at depth 0 a childless leaf, above
+/// it up to three children, each an element one level down or text.
+fn element(rng: &mut Rng, depth: u32) -> Element {
+    let mut e = Element::new(name(rng));
+    e.attrs = attrs(rng);
+    if depth == 0 {
+        return e;
+    }
+    for _ in 0..rng.below(4) {
+        let child = if rng.one_in(2) {
+            Node::Element(element(rng, depth - 1))
+        } else {
+            Node::Text(text(rng))
+        };
+        // merge adjacent text nodes (parser always coalesces them)
+        match (e.children.last_mut(), child) {
+            (Some(Node::Text(prev)), Node::Text(t)) => prev.push_str(&t),
+            (_, c) => e.children.push(c),
+        }
+    }
+    e
+}
+
+fn depth(e: &Element) -> u32 {
+    let below = |c: &Node| if let Node::Element(c) = c { 1 + depth(c) } else { 0 };
+    e.children.iter().map(below).max().unwrap_or(0)
+}
+
+#[test]
+fn xml_serialize_parse_roundtrip() {
+    check("-p xmlkit --test proptests", 64, |rng| {
+        let e = element(rng, 3);
         let wire = e.to_xml();
         let parsed = parse(&wire).unwrap();
-        prop_assert_eq!(parsed, e);
-    }
+        assert_eq!(parsed, e);
+    });
+}
+
+/// The round-trip's default seeds reach a tree three elements deep.
+#[test]
+fn trees_reach_depth_three() {
+    let deepest = (1..=64).map(|seed| depth(&element(&mut Rng::for_case(seed), 3))).max();
+    assert_eq!(deepest, Some(3));
 }

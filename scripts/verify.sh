@@ -63,7 +63,16 @@
 #                      times (green must mean deterministic), the
 #                      8×200 pipelining stress test, and the
 #                      connection-reuse regressions shared with the
-#                      SOAP keep-alive client
+#                      SOAP keep-alive client, and the SOAP decoders'
+#                      rejection of any boolean text but true/false
+#   verify.sh bench    the committed perf trajectory (ROADMAP item 1):
+#                      builds perfbench from its own lock file, then
+#                      fails on any BENCH_<n>.json where a workload's
+#                      change_over_parent_median is past its bound in the
+#                      wrong direction for its `better`, or where the
+#                      change's failed/attempted share is above the
+#                      parent's; each failure names the file, workload and
+#                      metric. Needs jq. Not part of the no-argument run.
 #
 # Every seeded test runs its default seeds, or the one in MCS_SEED.
 set -eu
@@ -173,6 +182,7 @@ case "$lane" in
     start=$(date +%s)
     cargo test -q -p mcs-net --lib binproto
     cargo test -q -p mcs-net --test wire_golden
+    cargo test -q -p mcs-net --test roundtrip soap_bool
     cargo test -q -p mcs-net --test bin_fuzz --no-run
     i=1
     while [ "$i" -le 50 ]; do
@@ -187,8 +197,28 @@ case "$lane" in
     cargo test -q -p soapstack --test keep_alive
     echo "wire lane: $(($(date +%s) - start))s elapsed"
     ;;
+  bench)
+    cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+    bad=$(jq -r '
+      def share: if .[1] > 0 then .[0] / .[1] else 0 end;
+      .workloads | to_entries[] | .key as $w | .value as $v
+      | ($v.metrics | to_entries[] | .key as $m | .value
+         | select((.better == "higher" and .change_over_parent_median < 1 - .bound)
+               or (.better == "lower" and .change_over_parent_median > 1 + .bound))
+         | "\(input_filename): \($w) \($m): change/parent median \(.change_over_parent_median) is past its bound \(.bound) (\(.better) is better)"),
+        ($v.failed_over_attempted
+         | select((.change | share) > (.parent | share))
+         | "\(input_filename): \($w) failed/attempted: change \(.change[0])/\(.change[1]) above parent \(.parent[0])/\(.parent[1])")
+    ' BENCH_*.json)
+    if [ -n "$bad" ]; then
+      echo "$bad" >&2
+      echo "bench lane failed: a committed BENCH_<n>.json regressed past its bound." >&2
+      exit 1
+    fi
+    echo "bench lane: $(ls BENCH_*.json | wc -l) trajectory files within their bounds"
+    ;;
   *)
-    echo "usage: verify.sh [unit|crash|stress|async-durability|twin|cache|shard|mvcc|planner|wire]" >&2
+    echo "usage: verify.sh [unit|crash|stress|async-durability|twin|cache|shard|mvcc|planner|wire|bench]" >&2
     exit 2
     ;;
 esac
