@@ -60,9 +60,16 @@ pub type Result<T> = std::result::Result<T, FrameError>;
 
 // ---------- frame transport ----------
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame. A body over [`MAX_FRAME`] is refused
+/// with `InvalidInput` before a byte is written: the peer's
+/// [`read_frame`] would refuse its length and drop the connection.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME as usize);
+    if body.len() > MAX_FRAME as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame body of {} bytes exceeds MAX_FRAME ({MAX_FRAME})", body.len()),
+        ));
+    }
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(body)
 }
@@ -874,6 +881,19 @@ pub fn get_extcat(r: &mut Reader) -> Result<ExternalCatalog> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_frame_refuses_an_oversize_body() {
+        let mut out = Vec::new();
+        let body = vec![0u8; MAX_FRAME as usize + 1];
+        let err = write_frame(&mut out, &body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "wrote {} bytes of a refused frame", out.len());
+        // At the cap the frame goes out and reads back.
+        write_frame(&mut out, &body[1..]).unwrap();
+        let back = read_frame(&mut out.as_slice()).unwrap().unwrap();
+        assert_eq!(back.len(), MAX_FRAME as usize);
+    }
 
     #[test]
     fn value_roundtrip_all_types() {

@@ -19,7 +19,10 @@
 //!   no longer be trusted;
 //! * a malformed **frame body** — unknown opcode, bad tag bytes,
 //!   truncated or trailing payload — answers with a structured fault
-//!   frame and the connection keeps serving, exactly like a SOAP fault.
+//!   frame and the connection keeps serving, exactly like a SOAP fault;
+//! * an **answer over [`MAX_FRAME`]**, which the client could not read,
+//!   becomes a `soap:Server.Internal` fault frame on the same tag, and
+//!   the connection keeps serving.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -31,13 +34,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mcs::{Mcs, Outcome, ShardedCatalog};
+use mcs::{Mcs, McsError, Outcome, ShardedCatalog};
 use soapstack::server::{linger_close, ServerStats};
 use soapstack::threadpool::ThreadPool;
 use soapstack::Fault;
 
 use crate::client::DurabilityMode;
-use crate::dispatch::{bad_arguments, fault_of_xml, serve, Answer, CallScope};
+use crate::dispatch::{bad_arguments, fault_of, fault_of_xml, serve, Answer, CallScope};
 use crate::ops::{decode_bin, Op};
 use crate::wire::shape;
 
@@ -183,7 +186,8 @@ pub fn handle_frame(catalog: &ShardedCatalog, body: &[u8]) -> Vec<u8> {
     let mut r = Reader::new(body);
     let mut b = Vec::with_capacity(128);
     // MIN_FRAME guarantees the tag is present.
-    put_u32(&mut b, r.u32().unwrap_or(0));
+    let tag = r.u32().unwrap_or(0);
+    put_u32(&mut b, tag);
     match run_request(catalog, &mut r) {
         Ok((answer, Outcome { epoch, shard })) => {
             put_u8(&mut b, STATUS_OK);
@@ -195,7 +199,20 @@ pub fn handle_frame(catalog: &ShardedCatalog, body: &[u8]) -> Vec<u8> {
         }
         Err(fault) => put_fault(&mut b, &fault),
     }
-    b
+    fit_frame(tag, b)
+}
+
+/// `b` if it fits in one frame; otherwise a server fault on the same tag,
+/// which the client can read — the oversize answer it could not.
+fn fit_frame(tag: u32, b: Vec<u8>) -> Vec<u8> {
+    if b.len() <= MAX_FRAME as usize {
+        return b;
+    }
+    let mut f = Vec::with_capacity(128);
+    put_u32(&mut f, tag);
+    let msg = format!("answer of {} bytes exceeds the {MAX_FRAME}-byte frame limit", b.len());
+    put_fault(&mut f, &fault_of(McsError::Internal(msg)));
+    f
 }
 
 fn put_fault(b: &mut Vec<u8>, fault: &Fault) {
@@ -239,4 +256,24 @@ fn run_request(catalog: &ShardedCatalog, r: &mut Reader) -> Result<(Answer, Outc
     })?;
     let cred = get_credential(r).map_err(fault_of_frame)?;
     decode_bin(op, r, |call| serve(catalog, &cred, scope, call)).map_err(fault_of_frame)?
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_oversize_answer_becomes_a_server_fault_on_its_tag() {
+        let fits = vec![7u8; MAX_FRAME as usize];
+        assert_eq!(fit_frame(9, fits.clone()), fits);
+
+        let f = fit_frame(9, vec![0u8; MAX_FRAME as usize + 1]);
+        let mut r = Reader::new(&f);
+        assert_eq!(r.u32().unwrap(), 9);
+        assert_eq!(r.u8().unwrap(), STATUS_FAULT);
+        assert_eq!(r.str().unwrap(), "soap:Server.Internal");
+        assert!(r.str().unwrap().contains("exceeds the 16777216-byte frame limit"));
+        r.finish().unwrap();
+        write_frame(&mut Vec::new(), &f).unwrap();
+    }
 }

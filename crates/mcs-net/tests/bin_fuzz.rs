@@ -14,13 +14,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mcs::{Credential, FileSpec, IndexProfile, ManualClock, ShardedCatalog};
+use mcs::{AttrType, Credential, FileSpec, IndexProfile, ManualClock, ObjectRef, ShardedCatalog};
 use mcs_net::binproto::frame::{
     self, read_frame, read_preamble, write_frame, write_preamble, Reader, MAGIC, STATUS_FAULT,
     VERSION,
 };
 use mcs_net::binproto::BinServer;
-use mcs_net::BinMcsClient;
+use mcs_net::{BinMcsClient, FaultKind, NetError};
 use testkit::{seeds, Rng};
 
 fn seed() -> u64 {
@@ -166,6 +166,45 @@ fn garbage_opcode_gets_fault_and_connection_survives() {
     // Same connection keeps serving.
     write_frame(&mut s, &ping_body(8)).unwrap();
     expect_ok_ping(&mut s, 8);
+}
+
+/// An answer too large for one frame comes back as a server fault, and
+/// the connection keeps serving: the client never sees a length prefix
+/// it must refuse.
+#[test]
+fn oversize_answer_gets_fault_and_connection_survives() {
+    let catalog = Arc::new(
+        ShardedCatalog::in_memory(
+            1,
+            &admin(),
+            IndexProfile::Paper2003,
+            Arc::new(ManualClock::default()),
+            None,
+            false,
+        )
+        .unwrap(),
+    );
+    // 17 attributes of 1 MiB each: the getAttributes answer is just
+    // over MAX_FRAME (16 MiB).
+    let blob = "x".repeat(1 << 20);
+    let mut spec = FileSpec::named("big");
+    for k in 0..17 {
+        let name = format!("blob{k}");
+        catalog.shard(0).define_attribute(&admin(), &name, AttrType::Str, "").unwrap();
+        spec = spec.attr(name, blob.as_str());
+    }
+    catalog.shard(0).create_file(&admin(), &spec).unwrap();
+    let server = BinServer::start_sharded(catalog, "127.0.0.1:0", 2).unwrap();
+    let mut c = BinMcsClient::connect(server.addr().to_string(), admin());
+    match c.get_attributes(&ObjectRef::File("big".into())) {
+        Err(NetError::Fault { kind: FaultKind::Internal, message }) => {
+            assert!(message.contains("frame limit"), "{message}")
+        }
+        other => panic!("expected an Internal fault, got {:?}", other.map(|a| a.len())),
+    }
+    c.ping().unwrap();
+    assert_eq!(c.get_file("big").unwrap().name, "big");
+    server.stats().assert_single_connection(3, "oversize answer");
 }
 
 #[test]

@@ -84,6 +84,15 @@ fn value(rng: &mut Rng, ty: AttrType) -> Value {
     }
 }
 
+/// A comparison literal for an attribute of type `ty`: now and then an
+/// Int against the Float attribute, which compares as a float.
+fn literal(rng: &mut Rng, ty: AttrType) -> Value {
+    match ty {
+        AttrType::Float if rng.one_in(3) => Value::Int(rng.below(3) as i64),
+        _ => value(rng, ty),
+    }
+}
+
 /// A well-formed predicate on a defined attribute; LIKE patterns (on the
 /// string attribute) cover the planner's prefix-range and posting paths.
 fn pred(rng: &mut Rng) -> AttrPredicate {
@@ -93,11 +102,20 @@ fn pred(rng: &mut Rng) -> AttrPredicate {
         return AttrPredicate { name: name.into(), op: AttrOp::Like, value: pat.into() };
     }
     let op = *rng.pick(&[AttrOp::Eq, AttrOp::Ne, AttrOp::Le, AttrOp::Ge, AttrOp::Lt, AttrOp::Gt]);
-    AttrPredicate { name: name.into(), op, value: value(rng, ty) }
+    AttrPredicate { name: name.into(), op, value: literal(rng, ty) }
 }
 
+/// One to four predicates, and now and then a `>=`/`<` pair on one
+/// attribute, so the planner folds bounds, crossed ones included.
 fn preds(rng: &mut Rng) -> Vec<AttrPredicate> {
-    (0..1 + rng.below(4)).map(|_| pred(rng)).collect()
+    let mut preds: Vec<AttrPredicate> = (0..1 + rng.below(4)).map(|_| pred(rng)).collect();
+    if rng.one_in(4) {
+        let (name, ty) = *rng.pick(&ATTRS);
+        for op in [AttrOp::Ge, AttrOp::Lt] {
+            preds.push(AttrPredicate { name: name.into(), op, value: literal(rng, ty) });
+        }
+    }
+    preds
 }
 
 /// An attribute value to store: usually type-correct, now and then on
@@ -421,6 +439,10 @@ struct Group {
     cfg: Config,
     /// The in-process path first, then the wires.
     subjects: Vec<Subject>,
+    /// Explained plan steps that folded several range bounds, and
+    /// residual steps whose dive stopped at its bound.
+    folded: usize,
+    cut: usize,
 }
 
 fn open(cfg: &Config, dirs: &mut Vec<PathBuf>) -> Arc<ShardedCatalog> {
@@ -458,7 +480,7 @@ impl Group {
             let client = BinMcsClient::connect(server.addr().to_string(), admin());
             subjects.push(Subject { catalog, path: Path::Bin(client, server) });
         }
-        Group { cfg, subjects }
+        Group { cfg, subjects, folded: 0, cut: 0 }
     }
 }
 
@@ -613,18 +635,26 @@ impl Twin {
     }
 
     /// The planner subjects must explain every predicate of a well-formed
-    /// conjunction, one body line each.
-    fn check_explain(&self, preds: &[AttrPredicate]) {
-        for g in self.groups.iter().filter(|g| g.cfg.profile == IndexProfile::ValueIndexed) {
+    /// conjunction exactly once: a body line names one predicate, or the
+    /// range bounds it folded joined by `AND`.
+    fn check_explain(&mut self, preds: &[AttrPredicate]) {
+        let at = self.at();
+        for g in self.groups.iter_mut().filter(|g| g.cfg.profile == IndexProfile::ValueIndexed) {
             let plan = g.subjects[0].catalog.explain_query(&admin(), preds).unwrap();
-            let body = plan.iter().filter(|l| !l.starts_with("scatter")).count();
+            let body: Vec<&str> = plan
+                .iter()
+                .filter(|l| !l.starts_with("scatter"))
+                .map(|l| l.split(" via ").next().unwrap_or(l))
+                .collect();
+            let named: usize = body.iter().map(|l| 1 + l.matches(" AND ").count()).sum();
             assert_eq!(
-                body,
+                named,
                 preds.len(),
-                "{}: config {} explained {preds:?} as {plan:?}",
-                self.at(),
+                "{at}: config {} explained {preds:?} as {plan:?}",
                 g.cfg.tag
             );
+            g.folded += body.iter().filter(|l| l.contains(" AND ")).count();
+            g.cut += plan.iter().filter(|l| l.contains("dive stopped at")).count();
         }
     }
 }
@@ -713,6 +743,14 @@ fn run_seed(seed: u64, suite: &str) {
     t.vacuum();
     for g in &t.groups {
         let tag = g.cfg.tag;
+        if g.cfg.profile == IndexProfile::ValueIndexed {
+            assert!(
+                g.folded > 0 && g.cut > 0,
+                "seed {seed}: {tag} planned {} folded ranges and {} stopped dives",
+                g.folded,
+                g.cut
+            );
+        }
         for s in &g.subjects {
             let c = &s.catalog;
             if g.cfg.cache.is_some() {

@@ -10,14 +10,35 @@
 //! * a **posting scan** of the attribute-name index `ua_name` (the 2003
 //!   evaluation — walk every row carrying the name and compare values).
 //!
-//! [`plan_conjunction`] estimates the cardinality of each predicate with
-//! a capped *index dive* (exact counts below [`DIVE_CAP`] entries, a
-//! statistics extrapolation above it), seeds the candidate set from the
-//! most selective one, and then decides per remaining predicate whether
-//! to **intersect** (walk its own index entries) or evaluate it as a
-//! **residual** (probe the unique `ua_object` index once per surviving
-//! candidate) — whichever touches fewer rows. Estimates are advisory:
-//! they pick the plan shape, never change answers.
+//! [`plan_conjunction`] first **folds** every range bound on one
+//! attribute (`>`/`>=` with `<`/`<=`, a LIKE prefix range with a range on
+//! the same string attribute) into one range step that keeps the tightest
+//! bound on each side. It then counts each step's index entries with
+//! *index dives*, each stopped at the decision it feeds: every `=` count
+//! is exact (one lookup), each range is walked only up to the best seed
+//! so far, and a step that does not seed is walked only up to the count
+//! at which intersecting would cost more than probing. The smallest
+//! count **seeds** the candidate set (a dive stopped at its cap ranks
+//! strictly above the cap, so it never wins a tie). Each remaining step
+//! either **intersects** (walks its own index entries) or runs as a
+//! **residual** (probes the unique `ua_object` index once per surviving
+//! candidate), whichever costs fewer µs. Estimates pick the plan shape,
+//! never change answers.
+//!
+//! **Cost constants.** [`PROBE_US`] and [`SCAN_ENTRY_US`] were measured
+//! by the ignored test `calibrate_probe_and_scan_costs` on a 50 000-file
+//! catalog laid out like perfbench's (2-vCPU KVM guest, pinned to one
+//! CPU, a fresh candidate set or key range per pass, median of 15
+//! passes, three runs): a probe costs 1.6–1.7 µs when the candidates are
+//! one collection's consecutive files and 2.5–2.8 µs when they are
+//! spread over the catalog; a scanned entry with its row fetch costs
+//! 0.20–0.23 µs, and starting a walk 1.2–1.4 µs, which the price leaves
+//! out. The planner prices the spread-out probe, 12.5 scanned entries,
+//! because it cannot tell dense candidates from sparse ones before it
+//! runs. Two other ways to cut residual cost measured worse and are not
+//! built (DESIGN §7.6): one merged walk of `ua_object` over all
+//! candidates, and residual checks that read the value column without
+//! fetching the row.
 //!
 //! [`Mcs::with_planner_bypass`] hands its closure a handle whose scope
 //! disables the planner (and skips the read cache), so tests and
@@ -25,19 +46,37 @@
 //! posting-scan oracle on the same store.
 //!
 //! [`IndexProfile::ValueIndexed`]: crate::schema::IndexProfile::ValueIndexed
-//! [`DIVE_CAP`]: relstore::planner::DIVE_CAP
 
 use std::cmp::Ordering;
 use std::ops::Bound;
 
-use relstore::planner::DIVE_CAP;
 use relstore::predicate::like_match;
-use relstore::{IndexKey, Table, Value};
+use relstore::{Index, IndexKey, Table, Value};
 
 use crate::catalog::Mcs;
 use crate::error::{McsError, Result};
 use crate::model::{AttrOp, AttrPredicate, AttrType, Credential, ObjectType, Permission};
 use crate::schema::IndexProfile;
+
+/// µs one residual probe costs: a `ua_object` descent for
+/// `(File, id, name)` plus the row fetch, over candidates spread across
+/// the catalog (measured 2.5–2.8 µs; see the module doc).
+pub(crate) const PROBE_US: f64 = 2.5;
+
+/// µs one composite-index entry costs when a seed or intersection walks
+/// it, with its row fetch (measured 0.20–0.23 µs).
+pub(crate) const SCAN_ENTRY_US: f64 = 0.2;
+
+/// µs to filter `candidates` with one probe each.
+fn probe_us(candidates: f64) -> f64 {
+    candidates * PROBE_US
+}
+
+/// The fewest index entries whose walk costs at least as much as probing
+/// `candidates`: a dive that reaches this count has decided on probes.
+fn break_even(candidates: f64) -> usize {
+    (probe_us(candidates) / SCAN_ENTRY_US).ceil() as usize
+}
 
 /// The composite `(name, value)` index serving one attribute type.
 pub(crate) fn value_index_name(ty: AttrType) -> &'static str {
@@ -67,8 +106,8 @@ pub(crate) enum Access {
     /// Full-key equality lookup: `(name, value)`.
     Point(Value),
     /// Range over the value column under the name prefix. `like` is set
-    /// when the range came from a LIKE literal prefix and the full
-    /// pattern must still be re-checked on each row.
+    /// when a LIKE literal prefix bounds the range and the full pattern
+    /// must still be re-checked on each row.
     Range {
         /// Low bound on the value column.
         low: Bound<Value>,
@@ -79,7 +118,7 @@ pub(crate) enum Access {
     },
 }
 
-/// How one predicate participates in the plan.
+/// How one step participates in the plan.
 #[derive(Debug, Clone)]
 enum Role {
     /// Produce the initial candidate set from the composite index.
@@ -90,20 +129,22 @@ enum Role {
     /// Evaluate via the composite index and intersect.
     Intersect(Access),
     /// Filter surviving candidates with per-candidate `ua_object`
-    /// probes instead of walking this predicate's own rows.
+    /// probes instead of walking this step's own index entries.
     Residual,
 }
 
 /// One planned evaluation step.
 struct Step {
-    /// Position in the caller's checked-predicate slice.
-    pred: usize,
+    /// Positions in the caller's checked-predicate slice: one predicate,
+    /// or every range bound folded onto one attribute.
+    preds: Vec<usize>,
     role: Role,
-    /// Estimated rows this step touches (index entries for seeds and
-    /// intersections, surviving candidates for residuals).
+    /// Index entries for seeds and intersections (exact), estimated
+    /// surviving candidates for residuals.
     est: usize,
-    /// Whether `est` came from an exact dive rather than statistics.
-    exact: bool,
+    /// For a residual with an access path whose dive stopped at its
+    /// bound: that bound.
+    cut: Option<usize>,
 }
 
 /// A compiled plan for a conjunction of attribute predicates.
@@ -113,42 +154,35 @@ pub(crate) struct AttrPlan {
 
 impl AttrPlan {
     /// Human-readable plan, one line per step (the `explain` surface —
-    /// plan-shape tests pin these strings, so keep them stable).
+    /// plan-shape tests pin these strings, so keep them stable). A folded
+    /// step names each of its predicates, joined by `AND`.
     pub(crate) fn lines(&self, checked: &[(&AttrPredicate, AttrType)]) -> Vec<String> {
         self.steps
             .iter()
             .map(|s| {
-                let (p, ty) = checked[s.pred];
-                let tilde = if s.exact { "" } else { "~" };
+                let preds = s
+                    .preds
+                    .iter()
+                    .map(|&i| format!("{} {}", checked[i].0.name, op_sym(checked[i].0.op)))
+                    .collect::<Vec<_>>()
+                    .join(" AND ");
+                let ix = value_index_name(checked[s.preds[0]].1);
                 match &s.role {
-                    Role::SeedIndex(a) => format!(
-                        "seed: {} {} via index {} {} ({tilde}{} rows)",
-                        p.name,
-                        op_sym(p.op),
-                        value_index_name(ty),
-                        a.shape(),
-                        s.est
-                    ),
-                    Role::SeedPosting => format!(
-                        "seed: {} {} via posting scan ua_name ({tilde}{} rows)",
-                        p.name,
-                        op_sym(p.op),
-                        s.est
-                    ),
-                    Role::Intersect(a) => format!(
-                        "intersect: {} {} via index {} {} ({tilde}{} rows)",
-                        p.name,
-                        op_sym(p.op),
-                        value_index_name(ty),
-                        a.shape(),
-                        s.est
-                    ),
-                    Role::Residual => format!(
-                        "residual: {} {} via ua_object probes (~{} candidates)",
-                        p.name,
-                        op_sym(p.op),
-                        s.est
-                    ),
+                    Role::SeedIndex(a) => {
+                        format!("seed: {preds} via index {ix} {} ({} rows)", a.shape(), s.est)
+                    }
+                    Role::SeedPosting => {
+                        format!("seed: {preds} via posting scan ua_name ({} rows)", s.est)
+                    }
+                    Role::Intersect(a) => {
+                        format!("intersect: {preds} via index {ix} {} ({} rows)", a.shape(), s.est)
+                    }
+                    Role::Residual => {
+                        let cut = s.cut.map_or(String::new(), |n| {
+                            format!("; dive stopped at {n} rows")
+                        });
+                        format!("residual: {preds} via ua_object probes (~{} candidates{cut})", s.est)
+                    }
                 }
             })
             .collect()
@@ -161,6 +195,43 @@ impl Access {
             Access::Point(_) => "eq",
             Access::Range { like: true, .. } => "prefix-range",
             Access::Range { .. } => "range",
+        }
+    }
+
+    /// Narrow a range to its intersection with `other`'s: the tighter
+    /// bound on each side (an excluded bound beats an included one at the
+    /// same value), and a LIKE re-check if either side needs one. Bounds
+    /// that cross leave an empty range, which every walk reads as empty.
+    fn fold(&mut self, other: Access) {
+        let (
+            Access::Range { low, high, like },
+            Access::Range { low: low2, high: high2, like: like2 },
+        ) = (self, other)
+        else {
+            unreachable!("only ranges fold");
+        };
+        if tighter(&low2, low, Ordering::Greater) {
+            *low = low2;
+        }
+        if tighter(&high2, high, Ordering::Less) {
+            *high = high2;
+        }
+        *like |= like2;
+    }
+}
+
+/// Whether bound `a` cuts more than bound `b` on a side where `inward`
+/// is the direction of a tighter value (`Greater` for low bounds, `Less`
+/// for high ones).
+fn tighter(a: &Bound<Value>, b: &Bound<Value>, inward: Ordering) -> bool {
+    match (a, b) {
+        (Bound::Unbounded, _) => false,
+        (_, Bound::Unbounded) => true,
+        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
+            match x.index_cmp(y) {
+                Ordering::Equal => matches!((a, b), (Bound::Excluded(_), Bound::Included(_))),
+                ord => ord == inward,
+            }
         }
     }
 }
@@ -237,30 +308,8 @@ pub(crate) fn access_for(p: &AttrPredicate, ty: AttrType, value: &Value) -> Opti
     }
 }
 
-/// Estimate how many index entries `access` visits: an exact dive when
-/// the count fits under [`DIVE_CAP`], otherwise the capped dive floor
-/// widened by the table's statistics (range selectivity × this name's
-/// posting count). Returns `(estimate, exact)`.
-/// `name` is the attribute name as a [`Value`], built once per predicate.
-fn estimate(t: &Table, ty: AttrType, name: &Value, access: &Access) -> Result<(usize, bool)> {
-    let ix = t
-        .index(value_index_name(ty))
-        .ok_or_else(|| McsError::Internal(format!("missing index {}", value_index_name(ty))))?;
-    let prefix = std::slice::from_ref(name);
-    Ok(match access {
-        Access::Point(v) => (ix.count_eq(&[name.clone(), v.clone()]), true),
-        Access::Range { low, high, .. } => {
-            let (n, capped) =
-                ix.count_prefix_range(prefix, low.as_ref(), high.as_ref(), DIVE_CAP);
-            if !capped {
-                (n, true)
-            } else {
-                let posting = t.index("ua_name").map_or(n, |nx| nx.count_eq(prefix));
-                let sel = t.statistics().range_selectivity(ty.full_row_column());
-                (((posting as f64 * sel) as usize).max(n), false)
-            }
-        }
-    })
+fn index<'t>(t: &'t Table, name: &str) -> Result<&'t Index> {
+    t.index(name).ok_or_else(|| McsError::Internal(format!("missing index {name}")))
 }
 
 /// Build a plan for a conjunction of type-checked predicates. Pure
@@ -269,68 +318,114 @@ pub(crate) fn plan_conjunction(
     t: &Table,
     checked: &[(&AttrPredicate, AttrType)],
 ) -> Result<AttrPlan> {
-    struct Info {
+    /// A step before its role is known.
+    struct Group {
+        preds: Vec<usize>,
         access: Option<Access>,
+        /// Index entries counted; for an uncounted group (no access
+        /// path) 0, and for a dive stopped at its cap that cap.
         est: usize,
-        exact: bool,
-        posting: usize,
+        capped: bool,
     }
-    let name_ix = t
-        .index("ua_name")
-        .ok_or_else(|| McsError::Internal("missing index ua_name".into()))?;
-    let mut infos = Vec::with_capacity(checked.len());
-    for (p, ty) in checked {
-        let value = coerced_value(p, *ty);
-        let access = access_for(p, *ty, &value);
-        let name = Value::from(p.name.as_str());
-        let posting = name_ix.count_eq(std::slice::from_ref(&name));
-        let (est, exact) = match &access {
-            Some(a) => estimate(t, *ty, &name, a)?,
-            None => (posting, true),
-        };
-        infos.push(Info { access, est, exact, posting });
+    // One group per predicate, except that every range bound on one
+    // attribute joins that attribute's range group.
+    let mut groups: Vec<Group> = Vec::with_capacity(checked.len());
+    for (i, (p, ty)) in checked.iter().enumerate() {
+        let access = access_for(p, *ty, &coerced_value(p, *ty));
+        if let Some(a @ Access::Range { .. }) = &access {
+            let same = groups.iter_mut().find(|g| {
+                matches!(g.access, Some(Access::Range { .. }))
+                    && checked[g.preds[0]].0.name == p.name
+            });
+            if let Some(g) = same {
+                g.preds.push(i);
+                g.access.as_mut().expect("a range group").fold(a.clone());
+                continue;
+            }
+        }
+        groups.push(Group { preds: vec![i], access, est: 0, capped: false });
     }
 
-    // Seed from the cheapest index-accessible predicate; when none is
-    // accessible (all-`!=` conjunctions), from the smallest posting
-    // list — never a full scan of rows that can't match.
-    let seed = (0..infos.len())
-        .filter(|&i| infos[i].access.is_some())
-        .min_by_key(|&i| infos[i].est)
-        .unwrap_or_else(|| {
-            (0..infos.len()).min_by_key(|&i| infos[i].posting).expect("non-empty conjunction")
-        });
-
-    let mut steps = Vec::with_capacity(infos.len());
-    let mut running = match infos[seed].access.clone() {
-        Some(a) => {
-            let (est, exact) = (infos[seed].est, infos[seed].exact);
-            steps.push(Step { pred: seed, role: Role::SeedIndex(a), est, exact });
-            est
-        }
-        None => {
-            let est = infos[seed].posting;
-            steps.push(Step { pred: seed, role: Role::SeedPosting, est, exact: true });
-            est
-        }
+    let name_of = |preds: &[usize]| Value::from(checked[preds[0]].0.name.as_str());
+    // A dive returns `(count, false)`, or `(cap, true)` when it stopped
+    // at `cap`: past its cap a dive knows nothing, so dives stopped at
+    // one cap tie, and keep the order the query gave them.
+    let dive = |g: &Group, cap: usize| -> Result<(usize, bool)> {
+        let ix = index(t, value_index_name(checked[g.preds[0]].1))?;
+        let name = name_of(&g.preds);
+        Ok(match g.access.as_ref().expect("a dive needs an access path") {
+            Access::Point(v) => (ix.count_eq(&[name, v.clone()]), false),
+            Access::Range { low, high, .. } => {
+                let prefix = std::slice::from_ref(&name);
+                match ix.count_prefix_range(prefix, low.as_ref(), high.as_ref(), cap) {
+                    (_, true) => (cap, true),
+                    exact => exact,
+                }
+            }
+        })
     };
 
-    // Remaining predicates cheapest-first so the candidate set shrinks
-    // as early as possible; each either walks its own index entries
-    // (intersect) or probes `ua_object` once per surviving candidate
-    // (residual) — whichever is estimated to touch fewer rows.
-    let mut rest: Vec<usize> = (0..infos.len()).filter(|&i| i != seed).collect();
-    rest.sort_by_key(|&i| infos[i].est);
-    for i in rest {
-        match infos[i].access.clone() {
-            Some(a) if infos[i].est < running => {
-                let (est, exact) = (infos[i].est, infos[i].exact);
-                steps.push(Step { pred: i, role: Role::Intersect(a), est, exact });
-                running = running.min(est);
-            }
-            _ => steps.push(Step { pred: i, role: Role::Residual, est: running, exact: false }),
+    // Every `=` count is one exact lookup; each range is then counted
+    // only up to the best seed so far — reaching it means the range
+    // cannot seed, since a capped dive ranks above its cap.
+    let mut best = usize::MAX;
+    for g in groups.iter_mut().filter(|g| matches!(g.access, Some(Access::Point(_)))) {
+        g.est = dive(g, usize::MAX)?.0;
+        best = best.min(g.est);
+    }
+    for g in groups.iter_mut().filter(|g| matches!(g.access, Some(Access::Range { .. }))) {
+        (g.est, g.capped) = dive(g, best)?;
+        if !g.capped {
+            best = g.est;
         }
     }
+
+    // Seed from the cheapest index-accessible group; when none is
+    // accessible (all-`!=` conjunctions), from the smallest posting
+    // list — never a full scan of rows that can't match.
+    let name_ix = index(t, "ua_name")?;
+    let posting = |preds: &[usize]| name_ix.count_eq(std::slice::from_ref(&name_of(preds)));
+    if groups.iter().all(|g| g.access.is_none()) {
+        for g in &mut groups {
+            g.est = posting(&g.preds);
+        }
+    }
+    let rank = |g: &Group| (g.access.is_none(), g.est, g.capped);
+    let seed = (0..groups.len()).min_by_key(|&i| rank(&groups[i])).expect("non-empty conjunction");
+    let seed = groups.remove(seed);
+    let role = match seed.access {
+        Some(a) => Role::SeedIndex(a),
+        None => Role::SeedPosting,
+    };
+    let mut steps = vec![Step { preds: seed.preds, role, est: seed.est, cut: None }];
+
+    // The rest cheapest-first, so each intersection narrows the
+    // candidates before the next decision. A step intersects when
+    // walking its entries costs fewer µs than probing the candidates,
+    // estimated as if the predicates were independent; a dive the seed
+    // round stopped short of that break-even count is continued up to
+    // it, and no further. Residuals run after every intersection.
+    groups.sort_by_key(|g| rank(g));
+    let mut running = seed.est as f64;
+    let mut residuals = Vec::new();
+    for mut g in groups {
+        let cap = break_even(running);
+        if g.capped && g.est < cap {
+            (g.est, g.capped) = dive(&g, cap)?;
+        }
+        match g.access {
+            Some(a) if !g.capped && g.est < cap => {
+                running *= g.est as f64 / posting(&g.preds).max(1) as f64;
+                let (preds, est) = (g.preds, g.est);
+                steps.push(Step { preds, role: Role::Intersect(a), est, cut: None });
+            }
+            _ => residuals.push((g.preds, g.capped.then_some(g.est))),
+        }
+    }
+    let est = running.ceil() as usize;
+    steps.extend(
+        residuals.into_iter().map(|(preds, cut)| Step { preds, role: Role::Residual, est, cut }),
+    );
     Ok(AttrPlan { steps })
 }
 
@@ -380,17 +475,24 @@ impl Mcs {
     ) -> Result<Vec<i64>> {
         let mut acc: Option<Vec<i64>> = None;
         for step in &plan.steps {
-            let (p, ty) = checked[step.pred];
-            let value = coerced_value(p, ty);
+            let (p, ty) = checked[step.preds[0]];
+            // The `(op, coerced literal)` tests every row of the step passes.
+            let checks: Vec<(AttrOp, Value)> = step
+                .preds
+                .iter()
+                .map(|&i| (checked[i].0.op, coerced_value(checked[i].0, ty)))
+                .collect();
             acc = Some(match (&step.role, acc) {
-                (Role::SeedIndex(a), None) => self.eval_access(t, p, ty, &value, a)?,
+                (Role::SeedIndex(a), None) => self.eval_access(t, &p.name, ty, &checks, a)?,
                 (Role::SeedPosting, None) => {
-                    self.posting_scan(t, p, ty.full_row_column(), &value)?
+                    self.posting_scan(t, p, ty.full_row_column(), &checks[0].1)?
                 }
                 (Role::Intersect(a), Some(prev)) => {
-                    intersect_sorted(&prev, &self.eval_access(t, p, ty, &value, a)?)
+                    intersect_sorted(&prev, &self.eval_access(t, &p.name, ty, &checks, a)?)
                 }
-                (Role::Residual, Some(prev)) => self.residual_filter(t, &prev, p, ty, &value)?,
+                (Role::Residual, Some(prev)) => {
+                    self.residual_filter(t, &prev, &p.name, ty, &checks)?
+                }
                 _ => return Err(McsError::Internal("malformed attribute plan".into())),
             });
             if acc.as_ref().is_some_and(Vec::is_empty) {
@@ -400,22 +502,22 @@ impl Mcs {
         Ok(acc.unwrap_or_default())
     }
 
-    /// Evaluate one access path on the composite index of `ty`,
-    /// returning matching file object ids, sorted and deduplicated.
-    /// Includes the MVCC stale-entry re-check and the residual LIKE
-    /// match for prefix ranges.
+    /// Evaluate one access path on the composite index of `ty` for the
+    /// attribute `name`, returning matching file object ids, sorted and
+    /// deduplicated. `checks` are the step's predicates: under MVCC each
+    /// row re-checks all of them (a stale entry may describe a superseded
+    /// image); on the barrier engine the index bounds already hold, and
+    /// only LIKE patterns are re-checked.
     pub(crate) fn eval_access(
         &self,
         t: &Table,
-        p: &AttrPredicate,
+        name: &str,
         ty: AttrType,
-        value: &Value,
+        checks: &[(AttrOp, Value)],
         access: &Access,
     ) -> Result<Vec<i64>> {
-        let ix = t.index(value_index_name(ty)).ok_or_else(|| {
-            McsError::Internal(format!("missing index {}", value_index_name(ty)))
-        })?;
-        let name_val = Value::from(p.name.as_str());
+        let ix = index(t, value_index_name(ty))?;
+        let name_val = Value::from(name);
         let ids: Vec<relstore::RowId> = match access {
             Access::Point(v) => ix.get_eq(&[name_val, v.clone()]).collect(),
             Access::Range { low, high, .. } => {
@@ -425,36 +527,31 @@ impl Mcs {
                 ids
             }
         };
-        let needs_like = matches!(access, Access::Range { like: true, .. });
+        let mvcc = t.is_mvcc();
+        let rechecks: Vec<&(AttrOp, Value)> =
+            checks.iter().filter(|(op, _)| mvcc || *op == AttrOp::Like).collect();
         let val_col = ty.full_row_column();
         let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
+        'rows: for id in ids {
             // Under MVCC a deleted row's index entries linger until
             // vacuum and a pending row is not yet visible — both read
             // back as `None` and are skipped. On the barrier engine a
             // dangling entry is a corruption signal.
             let Some(row) = relstore::snapshot_row(t, id, self.at()) else {
-                if t.is_mvcc() {
+                if mvcc {
                     continue;
                 }
                 return Err(McsError::Internal("dangling index".into()));
             };
-            if row[1] != Value::Int(ObjectType::File.code()) {
+            if row[1] != Value::Int(ObjectType::File.code())
+                || mvcc && !matches!(&row[3], Value::Str(s) if s.as_ref() == name)
+            {
                 continue;
             }
-            if t.is_mvcc() {
-                // Stale entries may describe a superseded image —
-                // re-check the *full* predicate on what this snapshot
-                // actually sees (this also covers the LIKE residual).
-                if !matches!(&row[3], Value::Str(s) if s.as_ref() == p.name)
-                    || !value_matches(p.op, &row[val_col], value)?
-                {
-                    continue;
+            for (op, value) in &rechecks {
+                if !value_matches(*op, &row[val_col], value)? {
+                    continue 'rows;
                 }
-            } else if needs_like && !like_match(row[val_col].as_str()?, value.as_str()?) {
-                // The range only guaranteed the literal prefix; the
-                // pattern's tail may still reject the row.
-                continue;
             }
             out.push(row[2].as_int()?);
         }
@@ -463,28 +560,25 @@ impl Mcs {
 
     /// Residual evaluation: keep the candidates whose `(File, id, name)`
     /// attribute row — found via the unique `ua_object` index, one probe
-    /// per candidate — satisfies the predicate. Same semantics as a
+    /// per candidate — passes every one of `checks`. Same semantics as a
     /// posting scan: the attribute must exist on the file (so `!=`
     /// means "exists with a different value").
     ///
     /// `prev` is ascending, so consecutive probes descend the same
-    /// B-tree path, and one probe key per predicate serves them all —
-    /// only its object-id slot changes.
+    /// B-tree path, and one probe key per step serves them all — only
+    /// its object-id slot changes.
     fn residual_filter(
         &self,
         t: &Table,
         prev: &[i64],
-        p: &AttrPredicate,
+        name: &str,
         ty: AttrType,
-        value: &Value,
+        checks: &[(AttrOp, Value)],
     ) -> Result<Vec<i64>> {
-        let ix = t
-            .index("ua_object")
-            .ok_or_else(|| McsError::Internal("missing index ua_object".into()))?;
+        let ix = index(t, "ua_object")?;
         let val_col = ty.full_row_column();
         let file_code = Value::Int(ObjectType::File.code());
-        let mut key =
-            IndexKey(vec![file_code.clone(), Value::Int(0), Value::from(p.name.as_str())]);
+        let mut key = IndexKey(vec![file_code.clone(), Value::Int(0), Value::from(name)]);
         let mut out = Vec::with_capacity(prev.len());
         for &oid in prev {
             key.0[1] = Value::Int(oid);
@@ -500,11 +594,15 @@ impl Mcs {
                 if t.is_mvcc()
                     && (row[1] != file_code
                         || row[2] != key.0[1]
-                        || !matches!(&row[3], Value::Str(s) if s.as_ref() == p.name))
+                        || !matches!(&row[3], Value::Str(s) if s.as_ref() == name))
                 {
                     continue;
                 }
-                if value_matches(p.op, &row[val_col], value)? {
+                let mut pass = true;
+                for (op, value) in checks {
+                    pass = pass && value_matches(*op, &row[val_col], value)?;
+                }
+                if pass {
                     out.push(oid);
                 }
                 break; // at most one image of (file, name) is visible
@@ -643,6 +741,108 @@ mod tests {
         }
         assert!(intersect_sorted(&[], &[1, 2]).is_empty());
         assert_eq!(intersect_sorted(&[3, 3, 3], &[3, 3]), vec![3]);
+    }
+
+    /// Calibration of [`PROBE_US`] and [`SCAN_ENTRY_US`]: on a catalog of
+    /// 50 000 files laid out like perfbench's (collections of 1 000
+    /// consecutive files, ten attributes each), time one residual probe
+    /// over dense candidates (one collection's files) and over sparse
+    /// ones (every 50th file of the catalog), one scanned index entry
+    /// with its row fetch, and the start of a walk (a one-entry point
+    /// lookup). Each of 15 passes takes a fresh candidate set or key
+    /// range, so caches stay as cold as between two queries; the medians
+    /// are printed. Run with `cargo test --release -p mcs --lib calibrate
+    /// -- --ignored --nocapture` on an otherwise idle CPU.
+    #[test]
+    #[ignore = "builds a 50 000-file catalog; prints cost constants"]
+    fn calibrate_probe_and_scan_costs() {
+        use std::sync::Arc;
+        use std::time::Instant;
+
+        use crate::{FileSpec, IndexProfile, ManualClock};
+
+        const FILES: i64 = 50_000;
+        const PASSES: i64 = 15;
+        let cred = Credential::new("/O=Grid/CN=admin");
+        let clock = Arc::new(ManualClock::default());
+        let m = Mcs::with_options(&cred, IndexProfile::ValueIndexed, clock).unwrap();
+        // perfbench's ten attributes with its value cycles; the two
+        // string ones keep their types, the rest are Int.
+        let attrs = ["site", "kind", "seq", "coll", "a4", "a5", "a6", "a7", "a8", "a9"];
+        let cycles = [50, 20, 1000, 0, 997, 101, 365, 30, 86_400, 3_600];
+        for (k, name) in attrs.iter().enumerate() {
+            let ty = if k < 2 { AttrType::Str } else { AttrType::Int };
+            m.define_attribute(&cred, name, ty, "").unwrap();
+        }
+        for batch in (0..FILES).collect::<Vec<_>>().chunks(1000) {
+            let specs: Vec<FileSpec> = batch
+                .iter()
+                .map(|&i| {
+                    attrs.iter().zip(cycles).enumerate().fold(
+                        FileSpec::named(format!("lfn.{i:09}.dat")),
+                        |spec, (k, (name, cycle))| match k {
+                            0 => spec.attr(*name, format!("site_{:02}", i % cycle)),
+                            1 => spec.attr(*name, format!("type_{:02}", i % cycle)),
+                            3 => spec.attr(*name, i / 1000),
+                            _ => spec.attr(*name, i % cycle),
+                        },
+                    )
+                })
+                .collect();
+            m.create_files(&cred, &specs).unwrap();
+        }
+
+        let handle = m.db.table("user_attributes").unwrap();
+        let t = handle.read();
+        let eq = |v: Value| vec![(AttrOp::Eq, v)];
+        let point = |name: &str, v: Value| {
+            let ty = if v.as_str().is_ok() { AttrType::Str } else { AttrType::Int };
+            m.eval_access(&t, name, ty, &eq(v.clone()), &Access::Point(v)).unwrap()
+        };
+        // µs per unit for each pass's (units, work), median over passes.
+        let per_unit = |work: &mut dyn FnMut(i64) -> usize| {
+            let mut v: Vec<f64> = (0..PASSES)
+                .map(|k| {
+                    let start = Instant::now();
+                    let units = work(k);
+                    start.elapsed().as_secs_f64() * 1e6 / units.max(1) as f64
+                })
+                .collect();
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let probe = |cands: &[i64]| {
+            let checks = eq(Value::from("type_07"));
+            let out = m.residual_filter(&t, cands, "kind", AttrType::Str, &checks).unwrap();
+            std::hint::black_box(out);
+            cands.len()
+        };
+        let dense = per_unit(&mut |k| probe(&point("coll", Value::Int(3 * k + 1))));
+        let sparse = per_unit(&mut |k| {
+            probe(&point("site", Value::from(format!("site_{:02}", 3 * k + 1))))
+        });
+        // 60 `seq` values of 50 files each: 3 000 entries, disjoint from
+        // every other pass's.
+        let scan = per_unit(&mut |k| {
+            let (low, high) = (Value::Int(60 * k), Value::Int(60 * k + 60));
+            let access = Access::Range {
+                low: Bound::Included(low.clone()),
+                high: Bound::Excluded(high.clone()),
+                like: false,
+            };
+            let checks = [(AttrOp::Ge, low), (AttrOp::Lt, high)];
+            m.eval_access(&t, "seq", AttrType::Int, &checks, &access).unwrap().len()
+        });
+        let start = per_unit(&mut |k| {
+            for j in 0..100 {
+                std::hint::black_box(point("a8", Value::Int(3_000 * k + j)));
+            }
+            100
+        });
+        println!(
+            "probe: dense {dense:.3} µs, sparse {sparse:.3} µs; scanned entry {scan:.3} µs; \
+             walk start {start:.3} µs (PROBE_US {PROBE_US}, SCAN_ENTRY_US {SCAN_ENTRY_US})"
+        );
     }
 
     #[test]

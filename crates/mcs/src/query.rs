@@ -156,7 +156,7 @@ impl Mcs {
         // it to a per-candidate residual probe instead.
         if self.profile == IndexProfile::ValueIndexed && !self.ctx.planner_bypass {
             if let Some(access) = crate::plan::access_for(p, ty, &value) {
-                return self.eval_access(t, p, ty, &value, &access);
+                return self.eval_access(t, &p.name, ty, &[(p.op, value)], &access);
             }
         }
 

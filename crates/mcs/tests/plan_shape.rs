@@ -1,9 +1,10 @@
 //! Plan-shape regression tests: `explain_query` pins the access path the
 //! cost-based planner chooses for canonical conjunctions, so an
-//! accidental cost-model change shows up as a readable string diff — plus
-//! statistics edge cases (empty catalog, all-duplicate and NULL-heavy
-//! columns, staleness after bulk deletes) that the estimates must survive
-//! without panicking or mis-planning.
+//! accidental cost-model change shows up as a readable string diff:
+//! folded ranges, µs-priced intersect-or-probe choices, dives stopped at
+//! their bound — plus edge cases (empty catalog, all-duplicate and
+//! NULL-heavy columns, staleness after bulk deletes) that the estimates
+//! must survive without panicking or mis-planning.
 
 use std::sync::Arc;
 
@@ -52,8 +53,22 @@ fn selective_eq_seeds_unselective_eq_probes() {
     let plan = m
         .explain_query(&a, &[pred("site", AttrOp::Eq, "s3"), pred("run", AttrOp::Eq, 3i64)])
         .unwrap();
-    // run = 3 hits exactly one row — it seeds; site = s3 (2 rows) would
-    // still cost an index walk ≥ the single survivor, so it probes.
+    // run = 3 hits exactly one row — it seeds. Walking site = s3's 2
+    // entries costs less than one probe, so it intersects.
+    assert_eq!(
+        plan,
+        vec![
+            "seed: run = via index ua_name_int eq (1 rows)".to_string(),
+            "intersect: site = via index ua_name_str eq (2 rows)".to_string(),
+        ]
+    );
+    // At 30 rows per site, walking site = s1 costs more than probing
+    // the single survivor.
+    let m = catalog();
+    load(&m, 60, 2);
+    let plan = m
+        .explain_query(&a, &[pred("site", AttrOp::Eq, "s1"), pred("run", AttrOp::Eq, 3i64)])
+        .unwrap();
     assert_eq!(
         plan,
         vec![
@@ -74,17 +89,18 @@ fn broad_range_intersects_when_cheaper_than_probes() {
             &[pred("site", AttrOp::Eq, "s0"), pred("run", AttrOp::Lt, 5i64)],
         )
         .unwrap();
-    // run < 5 keeps 5 of 40 and seeds; site = s0 matches 20, dearer than
-    // probing the 5 survivors.
+    // run < 5 keeps 5 of 40 and seeds; walking site = s0's 20 entries
+    // costs less than probing the 5 survivors.
     assert_eq!(
         plan,
         vec![
             "seed: run < via index ua_name_int range (5 rows)".to_string(),
-            "residual: site = via ua_object probes (~5 candidates)".to_string(),
+            "intersect: site = via index ua_name_str eq (20 rows)".to_string(),
         ]
     );
-    // Flip the selectivities: now the equality seeds and the wide range
-    // is the residual.
+    // Flip the selectivities: now the equality seeds. The range's dive
+    // stops at 20 entries in the seed round, then goes on to the
+    // break-even count and finds all 40, still cheaper than 20 probes.
     let plan = m
         .explain_query(
             &a,
@@ -95,9 +111,151 @@ fn broad_range_intersects_when_cheaper_than_probes() {
         plan,
         vec![
             "seed: site = via index ua_name_str eq (20 rows)".to_string(),
-            "residual: run < via ua_object probes (~20 candidates)".to_string(),
+            "intersect: run < via index ua_name_int range (40 rows)".to_string(),
         ]
     );
+}
+
+/// All bounds on one attribute fold into one range step, tightest on
+/// each side; a LIKE prefix range folds with a range on the same string
+/// attribute; crossed bounds leave an empty range, and an Int literal
+/// bounds a Float attribute as a float.
+#[test]
+fn bounds_on_one_attribute_fold_into_one_range() {
+    let m = catalog();
+    let a = admin();
+    m.define_attribute(&a, "quality", AttrType::Float, "").unwrap();
+    for i in 0..40i64 {
+        m.create_file(
+            &a,
+            &FileSpec::named(format!("f{i:04}"))
+                .attr("site", format!("s{}", i % 4))
+                .attr("run", i)
+                .attr("quality", i as f64 / 4.0),
+        )
+        .unwrap();
+    }
+    let folded = [
+        pred("run", AttrOp::Ge, 10i64),
+        pred("site", AttrOp::Eq, "s0"),
+        pred("run", AttrOp::Lt, 30i64),
+        pred("run", AttrOp::Gt, 12i64),
+        pred("run", AttrOp::Le, 16i64),
+    ];
+    // run in (12, 16] keeps 4 rows and seeds under all four bounds;
+    // walking site = s0's 10 entries costs less than 4 probes.
+    assert_eq!(
+        m.explain_query(&a, &folded).unwrap(),
+        vec![
+            "seed: run >= AND run < AND run > AND run <= via index ua_name_int range (4 rows)"
+                .to_string(),
+            "intersect: site = via index ua_name_str eq (10 rows)".to_string(),
+        ]
+    );
+    let names = |hits: Vec<(String, i64)>| hits.into_iter().map(|h| h.0).collect::<Vec<_>>();
+    assert_eq!(names(m.query_by_attributes(&a, &folded).unwrap()), vec!["f0016".to_string()]);
+
+    let like = [pred("site", AttrOp::Like, "s%"), pred("site", AttrOp::Ge, "s3")];
+    assert_eq!(
+        m.explain_query(&a, &like).unwrap(),
+        vec!["seed: site LIKE AND site >= via index ua_name_str prefix-range (10 rows)"
+            .to_string()]
+    );
+    assert_eq!(m.query_by_attributes(&a, &like).unwrap().len(), 10);
+
+    let crossed = [pred("run", AttrOp::Ge, 20i64), pred("run", AttrOp::Lt, 5i64)];
+    assert_eq!(
+        m.explain_query(&a, &crossed).unwrap(),
+        vec!["seed: run >= AND run < via index ua_name_int range (0 rows)".to_string()]
+    );
+    assert!(m.query_by_attributes(&a, &crossed).unwrap().is_empty());
+
+    // quality = i / 4: quality >= 2 (Int) and quality < 2.5 keep i = 8, 9.
+    let float = [pred("quality", AttrOp::Ge, 2i64), pred("quality", AttrOp::Lt, 2.5)];
+    assert_eq!(
+        m.explain_query(&a, &float).unwrap(),
+        vec!["seed: quality >= AND quality < via index ua_name_float range (2 rows)".to_string()]
+    );
+    assert_eq!(
+        names(m.query_by_attributes(&a, &float).unwrap()),
+        vec!["f0008".to_string(), "f0009".to_string()]
+    );
+    for preds in [&folded[..], &like, &crossed, &float] {
+        assert_eq!(
+            m.query_by_attributes(&a, preds).unwrap(),
+            m.with_planner_bypass(|b| b.query_by_attributes(&a, preds)).unwrap(),
+            "{preds:?}"
+        );
+    }
+}
+
+/// 50 candidates against a 300-entry range: the old rule (entries
+/// against candidates, one to one) probed; priced in µs, walking 300
+/// entries costs less than 50 probes, so the range intersects.
+#[test]
+fn cheaper_walk_intersects_instead_of_probing() {
+    let m = catalog();
+    let a = admin();
+    let specs: Vec<FileSpec> = (0..600i64)
+        .map(|i| {
+            FileSpec::named(format!("f{i:04}")).attr("site", format!("s{}", i % 12)).attr("run", i)
+        })
+        .collect();
+    m.create_files(&a, &specs).unwrap();
+    let preds = [pred("run", AttrOp::Lt, 300i64), pred("site", AttrOp::Eq, "s0")];
+    assert_eq!(
+        m.explain_query(&a, &preds).unwrap(),
+        vec![
+            "seed: site = via index ua_name_str eq (50 rows)".to_string(),
+            "intersect: run < via index ua_name_int range (300 rows)".to_string(),
+        ]
+    );
+    let hits = m.query_by_attributes(&a, &preds).unwrap();
+    assert_eq!(hits.len(), 25);
+    assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
+}
+
+/// A LIKE whose prefix range spans every `site` entry stops its dive at
+/// the `=` count it ties with: a stopped dive ranks above its cap, so
+/// the equality seeds; the LIKE's dive then stops at the break-even
+/// count (20 candidates × 2.5 µs per probe / 0.2 µs per entry = 250),
+/// and it probes.
+#[test]
+fn capped_like_dive_never_seeds_on_a_tie() {
+    let m = catalog();
+    let a = admin();
+    // site = edge<i % 20> and run = i % 20: every site value and
+    // run = 7 have 20 rows each; the LIKE prefix range has all 400.
+    let specs: Vec<FileSpec> = (0..400i64)
+        .map(|i| {
+            FileSpec::named(format!("f{i:04}"))
+                .attr("site", format!("edge{}", i % 20))
+                .attr("run", i % 20)
+        })
+        .collect();
+    m.create_files(&a, &specs).unwrap();
+    let preds = [pred("site", AttrOp::Like, "edge1%"), pred("run", AttrOp::Eq, 7i64)];
+    // `edge1%`'s literal prefix is `edge1`: edge1 and edge10–edge19,
+    // 11 values of 20 rows — the first one already reaches the cap.
+    assert_eq!(
+        m.explain_query(&a, &preds).unwrap(),
+        vec![
+            "seed: run = via index ua_name_int eq (20 rows)".to_string(),
+            "intersect: site LIKE via index ua_name_str prefix-range (220 rows)".to_string(),
+        ]
+    );
+    let preds = [pred("site", AttrOp::Like, "e%"), pred("run", AttrOp::Eq, 7i64)];
+    assert_eq!(
+        m.explain_query(&a, &preds).unwrap(),
+        vec![
+            "seed: run = via index ua_name_int eq (20 rows)".to_string(),
+            "residual: site LIKE via ua_object probes (~20 candidates; dive stopped at 250 rows)"
+                .to_string(),
+        ]
+    );
+    let hits = m.query_by_attributes(&a, &preds).unwrap();
+    assert_eq!(hits.len(), 20);
+    assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
 }
 
 #[test]

@@ -53,11 +53,19 @@
 #                      engines, the typed value-index catalog test),
 #                      the LIKE matcher tests, plan construction
 #                      and sorted-intersection unit tests, the
-#                      plan-shape + statistics edge-case regressions,
-#                      the resolve-pass tests on both engines, and the
-#                      explainQuery SOAP round-trip
+#                      plan-shape regressions (folded ranges, µs-priced
+#                      intersect-or-probe, dives stopped at their
+#                      bound, edge cases), the planner twin (answers
+#                      against the posting-scan oracle on 1 shard,
+#                      MVCC and 4 shards, with folded ranges and
+#                      stopped dives in every seed), the resolve-pass
+#                      tests on both engines, the explainQuery SOAP
+#                      round-trip, and the calibration run that prints
+#                      the probe and scanned-entry costs (release build)
 #   verify.sh wire     the binary wire-protocol contract (DESIGN.md
-#                      §7.7): frame codec unit tests, the golden wire
+#                      §7.7): frame codec unit tests (an oversize frame
+#                      is refused by the writer and an oversize answer
+#                      becomes a server fault), the golden wire
 #                      corpus (every op's exact bytes on both wires),
 #                      the frame-decoder fuzz/robustness harness run 50
 #                      times (green must mean deterministic), the
@@ -174,8 +182,10 @@ case "$lane" in
     cargo test -q -p relstore --lib like
     cargo test -q -p mcs --lib plan
     cargo test -q -p mcs --test plan_shape
+    cargo test -q -p mcs-net --test planner_twin
     cargo test -q -p mcs --test catalog_tests resolve_pass
     cargo test -q -p mcs-net --test roundtrip explain
+    cargo test -q --release -p mcs --lib calibrate -- --ignored --nocapture
     echo "planner lane: $(($(date +%s) - start))s elapsed"
     ;;
   wire)
