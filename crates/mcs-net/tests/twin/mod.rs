@@ -118,6 +118,21 @@ fn preds(rng: &mut Rng) -> Vec<AttrPredicate> {
     preds
 }
 
+/// perfbench's LIKE shape in miniature: a LIKE on `site`, a range on
+/// `quality`, and `run` = one value. A `createFiles` batch gives its
+/// files one `run` value and one collection ([`batch`]), so this
+/// conjunction is often seeded by one collection's consecutive files,
+/// and its other steps walk only their id span.
+fn like_shape(rng: &mut Rng) -> Vec<AttrPredicate> {
+    let pat = *rng.pick(&["s%", "s_", "s1%"]);
+    let quality = literal(rng, AttrType::Float);
+    vec![
+        AttrPredicate { name: "site".into(), op: AttrOp::Like, value: pat.into() },
+        AttrPredicate { name: "quality".into(), op: AttrOp::Ge, value: quality },
+        AttrPredicate { name: "run".into(), op: AttrOp::Eq, value: value(rng, AttrType::Int) },
+    ]
+}
+
 /// An attribute value to store: usually type-correct, now and then on
 /// an undefined attribute or of the wrong type.
 fn attr(rng: &mut Rng) -> Attribute {
@@ -149,6 +164,22 @@ fn spec(rng: &mut Rng) -> FileSpec {
     spec.container_service = rng.one_in(4).then(|| "srv".to_string());
     spec.audit = rng.one_in(4);
     spec
+}
+
+/// A `createFiles` batch: one to four files, created with consecutive
+/// ids. Most batches are one collection's files sharing one `run` value,
+/// the layout [`like_shape`] queries seed on.
+fn batch(rng: &mut Rng) -> Vec<FileSpec> {
+    let mut specs: Vec<FileSpec> = (0..1 + rng.below(4)).map(|_| spec(rng)).collect();
+    if !rng.one_in(4) {
+        let (collection, run) = (coll(rng), value(rng, AttrType::Int));
+        for spec in &mut specs {
+            spec.collection = Some(collection.clone());
+            spec.attributes.retain(|a| a.name != "run");
+            spec.attributes.push(Attribute { name: "run".into(), value: run.clone() });
+        }
+    }
+    specs
 }
 
 fn update(rng: &mut Rng) -> FileUpdate {
@@ -205,10 +236,7 @@ fn with_call<T>(rng: &mut Rng, op: Op, k: impl FnOnce(Call<'_>) -> T) -> T {
         Op::SyncNow => k(Call::SyncNow {}),
         Op::CacheStats => k(Call::CacheStats {}),
         Op::CreateFile => k(Call::CreateFile { spec: &spec(rng) }),
-        Op::CreateFiles => {
-            let specs: Vec<FileSpec> = (0..1 + rng.below(4)).map(|_| spec(rng)).collect();
-            k(Call::CreateFiles { specs: &specs })
-        }
+        Op::CreateFiles => k(Call::CreateFiles { specs: &batch(rng) }),
         Op::GetFile => k(Call::GetFile { name: &f }),
         Op::GetFileVersion => k(Call::GetFileVersion { name: &f, version }),
         Op::GetFileVersions => k(Call::GetFileVersions { name: &f }),
@@ -439,10 +467,12 @@ struct Group {
     cfg: Config,
     /// The in-process path first, then the wires.
     subjects: Vec<Subject>,
-    /// Explained plan steps that folded several range bounds, and
-    /// residual steps whose dive stopped at its bound.
+    /// Explained plan steps that folded several range bounds, residual
+    /// steps whose dive stopped at its bound, and intersections whose
+    /// walk the seed's id span bounded.
     folded: usize,
     cut: usize,
+    spanned: usize,
 }
 
 fn open(cfg: &Config, dirs: &mut Vec<PathBuf>) -> Arc<ShardedCatalog> {
@@ -480,7 +510,7 @@ impl Group {
             let client = BinMcsClient::connect(server.addr().to_string(), admin());
             subjects.push(Subject { catalog, path: Path::Bin(client, server) });
         }
-        Group { cfg, subjects, folded: 0, cut: 0 }
+        Group { cfg, subjects, folded: 0, cut: 0, spanned: 0 }
     }
 }
 
@@ -653,8 +683,16 @@ impl Twin {
                 "{at}: config {} explained {preds:?} as {plan:?}",
                 g.cfg.tag
             );
-            g.folded += body.iter().filter(|l| l.contains(" AND ")).count();
-            g.cut += plan.iter().filter(|l| l.contains("dive stopped at")).count();
+            // Each shard plans its own rows: count the shapes over every
+            // shard's plan, not only the one a sharded explain shows.
+            let c = &g.subjects[0].catalog;
+            for k in 0..c.shards() {
+                let plan = c.shard(k).explain_query(&admin(), preds).unwrap();
+                let folded = |l: &&String| l.split(" via ").next().unwrap_or(l).contains(" AND ");
+                g.folded += plan.iter().filter(folded).count();
+                g.cut += plan.iter().filter(|l| l.contains("dive stopped at")).count();
+                g.spanned += plan.iter().filter(|l| l.contains(" over ids ")).count();
+            }
         }
     }
 }
@@ -686,7 +724,7 @@ fn run_seed(seed: u64, suite: &str) {
         } else {
             match rng.below(20) {
                 0..=5 => {
-                    let preds = preds(&mut rng);
+                    let preds = if rng.one_in(3) { like_shape(&mut rng) } else { preds(&mut rng) };
                     t.call(cred, scope, Call::QueryByAttributes { preds: &preds });
                     t.check_explain(&preds);
                     queries += 1;
@@ -745,10 +783,12 @@ fn run_seed(seed: u64, suite: &str) {
         let tag = g.cfg.tag;
         if g.cfg.profile == IndexProfile::ValueIndexed {
             assert!(
-                g.folded > 0 && g.cut > 0,
-                "seed {seed}: {tag} planned {} folded ranges and {} stopped dives",
+                g.folded > 0 && g.cut > 0 && g.spanned > 0,
+                "seed {seed}: {tag} planned {} folded ranges, {} stopped dives and {} \
+                 span-bounded walks",
                 g.folded,
-                g.cut
+                g.cut,
+                g.spanned
             );
         }
         for s in &g.subjects {

@@ -318,6 +318,8 @@ impl Mcs {
         let fresh = db.table("logical_files").is_err();
         if fresh {
             bootstrap(&db, profile)?;
+        } else {
+            crate::schema::upgrade_value_indexes(&db)?;
         }
         let stmts = Statements::prepare(&db)?;
         let state = Arc::new(McsState {

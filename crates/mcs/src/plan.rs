@@ -1,44 +1,51 @@
 //! Cost-based planning for conjunctive attribute queries.
 //!
 //! Under the [`IndexProfile::ValueIndexed`] profile every attribute type
-//! has a composite `(name, value)` index, so each predicate of a
-//! conjunction has up to three access paths:
+//! has a typed index `(name, value, object_type, object_id)`, which
+//! relstore keeps tail-ordered: each `(name, value, object_type)` group
+//! holds its rows ordered by object id (`relstore::index`). So each
+//! predicate of a conjunction has up to three access paths:
 //!
-//! * a **point lookup** on the composite index (`=`),
-//! * a **range scan** on the composite index (`<`, `<=`, `>`, `>=`, and
-//!   `LIKE` patterns with a literal prefix),
+//! * a **point lookup** on the typed index (`=`): one group,
+//! * a **range scan** on the typed index (`<`, `<=`, `>`, `>=`, and
+//!   `LIKE` patterns with a literal prefix): the groups of a value range,
 //! * a **posting scan** of the attribute-name index `ua_name` (the 2003
 //!   evaluation — walk every row carrying the name and compare values).
 //!
 //! [`plan_conjunction`] first **folds** every range bound on one
 //! attribute (`>`/`>=` with `<`/`<=`, a LIKE prefix range with a range on
 //! the same string attribute) into one range step that keeps the tightest
-//! bound on each side. It then counts each step's index entries with
-//! *index dives*, each stopped at the decision it feeds: every `=` count
-//! is exact (one lookup), each range is walked only up to the best seed
-//! so far, and a step that does not seed is walked only up to the count
-//! at which intersecting would cost more than probing. The smallest
-//! count **seeds** the candidate set (a dive stopped at its cap ranks
-//! strictly above the cap, so it never wins a tie). Each remaining step
-//! either **intersects** (walks its own index entries) or runs as a
-//! **residual** (probes the unique `ua_object` index once per surviving
-//! candidate), whichever costs fewer µs. Estimates pick the plan shape,
-//! never change answers.
+//! bound on each side. It then counts each step's file entries with
+//! *index dives*: every `=` count is exact (one group's size), and each
+//! range is counted only up to the best seed so far. The smallest count
+//! **seeds** the candidate set (a dive stopped at its cap ranks strictly
+//! above the cap, so it never wins a tie); the seed reads its object ids
+//! straight from its postings. Every other step is bounded to the
+//! candidates' object-id span: it either **intersects** — walks its
+//! groups, checking each group's value once and reading only the entries
+//! inside the span — or runs as a **residual** (probes the unique
+//! `ua_object` index once per surviving candidate), whichever costs fewer
+//! µs. A span dive prices the walk from the groups it visits and the
+//! entries it would read inside the span (estimated from each group's
+//! ends, sampled after the first [`SAMPLED_GROUPS`] groups), stopped at
+//! the probes' cost; steps go most selective in the span first. Under
+//! MVCC a walk still fetches each row in the span and re-checks it on its
+//! visible image. Estimates pick the plan shape, never change answers.
 //!
-//! **Cost constants.** [`PROBE_US`] and [`SCAN_ENTRY_US`] were measured
-//! by the ignored test `calibrate_probe_and_scan_costs` on a 50 000-file
-//! catalog laid out like perfbench's (2-vCPU KVM guest, pinned to one
-//! CPU, a fresh candidate set or key range per pass, median of 15
-//! passes, three runs): a probe costs 1.6–1.7 µs when the candidates are
-//! one collection's consecutive files and 2.5–2.8 µs when they are
-//! spread over the catalog; a scanned entry with its row fetch costs
-//! 0.20–0.23 µs, and starting a walk 1.2–1.4 µs, which the price leaves
-//! out. The planner prices the spread-out probe, 12.5 scanned entries,
-//! because it cannot tell dense candidates from sparse ones before it
-//! runs. Two other ways to cut residual cost measured worse and are not
-//! built (DESIGN §7.6): one merged walk of `ua_object` over all
-//! candidates, and residual checks that read the value column without
-//! fetching the row.
+//! **Cost constants.** [`PROBE_US`], [`GROUP_US`] and [`SPAN_ENTRY_US`]
+//! were measured by the ignored test `calibrate_probe_and_scan_costs` on
+//! a 50 000-file catalog laid out like perfbench's (2-vCPU KVM guest,
+//! pinned to one CPU, a fresh candidate set, key range or span per pass
+//! after 8 MiB of other memory was touched, median of 15 passes, three
+//! runs): a probe costs 1.5–1.7 µs when the candidates are one
+//! collection's consecutive files and 2.5–3.1 µs when they are spread
+//! over the catalog; a span walk costs 0.22–0.38 µs per group it visits
+//! and 0.026–0.035 µs per entry it reads inside the span; starting a walk
+//! costs 0.7–1.2 µs, which the price leaves out. The planner prices the
+//! spread-out probe, 3.0 µs, the residual case of the eq-heavy mixes.
+//! Two other ways to cut residual cost measured worse and are not built
+//! (DESIGN §7.6): one merged walk of `ua_object` over all candidates, and
+//! residual checks that read the value column without fetching the row.
 //!
 //! [`Mcs::with_planner_bypass`] hands its closure a handle whose scope
 //! disables the planner (and skips the read cache), so tests and
@@ -50,6 +57,7 @@
 use std::cmp::Ordering;
 use std::ops::Bound;
 
+use relstore::index::Group;
 use relstore::predicate::like_match;
 use relstore::{Index, IndexKey, Table, Value};
 
@@ -60,25 +68,41 @@ use crate::schema::IndexProfile;
 
 /// µs one residual probe costs: a `ua_object` descent for
 /// `(File, id, name)` plus the row fetch, over candidates spread across
-/// the catalog (measured 2.5–2.8 µs; see the module doc).
-pub(crate) const PROBE_US: f64 = 2.5;
+/// the catalog (measured 2.5–3.1 µs; 1.5–1.7 µs over one collection's
+/// consecutive files; see the module doc).
+pub(crate) const PROBE_US: f64 = 3.0;
 
-/// µs one composite-index entry costs when a seed or intersection walks
-/// it, with its row fetch (measured 0.20–0.23 µs).
-pub(crate) const SCAN_ENTRY_US: f64 = 0.2;
+/// µs a span walk spends on each group it visits: stepping to the
+/// group's key, checking it, and seeking the span in its posting
+/// (measured 0.22–0.38 µs).
+pub(crate) const GROUP_US: f64 = 0.35;
+
+/// µs a span walk spends on each entry inside the span: reading its
+/// object id, and sorting and merging it with the candidates (measured
+/// 0.026–0.035 µs).
+pub(crate) const SPAN_ENTRY_US: f64 = 0.03;
+
+/// Groups a span dive estimates one by one (`Group::estimate` reads each
+/// group's ends); it scales the size of every later group by the share of
+/// entries these had inside the span, reading only the tree.
+const SAMPLED_GROUPS: usize = 16;
+
+/// Every object id: the span of a walk that no candidate set bounds.
+pub(crate) const ALL_IDS: (i64, i64) = (i64::MIN, i64::MAX);
 
 /// µs to filter `candidates` with one probe each.
 fn probe_us(candidates: f64) -> f64 {
     candidates * PROBE_US
 }
 
-/// The fewest index entries whose walk costs at least as much as probing
-/// `candidates`: a dive that reaches this count has decided on probes.
-fn break_even(candidates: f64) -> usize {
-    (probe_us(candidates) / SCAN_ENTRY_US).ceil() as usize
+/// µs a span walk costs that visits `groups` groups and reads `entries`
+/// entries inside the span.
+fn walk_us(groups: usize, entries: usize) -> f64 {
+    groups as f64 * GROUP_US + entries as f64 * SPAN_ENTRY_US
 }
 
-/// The composite `(name, value)` index serving one attribute type.
+/// The typed `(name, value, object_type, object_id)` index serving one
+/// attribute type.
 pub(crate) fn value_index_name(ty: AttrType) -> &'static str {
     match ty {
         AttrType::Str => "ua_name_str",
@@ -99,11 +123,10 @@ pub(crate) fn coerced_value(p: &AttrPredicate, ty: AttrType) -> Value {
     }
 }
 
-/// An access path on the composite `(name, value)` index of a
-/// predicate's type.
+/// An access path on the typed index of a predicate's type.
 #[derive(Debug, Clone)]
 pub(crate) enum Access {
-    /// Full-key equality lookup: `(name, value)`.
+    /// Equality: the one group `(name, value, File)`.
     Point(Value),
     /// Range over the value column under the name prefix. `like` is set
     /// when a LIKE literal prefix bounds the range and the full pattern
@@ -121,12 +144,12 @@ pub(crate) enum Access {
 /// How one step participates in the plan.
 #[derive(Debug, Clone)]
 enum Role {
-    /// Produce the initial candidate set from the composite index.
+    /// Produce the initial candidate set from the typed index.
     SeedIndex(Access),
     /// Produce the initial candidate set from the `ua_name` posting
     /// list (no predicate in the conjunction is index-accessible).
     SeedPosting,
-    /// Evaluate via the composite index and intersect.
+    /// Walk the typed index over the candidates' id span and intersect.
     Intersect(Access),
     /// Filter surviving candidates with per-candidate `ua_object`
     /// probes instead of walking this step's own index entries.
@@ -139,17 +162,23 @@ struct Step {
     /// or every range bound folded onto one attribute.
     preds: Vec<usize>,
     role: Role,
-    /// Index entries for seeds and intersections (exact), estimated
-    /// surviving candidates for residuals.
+    /// Entries for a seed (in every id), entries inside the seed's id
+    /// span for an intersection, estimated surviving candidates for a
+    /// residual.
     est: usize,
-    /// For a residual with an access path whose dive stopped at its
-    /// bound: that bound.
-    cut: Option<usize>,
+    /// Groups an intersection's walk visits.
+    groups: usize,
+    /// For a residual with an access path whose span dive stopped at the
+    /// probes' cost: the groups and entries it had counted.
+    cut: Option<(usize, usize)>,
 }
 
 /// A compiled plan for a conjunction of attribute predicates.
 pub(crate) struct AttrPlan {
     steps: Vec<Step>,
+    /// The seed's object-id span, which bounds every intersection's walk
+    /// (at run time, the running candidates' narrower one).
+    span: Option<(i64, i64)>,
 }
 
 impl AttrPlan {
@@ -175,11 +204,18 @@ impl AttrPlan {
                         format!("seed: {preds} via posting scan ua_name ({} rows)", s.est)
                     }
                     Role::Intersect(a) => {
-                        format!("intersect: {preds} via index {ix} {} ({} rows)", a.shape(), s.est)
+                        let (lo, hi) = self.span.expect("an intersection has a seed span");
+                        format!(
+                            "intersect: {preds} via index {ix} {} over ids {lo}..={hi} \
+                             ({} groups, ~{} rows)",
+                            a.shape(),
+                            s.groups,
+                            s.est
+                        )
                     }
                     Role::Residual => {
-                        let cut = s.cut.map_or(String::new(), |n| {
-                            format!("; dive stopped at {n} rows")
+                        let cut = s.cut.map_or(String::new(), |(g, n)| {
+                            format!("; dive stopped at {g} groups, ~{n} rows")
                         });
                         format!("residual: {preds} via ua_object probes (~{} candidates{cut})", s.est)
                     }
@@ -275,7 +311,7 @@ fn str_successor(s: &str) -> Option<String> {
     None
 }
 
-/// The composite-index access path for one predicate, if it has one.
+/// The typed-index access path for one predicate, if it has one.
 /// `Ne` never does (the matching rows are everything *but* one key);
 /// `LIKE` only when the pattern has a literal prefix to range over.
 pub(crate) fn access_for(p: &AttrPredicate, ty: AttrType, value: &Value) -> Option<Access> {
@@ -312,121 +348,259 @@ fn index<'t>(t: &'t Table, name: &str) -> Result<&'t Index> {
     t.index(name).ok_or_else(|| McsError::Internal(format!("missing index {name}")))
 }
 
+/// The typed index of `ty`, which must keep each group's rows in
+/// object-id order (`schema::VALUE_INDEX_DDL`).
+fn value_index(t: &Table, ty: AttrType) -> Result<&Index> {
+    let ix = index(t, value_index_name(ty))?;
+    if !ix.is_tail_ordered() {
+        let name = &ix.def.name;
+        return Err(McsError::Internal(format!("index {name} is not ordered by object id")));
+    }
+    Ok(ix)
+}
+
+/// Does a stored value pass every one of `checks`?
+fn passes(stored: &Value, checks: &[(AttrOp, Value)]) -> Result<bool> {
+    for (op, value) in checks {
+        if !value_matches(*op, stored, value)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Walk the groups of `access` on the typed index `ix` for attribute
+/// `name`, each seen through `span` of the object id, in key order.
+/// `visit` gets every group the range holds, with whether the group
+/// counts: it holds file rows and its value passes every one of
+/// `checks` (a group's rows share its value, so the check runs once per
+/// group). A `false` from `visit` ends the walk.
+fn walk_groups(
+    ix: &Index,
+    name: &str,
+    access: &Access,
+    checks: &[(AttrOp, Value)],
+    span: (i64, i64),
+    mut visit: impl FnMut(Group<'_>, bool) -> Result<bool>,
+) -> Result<()> {
+    let file = Value::Int(ObjectType::File.code());
+    let (prefix, low, high) = match access {
+        Access::Point(v) => {
+            (vec![Value::from(name), v.clone(), file.clone()], Bound::Unbounded, Bound::Unbounded)
+        }
+        Access::Range { low, high, .. } => (vec![Value::from(name)], low.as_ref(), high.as_ref()),
+    };
+    for group in ix.span_groups(&prefix, low, high, span.0..=span.1) {
+        let key = group.key();
+        let counts = key[2] == file && passes(&key[1], checks)?;
+        if !visit(group, counts)? {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// The `(op, coerced literal)` checks of a step's predicates.
+fn step_checks(checked: &[(&AttrPredicate, AttrType)], preds: &[usize]) -> Vec<(AttrOp, Value)> {
+    let ty = checked[preds[0]].1;
+    preds.iter().map(|&i| (checked[i].0.op, coerced_value(checked[i].0, ty))).collect()
+}
+
+/// What a dive over the seed's id span counted: the groups its walk
+/// visits and an estimate of the entries it reads inside the span, and
+/// whether it stopped at its cost bound before the walk's end.
+#[derive(Debug, Clone, Copy, Default)]
+struct SpanDive {
+    groups: usize,
+    entries: usize,
+    stopped: bool,
+}
+
 /// Build a plan for a conjunction of type-checked predicates. Pure
-/// estimation — no candidate rows are touched.
+/// estimation from index dives — no candidate rows are touched.
 pub(crate) fn plan_conjunction(
     t: &Table,
     checked: &[(&AttrPredicate, AttrType)],
 ) -> Result<AttrPlan> {
     /// A step before its role is known.
-    struct Group {
+    struct Part {
         preds: Vec<usize>,
         access: Option<Access>,
-        /// Index entries counted; for an uncounted group (no access
-        /// path) 0, and for a dive stopped at its cap that cap.
+        /// File entries counted in every id; for an uncounted part (no
+        /// access path) 0, and for a dive stopped at its cap that cap.
         est: usize,
         capped: bool,
     }
-    // One group per predicate, except that every range bound on one
-    // attribute joins that attribute's range group.
-    let mut groups: Vec<Group> = Vec::with_capacity(checked.len());
+    // One part per predicate, except that every range bound on one
+    // attribute joins that attribute's range part.
+    let mut parts: Vec<Part> = Vec::with_capacity(checked.len());
     for (i, (p, ty)) in checked.iter().enumerate() {
         let access = access_for(p, *ty, &coerced_value(p, *ty));
         if let Some(a @ Access::Range { .. }) = &access {
-            let same = groups.iter_mut().find(|g| {
+            let same = parts.iter_mut().find(|g| {
                 matches!(g.access, Some(Access::Range { .. }))
                     && checked[g.preds[0]].0.name == p.name
             });
             if let Some(g) = same {
                 g.preds.push(i);
-                g.access.as_mut().expect("a range group").fold(a.clone());
+                g.access.as_mut().expect("a range part").fold(a.clone());
                 continue;
             }
         }
-        groups.push(Group { preds: vec![i], access, est: 0, capped: false });
+        parts.push(Part { preds: vec![i], access, est: 0, capped: false });
     }
 
-    let name_of = |preds: &[usize]| Value::from(checked[preds[0]].0.name.as_str());
+    // Walk one part's index over `span`, handing `visit` each group of
+    // its access path and whether it counts.
+    let walk = |g: &Part, span, visit: &mut dyn FnMut(Group<'_>, bool) -> Result<bool>| {
+        let (p, ty) = checked[g.preds[0]];
+        let access = g.access.as_ref().expect("a walk needs an access path");
+        let checks = step_checks(checked, &g.preds);
+        walk_groups(value_index(t, ty)?, &p.name, access, &checks, span, visit)
+    };
     // A dive returns `(count, false)`, or `(cap, true)` when it stopped
     // at `cap`: past its cap a dive knows nothing, so dives stopped at
     // one cap tie, and keep the order the query gave them.
-    let dive = |g: &Group, cap: usize| -> Result<(usize, bool)> {
-        let ix = index(t, value_index_name(checked[g.preds[0]].1))?;
-        let name = name_of(&g.preds);
-        Ok(match g.access.as_ref().expect("a dive needs an access path") {
-            Access::Point(v) => (ix.count_eq(&[name, v.clone()]), false),
-            Access::Range { low, high, .. } => {
-                let prefix = std::slice::from_ref(&name);
-                match ix.count_prefix_range(prefix, low.as_ref(), high.as_ref(), cap) {
-                    (_, true) => (cap, true),
-                    exact => exact,
-                }
-            }
-        })
+    let dive = |g: &Part, cap: usize| -> Result<(usize, bool)> {
+        let mut n = 0usize;
+        walk(g, ALL_IDS, &mut |group, counts| {
+            n += if counts { group.count() } else { 0 };
+            Ok(n < cap)
+        })?;
+        Ok(if n >= cap { (cap, true) } else { (n, false) })
     };
 
     // Every `=` count is one exact lookup; each range is then counted
     // only up to the best seed so far — reaching it means the range
     // cannot seed, since a capped dive ranks above its cap.
     let mut best = usize::MAX;
-    for g in groups.iter_mut().filter(|g| matches!(g.access, Some(Access::Point(_)))) {
+    for g in parts.iter_mut().filter(|g| matches!(g.access, Some(Access::Point(_)))) {
         g.est = dive(g, usize::MAX)?.0;
         best = best.min(g.est);
     }
-    for g in groups.iter_mut().filter(|g| matches!(g.access, Some(Access::Range { .. }))) {
+    for g in parts.iter_mut().filter(|g| matches!(g.access, Some(Access::Range { .. }))) {
         (g.est, g.capped) = dive(g, best)?;
         if !g.capped {
             best = g.est;
         }
     }
 
-    // Seed from the cheapest index-accessible group; when none is
+    // Seed from the cheapest index-accessible part; when none is
     // accessible (all-`!=` conjunctions), from the smallest posting
     // list — never a full scan of rows that can't match.
     let name_ix = index(t, "ua_name")?;
-    let posting = |preds: &[usize]| name_ix.count_eq(std::slice::from_ref(&name_of(preds)));
-    if groups.iter().all(|g| g.access.is_none()) {
-        for g in &mut groups {
+    let posting = |preds: &[usize]| {
+        name_ix.count_eq(std::slice::from_ref(&Value::from(checked[preds[0]].0.name.as_str())))
+    };
+    if parts.iter().all(|g| g.access.is_none()) {
+        for g in &mut parts {
             g.est = posting(&g.preds);
         }
     }
-    let rank = |g: &Group| (g.access.is_none(), g.est, g.capped);
-    let seed = (0..groups.len()).min_by_key(|&i| rank(&groups[i])).expect("non-empty conjunction");
-    let seed = groups.remove(seed);
+    let rank = |g: &Part| (g.access.is_none(), g.est, g.capped);
+    let seed = (0..parts.len()).min_by_key(|&i| rank(&parts[i])).expect("non-empty conjunction");
+    let seed = parts.remove(seed);
+    // The seed's object-id span: the least and greatest id over its
+    // counted groups.
+    let mut span: Option<(i64, i64)> = None;
+    if seed.access.is_some() {
+        walk(&seed, ALL_IDS, &mut |group, counts| {
+            if let Some((lo, hi)) = group.bounds().filter(|_| counts) {
+                span = Some(span.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+            }
+            Ok(true)
+        })?;
+    }
     let role = match seed.access {
         Some(a) => Role::SeedIndex(a),
         None => Role::SeedPosting,
     };
-    let mut steps = vec![Step { preds: seed.preds, role, est: seed.est, cut: None }];
+    let mut steps = vec![Step { preds: seed.preds, role, est: seed.est, groups: 0, cut: None }];
 
-    // The rest cheapest-first, so each intersection narrows the
-    // candidates before the next decision. A step intersects when
-    // walking its entries costs fewer µs than probing the candidates,
-    // estimated as if the predicates were independent; a dive the seed
-    // round stopped short of that break-even count is continued up to
-    // it, and no further. Residuals run after every intersection.
-    groups.sort_by_key(|g| rank(g));
+    // Every other step with an access path dives over the seed's id
+    // span, counting the groups its walk visits and estimating the
+    // entries it reads inside the span (`Group::estimate` reads a group's
+    // two ends, not its entries), and stops once that walk costs as many
+    // µs as probing the seed's candidates. Steps then go most selective
+    // in the span first, so each intersection narrows the candidates
+    // before the next decision: a step intersects while its walk costs
+    // fewer µs than probing the candidates left, and narrows their
+    // estimate by the share of the span's ids it keeps, as if the
+    // predicates were independent. A step whose walk costs more probes;
+    // if its first dive ran to the end, it dives again up to the lower
+    // cost, so that every probing step's dive reports where it stopped.
+    // Residuals run after every intersection.
+    let dive_span = |g: &Part, (lo, hi): (i64, i64), budget: f64| -> Result<SpanDive> {
+        let (mut groups, mut entries, mut stopped) = (0usize, 0.0f64, false);
+        // The first counted groups are estimated one by one; after them,
+        // a group's size times the share of entries they had in the span.
+        let (mut sampled, mut sampled_len, mut sampled_in) = (0usize, 0.0f64, 0.0f64);
+        walk(g, (lo, hi), &mut |group, counts| {
+            groups += 1;
+            if counts && sampled < SAMPLED_GROUPS {
+                let n = group.estimate();
+                sampled += 1;
+                (sampled_len, sampled_in) = (sampled_len + group.size() as f64, sampled_in + n);
+                entries += n;
+            } else if counts {
+                entries += group.size() as f64 * sampled_in / sampled_len.max(1.0);
+            }
+            stopped = walk_us(groups, entries.round() as usize) >= budget;
+            Ok(!stopped)
+        })?;
+        Ok(SpanDive { groups, entries: entries.round() as usize, stopped })
+    };
+    // A seed that found nothing leaves no candidate to probe, so every
+    // dive stops before its first group.
+    let mut dived = Vec::with_capacity(parts.len());
+    for g in parts {
+        let d = match (&g.access, span) {
+            (None, _) => None,
+            (Some(_), None) => Some(SpanDive { stopped: true, ..SpanDive::default() }),
+            (Some(_), Some(span)) => Some(dive_span(&g, span, probe_us(seed.est as f64))?),
+        };
+        dived.push((g, d));
+    }
+    // Steps with no access path go last.
+    dived.sort_by_key(|(_, d)| d.map_or((true, true, 0), |d| (false, d.stopped, d.entries)));
     let mut running = seed.est as f64;
     let mut residuals = Vec::new();
-    for mut g in groups {
-        let cap = break_even(running);
-        if g.capped && g.est < cap {
-            (g.est, g.capped) = dive(&g, cap)?;
+    for (g, d) in dived {
+        let Some(mut d) = d else {
+            residuals.push((g.preds, None));
+            continue;
+        };
+        let (Some(access), Some((lo, hi))) = (g.access.clone(), span) else {
+            residuals.push((g.preds, Some((d.groups, d.entries))));
+            continue;
+        };
+        let budget = probe_us(running);
+        if !d.stopped && walk_us(d.groups, d.entries) < budget {
+            let ids = (hi as f64 - lo as f64 + 1.0).max(d.entries as f64).max(1.0);
+            running *= d.entries as f64 / ids;
+            steps.push(Step {
+                preds: g.preds,
+                role: Role::Intersect(access),
+                est: d.entries,
+                groups: d.groups,
+                cut: None,
+            });
+            continue;
         }
-        match g.access {
-            Some(a) if !g.capped && g.est < cap => {
-                running *= g.est as f64 / posting(&g.preds).max(1) as f64;
-                let (preds, est) = (g.preds, g.est);
-                steps.push(Step { preds, role: Role::Intersect(a), est, cut: None });
-            }
-            _ => residuals.push((g.preds, g.capped.then_some(g.est))),
+        if !d.stopped {
+            d = dive_span(&g, (lo, hi), budget)?;
         }
+        residuals.push((g.preds, Some((d.groups, d.entries))));
     }
     let est = running.ceil() as usize;
-    steps.extend(
-        residuals.into_iter().map(|(preds, cut)| Step { preds, role: Role::Residual, est, cut }),
-    );
-    Ok(AttrPlan { steps })
+    steps.extend(residuals.into_iter().map(|(preds, cut)| Step {
+        preds,
+        role: Role::Residual,
+        est,
+        groups: 0,
+        cut,
+    }));
+    Ok(AttrPlan { steps, span })
 }
 
 impl Mcs {
@@ -477,18 +651,19 @@ impl Mcs {
         for step in &plan.steps {
             let (p, ty) = checked[step.preds[0]];
             // The `(op, coerced literal)` tests every row of the step passes.
-            let checks: Vec<(AttrOp, Value)> = step
-                .preds
-                .iter()
-                .map(|&i| (checked[i].0.op, coerced_value(checked[i].0, ty)))
-                .collect();
+            let checks = step_checks(checked, &step.preds);
             acc = Some(match (&step.role, acc) {
-                (Role::SeedIndex(a), None) => self.eval_access(t, &p.name, ty, &checks, a)?,
+                (Role::SeedIndex(a), None) => {
+                    self.eval_access(t, &p.name, ty, &checks, a, ALL_IDS)?
+                }
                 (Role::SeedPosting, None) => {
                     self.posting_scan(t, p, ty.full_row_column(), &checks[0].1)?
                 }
                 (Role::Intersect(a), Some(prev)) => {
-                    intersect_sorted(&prev, &self.eval_access(t, &p.name, ty, &checks, a)?)
+                    // The candidates are ascending: their span is the
+                    // first and last.
+                    let span = (prev[0], prev[prev.len() - 1]);
+                    intersect_sorted(&prev, &self.eval_access(t, &p.name, ty, &checks, a, span)?)
                 }
                 (Role::Residual, Some(prev)) => {
                     self.residual_filter(t, &prev, &p.name, ty, &checks)?
@@ -502,12 +677,15 @@ impl Mcs {
         Ok(acc.unwrap_or_default())
     }
 
-    /// Evaluate one access path on the composite index of `ty` for the
-    /// attribute `name`, returning matching file object ids, sorted and
-    /// deduplicated. `checks` are the step's predicates: under MVCC each
-    /// row re-checks all of them (a stale entry may describe a superseded
-    /// image); on the barrier engine the index bounds already hold, and
-    /// only LIKE patterns are re-checked.
+    /// Evaluate one access path on the typed index of `ty` for the
+    /// attribute `name` over the object ids in `span`, returning matching
+    /// file object ids, sorted and deduplicated. `checks` are the step's
+    /// predicates, tested once per group on its value. On the barrier
+    /// engine every entry is live and carries its row's key, so the ids
+    /// come straight from the postings; under MVCC a stale entry may
+    /// describe a superseded image and a pending one is not yet visible,
+    /// so each row in the span is fetched and re-checked on its visible
+    /// image.
     pub(crate) fn eval_access(
         &self,
         t: &Table,
@@ -515,46 +693,35 @@ impl Mcs {
         ty: AttrType,
         checks: &[(AttrOp, Value)],
         access: &Access,
+        span: (i64, i64),
     ) -> Result<Vec<i64>> {
-        let ix = index(t, value_index_name(ty))?;
-        let name_val = Value::from(name);
-        let ids: Vec<relstore::RowId> = match access {
-            Access::Point(v) => ix.get_eq(&[name_val, v.clone()]).collect(),
-            Access::Range { low, high, .. } => {
-                let mut ids = Vec::new();
-                let prefix = std::slice::from_ref(&name_val);
-                ix.scan_prefix_range(prefix, low.as_ref(), high.as_ref(), &mut ids);
-                ids
-            }
-        };
+        let ix = value_index(t, ty)?;
         let mvcc = t.is_mvcc();
-        let rechecks: Vec<&(AttrOp, Value)> =
-            checks.iter().filter(|(op, _)| mvcc || *op == AttrOp::Like).collect();
-        let val_col = ty.full_row_column();
-        let mut out = Vec::with_capacity(ids.len());
-        'rows: for id in ids {
-            // Under MVCC a deleted row's index entries linger until
-            // vacuum and a pending row is not yet visible — both read
-            // back as `None` and are skipped. On the barrier engine a
-            // dangling entry is a corruption signal.
-            let Some(row) = relstore::snapshot_row(t, id, self.at()) else {
-                if mvcc {
+        let (file, val_col) = (Value::Int(ObjectType::File.code()), ty.full_row_column());
+        let mut out = Vec::new();
+        walk_groups(ix, name, access, checks, span, |group, counts| {
+            if !counts {
+                return Ok(true);
+            }
+            if !mvcc {
+                out.extend(group.entries().map(|(oid, _)| oid));
+                return Ok(true);
+            }
+            for (_, id) in group.entries() {
+                // A deleted row's entries linger until vacuum and a
+                // pending row is not yet visible: both read back as `None`.
+                let Some(row) = relstore::snapshot_row(t, id, self.at()) else {
                     continue;
-                }
-                return Err(McsError::Internal("dangling index".into()));
-            };
-            if row[1] != Value::Int(ObjectType::File.code())
-                || mvcc && !matches!(&row[3], Value::Str(s) if s.as_ref() == name)
-            {
-                continue;
-            }
-            for (op, value) in &rechecks {
-                if !value_matches(*op, &row[val_col], value)? {
-                    continue 'rows;
+                };
+                if row[1] == file
+                    && matches!(&row[3], Value::Str(s) if s.as_ref() == name)
+                    && passes(&row[val_col], checks)?
+                {
+                    out.push(row[2].as_int()?);
                 }
             }
-            out.push(row[2].as_int()?);
-        }
+            Ok(true)
+        })?;
         Ok(sorted_ids(out))
     }
 
@@ -743,16 +910,20 @@ mod tests {
         assert_eq!(intersect_sorted(&[3, 3, 3], &[3, 3]), vec![3]);
     }
 
-    /// Calibration of [`PROBE_US`] and [`SCAN_ENTRY_US`]: on a catalog of
-    /// 50 000 files laid out like perfbench's (collections of 1 000
-    /// consecutive files, ten attributes each), time one residual probe
-    /// over dense candidates (one collection's files) and over sparse
-    /// ones (every 50th file of the catalog), one scanned index entry
-    /// with its row fetch, and the start of a walk (a one-entry point
-    /// lookup). Each of 15 passes takes a fresh candidate set or key
-    /// range, so caches stay as cold as between two queries; the medians
-    /// are printed. Run with `cargo test --release -p mcs --lib calibrate
-    /// -- --ignored --nocapture` on an otherwise idle CPU.
+    /// Calibration of [`PROBE_US`], [`GROUP_US`] and [`SPAN_ENTRY_US`]:
+    /// on a catalog of 50 000 files laid out like perfbench's
+    /// (collections of 1 000 consecutive files, ten attributes each),
+    /// time one residual probe over dense candidates (one collection's
+    /// files) and over sparse ones (every 50th file of the catalog), one
+    /// group visit of a span walk (the 1 000 `seq` groups walked over a
+    /// one-id span, which holds one entry of one of them), one entry read
+    /// inside the span (one `kind` group of 2 500 entries walked over
+    /// every id), and the start of a walk (a one-entry point lookup).
+    /// Each of 15 passes takes a fresh candidate set, key range or span
+    /// and starts after 8 MiB of other memory has been touched, as
+    /// another query's work would between two; the medians are printed.
+    /// Run with `cargo test --release -p mcs --lib calibrate -- --ignored
+    /// --nocapture` on an otherwise idle CPU.
     #[test]
     #[ignore = "builds a 50 000-file catalog; prints cost constants"]
     fn calibrate_probe_and_scan_costs() {
@@ -795,14 +966,24 @@ mod tests {
         let handle = m.db.table("user_attributes").unwrap();
         let t = handle.read();
         let eq = |v: Value| vec![(AttrOp::Eq, v)];
-        let point = |name: &str, v: Value| {
+        let point = |name: &str, v: Value, span: (i64, i64)| {
             let ty = if v.as_str().is_ok() { AttrType::Str } else { AttrType::Int };
-            m.eval_access(&t, name, ty, &eq(v.clone()), &Access::Point(v)).unwrap()
+            m.eval_access(&t, name, ty, &eq(v.clone()), &Access::Point(v), span).unwrap()
+        };
+        // Between passes, touch 8 MiB, so that what a pass reads is no
+        // closer in cache than another query's work would leave it.
+        let mut filler = vec![0u8; 8 << 20];
+        let mut evict = move || {
+            for i in (0..filler.len()).step_by(64) {
+                filler[i] = filler[i].wrapping_add(1);
+            }
+            std::hint::black_box(&filler);
         };
         // µs per unit for each pass's (units, work), median over passes.
-        let per_unit = |work: &mut dyn FnMut(i64) -> usize| {
+        let mut per_unit = |work: &mut dyn FnMut(i64) -> usize| {
             let mut v: Vec<f64> = (0..PASSES)
                 .map(|k| {
+                    evict();
                     let start = Instant::now();
                     let units = work(k);
                     start.elapsed().as_secs_f64() * 1e6 / units.max(1) as f64
@@ -817,31 +998,34 @@ mod tests {
             std::hint::black_box(out);
             cands.len()
         };
-        let dense = per_unit(&mut |k| probe(&point("coll", Value::Int(3 * k + 1))));
+        let dense = per_unit(&mut |k| probe(&point("coll", Value::Int(3 * k + 1), ALL_IDS)));
         let sparse = per_unit(&mut |k| {
-            probe(&point("site", Value::from(format!("site_{:02}", 3 * k + 1))))
+            probe(&point("site", Value::from(format!("site_{:02}", 3 * k + 1)), ALL_IDS))
         });
-        // 60 `seq` values of 50 files each: 3 000 entries, disjoint from
-        // every other pass's.
-        let scan = per_unit(&mut |k| {
-            let (low, high) = (Value::Int(60 * k), Value::Int(60 * k + 60));
-            let access = Access::Range {
-                low: Bound::Included(low.clone()),
-                high: Bound::Excluded(high.clone()),
-                like: false,
-            };
-            let checks = [(AttrOp::Ge, low), (AttrOp::Lt, high)];
-            m.eval_access(&t, "seq", AttrType::Int, &checks, &access).unwrap().len()
+        // Every `seq` group, each seen through the one id of another
+        // collection's file.
+        let all_seq =
+            Access::Range { low: Bound::Unbounded, high: Bound::Unbounded, like: false };
+        let group = per_unit(&mut |k| {
+            let id = point("a8", Value::Int(2_017 * k + 500), ALL_IDS)[0];
+            let out = m.eval_access(&t, "seq", AttrType::Int, &[], &all_seq, (id, id)).unwrap();
+            std::hint::black_box(out);
+            1000
+        });
+        // One `kind` group of 2 500 entries, over every id.
+        let entry = per_unit(&mut |k| {
+            point("kind", Value::from(format!("type_{:02}", k + 1)), ALL_IDS).len()
         });
         let start = per_unit(&mut |k| {
             for j in 0..100 {
-                std::hint::black_box(point("a8", Value::Int(3_000 * k + j)));
+                std::hint::black_box(point("a8", Value::Int(3_000 * k + j), ALL_IDS));
             }
             100
         });
         println!(
-            "probe: dense {dense:.3} µs, sparse {sparse:.3} µs; scanned entry {scan:.3} µs; \
-             walk start {start:.3} µs (PROBE_US {PROBE_US}, SCAN_ENTRY_US {SCAN_ENTRY_US})"
+            "probe: dense {dense:.3} µs, sparse {sparse:.3} µs; group visit {group:.3} µs; \
+             entry in span {entry:.3} µs; walk start {start:.3} µs \
+             (PROBE_US {PROBE_US}, GROUP_US {GROUP_US}, SPAN_ENTRY_US {SPAN_ENTRY_US})"
         );
     }
 

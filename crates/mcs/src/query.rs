@@ -10,10 +10,11 @@
 //!   attribute *name* (values are unindexed), so cost grows with both
 //!   database size and predicate count, reproducing the paper's shapes.
 //!   Under [`IndexProfile::ValueIndexed`] the conjunction is compiled by
-//!   the cost-based planner in [`crate::plan`] instead: composite
-//!   `(name, value)` indexes provide point/range access paths, the most
-//!   selective predicate seeds the candidate set, and the rest intersect
-//!   or probe per-candidate — see [`Mcs::explain_query`] for the chosen
+//!   the cost-based planner in [`crate::plan`] instead: typed
+//!   `(name, value, object_type, object_id)` indexes provide point/range
+//!   access paths, the most selective predicate seeds the candidate set,
+//!   and the rest intersect within its id span or probe per-candidate —
+//!   see [`Mcs::explain_query`] for the chosen
 //!   shape and [`Mcs::with_planner_bypass`] for the naive oracle.
 
 use relstore::{IndexKey, Value};
@@ -72,10 +73,11 @@ impl Mcs {
             let t = handle.read();
             let ids = if m.profile == IndexProfile::ValueIndexed && !m.ctx.planner_bypass {
                 // Compile the conjunction into a cost-based plan: the
-                // most selective predicate (by index dive / statistics)
-                // seeds the candidate set, the rest intersect via their
-                // composite indexes or run as per-candidate residual
-                // probes — see `crate::plan` and `Mcs::explain_query`.
+                // most selective predicate (by index dive) seeds the
+                // candidate set, the rest intersect via their typed
+                // indexes within its id span or run as per-candidate
+                // residual probes — see `crate::plan` and
+                // `Mcs::explain_query`.
                 let plan = crate::plan::plan_conjunction(&t, &checked)?;
                 m.run_attr_plan(&t, &checked, &plan)?
             } else {
@@ -148,15 +150,16 @@ impl Mcs {
         let value = crate::plan::coerced_value(p, ty);
 
         // Value-indexed fast path (the §9 "future work" profile): point
-        // and range lookups on the composite (name, value) index — this
-        // includes LIKE patterns with a literal prefix, which range over
-        // the prefix and re-check the pattern on the survivors. `Ne` has
+        // and range lookups on the typed index — this includes LIKE
+        // patterns with a literal prefix, which range over the prefix and
+        // re-check the pattern on each group's value. `Ne` has
         // no useful access path (everything *but* one key) and falls
         // back to the posting scan; in a conjunction the planner demotes
         // it to a per-candidate residual probe instead.
         if self.profile == IndexProfile::ValueIndexed && !self.ctx.planner_bypass {
             if let Some(access) = crate::plan::access_for(p, ty, &value) {
-                return self.eval_access(t, &p.name, ty, &[(p.op, value)], &access);
+                let checks = [(p.op, value)];
+                return self.eval_access(t, &p.name, ty, &checks, &access, crate::plan::ALL_IDS);
             }
         }
 

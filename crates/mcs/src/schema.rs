@@ -12,7 +12,7 @@ use crate::error::Result;
 /// The 2003 deployment indexed names and ids but **not** attribute values —
 /// which is exactly why complex queries degrade with database size
 /// (Figures 7, 10, 11). The `ValueIndexed` profile adds per-type
-/// (name, value) indexes, the fix §9 gestures at; the ablation bench
+/// value indexes, the fix §9 gestures at; the ablation bench
 /// `ablate_value_index` measures the difference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexProfile {
@@ -160,15 +160,29 @@ CREATE TABLE external_catalogs (
 );
 ";
 
-/// Extra (name, value) indexes for [`IndexProfile::ValueIndexed`].
+/// Extra typed value indexes for [`IndexProfile::ValueIndexed`], one per
+/// attribute type: `(name, <type>_value, object_type, object_id)`. The
+/// last column is INTEGER, so relstore keeps each `(name, value,
+/// object_type)` group's rows ordered by object id (`relstore::index`),
+/// and the planner bounds a walk to its candidates' id span.
 pub const VALUE_INDEX_DDL: &str = "
-CREATE INDEX ua_name_str ON user_attributes (name, str_value);
-CREATE INDEX ua_name_int ON user_attributes (name, int_value);
-CREATE INDEX ua_name_float ON user_attributes (name, float_value);
-CREATE INDEX ua_name_date ON user_attributes (name, date_value);
-CREATE INDEX ua_name_time ON user_attributes (name, time_value);
-CREATE INDEX ua_name_datetime ON user_attributes (name, datetime_value);
+CREATE INDEX ua_name_str ON user_attributes (name, str_value, object_type, object_id);
+CREATE INDEX ua_name_int ON user_attributes (name, int_value, object_type, object_id);
+CREATE INDEX ua_name_float ON user_attributes (name, float_value, object_type, object_id);
+CREATE INDEX ua_name_date ON user_attributes (name, date_value, object_type, object_id);
+CREATE INDEX ua_name_time ON user_attributes (name, time_value, object_type, object_id);
+CREATE INDEX ua_name_datetime ON user_attributes (name, datetime_value, object_type, object_id);
 ";
+
+/// The typed value indexes [`VALUE_INDEX_DDL`] creates.
+pub(crate) const VALUE_INDEXES: [&str; 6] = [
+    "ua_name_str",
+    "ua_name_int",
+    "ua_name_float",
+    "ua_name_date",
+    "ua_name_time",
+    "ua_name_datetime",
+];
 
 /// Create all catalog tables and indexes in `db`.
 pub fn bootstrap(db: &Arc<Database>, profile: IndexProfile) -> Result<()> {
@@ -177,6 +191,32 @@ pub fn bootstrap(db: &Arc<Database>, profile: IndexProfile) -> Result<()> {
         db.execute_script(VALUE_INDEX_DDL)?;
     }
     Ok(())
+}
+
+/// Bring a store's typed value indexes to [`VALUE_INDEX_DDL`]: stores
+/// made before the indexes ended in `(object_type, object_id)` declared
+/// them as `(name, value)`. Each such index is dropped and created anew,
+/// as logged DDL, so a durable store does this once. Returns how many
+/// were rebuilt; a store without typed indexes, or with current ones, is
+/// left alone.
+pub(crate) fn upgrade_value_indexes(db: &Arc<Database>) -> Result<usize> {
+    let stale: Vec<&str> = {
+        let handle = db.table("user_attributes")?;
+        let t = handle.read();
+        VALUE_INDEXES
+            .into_iter()
+            .filter(|name| t.index(name).is_some_and(|ix| ix.def.columns.len() == 2))
+            .collect()
+    };
+    for name in &stale {
+        db.execute(&format!("DROP INDEX {name} ON user_attributes"), &[])?;
+        let create = VALUE_INDEX_DDL
+            .lines()
+            .find(|line| line.starts_with(&format!("CREATE INDEX {name} ON")))
+            .expect("every typed index has its DDL line");
+        db.execute(create.trim_end_matches(';'), &[])?;
+    }
+    Ok(stale.len())
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Plan-shape regression tests: `explain_query` pins the access path the
 //! cost-based planner chooses for canonical conjunctions, so an
 //! accidental cost-model change shows up as a readable string diff:
-//! folded ranges, µs-priced intersect-or-probe choices, dives stopped at
-//! their bound — plus edge cases (empty catalog, all-duplicate and
-//! NULL-heavy columns, staleness after bulk deletes) that the estimates
-//! must survive without panicking or mis-planning.
+//! folded ranges, walks bounded to the seed's object-id span and priced
+//! in µs against probes, dives stopped at their bound, perfbench's LIKE
+//! shape — plus edge cases (empty catalog, all-duplicate and NULL-heavy
+//! columns, staleness after bulk deletes) that the estimates must survive
+//! without panicking or mis-planning.
 
 use std::sync::Arc;
 
@@ -53,29 +54,54 @@ fn selective_eq_seeds_unselective_eq_probes() {
     let plan = m
         .explain_query(&a, &[pred("site", AttrOp::Eq, "s3"), pred("run", AttrOp::Eq, 3i64)])
         .unwrap();
-    // run = 3 hits exactly one row — it seeds. Walking site = s3's 2
-    // entries costs less than one probe, so it intersects.
+    // run = 3 hits exactly one row, file 4 — it seeds. The walk of
+    // site = s3 visits one group and reads only what lies inside that
+    // one-id span (its two entries, 30 ids apart, put ~0 there), which
+    // costs less than one probe, so it intersects.
     assert_eq!(
         plan,
         vec![
             "seed: run = via index ua_name_int eq (1 rows)".to_string(),
-            "intersect: site = via index ua_name_str eq (2 rows)".to_string(),
+            "intersect: site = via index ua_name_str eq over ids 4..=4 (1 groups, ~0 rows)"
+                .to_string(),
         ]
     );
-    // At 30 rows per site, walking site = s1 costs more than probing
-    // the single survivor.
+    // However many rows share the site, the span bounds the walk: at 30
+    // rows per site it still reads about one entry.
     let m = catalog();
     load(&m, 60, 2);
     let plan = m
         .explain_query(&a, &[pred("site", AttrOp::Eq, "s1"), pred("run", AttrOp::Eq, 3i64)])
         .unwrap();
     assert_eq!(
-        plan,
+        plan[1],
+        "intersect: site = via index ua_name_str eq over ids 4..=4 (1 groups, ~1 rows)"
+    );
+    // Two candidates 598 ids apart (run = i % 598 hits files 1 and 599)
+    // hold all 300 of site = s1's entries in their span: walking them
+    // costs more than probing the two candidates.
+    let m = catalog();
+    let specs: Vec<FileSpec> = (0..600i64)
+        .map(|i| {
+            FileSpec::named(format!("f{i:04}"))
+                .attr("site", format!("s{}", i % 2))
+                .attr("run", i % 598)
+        })
+        .collect();
+    m.create_files(&a, &specs).unwrap();
+    let preds = [pred("site", AttrOp::Eq, "s1"), pred("run", AttrOp::Eq, 1i64)];
+    assert_eq!(
+        m.explain_query(&a, &preds).unwrap(),
         vec![
-            "seed: run = via index ua_name_int eq (1 rows)".to_string(),
-            "residual: site = via ua_object probes (~1 candidates)".to_string(),
+            "seed: run = via index ua_name_int eq (2 rows)".to_string(),
+            "residual: site = via ua_object probes (~2 candidates; dive stopped at 1 groups, \
+             ~300 rows)"
+                .to_string(),
         ]
     );
+    let hits = m.query_by_attributes(&a, &preds).unwrap();
+    assert_eq!(hits.len(), 2);
+    assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
 }
 
 #[test]
@@ -89,18 +115,20 @@ fn broad_range_intersects_when_cheaper_than_probes() {
             &[pred("site", AttrOp::Eq, "s0"), pred("run", AttrOp::Lt, 5i64)],
         )
         .unwrap();
-    // run < 5 keeps 5 of 40 and seeds; walking site = s0's 20 entries
-    // costs less than probing the 5 survivors.
+    // run < 5 keeps files 1–5 and seeds; site = s0's walk reads its 3
+    // entries in that span, less than probing the 5 survivors.
     assert_eq!(
         plan,
         vec![
             "seed: run < via index ua_name_int range (5 rows)".to_string(),
-            "intersect: site = via index ua_name_str eq (20 rows)".to_string(),
+            "intersect: site = via index ua_name_str eq over ids 1..=5 (1 groups, ~3 rows)"
+                .to_string(),
         ]
     );
-    // Flip the selectivities: now the equality seeds. The range's dive
-    // stops at 20 entries in the seed round, then goes on to the
-    // break-even count and finds all 40, still cheaper than 20 probes.
+    // Flip the selectivities: now the equality seeds, over files 1–39.
+    // The range's dive stops at 20 entries in the seed round; its span
+    // walk visits all 40 `run` groups for 39 entries, still cheaper
+    // than 20 probes.
     let plan = m
         .explain_query(
             &a,
@@ -111,7 +139,8 @@ fn broad_range_intersects_when_cheaper_than_probes() {
         plan,
         vec![
             "seed: site = via index ua_name_str eq (20 rows)".to_string(),
-            "intersect: run < via index ua_name_int range (40 rows)".to_string(),
+            "intersect: run < via index ua_name_int range over ids 1..=39 (40 groups, ~40 rows)"
+                .to_string(),
         ]
     );
 }
@@ -142,14 +171,16 @@ fn bounds_on_one_attribute_fold_into_one_range() {
         pred("run", AttrOp::Gt, 12i64),
         pred("run", AttrOp::Le, 16i64),
     ];
-    // run in (12, 16] keeps 4 rows and seeds under all four bounds;
-    // walking site = s0's 10 entries costs less than 4 probes.
+    // run in (12, 16] keeps files 14–17 and seeds under all four
+    // bounds; site = s0 has one entry in that span, cheaper to walk to
+    // than 4 probes.
     assert_eq!(
         m.explain_query(&a, &folded).unwrap(),
         vec![
             "seed: run >= AND run < AND run > AND run <= via index ua_name_int range (4 rows)"
                 .to_string(),
-            "intersect: site = via index ua_name_str eq (10 rows)".to_string(),
+            "intersect: site = via index ua_name_str eq over ids 14..=17 (1 groups, ~1 rows)"
+                .to_string(),
         ]
     );
     let names = |hits: Vec<(String, i64)>| hits.into_iter().map(|h| h.0).collect::<Vec<_>>();
@@ -189,25 +220,29 @@ fn bounds_on_one_attribute_fold_into_one_range() {
     }
 }
 
-/// 50 candidates against a 300-entry range: the old rule (entries
-/// against candidates, one to one) probed; priced in µs, walking 300
-/// entries costs less than 50 probes, so the range intersects.
+/// 50 candidates against a 300-entry range over 15 `run` values:
+/// counting entries against candidates one to one would probe; priced in
+/// µs, walking 15 groups and 300 entries costs less than 50 probes, so
+/// the range intersects.
 #[test]
 fn cheaper_walk_intersects_instead_of_probing() {
     let m = catalog();
     let a = admin();
     let specs: Vec<FileSpec> = (0..600i64)
         .map(|i| {
-            FileSpec::named(format!("f{i:04}")).attr("site", format!("s{}", i % 12)).attr("run", i)
+            FileSpec::named(format!("f{i:04}"))
+                .attr("site", format!("s{}", i % 12))
+                .attr("run", i / 20)
         })
         .collect();
     m.create_files(&a, &specs).unwrap();
-    let preds = [pred("run", AttrOp::Lt, 300i64), pred("site", AttrOp::Eq, "s0")];
+    let preds = [pred("run", AttrOp::Lt, 15i64), pred("site", AttrOp::Eq, "s0")];
     assert_eq!(
         m.explain_query(&a, &preds).unwrap(),
         vec![
             "seed: site = via index ua_name_str eq (50 rows)".to_string(),
-            "intersect: run < via index ua_name_int range (300 rows)".to_string(),
+            "intersect: run < via index ua_name_int range over ids 1..=589 (15 groups, ~300 rows)"
+                .to_string(),
         ]
     );
     let hits = m.query_by_attributes(&a, &preds).unwrap();
@@ -215,33 +250,36 @@ fn cheaper_walk_intersects_instead_of_probing() {
     assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
 }
 
-/// A LIKE whose prefix range spans every `site` entry stops its dive at
-/// the `=` count it ties with: a stopped dive ranks above its cap, so
-/// the equality seeds; the LIKE's dive then stops at the break-even
-/// count (20 candidates × 2.5 µs per probe / 0.2 µs per entry = 250),
-/// and it probes.
+/// A LIKE whose prefix range holds more `site` entries than an `=` has
+/// rows stops its dive at the `=` count it ties with: a stopped dive
+/// ranks above its cap, so the equality seeds. The LIKE's span walk then
+/// prices each group it visits: 111 groups cost less than probing the 20
+/// candidates, but the 400 of a one-letter prefix do not, so that dive
+/// stops at the probes' cost and the LIKE probes.
 #[test]
 fn capped_like_dive_never_seeds_on_a_tie() {
     let m = catalog();
     let a = admin();
-    // site = edge<i % 20> and run = i % 20: every site value and
-    // run = 7 have 20 rows each; the LIKE prefix range has all 400.
+    // site = edge<i> and run = i % 20: run = 7 has 20 rows, every site
+    // value one.
     let specs: Vec<FileSpec> = (0..400i64)
         .map(|i| {
             FileSpec::named(format!("f{i:04}"))
-                .attr("site", format!("edge{}", i % 20))
+                .attr("site", format!("edge{i}"))
                 .attr("run", i % 20)
         })
         .collect();
     m.create_files(&a, &specs).unwrap();
     let preds = [pred("site", AttrOp::Like, "edge1%"), pred("run", AttrOp::Eq, 7i64)];
-    // `edge1%`'s literal prefix is `edge1`: edge1 and edge10–edge19,
-    // 11 values of 20 rows — the first one already reaches the cap.
+    // `edge1%`'s literal prefix is `edge1`: edge1, edge10–edge19 and
+    // edge100–edge199, 111 rows — the dive stops at the 20th.
     assert_eq!(
         m.explain_query(&a, &preds).unwrap(),
         vec![
             "seed: run = via index ua_name_int eq (20 rows)".to_string(),
-            "intersect: site LIKE via index ua_name_str prefix-range (220 rows)".to_string(),
+            "intersect: site LIKE via index ua_name_str prefix-range over ids 8..=388 \
+             (111 groups, ~104 rows)"
+                .to_string(),
         ]
     );
     let preds = [pred("site", AttrOp::Like, "e%"), pred("run", AttrOp::Eq, 7i64)];
@@ -249,12 +287,67 @@ fn capped_like_dive_never_seeds_on_a_tie() {
         m.explain_query(&a, &preds).unwrap(),
         vec![
             "seed: run = via index ua_name_int eq (20 rows)".to_string(),
-            "residual: site LIKE via ua_object probes (~20 candidates; dive stopped at 250 rows)"
+            "residual: site LIKE via ua_object probes (~20 candidates; dive stopped at \
+             160 groups, ~140 rows)"
                 .to_string(),
         ]
     );
     let hits = m.query_by_attributes(&a, &preds).unwrap();
     assert_eq!(hits.len(), 20);
+    assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
+}
+
+/// perfbench's LIKE shape, `wl_site LIKE 'site_<d>%' AND wl_seq >= lo
+/// AND wl_coll = c` with `lo` above 750, on its layout (collections of
+/// 1 000 consecutive files; site = i % 50, seq = i % 1000). The LIKE's
+/// literal prefix is only `site` (`_` is a wildcard), so `wl_coll = c`
+/// seeds. Each later step walks only the collection's id span:
+/// `wl_seq >= 800` reads about its 200 entries there, not the 1 000 its
+/// range holds over the catalog (the 11 000–12 500 of a 50 000-file
+/// catalog), and the LIKE checks each of the 50 site groups once and
+/// reads entries only in the ten that match.
+#[test]
+fn like_shape_walks_only_the_collections_span() {
+    let a = admin();
+    let m = Mcs::with_options(&a, IndexProfile::ValueIndexed, Arc::new(ManualClock::default()))
+        .unwrap();
+    for (name, ty) in
+        [("wl_site", AttrType::Str), ("wl_seq", AttrType::Int), ("wl_coll", AttrType::Int)]
+    {
+        m.define_attribute(&a, name, ty, "").unwrap();
+    }
+    for batch in (0..5_000i64).collect::<Vec<_>>().chunks(1_000) {
+        let specs: Vec<FileSpec> = batch
+            .iter()
+            .map(|&i| {
+                FileSpec::named(format!("lfn.{i:09}.dat"))
+                    .attr("wl_site", format!("site_{:02}", i % 50))
+                    .attr("wl_seq", i % 1_000)
+                    .attr("wl_coll", i / 1_000)
+            })
+            .collect();
+        m.create_files(&a, &specs).unwrap();
+    }
+    let preds = [
+        pred("wl_site", AttrOp::Like, "site_3%"),
+        pred("wl_seq", AttrOp::Ge, 800i64),
+        pred("wl_coll", AttrOp::Eq, 2i64),
+    ];
+    assert_eq!(
+        m.explain_query(&a, &preds).unwrap(),
+        vec![
+            "seed: wl_coll = via index ua_name_int eq (1000 rows)".to_string(),
+            "intersect: wl_site LIKE via index ua_name_str prefix-range over ids 2001..=3000 \
+             (50 groups, ~202 rows)"
+                .to_string(),
+            "intersect: wl_seq >= via index ua_name_int range over ids 2001..=3000 \
+             (200 groups, ~250 rows)"
+                .to_string(),
+        ]
+    );
+    let hits = m.query_by_attributes(&a, &preds).unwrap();
+    // Files 2800–2999 whose site is site_30–site_39.
+    assert_eq!(hits.len(), 40);
     assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
 }
 

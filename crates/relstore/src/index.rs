@@ -9,18 +9,41 @@
 //! # Entry layout
 //!
 //! Every key of one index has that index's width — one to
-//! [`MAX_INDEX_WIDTH`] values, one per `IndexDef::columns` entry — so the
-//! tree stores it inline in its node slot as a `[Value; N]`. A key costs
-//! no heap allocation of its own, and a probe compares values that sit
-//! side by side in the node instead of chasing one pointer per key.
+//! [`MAX_INDEX_WIDTH`] values, one per `IndexDef::columns` entry. The
+//! tree stores a key's leading columns inline in its node slot as a
+//! `[Value; N]`: a key costs no heap allocation of its own, and a probe
+//! compares values that sit side by side in the node instead of chasing
+//! one pointer per key.
 //!
-//! A key's posting is `One(RowId)` while one row carries the key, which
-//! is the common case for unique and selective keys: they allocate
-//! nothing beyond their tree slot. A second row turns it into a boxed
+//! A plain index keeps the whole key in the tree, and a key's posting
+//! is `One(RowId)` while one row carries the key, which is the common
+//! case for unique and selective keys: they allocate nothing beyond
+//! their tree slot. A second row turns it into a boxed
 //! `BTreeSet<RowId>`, and removals that leave one row turn it back. The
 //! set keeps insert **and remove** O(log n) however many rows share a key
 //! — a real B-tree keys on (value, rowid), and the paper's near-flat add
 //! rate across database sizes (Figure 5) depends on exactly this property.
+//!
+//! A **tail-ordered** index — non-unique, two or more columns, the last
+//! one `INTEGER` ([`Index::with_tail`]; `Table::create_index` picks it
+//! for every such definition) — keeps its last column inside the
+//! postings instead: the tree is keyed by the other columns (a *group*),
+//! and a group's posting holds 16-byte `(tail, RowId)` pairs sorted by
+//! tail, then row. A group of one entry keeps it inline (24 bytes in the
+//! slot, against 16 for a plain posting); up to 64 entries sit in one
+//! sorted vector; a larger group keeps sorted runs of at most 64, each
+//! beside its greatest entry, so an insert or remove moves at most one
+//! run and the run list, and an append — object ids mostly arrive in
+//! ascending order — fills runs to the brim. Entries still read back as
+//! full-width keys in key order. What the layout adds is one walk,
+//! [`Index::span_groups`], that visits a prefix range's groups and reads
+//! each group's entries only within a span `[lo, hi]` of the tail: binary
+//! searches to the span's start, then contiguous memory. The catalog's
+//! typed attribute indexes end in the object id, so two attribute
+//! predicates join as a walk bounded to the candidates' id span. A new
+//! group key takes its strings from the neighbouring key's when equal,
+//! so a walk or descent along one attribute name compares one cached
+//! string instead of fetching one per group.
 //!
 //! Callers look keys up with an [`IndexKey`] or a value slice, and write
 //! entries straight from rows; either way the index builds the probe key
@@ -28,7 +51,8 @@
 //! shared `Arc`s). Keys order component by component with
 //! [`Value::index_cmp`]: NULL first, `Int(3)` equal to `Float(3.0)`. A
 //! scan starts at its prefix padded with NULLs, the least value, so it
-//! meets every key that extends the prefix.
+//! meets every key that extends the prefix. A lookup, count or remove
+//! names a full-width key; any other width is a caller's bug, and panics.
 //!
 //! # No NULL keys
 //!
@@ -39,20 +63,20 @@
 //! its nullable columns with a non-NULL comparison, which excludes the
 //! rows left out anyway; `relstore::planner` keeps to that rule. A
 //! catalog attribute row is non-NULL in exactly one typed value column,
-//! so it enters one of the six `(name, value)` indexes, not all six.
+//! so it enters one of the six `ua_name_<type>` indexes, not all six.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::btree_map::{self, Entry};
 use std::collections::{btree_set, BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::ops::{Bound, RangeInclusive};
 
 use crate::error::{Error, Result};
 use crate::row::{Row, RowId};
 use crate::value::Value;
 
-/// The most columns one index may have (the catalog's widest index,
-/// `acl_unique`, has four).
+/// The most columns one index may have (the catalog's widest indexes,
+/// `acl_unique` and the `ua_name_<type>` ones, have four).
 pub const MAX_INDEX_WIDTH: usize = 4;
 
 /// Compare two key tuples component by component with
@@ -104,7 +128,7 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
-/// A full-width key, stored inline in its tree slot.
+/// The columns a tree keys on, stored inline in their tree slot.
 #[derive(Debug, Clone)]
 struct Key<const N: usize>([Value; N]);
 
@@ -128,8 +152,15 @@ impl<const N: usize> Ord for Key<N> {
     }
 }
 
-/// The rows carrying one key. The set is boxed so that a posting takes
-/// 16 bytes in its node instead of 32.
+/// An entry of a tail-ordered index's posting: the last column's value,
+/// then the row.
+type Tail = (i64, RowId);
+
+/// Most entries one run of a [`TailPosting`] holds (16 bytes each).
+const RUN: usize = 64;
+
+/// The rows carrying one key of a plain index. The set is boxed so that
+/// a posting takes 16 bytes in its node instead of 32.
 #[derive(Debug, Clone)]
 #[allow(clippy::box_collection)]
 enum Posting {
@@ -137,22 +168,58 @@ enum Posting {
     Many(Box<BTreeSet<RowId>>),
 }
 
-impl Posting {
-    fn len(&self) -> usize {
-        match self {
-            Posting::One(_) => 1,
-            Posting::Many(ids) => ids.len(),
-        }
+/// The entries of one group of a tail-ordered index, in `(tail, RowId)`
+/// order: one entry inline, up to [`RUN`] in one sorted vector, or more
+/// in sorted runs of at most [`RUN`] each, every run's entries below the
+/// next run's. A walk seeks its span with binary searches and then reads
+/// contiguous memory; a write moves at most one run's entries and the
+/// run list.
+#[derive(Debug, Clone)]
+enum TailPosting {
+    One(Tail),
+    Few(Vec<Tail>),
+    Many(Box<Runs>),
+}
+
+/// The runs of a [`TailPosting`] of more than [`RUN`] entries, each
+/// beside its greatest entry.
+#[derive(Debug, Clone)]
+struct Runs {
+    runs: Vec<(Tail, Vec<Tail>)>,
+    len: usize,
+}
+
+/// What one kind of posting does for the tree that holds it.
+trait Postings: Sized {
+    /// What the posting holds per row.
+    type Entry: Copy;
+    /// Does a new key of this kind take its strings from its neighbours
+    /// ([`share_strings`])?
+    const SHARES_STRINGS: bool;
+    /// The entry of row `id` whose last column is `tail` (which a plain
+    /// posting ignores).
+    fn entry(tail: i64, id: RowId) -> Self::Entry;
+    fn one(e: Self::Entry) -> Self;
+    /// Add `e`; false if it was already here.
+    fn add(&mut self, e: Self::Entry) -> bool;
+    /// Remove `e`: `None` if it was not here, else whether the posting
+    /// is now empty (and its key must go).
+    fn take(&mut self, e: Self::Entry) -> Option<bool>;
+    fn view(&self) -> PostingRef<'_>;
+}
+
+impl Postings for Posting {
+    type Entry = RowId;
+    const SHARES_STRINGS: bool = false;
+
+    fn entry(_: i64, id: RowId) -> RowId {
+        id
     }
 
-    fn ids(&self) -> Ids<'_> {
-        match self {
-            Posting::One(id) => Ids::One(Some(*id)),
-            Posting::Many(ids) => Ids::Many(ids.iter()),
-        }
+    fn one(id: RowId) -> Posting {
+        Posting::One(id)
     }
 
-    /// Add `id`; false if it was already here.
     fn add(&mut self, id: RowId) -> bool {
         match self {
             Posting::One(held) if *held == id => false,
@@ -164,40 +231,431 @@ impl Posting {
             Posting::Many(ids) => ids.insert(id),
         }
     }
-}
 
-/// The row ids of one posting, ascending.
-enum Ids<'a> {
-    One(Option<RowId>),
-    Many(btree_set::Iter<'a, RowId>),
-}
-
-impl Iterator for Ids<'_> {
-    type Item = RowId;
-
-    fn next(&mut self) -> Option<RowId> {
+    fn take(&mut self, id: RowId) -> Option<bool> {
         match self {
-            Ids::One(id) => id.take(),
-            Ids::Many(ids) => ids.next().copied(),
+            Posting::One(held) => (*held == id).then_some(true),
+            Posting::Many(ids) => {
+                if !ids.remove(&id) {
+                    return None;
+                }
+                if ids.len() == 1 {
+                    *self = Posting::One(*ids.first().expect("one id left"));
+                }
+                Some(false)
+            }
         }
     }
 
-    // Exact, so that collecting a posting allocates once.
+    fn view(&self) -> PostingRef<'_> {
+        PostingRef::Rows(self)
+    }
+}
+
+impl Postings for TailPosting {
+    type Entry = Tail;
+    const SHARES_STRINGS: bool = true;
+
+    fn entry(tail: i64, id: RowId) -> Tail {
+        (tail, id)
+    }
+
+    fn one(e: Tail) -> TailPosting {
+        TailPosting::One(e)
+    }
+
+    fn add(&mut self, e: Tail) -> bool {
+        match self {
+            TailPosting::One(held) if *held == e => false,
+            TailPosting::One(held) => {
+                let held = *held;
+                *self = TailPosting::Few(if held < e {
+                    vec![held, e]
+                } else {
+                    vec![e, held]
+                });
+                true
+            }
+            TailPosting::Few(run) => {
+                let Err(at) = run.binary_search(&e) else {
+                    return false;
+                };
+                run.insert(at, e);
+                if run.len() > RUN {
+                    let mut lower = std::mem::take(run);
+                    let upper = split_run(&mut lower, at);
+                    let len = lower.len() + upper.len();
+                    let last = |run: &Vec<Tail>| *run.last().expect("a run is non-empty");
+                    let runs = vec![(last(&lower), lower), (last(&upper), upper)];
+                    *self = TailPosting::Many(Box::new(Runs { runs, len }));
+                }
+                true
+            }
+            TailPosting::Many(runs) => runs.insert(e),
+        }
+    }
+
+    fn take(&mut self, e: Tail) -> Option<bool> {
+        match self {
+            TailPosting::One(held) => (*held == e).then_some(true),
+            TailPosting::Few(run) => {
+                run.remove(run.binary_search(&e).ok()?);
+                if run.len() == 1 {
+                    *self = TailPosting::One(run[0]);
+                }
+                Some(false)
+            }
+            TailPosting::Many(runs) => {
+                if !runs.remove(e) {
+                    return None;
+                }
+                if runs.runs.len() == 1 {
+                    let run = std::mem::take(&mut runs.runs[0].1);
+                    *self = match run[..] {
+                        [e] => TailPosting::One(e),
+                        _ => TailPosting::Few(run),
+                    };
+                }
+                Some(false)
+            }
+        }
+    }
+
+    fn view(&self) -> PostingRef<'_> {
+        PostingRef::Tailed(self)
+    }
+}
+
+/// Split a run that has just grown past [`RUN`] by an insert at `at`,
+/// returning its upper part. An append (object ids mostly arrive in
+/// ascending order) leaves the lower part full and starts the upper one
+/// with the new entry; an insert elsewhere splits in half. The lower part
+/// keeps no spare capacity: only the last run of a posting still grows.
+fn split_run(run: &mut Vec<Tail>, at: usize) -> Vec<Tail> {
+    let upper = run.split_off(if at + 1 == run.len() {
+        RUN
+    } else {
+        run.len() / 2
+    });
+    run.shrink_to_fit();
+    upper
+}
+
+impl Runs {
+    /// The run that holds `e` if any does: the first whose greatest entry
+    /// is not below it (the last run for an `e` above every entry).
+    fn run_of(&self, e: Tail) -> usize {
+        self.runs
+            .partition_point(|(last, _)| *last < e)
+            .min(self.runs.len() - 1)
+    }
+
+    fn insert(&mut self, e: Tail) -> bool {
+        let i = self.run_of(e);
+        let (last, run) = &mut self.runs[i];
+        let Err(at) = run.binary_search(&e) else {
+            return false;
+        };
+        run.insert(at, e);
+        *last = (*last).max(e);
+        if run.len() > RUN {
+            let upper = split_run(run, at);
+            *last = *run.last().expect("a run is non-empty");
+            let upper_last = *upper.last().expect("a run is non-empty");
+            self.runs.insert(i + 1, (upper_last, upper));
+        }
+        self.len += 1;
+        true
+    }
+
+    fn remove(&mut self, e: Tail) -> bool {
+        let i = self.run_of(e);
+        let (last, run) = &mut self.runs[i];
+        let Ok(at) = run.binary_search(&e) else {
+            return false;
+        };
+        run.remove(at);
+        self.len -= 1;
+        match run.last() {
+            None => drop(self.runs.remove(i)),
+            Some(&greatest) => *last = greatest,
+        }
+        // Fold a run into its successor while both fit in half a run.
+        if i + 1 < self.runs.len() && self.runs[i].1.len() + self.runs[i + 1].1.len() <= RUN / 2 {
+            let (next_last, next) = self.runs.remove(i + 1);
+            self.runs[i].1.extend(next);
+            self.runs[i].0 = next_last;
+        }
+        true
+    }
+
+    /// The entries whose tail lies in `lo..=hi`, in order.
+    fn span(&self, lo: i64, hi: i64) -> RunsIter<'_> {
+        let start = (lo, RowId(0));
+        let run = self.runs.partition_point(|(last, _)| *last < start);
+        let at = self
+            .runs
+            .get(run)
+            .map_or(0, |(_, r)| r.partition_point(|e| *e < start));
+        RunsIter {
+            runs: &self.runs,
+            run,
+            at,
+            hi,
+        }
+    }
+
+    /// The run layout's invariants, for [`Index::check_layout`].
+    fn check(&self) -> std::result::Result<(), String> {
+        let mut n = 0usize;
+        let mut prev: Option<Tail> = None;
+        if self.runs.len() < 2 {
+            return Err(format!(
+                "keeps {} entries in {} runs",
+                self.len,
+                self.runs.len()
+            ));
+        }
+        for (last, run) in &self.runs {
+            if run.is_empty() || run.len() > RUN || run.last() != Some(last) {
+                return Err(format!(
+                    "keeps a run of {} entries ending {last:?}",
+                    run.len()
+                ));
+            }
+            check_sorted(run, &mut prev)?;
+            n += run.len();
+        }
+        if n != self.len {
+            return Err(format!("counts {} entries in a posting of {n}", self.len));
+        }
+        Ok(())
+    }
+}
+
+/// Is `run` strictly ascending, and above `prev`? Leaves `prev` at its
+/// last entry.
+fn check_sorted(run: &[Tail], prev: &mut Option<Tail>) -> std::result::Result<(), String> {
+    for &e in run {
+        if prev.is_some_and(|p| p >= e) {
+            return Err(format!("keeps {e:?} after {prev:?}"));
+        }
+        *prev = Some(e);
+    }
+    Ok(())
+}
+
+/// A walk over the entries of [`Runs`] from a start position up to a
+/// greatest tail.
+#[derive(Clone)]
+struct RunsIter<'a> {
+    runs: &'a [(Tail, Vec<Tail>)],
+    run: usize,
+    at: usize,
+    hi: i64,
+}
+
+impl Iterator for RunsIter<'_> {
+    type Item = Tail;
+
+    fn next(&mut self) -> Option<Tail> {
+        let (_, run) = self.runs.get(self.run)?;
+        let e = run[self.at];
+        if e.0 > self.hi {
+            self.run = self.runs.len();
+            return None;
+        }
+        self.at += 1;
+        if self.at == run.len() {
+            (self.run, self.at) = (self.run + 1, 0);
+        }
+        Some(e)
+    }
+}
+
+impl TailPosting {
+    fn len(&self) -> usize {
+        match self {
+            TailPosting::One(_) => 1,
+            TailPosting::Few(run) => run.len(),
+            TailPosting::Many(runs) => runs.len,
+        }
+    }
+
+    /// The least and greatest entry.
+    fn ends(&self) -> (Tail, Tail) {
+        match self {
+            TailPosting::One(e) => (*e, *e),
+            TailPosting::Few(run) => (run[0], run[run.len() - 1]),
+            TailPosting::Many(runs) => (
+                runs.runs[0].1[0],
+                runs.runs.last().expect("runs are non-empty").0,
+            ),
+        }
+    }
+
+    /// The entries whose tail lies in `lo..=hi`, in `(tail, RowId)` order.
+    fn span(&self, lo: i64, hi: i64) -> TailIter<'_> {
+        match self {
+            TailPosting::One(e) => TailIter::One(((lo..=hi).contains(&e.0)).then_some(*e)),
+            TailPosting::Few(run) => {
+                let at = run.partition_point(|e| e.0 < lo);
+                TailIter::Few(run[at..].iter(), hi)
+            }
+            TailPosting::Many(runs) => TailIter::Runs(runs.span(lo, hi)),
+        }
+    }
+
+    /// The greatest entry whose tail is at most `hi`.
+    fn last_within(&self, hi: i64) -> Option<Tail> {
+        let end = (hi, RowId(u64::MAX));
+        let last = |run: &[Tail]| {
+            run.partition_point(|e| *e <= end)
+                .checked_sub(1)
+                .map(|i| run[i])
+        };
+        match self {
+            TailPosting::One(e) => (e.0 <= hi).then_some(*e),
+            TailPosting::Few(run) => last(run),
+            TailPosting::Many(runs) => {
+                let r = runs.runs.partition_point(|(_, run)| run[0] <= end);
+                last(&runs.runs[r.checked_sub(1)?].1)
+            }
+        }
+    }
+
+    /// How many entries lie in `lo..=hi`: the size if the span holds the
+    /// whole posting, else a walk of those inside.
+    fn count(&self, lo: i64, hi: i64) -> usize {
+        if (lo, hi) == (i64::MIN, i64::MAX) {
+            return self.len();
+        }
+        let ((first, _), (last, _)) = self.ends();
+        if lo <= first && last <= hi {
+            self.len()
+        } else {
+            self.span(lo, hi).count()
+        }
+    }
+
+    /// The layout's invariants, for [`Index::check_layout`].
+    fn check(&self) -> std::result::Result<(), String> {
+        match self {
+            TailPosting::One(_) => Ok(()),
+            TailPosting::Few(run) if run.len() < 2 || run.len() > RUN => {
+                Err(format!("keeps {} entries in one run", run.len()))
+            }
+            TailPosting::Few(run) => check_sorted(run, &mut None),
+            TailPosting::Many(runs) => runs.check(),
+        }
+    }
+}
+
+/// The entries of a [`TailPosting`] in a span.
+#[derive(Clone)]
+enum TailIter<'a> {
+    One(Option<Tail>),
+    Few(std::slice::Iter<'a, Tail>, i64),
+    Runs(RunsIter<'a>),
+}
+
+impl Iterator for TailIter<'_> {
+    type Item = Tail;
+
+    fn next(&mut self) -> Option<Tail> {
+        match self {
+            TailIter::One(e) => e.take(),
+            TailIter::Few(it, hi) => it.next().filter(|e| e.0 <= *hi).copied(),
+            TailIter::Runs(it) => it.next(),
+        }
+    }
+}
+
+/// A posting of either kind.
+#[derive(Clone, Copy)]
+enum PostingRef<'a> {
+    Rows(&'a Posting),
+    Tailed(&'a TailPosting),
+}
+
+impl<'a> PostingRef<'a> {
+    /// `(tail, row)` entries whose tail lies in `lo..=hi`, in entry order
+    /// (a plain posting has no tail: all of its rows, tail 0).
+    fn pairs(self, lo: i64, hi: i64) -> Pairs<'a> {
+        match self {
+            PostingRef::Rows(Posting::One(id)) => Pairs::One(Some((0, *id))),
+            PostingRef::Rows(Posting::Many(ids)) => Pairs::Rows(ids.iter()),
+            PostingRef::Tailed(p) => Pairs::Tailed(p.span(lo, hi)),
+        }
+    }
+
+    /// Row ids of [`PostingRef::pairs`].
+    fn ids(self, lo: i64, hi: i64) -> impl Iterator<Item = RowId> + 'a {
+        self.pairs(lo, hi).map(|(_, id)| id)
+    }
+
+    /// How many entries [`PostingRef::pairs`] yields.
+    fn count(self, lo: i64, hi: i64) -> usize {
+        match self {
+            PostingRef::Rows(Posting::One(_)) => 1,
+            PostingRef::Rows(Posting::Many(ids)) => ids.len(),
+            PostingRef::Tailed(p) => p.count(lo, hi),
+        }
+    }
+
+    /// The posting's own invariants: a set of two or more rows, or runs
+    /// as [`Runs::check`] wants them.
+    fn check(self) -> std::result::Result<(), String> {
+        match self {
+            PostingRef::Rows(Posting::Many(ids)) if ids.len() < 2 => {
+                Err(format!("keeps a set posting of {} rows", ids.len()))
+            }
+            PostingRef::Tailed(p) => p.check(),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The entries of one posting as `(tail, row)` pairs.
+enum Pairs<'a> {
+    One(Option<Tail>),
+    Rows(btree_set::Iter<'a, RowId>),
+    Tailed(TailIter<'a>),
+}
+
+impl Iterator for Pairs<'_> {
+    type Item = Tail;
+
+    fn next(&mut self) -> Option<Tail> {
+        match self {
+            Pairs::One(e) => e.take(),
+            Pairs::Rows(it) => it.next().map(|&id| (0, id)),
+            Pairs::Tailed(it) => it.next(),
+        }
+    }
+
+    // Exact for a plain posting, so that collecting one allocates once.
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            Ids::One(id) => (usize::from(id.is_some()), Some(usize::from(id.is_some()))),
-            Ids::Many(ids) => ids.size_hint(),
+            Pairs::One(e) => (usize::from(e.is_some()), Some(usize::from(e.is_some()))),
+            Pairs::Rows(it) => it.size_hint(),
+            Pairs::Tailed(_) => (0, None),
         }
     }
 }
 
-/// One index's tree, monomorphised on its width.
+/// One index's tree, monomorphised on its key width: `W<n>` keeps whole
+/// keys of `n` columns, `T<n>` the first `n` columns of a tail-ordered
+/// index of `n + 1`.
 #[derive(Debug, Clone)]
 enum Tree {
     W1(BTreeMap<Key<1>, Posting>),
     W2(BTreeMap<Key<2>, Posting>),
     W3(BTreeMap<Key<3>, Posting>),
     W4(BTreeMap<Key<4>, Posting>),
+    T1(BTreeMap<Key<1>, TailPosting>),
+    T2(BTreeMap<Key<2>, TailPosting>),
+    T3(BTreeMap<Key<3>, TailPosting>),
 }
 
 /// A key-ordered walk over part of a [`Tree`].
@@ -206,6 +664,9 @@ enum Range<'a> {
     W2(btree_map::Range<'a, Key<2>, Posting>),
     W3(btree_map::Range<'a, Key<3>, Posting>),
     W4(btree_map::Range<'a, Key<4>, Posting>),
+    T1(btree_map::Range<'a, Key<1>, TailPosting>),
+    T2(btree_map::Range<'a, Key<2>, TailPosting>),
+    T3(btree_map::Range<'a, Key<3>, TailPosting>),
 }
 
 /// Run `$body` on the width-specific payload `$x` of a [`Tree`] or
@@ -217,45 +678,73 @@ macro_rules! by_width {
             $enum::W2($x) => $body,
             $enum::W3($x) => $body,
             $enum::W4($x) => $body,
+            $enum::T1($x) => $body,
+            $enum::T2($x) => $body,
+            $enum::T3($x) => $body,
         }
     };
 }
 
 impl<'a> Iterator for Range<'a> {
-    type Item = (&'a [Value], &'a Posting);
+    type Item = (&'a [Value], PostingRef<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        by_width!(Range, self, r => r.next().map(|(k, p)| (&k.0[..], p)))
+        by_width!(Range, self, r => r.next().map(|(k, p)| (&k.0[..], Postings::view(p))))
     }
 }
 
 impl Tree {
-    fn new(width: usize) -> Tree {
-        match width {
-            1 => Tree::W1(BTreeMap::new()),
-            2 => Tree::W2(BTreeMap::new()),
-            3 => Tree::W3(BTreeMap::new()),
-            4 => Tree::W4(BTreeMap::new()),
-            _ => panic!("index width {width} outside 1..={MAX_INDEX_WIDTH}"),
+    /// The tree of an index of `width` columns, tail-ordered or not.
+    fn new(width: usize, tailed: bool) -> Tree {
+        match (width, tailed) {
+            (1, false) => Tree::W1(BTreeMap::new()),
+            (2, false) => Tree::W2(BTreeMap::new()),
+            (3, false) => Tree::W3(BTreeMap::new()),
+            (4, false) => Tree::W4(BTreeMap::new()),
+            (2, true) => Tree::T1(BTreeMap::new()),
+            (3, true) => Tree::T2(BTreeMap::new()),
+            (4, true) => Tree::T3(BTreeMap::new()),
+            _ => {
+                panic!("index width {width} outside 1..={MAX_INDEX_WIDTH} (tail-ordered: {tailed})")
+            }
         }
     }
 
+    /// Tree keys held.
     fn len(&self) -> usize {
         by_width!(Tree, self, t => t.len())
     }
 
-    /// The posting of the key whose `i`th component is `at(i)`.
-    fn get(&self, at: impl Fn(usize) -> Value) -> Option<&Posting> {
-        by_width!(Tree, self, t => t.get(&Key(std::array::from_fn(at))))
+    fn tailed(&self) -> bool {
+        matches!(self, Tree::T1(_) | Tree::T2(_) | Tree::T3(_))
     }
 
-    /// Entries from the key whose `i`th component is `at(i)`, to the end.
+    /// Columns per tree key.
+    fn width(&self) -> usize {
+        match self {
+            Tree::W1(_) | Tree::T1(_) => 1,
+            Tree::W2(_) | Tree::T2(_) => 2,
+            Tree::W3(_) | Tree::T3(_) => 3,
+            Tree::W4(_) => 4,
+        }
+    }
+
+    /// The posting of the tree key whose `i`th component is `at(i)`.
+    fn get(&self, at: impl Fn(usize) -> Value) -> Option<PostingRef<'_>> {
+        by_width!(Tree, self, t => t.get(&Key(std::array::from_fn(at))).map(Postings::view))
+    }
+
+    /// Entries from the tree key whose `i`th component is `at(i)`, to the
+    /// end.
     fn starting_at(&self, at: impl Fn(usize) -> Value) -> Range<'_> {
         match self {
             Tree::W1(t) => Range::W1(t.range(Key(std::array::from_fn(at))..)),
             Tree::W2(t) => Range::W2(t.range(Key(std::array::from_fn(at))..)),
             Tree::W3(t) => Range::W3(t.range(Key(std::array::from_fn(at))..)),
             Tree::W4(t) => Range::W4(t.range(Key(std::array::from_fn(at))..)),
+            Tree::T1(t) => Range::T1(t.range(Key(std::array::from_fn(at))..)),
+            Tree::T2(t) => Range::T2(t.range(Key(std::array::from_fn(at))..)),
+            Tree::T3(t) => Range::T3(t.range(Key(std::array::from_fn(at))..)),
         }
     }
 
@@ -264,73 +753,152 @@ impl Tree {
         self.starting_at(|_| Value::Null)
     }
 
-    /// Add `id` under the key whose `i`th component is `at(i)`; false if
-    /// it was already there.
-    fn insert(&mut self, at: impl Fn(usize) -> Value, id: RowId) -> bool {
-        by_width!(Tree, self, t => match t.entry(Key(std::array::from_fn(at))) {
-            Entry::Vacant(slot) => {
-                slot.insert(Posting::One(id));
-                true
-            }
-            Entry::Occupied(mut slot) => slot.get_mut().add(id),
-        })
+    /// Add row `id` with last column `tail` under the tree key whose
+    /// `i`th component is `at(i)`; false if it was already there.
+    fn insert(&mut self, at: impl Fn(usize) -> Value, tail: i64, id: RowId) -> bool {
+        by_width!(Tree, self, t => insert_into(t, Key(std::array::from_fn(at)), tail, id))
     }
 
-    /// Remove `id` from the key whose `i`th component is `at(i)`; false
-    /// if it was not there.
-    fn remove(&mut self, at: impl Fn(usize) -> Value, id: RowId) -> bool {
-        by_width!(Tree, self, t => remove_from(t, Key(std::array::from_fn(at)), id))
+    /// Remove row `id` with last column `tail` from the tree key whose
+    /// `i`th component is `at(i)`; false if it was not there.
+    fn remove(&mut self, at: impl Fn(usize) -> Value, tail: i64, id: RowId) -> bool {
+        by_width!(Tree, self, t => remove_from(t, Key(std::array::from_fn(at)), tail, id))
     }
 }
 
-fn remove_from<const N: usize>(
-    tree: &mut BTreeMap<Key<N>, Posting>,
+fn insert_into<const N: usize, P: Postings>(
+    tree: &mut BTreeMap<Key<N>, P>,
+    mut key: Key<N>,
+    tail: i64,
+    id: RowId,
+) -> bool {
+    let e = P::entry(tail, id);
+    if P::SHARES_STRINGS {
+        if let Some(posting) = tree.get_mut(&key) {
+            return posting.add(e);
+        }
+        // A new key: share the strings of the key just below it, or of
+        // the one above when it starts a new first column.
+        let below = tree.range(..&key).next_back().map(|(k, _)| k);
+        if !below.is_some_and(|below| share_strings(&mut key, below)) {
+            if let Some((above, _)) = tree.range((Bound::Excluded(&key), Bound::Unbounded)).next() {
+                share_strings(&mut key, above);
+            }
+        }
+        tree.insert(key, P::one(e));
+        return true;
+    }
+    match tree.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(P::one(e));
+            true
+        }
+        Entry::Occupied(mut slot) => slot.get_mut().add(e),
+    }
+}
+
+/// Point each string of a new tree key at the equal string of a
+/// neighbouring key, so that the keys sharing a prefix share its
+/// allocation: a walk along a tail-ordered index's groups, or a descent
+/// through them, then compares strings already in cache instead of
+/// fetching one per key. Returns whether the first columns were equal.
+fn share_strings<const N: usize>(key: &mut Key<N>, neighbour: &Key<N>) -> bool {
+    for (v, w) in key.0.iter_mut().zip(&neighbour.0) {
+        if let (Value::Str(s), Value::Str(t)) = (&*v, w) {
+            if s == t {
+                *v = Value::Str(t.clone());
+            }
+        }
+    }
+    key.0[0] == neighbour.0[0]
+}
+
+fn remove_from<const N: usize, P: Postings>(
+    tree: &mut BTreeMap<Key<N>, P>,
     key: Key<N>,
+    tail: i64,
     id: RowId,
 ) -> bool {
     let Some(posting) = tree.get_mut(&key) else {
         return false;
     };
-    match posting {
-        Posting::One(held) => {
-            if *held != id {
-                return false;
+    match posting.take(P::entry(tail, id)) {
+        None => false,
+        Some(emptied) => {
+            if emptied {
+                tree.remove(&key);
             }
-            tree.remove(&key);
-        }
-        Posting::Many(ids) => {
-            if !ids.remove(&id) {
-                return false;
-            }
-            if ids.len() == 1 {
-                let last = *ids.first().expect("one id left");
-                *posting = Posting::One(last);
-            }
+            true
         }
     }
-    true
 }
 
-/// A prefix/range scan: the postings of the keys that begin with
-/// `prefix` and whose next component lies within `low`/`high`, in key
-/// order. Ends at the first key past the prefix or the high bound.
+/// The integers `i` for which `Value::Int(i)` lies within `low`/`high`
+/// under [`Value::index_cmp`], as one inclusive span; `None` if there
+/// are none. An `Int` bound maps directly; any other value (a float, or
+/// another type, which sorts wholly below or above the integers) by a
+/// search over the monotone comparison.
+fn int_span(low: Bound<&Value>, high: Bound<&Value>) -> Option<(i64, i64)> {
+    let at_least = |v: &Value| least_int(|i| Value::Int(i).index_cmp(v) != Ordering::Less);
+    let above = |v: &Value| least_int(|i| Value::Int(i).index_cmp(v) == Ordering::Greater);
+    let lo = match low {
+        Bound::Unbounded => i64::MIN,
+        Bound::Included(Value::Int(v)) => *v,
+        Bound::Excluded(Value::Int(v)) => v.checked_add(1)?,
+        Bound::Included(v) => at_least(v)?,
+        Bound::Excluded(v) => above(v)?,
+    };
+    let hi = match high {
+        Bound::Unbounded => i64::MAX,
+        Bound::Included(Value::Int(v)) => *v,
+        Bound::Excluded(Value::Int(v)) => v.checked_sub(1)?,
+        Bound::Included(v) => above(v).map_or(Some(i64::MAX), |i| i.checked_sub(1))?,
+        Bound::Excluded(v) => at_least(v).map_or(Some(i64::MAX), |i| i.checked_sub(1))?,
+    };
+    (lo <= hi).then_some((lo, hi))
+}
+
+/// The least `i` with `holds(i)`, where `holds` is false below some
+/// point and true from it on; `None` if it never holds.
+fn least_int(holds: impl Fn(i64) -> bool) -> Option<i64> {
+    if !holds(i64::MAX) {
+        return None;
+    }
+    // `holds(hi)`, and `lo` lies below every `i` that holds.
+    let (mut lo, mut hi) = (i128::from(i64::MIN) - 1, i128::from(i64::MAX));
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid as i64) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(hi as i64)
+}
+
+/// A prefix/range walk over tree keys: the postings of the keys that
+/// begin with the first `plen` values of `prefix` and whose next
+/// component lies within `low`/`high`, in key order. Ends at the first
+/// key past the prefix or the high bound.
 struct Groups<'a, P, V> {
     entries: Range<'a>,
     prefix: P,
+    plen: usize,
     low: Bound<V>,
     high: Bound<V>,
     done: bool,
 }
 
 impl<'a, P: AsRef<[Value]>, V: Borrow<Value>> Iterator for Groups<'a, P, V> {
-    type Item = &'a Posting;
+    type Item = (&'a [Value], PostingRef<'a>);
 
-    fn next(&mut self) -> Option<&'a Posting> {
+    fn next(&mut self) -> Option<Self::Item> {
         if self.done {
             return None;
         }
-        let prefix = self.prefix.as_ref();
-        let plen = prefix.len();
+        let plen = self.plen;
+        let prefix = &self.prefix.as_ref()[..plen];
         let low = self.low.as_ref().map(Borrow::borrow);
         let high = self.high.as_ref().map(Borrow::borrow);
         for (key, posting) in self.entries.by_ref() {
@@ -355,11 +923,76 @@ impl<'a, P: AsRef<[Value]>, V: Borrow<Value>> Iterator for Groups<'a, P, V> {
                 None => !matches!((low, high), (Bound::Unbounded, Bound::Unbounded)),
             };
             if !skip {
-                return Some(posting);
+                return Some((key, posting));
             }
         }
         self.done = true;
         None
+    }
+}
+
+/// One group of a tail-ordered index (every key column but the last)
+/// with its entries inside one span of the last column, as
+/// [`Index::span_groups`] visits it.
+#[derive(Clone, Copy)]
+pub struct Group<'a> {
+    key: &'a [Value],
+    posting: &'a TailPosting,
+    lo: i64,
+    hi: i64,
+}
+
+impl<'a> Group<'a> {
+    /// The group's key: the index's columns but the last.
+    pub fn key(&self) -> &'a [Value] {
+        self.key
+    }
+
+    /// The `(tail, row)` entries within the span, in that order.
+    pub fn entries(&self) -> impl Iterator<Item = (i64, RowId)> + 'a {
+        self.posting.span(self.lo, self.hi)
+    }
+
+    /// How many entries lie within the span: the group's size if the
+    /// span holds all of it, else a walk of those inside.
+    pub fn count(&self) -> usize {
+        self.posting.count(self.lo, self.hi)
+    }
+
+    /// How many entries the group holds, in the span or not; read from
+    /// the tree slot, without touching the entries.
+    pub fn size(&self) -> usize {
+        self.posting.len()
+    }
+
+    /// [`Group::count`] without reading the entries: exact when the span
+    /// holds all of the group's entries or none, and otherwise the
+    /// group's size times the share of its tail range (least to
+    /// greatest) that the span covers — as if the tails were spread
+    /// evenly over that range. Reads only the group's two ends.
+    pub fn estimate(&self) -> f64 {
+        let (lo, hi) = (self.lo, self.hi);
+        let len = self.posting.len() as f64;
+        if (lo, hi) == (i64::MIN, i64::MAX) {
+            return len;
+        }
+        let ((first, _), (last, _)) = self.posting.ends();
+        if hi < first || last < lo {
+            return 0.0;
+        }
+        if lo <= first && last <= hi {
+            return len;
+        }
+        let covered = hi.min(last) as f64 - lo.max(first) as f64 + 1.0;
+        len * covered / (last as f64 - first as f64 + 1.0)
+    }
+
+    /// The least and greatest tail within the span; `None` if no entry
+    /// lies there.
+    pub fn bounds(&self) -> Option<(i64, i64)> {
+        let (first, _) = self.posting.span(self.lo, self.hi).next()?;
+        let (last, _) = self.posting.last_within(self.hi)?;
+        Some((first, last))
     }
 }
 
@@ -373,19 +1006,46 @@ pub struct Index {
 }
 
 impl Index {
-    /// Create an empty index.
+    /// Create an empty plain index.
     ///
     /// # Panics
     ///
     /// If `def` has no column or more than [`MAX_INDEX_WIDTH`];
     /// `Table::create_index` and `TableSchema::new` refuse those first.
     pub fn new(def: IndexDef) -> Index {
-        let tree = Tree::new(def.columns.len());
+        let tree = Tree::new(def.columns.len(), false);
         Index {
             def,
             tree,
             entries: 0,
         }
+    }
+
+    /// Create an empty tail-ordered index: its last column, which must
+    /// hold only `Value::Int`s, lives in the postings (see the module
+    /// docs).
+    ///
+    /// # Panics
+    ///
+    /// If `def` is unique or has fewer than two or more than
+    /// [`MAX_INDEX_WIDTH`] columns.
+    pub fn with_tail(def: IndexDef) -> Index {
+        assert!(
+            !def.unique,
+            "unique index `{}` cannot be tail-ordered",
+            def.name
+        );
+        let tree = Tree::new(def.columns.len(), true);
+        Index {
+            def,
+            tree,
+            entries: 0,
+        }
+    }
+
+    /// Does this index keep its last column in its postings?
+    pub fn is_tail_ordered(&self) -> bool {
+        self.tree.tailed()
     }
 
     /// Extract this index's key from a full row; `None` if the key has a
@@ -405,6 +1065,22 @@ impl Index {
     /// as [`Value`]s, column by column)?
     pub(crate) fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
         self.def.columns.iter().all(|&c| a[c] == b[c])
+    }
+
+    /// The last column of `row` (a full row) as a tail; 0 for a plain
+    /// index, which keeps no tail.
+    fn tail_of(&self, row: &[Value]) -> i64 {
+        if !self.tree.tailed() {
+            return 0;
+        }
+        let col = *self.def.columns.last().expect("an index has columns");
+        match &row[col] {
+            Value::Int(v) => *v,
+            v => panic!(
+                "tail-ordered index `{}` got non-integer tail {v:?}",
+                self.def.name
+            ),
+        }
     }
 
     /// Number of (key, row) entries.
@@ -428,11 +1104,12 @@ impl Index {
         latest: impl Fn(RowId) -> Option<&'r Row>,
     ) -> Result<()> {
         let cols = &self.def.columns;
+        // A unique index is never tail-ordered, so its tree holds whole keys.
         if !self.def.unique || self.has_null(row) {
             return Ok(());
         }
         let posting = self.tree.get(|i| row[cols[i]].clone());
-        let mut ids = posting.map_or(Ids::One(None), Posting::ids);
+        let mut ids = posting.into_iter().flat_map(|p| p.ids(i64::MIN, i64::MAX));
         if ids.any(|id| latest(id).is_some_and(|live| self.same_key(live, row))) {
             let key: Vec<String> = cols.iter().map(|&c| row[c].to_string()).collect();
             return Err(Error::UniqueViolation {
@@ -450,15 +1127,23 @@ impl Index {
         if self.has_null(row) {
             return;
         }
-        let cols = &self.def.columns;
-        self.entries += usize::from(self.tree.insert(|i| row[cols[i]].clone(), id));
+        let (cols, tail) = (&self.def.columns, self.tail_of(row));
+        self.entries += usize::from(self.tree.insert(|i| row[cols[i]].clone(), tail, id));
     }
 
-    /// Remove an entry; returns true if it was present.
+    /// Remove an entry (a full-width key); returns true if it was present.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is not this index's width.
     pub fn remove(&mut self, key: &IndexKey, id: RowId) -> bool {
-        let removed = self.fits(&key.0)
-            && !key.0.iter().any(Value::is_null)
-            && self.tree.remove(|i| key.0[i].clone(), id);
+        let tail = match self.key_span(&key.0) {
+            _ if !self.tree.tailed() => 0,
+            Some((lo, hi)) if lo == hi => lo,
+            _ => return false,
+        };
+        let removed =
+            !key.0.iter().any(Value::is_null) && self.tree.remove(|i| key.0[i].clone(), tail, id);
         self.entries -= usize::from(removed);
         removed
     }
@@ -469,44 +1154,119 @@ impl Index {
         if self.has_null(row) {
             return false;
         }
-        let cols = &self.def.columns;
-        let removed = self.tree.remove(|i| row[cols[i]].clone(), id);
+        let (cols, tail) = (&self.def.columns, self.tail_of(row));
+        let removed = self.tree.remove(|i| row[cols[i]].clone(), tail, id);
         self.entries -= usize::from(removed);
         removed
     }
 
-    /// Does `key` have this index's width (so that it can name an entry)?
-    fn fits(&self, key: &[Value]) -> bool {
-        key.len() == self.def.columns.len()
-    }
-
-    fn posting(&self, key: &[Value]) -> Option<&Posting> {
-        if !self.fits(key) {
-            return None;
+    /// Check that `key` is a full-width key of this index, and return the
+    /// tails it names: every tail for a plain index, none for a key whose
+    /// last value no integer equals.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is not this index's width — a lookup that names fewer or
+    /// more columns would otherwise quietly find nothing.
+    fn key_span(&self, key: &[Value]) -> Option<(i64, i64)> {
+        let width = self.def.columns.len();
+        assert!(
+            key.len() == width,
+            "index `{}` takes {width}-column keys, got {} values",
+            self.def.name,
+            key.len()
+        );
+        if !self.tree.tailed() {
+            return Some((i64::MIN, i64::MAX));
         }
-        self.tree.get(|i| key[i].clone())
+        let tail = &key[width - 1];
+        int_span(Bound::Included(tail), Bound::Included(tail))
     }
 
-    /// Row ids whose key equals `key` exactly (full-width key), ascending.
+    /// The posting and tail span that hold exactly the entries of `key`.
+    fn lookup(&self, key: &[Value]) -> Option<(PostingRef<'_>, i64, i64)> {
+        let (lo, hi) = self.key_span(key)?;
+        Some((self.tree.get(|i| key[i].clone())?, lo, hi))
+    }
+
+    /// Row ids whose key equals `key` exactly, in entry order.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is not this index's width.
     pub fn get_eq<K: AsRef<[Value]> + ?Sized>(&self, key: &K) -> impl Iterator<Item = RowId> + '_ {
-        self.posting(key.as_ref())
-            .map_or(Ids::One(None), Posting::ids)
+        self.lookup(key.as_ref())
+            .into_iter()
+            .flat_map(|(p, lo, hi)| p.ids(lo, hi))
     }
 
     /// Number of rows with exactly this key.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is not this index's width.
     pub fn count_eq<K: AsRef<[Value]> + ?Sized>(&self, key: &K) -> usize {
-        self.posting(key.as_ref()).map_or(0, Posting::len)
+        self.lookup(key.as_ref())
+            .map_or(0, |(p, lo, hi)| p.count(lo, hi))
     }
 
-    /// Number of distinct keys currently in the tree (for a composite
-    /// index, the distinct count of the column *tuple*); tests check it
-    /// against a reference model.
+    /// Number of distinct full-width keys (for a composite index, the
+    /// distinct count of the column *tuple*, the last column included);
+    /// tests check it against a reference model.
     pub fn distinct_keys(&self) -> usize {
-        self.tree.len()
+        if !self.tree.tailed() {
+            return self.tree.len();
+        }
+        self.tree
+            .all()
+            .map(|(_, p)| {
+                let mut tails = p
+                    .pairs(i64::MIN, i64::MAX)
+                    .map(|(t, _)| t)
+                    .collect::<Vec<_>>();
+                tails.dedup();
+                tails.len()
+            })
+            .sum()
     }
 
-    /// Key-ordered postings whose key starts with `prefix`, optionally
-    /// range-constrained on the column at position `prefix.len()`.
+    /// The tree walk of a prefix scan and the tail span it admits: the
+    /// tree-key prefix and range of a plain index unchanged; on a
+    /// tail-ordered one, a range on the last column (or a full-width
+    /// prefix) becomes the span of one group. `None` if the scan matches
+    /// nothing.
+    fn scan<P: AsRef<[Value]>, V: Borrow<Value>>(
+        &self,
+        prefix: P,
+        low: Bound<V>,
+        high: Bound<V>,
+    ) -> Option<(Groups<'_, P, V>, i64, i64)> {
+        let (plen, width) = (prefix.as_ref().len(), self.tree.width());
+        if !self.tree.tailed() || plen < width {
+            return Some((self.groups(prefix, plen, low, high), i64::MIN, i64::MAX));
+        }
+        let p = prefix.as_ref();
+        let (lo, hi) = match plen - width {
+            0 => int_span(
+                low.as_ref().map(Borrow::borrow),
+                high.as_ref().map(Borrow::borrow),
+            )?,
+            // A full-width prefix is one key, which a range excludes.
+            1 if matches!((&low, &high), (Bound::Unbounded, Bound::Unbounded)) => {
+                int_span(Bound::Included(&p[width]), Bound::Included(&p[width]))?
+            }
+            _ => return None,
+        };
+        Some((
+            self.groups(prefix, width, Bound::Unbounded, Bound::Unbounded),
+            lo,
+            hi,
+        ))
+    }
+
+    /// Key-ordered tree postings whose key starts with the first `plen`
+    /// values of `prefix`, optionally range-constrained on the tree
+    /// column at position `plen`.
     ///
     /// This is the streaming core all prefix scans are built on: groups
     /// arrive in index-key order (so a caller whose sort keys are the
@@ -522,25 +1282,28 @@ impl Index {
     fn groups<P: AsRef<[Value]>, V: Borrow<Value>>(
         &self,
         prefix: P,
+        plen: usize,
         low: Bound<V>,
         high: Bound<V>,
     ) -> Groups<'_, P, V> {
         // Start at the least key carrying the prefix and the low bound:
         // NULL, the least value, pads the remaining components.
-        let p = prefix.as_ref();
+        let p = &prefix.as_ref()[..plen];
         let start = match &low {
             Bound::Unbounded => None,
             Bound::Included(v) | Bound::Excluded(v) => Some(v.borrow()),
         };
+        let done = plen > self.tree.width();
         let entries = self.tree.starting_at(|i| match i.cmp(&p.len()) {
+            _ if done => Value::Null,
             Ordering::Less => p[i].clone(),
             Ordering::Equal => start.cloned().unwrap_or(Value::Null),
             Ordering::Greater => Value::Null,
         });
-        let done = p.len() > self.def.columns.len();
         Groups {
             entries,
             prefix,
+            plen,
             low,
             high,
             done,
@@ -555,7 +1318,9 @@ impl Index {
         low: Bound<Value>,
         high: Bound<Value>,
     ) -> impl Iterator<Item = RowId> + '_ {
-        self.groups(prefix, low, high).flat_map(Posting::ids)
+        self.scan(prefix, low, high)
+            .into_iter()
+            .flat_map(|(groups, lo, hi)| groups.flat_map(move |(_, p)| p.ids(lo, hi)))
     }
 
     /// Count the entries a prefix/range scan would visit, giving up once
@@ -568,9 +1333,12 @@ impl Index {
         high: Bound<&Value>,
         cap: usize,
     ) -> (usize, bool) {
+        let Some((groups, lo, hi)) = self.scan(prefix, low, high) else {
+            return (0, false);
+        };
         let mut n = 0usize;
-        for posting in self.groups(prefix, low, high) {
-            n += posting.len();
+        for (_, posting) in groups {
+            n += posting.count(lo, hi);
             if n >= cap {
                 return (n, true);
             }
@@ -578,8 +1346,8 @@ impl Index {
         (n, false)
     }
 
-    /// Row ids whose key starts with `prefix` (fewer columns than the
-    /// index width), optionally range-constrained on the next column.
+    /// Row ids whose key starts with `prefix` (at most the index's
+    /// width), optionally range-constrained on the next column.
     ///
     /// `low`/`high` bound the column at position `prefix.len()`.
     pub fn scan_prefix_range(
@@ -589,36 +1357,100 @@ impl Index {
         high: Bound<&Value>,
         out: &mut Vec<RowId>,
     ) {
-        out.extend(self.groups(prefix, low, high).flat_map(Posting::ids));
+        if let Some((groups, lo, hi)) = self.scan(prefix, low, high) {
+            out.extend(groups.flat_map(|(_, p)| p.ids(lo, hi)));
+        }
     }
 
-    /// Every (key, row id) entry in key order, ids ascending within a key
-    /// (used by integrity checks).
-    pub fn entries(&self) -> impl Iterator<Item = (&[Value], RowId)> {
-        self.tree
-            .all()
-            .flat_map(|(key, posting)| posting.ids().map(move |id| (key, id)))
+    /// The groups of a tail-ordered index whose key starts with `prefix`
+    /// and whose next column lies within `low`/`high`, in key order, each
+    /// seen through `span` of the last column: the one bounded walk the
+    /// layout exists for. Every group in the range is visited, including
+    /// those with no entry inside the span (its [`Group::count`] is 0);
+    /// within a group only the entries inside the span are read.
+    ///
+    /// `prefix` names at most the group columns; `low`/`high` bound the
+    /// group column at position `prefix.len()`, so they must be
+    /// unbounded when `prefix` names every group column.
+    ///
+    /// # Panics
+    ///
+    /// If the index is not tail-ordered.
+    pub fn span_groups<'a>(
+        &'a self,
+        prefix: &'a [Value],
+        low: Bound<&'a Value>,
+        high: Bound<&'a Value>,
+        span: RangeInclusive<i64>,
+    ) -> impl Iterator<Item = Group<'a>> + 'a {
+        assert!(
+            self.tree.tailed(),
+            "index `{}` is not tail-ordered",
+            self.def.name
+        );
+        let (lo, hi) = span.into_inner();
+        self.groups(prefix, prefix.len(), low, high)
+            .map(move |(key, posting)| match posting {
+                PostingRef::Tailed(posting) => Group {
+                    key,
+                    posting,
+                    lo,
+                    hi,
+                },
+                PostingRef::Rows(_) => unreachable!("a tail-ordered tree holds tail postings"),
+            })
     }
 
-    /// Check the entry layout: the entry count matches the postings, and
-    /// no posting holds a set of fewer than two rows.
+    /// Every (key, row id) entry as a full-width key, in key order, rows
+    /// ascending within a key (used by integrity checks).
+    pub fn entries(&self) -> impl Iterator<Item = (Vec<Value>, RowId)> + '_ {
+        let tailed = self.tree.tailed();
+        self.tree.all().flat_map(move |(key, posting)| {
+            posting.pairs(i64::MIN, i64::MAX).map(move |(tail, id)| {
+                let mut full = key.to_vec();
+                if tailed {
+                    full.push(Value::Int(tail));
+                }
+                (full, id)
+            })
+        })
+    }
+
+    /// Check the entry layout: every key reads back at the index's full
+    /// width, each posting holds its entries in strictly ascending
+    /// `(tail, RowId)` order (rows alone in a plain index), no posting
+    /// holds a set of fewer than two entries, every run of a tail-ordered
+    /// posting holds 1 to its maximum, and the entry count matches the
+    /// postings.
     pub fn check_layout(&self) -> Result<()> {
+        let fail = |what: String| {
+            Err(Error::ExecError(format!(
+                "index `{}` {what}",
+                self.def.name
+            )))
+        };
+        let width = self.tree.width() + usize::from(self.tree.tailed());
+        if width != self.def.columns.len() {
+            return fail(format!(
+                "keeps {width}-column keys for {} columns",
+                self.def.columns.len()
+            ));
+        }
         let mut n = 0usize;
         for (_, posting) in self.tree.all() {
-            if matches!(posting, Posting::Many(ids) if ids.len() < 2) {
-                return Err(Error::ExecError(format!(
-                    "index `{}` keeps a set posting of {} rows",
-                    self.def.name,
-                    posting.len()
-                )));
+            if let Err(what) = posting.check() {
+                return fail(what);
             }
-            n += posting.len();
+            let pairs: Vec<Tail> = posting.pairs(i64::MIN, i64::MAX).collect();
+            if pairs.windows(2).any(|w| w[0] >= w[1]) {
+                return fail(format!(
+                    "keeps a posting out of (tail, row) order: {pairs:?}"
+                ));
+            }
+            n += pairs.len();
         }
         if n != self.entries {
-            return Err(Error::ExecError(format!(
-                "index `{}` counts {} entries but holds {n}",
-                self.def.name, self.entries
-            )));
+            return fail(format!("counts {} entries but holds {n}", self.entries));
         }
         Ok(())
     }
@@ -746,5 +1578,254 @@ mod tests {
         ix.insert_row(&key(&[1]).0, RowId(2));
         let got: Vec<RowId> = ix.get_eq(&key(&[1])).collect();
         assert_eq!(got, vec![RowId(1), RowId(2)]);
+    }
+
+    /// A tail-ordered index on `(group, tail)` columns 0 and 1.
+    fn tailed() -> Index {
+        let mut ix = Index::with_tail(IndexDef {
+            name: "t".into(),
+            columns: vec![0, 1],
+            unique: false,
+        });
+        for (g, t, id) in [
+            (1, 30, 1),
+            (1, 10, 2),
+            (1, 20, 3),
+            (1, 20, 4),
+            (2, 15, 5),
+            (3, 5, 6),
+        ] {
+            ix.insert_row(&key(&[g, t]).0, RowId(id));
+        }
+        ix
+    }
+
+    #[test]
+    fn postings_take_no_more_node_space_than_before() {
+        assert_eq!(std::mem::size_of::<Posting>(), 16);
+        assert!(
+            std::mem::size_of::<TailPosting>() <= 24,
+            "{}",
+            std::mem::size_of::<TailPosting>()
+        );
+    }
+
+    #[test]
+    fn tail_ordered_keys_read_back_at_full_width_in_tail_order() {
+        let ix = tailed();
+        assert!(ix.is_tail_ordered());
+        assert_eq!(ix.len(), 6);
+        assert_eq!(ix.distinct_keys(), 5);
+        let entries: Vec<(Vec<Value>, RowId)> = ix.entries().collect();
+        let want: Vec<(Vec<Value>, RowId)> = [
+            (1, 10, 2),
+            (1, 20, 3),
+            (1, 20, 4),
+            (1, 30, 1),
+            (2, 15, 5),
+            (3, 5, 6),
+        ]
+        .into_iter()
+        .map(|(g, t, id)| (key(&[g, t]).0, RowId(id)))
+        .collect();
+        assert_eq!(entries, want);
+        ix.check_layout().unwrap();
+        assert_eq!(
+            ix.get_eq(&key(&[1, 20])).collect::<Vec<_>>(),
+            vec![RowId(3), RowId(4)]
+        );
+        assert_eq!(ix.count_eq(&key(&[1, 20])), 2);
+        assert_eq!(ix.count_eq(&key(&[1, 21])), 0);
+        // A float equal to an integer names it; one between integers
+        // names nothing.
+        let float = IndexKey(vec![Value::Int(1), Value::Float(20.0)]);
+        assert_eq!(ix.count_eq(&float), 2);
+        let between = IndexKey(vec![Value::Int(1), Value::Float(20.5)]);
+        assert_eq!(ix.count_eq(&between), 0);
+    }
+
+    #[test]
+    fn tail_ordered_scans_range_over_the_tail() {
+        let ix = tailed();
+        let scan = |prefix: &[Value], low: Bound<&Value>, high: Bound<&Value>| {
+            let mut out = vec![];
+            ix.scan_prefix_range(prefix, low, high, &mut out);
+            out
+        };
+        let (v15, v20) = (Value::Int(15), Value::Int(20));
+        let one = [Value::Int(1)];
+        assert_eq!(
+            scan(&one, Bound::Included(&v15), Bound::Unbounded),
+            vec![RowId(3), RowId(4), RowId(1)]
+        );
+        assert_eq!(
+            scan(&one, Bound::Excluded(&v20), Bound::Unbounded),
+            vec![RowId(1)]
+        );
+        assert_eq!(
+            scan(&[], Bound::Included(&Value::Int(2)), Bound::Unbounded),
+            vec![RowId(5), RowId(6)]
+        );
+        // A full-width prefix is one key; with a range it matches nothing.
+        let full = [Value::Int(1), Value::Int(20)];
+        assert_eq!(
+            scan(&full, Bound::Unbounded, Bound::Unbounded),
+            vec![RowId(3), RowId(4)]
+        );
+        assert!(scan(&full, Bound::Included(&v15), Bound::Unbounded).is_empty());
+        assert_eq!(
+            ix.count_prefix_range(&one, Bound::Unbounded, Bound::Excluded(&v20), 9),
+            (1, false)
+        );
+    }
+
+    #[test]
+    fn span_groups_read_only_the_span() {
+        let ix = tailed();
+        type Seen = (Vec<Value>, Vec<(i64, RowId)>, usize, Option<(i64, i64)>);
+        let groups: Vec<Seen> = ix
+            .span_groups(&[], Bound::Unbounded, Bound::Unbounded, 12..=20)
+            .map(|g| {
+                (
+                    g.key().to_vec(),
+                    g.entries().collect(),
+                    g.count(),
+                    g.bounds(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            groups,
+            vec![
+                (
+                    key(&[1]).0,
+                    vec![(20, RowId(3)), (20, RowId(4))],
+                    2,
+                    Some((20, 20))
+                ),
+                (key(&[2]).0, vec![(15, RowId(5))], 1, Some((15, 15))),
+                (key(&[3]).0, vec![], 0, None),
+            ]
+        );
+        // Group 1's tails 10..=30 overlap the span on 9 of 21 values.
+        let estimates: Vec<f64> = ix
+            .span_groups(&[], Bound::Unbounded, Bound::Unbounded, 12..=20)
+            .map(|g| g.estimate())
+            .collect();
+        assert_eq!(estimates, vec![4.0 * 9.0 / 21.0, 1.0, 0.0]);
+        let whole: Vec<(usize, f64)> = ix
+            .span_groups(
+                &[Value::Int(1)],
+                Bound::Unbounded,
+                Bound::Unbounded,
+                i64::MIN..=i64::MAX,
+            )
+            .map(|g| (g.count(), g.estimate()))
+            .collect();
+        assert_eq!(whole, vec![(4, 4.0)]);
+        // An empty span reads nothing and panics nowhere.
+        let empty: usize = ix
+            .span_groups(
+                &[],
+                Bound::Unbounded,
+                Bound::Unbounded,
+                RangeInclusive::new(9, 3),
+            )
+            .map(|g| g.count())
+            .sum();
+        assert_eq!(empty, 0);
+    }
+
+    #[test]
+    fn tail_ordered_postings_shrink_back_to_one() {
+        let mut ix = tailed();
+        assert!(ix.remove(&key(&[1, 20]), RowId(3)));
+        assert!(!ix.remove(&key(&[1, 20]), RowId(3)));
+        assert!(ix.remove_row(&key(&[1, 10]).0, RowId(2)));
+        assert!(ix.remove(&IndexKey(vec![Value::Int(1), Value::Float(30.0)]), RowId(1)));
+        ix.check_layout().unwrap();
+        assert_eq!(
+            ix.entries().filter(|(k, _)| k[0] == Value::Int(1)).count(),
+            1
+        );
+        assert_eq!(ix.len(), 3);
+    }
+
+    #[test]
+    fn groups_share_their_key_strings() {
+        let mut ix = Index::with_tail(IndexDef {
+            name: "s".into(),
+            columns: vec![0, 1, 2],
+            unique: false,
+        });
+        // Each row spells the name in its own allocation.
+        for (v, oid) in [(2, 10), (1, 11), (3, 12), (2, 13)] {
+            let row = [Value::from("name"), Value::Int(v), Value::Int(oid)];
+            ix.insert_row(&row, RowId(oid as u64));
+        }
+        let names: Vec<Value> = ix
+            .span_groups(&[], Bound::Unbounded, Bound::Unbounded, i64::MIN..=i64::MAX)
+            .map(|g| g.key()[0].clone())
+            .collect();
+        assert_eq!(names.len(), 3);
+        let Value::Str(first) = &names[0] else {
+            panic!("a string key")
+        };
+        for name in &names[1..] {
+            assert!(matches!(name, Value::Str(s) if std::sync::Arc::ptr_eq(s, first)));
+        }
+    }
+
+    #[test]
+    fn int_span_matches_the_index_order() {
+        let (i, f) = (Value::Int, Value::Float);
+        let span = |low: Bound<&Value>, high: Bound<&Value>| int_span(low, high);
+        assert_eq!(
+            span(Bound::Included(&i(3)), Bound::Excluded(&i(7))),
+            Some((3, 6))
+        );
+        assert_eq!(
+            span(Bound::Excluded(&f(2.5)), Bound::Included(&f(6.0))),
+            Some((3, 6))
+        );
+        assert_eq!(
+            span(Bound::Included(&f(-2.5)), Bound::Excluded(&f(-1.0))),
+            Some((-2, -2))
+        );
+        assert_eq!(span(Bound::Excluded(&i(i64::MAX)), Bound::Unbounded), None);
+        assert_eq!(span(Bound::Unbounded, Bound::Excluded(&i(i64::MIN))), None);
+        // Strings sort above every number, NULL below.
+        let s = Value::from("a");
+        assert_eq!(
+            span(Bound::Unbounded, Bound::Included(&s)),
+            Some((i64::MIN, i64::MAX))
+        );
+        assert_eq!(span(Bound::Included(&s), Bound::Unbounded), None);
+        assert_eq!(
+            span(Bound::Excluded(&Value::Null), Bound::Unbounded),
+            Some((i64::MIN, i64::MAX))
+        );
+        assert_eq!(
+            span(Bound::Included(&f(1.5)), Bound::Included(&f(1.75))),
+            None
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "takes 2-column keys, got 1 values")]
+    fn get_eq_of_a_short_key_panics() {
+        let _ = idx2().get_eq(&key(&[1])).count();
+    }
+
+    #[test]
+    #[should_panic(expected = "takes 2-column keys, got 3 values")]
+    fn count_eq_of_a_long_key_panics() {
+        idx2().count_eq(&key(&[1, 10, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "takes 2-column keys, got 1 values")]
+    fn remove_of_a_short_key_panics() {
+        tailed().remove(&key(&[1]), RowId(1));
     }
 }

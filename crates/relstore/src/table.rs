@@ -20,7 +20,7 @@ use crate::index::{Index, IndexDef, IndexKey, MAX_INDEX_WIDTH};
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::stats::{self, TableStatistics, MIN_STALE_WRITES, STALE_FRACTION};
-use crate::value::Value;
+use crate::value::{Value, ValueType};
 use crate::wal::WalStats;
 
 /// Visibility stamp on a row image: either the commit epoch that made it,
@@ -342,7 +342,14 @@ impl Table {
                 return Err(Error::NoSuchColumn(format!("{}[{}]", self.schema.name, c)));
             }
         }
-        let mut ix = Index::new(def);
+        // A non-unique multi-column index whose last column is INTEGER
+        // keeps that column in its postings (see `crate::index`).
+        let last = self.schema.columns[*def.columns.last().expect("checked non-empty")].ty;
+        let mut ix = if !def.unique && def.columns.len() > 1 && last == ValueType::Int {
+            Index::with_tail(def)
+        } else {
+            Index::new(def)
+        };
         for (slot, row) in self.rows.iter().enumerate() {
             if let Some(row) = row {
                 ix.check_unique_row(row, |id| self.get(id))?;
@@ -625,12 +632,14 @@ impl Table {
             .filter_map(|(i, r)| r.as_ref().map(|row| (RowId(i as u64), row)))
     }
 
-    /// Internal integrity check used by property tests: no index entry has
-    /// a NULL component, every entry points at a live row with a matching
-    /// key, and every live row with no NULL in an index's columns appears
-    /// exactly once in that index. Under MVCC an entry may instead be
-    /// backed by a history version (deferred cleanup), but never by
-    /// nothing.
+    /// Internal integrity check used by property tests: every index
+    /// entry reads back as a full-width key, in ascending `(key, RowId)`
+    /// order (which for a tail-ordered index is `(tail, RowId)` order
+    /// within a group), no entry has a NULL component, every entry points
+    /// at a live row with a matching key, and every live row with no NULL
+    /// in an index's columns appears exactly once in that index. Under
+    /// MVCC an entry may instead be backed by a history version (deferred
+    /// cleanup), but never by nothing.
     pub fn check_integrity(&self) -> Result<()> {
         for ix in &self.indexes {
             ix.check_layout()?;
@@ -639,7 +648,25 @@ impl Table {
                 ix.def.columns.iter().zip(key).all(|(&c, v)| row[c] == *v)
             };
             let mut seen = 0usize;
+            let mut prev: Option<(IndexKey, RowId)> = None;
             for (key, id) in ix.entries() {
+                if key.len() != ix.def.columns.len() {
+                    return Err(Error::ExecError(format!(
+                        "index `{}` reads back a {}-column key for row {}",
+                        ix.def.name,
+                        key.len(),
+                        id.0
+                    )));
+                }
+                let key = IndexKey(key);
+                if prev.as_ref().is_some_and(|p| *p >= (key.clone(), id)) {
+                    return Err(Error::ExecError(format!(
+                        "index `{}` lists row {} out of (key, row) order",
+                        ix.def.name, id.0
+                    )));
+                }
+                prev = Some((key.clone(), id));
+                let key = &key.0[..];
                 if key.iter().any(Value::is_null) {
                     return Err(Error::ExecError(format!(
                         "index `{}` stores a NULL key component for row {}",

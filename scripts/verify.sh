@@ -45,23 +45,38 @@
 #                      MVCC WAL-truncation crash matrix
 #   verify.sh planner  the cost-based-planner contract (DESIGN.md
 #                      §7.6): relstore statistics/index-dive unit
-#                      tests, the seeded index model test (inline keys
-#                      and one-or-many postings against a plain
-#                      BTreeMap), the no-NULL-keys rule (DESIGN.md
-#                      §6.1: the planner's index-eligibility unit test,
-#                      the nullable-indexed-column SQL test on both
+#                      tests, the index unit tests (tail-ordered keys
+#                      read back at full width, span walks and their
+#                      estimates, shared key strings, wrong-width keys
+#                      panic), the seeded index model tests against a
+#                      plain BTreeMap (index_matches_reference_model:
+#                      inline keys, one-or-many postings, tail-ordered
+#                      postings and span walks with duplicate tails and
+#                      MVCC-style dangling entries;
+#                      tail_posting_runs_split_and_merge;
+#                      tail_ordered_index_under_mvcc;
+#                      wrong_width_keys_fail_loudly), the no-NULL-keys
+#                      rule (DESIGN.md §6.1: the planner's
+#                      index-eligibility unit test, the
+#                      nullable-indexed-column SQL test on both
 #                      engines, the typed value-index catalog test),
+#                      the rebuild of a store's two-column typed
+#                      indexes on open
+#                      (old_two_column_typed_indexes_are_rebuilt_once_on_open),
 #                      the LIKE matcher tests, plan construction
 #                      and sorted-intersection unit tests, the
-#                      plan-shape regressions (folded ranges, µs-priced
-#                      intersect-or-probe, dives stopped at their
-#                      bound, edge cases), the planner twin (answers
-#                      against the posting-scan oracle on 1 shard,
-#                      MVCC and 4 shards, with folded ranges and
-#                      stopped dives in every seed), the resolve-pass
-#                      tests on both engines, the explainQuery SOAP
-#                      round-trip, and the calibration run that prints
-#                      the probe and scanned-entry costs (release build)
+#                      plan-shape regressions (folded ranges, walks
+#                      bounded to the seed's id span and priced against
+#                      probes, dives stopped at their bound, perfbench's
+#                      LIKE shape in like_shape_walks_only_the_collections_span,
+#                      edge cases), the planner twin (answers against
+#                      the posting-scan oracle on 1 shard, MVCC and 4
+#                      shards, with folded ranges, stopped dives and
+#                      span-bounded walks in every seed), the
+#                      resolve-pass tests on both engines, the
+#                      explainQuery SOAP round-trip, and the
+#                      calibration run that prints the probe, group and
+#                      span-entry costs (release build)
 #   verify.sh wire     the binary wire-protocol contract (DESIGN.md
 #                      §7.7): frame codec unit tests (an oversize frame
 #                      is refused by the writer and an oversize answer
@@ -176,8 +191,10 @@ case "$lane" in
     cargo test -q -p relstore --lib stats
     cargo test -q -p relstore --lib statistics
     cargo test -q -p relstore --lib planner
+    cargo test -q -p relstore --lib index
     cargo test -q -p relstore --test index_model
     cargo test -q -p relstore --test sql_integration nullable_indexed_column
+    cargo test -q -p mcs --test durability old_two_column_typed_indexes
     cargo test -q -p mcs --test catalog_tests typed_value_indexes
     cargo test -q -p relstore --lib like
     cargo test -q -p mcs --lib plan
