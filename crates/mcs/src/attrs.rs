@@ -128,48 +128,12 @@ impl Mcs {
             .collect()
     }
 
-    /// Validate an attribute against its definition and build the insert
-    /// parameter template: `[_, _, name, attr_type, str, int, float,
-    /// date, time, datetime]` (the first two slots are filled with the
-    /// object type/id by the caller).
-    pub(crate) fn attr_row_values(
-        &self,
-        _object_type: ObjectType,
-        attr: &Attribute,
-    ) -> Result<[Value; 10]> {
-        let def = self
-            .attribute_definition(&attr.name)?
-            .ok_or_else(|| McsError::BadAttribute(format!("`{}` is not defined", attr.name)))?;
-        let given = AttrType::of_value(&attr.value)
-            .ok_or_else(|| McsError::BadAttribute(format!("`{}`: unsupported value", attr.name)))?;
-        // Int widens to Float, like the storage layer.
-        let (ty, value) = match (given, def.attr_type) {
-            (AttrType::Int, AttrType::Float) => {
-                (AttrType::Float, Value::Float(attr.value.as_int()? as f64))
-            }
-            (g, d) if g == d => (d, attr.value.clone()),
-            (g, d) => {
-                return Err(McsError::BadAttribute(format!(
-                    "`{}` is {d:?}, got {g:?}",
-                    attr.name
-                )))
-            }
-        };
-        let mut row: [Value; 10] = [
-            Value::Null,
-            Value::Null,
-            attr.name.as_str().into(),
-            ty.code().into(),
-            Value::Null,
-            Value::Null,
-            Value::Null,
-            Value::Null,
-            Value::Null,
-            Value::Null,
-        ];
-        // columns 4..10 of this template = str,int,float,date,time,datetime
-        row[ty.full_row_column() - 1] = value;
-        Ok(row)
+    /// The defined type of attribute `name`; an undefined name is a
+    /// [`McsError::BadAttribute`].
+    pub(crate) fn defined_type(&self, name: &str) -> Result<AttrType> {
+        self.attribute_definition(name)?
+            .map(|d| d.attr_type)
+            .ok_or_else(|| McsError::BadAttribute(format!("`{name}` is not defined")))
     }
 
     /// Resolve an [`ObjectRef`] to its type/id/audit flag/name.
@@ -208,7 +172,7 @@ impl Mcs {
             return Err(McsError::BadAttribute("cannot attach attributes to the service".into()));
         }
         self.require_ref_perm(cred, object, Permission::Write)?;
-        let vals = self.attr_row_values(ot, attr)?;
+        let vals = attr_row(attr.name.as_str().into(), self.defined_type(&attr.name)?, attr)?;
         // Upsert = delete + insert: atomic, so a crash can't lose the old
         // value without having written the new one.
         self.txn(
@@ -221,8 +185,8 @@ impl Mcs {
                 let mut params: Vec<Value> = Vec::with_capacity(10);
                 params.push(ot.code().into());
                 params.push(id.into());
-                params.extend(vals[2..].iter().cloned());
-                s.execute_prepared(&self.stmts.ins_attr, &params)?;
+                params.extend(vals);
+                s.execute_prepared(&self.stmts.ins_attrs[0], &params)?;
                 if audit {
                     self.audit_action_in(
                         s,
@@ -313,4 +277,36 @@ impl Mcs {
             .into_iter()
             .find(|a| a.name == attr_name))
     }
+}
+
+/// Type-check `attr` against its defined type `def` and build its
+/// `user_attributes` columns after the object's: `[name, attr_type,
+/// str, int, float, date, time, datetime]`, with `name` as the name
+/// column (callers that insert many rows of one name share one value).
+pub(crate) fn attr_row(name: Value, def: AttrType, attr: &Attribute) -> Result<[Value; 8]> {
+    let given = AttrType::of_value(&attr.value)
+        .ok_or_else(|| McsError::BadAttribute(format!("`{}`: unsupported value", attr.name)))?;
+    // Int widens to Float, like the storage layer.
+    let (ty, value) = match (given, def) {
+        (AttrType::Int, AttrType::Float) => {
+            (AttrType::Float, Value::Float(attr.value.as_int()? as f64))
+        }
+        (g, d) if g == d => (d, attr.value.clone()),
+        (g, d) => {
+            return Err(McsError::BadAttribute(format!("`{}` is {d:?}, got {g:?}", attr.name)))
+        }
+    };
+    let mut row: [Value; 8] = [
+        name,
+        ty.code().into(),
+        Value::Null,
+        Value::Null,
+        Value::Null,
+        Value::Null,
+        Value::Null,
+        Value::Null,
+    ];
+    // full-row columns 5..=10 (str..datetime) sit at 2..=7 here
+    row[ty.full_row_column() - 3] = value;
+    Ok(row)
 }

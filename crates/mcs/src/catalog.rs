@@ -6,16 +6,30 @@
 //! ([`crate::authz`]), queries ([`crate::query`]), annotations, audit,
 //! history, users and external catalogs.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use relstore::{Access, Database, ExecResult, OpCtx, Prepared, ResultSet, Session, Value};
+use relstore::{
+    Access, Database, DateTime, ExecResult, OpCtx, Prepared, ResultSet, Session, Value,
+};
 
 use crate::clock::{Clock, SystemClock};
 use crate::error::{McsError, Result};
 use crate::model::*;
 use crate::schema::{bootstrap, IndexProfile};
 use crate::shard::Outcome;
+
+/// Most attribute rows one INSERT carries: a file's attributes go in as
+/// one multi-row statement, a longer list in chunks of this many.
+const ATTR_ROWS_PER_INSERT: usize = 16;
+
+/// The tables a file create writes, claimed by its transaction.
+const FILE_CREATE_CLAIMS: &[(&str, Access)] = &[
+    ("audit_log", Access::Write),
+    ("logical_files", Access::Write),
+    ("user_attributes", Access::Write),
+];
 
 /// Prepared statements for the catalog's hot paths (the original MCS used
 /// JDBC prepared statements against MySQL for the same reason).
@@ -25,7 +39,9 @@ pub(crate) struct Statements {
     pub sel_file_versions: Prepared,
     pub sel_file_by_id: Prepared,
     pub del_file_by_id: Prepared,
-    pub ins_attr: Prepared,
+    /// `ins_attrs[n - 1]` inserts `n` attribute rows, for `n` up to
+    /// [`ATTR_ROWS_PER_INSERT`].
+    pub ins_attrs: Vec<Prepared>,
     pub sel_attrs_obj: Prepared,
     pub del_attrs_obj: Prepared,
     pub del_attr_named: Prepared,
@@ -59,11 +75,16 @@ impl Statements {
             sel_file_versions: db.prepare("SELECT * FROM logical_files WHERE name = ?")?,
             sel_file_by_id: db.prepare("SELECT * FROM logical_files WHERE id = ?")?,
             del_file_by_id: db.prepare("DELETE FROM logical_files WHERE id = ?")?,
-            ins_attr: db.prepare(
-                "INSERT INTO user_attributes (object_type, object_id, name, attr_type, \
-                 str_value, int_value, float_value, date_value, time_value, datetime_value) \
-                 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            )?,
+            ins_attrs: (1..=ATTR_ROWS_PER_INSERT)
+                .map(|n| {
+                    db.prepare(&format!(
+                        "INSERT INTO user_attributes (object_type, object_id, name, attr_type, \
+                         str_value, int_value, float_value, date_value, time_value, \
+                         datetime_value) VALUES {}",
+                        vec!["(?,?,?,?,?,?,?,?,?,?)"; n].join(",")
+                    ))
+                })
+                .collect::<relstore::Result<_>>()?,
             sel_attrs_obj: db.prepare(
                 "SELECT name, attr_type, str_value, int_value, float_value, date_value, \
                  time_value, datetime_value FROM user_attributes \
@@ -653,88 +674,14 @@ impl Mcs {
     /// Write on the service. The insert of the file row and its attribute
     /// rows is atomic.
     pub fn create_file(&self, cred: &Credential, spec: &FileSpec) -> Result<LogicalFile> {
-        validate_name(&spec.name)?;
-        let version = spec.version.unwrap_or(1);
-        let collection = match &spec.collection {
-            Some(cname) => {
-                let c = self.resolve_collection(cname)?;
-                self.require_collection_perm(cred, &c, Permission::Write)?;
-                Some(c)
-            }
-            None => {
-                self.require_service_perm(cred, Permission::Write)?;
-                None
-            }
-        };
-        // Type-check the attributes against their definitions up front.
-        let attr_rows: Vec<[Value; 10]> = spec
-            .attributes
-            .iter()
-            .map(|a| self.attr_row_values(ObjectType::File, a))
-            .collect::<Result<_>>()?;
-
-        let now = self.now();
+        let checked = self.check_file_specs(cred, std::slice::from_ref(spec))?;
+        let now = self.clock.now();
         // One transaction: the file row, its attribute rows, and the audit
         // record commit together or not at all — a failure at any point
         // (and a crash at any statement boundary) leaves no trace.
-        let id = self.txn(
-            &[
-                ("audit_log", Access::Write),
-                ("logical_files", Access::Write),
-                ("user_attributes", Access::Write),
-            ],
-            |s| {
-                let res = s.execute_prepared(
-                    &self.stmts.ins_file,
-                    &[
-                        spec.name.as_str().into(),
-                        version.into(),
-                        opt_str(&spec.data_type),
-                        true.into(),
-                        collection.as_ref().map_or(Value::Null, |c| c.id.into()),
-                        opt_str(&spec.container_id),
-                        opt_str(&spec.container_service),
-                        cred.dn.as_str().into(),
-                        now.clone(),
-                        opt_str(&spec.master_copy),
-                        spec.audit.into(),
-                    ],
-                );
-                let res = match res {
-                    Err(relstore::Error::UniqueViolation { .. }) => {
-                        return Err(McsError::AlreadyExists(format!(
-                            "{}.v{}",
-                            spec.name, version
-                        )))
-                    }
-                    other => other?,
-                };
-                let id =
-                    res.last_insert_id.ok_or_else(|| McsError::Internal("no insert id".into()))?;
-                for (i, vals) in attr_rows.iter().enumerate() {
-                    let mut params: Vec<Value> = Vec::with_capacity(10);
-                    params.push(ObjectType::File.code().into());
-                    params.push(id.into());
-                    params.extend(vals[2..].iter().cloned());
-                    // vals[0..2] are placeholders replaced by the two pushes above
-                    if let Err(e) = s.execute_prepared(&self.stmts.ins_attr, &params) {
-                        return Err(if matches!(e, relstore::Error::UniqueViolation { .. }) {
-                            McsError::BadAttribute(format!(
-                                "duplicate attribute `{}`",
-                                spec.attributes[i].name
-                            ))
-                        } else {
-                            e.into()
-                        });
-                    }
-                }
-                if spec.audit {
-                    self.audit_action_in(s, ObjectType::File, id, "create", cred, &spec.name)?;
-                }
-                Ok(id)
-            },
-        )?;
-        self.resolve_file_by_id(id)
+        let mut files =
+            self.txn(FILE_CREATE_CLAIMS, |s| self.insert_files(s, cred, checked, now))?;
+        Ok(files.pop().expect("one spec"))
     }
 
     /// Create a batch of logical files in **one** transaction — the bulk
@@ -746,87 +693,32 @@ impl Mcs {
     /// Results come back in input order.
     pub fn create_files(&self, cred: &Credential, specs: &[FileSpec]) -> Result<Vec<LogicalFile>> {
         let checked = self.check_file_specs(cred, specs)?;
-        let now = self.now();
+        let now = self.clock.now();
         // Phase 2: one transaction for the whole batch — N file rows, all
         // their attribute rows and audit records, one commit (one fsync
         // under `Durability::Always`, which is where the bulk op's win
         // over N createFile round-trips comes from).
-        let ids = self.txn(
-            &[
-                ("audit_log", Access::Write),
-                ("logical_files", Access::Write),
-                ("user_attributes", Access::Write),
-            ],
-            |s| {
-                let mut ids = Vec::with_capacity(checked.len());
-                for c in &checked {
-                    let spec = c.spec;
-                    let res = s.execute_prepared(
-                        &self.stmts.ins_file,
-                        &[
-                            spec.name.as_str().into(),
-                            c.version.into(),
-                            opt_str(&spec.data_type),
-                            true.into(),
-                            c.collection_id.map_or(Value::Null, Value::from),
-                            opt_str(&spec.container_id),
-                            opt_str(&spec.container_service),
-                            cred.dn.as_str().into(),
-                            now.clone(),
-                            opt_str(&spec.master_copy),
-                            spec.audit.into(),
-                        ],
-                    );
-                    let res = match res {
-                        Err(relstore::Error::UniqueViolation { .. }) => {
-                            return Err(McsError::AlreadyExists(format!(
-                                "{}.v{}",
-                                spec.name, c.version
-                            )))
-                        }
-                        other => other?,
-                    };
-                    let id = res
-                        .last_insert_id
-                        .ok_or_else(|| McsError::Internal("no insert id".into()))?;
-                    for (i, vals) in c.attr_rows.iter().enumerate() {
-                        let mut params: Vec<Value> = Vec::with_capacity(10);
-                        params.push(ObjectType::File.code().into());
-                        params.push(id.into());
-                        params.extend(vals[2..].iter().cloned());
-                        if let Err(e) = s.execute_prepared(&self.stmts.ins_attr, &params) {
-                            return Err(if matches!(e, relstore::Error::UniqueViolation { .. }) {
-                                McsError::BadAttribute(format!(
-                                    "duplicate attribute `{}`",
-                                    spec.attributes[i].name
-                                ))
-                            } else {
-                                e.into()
-                            });
-                        }
-                    }
-                    if spec.audit {
-                        self.audit_action_in(s, ObjectType::File, id, "create", cred, &spec.name)?;
-                    }
-                    ids.push(id);
-                }
-                Ok(ids)
-            },
-        )?;
-        ids.into_iter().map(|id| self.resolve_file_by_id(id)).collect()
+        self.txn(FILE_CREATE_CLAIMS, |s| self.insert_files(s, cred, checked, now))
     }
 
-    /// Phase 1 of [`Mcs::create_files`], outside any transaction: every
-    /// spec's name validation, collection resolution and authorization,
-    /// and attribute type-checks, in input order. Reads only global
-    /// state, so on a sharded catalog any shard's mirror answers alike.
+    /// Phase 1 of [`Mcs::create_files`] (and of [`Mcs::create_file`]),
+    /// outside any transaction: every spec's name validation, collection
+    /// resolution and authorization, then its attributes' definition,
+    /// type and duplicate-name checks, in input order — so a duplicate
+    /// attribute, like a type error, is reported before any spec's
+    /// `AlreadyExists`, which only the insert finds. Each distinct
+    /// attribute name is looked up once per call, and every row of that
+    /// name shares one name value. Reads only global state, so on a
+    /// sharded catalog any shard's mirror answers alike.
     pub(crate) fn check_file_specs<'a>(
         &self,
         cred: &Credential,
         specs: &'a [FileSpec],
     ) -> Result<Vec<CheckedSpec<'a>>> {
+        // name -> (defined type, shared name value, last spec that used it)
+        let mut defs: HashMap<&str, (AttrType, Value, usize)> = HashMap::new();
         let mut checked = Vec::with_capacity(specs.len());
-        for spec in specs {
+        for (k, spec) in specs.iter().enumerate() {
             validate_name(&spec.name)?;
             let collection_id = match &spec.collection {
                 Some(cname) => {
@@ -839,11 +731,24 @@ impl Mcs {
                     None
                 }
             };
-            let attr_rows: Vec<[Value; 10]> = spec
-                .attributes
-                .iter()
-                .map(|a| self.attr_row_values(ObjectType::File, a))
-                .collect::<Result<_>>()?;
+            let mut attr_rows = Vec::with_capacity(spec.attributes.len());
+            for a in &spec.attributes {
+                let (ty, name, last) = match defs.entry(a.name.as_str()) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let ty = self.defined_type(&a.name)?;
+                        e.insert((ty, a.name.as_str().into(), usize::MAX))
+                    }
+                };
+                if *last == k {
+                    return Err(McsError::BadAttribute(format!(
+                        "duplicate attribute `{}`",
+                        a.name
+                    )));
+                }
+                *last = k;
+                attr_rows.push(crate::attrs::attr_row(name.clone(), *ty, a)?);
+            }
             checked.push(CheckedSpec {
                 spec,
                 version: spec.version.unwrap_or(1),
@@ -852,6 +757,80 @@ impl Mcs {
             });
         }
         Ok(checked)
+    }
+
+    /// Phase 2 of [`Mcs::create_files`], inside its transaction: per
+    /// spec, the file row, its attribute rows as multi-row INSERTs of up
+    /// to [`ATTR_ROWS_PER_INSERT`] rows, and the audit record. Returns
+    /// the files as inserted, so no row is read back.
+    fn insert_files(
+        &self,
+        s: &mut Session,
+        cred: &Credential,
+        checked: Vec<CheckedSpec<'_>>,
+        now: DateTime,
+    ) -> Result<Vec<LogicalFile>> {
+        let mut files = Vec::with_capacity(checked.len());
+        let mut params: Vec<Value> = Vec::new();
+        for c in checked {
+            let spec = c.spec;
+            let res = s.execute_prepared(
+                &self.stmts.ins_file,
+                &[
+                    spec.name.as_str().into(),
+                    c.version.into(),
+                    opt_str(&spec.data_type),
+                    true.into(),
+                    c.collection_id.map_or(Value::Null, Value::from),
+                    opt_str(&spec.container_id),
+                    opt_str(&spec.container_service),
+                    cred.dn.as_str().into(),
+                    Value::DateTime(now),
+                    opt_str(&spec.master_copy),
+                    spec.audit.into(),
+                ],
+            );
+            let id = match res {
+                Err(relstore::Error::UniqueViolation { .. }) => {
+                    return Err(McsError::AlreadyExists(format!("{}.v{}", spec.name, c.version)))
+                }
+                other => other?
+                    .last_insert_id
+                    .ok_or_else(|| McsError::Internal("no insert id".into()))?,
+            };
+            let mut rows = c.attr_rows.into_iter().peekable();
+            while rows.peek().is_some() {
+                params.clear();
+                let mut n = 0;
+                for row in rows.by_ref().take(ATTR_ROWS_PER_INSERT) {
+                    params.push(ObjectType::File.code().into());
+                    params.push(id.into());
+                    params.extend(row);
+                    n += 1;
+                }
+                s.execute_prepared(&self.stmts.ins_attrs[n - 1], &params)?;
+            }
+            if spec.audit {
+                self.audit_action_in(s, ObjectType::File, id, "create", cred, &spec.name)?;
+            }
+            files.push(LogicalFile {
+                id,
+                name: spec.name.clone(),
+                version: c.version,
+                data_type: spec.data_type.clone(),
+                valid: true,
+                collection_id: c.collection_id,
+                container_id: spec.container_id.clone(),
+                container_service: spec.container_service.clone(),
+                creator: cred.dn.clone(),
+                created: now,
+                last_modifier: None,
+                last_modified: None,
+                master_copy: spec.master_copy.clone(),
+                audit_enabled: spec.audit,
+            });
+        }
+        Ok(files)
     }
 
     /// Delete a logical file (paper API: "Deleting a logical file").
@@ -1172,7 +1151,9 @@ pub(crate) struct CheckedSpec<'a> {
     spec: &'a FileSpec,
     version: i64,
     collection_id: Option<i64>,
-    attr_rows: Vec<[Value; 10]>,
+    /// `user_attributes` columns after the object's (see
+    /// [`crate::attrs::attr_row`]).
+    attr_rows: Vec<[Value; 8]>,
 }
 
 pub(crate) fn opt_str(s: &Option<String>) -> Value {

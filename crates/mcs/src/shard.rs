@@ -735,10 +735,6 @@ impl ShardedCatalog {
             {
                 return Err(McsError::AlreadyExists(format!("{}.v{version}", spec.name)));
             }
-            let mut names = BTreeSet::new();
-            if let Some(a) = spec.attributes.iter().find(|a| !names.insert(a.name.as_str())) {
-                return Err(McsError::BadAttribute(format!("duplicate attribute `{}`", a.name)));
-            }
         }
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, spec) in specs.iter().enumerate() {

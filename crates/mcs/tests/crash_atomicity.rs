@@ -100,13 +100,18 @@ fn audit_actions(db: &Database, id: i64) -> Vec<String> {
     .collect()
 }
 
+/// Attributes of the file `create_file_is_atomic_under_any_wal_truncation`
+/// creates: one more than a single attribute INSERT carries (16 rows), so
+/// its commit group holds two attribute statements.
+const CREATE_ATTRS: usize = 17;
+
 #[test]
 fn create_file_is_atomic_under_any_wal_truncation() {
     let dir = tmpdir("create");
     let admin = Credential::new("/CN=admin");
     {
         let m = open(&dir, &admin);
-        for i in 0..4 {
+        for i in 0..CREATE_ATTRS {
             m.define_attribute(&admin, &format!("a{i}"), AttrType::Str, "").unwrap();
         }
         m.create_collection(&admin, "c", None, "").unwrap();
@@ -116,7 +121,7 @@ fn create_file_is_atomic_under_any_wal_truncation() {
     {
         let m = open(&dir, &admin);
         let mut spec = FileSpec::named("g").in_collection("c");
-        for i in 0..4 {
+        for i in 0..CREATE_ATTRS {
             spec = spec.attr(format!("a{i}"), format!("v{i}"));
         }
         spec.audit = true;
@@ -146,7 +151,7 @@ fn create_file_is_atomic_under_any_wal_truncation() {
                 assert_eq!(cut, after, "{ctx}: file visible before the commit frame");
                 assert_eq!(audit_actions(m.database(), id), vec!["create".to_string()], "{ctx}");
                 let attrs = m.get_attributes(&admin, &ObjectRef::File("g".into())).unwrap();
-                assert_eq!(attrs.len(), 4, "{ctx}: committed file missing attributes");
+                assert_eq!(attrs.len(), CREATE_ATTRS, "{ctx}: committed file missing attributes");
             }
             None => {
                 assert_ne!(cut, after, "{ctx}: fully committed create must survive");

@@ -7,6 +7,7 @@
 //! takes its MVCC snapshot as a pinned [`SnapshotPin`], never as a bare
 //! epoch ([`snapshot_row`], [`Database::read_table`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -231,7 +232,7 @@ impl Database {
     ) -> Result<R> {
         let handle = self.table(name)?;
         let _barrier =
-            (!self.mvcc).then(|| self.barriers.statement_guard(&[name.to_ascii_lowercase()]));
+            (!self.mvcc).then(|| self.barriers.statement_guard(&[lowercase(name)]));
         let own = if at.is_none() { self.pin_snapshot() } else { None };
         let t = handle.read();
         Ok(f(&t, at.or(own.as_ref())))
@@ -320,7 +321,7 @@ impl Database {
     pub fn table(&self, name: &str) -> Result<Arc<RwLock<Table>>> {
         self.tables
             .read()
-            .get(&name.to_ascii_lowercase())
+            .get(lowercase(name).as_ref())
             .cloned()
             .ok_or_else(|| Error::NoSuchTable(name.to_owned()))
     }
@@ -409,7 +410,7 @@ impl Database {
     /// that were never written — including ones that don't exist — report
     /// version 0.
     pub fn table_version(&self, name: &str) -> u64 {
-        self.version_counter(&name.to_ascii_lowercase()).load(Ordering::Acquire)
+        self.version_counter(&lowercase(name)).load(Ordering::Acquire)
     }
 
     /// Snapshot the write versions of several tables at once (the
@@ -668,8 +669,8 @@ impl Database {
         E: From<Error>,
     {
         // Normalize: lowercase, sort, dedup with Write winning over Read.
-        let mut norm: Vec<(String, Access)> =
-            claims.iter().map(|(n, a)| (n.to_ascii_lowercase(), *a)).collect();
+        let mut norm: Vec<(Cow<'_, str>, Access)> =
+            claims.iter().map(|(n, a)| (lowercase(n), *a)).collect();
         norm.sort_by(|a, b| a.0.cmp(&b.0));
         norm.dedup_by(|next, kept| {
             if next.0 == kept.0 {
@@ -691,8 +692,8 @@ impl Database {
         let barriers = if self.mvcc && pure_read {
             None
         } else if self.mvcc {
-            let upgraded: Vec<(String, Access)> =
-                norm.iter().map(|(n, _)| (n.clone(), Access::Write)).collect();
+            let upgraded: Vec<(&str, Access)> =
+                norm.iter().map(|(n, _)| (n.as_ref(), Access::Write)).collect();
             Some(self.barriers.transaction_guard(&upgraded).map_err(E::from)?)
         } else {
             Some(self.barriers.transaction_guard(&norm).map_err(E::from)?)
@@ -702,7 +703,7 @@ impl Database {
             session.snapshot = ctx.snapshot.clone().or_else(|| self.pin_snapshot());
         }
         session.begin().map_err(E::from)?;
-        session.allowed = Some(norm.into_iter().map(|(n, _)| n).collect());
+        session.allowed = Some(norm.into_iter().map(|(n, _)| n.into_owned()).collect());
         let result = f(&mut session);
         match result {
             Ok(v) => match session.commit_publish(ctx.durability) {
@@ -735,6 +736,16 @@ impl Database {
                 Err(e)
             }
         }
+    }
+}
+
+/// `name` in ASCII lowercase, copied only when it has an uppercase byte
+/// (table names are case-insensitive; the catalog's are all lowercase).
+pub(crate) fn lowercase(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
@@ -1476,6 +1487,33 @@ mod tests {
         let v = db.table_version("files");
         db.execute("CREATE TABLE files (id INTEGER)", &[]).unwrap();
         assert!(db.table_version("files") > v, "recreate keeps counting up");
+    }
+
+    /// Table names are case-insensitive at every entry point, whether
+    /// the name is already lowercase (borrowed) or not (copied).
+    #[test]
+    fn table_lookup_is_case_insensitive() {
+        assert!(matches!(lowercase("user_attributes"), Cow::Borrowed("user_attributes")));
+        assert_eq!(lowercase("User_Attributes"), "user_attributes");
+        let db = db();
+        assert!(Arc::ptr_eq(&db.table("FILES").unwrap(), &db.table("files").unwrap()));
+        assert!(Arc::ptr_eq(&db.table("Files").unwrap(), &db.table("files").unwrap()));
+        assert!(matches!(db.table("FILEZ"), Err(Error::NoSuchTable(n)) if n == "FILEZ"));
+        db.transaction(&[("Files", Access::Write), ("ATTRS", Access::Write)], |s| {
+            s.execute("INSERT INTO files (name) VALUES ('a')", &[])?;
+            s.execute("INSERT INTO Attrs (file_id, name) VALUES (1, 'x')", &[])?;
+            Ok::<_, Error>(())
+        })
+        .unwrap();
+        assert!(db.table_version("Files") > 0);
+        assert_eq!(db.table_version("FILES"), db.table_version("files"));
+        assert_eq!(db.read_table(None, "FILES", |t, _| t.len()).unwrap(), 1);
+        assert_eq!(db.read_table(None, "attrs", |t, _| t.len()).unwrap(), 1);
+        // a claim in any case still fences the transaction to its tables
+        let r = db.transaction(&[("FILES", Access::Write)], |s| {
+            s.execute("INSERT INTO attrs (file_id, name) VALUES (1, 'y')", &[]).map(drop)
+        });
+        assert!(matches!(r, Err(Error::TxnState(_))));
     }
 
     #[test]

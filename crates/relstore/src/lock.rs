@@ -226,10 +226,10 @@ impl BarrierMap {
 
     /// Shared-acquire the barriers for `tables` (pre-sorted, deduped) for
     /// one statement. The returned guard releases on drop.
-    pub(crate) fn statement_guard(&self, tables: &[String]) -> StatementGuard {
+    pub(crate) fn statement_guard(&self, tables: &[impl AsRef<str>]) -> StatementGuard {
         let mut held = Vec::with_capacity(tables.len());
         for t in tables {
-            let b = self.get(t);
+            let b = self.get(t.as_ref());
             let acquired = b.acquire_shared();
             held.push((b, acquired));
         }
@@ -238,10 +238,13 @@ impl BarrierMap {
 
     /// Acquire transaction barriers for `claims` (pre-sorted by name,
     /// deduped). On any error, everything already acquired is released.
-    pub(crate) fn transaction_guard(&self, claims: &[(String, Access)]) -> Result<TransactionGuard> {
+    pub(crate) fn transaction_guard(
+        &self,
+        claims: &[(impl AsRef<str>, Access)],
+    ) -> Result<TransactionGuard> {
         let mut guard = TransactionGuard { held: Vec::with_capacity(claims.len()) };
         for (name, access) in claims {
-            let b = self.get(name);
+            let b = self.get(name.as_ref());
             match access {
                 Access::Write => b.acquire_exclusive()?,
                 Access::Read => b.acquire_txn_shared()?,

@@ -6,7 +6,7 @@
 //! bulk loader that writes the same rows through the storage engine with
 //! batched multi-row prepared inserts. The resulting database is
 //! byte-for-byte what the per-file API would have produced (asserted by
-//! `tests/populate_equiv.rs`).
+//! `bulk_loader_equivalent_to_api_loading` in `tests/end_to_end.rs`).
 //!
 //! [`build_sharded_catalog`] loads a hash-partitioned catalog
 //! (DESIGN.md §7.4) the same way, with one writer thread per shard:
@@ -45,10 +45,10 @@ pub struct BuiltShardedCatalog {
 /// DN of the bulk loader / superuser.
 pub const ADMIN_DN: &str = "/O=Grid/OU=ISI/CN=mcs-admin";
 
-fn typed_null_row(name: &str, a: usize, v: Value) -> [Value; 8] {
+fn typed_null_row(name: Value, a: usize, v: Value) -> [Value; 8] {
     // columns: name, attr_type, str, int, float, date, time, datetime
     let mut row: [Value; 8] = [
-        name.into(),
+        name,
         ATTR_TYPES[a].code().into(),
         Value::Null,
         Value::Null,
@@ -148,13 +148,15 @@ fn insert_attributes(db: &Arc<Database>, objects: impl Iterator<Item = (i64, i64
     let prepared = db.prepare(&sql_batch).expect("prepare");
     let sql_one = format!("INSERT INTO user_attributes ({cols}) VALUES {one}");
     let single = db.prepare(&sql_one).expect("prepare");
+    // One name value per attribute, shared by all its rows.
+    let names = ATTR_NAMES.map(Value::from);
     let mut params: Vec<Value> = Vec::with_capacity(batch * 100);
     let mut in_batch = 0usize;
     for (object_type, object_id, idx) in objects {
-        for a in 0..10usize {
+        for (a, name) in names.iter().enumerate() {
             params.push(Value::Int(object_type));
             params.push(Value::Int(object_id));
-            let row = typed_null_row(ATTR_NAMES[a], a, spec::attr_value(a, idx));
+            let row = typed_null_row(name.clone(), a, spec::attr_value(a, idx));
             params.extend(row);
         }
         in_batch += 1;

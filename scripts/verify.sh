@@ -13,7 +13,13 @@
 #                      `thread_local!` may not appear in non-test code of
 #                      crates/relstore/src or crates/mcs/src (the part of
 #                      a file above its first `#[cfg(test)]`)
-#   verify.sh crash    WAL crash-recovery matrix (*_truncation tests)
+#   verify.sh crash    WAL crash-recovery matrix (*_truncation tests;
+#                      the create case cuts a 17-attribute create, whose
+#                      group holds two multi-row attribute INSERTs), and
+#                      the catalog durability tests, which pin what one
+#                      create logs (three statements, under 1,300 B for
+#                      ten attributes) and replay a log of the older
+#                      one-INSERT-per-attribute shape to the same catalog
 #   verify.sh stress   concurrent-commit stress runs (*_stress tests)
 #   verify.sh async-durability
 #                      the async epoch/ack contract: mixed-durability
@@ -28,14 +34,21 @@
 #                      (shard_twin, mvcc_twin, cache_consistency,
 #                      planner_twin, wire_twin)
 #   verify.sh cache    the read-cache consistency contract (DESIGN.md
-#                      §7.3): table-version unit tests, cache unit
-#                      tests, the touched-tables invalidation test, and
-#                      the SOAP bypass/stats round-trip
+#                      §7.3): table-version unit tests, case-insensitive
+#                      table lookup (a version probe borrows a lowercase
+#                      name and copies any other), cache unit tests, the
+#                      touched-tables invalidation test, and the SOAP
+#                      bypass/stats round-trip
 #   verify.sh shard    the sharded-catalog contract (DESIGN.md §7.4):
 #                      the router's unit tests (routing, mirrors,
 #                      cross-shard ops, reopening with another shard
 #                      count), the two-phase membership crash matrix,
-#                      the parallel loader equivalence test, the wire
+#                      the parallel loader equivalence test, the create
+#                      path on 1 shard, 4 shards and durable MVCC (a
+#                      create returns exactly what getFile reads back;
+#                      0/1/16/17/33 attributes; a duplicate attribute
+#                      fails its batch before any write, ahead of every
+#                      AlreadyExists — DESIGN.md §7), the wire
 #                      round-trips, including every committing write's
 #                      (epoch, shard) echo, and a scope's cache and
 #                      planner bypasses reaching every shard
@@ -129,6 +142,7 @@ case "$lane" in
   crash)
     start=$(date +%s)
     cargo test -q _truncation
+    cargo test -q -p mcs --test durability
     echo "crash lane: $(($(date +%s) - start))s elapsed"
     ;;
   stress)
@@ -163,6 +177,7 @@ case "$lane" in
   cache)
     start=$(date +%s)
     cargo test -q -p relstore --lib table_version
+    cargo test -q -p relstore --lib table_lookup_is_case_insensitive
     cargo test -q -p mcs --lib cache
     cargo test -q -p mcs --test catalog_tests writes_invalidate_only_touched_tables
     cargo test -q -p mcs-net --test cache_over_net
@@ -175,6 +190,7 @@ case "$lane" in
     cargo test -q -p mcs --test shard_crash
     cargo test -q -p mcs --test request_scope bypass_scopes_reach_every_shard
     cargo test -q -p workload sharded
+    cargo test -q -p mcs --test create_path
     cargo test -q -p mcs-net --test sharded_over_net
     echo "shard lane: $(($(date +%s) - start))s elapsed"
     ;;
