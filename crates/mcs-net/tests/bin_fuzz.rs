@@ -14,12 +14,17 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mcs::{AttrType, Credential, FileSpec, IndexProfile, ManualClock, ObjectRef, ShardedCatalog};
+use mcs::{
+    Annotation, AttrPredicate, AttrType, Attribute, AuditRecord, Collection, CollectionContents,
+    Credential, ExternalCatalog, FileSpec, FileUpdate, HistoryRecord, IndexProfile, LogicalFile,
+    ManualClock, ObjectRef, ShardedCatalog, UserRecord, View, ViewContents,
+};
 use mcs_net::binproto::frame::{
     self, read_frame, read_preamble, write_frame, write_preamble, Reader, MAGIC, STATUS_FAULT,
     VERSION,
 };
 use mcs_net::binproto::BinServer;
+use mcs_net::codec::Record;
 use mcs_net::{BinMcsClient, FaultKind, NetError};
 use testkit::{seeds, Rng};
 
@@ -326,21 +331,26 @@ fn random_bytes_through_record_decoders_never_panic() {
         for _ in 0..n {
             buf.push(rng.next() as u8);
         }
-        let _ = frame::get_filespec(&mut Reader::new(&buf));
-        let _ = frame::get_fileupdate(&mut Reader::new(&buf));
-        let _ = frame::get_file(&mut Reader::new(&buf));
+        fn decode<T: Record>(buf: &[u8]) {
+            let _ = T::get(&mut Reader::new(buf));
+        }
+        decode::<FileSpec>(&buf);
+        decode::<FileUpdate>(&buf);
+        decode::<Attribute>(&buf);
+        decode::<AttrPredicate>(&buf);
+        decode::<LogicalFile>(&buf);
+        decode::<Collection>(&buf);
+        decode::<CollectionContents>(&buf);
+        decode::<View>(&buf);
+        decode::<ViewContents>(&buf);
+        decode::<Annotation>(&buf);
+        decode::<AuditRecord>(&buf);
+        decode::<HistoryRecord>(&buf);
+        decode::<UserRecord>(&buf);
+        decode::<ExternalCatalog>(&buf);
         let _ = frame::get_credential(&mut Reader::new(&buf));
         let _ = frame::get_objref(&mut Reader::new(&buf));
-        let _ = frame::get_predicate(&mut Reader::new(&buf));
-        let _ = frame::get_attribute(&mut Reader::new(&buf));
         let _ = frame::get_value(&mut Reader::new(&buf));
-        let _ = frame::get_collection(&mut Reader::new(&buf));
-        let _ = frame::get_view(&mut Reader::new(&buf));
-        let _ = frame::get_user(&mut Reader::new(&buf));
-        let _ = frame::get_extcat(&mut Reader::new(&buf));
-        let _ = frame::get_audit(&mut Reader::new(&buf));
-        let _ = frame::get_annotation(&mut Reader::new(&buf));
-        let _ = frame::get_history(&mut Reader::new(&buf));
         let _ = frame::get_hits(&mut Reader::new(&buf));
         let _ = frame::get_strs(&mut Reader::new(&buf));
         let _ = frame::get_u64s(&mut Reader::new(&buf));
@@ -348,10 +358,10 @@ fn random_bytes_through_record_decoders_never_panic() {
     // And every *valid* encoding must survive arbitrary truncation.
     let spec = FileSpec::named("fuzz.dat").attr("run", 7i64).in_collection("c0");
     let mut enc = Vec::new();
-    frame::put_filespec(&mut enc, &spec);
+    spec.put(&mut enc);
     for cut in 0..enc.len() {
         assert!(
-            frame::get_filespec(&mut Reader::new(&enc[..cut])).is_err(),
+            FileSpec::get(&mut Reader::new(&enc[..cut])).is_err(),
             "truncation at {cut} must error, not succeed"
         );
     }

@@ -292,6 +292,7 @@ fn explain_query_over_the_wire() {
 /// each of the three decoders faults on any other text.
 #[test]
 fn soap_bool_decoders_accept_only_true_and_false() {
+    use mcs_net::codec::Record;
     use mcs_net::wire;
     use soapstack::xml::Element;
     let el = |text: &str| Element::new("r").child(Element::new("valid").text(text));
@@ -299,12 +300,12 @@ fn soap_bool_decoders_accept_only_true_and_false() {
     for (text, want) in [("true", true), ("false", false)] {
         assert_eq!(wire::req_bool(&el(text), "valid").unwrap(), want);
         assert_eq!(wire::value_from(&value(text)).unwrap(), Value::Bool(want));
-        assert_eq!(wire::fileupdate_from(&el(text)).unwrap().valid, Some(want));
+        assert_eq!(mcs::FileUpdate::from_el(&el(text)).unwrap().valid, Some(want));
     }
     for text in ["TRUE", "True", "1", "0", "yes", "banana", ""] {
         assert!(wire::req_bool(&el(text), "valid").is_err(), "req_bool {text:?}");
         assert!(wire::value_from(&value(text)).is_err(), "value_from {text:?}");
-        assert!(wire::fileupdate_from(&el(text)).is_err(), "fileupdate_from {text:?}");
+        assert!(mcs::FileUpdate::from_el(&el(text)).is_err(), "FileUpdate::from_el {text:?}");
     }
 }
 
