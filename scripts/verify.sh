@@ -95,6 +95,8 @@
 #                      is refused by the writer and an oversize answer
 #                      becomes a server fault), the golden wire
 #                      corpus (every op's exact bytes on both wires),
+#                      the golden record corpus and the round-trip
+#                      properties of every record type on both wires,
 #                      the frame-decoder fuzz/robustness harness run 50
 #                      times (green must mean deterministic), the
 #                      8×200 pipelining stress test, and the
@@ -225,6 +227,8 @@ case "$lane" in
     start=$(date +%s)
     cargo test -q -p mcs-net --lib binproto
     cargo test -q -p mcs-net --test wire_golden
+    cargo test -q -p mcs-net --test record_golden
+    cargo test -q -p mcs-net --test wire_proptests
     cargo test -q -p mcs-net --test roundtrip soap_bool
     cargo test -q -p mcs-net --test bin_fuzz --no-run
     i=1
