@@ -19,9 +19,11 @@
 //! arm in [`crate::dispatch::execute`] that names the op's
 //! [`mcs::shard::Route`] beside the `Mcs` call, a corpus entry in
 //! `tests/wire_golden.rs` and an arm in the twin generator
-//! (`tests/twin/mod.rs`); a new argument or result type also needs its
-//! [`crate::codec`] impl. `mcs::shard` changes only for an operation
-//! that spans shards.
+//! (`tests/twin/mod.rs`). A new record type is one entry of the record
+//! table in [`crate::codec`], where every record's layout lives (both
+//! wires' codecs derive from it); another new argument or result type
+//! needs its [`crate::codec`] impl. `mcs::shard` changes only for an
+//! operation that spans shards.
 //!
 //! Syntax of an entry: `Variant = opcode, "soapName", [pub] fn
 //! client_method(arg: Type = "element", ...) -> Result;`. Record
