@@ -20,20 +20,20 @@ use mcs::{
     ObjectRef, ObjectType, Permission, UserRecord, View, ViewContents,
 };
 use relstore::{DateTime, Value};
-use soapstack::xml::{Element, Node};
+use soapstack::xml::{Element, Node, Str};
 
 use crate::binproto::frame::{self, *};
 use crate::client::{CacheStatsReport, CatalogInfoReport};
 use crate::wire::{self, *};
 
 /// Append `child` to the element `e`.
-fn push(e: &mut Element, child: Element) {
-    e.children.push(Node::Element(child));
+fn push<'a>(e: &mut Element<'a>, child: Element<'a>) {
+    e.push(Node::Element(child));
 }
 
 /// A required child parsed as a number.
 fn num<T: std::str::FromStr>(e: &Element, name: &str) -> wire::Result<T> {
-    req_text(e, name)?.parse().map_err(|_| shape(format!("bad number in <{name}>")))
+    req_str(e, name)?.parse().map_err(|_| shape(format!("bad number in <{name}>")))
 }
 
 /// Epoch vectors travel as space-separated decimals on the SOAP wire.
@@ -42,7 +42,7 @@ fn epoch_list(epochs: &[u64]) -> String {
 }
 
 fn epochs_from(e: &Element, name: &str) -> wire::Result<Vec<u64>> {
-    let text = req_text(e, name)?;
+    let text = req_str(e, name)?;
     text.split_whitespace()
         .map(|v| v.parse().map_err(|_| shape(format!("bad epoch `{v}`"))))
         .collect()
@@ -57,8 +57,9 @@ pub trait Record: Sized {
     fn put(&self, b: &mut Vec<u8>);
     /// Decode the binary encoding.
     fn get(r: &mut Reader) -> frame::Result<Self>;
-    /// Encode as a SOAP element named [`Record::TAG`].
-    fn el(&self) -> Element;
+    /// Encode as a SOAP element named [`Record::TAG`], whose tags are the
+    /// table's literals and whose text borrows from the record.
+    fn el(&self) -> Element<'_>;
     /// Decode a SOAP element named [`Record::TAG`].
     fn from_el(e: &Element) -> wire::Result<Self>;
 }
@@ -80,8 +81,9 @@ pub trait Arg<'a>: Sized {
     fn put(&self, b: &mut Vec<u8>);
     /// Decode the binary encoding.
     fn get(r: &mut Reader) -> frame::Result<Self::Owned>;
-    /// Append as child element(s) `name` of the method element `a`.
-    fn to_el(&self, name: &str, a: &mut Element);
+    /// Append as child element(s) `name` of the method element `a`,
+    /// borrowing the text from the argument.
+    fn to_el(self, name: &'static str, a: &mut Element<'a>);
     /// Decode from the method element `call`.
     fn from_el(call: &Element, name: &str) -> wire::Result<Self::Owned>;
 }
@@ -119,8 +121,8 @@ impl<'a> Arg<'a> for &'a str {
     fn get(r: &mut Reader) -> frame::Result<String> {
         r.str()
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
-        push(a, text_el(name, *self))
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
+        push(a, text_el(name, self))
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<String> {
         req_text(call, name)
@@ -141,9 +143,9 @@ impl<'a> Arg<'a> for Option<&'a str> {
     fn get(r: &mut Reader) -> frame::Result<Option<String>> {
         get_opt(r, Reader::str)
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
         if let Some(s) = self {
-            push(a, text_el(name, *s))
+            push(a, text_el(name, s))
         }
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<Option<String>> {
@@ -162,7 +164,7 @@ impl<'a, T: Record + 'a> Arg<'a> for &'a T {
     fn get(r: &mut Reader) -> frame::Result<T> {
         <T as Record>::get(r)
     }
-    fn to_el(&self, _: &str, a: &mut Element) {
+    fn to_el(self, _: &'static str, a: &mut Element<'a>) {
         push(a, self.el())
     }
     fn from_el(call: &Element, _: &str) -> wire::Result<T> {
@@ -185,7 +187,7 @@ impl<'a, T: Record + 'a> Arg<'a> for &'a [T] {
         let n = r.seq_len()?;
         (0..n).map(|_| <T as Record>::get(r)).collect()
     }
-    fn to_el(&self, _: &str, a: &mut Element) {
+    fn to_el(self, _: &'static str, a: &mut Element<'a>) {
         self.iter().for_each(|t| push(a, t.el()));
     }
     fn from_el(call: &Element, _: &str) -> wire::Result<Vec<T>> {
@@ -206,7 +208,7 @@ impl<'a> Arg<'a> for &'a ObjectRef {
     fn get(r: &mut Reader) -> frame::Result<ObjectRef> {
         get_objref(r)
     }
-    fn to_el(&self, _: &str, a: &mut Element) {
+    fn to_el(self, _: &'static str, a: &mut Element<'a>) {
         push(a, objref_el(self))
     }
     fn from_el(call: &Element, _: &str) -> wire::Result<ObjectRef> {
@@ -227,7 +229,7 @@ impl<'a> Arg<'a> for &'a Value {
     fn get(r: &mut Reader) -> frame::Result<Value> {
         get_value(r)
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
         push(a, value_el(name, self))
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<Value> {
@@ -248,16 +250,17 @@ impl<'a> Arg<'a> for &'a [(String, i64)] {
     fn get(r: &mut Reader) -> frame::Result<Vec<(String, i64)>> {
         get_hits(r)
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
-        for (n, v) in *self {
-            push(a, Element::new(name).attr("version", v.to_string()).text(n));
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
+        for (n, v) in self {
+            push(a, Element::new(Str::Lit(name)).attr("version", v.to_string()).text(n));
         }
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<Vec<(String, i64)>> {
         call.find_all(name)
             .map(|f| {
                 let v = f.attr_value("version").and_then(|v| v.parse().ok());
-                Ok((f.text_content(), v.ok_or_else(|| shape(format!("{name} without version")))?))
+                let v = v.ok_or_else(|| shape(format!("{name} without version")))?;
+                Ok((f.text_content().into_owned(), v))
             })
             .collect()
     }
@@ -275,11 +278,11 @@ impl<'a> Arg<'a> for &'a [String] {
     fn get(r: &mut Reader) -> frame::Result<Vec<String>> {
         get_strs(r)
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
         self.iter().for_each(|s| push(a, text_el(name, s)));
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<Vec<String>> {
-        Ok(call.find_all(name).map(Element::text_content).collect())
+        Ok(call.find_all(name).map(|e| e.text_content().into_owned()).collect())
     }
 }
 
@@ -290,14 +293,14 @@ pub trait Scalar: Sized {
     fn put(&self, b: &mut Vec<u8>);
     /// Decode the binary encoding.
     fn get(r: &mut Reader) -> frame::Result<Self>;
-    /// The SOAP text.
-    fn text(&self) -> String;
+    /// The SOAP text, borrowed where the value holds it.
+    fn text(&self) -> Str<'_>;
     /// Parse the SOAP text of the element or XML attribute `name`.
     fn parse(s: &str, name: &str) -> wire::Result<Self>;
 }
 
 macro_rules! scalars {
-    ($($ty:ty: $put:expr, $get:expr, $parse:expr;)*) => {$(
+    ($($ty:ty: $put:expr, $get:expr, |$v:ident| $text:expr, $parse:expr;)*) => {$(
         impl Scalar for $ty {
             fn put(&self, b: &mut Vec<u8>) {
                 $put(b, self)
@@ -305,8 +308,9 @@ macro_rules! scalars {
             fn get(r: &mut Reader) -> frame::Result<$ty> {
                 $get(r)
             }
-            fn text(&self) -> String {
-                self.to_string()
+            fn text(&self) -> Str<'_> {
+                let $v = self;
+                $text
             }
             fn parse(s: &str, name: &str) -> wire::Result<$ty> {
                 $parse(s, name)
@@ -316,11 +320,13 @@ macro_rules! scalars {
 }
 
 scalars! {
-    String: |b, s: &String| put_str(b, s), Reader::str, |s: &str, _| Ok(s.to_owned());
-    i64: |b, v: &i64| put_i64(b, *v), Reader::i64,
+    String: |b, s: &String| put_str(b, s), Reader::str, |s| Str::Borrowed(s),
+        |s: &str, _| Ok(s.to_owned());
+    i64: |b, v: &i64| put_i64(b, *v), Reader::i64, |v| Str::Owned(v.to_string()),
         |s: &str, name| s.parse().map_err(|_| shape(format!("bad i64 in <{name}>")));
-    bool: |b, v: &bool| put_bool(b, *v), Reader::bool, |s: &str, _| parse_bool(s);
-    DateTime: put_datetime, Reader::datetime,
+    bool: |b, v: &bool| put_bool(b, *v), Reader::bool,
+        |v| Str::Lit(if *v { "true" } else { "false" }), |s: &str, _| parse_bool(s);
+    DateTime: put_datetime, Reader::datetime, |v| Str::Owned(v.to_string()),
         |s: &str, _| DateTime::parse(s).map_err(|e| shape(e.to_string()));
 }
 
@@ -344,8 +350,8 @@ macro_rules! enums {
                     }
                 })
             }
-            fn text(&self) -> String {
-                match self { $($ty::$v => $text),* }.to_owned()
+            fn text(&self) -> Str<'_> {
+                Str::Lit(match self { $($ty::$v => $text),* })
             }
             fn parse(s: &str, _: &str) -> wire::Result<$ty> {
                 Ok(match s {
@@ -375,7 +381,7 @@ enums! {
 /// A scalar as an argument or record field: a required text element.
 macro_rules! scalar_args {
     ($($ty:ty),*) => {$(
-        impl Arg<'_> for $ty {
+        impl<'a> Arg<'a> for $ty {
             type Owned = $ty;
             fn view(owned: &$ty) -> Self {
                 *owned
@@ -386,11 +392,11 @@ macro_rules! scalar_args {
             fn get(r: &mut Reader) -> frame::Result<$ty> {
                 <$ty as Scalar>::get(r)
             }
-            fn to_el(&self, name: &str, a: &mut Element) {
-                push(a, text_el(name, self.text()))
+            fn to_el(self, name: &'static str, a: &mut Element<'a>) {
+                push(a, text_el(name, self.text().into_owned()))
             }
             fn from_el(call: &Element, name: &str) -> wire::Result<$ty> {
-                <$ty as Scalar>::parse(&req_text(call, name)?, name)
+                <$ty as Scalar>::parse(&req_str(call, name)?, name)
             }
         }
     )*};
@@ -412,13 +418,13 @@ impl<'a, T: Scalar + Copy + 'a> Arg<'a> for Option<T> {
     fn get(r: &mut Reader) -> frame::Result<Option<T>> {
         get_opt(r, T::get)
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
         if let Some(v) = self {
-            push(a, text_el(name, v.text()))
+            push(a, text_el(name, v.text().into_owned()))
         }
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<Option<T>> {
-        opt_text(call, name).map(|s| T::parse(&s, name)).transpose()
+        call.find(name).map(|e| T::parse(&e.text_content(), name)).transpose()
     }
 }
 
@@ -426,7 +432,7 @@ impl<'a, T: Scalar + Copy + 'a> Arg<'a> for Option<T> {
 /// above `i64::MAX` as negative, see [`crate::ops::Call::check`]); a
 /// decimal in SOAP, which a server reads as a signed number and refuses
 /// when negative.
-impl Arg<'_> for u64 {
+impl<'a> Arg<'a> for u64 {
     type Owned = u64;
     fn view(owned: &u64) -> Self {
         *owned
@@ -437,7 +443,7 @@ impl Arg<'_> for u64 {
     fn get(r: &mut Reader) -> frame::Result<u64> {
         r.u64()
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
         push(a, text_el(name, self.to_string()))
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<u64> {
@@ -448,7 +454,7 @@ impl Arg<'_> for u64 {
 
 /// A shard index: a `u32` in a frame; in SOAP an element the client
 /// leaves out for shard 0 and a server reads as 0 when absent.
-impl Arg<'_> for usize {
+impl<'a> Arg<'a> for usize {
     type Owned = usize;
     fn view(owned: &usize) -> Self {
         *owned
@@ -459,17 +465,18 @@ impl Arg<'_> for usize {
     fn get(r: &mut Reader) -> frame::Result<usize> {
         Ok(r.u32()? as usize)
     }
-    fn to_el(&self, name: &str, a: &mut Element) {
-        if *self > 0 {
+    fn to_el(self, name: &'static str, a: &mut Element<'a>) {
+        if self > 0 {
             push(a, text_el(name, self.to_string()))
         }
     }
     fn from_el(call: &Element, name: &str) -> wire::Result<usize> {
-        match opt_text(call, name) {
+        match call.find(name) {
             None => Ok(0),
-            Some(s) => {
-                s.parse().map_err(|_| shape(format!("{name} must be a non-negative integer")))
-            }
+            Some(e) => e
+                .text_content()
+                .parse()
+                .map_err(|_| shape(format!("{name} must be a non-negative integer"))),
         }
     }
 }
@@ -512,15 +519,16 @@ macro_rules! records {
                     $($f: <$fty as Arg>::get(r)?,)*
                 })
             }
-            fn el(&self) -> Element {
-                let mut e = Element::new($tag) $($(.attr($aname, self.$af.text()))*)?;
+            fn el(&self) -> Element<'_> {
+                let mut e = Element::new(Str::Lit($tag)) $($(.attr($aname, self.$af.text()))*)?;
+                e.children.reserve_exact([$(stringify!($f)),*].len());
                 let late = false $(|| $late)?;
                 $(if !(late && <$fty as Arg>::OPTIONAL) {
-                    Arg::to_el(&<$fty as Arg>::view(&self.$f), concat!($($name)?), &mut e);
+                    Arg::to_el(<$fty as Arg>::view(&self.$f), concat!($($name)?), &mut e);
                 })*
                 if late {
                     $(if <$fty as Arg>::OPTIONAL {
-                        Arg::to_el(&<$fty as Arg>::view(&self.$f), concat!($($name)?), &mut e);
+                        Arg::to_el(<$fty as Arg>::view(&self.$f), concat!($($name)?), &mut e);
                     })*
                 }
                 e
@@ -643,10 +651,11 @@ records! {
 pub trait Reply {
     /// Append the binary payload.
     fn put(&self, b: &mut Vec<u8>);
-    /// Append the SOAP children to the response element `r`. `shards`
-    /// is the serving catalog's shard count, which the `cacheStats` and
-    /// `syncNow` answers name when it is above one.
-    fn to_el(&self, r: &mut Element, shards: usize);
+    /// Append the SOAP children to the response element `r`, borrowing
+    /// their text from the result. `shards` is the serving catalog's
+    /// shard count, which the `cacheStats` and `syncNow` answers name
+    /// when it is above one.
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, shards: usize);
     /// Decode the binary payload.
     fn get(r: &mut Reader) -> frame::Result<Self>
     where
@@ -661,7 +670,7 @@ impl<T: Record> Reply for T {
     fn put(&self, b: &mut Vec<u8>) {
         Record::put(self, b)
     }
-    fn to_el(&self, r: &mut Element, _: usize) {
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
         push(r, self.el())
     }
     fn get(r: &mut Reader) -> frame::Result<T> {
@@ -676,8 +685,8 @@ impl<T: Record> Reply for Vec<T> {
     fn put(&self, b: &mut Vec<u8>) {
         Arg::put(&self.as_slice(), b)
     }
-    fn to_el(&self, r: &mut Element, _: usize) {
-        Arg::to_el(&self.as_slice(), "", r)
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
+        Arg::to_el(self.as_slice(), "", r)
     }
     fn get(r: &mut Reader) -> frame::Result<Vec<T>> {
         <&[T] as Arg>::get(r)
@@ -690,8 +699,8 @@ impl<T: Record> Reply for Vec<T> {
 /// No result: an empty payload, an `<ok/>` element.
 impl Reply for () {
     fn put(&self, _: &mut Vec<u8>) {}
-    fn to_el(&self, r: &mut Element, _: usize) {
-        push(r, Element::new("ok"))
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
+        push(r, Element::new(Str::Lit("ok")))
     }
     fn get(_: &mut Reader) -> frame::Result<()> {
         Ok(())
@@ -706,7 +715,7 @@ impl Reply for bool {
     fn put(&self, b: &mut Vec<u8>) {
         put_bool(b, *self)
     }
-    fn to_el(&self, r: &mut Element, _: usize) {
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
         push(r, text_el("removed", self.to_string()))
     }
     fn get(r: &mut Reader) -> frame::Result<bool> {
@@ -722,7 +731,7 @@ impl Reply for u64 {
     fn put(&self, b: &mut Vec<u8>) {
         put_u64(b, *self)
     }
-    fn to_el(&self, r: &mut Element, _: usize) {
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
         push(r, text_el("durableEpoch", self.to_string()))
     }
     fn get(r: &mut Reader) -> frame::Result<u64> {
@@ -739,7 +748,7 @@ impl Reply for Vec<u64> {
     fn put(&self, b: &mut Vec<u8>) {
         put_u64s(b, self)
     }
-    fn to_el(&self, r: &mut Element, shards: usize) {
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, shards: usize) {
         push(r, text_el("durableEpoch", self[0].to_string()));
         if shards > 1 {
             push(r, text_el("shards", shards.to_string()));
@@ -762,14 +771,15 @@ impl Reply for Vec<String> {
     fn put(&self, b: &mut Vec<u8>) {
         put_strs(b, self)
     }
-    fn to_el(&self, r: &mut Element, _: usize) {
-        push(r, self.iter().fold(Element::new("plan"), |p, s| p.child(text_el("step", s))))
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
+        let plan = Element::new(Str::Lit("plan"));
+        push(r, self.iter().fold(plan, |p, s| p.child(text_el("step", s))))
     }
     fn get(r: &mut Reader) -> frame::Result<Vec<String>> {
         get_strs(r)
     }
     fn from_el(r: &Element) -> wire::Result<Vec<String>> {
-        Ok(r.expect("plan")?.find_all("step").map(Element::text_content).collect())
+        Ok(r.expect("plan")?.find_all("step").map(|e| e.text_content().into_owned()).collect())
     }
 }
 
@@ -778,7 +788,7 @@ impl Reply for Vec<(String, i64)> {
     fn put(&self, b: &mut Vec<u8>) {
         put_hits(b, self)
     }
-    fn to_el(&self, r: &mut Element, _: usize) {
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
         push(r, hits_el(self))
     }
     fn get(r: &mut Reader) -> frame::Result<Vec<(String, i64)>> {
@@ -798,7 +808,7 @@ impl Reply for CatalogInfoReport {
         put_u64s(b, &self.commit_epochs);
         put_u64s(b, &self.durable_epochs);
     }
-    fn to_el(&self, r: &mut Element, _: usize) {
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, _: usize) {
         push(r, text_el("shards", self.shards.to_string()));
         push(r, text_el("profile", &self.profile));
         push(r, text_el("files", self.files.to_string()));
@@ -835,7 +845,7 @@ impl Reply for CacheStatsReport {
             put_u64(b, v);
         }
     }
-    fn to_el(&self, r: &mut Element, shards: usize) {
+    fn to_el<'s>(&'s self, r: &mut Element<'s>, shards: usize) {
         push(r, text_el("enabled", self.enabled.to_string()));
         push(r, text_el("hits", self.hits.to_string()));
         push(r, text_el("misses", self.misses.to_string()));

@@ -99,7 +99,7 @@ macro_rules! ops {
             $($(#[doc = $doc])* $variant { $($arg: $ty),* },)*
         }
 
-        impl Call<'_> {
+        impl<'a> Call<'a> {
             /// The operation this call invokes.
             pub fn op(&self) -> Op {
                 match self {
@@ -114,9 +114,10 @@ macro_rules! ops {
                 }
             }
 
-            /// Append the arguments as children of the SOAP method element.
-            pub fn soap_args(&self, a: &mut Element) {
-                match self {
+            /// Append the arguments as children of the SOAP method element,
+            /// borrowing their text from the call's arguments.
+            pub fn soap_args(&self, a: &mut Element<'a>) {
+                match *self {
                     $(Call::$variant { $($arg),* } => {
                         $(Arg::to_el($arg, concat!($($el)?), a);)*
                     })*

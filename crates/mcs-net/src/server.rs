@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use mcs::{Credential, Mcs, Outcome, ShardedCatalog};
-use soapstack::server::{Handler, HttpServer, SoapDispatcher};
+use soapstack::server::{Handler, HttpServer, ResponseWriter, Sent, SoapDispatcher};
 use soapstack::xml::Element;
 use soapstack::{Fault, Request, Response};
 
@@ -49,8 +49,14 @@ fn cache_bypass(call: &Element) -> Result<bool, Fault> {
 /// Serve one SOAP call of `op`: the headers, the credential (which
 /// `ping` alone ignores) and the arguments, then the answer as the
 /// response element, with the commit epoch (and, on a sharded catalog,
-/// the shard) it logged as attributes.
-fn serve_soap(catalog: &ShardedCatalog, op: Op, call: &Element) -> Result<Element, Fault> {
+/// the shard) it logged as attributes. The response element borrows its
+/// text from the answer and is written straight into the response body.
+fn serve_soap(
+    catalog: &ShardedCatalog,
+    op: Op,
+    call: &Element,
+    w: ResponseWriter<'_>,
+) -> Result<Sent, Fault> {
     let scope =
         CallScope { durability: durability_override(call)?, cache_bypass: cache_bypass(call)? };
     let cred = match op {
@@ -62,20 +68,19 @@ fn serve_soap(catalog: &ShardedCatalog, op: Op, call: &Element) -> Result<Elemen
     let mut el = Element::new("r");
     answer.reply().to_el(&mut el, catalog.shards());
     if epoch > 0 {
-        el.attrs.push(("xmlns:mcs".into(), soapstack::soap::MCS_NS.into()));
-        el.attrs.push(("mcs:epoch".into(), epoch.to_string()));
+        el = el.attr("xmlns:mcs", soapstack::soap::MCS_NS).attr("mcs:epoch", epoch.to_string());
         if catalog.shards() > 1 {
-            el.attrs.push(("mcs:shard".into(), shard.to_string()));
+            el = el.attr("mcs:shard", shard.to_string());
         }
     }
-    Ok(el)
+    Ok(w.send(&el))
 }
 
 /// Register every MCS operation on a dispatcher.
 pub fn register_methods(d: &mut SoapDispatcher, catalog: Arc<ShardedCatalog>) {
     for &op in Op::ALL {
         let catalog = Arc::clone(&catalog);
-        d.register(op.name(), move |call| serve_soap(&catalog, op, call));
+        d.register_writer(op.name(), move |call, w| serve_soap(&catalog, op, call, w));
     }
 }
 
@@ -86,11 +91,13 @@ pub struct McsHandler {
 }
 
 impl Handler for McsHandler {
-    fn handle(&self, req: &Request) -> Response {
+    fn handle(&self, req: &Request, resp: &mut Response) {
         if req.method == "GET" {
-            return Response::ok("text/xml; charset=utf-8", self.wsdl.clone().into_bytes());
+            resp.headers.push(("Content-Type".into(), "text/xml; charset=utf-8".into()));
+            resp.body.extend_from_slice(self.wsdl.as_bytes());
+            return;
         }
-        self.dispatcher.handle(req)
+        self.dispatcher.handle(req, resp)
     }
 }
 

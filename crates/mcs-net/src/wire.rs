@@ -9,9 +9,11 @@
 //! here forward to it. Both the server and the client use these codecs,
 //! so a round-trip through them is the identity (property-tested).
 
+use std::borrow::Cow;
+
 use mcs::{AttrPredicate, Credential, FileSpec, LogicalFile, ObjectRef};
 use relstore::{Date, DateTime, Time, Value};
-use soapstack::xml::{Element, XmlError};
+use soapstack::xml::{Element, Node, Str, XmlError};
 
 use crate::codec::{Arg, Record};
 
@@ -25,19 +27,20 @@ pub type Result<T> = std::result::Result<T, XmlError>;
 
 // ---------- scalar helpers ----------
 
-/// Encode a typed value as `<{name} type="...">text</{name}>`.
-pub fn value_el(name: &str, v: &Value) -> Element {
+/// Encode a typed value as `<{name} type="...">text</{name}>`; a string
+/// value's text borrows from `v`.
+pub fn value_el<'a>(name: &'static str, v: &'a Value) -> Element<'a> {
     let (ty, text) = match v {
-        Value::Null => ("null", String::new()),
-        Value::Int(i) => ("int", i.to_string()),
-        Value::Float(x) => ("float", format_float(*x)),
-        Value::Str(s) => ("string", s.to_string()),
-        Value::Bool(b) => ("bool", b.to_string()),
-        Value::Date(d) => ("date", d.to_string()),
-        Value::Time(t) => ("time", t.to_string()),
-        Value::DateTime(dt) => ("datetime", dt.to_string()),
+        Value::Null => ("null", Str::Lit("")),
+        Value::Int(i) => ("int", Str::Owned(i.to_string())),
+        Value::Float(x) => ("float", Str::Owned(format_float(*x))),
+        Value::Str(s) => ("string", Str::Borrowed(s)),
+        Value::Bool(b) => ("bool", Str::Lit(if *b { "true" } else { "false" })),
+        Value::Date(d) => ("date", Str::Owned(d.to_string())),
+        Value::Time(t) => ("time", Str::Owned(t.to_string())),
+        Value::DateTime(dt) => ("datetime", Str::Owned(dt.to_string())),
     };
-    let e = Element::new(name).attr("type", ty);
+    let e = Element::new(Str::Lit(name)).attr("type", Str::Lit(ty));
     if text.is_empty() {
         e
     } else {
@@ -60,49 +63,55 @@ fn format_float(x: f64) -> String {
 pub fn value_from(e: &Element) -> Result<Value> {
     let ty = e.attr_value("type").ok_or_else(|| shape("value without type"))?;
     let text = e.text_content();
+    let text = &*text;
     Ok(match ty {
         "null" => Value::Null,
         "int" => Value::Int(text.parse().map_err(|_| shape(format!("bad int `{text}`")))?),
-        "float" => Value::Float(match text.as_str() {
+        "float" => Value::Float(match text {
             "NaN" => f64::NAN,
             "inf" => f64::INFINITY,
             "-inf" => f64::NEG_INFINITY,
             t => t.parse().map_err(|_| shape(format!("bad float `{t}`")))?,
         }),
         "string" => Value::from(text),
-        "bool" => Value::Bool(parse_bool(&text)?),
-        "date" => Value::Date(Date::parse(&text).map_err(|e| shape(e.to_string()))?),
-        "time" => Value::Time(Time::parse(&text).map_err(|e| shape(e.to_string()))?),
+        "bool" => Value::Bool(parse_bool(text)?),
+        "date" => Value::Date(Date::parse(text).map_err(|e| shape(e.to_string()))?),
+        "time" => Value::Time(Time::parse(text).map_err(|e| shape(e.to_string()))?),
         "datetime" => {
-            Value::DateTime(DateTime::parse(&text).map_err(|e| shape(e.to_string()))?)
+            Value::DateTime(DateTime::parse(text).map_err(|e| shape(e.to_string()))?)
         }
         other => return Err(shape(format!("unknown value type `{other}`"))),
     })
 }
 
 /// `<{name}>text</{name}>`.
-pub fn text_el(name: &str, text: impl Into<String>) -> Element {
-    Element::new(name).text(text)
+pub fn text_el<'a>(name: &'static str, text: impl Into<Str<'a>>) -> Element<'a> {
+    Element::new(Str::Lit(name)).text(text)
+}
+
+/// Required child element's text, borrowed from the element.
+pub fn req_str<'e>(e: &'e Element, name: &str) -> Result<Cow<'e, str>> {
+    Ok(e.expect(name)?.text_content())
 }
 
 /// Required child element's text.
 pub fn req_text(e: &Element, name: &str) -> Result<String> {
-    Ok(e.expect(name)?.text_content())
+    Ok(req_str(e, name)?.into_owned())
 }
 
 /// Optional child element's text (absent element = None).
 pub fn opt_text(e: &Element, name: &str) -> Option<String> {
-    e.find(name).map(|c| c.text_content())
+    e.find(name).map(|c| c.text_content().into_owned())
 }
 
 /// Required child parsed as i64.
 pub fn req_i64(e: &Element, name: &str) -> Result<i64> {
-    req_text(e, name)?.parse().map_err(|_| shape(format!("bad i64 in <{name}>")))
+    req_str(e, name)?.parse().map_err(|_| shape(format!("bad i64 in <{name}>")))
 }
 
 /// Required child parsed as bool.
 pub fn req_bool(e: &Element, name: &str) -> Result<bool> {
-    parse_bool(&req_text(e, name)?)
+    parse_bool(&req_str(e, name)?)
 }
 
 /// Exactly the `true` or `false` the encoders write; anything else is a
@@ -118,11 +127,13 @@ pub fn parse_bool(text: &str) -> Result<bool> {
 
 // ---------- credential ----------
 
-/// Encode a credential.
-pub fn credential_el(c: &Credential) -> Element {
-    let mut e = Element::new("credential").child(text_el("dn", &c.dn));
+/// Encode a credential; the text borrows from `c`.
+pub fn credential_el(c: &Credential) -> Element<'_> {
+    let mut e = Element::new(Str::Lit("credential"));
+    e.children.reserve_exact(1 + c.groups.len());
+    e.push(Node::Element(text_el("dn", &c.dn)));
     for g in &c.groups {
-        e = e.child(text_el("group", g));
+        e.push(Node::Element(text_el("group", g)));
     }
     e
 }
@@ -132,23 +143,23 @@ pub fn credential_from(call: &Element) -> Result<Credential> {
     let e = call.expect("credential")?;
     Ok(Credential {
         dn: req_text(e, "dn")?,
-        groups: e.find_all("group").map(|g| g.text_content()).collect(),
+        groups: e.find_all("group").map(|g| g.text_content().into_owned()).collect(),
     })
 }
 
 // ---------- object references ----------
 
-/// Encode an [`ObjectRef`].
-pub fn objref_el(r: &ObjectRef) -> Element {
+/// Encode an [`ObjectRef`]; the name borrows from `r`.
+pub fn objref_el(r: &ObjectRef) -> Element<'_> {
+    let object = |kind| Element::new(Str::Lit("object")).attr("kind", Str::Lit(kind));
     match r {
-        ObjectRef::File(n) => Element::new("object").attr("kind", "file").text(n),
-        ObjectRef::FileVersion(n, v) => Element::new("object")
-            .attr("kind", "fileVersion")
-            .attr("version", v.to_string())
-            .text(n),
-        ObjectRef::Collection(n) => Element::new("object").attr("kind", "collection").text(n),
-        ObjectRef::View(n) => Element::new("object").attr("kind", "view").text(n),
-        ObjectRef::Service => Element::new("object").attr("kind", "service"),
+        ObjectRef::File(n) => object("file").text(n),
+        ObjectRef::FileVersion(n, v) => {
+            object("fileVersion").attr("version", v.to_string()).text(n)
+        }
+        ObjectRef::Collection(n) => object("collection").text(n),
+        ObjectRef::View(n) => object("view").text(n),
+        ObjectRef::Service => object("service"),
     }
 }
 
@@ -156,7 +167,7 @@ pub fn objref_el(r: &ObjectRef) -> Element {
 pub fn objref_from(call: &Element) -> Result<ObjectRef> {
     let e = call.expect("object")?;
     let kind = e.attr_value("kind").ok_or_else(|| shape("object without kind"))?;
-    let name = e.text_content();
+    let name = e.text_content().into_owned();
     Ok(match kind {
         "file" => ObjectRef::File(name),
         "fileVersion" => {
@@ -175,8 +186,8 @@ pub fn objref_from(call: &Element) -> Result<ObjectRef> {
 
 // ---------- records ----------
 
-/// Encode a [`LogicalFile`].
-pub fn file_el(f: &LogicalFile) -> Element {
+/// Encode a [`LogicalFile`]; the text borrows from `f`.
+pub fn file_el(f: &LogicalFile) -> Element<'_> {
     f.el()
 }
 
@@ -185,9 +196,10 @@ pub fn file_from(e: &Element) -> Result<LogicalFile> {
     LogicalFile::from_el(e)
 }
 
-/// Encode a [`FileSpec`].
-pub fn filespec_el(s: &FileSpec) -> Element {
-    s.el()
+/// Encode a [`FileSpec`], owning its text, so that a caller may pass a
+/// temporary.
+pub fn filespec_el(s: &FileSpec) -> Element<'static> {
+    s.el().into_owned()
 }
 
 /// Decode a [`FileSpec`].
@@ -195,8 +207,8 @@ pub fn filespec_from(e: &Element) -> Result<FileSpec> {
     FileSpec::from_el(e)
 }
 
-/// Encode a query predicate.
-pub fn predicate_el(p: &AttrPredicate) -> Element {
+/// Encode a query predicate; the text borrows from `p`.
+pub fn predicate_el(p: &AttrPredicate) -> Element<'_> {
     p.el()
 }
 
@@ -205,9 +217,10 @@ pub fn predicate_from(e: &Element) -> Result<AttrPredicate> {
     AttrPredicate::from_el(e)
 }
 
-/// Encode a list of (name, version) hits.
-pub fn hits_el(hits: &[(String, i64)]) -> Element {
-    let mut e = Element::new("hits");
+/// Encode a list of (name, version) hits; the names borrow from `hits`.
+pub fn hits_el(hits: &[(String, i64)]) -> Element<'_> {
+    let mut e = Element::new(Str::Lit("hits"));
+    e.children.reserve_exact(hits.len());
     hits.to_el("file", &mut e);
     e
 }
@@ -254,7 +267,8 @@ mod tests {
     #[test]
     fn float_shortest_roundtrip() {
         for x in [0.1, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300, -2.2250738585072014e-308] {
-            let e = value_el("v", &Value::Float(x));
+            let v = Value::Float(x);
+            let e = value_el("v", &v);
             let back = value_from(&soapstack::xml::parse(&e.to_xml()).unwrap()).unwrap();
             assert_eq!(back, Value::Float(x));
         }

@@ -90,9 +90,10 @@ fn unknown_durability_mode_is_a_client_fault() {
     let (server, _m) = start_durable_server(&dir);
     // Hand-rolled call: the typed client can't send an invalid mode.
     let mut soap = soapstack::SoapClient::new(server.addr().to_string(), "/mcs");
+    let admin = admin();
     let args = soapstack::Element::new("a")
         .attr("mcs:durability", "bogus")
-        .child(mcs_net::wire::credential_el(&admin()));
+        .child(mcs_net::wire::credential_el(&admin));
     match soap.call("ping", args) {
         Err(soapstack::SoapError::Fault(f)) => {
             assert!(f.code.contains("BadArguments"), "fault code: {}", f.code);

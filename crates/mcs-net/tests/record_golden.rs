@@ -67,14 +67,14 @@ fn record<T: Record + 'static>() -> Codec<T> {
 
 /// Wrap a parsed argument element in a method element, which is what an
 /// argument decodes from.
-fn call(e: &Element) -> Element {
+fn call<'a>(e: &Element<'a>) -> Element<'a> {
     let mut c = Element::new("call");
     c.children.push(Node::Element(e.clone()));
     c
 }
 
 /// The one element `write` appends to a method element.
-fn only_child(write: impl FnOnce(&mut Element)) -> Element {
+fn only_child<'a>(write: impl FnOnce(&mut Element<'a>)) -> Element<'a> {
     let mut c = Element::new("call");
     write(&mut c);
     match c.children.pop() {
@@ -88,7 +88,7 @@ fn scalar<T: for<'a> Arg<'a, Owned = T> + Copy + 'static>(name: &'static str) ->
     Codec {
         put: Box::new(|v, b| v.put(b)),
         get: Box::new(|r| T::get(r)),
-        el: Box::new(move |v| only_child(|c| v.to_el(name, c))),
+        el: Box::new(move |v| only_child(|c| (*v).to_el(name, c))),
         from: Box::new(move |e| T::from_el(&call(e), name)),
     }
 }
@@ -97,7 +97,7 @@ fn objref() -> Codec<ObjectRef> {
     Codec {
         put: Box::new(|v, b| Arg::put(&v, b)),
         get: Box::new(<&ObjectRef as Arg>::get),
-        el: Box::new(|v| only_child(|c| Arg::to_el(&v, "", c))),
+        el: Box::new(|v| only_child(|c| Arg::to_el(v, "", c))),
         from: Box::new(|e| <&ObjectRef as Arg>::from_el(&call(e), "")),
     }
 }

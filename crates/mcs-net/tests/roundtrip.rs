@@ -295,8 +295,8 @@ fn soap_bool_decoders_accept_only_true_and_false() {
     use mcs_net::codec::Record;
     use mcs_net::wire;
     use soapstack::xml::Element;
-    let el = |text: &str| Element::new("r").child(Element::new("valid").text(text));
-    let value = |text: &str| Element::new("value").attr("type", "bool").text(text);
+    let el = |text: &'static str| Element::new("r").child(Element::new("valid").text(text));
+    let value = |text: &'static str| Element::new("value").attr("type", "bool").text(text);
     for (text, want) in [("true", true), ("false", false)] {
         assert_eq!(wire::req_bool(&el(text), "valid").unwrap(), want);
         assert_eq!(wire::value_from(&value(text)).unwrap(), Value::Bool(want));
@@ -317,13 +317,14 @@ fn soap_bool_uppercase_valid_faults_and_leaves_the_file_valid() {
     use soapstack::{SoapClient, SoapError};
     let (server, m) = start_server();
     client(&server).create_file(&FileSpec::named("f")).unwrap();
+    let admin = admin();
     let args = Element::new("args")
-        .child(mcs_net::wire::credential_el(&admin()))
+        .child(mcs_net::wire::credential_el(&admin))
         .child(Element::new("name").text("f"))
         .child(Element::new("fileUpdate").child(Element::new("valid").text("TRUE")));
     match SoapClient::new(server.addr().to_string(), "/mcs").call("updateFile", args) {
         Err(SoapError::Fault(f)) => assert_eq!(f.code, "soap:Client.BadArguments", "{f:?}"),
         other => panic!("expected a BadArguments fault, got {other:?}"),
     }
-    assert!(m.get_file(&admin(), "f").unwrap().valid);
+    assert!(m.get_file(&admin, "f").unwrap().valid);
 }

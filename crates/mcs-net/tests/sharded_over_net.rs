@@ -235,8 +235,9 @@ fn single_shard_server_keeps_the_unsharded_wire_contract() {
 fn out_of_range_shard_is_a_client_fault() {
     let server = start_sharded_server(2);
     let mut soap = soapstack::SoapClient::new(server.addr().to_string(), "/mcs");
+    let admin = admin();
     let args = soapstack::Element::new("a")
-        .child(mcs_net::wire::credential_el(&admin()))
+        .child(mcs_net::wire::credential_el(&admin))
         .child(mcs_net::wire::text_el("epoch", "1"))
         .child(mcs_net::wire::text_el("shard", "9"));
     match soap.call("waitForEpoch", args) {

@@ -57,8 +57,8 @@ fn hits(rng: &mut Rng) -> Vec<(String, i64)> {
     rng.vec(0..4, |r| (text(r), r.range(1..50)))
 }
 
-fn roundtrip_el(e: Element) -> Element {
-    parse(&e.to_xml()).expect("wire xml parses")
+fn roundtrip_el(e: Element) -> Element<'static> {
+    parse(&e.to_xml()).expect("wire xml parses").into_owned()
 }
 
 /// `v` goes through a frame and through a printed and parsed SOAP

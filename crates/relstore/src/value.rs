@@ -97,11 +97,12 @@ impl Date {
 
     /// Parse `YYYY-MM-DD`.
     pub fn parse(s: &str) -> Result<Date> {
-        let parts: Vec<&str> = s.split('-').collect();
-        // A leading '-' for negative years is not supported; MCS never needs it.
-        if parts.len() != 3 {
-            return Err(Error::BadLiteral(format!("bad date `{s}` (want YYYY-MM-DD)")));
-        }
+        let mut split = s.split('-');
+        let parts: [&str; 3] = match [split.next(), split.next(), split.next(), split.next()] {
+            [Some(y), Some(m), Some(d), None] => [y, m, d],
+            // A leading '-' for negative years is not supported; MCS never needs it.
+            _ => return Err(Error::BadLiteral(format!("bad date `{s}` (want YYYY-MM-DD)"))),
+        };
         let year: i32 = parts[0].parse().map_err(|_| Error::BadLiteral(format!("bad year in `{s}`")))?;
         let month: u8 = parts[1].parse().map_err(|_| Error::BadLiteral(format!("bad month in `{s}`")))?;
         let day: u8 = parts[2].parse().map_err(|_| Error::BadLiteral(format!("bad day in `{s}`")))?;
@@ -163,17 +164,21 @@ impl Time {
 
     /// Parse `HH:MM:SS` (or `HH:MM`).
     pub fn parse(s: &str) -> Result<Time> {
-        let parts: Vec<&str> = s.split(':').collect();
-        if parts.len() != 2 && parts.len() != 3 {
-            return Err(Error::BadLiteral(format!("bad time `{s}` (want HH:MM[:SS])")));
-        }
-        let hour: u8 = parts[0].parse().map_err(|_| Error::BadLiteral(format!("bad hour in `{s}`")))?;
+        let mut split = s.split(':');
+        let parts: ([&str; 2], Option<&str>) =
+            match [split.next(), split.next(), split.next(), split.next()] {
+                [Some(h), Some(m), sec, None] => ([h, m], sec),
+                _ => return Err(Error::BadLiteral(format!("bad time `{s}` (want HH:MM[:SS])"))),
+            };
+        let ([h, m], sec) = parts;
+        let hour: u8 = h.parse().map_err(|_| Error::BadLiteral(format!("bad hour in `{s}`")))?;
         let minute: u8 =
-            parts[1].parse().map_err(|_| Error::BadLiteral(format!("bad minute in `{s}`")))?;
-        let second: u8 = if parts.len() == 3 {
-            parts[2].parse().map_err(|_| Error::BadLiteral(format!("bad second in `{s}`")))?
-        } else {
-            0
+            m.parse().map_err(|_| Error::BadLiteral(format!("bad minute in `{s}`")))?;
+        let second: u8 = match sec {
+            Some(sec) => {
+                sec.parse().map_err(|_| Error::BadLiteral(format!("bad second in `{s}`")))?
+            }
+            None => 0,
         };
         Time::new(hour, minute, second)
     }

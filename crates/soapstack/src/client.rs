@@ -14,7 +14,7 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::http::{read_response, write_request, HttpError, Request};
+use crate::http::{read_response_into, write_request, HttpError, Request, Response};
 use crate::soap::{self, Result, SoapError};
 use crate::xml::Element;
 
@@ -34,12 +34,19 @@ impl Default for TransportOpts {
     }
 }
 
+/// One open connection: its read and write halves.
+type Conn = (BufReader<TcpStream>, BufWriter<TcpStream>);
+
 /// A synchronous SOAP client for one endpoint.
 pub struct SoapClient {
     addr: String,
-    path: String,
     opts: TransportOpts,
-    conn: Option<(BufReader<TcpStream>, BufWriter<TcpStream>)>,
+    conn: Option<Conn>,
+    /// The request and the response of the last call, reused for the
+    /// next: the request's SOAPAction header and body are rewritten in
+    /// place, and the result a call returns borrows the response body.
+    req: Request,
+    resp: Response,
 }
 
 impl SoapClient {
@@ -54,7 +61,12 @@ impl SoapClient {
         path: impl Into<String>,
         opts: TransportOpts,
     ) -> SoapClient {
-        SoapClient { addr: addr.into(), path: path.into(), opts, conn: None }
+        let mut req = Request::post(&path.into(), "text/xml; charset=utf-8", Vec::new());
+        req.headers.push(("SOAPAction".into(), String::new().into()));
+        if !opts.keep_alive {
+            req.headers.push(("Connection".into(), "close".into()));
+        }
+        SoapClient { addr: addr.into(), opts, conn: None, req, resp: Response::default() }
     }
 
     /// The endpoint address.
@@ -62,8 +74,7 @@ impl SoapClient {
         &self.addr
     }
 
-    fn connect(&self) -> std::result::Result<(BufReader<TcpStream>, BufWriter<TcpStream>), HttpError>
-    {
+    fn connect(&self) -> std::result::Result<Conn, HttpError> {
         if !self.opts.simulated_rtt.is_zero() {
             // TCP handshake costs one RTT.
             std::thread::sleep(self.opts.simulated_rtt);
@@ -76,13 +87,16 @@ impl SoapClient {
     }
 
     /// Invoke `method` with argument children taken from `args`.
-    /// Returns the `{method}Response` element.
-    pub fn call(&mut self, method: &str, args: Element) -> Result<Element> {
-        let body = soap::encode_request(method, args);
-        let mut req = Request::post(&self.path, "text/xml; charset=utf-8", body.into_bytes());
-        req.headers.push(("SOAPAction".into(), format!("\"{}#{method}\"", soap::MCS_NS)));
-        if !self.opts.keep_alive {
-            req.headers.push(("Connection".into(), "close".into()));
+    /// Returns the `{method}Response` element, which borrows the
+    /// client's response buffer until the next call.
+    pub fn call(&mut self, method: &str, args: Element<'_>) -> Result<Element<'_>> {
+        let mut body = soap::text_buffer(&mut self.req.body);
+        soap::write_request(&mut body, method, &args);
+        self.req.body = body.into_bytes();
+        let action = self.req.headers[1].1.to_mut();
+        action.clear();
+        for part in ["\"", soap::MCS_NS, "#", method, "\""] {
+            action.push_str(part);
         }
 
         let mut conn = match self.conn.take() {
@@ -93,42 +107,34 @@ impl SoapClient {
             // Request + response propagation: one RTT.
             std::thread::sleep(self.opts.simulated_rtt);
         }
-        let exchange = (|| -> std::result::Result<_, HttpError> {
-            write_request(&mut conn.1, &req, &self.addr)?;
-            read_response(&mut conn.0)
-        })();
-        let resp = match exchange {
-            Ok(r) => r,
-            Err(e) => {
-                // A stale kept-alive connection may have been closed by the
-                // server; retry once on a fresh connection.
-                if self.opts.keep_alive {
-                    let mut fresh = self.connect()?;
-                    if !self.opts.simulated_rtt.is_zero() {
-                        std::thread::sleep(self.opts.simulated_rtt);
-                    }
-                    let r = (|| -> std::result::Result<_, HttpError> {
-                        write_request(&mut fresh.1, &req, &self.addr)?;
-                        read_response(&mut fresh.0)
-                    })();
-                    conn = fresh;
-                    r.map_err(SoapError::Http)?
-                } else {
-                    return Err(e.into());
-                }
-            }
+        let exchange = |conn: &mut Conn, req: &Request, resp: &mut Response, addr: &str| {
+            write_request(&mut conn.1, req, addr)?;
+            read_response_into(&mut conn.0, resp)
         };
+        if let Err(e) = exchange(&mut conn, &self.req, &mut self.resp, &self.addr) {
+            // A stale kept-alive connection may have been closed by the
+            // server; retry once on a fresh connection.
+            if !self.opts.keep_alive {
+                return Err(e.into());
+            }
+            conn = self.connect()?;
+            if !self.opts.simulated_rtt.is_zero() {
+                std::thread::sleep(self.opts.simulated_rtt);
+            }
+            exchange(&mut conn, &self.req, &mut self.resp, &self.addr)?;
+        }
         if self.opts.keep_alive
-            && !resp
+            && !self
+                .resp
                 .header("Connection")
                 .is_some_and(|v| v.eq_ignore_ascii_case("close"))
         {
             self.conn = Some(conn);
         }
-        let text = String::from_utf8(resp.body).map_err(|_| {
+        let text = std::str::from_utf8(&self.resp.body).map_err(|_| {
             SoapError::Http(HttpError::Malformed("response body is not UTF-8".into()))
         })?;
-        soap::decode_response(&text)
+        soap::decode_response(text)
     }
 }
 

@@ -25,4 +25,4 @@ pub use http::{Request, Response};
 pub use server::{Handler, HttpServer, SoapDispatcher};
 pub use soap::{Fault, SoapError};
 pub use threadpool::ThreadPool;
-pub use xml::{Element, Node, XmlError};
+pub use xml::{Element, Node, Str, XmlError};

@@ -9,23 +9,24 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{read_request_into, write_response, Request, Response};
 use crate::soap::{self, Fault};
 use crate::threadpool::ThreadPool;
 use crate::xml::Element;
 
 /// Request handler for the HTTP layer.
 pub trait Handler: Send + Sync + 'static {
-    /// Handle one request, producing a response.
-    fn handle(&self, req: &Request) -> Response;
+    /// Handle one request by filling in `resp`, which arrives as an empty
+    /// 200 response whose body buffer the connection reuses.
+    fn handle(&self, req: &Request, resp: &mut Response);
 }
 
 impl<F> Handler for F
 where
     F: Fn(&Request) -> Response + Send + Sync + 'static,
 {
-    fn handle(&self, req: &Request) -> Response {
-        self(req)
+    fn handle(&self, req: &Request, resp: &mut Response) {
+        *resp = self(req);
     }
 }
 
@@ -131,20 +132,23 @@ fn serve_connection(stream: TcpStream, handler: &dyn Handler, stats: &ServerStat
         Err(_) => return,
     });
     let mut writer = BufWriter::new(stream);
+    // one request and one response, reused for every exchange
+    let (mut req, mut resp) = (Request::default(), Response::default());
     loop {
-        let req = match read_request(&mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => return, // clean close
+        match read_request_into(&mut reader, &mut req) {
+            Ok(true) => {}
+            Ok(false) => return, // clean close
             Err(_) => {
                 let resp = Response::error(400, "Bad Request", "malformed request");
                 let _ = write_response(&mut writer, &resp, false);
                 linger_close(&mut reader, writer);
                 return;
             }
-        };
+        }
         stats.requests.fetch_add(1, Ordering::Relaxed);
         let keep = req.keep_alive();
-        let resp = handler.handle(&req);
+        resp.clear();
+        handler.handle(&req, &mut resp);
         if write_response(&mut writer, &resp, keep).is_err() || !keep {
             return;
         }
@@ -184,9 +188,30 @@ pub fn linger_close(reader: &mut impl Read, mut writer: BufWriter<TcpStream>) {
     }
 }
 
-/// A SOAP method implementation: takes the decoded method element,
-/// returns a result element (children are the response payload) or a fault.
-pub type SoapMethod = Box<dyn Fn(&Element) -> Result<Element, Fault> + Send + Sync>;
+/// Where a SOAP method writes its result: the body of the response
+/// being built.
+pub struct ResponseWriter<'o> {
+    method: &'o str,
+    out: &'o mut String,
+}
+
+/// Proof that a method wrote its result ([`ResponseWriter::send`]).
+pub struct Sent(());
+
+impl ResponseWriter<'_> {
+    /// Write `result` as the response envelope: its children become the
+    /// `{method}Response` element's children, its attributes that
+    /// element's attributes.
+    pub fn send(self, result: &Element<'_>) -> Sent {
+        soap::write_response(self.out, self.method, result);
+        Sent(())
+    }
+}
+
+/// A SOAP method implementation: takes the decoded method element and
+/// writes its result through the [`ResponseWriter`], or returns a fault.
+pub type SoapMethod =
+    Box<dyn Fn(&Element<'_>, ResponseWriter<'_>) -> Result<Sent, Fault> + Send + Sync>;
 
 /// Dispatches SOAP calls on an HTTP path to registered methods.
 #[derive(Default)]
@@ -200,11 +225,29 @@ impl SoapDispatcher {
         SoapDispatcher::default()
     }
 
-    /// Register `method` under its SOAP name.
+    /// Register `method` under its SOAP name: it returns the result
+    /// element (children are the response payload), which may borrow
+    /// from the method element.
     pub fn register(
         &mut self,
         name: &str,
-        method: impl Fn(&Element) -> Result<Element, Fault> + Send + Sync + 'static,
+        method: impl for<'e, 'x> Fn(&'e Element<'x>) -> Result<Element<'e>, Fault>
+            + Send
+            + Sync
+            + 'static,
+    ) {
+        self.register_writer(name, move |call, w| Ok(w.send(&method(call)?)));
+    }
+
+    /// Register `method` under its SOAP name: it writes its result
+    /// itself, so the result may borrow from what the method computed.
+    pub fn register_writer(
+        &mut self,
+        name: &str,
+        method: impl Fn(&Element<'_>, ResponseWriter<'_>) -> Result<Sent, Fault>
+            + Send
+            + Sync
+            + 'static,
     ) {
         self.methods.insert(name.to_owned(), Box::new(method));
     }
@@ -215,43 +258,42 @@ impl SoapDispatcher {
         v.sort_unstable();
         v
     }
+
+    /// Run the call in the envelope `body`, writing the response
+    /// envelope to `out`; the HTTP status it goes with.
+    fn serve(&self, body: &str, out: &mut String) -> u16 {
+        let fault = match soap::decode_request(body) {
+            Err(e) => Fault { code: "soap:Client".into(), message: format!("bad envelope: {e}") },
+            Ok((method, call)) => match self.methods.get(&*method) {
+                None => Fault {
+                    code: "soap:Client".into(),
+                    message: format!("no such method `{method}`"),
+                },
+                Some(f) => match f(&call, ResponseWriter { method: &method, out }) {
+                    Ok(Sent(())) => return 200,
+                    Err(fault) => fault,
+                },
+            },
+        };
+        out.clear();
+        soap::write_fault(out, &fault);
+        500
+    }
 }
 
 impl Handler for SoapDispatcher {
-    fn handle(&self, req: &Request) -> Response {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(s) => s,
-            Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
+    fn handle(&self, req: &Request, resp: &mut Response) {
+        let Ok(body) = std::str::from_utf8(&req.body) else {
+            *resp = Response::error(400, "Bad Request", "body is not UTF-8");
+            return;
         };
-        let (method, el) = match soap::decode_request(body) {
-            Ok(x) => x,
-            Err(e) => {
-                let fault =
-                    Fault { code: "soap:Client".into(), message: format!("bad envelope: {e}") };
-                return soap_response(500, &soap::encode_fault(&fault));
-            }
-        };
-        match self.methods.get(&method) {
-            None => {
-                let fault = Fault {
-                    code: "soap:Client".into(),
-                    message: format!("no such method `{method}`"),
-                };
-                soap_response(500, &soap::encode_fault(&fault))
-            }
-            Some(f) => match f(&el) {
-                Ok(result) => soap_response(200, &soap::encode_response(&method, result)),
-                Err(fault) => soap_response(500, &soap::encode_fault(&fault)),
-            },
+        // the envelope is written straight into the response's body buffer
+        let mut out = soap::text_buffer(&mut resp.body);
+        resp.status = self.serve(body, &mut out);
+        if resp.status != 200 {
+            resp.reason = "Internal Server Error".into();
         }
+        resp.body = out.into_bytes();
+        resp.headers.push(("Content-Type".into(), "text/xml; charset=utf-8".into()));
     }
-}
-
-fn soap_response(status: u16, xml: &str) -> Response {
-    let mut resp = Response::ok("text/xml; charset=utf-8", xml.as_bytes().to_vec());
-    resp.status = status;
-    if status != 200 {
-        resp.reason = "Internal Server Error".into();
-    }
-    resp
 }

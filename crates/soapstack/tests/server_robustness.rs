@@ -129,8 +129,8 @@ fn slow_handler_does_not_block_other_workers() {
 fn custom_handler_get_and_post() {
     struct Both;
     impl soapstack::Handler for Both {
-        fn handle(&self, req: &Request) -> Response {
-            if req.method == "GET" {
+        fn handle(&self, req: &Request, resp: &mut Response) {
+            *resp = if req.method == "GET" {
                 Response::ok("text/plain", b"hello".to_vec())
             } else {
                 Response::error(405, "Method Not Allowed", "POST not here")
@@ -174,4 +174,59 @@ fn server_survives_drop_while_clients_active() {
     // further calls fail cleanly rather than hanging
     let r = c.call("echo", Element::new("a").child(Element::new("msg").text("y")));
     assert!(r.is_err());
+}
+
+/// A body nested deeper than the XML depth cap is a client fault, not a
+/// stack overflow: a pool worker's stack cannot hold 100 000 levels of
+/// recursion, and overflowing it aborts the whole process. The same
+/// server then answers a normal call.
+#[test]
+fn deeply_nested_envelope_gets_fault_and_server_survives() {
+    let server = echo_server(1);
+    let depth = 100_000;
+    let body = "<soap:Envelope><soap:Body><m:echo>".to_owned()
+        + &"<a>".repeat(depth)
+        + &"</a>".repeat(depth)
+        + "</m:echo></soap:Body></soap:Envelope>";
+    let head = format!(
+        "POST /mcs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    let resp = raw(server.addr(), (head + &body).as_bytes());
+    assert!(resp.starts_with("HTTP/1.1 500"), "{resp}");
+    assert!(resp.contains("soap:Client") && resp.contains("nested deeper"), "{resp}");
+    let mut c = SoapClient::new(server.addr().to_string(), "/mcs");
+    let r = c.call("echo", Element::new("a").child(Element::new("msg").text("after")));
+    assert_eq!(r.unwrap().find("msg").unwrap().text_content(), "after");
+}
+
+/// A peer that streams a megabyte with no line end gets a 400 once the
+/// server has read past the 64 KiB header cap, while it is still
+/// sending; the server keeps serving other clients.
+#[test]
+fn endless_header_line_gets_400_and_server_survives() {
+    let server = echo_server(1);
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let mut reader = s.try_clone().unwrap();
+    let answer = std::thread::spawn(move || {
+        let mut out = Vec::new();
+        let mut buf = [0u8; 4096];
+        // read until the server closes; a reset after the answer is fine
+        while let Ok(n @ 1..) = reader.read(&mut buf) {
+            out.extend_from_slice(&buf[..n]);
+        }
+        String::from_utf8_lossy(&out).into_owned()
+    });
+    // one megabyte, without closing: a server that waits for the line
+    // end never answers
+    let mut sent = 0;
+    while sent < 1 << 20 && s.write_all(&[b'a'; 4096]).is_ok() {
+        sent += 4096;
+    }
+    let resp = answer.join().unwrap();
+    assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
+    let mut c = SoapClient::new(server.addr().to_string(), "/mcs");
+    let r = c.call("echo", Element::new("a").child(Element::new("msg").text("next")));
+    assert_eq!(r.unwrap().find("msg").unwrap().text_content(), "next");
 }
