@@ -970,9 +970,6 @@ pub fn fig17(cfg: &Config, _deployments: &[Deployment]) -> Figure {
         eprintln!("[fig17] populating {} logical files (value-indexed)...", size_label(n));
         let t0 = std::time::Instant::now();
         let built = build_catalog(n, IndexProfile::ValueIndexed);
-        // Post-load ANALYZE, as any bulk load would do: the figure measures
-        // query evaluation, not the one-time cold-statistics scan.
-        built.mcs.database().analyze_table("user_attributes").unwrap();
         eprintln!("[fig17] {} ready in {:.1}s", size_label(n), t0.elapsed().as_secs_f64());
         let mcs = &built.mcs;
         let targets: Vec<u64> = (0..WORKING_SET).map(|j| j * (n / WORKING_SET).max(1)).collect();

@@ -689,9 +689,9 @@ impl ShardedCatalog {
     }
 
     /// See [`Mcs::explain_query`]. Attribute queries scatter the same
-    /// conjunction to every shard, so the plan is shown once (computed
-    /// against shard 0's statistics) with a scatter header when the
-    /// catalog has more than one shard.
+    /// conjunction to every shard, so the plan is shown once (from shard
+    /// 0's index dives) with a scatter header when the catalog has more
+    /// than one shard.
     pub fn explain_query(
         &self,
         cred: &Credential,

@@ -486,18 +486,12 @@ fn stats_stay_honest_after_bulk_delete() {
     let m = catalog();
     let a = admin();
     load(&m, 300, 3);
-    m.database().analyze_table("user_attributes").unwrap();
     for i in 0..280 {
         m.delete_file(&a, &format!("f{i:04}")).unwrap();
     }
-    // The analyzed snapshot is 280 writes stale, but plans come from
-    // live index dives: estimates reflect the 20 surviving files, and
-    // answers are exact.
+    // Plans come from live index dives: after a bulk delete the estimate
+    // reflects the 20 surviving files, and answers are exact.
     let plan = m.explain_query(&a, &[pred("site", AttrOp::Eq, "s0")]).unwrap();
     assert_eq!(plan, vec!["seed: site = via index ua_name_str eq (6 rows)".to_string()]);
-    // The lazy re-analyze threshold has long been crossed; the next
-    // statistics read rebuilds from the surviving rows (2 per file).
-    let handle = m.database().table("user_attributes").unwrap();
-    let stats = handle.read().statistics();
-    assert_eq!(stats.analyzed_rows, 40);
+    assert_eq!(m.query_by_attributes(&a, &[pred("site", AttrOp::Eq, "s0")]).unwrap().len(), 6);
 }

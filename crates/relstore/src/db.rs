@@ -558,11 +558,11 @@ impl Database {
         }
     }
 
-    /// Recompute planner statistics for a table right now (they otherwise
-    /// refresh lazily once enough writes accumulate — see [`crate::stats`]).
+    /// Check that a table exists. Plans come from live index dives, so
+    /// there are no statistics to compute; the call is kept for callers
+    /// written when there were (perfbench's post-load step among them).
     pub fn analyze_table(&self, name: &str) -> Result<()> {
-        self.table(name)?.read().analyze();
-        Ok(())
+        self.table(name).map(drop)
     }
 
     /// Execute a batch of `;`-separated statements (DDL bootstrap helper).

@@ -45,7 +45,6 @@ pub mod predicate;
 pub mod row;
 pub mod schema;
 pub mod sql;
-pub mod stats;
 pub mod table;
 pub mod txn;
 pub mod value;
@@ -60,7 +59,6 @@ pub use mvcc::{MvccState, SnapshotPin};
 pub use predicate::{CmpOp, Expr};
 pub use row::{Row, RowId, StoredRow};
 pub use schema::{ColumnDef, TableSchema};
-pub use stats::{ColumnStats, TableStatistics};
 pub use table::Table;
 pub use value::{Date, DateTime, Time, Value, ValueType};
 pub use wal::{SyncPolicy, WalStats};

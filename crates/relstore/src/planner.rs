@@ -8,13 +8,14 @@
 //! (name,id) pairs).
 //!
 //! Candidates are costed with real cardinality information, the way
-//! MySQL's optimizer did for the paper's deployment: cheap predicates are
-//! measured exactly by *index dives* (a capped walk of the matching key
-//! range), and dives that hit the cap fall back to selectivity estimates
-//! from the table's cached [`crate::stats`] snapshot. Cost is
+//! MySQL's optimizer did for the paper's deployment: each is measured by
+//! an *index dive*, a walk of the matching key range that stops at
+//! [`DIVE_CAP`] entries. A dive that stops there is priced at the cap,
+//! with no estimate past it: it ranks above every dive that did not stop,
+//! and among stopped dives the table's index order decides. Cost is
 //! `log2(rows) + estimated_fetches` for an index path versus `rows` for a
-//! full scan; the cheapest plan wins, so a predicate matching most of the
-//! table correctly degenerates to the scan it would cause anyway.
+//! full scan; the cheapest plan wins, so a predicate matching most of a
+//! small table correctly degenerates to the scan it would cause anyway.
 //!
 //! An index stores no key with a NULL component (see [`crate::index`]),
 //! so it holds only the rows that are non-NULL in all of its columns. It
@@ -30,9 +31,9 @@ use crate::predicate::{BoundExpr, CmpOp};
 use crate::table::Table;
 use crate::value::Value;
 
-/// Cap on index-dive counting: past this many entries the dive stops and
-/// the estimate switches to statistics. Bounds planning cost on huge
-/// posting ranges.
+/// Cap on index-dive counting: at this many entries the dive stops and
+/// its path is priced at the cap. Bounds planning cost on huge posting
+/// ranges.
 pub const DIVE_CAP: usize = 1024;
 
 /// Chosen access path for one table.
@@ -97,8 +98,8 @@ pub struct TablePlan {
     pub est_rows: f64,
     /// Estimated cost (index traversal + row fetches, in row units).
     pub cost: f64,
-    /// True if the estimate came from an exact (un-capped) index dive
-    /// rather than statistics.
+    /// True if the estimate is an exact count; false if the dive stopped
+    /// at [`DIVE_CAP`] and `est_rows` is the cap.
     pub exact: bool,
 }
 
@@ -244,25 +245,15 @@ pub fn plan_table_costed(table: &Table, pred: Option<&BoundExpr>, base: usize) -
             }
             None => (Bound::Unbounded, Bound::Unbounded),
         };
-        // Cardinality: exact dive where cheap, statistics past the cap.
+        // Cardinality: an exact count, or the cap for a dive that hit it.
+        // Capped dives then cost the same, and the strict comparison below
+        // keeps the first of them.
         let (est_rows, exact) = if eq_len == ix.def.columns.len() && range_col.is_none() {
             (ix.count_eq(&prefix) as f64, true)
         } else {
-            let (n, capped) = ix.count_prefix_range(&prefix, as_ref(&low), as_ref(&high), DIVE_CAP);
-            if capped {
-                let stats = table.statistics();
-                let mut sel = 1.0f64;
-                for &col in &ix.def.columns[..eq_len] {
-                    sel *= stats.eq_selectivity(col);
-                }
-                if let Some(col) = range_col {
-                    sel *= stats.range_selectivity(col);
-                }
-                // Never estimate below what the dive already saw, nor above
-                // the live row count (exact even when stats are stale).
-                ((live * sel).clamp(n as f64, live.max(n as f64)), false)
-            } else {
-                (n as f64, true)
+            match ix.count_prefix_range(&prefix, as_ref(&low), as_ref(&high), DIVE_CAP) {
+                (_, true) => (DIVE_CAP as f64, false),
+                (n, false) => (n as f64, true),
             }
         };
         let cost = (live + 2.0).log2() + est_rows;
@@ -502,36 +493,62 @@ mod tests {
     }
 
     #[test]
-    fn capped_dive_falls_back_to_statistics() {
+    fn capped_dives_are_priced_at_the_cap() {
         let schema = TableSchema::new(
             "t",
             vec![
                 ColumnDef::auto_id("id"),
                 ColumnDef::required("name", ValueType::Str),
                 ColumnDef::required("version", ValueType::Int),
+                ColumnDef::required("rev", ValueType::Int),
             ],
             &["id"],
         )
         .unwrap();
-        let mut t = Table::new(schema);
-        t.create_index(IndexDef { name: "by_name_ver".into(), columns: vec![1, 2], unique: false })
-            .unwrap();
         let total = DIVE_CAP as i64 + 600;
-        for i in 0..total {
-            let name = if i % 8 == 0 { "cold" } else { "hot" };
-            t.insert(vec![Value::Null, name.into(), Value::Int(i)]).unwrap();
+        for order in [["by_name_ver", "by_name_rev"], ["by_name_rev", "by_name_ver"]] {
+            let mut t = Table::new(schema.clone());
+            for name in order {
+                let col = if name == "by_name_ver" { 2 } else { 3 };
+                t.create_index(IndexDef { name: name.into(), columns: vec![1, col], unique: false })
+                    .unwrap();
+            }
+            for i in 0..total {
+                let name = if i % 8 == 0 { "cold" } else { "hot" };
+                t.insert(vec![Value::Null, name.into(), Value::Int(i), Value::Int(-i)]).unwrap();
+            }
+            let chosen = |p: &TablePlan| match &p.path {
+                AccessPath::Index { index, .. } => t.indexes()[*index].def.name.clone(),
+                other => panic!("{other:?}"),
+            };
+            // "hot" matches 7/8 of the table: both dives stop at the cap
+            // and are priced at it, so the index created first wins, and
+            // still beats the full scan.
+            let p = plan_costed(&t, &Expr::col_eq("name", "hot"));
+            assert!(!p.exact);
+            assert_eq!(p.est_rows, DIVE_CAP as f64);
+            assert_eq!(chosen(&p), order[0]);
+            assert!(p.cost < t.len() as f64);
+            // A dive that ends below the cap ranks below a capped one,
+            // whatever the index order.
+            let e = Expr::And(
+                Box::new(Expr::col_eq("name", "hot")),
+                Box::new(Expr::Cmp(
+                    CmpOp::Lt,
+                    Box::new(Expr::col("version")),
+                    Box::new(Expr::lit(1000i64)),
+                )),
+            );
+            let p = plan_costed(&t, &e);
+            assert!(p.exact);
+            assert_eq!(p.est_rows, 875.0);
+            assert_eq!(chosen(&p), "by_name_ver");
+            // "cold" is a cheap exact dive and beats the scan.
+            let p = plan_costed(&t, &Expr::col_eq("name", "cold"));
+            assert!(p.exact);
+            assert_eq!(p.est_rows, (total as f64 / 8.0).ceil());
+            assert!(matches!(p.path, AccessPath::Index { .. }));
         }
-        // "hot" matches 7/8 of the table — more than the dive cap, so the
-        // estimate is statistical, floored at what the dive saw.
-        let p = plan_costed(&t, &Expr::col_eq("name", "hot"));
-        assert!(!p.exact);
-        assert!(p.est_rows >= DIVE_CAP as f64);
-        assert!(p.est_rows <= total as f64);
-        // "cold" is a cheap exact dive and beats the scan.
-        let p = plan_costed(&t, &Expr::col_eq("name", "cold"));
-        assert!(p.exact);
-        assert_eq!(p.est_rows, (total as f64 / 8.0).ceil());
-        assert!(matches!(p.path, AccessPath::Index { .. }));
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //! vacuum removes entries once no snapshot can reach them.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::{self, ThreadId};
 
 use crate::error::{Error, Result};
 use crate::index::{Index, IndexDef, IndexKey, MAX_INDEX_WIDTH};
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
-use crate::stats::{self, TableStatistics, MIN_STALE_WRITES, STALE_FRACTION};
 use crate::value::{Value, ValueType};
 use crate::wal::WalStats;
 
@@ -82,12 +81,6 @@ pub struct Table {
     pending_slots: Vec<RowId>,
     /// Version/vacuum gauges shared with the owning database.
     mvcc_stats: Option<Arc<WalStats>>,
-    /// Cached planner statistics (see [`crate::stats`]). Interior
-    /// mutability so [`Table::statistics`] can refresh lazily from behind
-    /// the read side of the table lock.
-    stats: Mutex<Option<Arc<TableStatistics>>>,
-    /// Row mutations since the cached statistics were computed.
-    writes_since_analyze: AtomicU64,
 }
 
 impl Table {
@@ -107,8 +100,6 @@ impl Table {
             history: BTreeMap::new(),
             pending_slots: Vec::new(),
             mvcc_stats: None,
-            stats: Mutex::new(None),
-            writes_since_analyze: AtomicU64::new(0),
         };
         if !t.schema.primary_key.is_empty() {
             let def = IndexDef {
@@ -265,59 +256,6 @@ impl Table {
         reclaimed
     }
 
-    /// Record one row mutation for staleness tracking. Called from every
-    /// code path that changes the live row population or row contents
-    /// (insert/delete/update and their undo twins) — statistics are
-    /// advisory, so over-counting on rollback is fine and keeps the
-    /// accounting one-directional.
-    fn note_write(&self) {
-        self.writes_since_analyze.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Recompute planner statistics from the live latest row images and
-    /// cache the snapshot. Takes `&self`: callers hold (at least) the read
-    /// side of the table lock, which already excludes writers.
-    pub fn analyze(&self) -> Arc<TableStatistics> {
-        let mut slot = self.stats.lock().expect("stats lock poisoned");
-        self.analyze_locked(&mut slot)
-    }
-
-    /// The scan itself, run while holding the stats mutex: concurrent
-    /// [`Table::statistics`] callers block on the mutex and then see the
-    /// fresh snapshot instead of each repeating the full-table scan (the
-    /// cold-cache stampede would otherwise multiply the one-time analyze
-    /// cost by the reader count).
-    fn analyze_locked(
-        &self,
-        slot: &mut Option<Arc<TableStatistics>>,
-    ) -> Arc<TableStatistics> {
-        let snapshot =
-            Arc::new(stats::analyze_rows(self.schema.arity(), self.scan().map(|(_, r)| r)));
-        self.writes_since_analyze.store(0, Ordering::Relaxed);
-        *slot = Some(Arc::clone(&snapshot));
-        snapshot
-    }
-
-    /// Current planner statistics, re-analyzing if none were ever computed
-    /// or the table has drifted past the staleness threshold
-    /// (`max(MIN_STALE_WRITES, analyzed_rows / STALE_FRACTION)` mutations
-    /// since the last analyze).
-    pub fn statistics(&self) -> Arc<TableStatistics> {
-        let mut slot = self.stats.lock().expect("stats lock poisoned");
-        if let Some(cached) = slot.as_ref() {
-            let threshold = MIN_STALE_WRITES.max(cached.analyzed_rows / STALE_FRACTION);
-            if self.writes_since_analyze.load(Ordering::Relaxed) < threshold {
-                return Arc::clone(cached);
-            }
-        }
-        self.analyze_locked(&mut slot)
-    }
-
-    /// Mutations recorded since the last analyze (for tests and explain).
-    pub fn writes_since_analyze(&self) -> u64 {
-        self.writes_since_analyze.load(Ordering::Relaxed)
-    }
-
     fn bump_versions_created(&self) {
         if let Some(stats) = &self.mvcc_stats {
             stats.versions_created.fetch_add(1, Ordering::Relaxed);
@@ -432,7 +370,6 @@ impl Table {
         }
         self.rows.push(Some(row));
         self.live += 1;
-        self.note_write();
         if self.mvcc {
             self.meta.push(Stamp::Pending(thread::current().id()));
             self.pending_slots.push(id);
@@ -455,7 +392,6 @@ impl Table {
         }
         *slot = Some(row);
         self.live += 1;
-        self.note_write();
         Ok(())
     }
 
@@ -471,7 +407,6 @@ impl Table {
             .ok_or(Error::NoSuchRow(id.0))?;
         let row = slot.take().ok_or(Error::NoSuchRow(id.0))?;
         self.live -= 1;
-        self.note_write();
         if self.mvcc {
             let begin = self.meta[id.0 as usize];
             self.history.entry(id.0 as usize).or_default().push(Version {
@@ -504,7 +439,6 @@ impl Table {
         for &i in &changed {
             self.indexes[i].check_unique_row(&new, |id| self.get(id))?;
         }
-        self.note_write();
         if self.mvcc {
             // Insert new keys but keep the old ones: snapshots pinned
             // before this commit still look the old row up by them.
@@ -551,7 +485,6 @@ impl Table {
             ix.remove_row(&row, id);
         }
         self.pending_slots.retain(|&p| p != id);
-        self.note_write();
         Ok(())
     }
 
@@ -572,7 +505,6 @@ impl Table {
         self.meta[slot] = v.begin;
         self.live += 1;
         self.pending_slots.retain(|&p| p != id);
-        self.note_write();
         Ok(())
     }
 
@@ -615,7 +547,6 @@ impl Table {
         self.rows[slot] = Some(v.row);
         self.meta[slot] = v.begin;
         self.pending_slots.retain(|&p| p != id);
-        self.note_write();
         Ok(())
     }
 
@@ -853,29 +784,6 @@ mod tests {
         let names: Vec<String> =
             t.scan().map(|(_, r)| r[1].to_string()).collect();
         assert_eq!(names, vec!["b"]);
-    }
-
-    #[test]
-    fn statistics_cache_and_staleness() {
-        let mut t = table();
-        for i in 0..10 {
-            t.insert(vec![Value::Null, format!("n{i}").into(), Value::Int(i % 3)]).unwrap();
-        }
-        let s = t.statistics();
-        assert_eq!(s.analyzed_rows, 10);
-        assert_eq!(s.columns[1].distinct, 10);
-        assert_eq!(s.columns[2].distinct, 3);
-        assert_eq!(t.writes_since_analyze(), 0);
-        // One more write stays under the MIN_STALE_WRITES floor: the
-        // cached snapshot is reused as-is.
-        t.insert(vec![Value::Null, "extra".into(), Value::Null]).unwrap();
-        assert_eq!(t.statistics().analyzed_rows, 10);
-        // Crossing the floor refreshes.
-        for i in 0..crate::stats::MIN_STALE_WRITES {
-            t.insert(vec![Value::Null, format!("m{i}").into(), Value::Null]).unwrap();
-        }
-        assert_eq!(t.statistics().analyzed_rows, 11 + crate::stats::MIN_STALE_WRITES);
-        assert_eq!(t.writes_since_analyze(), 0);
     }
 
     fn mvcc_table() -> Table {

@@ -25,7 +25,9 @@
 //!
 //! `tail_ordered_index_under_mvcc` drives the same layout through an
 //! MVCC table, where updates and deletes leave dangling entries that
-//! only vacuum removes.
+//! only vacuum removes. `tail_posting_runs_split_and_merge` and
+//! `plain_posting_runs_split_and_merge` grow one key's posting past many
+//! runs and shrink it back to one entry.
 //!
 //! Replay one seed: `MCS_SEED=<seed> cargo test -p relstore --test
 //! index_model -- --nocapture`.
@@ -476,7 +478,6 @@ fn run(seed: u64, width: usize, tailed: bool, steps: usize, cov: &mut Coverage) 
         }
         let total: usize = model.values().map(BTreeSet::len).sum();
         assert_eq!(ix.len(), total, "{ctx}: len");
-        assert_eq!(ix.distinct_keys(), model.len(), "{ctx}: distinct_keys");
         if step % 64 == 0 {
             ix.check_layout().unwrap_or_else(|e| panic!("{ctx}: {e}"));
             let entries: Vec<(Vec<Value>, RowId)> = ix.entries().collect();
@@ -774,5 +775,52 @@ fn tail_posting_runs_split_and_merge() {
         }
         assert!(peak > 600, "the group never grew past many runs: {peak}");
         assert!(emptied > 0, "the group never shrank to one entry");
+    });
+}
+
+/// One key of a plain index grown past many runs and shrunk back to one
+/// row, several times, in random order: its rows, lookups, counts and
+/// layout match a `BTreeSet` of row ids throughout.
+#[test]
+fn plain_posting_runs_split_and_merge() {
+    testkit::check("plain_posting_runs_split_and_merge", 6, |rng| {
+        let def = IndexDef {
+            name: "p".into(),
+            columns: vec![0],
+            unique: false,
+        };
+        let mut ix = Index::new(def);
+        let mut model: BTreeSet<RowId> = BTreeSet::new();
+        let (mut peak, mut emptied) = (0usize, 0usize);
+        let key = IndexKey(vec![Value::Int(7)]);
+        for step in 0..6_000 {
+            // Grow for a while, then shrink, in phases of 1 000 steps.
+            let growing = (step / 1_000) % 2 == 0;
+            let id = RowId(rng.below(1_200));
+            if growing || rng.one_in(20) {
+                ix.insert_row(&key.0, id);
+                model.insert(id);
+            } else {
+                let present = model
+                    .iter()
+                    .nth(rng.below(model.len() as u64 + 1) as usize)
+                    .copied();
+                let id = present.unwrap_or(id);
+                let want = model.remove(&id);
+                assert_eq!(ix.remove(&key, id), want, "step {step}: remove {id:?}");
+            }
+            peak = peak.max(model.len());
+            emptied += usize::from(peak > 600 && model.len() <= 1);
+            assert_eq!(ix.len(), model.len(), "step {step}");
+            assert_eq!(ix.count_eq(&key), model.len(), "step {step}");
+            if step % 50 == 0 {
+                ix.check_layout()
+                    .unwrap_or_else(|e| panic!("step {step}: {e}"));
+                let ids: Vec<RowId> = ix.get_eq(&key).collect();
+                assert_eq!(ids, model.iter().copied().collect::<Vec<_>>(), "step {step}");
+            }
+        }
+        assert!(peak > 600, "the posting never grew past many runs: {peak}");
+        assert!(emptied > 0, "the posting never shrank to one row");
     });
 }

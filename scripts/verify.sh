@@ -57,16 +57,19 @@
 #                      tests, the snapshot-isolation test, and the
 #                      MVCC WAL-truncation crash matrix
 #   verify.sh planner  the cost-based-planner contract (DESIGN.md
-#                      §7.6): relstore statistics/index-dive unit
-#                      tests, the index unit tests (tail-ordered keys
+#                      §7.6): relstore planner unit tests (index dives,
+#                      a dive stopped at DIVE_CAP priced at the cap),
+#                      the index unit tests (tail-ordered keys
 #                      read back at full width, span walks and their
-#                      estimates, shared key strings, wrong-width keys
+#                      estimates, shared key strings, exact size hints
+#                      of whole postings, wrong-width keys
 #                      panic), the seeded index model tests against a
 #                      plain BTreeMap (index_matches_reference_model:
 #                      inline keys, one-or-many postings, tail-ordered
 #                      postings and span walks with duplicate tails and
 #                      MVCC-style dangling entries;
 #                      tail_posting_runs_split_and_merge;
+#                      plain_posting_runs_split_and_merge;
 #                      tail_ordered_index_under_mvcc;
 #                      wrong_width_keys_fail_loudly), the no-NULL-keys
 #                      rule (DESIGN.md §6.1: the planner's
@@ -118,6 +121,10 @@
 #                      parent's; each failure names the file, workload and
 #                      metric. Needs jq. Not part of the no-argument run.
 #
+# Every lane step below is checked to run at least one test: a step
+# whose binaries pass no test in total fails, so a filter that no longer
+# names any test cannot pass silently.
+#
 # Every seeded test runs its default seeds, or the one in MCS_SEED.
 set -eu
 cd "$(dirname "$0")/.."
@@ -130,6 +137,18 @@ thread_locals() {
     /^#\[cfg\(test\)\]/ { t = 1 }
     !t && !/^[[:space:]]*\/\// && /thread_local!/ { print FILENAME ":" FNR ": " $0; n++ }
     END { exit n > 0 }'
+}
+
+# Run `cargo test -q "$@"`; fail if it fails, or if its binaries pass
+# no test in total.
+run() {
+  out=$(cargo test -q "$@" 2>&1) || { printf '%s\n' "$out" >&2; return 1; }
+  printf '%s\n' "$out"
+  passed=$(printf '%s\n' "$out" | awk '/^test result:/ { n += $4 } END { print n + 0 }')
+  if [ "$passed" -eq 0 ]; then
+    echo "verify.sh: \`cargo test -q $*\` ran no test: its filter names none." >&2
+    return 1
+  fi
 }
 
 lane="${1:-all}"
@@ -149,32 +168,32 @@ case "$lane" in
     ;;
   crash)
     start=$(date +%s)
-    cargo test -q _truncation
-    cargo test -q -p mcs --test durability
+    run _truncation
+    run -p mcs --test durability
     echo "crash lane: $(($(date +%s) - start))s elapsed"
     ;;
   stress)
     start=$(date +%s)
-    cargo test -q _stress
+    run _stress
     echo "stress lane: $(($(date +%s) - start))s elapsed"
     ;;
   async-durability)
     start=$(date +%s)
-    if ! cargo test -q -p relstore --test epoch_monotonicity --test async_epoch_liveness; then
+    if ! run -p relstore --test epoch_monotonicity --test async_epoch_liveness; then
       echo "async-durability lane failed." >&2
       echo "To replay a monotonicity failure, rerun with the seed printed above:" >&2
       echo "  MCS_SEED=<seed> cargo test -p relstore --test epoch_monotonicity -- --nocapture" >&2
       exit 1
     fi
-    cargo test -q -p relstore epoch
-    cargo test -q -p mcs --test crash_atomicity mixed_durability_epoch_contract
-    cargo test -q -p mcs --test request_scope scoped_write_echoes_its_own_catalogs_epoch
-    cargo test -q -p mcs-net --test async_durability
+    run -p relstore epoch
+    run -p mcs --test crash_atomicity mixed_durability_epoch_contract
+    run -p mcs --test request_scope scoped_write_echoes_its_own_catalogs_epoch
+    run -p mcs-net --test async_durability
     echo "async-durability lane: $(($(date +%s) - start))s elapsed"
     ;;
   twin)
     start=$(date +%s)
-    if ! cargo test -q -p mcs-net --test shard_twin --test mvcc_twin --test cache_consistency --test planner_twin --test wire_twin; then
+    if ! run -p mcs-net --test shard_twin --test mvcc_twin --test cache_consistency --test planner_twin --test wire_twin; then
       echo "twin lane failed." >&2
       echo "To replay a divergence, rerun the failing suite with the seed printed above:" >&2
       echo "  MCS_SEED=<seed> cargo test -p mcs-net --test <suite> -- --nocapture" >&2
@@ -184,58 +203,56 @@ case "$lane" in
     ;;
   cache)
     start=$(date +%s)
-    cargo test -q -p relstore --lib table_version
-    cargo test -q -p relstore --lib table_lookup_is_case_insensitive
-    cargo test -q -p mcs --lib cache
-    cargo test -q -p mcs --test catalog_tests writes_invalidate_only_touched_tables
-    cargo test -q -p mcs-net --test cache_over_net
-    cargo test -q -p soapstack --test keep_alive
+    run -p relstore --lib table_version
+    run -p relstore --lib table_lookup_is_case_insensitive
+    run -p mcs --lib cache
+    run -p mcs --test catalog_tests writes_invalidate_only_touched_tables
+    run -p mcs-net --test cache_over_net
+    run -p soapstack --test keep_alive
     echo "cache lane: $(($(date +%s) - start))s elapsed"
     ;;
   shard)
     start=$(date +%s)
-    cargo test -q -p mcs --lib shard::
-    cargo test -q -p mcs --test shard_crash
-    cargo test -q -p mcs --test request_scope bypass_scopes_reach_every_shard
-    cargo test -q -p workload sharded
-    cargo test -q -p mcs --test create_path
-    cargo test -q -p mcs-net --test sharded_over_net
+    run -p mcs --lib shard::
+    run -p mcs --test shard_crash
+    run -p mcs --test request_scope bypass_scopes_reach_every_shard
+    run -p workload sharded
+    run -p mcs --test create_path
+    run -p mcs-net --test sharded_over_net
     echo "shard lane: $(($(date +%s) - start))s elapsed"
     ;;
   mvcc)
     start=$(date +%s)
-    cargo test -q -p relstore --lib mvcc
-    cargo test -q -p relstore --lib snapshot
-    cargo test -q -p relstore --lib vacuum
-    cargo test -q -p mcs --test mvcc_truncation
+    run -p relstore --lib mvcc
+    run -p relstore --lib snapshot
+    run -p relstore --lib vacuum
+    run -p mcs --test mvcc_truncation
     echo "mvcc lane: $(($(date +%s) - start))s elapsed"
     ;;
   planner)
     start=$(date +%s)
-    cargo test -q -p relstore --lib stats
-    cargo test -q -p relstore --lib statistics
-    cargo test -q -p relstore --lib planner
-    cargo test -q -p relstore --lib index
-    cargo test -q -p relstore --test index_model
-    cargo test -q -p relstore --test sql_integration nullable_indexed_column
-    cargo test -q -p mcs --test durability old_two_column_typed_indexes
-    cargo test -q -p mcs --test catalog_tests typed_value_indexes
-    cargo test -q -p relstore --lib like
-    cargo test -q -p mcs --lib plan
-    cargo test -q -p mcs --test plan_shape
-    cargo test -q -p mcs-net --test planner_twin
-    cargo test -q -p mcs --test catalog_tests resolve_pass
-    cargo test -q -p mcs-net --test roundtrip explain
-    cargo test -q --release -p mcs --lib calibrate -- --ignored --nocapture
+    run -p relstore --lib planner
+    run -p relstore --lib index
+    run -p relstore --test index_model
+    run -p relstore --test sql_integration nullable_indexed_column
+    run -p mcs --test durability old_two_column_typed_indexes
+    run -p mcs --test catalog_tests typed_value_indexes
+    run -p relstore --lib like
+    run -p mcs --lib plan
+    run -p mcs --test plan_shape
+    run -p mcs-net --test planner_twin
+    run -p mcs --test catalog_tests resolve_pass
+    run -p mcs-net --test roundtrip explain
+    run --release -p mcs --lib calibrate -- --ignored --nocapture
     echo "planner lane: $(($(date +%s) - start))s elapsed"
     ;;
   wire)
     start=$(date +%s)
-    cargo test -q -p mcs-net --lib binproto
-    cargo test -q -p mcs-net --test wire_golden
-    cargo test -q -p mcs-net --test record_golden
-    cargo test -q -p mcs-net --test wire_proptests
-    cargo test -q -p mcs-net --test roundtrip soap_bool
+    run -p mcs-net --lib binproto
+    run -p mcs-net --test wire_golden
+    run -p mcs-net --test record_golden
+    run -p mcs-net --test wire_proptests
+    run -p mcs-net --test roundtrip soap_bool
     cargo test -q -p mcs-net --test bin_fuzz --no-run
     i=1
     while [ "$i" -le 50 ]; do
@@ -246,10 +263,10 @@ case "$lane" in
       fi
       i=$((i + 1))
     done
-    cargo test -q -p mcs-net --test bin_pipeline_stress
-    cargo test -q -p mcs-net --test soap_alloc
-    cargo test -q -p xmlkit
-    cargo test -q -p soapstack
+    run -p mcs-net --test bin_pipeline_stress
+    run -p mcs-net --test soap_alloc
+    run -p xmlkit
+    run -p soapstack
     echo "wire lane: $(($(date +%s) - start))s elapsed"
     ;;
   bench)
