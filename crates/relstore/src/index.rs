@@ -210,11 +210,6 @@ type RowPosting = Posting<RowId, Box<Sorted<RowId>>>;
 /// inline, up to [`RUN`] one allocation away.
 type TailPosting = Posting<Tail, Sorted<Tail>>;
 
-/// Where a [`Posting`] keeps its sorted entries: inline or boxed.
-trait Store<E>: BorrowMut<Sorted<E>> + From<Sorted<E>> {}
-
-impl<E, S: BorrowMut<Sorted<E>> + From<Sorted<E>>> Store<E> for S {}
-
 /// Two or more entries in ascending order: up to [`RUN`] in one vector,
 /// more in runs of at most [`RUN`] each, every run's entries below the
 /// next run's. A walk seeks its span with binary searches and then reads
@@ -234,7 +229,7 @@ struct Runs<E> {
     len: usize,
 }
 
-impl<E: Entry, S: Store<E>> Posting<E, S> {
+impl<E: Entry, S: BorrowMut<Sorted<E>> + From<Sorted<E>>> Posting<E, S> {
     /// Add `e`; false if it was already here.
     fn add(&mut self, e: E) -> bool {
         match self {
@@ -553,7 +548,8 @@ impl<E: Entry> Iterator for Iter<'_, E> {
     // Exact when the walk reaches the posting's end, as a plain index's
     // always does, so that collecting a posting allocates once.
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.run.len() + self.runs.as_slice().iter().map(|(_, r)| r.len()).sum::<usize>();
+        let later: usize = self.runs.as_slice().iter().map(|(_, r)| r.len()).sum();
+        let left = self.run.len() + later;
         (if self.to_end { left } else { 0 }, Some(left))
     }
 }
@@ -749,7 +745,7 @@ impl Tree {
     }
 }
 
-fn insert_into<const N: usize, E: Entry, S: Store<E>>(
+fn insert_into<const N: usize, E: Entry, S: BorrowMut<Sorted<E>> + From<Sorted<E>>>(
     tree: &mut BTreeMap<Key<N>, Posting<E, S>>,
     mut key: Key<N>,
     tail: i64,
@@ -796,7 +792,7 @@ fn share_strings<const N: usize>(key: &mut Key<N>, neighbour: &Key<N>) -> bool {
     key.0[0] == neighbour.0[0]
 }
 
-fn remove_from<const N: usize, E: Entry, S: Store<E>>(
+fn remove_from<const N: usize, E: Entry, S: BorrowMut<Sorted<E>> + From<Sorted<E>>>(
     tree: &mut BTreeMap<Key<N>, Posting<E, S>>,
     key: Key<N>,
     tail: i64,
