@@ -192,27 +192,27 @@ fn update(rng: &mut Rng) -> FileUpdate {
     }
 }
 
-/// A random boolean tree over defined attributes and static predicates.
+/// A random boolean tree over defined attributes and static predicates:
+/// `And`/`Or` two levels deep, `Not` over any subtree, and static leaves
+/// at any position, so the stream holds `And`s of only `Not`s (the one
+/// complement), `Not`s of static predicates and `Not`s of `Or`s.
 fn expr(rng: &mut Rng, depth: u64) -> QueryExpr {
-    match rng.below(if depth == 0 { 4 } else { 7 }) {
+    match rng.below(if depth == 0 { 4 } else { 8 }) {
         0..=2 if depth < 2 => {
-            let mut subs: Vec<QueryExpr> =
-                (0..2 + rng.below(2)).map(|_| expr(rng, depth + 1)).collect();
-            if rng.one_in(4) {
-                subs.push(QueryExpr::Static(match rng.below(4) {
-                    0 => StaticPredicate::InCollection(format!("c{}", rng.below(2))),
-                    1 => StaticPredicate::DataTypeIs(format!("t{}", rng.below(3))),
-                    2 => StaticPredicate::ValidIs(!rng.one_in(3)),
-                    _ => StaticPredicate::NameLike(format!("f0{}%", rng.below(2))),
-                }));
-            }
+            let subs = (0..2 + rng.below(2)).map(|_| expr(rng, depth + 1)).collect();
             if rng.one_in(2) {
                 QueryExpr::And(subs)
             } else {
                 QueryExpr::Or(subs)
             }
         }
-        3 if depth > 0 => QueryExpr::Not(Box::new(QueryExpr::Attr(pred(rng)))),
+        3..=5 if depth < 3 => QueryExpr::Not(Box::new(expr(rng, depth + 1))),
+        6 => QueryExpr::Static(match rng.below(4) {
+            0 => StaticPredicate::InCollection(format!("c{}", rng.below(2))),
+            1 => StaticPredicate::DataTypeIs(format!("t{}", rng.below(3))),
+            2 => StaticPredicate::ValidIs(!rng.one_in(3)),
+            _ => StaticPredicate::NameLike(format!("f0{}%", rng.below(2))),
+        }),
         _ => QueryExpr::Attr(pred(rng)),
     }
 }

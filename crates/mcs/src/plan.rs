@@ -47,9 +47,13 @@
 //! (DESIGN §7.6): one merged walk of `ua_object` over all candidates, and
 //! residual checks that read the value column without fetching the row.
 //!
-//! [`Mcs::with_planner_bypass`] hands its closure a handle whose scope
-//! disables the planner (and skips the read cache), so tests and
-//! benchmarks can compare the planned evaluation against the naive
+//! **One evaluator.** [`Mcs::plan_attrs`] alone reads the profile and
+//! the planner bypass ([`Mcs::with_planner_bypass`], which also skips the
+//! read cache): under `Paper2003` or a bypass it plans the 2003
+//! evaluation, one posting step per predicate in syntactic order.
+//! [`Mcs::run_attr_plan`] runs and [`AttrPlan::lines`] explains both
+//! kinds, for the classic query and for every `And` of a boolean one
+//! (`crate::general_query`), so tests can diff the planner against the
 //! posting-scan oracle on the same store.
 //!
 //! [`IndexProfile::ValueIndexed`]: crate::schema::IndexProfile::ValueIndexed
@@ -88,7 +92,7 @@ pub(crate) const SPAN_ENTRY_US: f64 = 0.03;
 const SAMPLED_GROUPS: usize = 16;
 
 /// Every object id: the span of a walk that no candidate set bounds.
-pub(crate) const ALL_IDS: (i64, i64) = (i64::MIN, i64::MAX);
+const ALL_IDS: (i64, i64) = (i64::MIN, i64::MAX);
 
 /// µs to filter `candidates` with one probe each.
 fn probe_us(candidates: f64) -> f64 {
@@ -116,7 +120,7 @@ pub(crate) fn value_index_name(ty: AttrType) -> &'static str {
 
 /// Coerce the comparison literal the way the attribute store does:
 /// integer literals compare against Float attributes as floats.
-pub(crate) fn coerced_value(p: &AttrPredicate, ty: AttrType) -> Value {
+fn coerced_value(p: &AttrPredicate, ty: AttrType) -> Value {
     match (&p.value, ty) {
         (Value::Int(i), AttrType::Float) => Value::Float(*i as f64),
         (v, _) => v.clone(),
@@ -154,6 +158,9 @@ enum Role {
     /// Filter surviving candidates with per-candidate `ua_object`
     /// probes instead of walking this step's own index entries.
     Residual,
+    /// The 2003 evaluation: scan the `ua_name` posting list and intersect
+    /// with the candidates so far, if any.
+    Posting,
 }
 
 /// One planned evaluation step.
@@ -219,6 +226,7 @@ impl AttrPlan {
                         });
                         format!("residual: {preds} via ua_object probes (~{} candidates{cut})", s.est)
                     }
+                    Role::Posting => format!("posting scan: {preds} via ua_name"),
                 }
             })
             .collect()
@@ -314,7 +322,7 @@ fn str_successor(s: &str) -> Option<String> {
 /// The typed-index access path for one predicate, if it has one.
 /// `Ne` never does (the matching rows are everything *but* one key);
 /// `LIKE` only when the pattern has a literal prefix to range over.
-pub(crate) fn access_for(p: &AttrPredicate, ty: AttrType, value: &Value) -> Option<Access> {
+fn access_for(p: &AttrPredicate, ty: AttrType, value: &Value) -> Option<Access> {
     let range = |low, high| Some(Access::Range { low, high, like: false });
     match p.op {
         AttrOp::Eq => Some(Access::Point(value.clone())),
@@ -613,10 +621,29 @@ impl Mcs {
         self.rescoped(relstore::OpCtx { planner_bypass: true, ..self.ctx.clone() }, f)
     }
 
-    /// EXPLAIN for [`Mcs::query_by_attributes`]: the plan the cost-based
-    /// planner would choose right now, one line per step, without
-    /// executing it. Under the `Paper2003` profile (or a planner bypass)
-    /// every predicate reports the posting scan it would run.
+    /// The plan of a conjunction of type-checked predicates, and the one
+    /// place that reads the index profile and the planner bypass: under
+    /// `ValueIndexed` the cost-based [`plan_conjunction`]; under
+    /// `Paper2003` or a bypass the 2003 evaluation, one `ua_name` posting
+    /// scan per predicate in syntactic order.
+    pub(crate) fn plan_attrs(
+        &self,
+        t: &Table,
+        checked: &[(&AttrPredicate, AttrType)],
+    ) -> Result<AttrPlan> {
+        if self.profile == IndexProfile::ValueIndexed && !self.ctx.planner_bypass {
+            return plan_conjunction(t, checked);
+        }
+        let steps = (0..checked.len())
+            .map(|i| Step { preds: vec![i], role: Role::Posting, est: 0, groups: 0, cut: None })
+            .collect();
+        Ok(AttrPlan { steps, span: None })
+    }
+
+    /// EXPLAIN for [`Mcs::query_by_attributes`]: the plan it would run
+    /// right now, one line per step, without executing it. Under the
+    /// `Paper2003` profile (or a planner bypass) every predicate reports
+    /// the posting scan it would run.
     pub fn explain_query(
         &self,
         cred: &Credential,
@@ -627,16 +654,9 @@ impl Mcs {
             return Err(McsError::BadAttribute("query needs at least one predicate".into()));
         }
         let checked = self.check_predicates(preds)?;
-        if self.profile != IndexProfile::ValueIndexed || self.ctx.planner_bypass {
-            return Ok(checked
-                .iter()
-                .map(|(p, _)| format!("posting scan: {} {} via ua_name", p.name, op_sym(p.op)))
-                .collect());
-        }
         let handle = self.db.table("user_attributes")?;
         let t = handle.read();
-        let plan = plan_conjunction(&t, &checked)?;
-        Ok(plan.lines(&checked))
+        Ok(self.plan_attrs(&t, &checked)?.lines(&checked))
     }
 
     /// Execute a compiled plan, returning matching **file** object ids,
@@ -658,6 +678,13 @@ impl Mcs {
                 }
                 (Role::SeedPosting, None) => {
                     self.posting_scan(t, p, ty.full_row_column(), &checks[0].1)?
+                }
+                (Role::Posting, prev) => {
+                    let ids = self.posting_scan(t, p, ty.full_row_column(), &checks[0].1)?;
+                    match prev {
+                        None => ids,
+                        Some(prev) => intersect_sorted(&prev, &ids),
+                    }
                 }
                 (Role::Intersect(a), Some(prev)) => {
                     // The candidates are ascending: their span is the
@@ -839,25 +866,44 @@ pub(crate) fn sorted_ids(mut ids: Vec<i64>) -> Vec<i64> {
     ids
 }
 
-/// Intersection of two ascending id lists by one linear merge; the
-/// result is ascending and free of duplicates even if the inputs are not.
+/// Intersection of two ascending id lists.
 pub(crate) fn intersect_sorted(a: &[i64], b: &[i64]) -> Vec<i64> {
+    merge_sorted(a, b, |in_a, in_b| in_a && in_b)
+}
+
+/// Union of two ascending id lists.
+pub(crate) fn union_sorted(a: &[i64], b: &[i64]) -> Vec<i64> {
+    merge_sorted(a, b, |_, _| true)
+}
+
+/// The ids of ascending `a` that are not in ascending `b`.
+pub(crate) fn difference_sorted(a: &[i64], b: &[i64]) -> Vec<i64> {
+    merge_sorted(a, b, |in_a, in_b| in_a && !in_b)
+}
+
+/// One linear merge of two ascending id lists that keeps each id for
+/// which `keep(in a, in b)` holds; the result is ascending and free of
+/// duplicates even if the inputs are not.
+fn merge_sorted(a: &[i64], b: &[i64], keep: impl Fn(bool, bool) -> bool) -> Vec<i64> {
     let (mut i, mut j) = (0, 0);
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                if out.last() != Some(&a[i]) {
-                    out.push(a[i]);
-                }
-                i += 1;
-                j += 1;
-            }
+    let mut out = Vec::new();
+    loop {
+        let id = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => return out,
+        };
+        let (in_a, in_b) = (a.get(i) == Some(&id), b.get(j) == Some(&id));
+        while a.get(i) == Some(&id) {
+            i += 1;
+        }
+        while b.get(j) == Some(&id) {
+            j += 1;
+        }
+        if keep(in_a, in_b) {
+            out.push(id);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -880,8 +926,9 @@ mod tests {
         assert_eq!(str_successor(""), None);
     }
 
-    /// The sorted-merge intersection against `BTreeSet` intersection on
-    /// seeded random inputs, empty and duplicate-laden ones included.
+    /// The sorted-merge intersection, union and difference against
+    /// `BTreeSet`'s on seeded random inputs, empty and duplicate-laden
+    /// ones included.
     #[test]
     fn intersect_sorted_matches_btreeset_intersection() {
         use std::collections::BTreeSet;
@@ -895,19 +942,24 @@ mod tests {
                     v
                 };
                 let (a, b) = (draw(), draw());
-                let expect: Vec<i64> = a
-                    .iter()
-                    .copied()
-                    .collect::<BTreeSet<_>>()
-                    .intersection(&b.iter().copied().collect())
-                    .copied()
-                    .collect();
+                let (sa, sb): (BTreeSet<i64>, BTreeSet<i64>) =
+                    (a.iter().copied().collect(), b.iter().copied().collect());
+                let expect: Vec<i64> = sa.intersection(&sb).copied().collect();
                 assert_eq!(intersect_sorted(&a, &b), expect, "seed {seed}: {a:?} ∩ {b:?}");
                 assert_eq!(intersect_sorted(&b, &a), expect, "seed {seed}: {b:?} ∩ {a:?}");
+                let expect: Vec<i64> = sa.union(&sb).copied().collect();
+                assert_eq!(union_sorted(&a, &b), expect, "seed {seed}: {a:?} ∪ {b:?}");
+                assert_eq!(union_sorted(&b, &a), expect, "seed {seed}: {b:?} ∪ {a:?}");
+                let expect: Vec<i64> = sa.difference(&sb).copied().collect();
+                assert_eq!(difference_sorted(&a, &b), expect, "seed {seed}: {a:?} ∖ {b:?}");
+                let expect: Vec<i64> = sb.difference(&sa).copied().collect();
+                assert_eq!(difference_sorted(&b, &a), expect, "seed {seed}: {b:?} ∖ {a:?}");
             }
         }
         assert!(intersect_sorted(&[], &[1, 2]).is_empty());
         assert_eq!(intersect_sorted(&[3, 3, 3], &[3, 3]), vec![3]);
+        assert_eq!(union_sorted(&[3, 3], &[]), vec![3]);
+        assert_eq!(difference_sorted(&[1, 1, 2], &[2]), vec![1]);
     }
 
     /// Calibration of [`PROBE_US`], [`GROUP_US`] and [`SPAN_ENTRY_US`]:

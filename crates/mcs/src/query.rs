@@ -16,13 +16,19 @@
 //!   and the rest intersect within its id span or probe per-candidate —
 //!   see [`Mcs::explain_query`] for the chosen
 //!   shape and [`Mcs::with_planner_bypass`] for the naive oracle.
+//!
+//! Both evaluations run through [`Mcs::eval_conjunction`], which also
+//! evaluates every attribute leaf and `And` of a boolean query
+//! ([`crate::general_query`]); its ascending ids resolve to names in one
+//! pass, [`Mcs::valid_hits`].
+//!
+//! [`IndexProfile::ValueIndexed`]: crate::schema::IndexProfile::ValueIndexed
 
 use relstore::{IndexKey, Value};
 
 use crate::catalog::Mcs;
 use crate::error::{McsError, Result};
 use crate::model::*;
-use crate::schema::IndexProfile;
 
 /// Contents of a collection.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -68,41 +74,7 @@ impl Mcs {
         // resolve pass — reads at one pinned snapshot, so it sees one
         // consistent cut; on the barrier engine `pinned` is a no-op and
         // the table read locks provide per-statement isolation.
-        let out = self.pinned(|m| {
-            let handle = m.db.table("user_attributes")?;
-            let t = handle.read();
-            let ids = if m.profile == IndexProfile::ValueIndexed && !m.ctx.planner_bypass {
-                // Compile the conjunction into a cost-based plan: the
-                // most selective predicate (by index dive) seeds the
-                // candidate set, the rest intersect via their typed
-                // indexes within its id span or run as per-candidate
-                // residual probes — see `crate::plan` and
-                // `Mcs::explain_query`.
-                let plan = crate::plan::plan_conjunction(&t, &checked)?;
-                m.run_attr_plan(&t, &checked, &plan)?
-            } else {
-                // The 2003 evaluation, and the naive oracle twin tests
-                // diff the planned path against: one `ua_name` posting
-                // scan per predicate, intersected in syntactic order.
-                let mut acc: Option<Vec<i64>> = None;
-                for (p, ty) in &checked {
-                    let value = crate::plan::coerced_value(p, *ty);
-                    let ids = m.posting_scan(&t, p, ty.full_row_column(), &value)?;
-                    acc = Some(match acc {
-                        None => ids,
-                        Some(prev) => crate::plan::intersect_sorted(&prev, &ids),
-                    });
-                    if acc.as_ref().is_some_and(Vec::is_empty) {
-                        break;
-                    }
-                }
-                acc.unwrap_or_default()
-            };
-            // Writers lock audit_log → logical_files → user_attributes:
-            // release the attribute table before touching logical_files.
-            drop(t);
-            m.valid_hits(&ids)
-        })?;
+        let out = self.pinned(|m| m.valid_hits(&m.eval_conjunction(&checked)?))?;
         if let Some((cache, key, stamp)) = fill {
             cache.insert(key, crate::cache::CacheValue::Hits(out.clone()), stamp);
         }
@@ -139,31 +111,20 @@ impl Mcs {
         })?
     }
 
-    /// Evaluate one predicate against the attribute table, returning the
-    /// matching **file** object ids, sorted and deduplicated.
-    pub(crate) fn eval_predicate(
+    /// The matching **file** object ids of a conjunction of type-checked
+    /// predicates, ascending: the one evaluator of attribute predicates,
+    /// which runs the plan [`Mcs::plan_attrs`] chooses. It holds the
+    /// attribute table only while it runs: writers lock `audit_log →
+    /// logical_files → user_attributes`, so a caller may read
+    /// `logical_files` next.
+    pub(crate) fn eval_conjunction(
         &self,
-        t: &relstore::Table,
-        p: &AttrPredicate,
-        ty: AttrType,
+        checked: &[(&AttrPredicate, AttrType)],
     ) -> Result<Vec<i64>> {
-        let value = crate::plan::coerced_value(p, ty);
-
-        // Value-indexed fast path (the §9 "future work" profile): point
-        // and range lookups on the typed index — this includes LIKE
-        // patterns with a literal prefix, which range over the prefix and
-        // re-check the pattern on each group's value. `Ne` has
-        // no useful access path (everything *but* one key) and falls
-        // back to the posting scan; in a conjunction the planner demotes
-        // it to a per-candidate residual probe instead.
-        if self.profile == IndexProfile::ValueIndexed && !self.ctx.planner_bypass {
-            if let Some(access) = crate::plan::access_for(p, ty, &value) {
-                let checks = [(p.op, value)];
-                return self.eval_access(t, &p.name, ty, &checks, &access, crate::plan::ALL_IDS);
-            }
-        }
-
-        self.posting_scan(t, p, ty.full_row_column(), &value)
+        let handle = self.db.table("user_attributes")?;
+        let t = handle.read();
+        let plan = self.plan_attrs(&t, checked)?;
+        self.run_attr_plan(&t, checked, &plan)
     }
 
     /// The 2003 evaluation path: walk every attribute row with this name

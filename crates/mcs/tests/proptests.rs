@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mcs::{
-    AttrPredicate, AttrType, Attribute, Credential, FileSpec, IndexProfile, ManualClock,
-    McsError, Mcs, ObjectRef,
+    AttrOp, AttrPredicate, AttrType, Attribute, Credential, FileSpec, IndexProfile, ManualClock,
+    McsError, Mcs, ObjectRef, QueryExpr, StaticPredicate,
 };
 use relstore::Value;
 use testkit::{check, Rng};
@@ -50,12 +50,99 @@ struct ModelFile {
     valid: bool,
 }
 
+/// An attribute leaf: any operator on `s`, any comparison on `n`, and
+/// one time in sixteen a LIKE on `n`, which is ill-typed.
+fn leaf(rng: &mut Rng) -> AttrPredicate {
+    use AttrOp::*;
+    let (name, op, value) = if rng.one_in(2) {
+        let op = *rng.pick(&[Eq, Ne, Lt, Le, Gt, Ge, Like]);
+        let pool: &[&str] =
+            if op == Like { &["x%", "%", "_", "y", "%y", "x_"] } else { &["w", "x", "y", "z"] };
+        ("s", op, Value::from(*rng.pick(pool)))
+    } else {
+        let op = if rng.one_in(16) { Like } else { *rng.pick(&[Eq, Ne, Lt, Le, Gt, Ge]) };
+        ("n", op, Value::Int(rng.range(-1..6)))
+    };
+    AttrPredicate { name: name.into(), op, value }
+}
+
+/// A boolean query: `And`/`Or` of one to three children down to depth
+/// three, `Not` over any subtree, and attribute or static leaves.
+fn tree(rng: &mut Rng, depth: u32) -> QueryExpr {
+    match rng.below(if depth < 3 { 8 } else { 4 }) {
+        0 => QueryExpr::Static(if rng.one_in(2) {
+            StaticPredicate::NameLike(format!("{}%", rng.pick(&["a", "b"])))
+        } else {
+            StaticPredicate::ValidIs(rng.one_in(2))
+        }),
+        1 | 2 => QueryExpr::Attr(leaf(rng)),
+        3 => QueryExpr::Not(Box::new(tree(rng, depth + 1))),
+        4 | 5 => QueryExpr::And(rng.vec(1..4, |r| tree(r, depth + 1))),
+        _ => QueryExpr::Or(rng.vec(1..4, |r| tree(r, depth + 1))),
+    }
+}
+
+/// SQL LIKE: `%` matches any run of characters, `_` any one.
+fn like(s: &[char], pat: &[char]) -> bool {
+    match pat.split_first() {
+        None => s.is_empty(),
+        Some(('%', rest)) => (0..=s.len()).any(|i| like(&s[i..], rest)),
+        Some(('_', rest)) => !s.is_empty() && like(&s[1..], rest),
+        Some((c, rest)) => s.first() == Some(c) && like(&s[1..], rest),
+    }
+}
+
+fn like_str(s: &str, pat: &str) -> bool {
+    like(&s.chars().collect::<Vec<_>>(), &pat.chars().collect::<Vec<_>>())
+}
+
+/// Whether the model's file `name` satisfies `q`.
+fn holds(q: &QueryExpr, name: &str, f: &ModelFile) -> bool {
+    match q {
+        QueryExpr::Attr(p) if p.op == AttrOp::Like => like_str(&f.s, p.value.as_str().unwrap()),
+        QueryExpr::Attr(p) => {
+            let ord = match p.name.as_str() {
+                "s" => f.s.as_str().cmp(p.value.as_str().unwrap()),
+                _ => f.n.cmp(&p.value.as_int().unwrap()),
+            };
+            match p.op {
+                AttrOp::Eq => ord.is_eq(),
+                AttrOp::Ne => ord.is_ne(),
+                AttrOp::Lt => ord.is_lt(),
+                AttrOp::Le => ord.is_le(),
+                AttrOp::Gt => ord.is_gt(),
+                AttrOp::Ge => ord.is_ge(),
+                AttrOp::Like => unreachable!("matched above"),
+            }
+        }
+        QueryExpr::Static(StaticPredicate::NameLike(pat)) => like_str(name, pat),
+        QueryExpr::Static(StaticPredicate::ValidIs(v)) => f.valid == *v,
+        QueryExpr::Static(other) => unreachable!("not drawn: {other:?}"),
+        QueryExpr::And(subs) => subs.iter().all(|s| holds(s, name, f)),
+        QueryExpr::Or(subs) => subs.iter().any(|s| holds(s, name, f)),
+        QueryExpr::Not(sub) => !holds(sub, name, f),
+    }
+}
+
+/// Whether `q` holds a LIKE on the Int attribute `n`.
+fn ill_typed(q: &QueryExpr) -> bool {
+    match q {
+        QueryExpr::Attr(p) => p.name == "n" && p.op == AttrOp::Like,
+        QueryExpr::Static(_) => false,
+        QueryExpr::And(subs) | QueryExpr::Or(subs) => subs.iter().any(ill_typed),
+        QueryExpr::Not(sub) => ill_typed(sub),
+    }
+}
+
 /// The catalog agrees with an in-memory reference model under random
-/// create/delete/set/invalidate sequences, for both index profiles.
+/// create/delete/set/invalidate sequences, for both index profiles: its
+/// files, their attributes, and the answers of conjunctive and general
+/// boolean queries.
 #[test]
 fn catalog_matches_model() {
     check(TARGET, 40, |rng| {
         let ops = rng.vec(1..40, op);
+        let trees: Vec<QueryExpr> = (0..20).map(|_| tree(rng, 0)).collect();
         let a = admin();
         for profile in [IndexProfile::Paper2003, IndexProfile::ValueIndexed] {
             let m = catalog(profile);
@@ -129,6 +216,22 @@ fn catalog_matches_model() {
                     .collect();
                 expect.sort();
                 assert_eq!(hits, expect, "profile {:?} probe {}", profile, probe);
+            }
+            // every boolean query agrees with the model's filter, and an
+            // ill-typed leaf fails the query wherever it stands
+            for q in &trees {
+                let got = m.general_query(&a, q);
+                if ill_typed(q) {
+                    assert!(matches!(got, Err(McsError::BadAttribute(_))), "{profile:?} {q:?}");
+                    continue;
+                }
+                let mut expect: Vec<(String, i64)> = model
+                    .iter()
+                    .filter(|(name, f)| f.valid && holds(q, name, f))
+                    .map(|(name, _)| (name.clone(), 1))
+                    .collect();
+                expect.sort();
+                assert_eq!(got.unwrap(), expect, "profile {profile:?} query {q:?}");
             }
         }
     });

@@ -80,7 +80,13 @@
 #                      indexes on open
 #                      (old_two_column_typed_indexes_are_rebuilt_once_on_open),
 #                      the LIKE matcher tests, plan construction
-#                      and sorted-intersection unit tests, the
+#                      and sorted intersection, union and difference
+#                      unit tests, the general boolean query unit tests
+#                      (an ill-typed leaf fails as the conjunctive query
+#                      fails, whatever the data and its position), the
+#                      catalog against its reference model (files,
+#                      attributes, conjunctive and random boolean
+#                      queries, both profiles), the
 #                      plan-shape regressions (folded ranges, walks
 #                      bounded to the seed's id span and priced against
 #                      probes, dives stopped at their bound, perfbench's
@@ -239,6 +245,8 @@ case "$lane" in
     run -p mcs --test catalog_tests typed_value_indexes
     run -p relstore --lib like
     run -p mcs --lib plan
+    run -p mcs --lib general_query
+    run -p mcs --test proptests catalog_matches_model
     run -p mcs --test plan_shape
     run -p mcs-net --test planner_twin
     run -p mcs --test catalog_tests resolve_pass
