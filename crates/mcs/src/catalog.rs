@@ -423,9 +423,9 @@ impl Mcs {
     /// Execute one statement outside a transaction, in this handle's
     /// scope.
     pub(crate) fn exec(&self, p: &Prepared, params: &[Value]) -> Result<ExecResult> {
-        let (epoch, r) = self.db.execute_in(&self.ctx, p, params);
+        let (r, epoch) = self.db.execute_in(&self.ctx, p, params)?;
         self.note(epoch);
-        Ok(r?)
+        Ok(r)
     }
 
     /// [`Mcs::exec`] of SQL text.

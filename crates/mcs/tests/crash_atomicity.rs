@@ -363,7 +363,7 @@ fn batched_group_write_recovers_framed_prefix_under_any_truncation() {
 /// Determinism: commits are sequential (modes interleave, threads don't),
 /// the flusher's window is far longer than the test so it never writes on
 /// its own, and every write that does happen is forced synchronously by
-/// an `Always` direct append (drains the queue ahead of itself), a
+/// an `Always` commit (cuts the flusher's window short), a
 /// `Group` leader (the flusher yields its window to parked committers),
 /// or the final `sync_now`.
 #[test]

@@ -364,3 +364,57 @@ fn single_row_attribute_log_replays_like_a_multi_row_one() {
     drop(m);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// What a reopened catalog says about file `name`: its id and its
+/// attributes.
+fn file_and_attrs(m: &Mcs, admin: &Credential, name: &str) -> (i64, Vec<mcs::Attribute>) {
+    let id = m.get_file(admin, name).unwrap().id;
+    (id, m.get_attributes(admin, &ObjectRef::File(name.into())).unwrap())
+}
+
+/// A create that fails with `AlreadyExists` takes no file id: recovery,
+/// which never sees the failed create, gives the next file the id it had
+/// before the crash, so its attribute rows still point at it.
+#[test]
+fn failed_create_leaves_the_next_files_attributes_intact() {
+    let dir = tmpdir("failed-create");
+    let admin = Credential::new("/CN=admin");
+    let before = {
+        let m = open(&dir, &admin);
+        m.define_attribute(&admin, "ch", AttrType::Str, "").unwrap();
+        m.create_file(&admin, &FileSpec::named("a").attr("ch", "H1")).unwrap();
+        let again = m.create_file(&admin, &FileSpec::named("a").attr("ch", "H1"));
+        assert!(matches!(again, Err(mcs::McsError::AlreadyExists(_))), "{again:?}");
+        m.create_file(&admin, &FileSpec::named("b").attr("ch", "L1")).unwrap();
+        file_and_attrs(&m, &admin, "b")
+    }; // crash: no checkpoint
+    assert_eq!(before.1.len(), 1);
+    let m = open(&dir, &admin);
+    assert_eq!(file_and_attrs(&m, &admin, "b"), before);
+    drop(m);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint taken after the file with the highest id was deleted
+/// keeps the id counter where it was: the file created after it reopens
+/// with the id its attribute rows carry.
+#[test]
+fn checkpoint_after_delete_keeps_the_next_files_attributes_intact() {
+    let dir = tmpdir("ckpt-after-delete");
+    let admin = Credential::new("/CN=admin");
+    let before = {
+        let m = open(&dir, &admin);
+        m.define_attribute(&admin, "ch", AttrType::Str, "").unwrap();
+        m.create_file(&admin, &FileSpec::named("a").attr("ch", "H1")).unwrap();
+        m.create_file(&admin, &FileSpec::named("b").attr("ch", "H2")).unwrap();
+        m.delete_file(&admin, "b").unwrap();
+        m.database().checkpoint().unwrap();
+        m.create_file(&admin, &FileSpec::named("c").attr("ch", "L1")).unwrap();
+        file_and_attrs(&m, &admin, "c")
+    }; // crash: no checkpoint after the create
+    assert_eq!(before.1.len(), 1);
+    let m = open(&dir, &admin);
+    assert_eq!(file_and_attrs(&m, &admin, "c"), before);
+    drop(m);
+    std::fs::remove_dir_all(&dir).ok();
+}

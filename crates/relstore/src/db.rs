@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::error::{Error, Result};
 use crate::executor::{exec_statement, ExecResult, ResultSet};
-use crate::lock::{Access, BarrierMap};
+use crate::lock::{Access, BarrierMap, TransactionGuard};
 use crate::mvcc::{MvccState, SnapshotPin};
 use crate::row::{Row, RowId};
 use crate::sql::ast::Statement;
@@ -27,50 +27,28 @@ use crate::table::Table;
 use crate::txn::UndoLog;
 use crate::value::Value;
 
-/// Counters of executed statements, for the evaluation harness (the paper
-/// reports operation rates; these let the harness cross-check the driver).
-#[derive(Debug, Default)]
-pub struct Stats {
-    /// SELECT statements executed.
-    pub selects: AtomicU64,
-    /// INSERT statements executed.
-    pub inserts: AtomicU64,
-    /// UPDATE statements executed.
-    pub updates: AtomicU64,
-    /// DELETE statements executed.
-    pub deletes: AtomicU64,
-}
-
-impl Stats {
-    fn bump(&self, stmt: &Statement) {
-        match stmt {
-            Statement::Select(_) => &self.selects,
-            Statement::Insert { .. } => &self.inserts,
-            Statement::Update { .. } => &self.updates,
-            Statement::Delete { .. } => &self.deletes,
-            _ => return,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// When a committed transaction's WAL group must reach stable storage.
+/// When a commit's WAL group must reach the log — the one durability
+/// knob of every write, autocommit statement or transaction.
 ///
-/// Orthogonal to [`crate::wal::SyncPolicy`] (which governs autocommit
-/// statements): `Durability` decides how *transaction commits* pay for
-/// their sync. Both policies give the same guarantee — a transaction
-/// whose commit returned survives a crash — they differ only in who
-/// performs the `sync_data` call.
+/// Every commit enqueues its group on the commit queue
+/// ([`crate::group_commit`]); the policies differ in when the committer
+/// returns and how many commits share one write. Whether that write is
+/// also synced is [`crate::wal::SyncPolicy`]'s business.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
-    /// Every commit issues its own `sync_data` before returning.
+    /// The committer writes its own group — leading a batch of one, or
+    /// waiting for the leader whose batch holds it — *before* releasing
+    /// its table barriers, so nobody can read the commit before it is in
+    /// the log. One write (and under `EveryWrite` one sync) per commit.
+    /// It cuts any collection window short, as [`Database::sync_now`]
+    /// does.
     Always,
-    /// Commits pass through the group-commit queue
-    /// ([`crate::group_commit`]): a leader batches up to `max_batch`
-    /// concurrent commits, waiting at most `max_wait` for the batch to
-    /// fill, and syncs once for all of them. `max_wait` bounds added
-    /// commit latency; `max_batch` bounds the torn tail a crash can
-    /// discard (each group is still atomic on its own).
+    /// The committer releases its barriers once its group is enqueued,
+    /// then parks until a batch leader has written it: a leader batches
+    /// up to `max_batch` concurrent commits, waiting at most `max_wait`
+    /// for the batch to fill, and syncs once for all of them. `max_wait`
+    /// bounds added commit latency; `max_batch` bounds the torn tail a
+    /// crash can discard (each group is still atomic on its own).
     Group {
         /// How long a leader waits for more commits to join its batch.
         max_wait: Duration,
@@ -81,12 +59,13 @@ pub enum Durability {
     /// [`Durability::Group`] but return **immediately** with a commit
     /// epoch instead of parking; a background flusher (reusing the
     /// group-commit leader path) appends and syncs batches and publishes
-    /// the durable-epoch watermark. The committer learns its epoch via
-    /// [`Database::transaction_in`] and can turn the weak ack into a
-    /// durable one with [`Database::wait_for_epoch`] or
-    /// [`Database::sync_now`] — the paper's bulk-load clients batch
-    /// thousands of adds and only need one final barrier. What "acked"
-    /// does and does not promise is specified in DESIGN.md §7.2.
+    /// the durable-epoch watermark. The committer learns its epoch from
+    /// [`Database::transaction_in`] or [`Database::execute_in`] and can
+    /// turn the weak ack into a durable one with
+    /// [`Database::wait_for_epoch`] or [`Database::sync_now`] — the
+    /// paper's bulk-load clients batch thousands of adds and only need
+    /// one final barrier. What "acked" does and does not promise is
+    /// specified in DESIGN.md §7.2.
     Async {
         /// How long the flusher waits for more commits to join a batch
         /// (this bounds the durability lag of an isolated commit).
@@ -110,17 +89,18 @@ impl Default for Durability {
 #[derive(Debug, Default)]
 pub struct Database {
     tables: RwLock<BTreeMap<String, Arc<RwLock<Table>>>>,
-    /// Execution counters.
-    pub stats: Stats,
-    /// Write-ahead log, when the database was opened durably. While
-    /// attached, write statements serialize through this mutex so the log
-    /// order matches the execution order (replay correctness).
+    /// Write-ahead log, when the database was opened durably. Only the
+    /// commit-queue leader appends through it (checkpoint replaces it), so
+    /// log order is the queue's FIFO order.
     wal: Mutex<Option<crate::wal::WalWriter>>,
+    /// This database, for the async flusher thread; set when the log is
+    /// attached.
+    this: std::sync::OnceLock<std::sync::Weak<Database>>,
     durable_dir: RwLock<Option<PathBuf>>,
     /// Transaction-scope barriers layered above the per-table `RwLock`s;
     /// see [`crate::lock`].
     barriers: BarrierMap,
-    /// Transaction id allocator (journalled in Begin/Commit WAL frames).
+    /// Commit-group id allocator (journalled in Begin/Commit WAL frames).
     next_txn_id: AtomicU64,
     /// Cached "is a WAL attached" flag so hot paths skip the WAL mutex.
     durable: AtomicBool,
@@ -251,14 +231,6 @@ impl Database {
         self.mvcc_state.publish(epoch);
     }
 
-    /// Publish an epoch whose commit failed (MVCC only; no-op otherwise).
-    /// Every allocated epoch must reach the watermark or it stalls.
-    pub(crate) fn mvcc_publish(&self, epoch: u64) {
-        if self.mvcc {
-            self.mvcc_state.publish(epoch);
-        }
-    }
-
     /// Allocate a commit epoch for a write that does not go through the
     /// WAL epoch allocator (non-durable MVCC commits).
     pub(crate) fn alloc_local_epoch(&self) -> u64 {
@@ -343,7 +315,8 @@ impl Database {
         self.tables.read().values().map(|t| t.read().schema.name.clone()).collect()
     }
 
-    pub(crate) fn attach_wal(&self, writer: crate::wal::WalWriter, dir: PathBuf) {
+    pub(crate) fn attach_wal(self: &Arc<Self>, writer: crate::wal::WalWriter, dir: PathBuf) {
+        let _ = self.this.set(Arc::downgrade(self));
         *self.wal.lock() = Some(writer);
         *self.durable_dir.write() = Some(dir);
         self.durable.store(true, Ordering::Release);
@@ -388,6 +361,11 @@ impl Database {
 
     pub(crate) fn commit_queue(&self) -> &crate::group_commit::GroupCommitQueue {
         &self.group_queue
+    }
+
+    /// A weak handle of this database (dangling until a log is attached).
+    pub(crate) fn weak(&self) -> std::sync::Weak<Database> {
+        self.this.get().cloned().unwrap_or_default()
     }
 
     pub(crate) fn barriers(&self) -> &BarrierMap {
@@ -440,10 +418,7 @@ impl Database {
     }
 
     fn is_write(stmt: &Statement) -> bool {
-        !matches!(
-            stmt,
-            Statement::Select(_) | Statement::Begin | Statement::Commit | Statement::Rollback
-        )
+        !matches!(stmt, Statement::Select(_))
     }
 
     /// The tables a statement references, lowercased, sorted, deduped —
@@ -463,82 +438,150 @@ impl Database {
             Statement::CreateTable { name, .. } | Statement::DropTable { name, .. } => {
                 vec![name.to_ascii_lowercase()]
             }
-            Statement::Begin | Statement::Commit | Statement::Rollback => Vec::new(),
         };
         out.sort();
         out.dedup();
         out
     }
 
-    /// Execute a statement, logging writes ahead when durable. Takes the
-    /// shared barrier of every referenced table (`tables`: the statement's
-    /// table set, lowercased/sorted — precomputed so prepared statements
-    /// don't re-derive it per call) for the statement's duration, so
-    /// in-flight transactions' intermediate states are invisible
-    /// (re-entrant for the transaction's own thread).
+    /// Execute a statement outside any transaction, in `ctx` (`tables`:
+    /// the statement's table set, lowercased/sorted — precomputed so
+    /// prepared statements don't re-derive it per call).
+    ///
+    /// A SELECT takes the shared barrier of every table it reads (none
+    /// under MVCC, where it reads at `ctx`'s snapshot or one it pins), so
+    /// in-flight transactions' intermediate states are invisible to it
+    /// (re-entrant for the transaction's own thread). A write is a
+    /// one-statement claimed transaction: it takes its tables' barriers
+    /// exclusively and commits through [`Database::commit`] like any
+    /// other. It needs no undo log: the statement is atomic on its own.
     fn run_logged(
         &self,
+        ctx: &OpCtx,
         stmt: &Statement,
         tables: &[String],
         sql: &str,
         params: &[Value],
-        undo: Option<&mut crate::txn::UndoLog>,
-        at: Option<&SnapshotPin>,
-    ) -> (u64, Result<ExecResult>) {
-        self.stats.bump(stmt);
-        // MVCC: a SELECT takes no barrier at all — it reads at the
-        // caller's snapshot (or pins one) and visibility-filters version
-        // chains. Writers below keep the shared statement guard, which
-        // serializes them against claimed transactions' exclusive
-        // barriers.
-        if self.mvcc && matches!(stmt, Statement::Select(_)) {
-            let own = if at.is_none() { self.pin_snapshot() } else { None };
-            return (0, exec_statement(self, stmt, params, undo, at.or(own.as_ref())));
-        }
-        let _stmt_barriers = self.barriers.statement_guard(tables);
-        if Self::is_write(stmt) {
-            let mut wal = self.wal.lock();
-            if let Some(w) = wal.as_mut() {
-                // drain queued commit groups ahead of this record: they
-                // executed before us (their barriers preceded ours), so
-                // they must precede us in the log too
-                let epoch = match self.append_after_queue(w, |w| w.append(sql, params)) {
-                    Ok(epoch) => epoch,
-                    Err(e) => return (0, Err(e)),
-                };
-                // hold the lock across execution so log order == exec order
-                let r = exec_statement(self, stmt, params, undo, None);
-                if r.is_ok() {
-                    self.bump_table_versions(tables);
-                }
-                if self.mvcc {
-                    // Stamp + publish even on Err: a failed statement
-                    // rolled its rows back internally (the stamp is a
-                    // no-op) but the allocated epoch must still reach the
-                    // watermark.
-                    self.mvcc_commit(tables, epoch);
-                }
-                return (epoch, r);
+    ) -> Result<(ExecResult, u64)> {
+        if !Self::is_write(stmt) {
+            if self.mvcc {
+                let own = if ctx.snapshot.is_none() { self.pin_snapshot() } else { None };
+                let at = ctx.snapshot.as_ref().or(own.as_ref());
+                return Ok((exec_statement(self, stmt, params, None, at)?, 0));
             }
-            drop(wal);
-            let r = exec_statement(self, stmt, params, undo, None);
-            if r.is_ok() {
-                self.bump_table_versions(tables);
-                if self.mvcc {
-                    let epoch = self.alloc_local_epoch();
-                    self.mvcc_commit(tables, epoch);
-                }
-            }
-            return (0, r);
+            let _barriers = self.barriers.statement_guard(tables);
+            return Ok((exec_statement(self, stmt, params, None, None)?, 0));
         }
-        (0, exec_statement(self, stmt, params, undo, at))
+        self.log_usable()?;
+        let claims: Vec<(&str, Access)> =
+            tables.iter().map(|t| (t.as_str(), Access::Write)).collect();
+        let barriers = self.barriers.transaction_guard(&claims)?;
+        let r = exec_statement(self, stmt, params, None, None)?;
+        self.bump_table_versions(tables);
+        let epoch = self.commit(ctx.durability, Some(barriers), tables, &[(sql, params)])?;
+        Ok((r, epoch))
+    }
+
+    /// Commit a unit — an autocommit write or a transaction — whose writes
+    /// are applied and whose claimed `barriers` are still held: the one
+    /// commit path. `records` (the unit's write statements) go to the
+    /// commit queue as one `Begin, Stmt…, Commit` group, whose log
+    /// position the FIFO queue fixes at the enqueue; under MVCC the row
+    /// stamps of `touched` convert to the group's epoch. Returns that
+    /// epoch (0 when nothing was logged).
+    ///
+    /// Once the group is enqueued no conflicting unit can reach the log
+    /// ahead of it, so a `Group` or `Async` commit releases its barriers
+    /// right away — the next writer of these tables executes while the
+    /// batch leader is in `sync_data`, which is what lets serialized
+    /// workloads share fsyncs. An `Always` commit writes its group first.
+    /// A failed write leaves the unit's effects applied in memory (there
+    /// is no undo past a commit); the next checkpoint folds them into the
+    /// snapshot.
+    fn commit(
+        &self,
+        durability: Option<Durability>,
+        barriers: Option<TransactionGuard>,
+        touched: &[String],
+        records: &[(&str, &[Value])],
+    ) -> Result<u64> {
+        if records.is_empty() || !self.is_durable() {
+            // Non-durable commits still need an epoch: the writes are
+            // applied and their stamps must become visible. Nothing
+            // touched means nothing stamped — skip the allocation, no
+            // epoch exists here to leak.
+            if self.mvcc && !touched.is_empty() {
+                let epoch = self.alloc_local_epoch();
+                self.mvcc_commit(touched, epoch);
+            }
+            return Ok(0);
+        }
+        let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let group = crate::wal::WalWriter::encode_transaction(txn_id, records);
+        let durability = durability.unwrap_or_else(|| self.durability());
+        let (ticket, epoch) = self.group_enqueue(group, durability);
+        // Every allocated epoch must publish, also over zero touched
+        // tables, or the visibility watermark stalls behind the gap.
+        let stamp = || {
+            if self.mvcc {
+                self.mvcc_commit(touched, epoch);
+            }
+        };
+        match durability {
+            Durability::Always => {
+                let written = self.group_commit_now(ticket);
+                stamp();
+                drop(barriers);
+                written.map(|()| epoch)
+            }
+            Durability::Group { max_wait, max_batch } => {
+                stamp();
+                drop(barriers);
+                self.group_commit_wait(ticket, max_wait, max_batch).map(|()| epoch)
+            }
+            Durability::Async { max_wait, max_batch } => {
+                stamp();
+                drop(barriers);
+                self.ensure_flusher(max_wait, max_batch);
+                Ok(epoch)
+            }
+        }
+    }
+
+    /// Refuse a write up front once the log has failed: a poisoned writer
+    /// takes no commit until a checkpoint rebuilds the log, and a write
+    /// applied now could not be logged.
+    fn log_usable(&self) -> Result<()> {
+        match self.epoch_gate().failure() {
+            None => Ok(()),
+            Some(msg) => Err(Error::ExecError(format!(
+                "the log failed ({msg}); checkpoint to rebuild it"
+            ))),
+        }
+    }
+
+    /// Replay one WAL record at open, before the log is attached. A
+    /// statement of a committed group ran once already and must apply
+    /// again. A `bare` record of an older log was logged before it ran,
+    /// so it replays as it first ran: it may fail, and a failure keeps
+    /// the AUTO_INCREMENT values it drew.
+    pub(crate) fn replay(&self, sql: &str, params: &[Value], bare: bool) -> Result<()> {
+        let stmt = parse(sql)?;
+        let tables = Self::stmt_tables(&stmt);
+        if bare {
+            crate::executor::exec_bare(self, &stmt, params)?;
+        } else {
+            exec_statement(self, &stmt, params, None, None)?;
+        }
+        self.bump_table_versions(&tables);
+        self.commit(None, None, &tables, &[]).map(drop)
     }
 
     /// Parse and execute one statement outside any transaction.
     pub fn execute(&self, sql: &str, params: &[Value]) -> Result<ExecResult> {
         let stmt = parse(sql)?;
         let tables = Self::stmt_tables(&stmt);
-        self.run_logged(&stmt, &tables, sql, params, None, None).1
+        self.run_logged(&OpCtx::default(), &stmt, &tables, sql, params).map(|(r, _)| r)
     }
 
     /// Shorthand for `execute` returning the result set of a SELECT.
@@ -585,33 +628,21 @@ impl Database {
 
     /// Execute a prepared statement.
     pub fn execute_prepared(&self, p: &Prepared, params: &[Value]) -> Result<ExecResult> {
-        self.execute_in(&OpCtx::default(), p, params).1
+        self.execute_in(&OpCtx::default(), p, params).map(|(r, _)| r)
     }
 
     /// Execute a prepared statement outside any transaction, in `ctx`: a
-    /// SELECT reads at its snapshot. Returns the commit epoch of the
-    /// statement's WAL record beside the result — also when the
-    /// statement failed after it was logged — or 0 when nothing was
-    /// logged.
+    /// SELECT reads at its snapshot, and a write commits under its
+    /// durability override. Returns the write's commit epoch beside the
+    /// result (0 for a SELECT, or when nothing was logged). A statement
+    /// that fails changes nothing and logs nothing.
     pub fn execute_in(
         &self,
         ctx: &OpCtx,
         p: &Prepared,
         params: &[Value],
-    ) -> (u64, Result<ExecResult>) {
-        self.run_logged(&p.stmt, &p.tables, &p.text, params, None, ctx.snapshot.as_ref())
-    }
-
-    /// Open a session (connection) with transaction support.
-    pub fn session(self: &Arc<Self>) -> Session {
-        Session {
-            db: Arc::clone(self),
-            txn: None,
-            pending_log: Vec::new(),
-            allowed: None,
-            txn_id: 0,
-            snapshot: None,
-        }
+    ) -> Result<(ExecResult, u64)> {
+        self.run_logged(ctx, &p.stmt, &p.tables, &p.text, params)
     }
 
     /// Run `f` as one atomic transaction over the tables named in
@@ -626,13 +657,14 @@ impl Database {
     ///
     /// On `Ok` the transaction commits: its writes become visible and are
     /// journalled to the WAL as a single atomic group (crash recovery
-    /// replays all of them or none). On `Err` every write is rolled back.
+    /// replays all of them or none). On `Err` every write is rolled back,
+    /// AUTO_INCREMENT counters included.
     ///
     /// Rules inside the closure:
     ///
     /// * All **writes** must go through the provided [`Session`]; a write
-    ///   through a plain [`Database`] handle would bypass undo and commit
-    ///   journalling.
+    ///   through the [`Database`] handle is a transaction of its own,
+    ///   which fails on a table this one claimed.
     /// * Statements may only touch claimed tables ([`Error::TxnState`]
     ///   otherwise); reads of claimed tables may use either the session or
     ///   the `Database` handle (barrier acquisition is re-entrant).
@@ -689,6 +721,9 @@ impl Database {
         // writer-vs-writer only now, and its reads see latest state, which
         // its exclusive coverage keeps stable.
         let pure_read = norm.iter().all(|(_, a)| *a == Access::Read);
+        if !pure_read {
+            self.log_usable().map_err(E::from)?;
+        }
         let barriers = if self.mvcc && pure_read {
             None
         } else if self.mvcc {
@@ -698,37 +733,29 @@ impl Database {
         } else {
             Some(self.barriers.transaction_guard(&norm).map_err(E::from)?)
         };
-        let mut session = self.session();
+        let mut session = Session {
+            db: Arc::clone(self),
+            undo: UndoLog::default(),
+            pending_log: Vec::new(),
+            allowed: norm.into_iter().map(|(n, _)| n.into_owned()).collect(),
+            snapshot: None,
+        };
         if self.mvcc && pure_read {
             session.snapshot = ctx.snapshot.clone().or_else(|| self.pin_snapshot());
         }
-        session.begin().map_err(E::from)?;
-        session.allowed = Some(norm.into_iter().map(|(n, _)| n.into_owned()).collect());
-        let result = f(&mut session);
-        match result {
-            Ok(v) => match session.commit_publish(ctx.durability) {
-                // The group is enqueued: its log position can no longer be
-                // reordered against any conflicting write (later grouped
-                // commits queue behind it; later direct appends drain the
-                // queue first — see `Database::append_after_queue`), so
-                // the barriers may drop before the sync — the next writer
-                // of these tables executes while the batch leader is in
-                // `sync_data`, which is what lets serialized workloads
-                // share fsyncs. Durability still gates the return.
-                Ok((epoch, Some(pending))) => {
-                    drop(barriers);
-                    pending.finish().map_err(E::from)?;
-                    Ok((v, epoch))
-                }
-                Ok((epoch, None)) => {
-                    drop(barriers);
-                    Ok((v, epoch))
-                }
-                Err(e) => {
-                    drop(barriers);
-                    Err(E::from(e))
-                }
-            },
+        match f(&mut session) {
+            Ok(v) => {
+                // MVCC: the tables whose pending row stamps convert to the
+                // commit's epoch.
+                let touched = if self.mvcc { session.undo.touched_tables() } else { Vec::new() };
+                let records: Vec<(&str, &[Value])> = session
+                    .pending_log
+                    .iter()
+                    .map(|(sql, p)| (sql.as_str(), p.as_slice()))
+                    .collect();
+                let epoch = self.commit(ctx.durability, barriers, &touched, &records);
+                Ok((v, epoch.map_err(E::from)?))
+            }
             Err(e) => {
                 // Preserve the original error even if rollback also fails.
                 let _ = session.rollback();
@@ -794,41 +821,17 @@ fn split_statements(script: &str) -> Vec<String> {
     out
 }
 
-/// A commit whose WAL group is enqueued (log position fixed) but whose
-/// durability has not yet been paid. Produced by `Session::commit_publish`
-/// under [`Durability::Group`]; `finish` parks on the commit queue until a
-/// batch leader has synced the group.
-pub(crate) struct PendingCommit {
-    db: Arc<Database>,
-    ticket: u64,
-    max_wait: std::time::Duration,
-    max_batch: usize,
-}
-
-impl PendingCommit {
-    pub(crate) fn finish(self) -> Result<()> {
-        self.db.group_commit_wait(self.ticket, self.max_wait, self.max_batch)
-    }
-}
-
-/// A connection-like handle supporting BEGIN/COMMIT/ROLLBACK.
-///
-/// Isolation is per-statement (table-level locks are held only for the
-/// duration of each statement); the transaction provides atomicity via
-/// undo, not serializability — see [`crate::txn`].
+/// The handle a [`Database::transaction`] closure runs its statements
+/// through: every statement is checked against the claimed tables, and
+/// writes are recorded for rollback and for the commit's WAL group.
 pub struct Session {
     db: Arc<Database>,
-    txn: Option<UndoLog>,
-    /// Writes made inside the open transaction, logged to the WAL only at
-    /// COMMIT so a rolled-back transaction never replays.
+    undo: UndoLog,
+    /// Writes made in the transaction, logged to the WAL only at commit
+    /// so a rolled-back transaction never replays.
     pending_log: Vec<(String, Vec<Value>)>,
-    /// When the transaction was opened via [`Database::transaction`], the
-    /// claimed table set (lowercased, sorted); every statement is checked
-    /// against it. `None` for plain `BEGIN` sessions (legacy mode, no
-    /// barrier isolation).
-    allowed: Option<Vec<String>>,
-    /// Id journalled in the transaction's Begin/Commit WAL frames.
-    txn_id: u64,
+    /// The claimed table set (lowercased, sorted).
+    allowed: Vec<String>,
     /// The snapshot a pure-read transaction on an MVCC database reads at.
     snapshot: Option<SnapshotPin>,
 }
@@ -839,188 +842,14 @@ impl Session {
         &self.db
     }
 
-    /// True if a transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.txn.is_some()
-    }
-
-    /// Begin a transaction. Nested transactions are rejected.
-    pub fn begin(&mut self) -> Result<()> {
-        if self.txn.is_some() {
-            return Err(Error::TxnState("transaction already open".into()));
-        }
-        self.txn = Some(UndoLog::default());
-        self.txn_id = self.db.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1;
-        Ok(())
-    }
-
-    /// Commit: discard the undo log and journal the transaction's writes
-    /// to the write-ahead log as one `Begin, Stmt…, Commit` group — a
-    /// single buffered write, and crash recovery replays the group
-    /// all-or-nothing. Under [`Durability::Always`] the commit syncs the
-    /// log itself; under [`Durability::Group`] it hands the encoded group
-    /// to the commit queue and returns once a batch leader has synced it
-    /// (see [`crate::group_commit`]).
-    pub fn commit(&mut self) -> Result<()> {
-        match self.commit_publish(None)? {
-            (_, None) => Ok(()),
-            (_, Some(wait)) => wait.finish(),
-        }
-    }
-
-    /// First half of a commit: close the transaction and fix the group's
-    /// position in the log. Under [`Durability::Always`] this performs the
-    /// whole append-and-sync and returns `None`; under
-    /// [`Durability::Group`] it enqueues the encoded group (the commit
-    /// queue is FIFO, so the log position is now decided) and returns the
-    /// pending wait, which the caller finishes with
-    /// [`PendingCommit::finish`] — crucially, *after* releasing the
-    /// transaction's barriers, so the next conflicting transaction can
-    /// execute and join the batch while this one's sync is in flight.
-    /// `durability` overrides the database-wide policy; the group's
-    /// commit epoch comes back first (0 when nothing was logged).
-    pub(crate) fn commit_publish(
-        &mut self,
-        durability: Option<Durability>,
-    ) -> Result<(u64, Option<PendingCommit>)> {
-        let txn =
-            self.txn.take().ok_or_else(|| Error::TxnState("no open transaction".into()))?;
-        // MVCC: the tables whose pending row stamps this commit must
-        // convert to its epoch (captured before the undo log is dropped).
-        // `Some` even when the undo log is empty — a statement can journal
-        // to the WAL yet match zero rows, and the durable arms below
-        // allocate an epoch at the log append either way; every allocated
-        // epoch must publish or the visibility watermark stalls behind
-        // the gap (`mvcc_commit` over zero tables is just the publish).
-        let mvcc_touched: Option<Vec<String>> =
-            self.db.is_mvcc().then(|| txn.touched_tables());
-        drop(txn);
-        self.allowed = None;
-        let records = std::mem::take(&mut self.pending_log);
-        if records.is_empty() || !self.db.is_durable() {
-            // Non-durable commits still need an epoch: the writes are
-            // applied and their stamps must become visible. Nothing
-            // touched means nothing stamped — skip the allocation, no
-            // epoch exists here to leak.
-            if let Some(tables) = mvcc_touched.as_ref().filter(|t| !t.is_empty()) {
-                let epoch = self.db.alloc_local_epoch();
-                self.db.mvcc_commit(tables, epoch);
-            }
-            return Ok((0, None));
-        }
-        match durability.unwrap_or_else(|| self.db.durability()) {
-            Durability::Always => {
-                let txn_id = self.txn_id;
-                let mut wal = self.db.wal_lock();
-                if let Some(w) = wal.as_mut() {
-                    // A runtime flip from `Group` to `Always` can leave
-                    // groups in the commit queue; they must reach the log
-                    // before this (later-executed) transaction.
-                    match self.db.append_after_queue(w, |w| {
-                        w.append_transaction(txn_id, &records)
-                    }) {
-                        Ok(epoch) => {
-                            if let Some(tables) = &mvcc_touched {
-                                self.db.mvcc_commit(tables, epoch);
-                            }
-                            return Ok((epoch, None));
-                        }
-                        Err(e) => {
-                            // A failed append leaves the in-memory writes
-                            // applied (commit errors don't undo — same as
-                            // the barrier engine), so their stamps must
-                            // still become visible under a fresh epoch.
-                            // The failed epoch itself was published inside
-                            // `append_after_queue`.
-                            if let Some(tables) =
-                                mvcc_touched.as_ref().filter(|t| !t.is_empty())
-                            {
-                                let epoch = self.db.alloc_local_epoch();
-                                self.db.mvcc_commit(tables, epoch);
-                            }
-                            return Err(e);
-                        }
-                    }
-                } else if let Some(tables) = mvcc_touched.as_ref().filter(|t| !t.is_empty()) {
-                    let epoch = self.db.alloc_local_epoch();
-                    self.db.mvcc_commit(tables, epoch);
-                }
-                Ok((0, None))
-            }
-            Durability::Group { max_wait, max_batch } => {
-                let group = crate::wal::WalWriter::encode_transaction(self.txn_id, &records);
-                let (ticket, epoch) = self.db.group_enqueue(group, true);
-                // Visibility before durability, matching the existing
-                // Group semantics (barriers drop before the sync): the
-                // log position is fixed, so stamp and publish now.
-                if let Some(tables) = &mvcc_touched {
-                    self.db.mvcc_commit(tables, epoch);
-                }
-                let pending =
-                    PendingCommit { db: Arc::clone(&self.db), ticket, max_wait, max_batch };
-                Ok((epoch, Some(pending)))
-            }
-            Durability::Async { max_wait, max_batch } => {
-                // Same enqueue as `Group` (log position fixed, FIFO), but
-                // nobody parks: the caller gets the commit epoch back
-                // from `commit_publish` and a background flusher
-                // pays the durability later. `wants_result = false` keeps
-                // the results map from accumulating entries no one reads.
-                let group = crate::wal::WalWriter::encode_transaction(self.txn_id, &records);
-                let (_, epoch) = self.db.group_enqueue(group, false);
-                if let Some(tables) = &mvcc_touched {
-                    self.db.mvcc_commit(tables, epoch);
-                }
-                self.db.ensure_flusher(max_wait, max_batch);
-                Ok((epoch, None))
-            }
-        }
-    }
-
-    /// Roll back: apply the undo log in reverse; buffered WAL records are
-    /// discarded unlogged.
-    pub fn rollback(&mut self) -> Result<()> {
-        let log =
-            self.txn.take().ok_or_else(|| Error::TxnState("no open transaction".into()))?;
-        self.allowed = None;
-        self.pending_log.clear();
-        // Undo mutates the touched tables back to their old contents, so
-        // their write versions must advance too (a cache entry filled from
-        // the pre-rollback state would otherwise validate against the
-        // restored state). Bump after the undo is applied, while a claimed
-        // transaction's barriers are still held by the caller.
-        let touched = log.touched_tables();
-        let r = log.rollback();
-        self.db.bump_table_versions(&touched);
-        r
-    }
-
-    /// Parse and execute one statement in this session. BEGIN/COMMIT/
-    /// ROLLBACK are handled here; writes inside a transaction are recorded
-    /// for rollback.
+    /// Parse and execute one statement in this transaction.
     pub fn execute(&mut self, sql: &str, params: &[Value]) -> Result<ExecResult> {
         let stmt = parse(sql)?;
-        match stmt {
-            Statement::Begin => {
-                self.begin()?;
-                Ok(ExecResult::default())
-            }
-            Statement::Commit => {
-                self.commit()?;
-                Ok(ExecResult::default())
-            }
-            Statement::Rollback => {
-                self.rollback()?;
-                Ok(ExecResult::default())
-            }
-            other => {
-                let tables = Database::stmt_tables(&other);
-                self.run(&other, &tables, sql, params)
-            }
-        }
+        let tables = Database::stmt_tables(&stmt);
+        self.run(&stmt, &tables, sql, params)
     }
 
-    /// Execute a prepared statement in this session.
+    /// Execute a prepared statement in this transaction.
     pub fn execute_prepared(&mut self, p: &Prepared, params: &[Value]) -> Result<ExecResult> {
         self.run(&p.stmt, &p.tables, &p.text, params)
     }
@@ -1032,61 +861,40 @@ impl Session {
         sql: &str,
         params: &[Value],
     ) -> Result<ExecResult> {
-        let claimed = self.txn.is_some() && self.allowed.is_some();
-        if claimed {
-            // a claimed transaction may only touch its declared tables —
-            // touching any other would bypass the barriers acquired at
-            // begin and could deadlock or see/expose unstable state
-            let allowed = self.allowed.as_ref().unwrap();
-            for t in tables {
-                if !allowed.contains(t) {
-                    return Err(Error::TxnState(format!(
-                        "table '{t}' not declared by this transaction"
-                    )));
-                }
-            }
+        // a transaction may only touch its claimed tables — touching any
+        // other would bypass the barriers acquired at its start and could
+        // deadlock or see/expose unstable state
+        if let Some(t) = tables.iter().find(|t| !self.allowed.contains(t)) {
+            return Err(Error::TxnState(format!("table '{t}' not declared by this transaction")));
         }
-        if self.txn.is_some() && Database::is_write(stmt) {
-            // inside a transaction: execute with undo, buffer the log
-            // record for commit time (only when a WAL will consume it)
-            self.db.stats.bump(stmt);
-            let r = exec_statement(&self.db, stmt, params, self.txn.as_mut(), None)?;
-            // bump while the transaction's exclusive barriers (claimed
-            // mode) still hide the write; bump-before-visible only causes
-            // spurious cache misses, never stale hits
-            self.db.bump_table_versions(tables);
-            if self.db.is_durable() {
-                self.pending_log.push((sql.to_owned(), params.to_vec()));
-            }
-            Ok(r)
-        } else if claimed {
-            // a claimed transaction's reads: its barriers already cover
-            // every table checked above, so the statement-scope acquire
-            // would be a pure re-entrant no-op — skip it
-            self.db.stats.bump(stmt);
-            exec_statement(&self.db, stmt, params, self.txn.as_mut(), self.snapshot.as_ref())
-        } else {
-            self.db.run_logged(stmt, tables, sql, params, self.txn.as_mut(), None).1
+        if !Database::is_write(stmt) {
+            // its barriers already cover every table checked above, so
+            // the statement-scope acquire would be a re-entrant no-op
+            return exec_statement(&self.db, stmt, params, None, self.snapshot.as_ref());
         }
+        let r = exec_statement(&self.db, stmt, params, Some(&mut self.undo), None)?;
+        // bump while the transaction's exclusive barriers still hide the
+        // write; bump-before-visible only causes spurious cache misses,
+        // never stale hits
+        self.db.bump_table_versions(tables);
+        if self.db.is_durable() {
+            self.pending_log.push((sql.to_owned(), params.to_vec()));
+        }
+        Ok(r)
     }
 
-    /// Run `f` inside a transaction: commit on `Ok`, roll back on `Err`.
-    pub fn with_transaction<T>(
-        &mut self,
-        f: impl FnOnce(&mut Session) -> Result<T>,
-    ) -> Result<T> {
-        self.begin()?;
-        match f(self) {
-            Ok(v) => {
-                self.commit()?;
-                Ok(v)
-            }
-            Err(e) => {
-                // Preserve the original error even if rollback also fails.
-                let _ = self.rollback();
-                Err(e)
-            }
-        }
+    /// Apply the undo log in reverse; the buffered WAL records are
+    /// discarded unlogged.
+    fn rollback(self) -> Result<()> {
+        // Undo mutates the touched tables back to their old contents, so
+        // their write versions must advance too (a cache entry filled from
+        // the pre-rollback state would otherwise validate against the
+        // restored state). Bump after the undo is applied, while the
+        // transaction's barriers are still held by the caller.
+        let touched = self.undo.touched_tables();
+        let r = self.undo.rollback();
+        self.db.bump_table_versions(&touched);
+        r
     }
 }
 
@@ -1244,13 +1052,15 @@ mod tests {
     #[test]
     fn session_rollback_restores_rows() {
         let db = db();
-        let mut s = db.session();
-        s.execute("INSERT INTO files (name) VALUES ('keep')", &[]).unwrap();
-        s.execute("BEGIN", &[]).unwrap();
-        s.execute("INSERT INTO files (name) VALUES ('tmp')", &[]).unwrap();
-        s.execute("UPDATE files SET size = 5 WHERE name = 'keep'", &[]).unwrap();
-        s.execute("DELETE FROM files WHERE name = 'keep'", &[]).unwrap();
-        s.execute("ROLLBACK", &[]).unwrap();
+        db.execute("INSERT INTO files (name) VALUES ('keep')", &[]).unwrap();
+        let r: std::result::Result<(), Error> =
+            db.transaction(&[("files", Access::Write)], |s| {
+                s.execute("INSERT INTO files (name) VALUES ('tmp')", &[])?;
+                s.execute("UPDATE files SET size = 5 WHERE name = 'keep'", &[])?;
+                s.execute("DELETE FROM files WHERE name = 'keep'", &[])?;
+                Err(Error::ExecError("roll back".into()))
+            });
+        assert!(r.is_err());
         let rs = db.query("SELECT name, size FROM files", &[]).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::from("keep"), Value::Null]]);
     }
@@ -1258,36 +1068,74 @@ mod tests {
     #[test]
     fn session_commit_keeps_rows() {
         let db = db();
-        let mut s = db.session();
-        s.with_transaction(|s| {
+        db.transaction(&[("files", Access::Write)], |s| {
             s.execute("INSERT INTO files (name) VALUES ('x')", &[])?;
-            Ok(())
+            Ok::<_, Error>(())
         })
         .unwrap();
         assert_eq!(db.query("SELECT COUNT(*) FROM files", &[]).unwrap().rows[0][0], Value::Int(1));
     }
 
+    /// The closure's error comes back as it was, and its writes are gone.
     #[test]
     fn with_transaction_rolls_back_on_error() {
         let db = db();
-        let mut s = db.session();
-        let r: Result<()> = s.with_transaction(|s| {
+        let r: Result<()> = db.transaction(&[("files", Access::Write)], |s| {
             s.execute("INSERT INTO files (name) VALUES ('x')", &[])?;
             Err(Error::ExecError("boom".into()))
         });
-        assert!(r.is_err());
-        assert!(!s.in_transaction());
+        assert!(matches!(r, Err(Error::ExecError(m)) if m == "boom"));
         assert_eq!(db.query("SELECT COUNT(*) FROM files", &[]).unwrap().rows[0][0], Value::Int(0));
     }
 
+    /// Inside a transaction's closure, a second transaction on a claimed
+    /// table and a write to it through the database handle (itself a
+    /// one-statement transaction) are both rejected; reads through the
+    /// handle are not.
     #[test]
     fn txn_state_errors() {
         let db = db();
-        let mut s = db.session();
-        assert!(s.commit().is_err());
-        assert!(s.rollback().is_err());
-        s.begin().unwrap();
-        assert!(s.begin().is_err());
+        let r = db.transaction(&[("files", Access::Write)], |s| {
+            let nested =
+                s.database().transaction(&[("files", Access::Read)], |_| Ok::<_, Error>(()));
+            assert!(matches!(nested, Err(Error::TxnState(_))), "{nested:?}");
+            let write = s.database().execute("INSERT INTO files (name) VALUES ('x')", &[]);
+            assert!(matches!(write, Err(Error::TxnState(_))), "{write:?}");
+            s.database().query("SELECT COUNT(*) FROM files", &[]).map(drop)
+        });
+        r.unwrap();
+        assert_eq!(db.query("SELECT COUNT(*) FROM files", &[]).unwrap().rows[0][0], Value::Int(0));
+    }
+
+    /// A statement that fails, also a multi-row INSERT that fails on a
+    /// later row, and a transaction that rolls back take no AUTO_INCREMENT
+    /// value: the next insert draws the id it would have drawn without them.
+    #[test]
+    fn failed_statements_and_rollbacks_take_no_ids() {
+        let db = db();
+        let next_id = |name: &str| {
+            db.execute("INSERT INTO files (name) VALUES (?)", &[name.into()])
+                .unwrap()
+                .last_insert_id
+                .unwrap()
+        };
+        assert_eq!(next_id("a"), 1);
+        assert!(db.execute("INSERT INTO files (name) VALUES ('a')", &[]).is_err());
+        assert!(db.execute("INSERT INTO files (name) VALUES ('b'), ('c'), ('a')", &[]).is_err());
+        assert_eq!(next_id("b"), 2);
+        let r: std::result::Result<(), Error> =
+            db.transaction(&[("files", Access::Write), ("attrs", Access::Write)], |s| {
+                s.execute("INSERT INTO files (name) VALUES ('c'), ('d')", &[])?;
+                s.execute("INSERT INTO attrs (file_id, name) VALUES (3, 'x')", &[])?;
+                // a failed statement inside the transaction gives its id back too
+                assert!(s.execute("INSERT INTO files (name) VALUES ('a')", &[]).is_err());
+                s.execute("INSERT INTO files (name) VALUES ('e')", &[])?;
+                Err(Error::ExecError("abort".into()))
+            });
+        assert!(r.is_err());
+        assert_eq!(next_id("c"), 3);
+        let attr = db.execute("INSERT INTO attrs (file_id, name) VALUES (3, 'x')", &[]).unwrap();
+        assert_eq!(attr.last_insert_id, Some(1));
     }
 
     #[test]
@@ -1516,15 +1364,6 @@ mod tests {
         assert!(matches!(r, Err(Error::TxnState(_))));
     }
 
-    #[test]
-    fn stats_count_statements() {
-        let db = db();
-        db.execute("INSERT INTO files (name) VALUES ('a')", &[]).unwrap();
-        db.query("SELECT * FROM files", &[]).unwrap();
-        assert_eq!(db.stats.inserts.load(Ordering::Relaxed), 1);
-        assert_eq!(db.stats.selects.load(Ordering::Relaxed), 1);
-    }
-
     fn mvcc_db() -> Arc<Database> {
         let db = Arc::new(Database::new_mvcc());
         db.execute_script(
@@ -1606,7 +1445,7 @@ mod tests {
             let count = db2.prepare("SELECT COUNT(*) FROM files").unwrap();
             let at = |pin| {
                 let ctx = OpCtx { snapshot: Some(pin), ..OpCtx::default() };
-                db2.execute_in(&ctx, &count, &[]).1.unwrap().rows.unwrap().rows[0][0].clone()
+                db2.execute_in(&ctx, &count, &[]).unwrap().0.rows.unwrap().rows[0][0].clone()
             };
             assert_eq!(at(before), Value::Int(1));
             assert_eq!(at(after), Value::Int(2));

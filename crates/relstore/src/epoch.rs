@@ -1,16 +1,14 @@
 //! Commit epochs and the durable-epoch watermark backing
 //! [`Durability::Async`](crate::db::Durability::Async).
 //!
-//! Every unit that enters the write-ahead log — an autocommit statement,
-//! an `Always` commit, a `Group` commit, an `Async` commit — is assigned a
-//! **commit epoch** from a single per-database counter at the moment its
-//! log position becomes fixed: a queued group takes its epoch under the
-//! commit-queue lock as it is enqueued, and a direct append takes its
-//! epoch inside the same queue-lock critical section in which it drains
-//! the queue (while holding the WAL mutex). Because both allocation points
-//! coincide with log-position assignment, **epoch order equals log
-//! order**: if `e1 < e2` then `e1`'s bytes precede `e2`'s in the log, and
-//! recovery can never replay `e2` without `e1`.
+//! Every unit that enters the write-ahead log — an autocommit write or a
+//! transaction, under any [`Durability`](crate::db::Durability) — is
+//! assigned a **commit epoch** from a single per-database counter at the
+//! moment its log position becomes fixed: as its group is enqueued, under
+//! the commit-queue lock. The queue is FIFO and its leaders write it in
+//! order, so **epoch order equals log order**: if `e1 < e2` then `e1`'s
+//! bytes precede `e2`'s in the log, and recovery can never replay `e2`
+//! without `e1`.
 //!
 //! The [`EpochGate`] publishes the **durable epoch**: the largest epoch
 //! whose bytes have been flushed (and, under
@@ -82,6 +80,11 @@ impl EpochGate {
         st.durable = st.durable.max(epoch);
         st.failed = None;
         self.cond.notify_all();
+    }
+
+    /// The failure that stopped the log, if any (cleared by checkpoint).
+    pub(crate) fn failure(&self) -> Option<String> {
+        self.lock().failed.clone()
     }
 
     /// Current watermark.

@@ -51,16 +51,35 @@ pub struct ExecResult {
     pub rows: Option<ResultSet>,
 }
 
-/// Execute a parsed statement. `undo`, when present, records inverse
-/// operations for rollback; a SELECT reads at snapshot `at` (the latest
-/// images when `None`). BEGIN/COMMIT/ROLLBACK are session-level and
-/// rejected here.
+/// Execute a parsed statement atomically: a statement that fails leaves
+/// its table as it found it, AUTO_INCREMENT counters included. `undo`,
+/// when present, records inverse operations for rollback; a SELECT reads
+/// at snapshot `at` (the latest images when `None`).
 pub(crate) fn exec_statement(
+    db: &Database,
+    stmt: &Statement,
+    params: &[Value],
+    undo: Option<&mut UndoLog>,
+    at: Option<&SnapshotPin>,
+) -> Result<ExecResult> {
+    exec(db, stmt, params, undo, at, true)
+}
+
+/// Execute a bare record of an older log the way the engine that wrote it
+/// ran the statement: a failure keeps the AUTO_INCREMENT values it drew.
+pub(crate) fn exec_bare(db: &Database, stmt: &Statement, params: &[Value]) -> Result<ExecResult> {
+    exec(db, stmt, params, None, None, false)
+}
+
+/// [`exec_statement`]; a failed INSERT or UPDATE gives back the
+/// AUTO_INCREMENT values it drew when `give_back` is set.
+fn exec(
     db: &Database,
     stmt: &Statement,
     params: &[Value],
     mut undo: Option<&mut UndoLog>,
     at: Option<&SnapshotPin>,
+    give_back: bool,
 ) -> Result<ExecResult> {
     match stmt {
         Statement::CreateTable { name, columns, primary_key, if_not_exists } => {
@@ -89,20 +108,23 @@ pub(crate) fn exec_statement(
             Ok(ExecResult::default())
         }
         Statement::Insert { table, columns, rows } => {
-            exec_insert(db, table, columns, rows, params, undo.as_deref_mut())
+            exec_insert(db, table, columns, rows, params, undo.as_deref_mut(), give_back)
         }
         Statement::Select(sel) => {
             Ok(ExecResult { rows: Some(exec_select(db, sel, params, at)?), ..Default::default() })
         }
-        Statement::Update { table, sets, where_clause } => {
-            exec_update(db, table, sets, where_clause.as_ref(), params, undo.as_deref_mut())
-        }
+        Statement::Update { table, sets, where_clause } => exec_update(
+            db,
+            table,
+            sets,
+            where_clause.as_ref(),
+            params,
+            undo.as_deref_mut(),
+            give_back,
+        ),
         Statement::Delete { table, where_clause } => {
             exec_delete(db, table, where_clause.as_ref(), params, undo.as_deref_mut())
         }
-        Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::TxnState(
-            "BEGIN/COMMIT/ROLLBACK must go through a Session".into(),
-        )),
     }
 }
 
@@ -178,9 +200,11 @@ fn exec_insert(
     rows: &[Vec<Expr>],
     params: &[Value],
     mut undo: Option<&mut UndoLog>,
+    give_back: bool,
 ) -> Result<ExecResult> {
     let handle = db.table(table)?;
     let mut t = handle.write();
+    let drawn = t.auto_counters().to_vec();
     let arity = t.schema.arity();
     // Map supplied columns to schema positions.
     let positions: Vec<usize> = if columns.is_empty() {
@@ -225,6 +249,9 @@ fn exec_insert(
                 for id in inserted {
                     log.push(handle.clone(), UndoOp::UndoInsert(id));
                 }
+                if t.auto_counters() != drawn {
+                    log.push(handle.clone(), UndoOp::UndoCounters(drawn));
+                }
             }
             Ok(ExecResult { rows_affected: affected, last_insert_id: last_id, rows: None })
         }
@@ -232,6 +259,9 @@ fn exec_insert(
             // Multi-row INSERT is atomic: roll back rows already inserted.
             for id in inserted.into_iter().rev() {
                 let _ = t.rollback_insert(id);
+            }
+            if give_back {
+                t.restore_auto_counters(drawn);
             }
             Err(e)
         }
@@ -245,9 +275,11 @@ fn exec_update(
     where_clause: Option<&Expr>,
     params: &[Value],
     mut undo: Option<&mut UndoLog>,
+    give_back: bool,
 ) -> Result<ExecResult> {
     let handle = db.table(table)?;
     let mut t = handle.write();
+    let drawn = t.auto_counters().to_vec();
     let scope = Scope::single(&t.schema);
     let pred = where_clause.map(|w| bind(w, &scope, params)).transpose()?;
     let set_pos: Vec<(usize, Value)> = sets
@@ -285,12 +317,18 @@ fn exec_update(
                 for (id, old) in changed {
                     log.push(handle.clone(), UndoOp::UndoUpdate(id, old));
                 }
+                if t.auto_counters() != drawn {
+                    log.push(handle.clone(), UndoOp::UndoCounters(drawn));
+                }
             }
             Ok(ExecResult { rows_affected: n, ..Default::default() })
         }
         Err(e) => {
             for (id, old) in changed.into_iter().rev() {
                 let _ = t.rollback_update(id, old);
+            }
+            if give_back {
+                t.restore_auto_counters(drawn);
             }
             Err(e)
         }

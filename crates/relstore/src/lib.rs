@@ -5,8 +5,8 @@
 //! The original MCS stored its catalog in MySQL 4.1; `relstore` plays that
 //! role: typed columns, B-tree indexes, an access-path planner, a SQL
 //! subset (CREATE TABLE/INDEX, INSERT, SELECT with inner joins, UPDATE,
-//! DELETE, ORDER BY/LIMIT, aggregates), prepared statements, and sessions
-//! with undo-based transactions.
+//! DELETE, ORDER BY/LIMIT, aggregates), prepared statements, and claimed
+//! transactions with undo logs.
 //!
 //! Concurrency follows the MyISAM model the MCS actually ran on:
 //! table-level reader-writer locks, per-statement isolation.
@@ -50,7 +50,7 @@ pub mod txn;
 pub mod value;
 pub mod wal;
 
-pub use db::{snapshot_row, Database, Durability, OpCtx, Prepared, Session, Stats};
+pub use db::{snapshot_row, Database, Durability, OpCtx, Prepared, Session};
 pub use error::{Error, Result};
 pub use executor::{ExecResult, ResultSet};
 pub use index::{Index, IndexDef, IndexKey};

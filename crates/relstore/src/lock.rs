@@ -14,10 +14,12 @@
 //!   shared for tables it only reads. It holds them until commit/rollback,
 //!   so no other statement can observe its intermediate state and its reads
 //!   are stable.
-//! * Every statement executed *outside* a transaction acquires the shared
+//! * Every SELECT executed *outside* a transaction acquires the shared
 //!   barrier of each table it references (again in sorted order) for the
 //!   statement's duration, which is what makes in-flight transactions
-//!   invisible to it.
+//!   invisible to it. A write statement outside a transaction is a
+//!   one-statement transaction: it acquires its tables' barriers
+//!   exclusively, in the same order, until it has committed.
 //!
 //! **MVCC engine** ([`crate::Database::new_mvcc`]; see [`crate::mvcc`] and
 //! DESIGN.md §7.5) — readers are isolated by snapshot, not by barrier, so
@@ -26,20 +28,22 @@
 //! * SELECT statements and pure-read transactions acquire **no** barrier at
 //!   all; they pin a snapshot epoch and visibility-filter version chains.
 //! * A transaction with any `Write` claim upgrades every claim to
-//!   exclusive, and write statements outside transactions keep the shared
-//!   statement acquisition — barriers still serialize writers against each
+//!   exclusive, and a write statement outside a transaction claims its
+//!   tables exclusively — barriers still serialize writers against each
 //!   other (and against checkpoint quiesce), which keeps commit stamping
 //!   single-writer per table.
 //!
 //! Shared acquisition common to both engines:
 //!
-//! * Acquisition is re-entrant per thread: a statement running inside a
-//!   transaction's closure skips barriers its transaction already holds.
-//!   That lets catalog code issue reads through the plain [`crate::Database`]
-//!   handle mid-transaction without self-deadlock.
+//! * Shared acquisition is re-entrant per thread: a SELECT running inside
+//!   a transaction's closure skips barriers its transaction already
+//!   holds. That lets catalog code issue reads through the plain
+//!   [`crate::Database`] handle mid-transaction without self-deadlock. A
+//!   claim on a table the thread already holds fails instead, with
+//!   [`crate::Error::TxnState`].
 //!
 //! Deadlock freedom: every acquisition sequence (transaction begin,
-//!   per-statement shared set, checkpoint quiesce) follows the same global
+//!   per-statement set, checkpoint quiesce) follows the same global
 //!   sort order, and blocked acquirers only ever wait on tables strictly
 //!   greater than every table they hold, so the wait-for graph cannot
 //!   cycle. Writers get priority over new shared acquirers so a stream of

@@ -174,10 +174,4 @@ pub enum Statement {
         /// WHERE clause.
         where_clause: Option<Expr>,
     },
-    /// BEGIN [TRANSACTION].
-    Begin,
-    /// COMMIT.
-    Commit,
-    /// ROLLBACK.
-    Rollback,
 }

@@ -137,16 +137,6 @@ impl Parser {
         if self.eat_kw("DELETE") {
             return self.delete();
         }
-        if self.eat_kw("BEGIN") || self.eat_kw("START") {
-            self.eat_kw("TRANSACTION");
-            return Ok(Statement::Begin);
-        }
-        if self.eat_kw("COMMIT") {
-            return Ok(Statement::Commit);
-        }
-        if self.eat_kw("ROLLBACK") {
-            return Ok(Statement::Rollback);
-        }
         Err(self.err("expected a statement keyword"))
     }
 
@@ -737,10 +727,10 @@ mod tests {
             parse("DELETE FROM t WHERE a = 1").unwrap(),
             Statement::Delete { .. }
         ));
-        assert_eq!(parse("BEGIN").unwrap(), Statement::Begin);
-        assert_eq!(parse("START TRANSACTION;").unwrap(), Statement::Begin);
-        assert_eq!(parse("COMMIT").unwrap(), Statement::Commit);
-        assert_eq!(parse("ROLLBACK").unwrap(), Statement::Rollback);
+        // transactions are `Database::transaction`, not statements
+        for sql in ["BEGIN", "START TRANSACTION", "COMMIT", "ROLLBACK"] {
+            assert!(parse(sql).is_err(), "{sql}");
+        }
     }
 
     #[test]

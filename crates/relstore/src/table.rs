@@ -65,7 +65,7 @@ pub struct Table {
     live: usize,
     indexes: Vec<Index>,
     /// Next value handed out per AUTO_INCREMENT column (indexed by column
-    /// position; non-auto columns keep 0).
+    /// position; non-auto columns keep 1).
     auto_next: Vec<i64>,
     last_auto: Option<i64>,
     /// Version chains enabled (set once by the database at registration;
@@ -125,6 +125,20 @@ impl Table {
     /// The value assigned by the most recent AUTO_INCREMENT insert.
     pub fn last_auto_value(&self) -> Option<i64> {
         self.last_auto
+    }
+
+    /// The value the next AUTO_INCREMENT insert draws, per column position
+    /// (1 for columns that are not AUTO_INCREMENT).
+    pub(crate) fn auto_counters(&self) -> &[i64] {
+        &self.auto_next
+    }
+
+    /// Set every AUTO_INCREMENT counter back (a failed statement or a
+    /// rolled-back transaction gives back what it drew) or to stored
+    /// values (snapshot load).
+    pub(crate) fn restore_auto_counters(&mut self, counters: Vec<i64>) {
+        debug_assert_eq!(counters.len(), self.auto_next.len());
+        self.auto_next = counters;
     }
 
     /// Enable version chains on this table (done once, at registration

@@ -1,11 +1,14 @@
-//! Statement-atomic transactions with undo logs.
+//! Undo logs for transaction rollback.
 //!
 //! MySQL 4.1's default MyISAM tables — what the MCS prototype ran on —
 //! were non-transactional: each statement was atomic, but multi-statement
-//! transactions had no isolation. We reproduce that model: a [`UndoLog`]
-//! records inverse operations so a session can ROLLBACK a batch (our small
-//! improvement over MyISAM, needed by the catalog's multi-table creates),
-//! while isolation remains per-statement via table-level locking.
+//! transactions had no isolation. relstore keeps each statement atomic
+//! the same way, and adds claimed transactions
+//! ([`crate::Database::transaction`]): an [`UndoLog`] records inverse
+//! operations so a transaction whose closure fails rolls back as a whole
+//! (needed by the catalog's multi-table creates), while the claimed
+//! tables' barriers ([`crate::lock`]) keep its intermediate states
+//! invisible.
 
 use std::sync::Arc;
 
@@ -24,6 +27,9 @@ pub(crate) enum UndoOp {
     UndoDelete(RowId, Row),
     /// The statement updated this row; undo restores the old values.
     UndoUpdate(RowId, Row),
+    /// The statement drew AUTO_INCREMENT values; undo gives them back by
+    /// restoring the counters it found.
+    UndoCounters(Vec<i64>),
 }
 
 /// Undo log for an open transaction.
@@ -73,6 +79,10 @@ impl UndoLog {
                 UndoOp::UndoInsert(id) => t.rollback_insert(id),
                 UndoOp::UndoDelete(id, row) => t.rollback_delete(id, row),
                 UndoOp::UndoUpdate(id, row) => t.rollback_update(id, row),
+                UndoOp::UndoCounters(counters) => {
+                    t.restore_auto_counters(counters);
+                    Ok(())
+                }
             };
             if let Err(e) = r {
                 first_err.get_or_insert(e);

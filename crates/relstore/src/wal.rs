@@ -2,10 +2,13 @@
 //!
 //! MySQL — the backend the original MCS ran on — survives restarts; an
 //! in-memory stand-in needs an explicit persistence story to be a fair
-//! substitute. `relstore` uses *logical* write-ahead logging: every write
-//! statement (SQL text + parameters) is appended to a checksummed log
-//! before it executes, and a *snapshot* serializes full table contents so
-//! the log can be truncated. Recovery = load snapshot, replay log;
+//! substitute. `relstore` uses *logical* write-ahead logging: every
+//! committed write — an autocommit statement or a transaction — is
+//! journalled as one group of its statements (SQL text + parameters),
+//! and a *snapshot* serializes full table contents so the log can be
+//! truncated. A unit's group is encoded after its statements ran and
+//! handed to the commit queue ([`crate::group_commit`]), whose leader is
+//! the one writer of commit bytes. Recovery = load snapshot, replay log;
 //! statements are deterministic, so replay converges to the pre-crash
 //! state. Torn tails (a crash mid-append) are detected by the per-record
 //! checksum and cleanly ignored.
@@ -20,22 +23,34 @@
 //! * `0x01` **Begin** — `[txn_id: u64]`: opens a transaction group.
 //! * `0x02` **Commit** — `[txn_id: u64]`: closes the open group.
 //!
-//! A committed transaction is journalled as `Begin, Stmt…, Commit` in one
-//! buffered write with a single `fsync` after the Commit frame. Under
-//! [`crate::db::Durability::Group`], *many* concurrent transactions'
-//! groups share one physical write and one `fsync` (cross-transaction
-//! group commit; see [`crate::group_commit`]) — each group stays
+//! Every committed unit is journalled as `Begin, Stmt…, Commit`, and only
+//! statements that succeeded are in it. Several units' groups may share
+//! one physical write and one `fsync` (group commit) — each group stays
 //! self-delimiting, so a torn tail discards only the group(s) whose
 //! Commit frame is missing while earlier groups from the same physical
-//! write survive. Recovery applies bare Stmt records immediately but buffers a
-//! group's statements until its Commit frame: a torn or uncommitted tail —
-//! including a crash anywhere between Begin and Commit — is discarded **as
-//! a unit**, never statement-by-statement, so a multi-statement catalog
-//! operation is atomic across crashes.
+//! write survive. Recovery buffers a group's statements until its Commit
+//! frame: a torn or uncommitted tail — including a crash anywhere between
+//! Begin and Commit — is discarded **as a unit**, never
+//! statement-by-statement, so a multi-statement catalog operation is
+//! atomic across crashes. A statement of a committed group ran once
+//! already, so it must replay: one that fails fails the open, naming the
+//! record's byte offset.
 //!
-//! Logs written before v2 carry no magic; they are detected, replayed
-//! statement-wise (each record was an autocommitted statement), and
-//! migrated to v2 by an immediate checkpoint on open.
+//! Logs written by earlier versions also hold **bare** Stmt records: an
+//! autocommit statement was appended before it ran, failed or not.
+//! Recovery replays them tolerantly, as they first ran: an error is
+//! ignored, and a failed statement keeps the AUTO_INCREMENT values it
+//! drew. Logs written before v2 carry no magic; they are detected,
+//! replayed statement-wise (each record is bare), and migrated to v2 by
+//! an immediate checkpoint on open.
+//!
+//! # Snapshot format v2 (`RSSNAP02`)
+//!
+//! A snapshot holds each table's schema, secondary indexes and rows, and
+//! after the rows the next value of every AUTO_INCREMENT counter, so ids
+//! drawn by rows deleted before the checkpoint are not handed out again.
+//! An `RSSNAP01` snapshot has no counters: each restarts at the largest
+//! id in the table plus one.
 //!
 //! ```
 //! use relstore::{Database, Value};
@@ -67,8 +82,9 @@ use crate::value::{Date, DateTime, Time, Value, ValueType};
 /// How aggressively the log reaches stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fsync` after every write statement (safest, slowest) — the
-    /// equivalent of `innodb_flush_log_at_trx_commit = 1`.
+    /// `fsync` after every physical write of commit groups (safest,
+    /// slowest) — the equivalent of `innodb_flush_log_at_trx_commit = 1`.
+    /// [`Durability`] decides how many commits share one such write.
     EveryWrite,
     /// Let the OS flush; data survives process crashes but not power
     /// loss (MyISAM-era reality).
@@ -88,9 +104,10 @@ pub struct WalStats {
     /// [`SyncPolicy::EveryWrite`], plus the snapshot and directory syncs
     /// of a checkpoint; zero under [`SyncPolicy::OsBuffered`]).
     pub syncs: AtomicU64,
-    /// Transaction groups journalled (`Begin..Commit` units).
+    /// Commit groups journalled (`Begin..Commit` units: one per committed
+    /// autocommit write or transaction).
     pub group_commits: AtomicU64,
-    /// Physical batch writes that carried at least one transaction group.
+    /// Physical batch writes that carried at least one commit group.
     /// `group_commits / batches` is the achieved amortization factor.
     pub batches: AtomicU64,
     /// Async commits acknowledged whose groups have not yet been flushed
@@ -316,7 +333,9 @@ fn fnv1a(data: &[u8]) -> u64 {
 
 // ---------- the write-ahead log ----------
 
-/// Appends write statements to the log file.
+/// Appends encoded commit groups to the log file. Only the commit-queue
+/// leader writes through it ([`crate::group_commit`]); a checkpoint
+/// replaces it with a fresh writer over an emptied log.
 #[derive(Debug)]
 pub(crate) struct WalWriter {
     file: BufWriter<File>,
@@ -402,11 +421,6 @@ impl WalWriter {
         }
     }
 
-    fn write_and_sync(&mut self, rec: &[u8]) -> Result<()> {
-        self.write_bytes(rec, "wal append")?;
-        self.flush_and_sync()
-    }
-
     fn flush_and_sync(&mut self) -> Result<()> {
         if let Err(e) = self.file.flush() {
             self.poisoned = true;
@@ -441,23 +455,11 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Append one autocommitted statement record.
-    pub(crate) fn append(&mut self, sql: &str, params: &[Value]) -> Result<()> {
-        self.usable()?;
-        let payload = Self::stmt_payload(sql, params);
-        let mut rec = Vec::with_capacity(payload.len() + 12);
-        Self::frame(&mut rec, &payload);
-        self.write_and_sync(&rec)
-    }
-
-    /// Encode a whole committed transaction as the framed byte run
+    /// Encode a committed unit's write statements as the framed byte run
     /// `Begin, Stmt…, Commit`. The run is self-delimiting: recovery applies
     /// it only once its Commit frame is intact, so any number of runs can
     /// share one physical write and still recover independently.
-    pub(crate) fn encode_transaction(
-        txn_id: u64,
-        records: &[(String, Vec<Value>)],
-    ) -> Vec<u8> {
+    pub(crate) fn encode_transaction(txn_id: u64, records: &[(&str, &[Value])]) -> Vec<u8> {
         let mut rec = Vec::with_capacity(64 * (records.len() + 2));
         Self::frame(&mut rec, &Self::marker_payload(TAG_BEGIN, txn_id));
         for (sql, params) in records {
@@ -467,62 +469,26 @@ impl WalWriter {
         rec
     }
 
-    /// Append a whole committed transaction as `Begin, Stmt…, Commit` in a
-    /// single buffered write with one sync after the Commit frame (group
-    /// commit). A crash anywhere before the Commit frame reaches disk makes
-    /// recovery discard the entire group.
-    pub(crate) fn append_transaction(
-        &mut self,
-        txn_id: u64,
-        records: &[(String, Vec<Value>)],
-    ) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        self.usable()?;
-        let rec = Self::encode_transaction(txn_id, records);
-        self.stats.group_commits.fetch_add(1, Ordering::Relaxed);
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.write_and_sync(&rec)
-    }
-
-    /// Buffer already-encoded transaction groups into the log, in
-    /// iteration order, **without** flushing or syncing; the caller's
-    /// next flush/sync makes them durable as part of its own physical
-    /// write. Returns the number of groups written. This is the primitive
-    /// behind both the leader's batched append and the direct-append
-    /// path, which pushes every queued group ahead of its own record so
-    /// log order can never contradict execution order
-    /// (`Database::append_after_queue`).
-    pub(crate) fn append_groups_unsynced<'a>(
+    /// Append already-encoded commit groups in one buffered write followed
+    /// by a **single** flush/sync — the physical half of group commit.
+    /// Groups land in iteration order; each is framed so a torn tail
+    /// discards only the units whose Commit frame did not make it, never
+    /// an earlier group from the same write.
+    pub(crate) fn append_batch<'a>(
         &mut self,
         groups: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         self.usable()?;
         let mut n = 0u64;
         for g in groups {
             self.write_bytes(g, "wal batch append")?;
             n += 1;
         }
-        if n > 0 {
-            self.stats.group_commits.fetch_add(n, Ordering::Relaxed);
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(n)
-    }
-
-    /// Append many already-encoded transaction groups in one buffered
-    /// write followed by a **single** flush/sync — the physical half of
-    /// group commit. Groups land in iteration order; each is framed so a
-    /// torn tail discards only the transactions whose Commit frame did
-    /// not make it, never an earlier group from the same write.
-    pub(crate) fn append_batch<'a>(
-        &mut self,
-        groups: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Result<()> {
-        if self.append_groups_unsynced(groups)? == 0 {
+        if n == 0 {
             return Ok(());
         }
+        self.stats.group_commits.fetch_add(n, Ordering::Relaxed);
+        self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.flush_and_sync()
     }
 }
@@ -536,12 +502,12 @@ enum WalEntry {
 }
 
 /// Read all intact records from a log; a torn tail ends replay cleanly.
-/// Returns the entries, whether the file used the pre-v2 format (no
-/// magic, untagged statement payloads), and the byte length of the
-/// intact prefix — everything past it is a torn or corrupt tail that
-/// replay can never reach, so the opener truncates it away before
-/// appending anything new behind it.
-fn read_wal(path: &Path) -> Result<(Vec<WalEntry>, bool, u64)> {
+/// Returns the entries with the byte offset of each record's frame,
+/// whether the file used the pre-v2 format (no magic, untagged statement
+/// payloads), and the byte length of the intact prefix — everything past
+/// it is a torn or corrupt tail that replay can never reach, so the
+/// opener truncates it away before appending anything new behind it.
+fn read_wal(path: &Path) -> Result<(Vec<(u64, WalEntry)>, bool, u64)> {
     let mut out = Vec::new();
     let Ok(file) = File::open(path) else { return Ok((out, false, 0)) };
     let mut r = BufReader::new(file);
@@ -578,16 +544,17 @@ fn read_wal(path: &Path) -> Result<(Vec<WalEntry>, bool, u64)> {
             break; // corrupt tail
         }
         let mut c = Cursor::new(&payload);
-        if legacy {
-            out.push(decode_stmt(&mut c)?);
+        let entry = if legacy {
+            decode_stmt(&mut c)?
         } else {
             match c.u8()? {
-                TAG_STMT => out.push(decode_stmt(&mut c)?),
-                TAG_BEGIN => out.push(WalEntry::Begin(c.u64()?)),
-                TAG_COMMIT => out.push(WalEntry::Commit(c.u64()?)),
+                TAG_STMT => decode_stmt(&mut c)?,
+                TAG_BEGIN => WalEntry::Begin(c.u64()?),
+                TAG_COMMIT => WalEntry::Commit(c.u64()?),
                 _ => return Err(Cursor::corrupt("unknown wal record tag")),
             }
-        }
+        };
+        out.push((valid_len, entry));
         valid_len += (header.len() + len) as u64;
     }
     Ok((out, legacy, valid_len))
@@ -605,9 +572,14 @@ fn decode_stmt(c: &mut Cursor<'_>) -> Result<WalEntry> {
 
 // ---------- snapshots ----------
 
+/// Magic of the current snapshot format, which stores AUTO_INCREMENT
+/// counters; [`SNAPSHOT_MAGIC_V1`] snapshots still load.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"RSSNAP02";
+const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"RSSNAP01";
+
 fn snapshot_bytes(db: &Database) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(b"RSSNAP01");
+    out.extend_from_slice(SNAPSHOT_MAGIC);
     let names = db.table_names();
     put_u32(&mut out, names.len() as u32);
     for name in names {
@@ -658,6 +630,9 @@ fn snapshot_bytes(db: &Database) -> Result<Vec<u8>> {
                 encode_value(v, &mut out);
             }
         }
+        for &next in t.auto_counters() {
+            put_u64(&mut out, next as u64);
+        }
     }
     let checksum = fnv1a(&out);
     put_u64(&mut out, checksum);
@@ -665,8 +640,13 @@ fn snapshot_bytes(db: &Database) -> Result<Vec<u8>> {
 }
 
 fn load_snapshot(db: &Database, bytes: &[u8]) -> Result<()> {
-    if bytes.len() < 16 || &bytes[..8] != b"RSSNAP01" {
-        return Err(Cursor::corrupt("bad snapshot magic"));
+    let counters = match bytes.get(..8) {
+        Some(m) if m == SNAPSHOT_MAGIC => true,
+        Some(m) if m == SNAPSHOT_MAGIC_V1 => false,
+        _ => return Err(Cursor::corrupt("bad snapshot magic")),
+    };
+    if bytes.len() < 16 {
+        return Err(Cursor::corrupt("truncated snapshot"));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().expect("8"));
@@ -725,6 +705,12 @@ fn load_snapshot(db: &Database, bytes: &[u8]) -> Result<()> {
             }
             table.insert(row)?;
         }
+        // Without stored counters, inserting the rows left each at the
+        // largest id plus one.
+        if counters {
+            let next = (0..arity).map(|_| Ok(c.u64()? as i64)).collect::<Result<_>>()?;
+            table.restore_auto_counters(next);
+        }
         db.add_table(table)?;
     }
     if !c.done() {
@@ -742,9 +728,9 @@ impl Database {
     }
 
     /// [`Database::open_durable`] with an explicit commit [`Durability`]
-    /// policy: `Durability::Always` syncs once per committed transaction;
+    /// policy: `Durability::Always` syncs once per commit;
     /// `Durability::Group { .. }` batches concurrent commits so many
-    /// transactions share one sync (see [`crate::group_commit`]).
+    /// share one sync (see [`crate::group_commit`]).
     pub fn open_durable_with(
         dir: impl AsRef<Path>,
         policy: SyncPolicy,
@@ -790,19 +776,17 @@ impl Database {
             }
         }
         // Statements inside a Begin..Commit group apply only once the
-        // Commit frame is seen; a group cut off by the end of the log is
-        // discarded as a unit. Bare statements apply immediately.
-        let mut group: Option<(u64, Vec<(String, Vec<Value>)>)> = None;
-        let apply = |sql: &str, params: &[Value]| {
-            // Deterministic replay: a statement that failed originally
-            // fails again; both outcomes reproduce the pre-crash state.
-            let _ = db.execute(sql, params);
-        };
-        for entry in entries {
+        // Commit frame is seen, and must apply; a group cut off by the end
+        // of the log is discarded as a unit. Bare statements (older logs)
+        // apply immediately, as tolerantly as they first ran.
+        let mut group: Option<(u64, Vec<(u64, String, Vec<Value>)>)> = None;
+        for (offset, entry) in entries {
             match entry {
                 WalEntry::Stmt(sql, params) => match &mut group {
-                    Some((_, buf)) => buf.push((sql, params)),
-                    None => apply(&sql, &params),
+                    Some((_, buf)) => buf.push((offset, sql, params)),
+                    None => {
+                        let _ = db.replay(&sql, &params, true);
+                    }
                 },
                 // Begin while a group is open means the previous group
                 // never committed — drop it (defensive; the writer never
@@ -813,8 +797,14 @@ impl Database {
                     // a stray or mismatched Commit discards nothing bare
                     match group.take() {
                         Some((begin_id, stmts)) if begin_id == id => {
-                            for (sql, params) in stmts {
-                                apply(&sql, &params);
+                            for (offset, sql, params) in stmts {
+                                db.replay(&sql, &params, false).map_err(|e| {
+                                    Cursor::corrupt(&format!(
+                                        "the committed statement at byte {offset} of {} \
+                                         fails to replay: {e}",
+                                        wal_path.display()
+                                    ))
+                                })?;
                             }
                         }
                         _ => {}
@@ -1014,18 +1004,24 @@ mod tests {
 
     #[test]
     fn auto_increment_continues_after_recovery() {
-        let dir = tmpdir("autoinc");
-        {
+        for checkpoint in [false, true] {
+            let dir = tmpdir(&format!("autoinc-{checkpoint}"));
+            {
+                let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
+                seed(&db);
+                db.execute("DELETE FROM t WHERE name = 'b'", &[]).unwrap();
+                if checkpoint {
+                    db.checkpoint().unwrap();
+                }
+            }
             let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
-            seed(&db);
-            db.execute("DELETE FROM t WHERE name = 'b'", &[]).unwrap();
+            let r = db.execute("INSERT INTO t (name) VALUES ('c')", &[]).unwrap();
+            // id 2 was used by 'b' before deletion: replay of the original
+            // inserts advances the counter past it, and a snapshot taken
+            // after the delete stores the counter
+            assert_eq!(r.last_insert_id, Some(3), "checkpoint {checkpoint}");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
-        let r = db.execute("INSERT INTO t (name) VALUES ('c')", &[]).unwrap();
-        // id 2 was used by 'b' before deletion; replay of the original
-        // inserts advances the counter past it
-        assert_eq!(r.last_insert_id, Some(3));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1062,14 +1058,14 @@ mod tests {
             let stats = Arc::new(WalStats::default());
             let mut w =
                 WalWriter::open_append(&dir.join(WAL_FILE), SyncPolicy::EveryWrite, stats).unwrap();
-            w.append_transaction(
+            let group = WalWriter::encode_transaction(
                 7,
                 &[
-                    ("INSERT INTO t (name, v) VALUES (?, ?)".into(), vec![Value::from("c"), Value::Int(3)]),
-                    ("UPDATE t SET v = 30 WHERE name = 'c'".into(), vec![]),
+                    ("INSERT INTO t (name, v) VALUES (?, ?)", &[Value::from("c"), Value::Int(3)]),
+                    ("UPDATE t SET v = 30 WHERE name = 'c'", &[]),
                 ],
-            )
-            .unwrap();
+            );
+            w.append_batch([group.as_slice()]).unwrap();
         }
         let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
         let rs = db.query("SELECT v FROM t WHERE name = 'c'", &[]).unwrap();
@@ -1121,11 +1117,9 @@ mod tests {
             let stats = Arc::new(WalStats::default());
             let mut w =
                 WalWriter::open_append(&wal_path, SyncPolicy::EveryWrite, stats).unwrap();
-            w.append_transaction(
-                11,
-                &[("INSERT INTO t (name, v) VALUES ('y', 9)".into(), vec![])],
-            )
-            .unwrap();
+            let insert = "INSERT INTO t (name, v) VALUES ('y', 9)";
+            let group = WalWriter::encode_transaction(11, &[(insert, &[])]);
+            w.append_batch([group.as_slice()]).unwrap();
         }
         // cut into the trailing Commit frame (12-byte header + 9 payload)
         let full = std::fs::metadata(&wal_path).unwrap().len();
@@ -1179,13 +1173,15 @@ mod tests {
             stats: Arc::new(WalStats::default()),
             poisoned: false,
         };
-        assert!(w.append("INSERT INTO t (v) VALUES (1)", &[]).is_err());
+        let group = |v: i64| {
+            WalWriter::encode_transaction(7, &[("INSERT INTO t (v) VALUES (?)", &[Value::Int(v)])])
+        };
+        assert!(w.append_batch([group(1).as_slice()]).is_err());
         assert!(w.poisoned);
         // every further append must fail fast: the tail may hold a torn
         // frame, and replay stops at the first corrupt frame, so anything
         // appended after it would be silently dropped at recovery
-        assert!(w.append("INSERT INTO t (v) VALUES (2)", &[]).is_err());
-        assert!(w.append_transaction(7, &[("X".into(), vec![])]).is_err());
+        assert!(w.append_batch([group(2).as_slice()]).is_err());
         assert!(w.append_batch([b"g".as_slice()]).is_err());
         assert_eq!(w.stats.sync_count(), 0, "must not sync after a failed flush");
     }
@@ -1195,7 +1191,10 @@ mod tests {
         let dir = tmpdir("poison-ckpt");
         let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
         seed(&db);
+        // what a failed append does: poison the writer, fail the gate
         db.wal_lock().as_mut().unwrap().poisoned = true;
+        db.epoch_gate().fail("injected");
+        // refused before it runs, so no write is applied that the log lacks
         assert!(db.execute("INSERT INTO t (name) VALUES ('c')", &[]).is_err());
         // checkpoint folds table state into the snapshot and attaches a
         // fresh writer over an empty log — the documented recovery path
@@ -1229,6 +1228,8 @@ mod tests {
         )
         .unwrap();
         db.execute("CREATE TABLE t (v INTEGER)", &[]).unwrap();
+        // The CREATE was an async commit too: land it on the real log.
+        db.sync_now().unwrap();
         // Swap the log device for the full one; the async enqueue below
         // never touches the WAL, so the ack still succeeds.
         *db.wal_lock() = Some(WalWriter {
@@ -1265,16 +1266,52 @@ mod tests {
     #[test]
     fn failed_statements_replay_harmlessly() {
         let dir = tmpdir("failed");
-        {
+        let c_id = |db: &Database| db.query("SELECT id FROM t WHERE name = 'c'", &[]).unwrap().rows;
+        let before = {
             let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
             seed(&db);
-            // logged (write-ahead) but fails: duplicate key
+            // fails: duplicate key
             assert!(db.execute("INSERT INTO t (name) VALUES ('a')", &[]).is_err());
             db.execute("INSERT INTO t (name) VALUES ('c')", &[]).unwrap();
-        }
+            c_id(&db)
+        };
         let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
         let rs = db.query("SELECT COUNT(*) FROM t", &[]).unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(3));
+        assert_eq!(c_id(&db), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A statement of a committed group ran once, so it must replay: one
+    /// that does not fails the open and names the record's byte offset.
+    #[test]
+    fn committed_group_that_fails_to_replay_fails_the_open() {
+        let dir = tmpdir("group-fails");
+        {
+            let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
+            seed(&db);
+        }
+        let wal_path = dir.join(WAL_FILE);
+        let offset = std::fs::metadata(&wal_path).unwrap().len();
+        {
+            let mut w =
+                WalWriter::open_append(&wal_path, SyncPolicy::EveryWrite, Arc::default()).unwrap();
+            let group = WalWriter::encode_transaction(
+                5,
+                &[
+                    ("INSERT INTO t (name, v) VALUES ('m', 1)", &[]),
+                    ("INSERT INTO missing (v) VALUES (1)", &[]),
+                ],
+            );
+            w.append_batch([group.as_slice()]).unwrap();
+        }
+        // the second statement's frame follows the Begin frame (12-byte
+        // header + 9) and the first statement's
+        let first = WalWriter::stmt_payload("INSERT INTO t (name, v) VALUES ('m', 1)", &[]);
+        let at = offset + 21 + 12 + first.len() as u64;
+        let err = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap_err().to_string();
+        assert!(err.contains(&format!("at byte {at} ")), "{err}");
+        assert!(err.contains("missing"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,7 +2,7 @@
 //! writers committing with immediate acks while chaser threads park on
 //! `wait_for_epoch` for the freshest epoch they can see. The property
 //! under test is *liveness* — no waiter may deadlock, whatever
-//! interleaving of flusher batches, direct appends, and `sync_now`
+//! interleaving of flusher batches, `Always` commits, and `sync_now`
 //! barriers the scheduler produces — plus the recovery-side guarantee
 //! that everything a final `sync_now` covered survives a crash.
 //!

@@ -78,8 +78,7 @@ fn check_case(seed: u64) {
             // 6: an autocommit statement — also a logged unit, also epoch'd
             6 => {
                 let insert = db.prepare(&format!("INSERT INTO t (v) VALUES ({step})")).unwrap();
-                let (e, r) = db.execute_in(&OpCtx::default(), &insert, &[]);
-                r.unwrap();
+                let (_, e) = db.execute_in(&OpCtx::default(), &insert, &[]).unwrap();
                 committed += 1;
                 assert!(
                     e > last_commit,

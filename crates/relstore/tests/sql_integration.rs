@@ -270,7 +270,7 @@ fn nullable_indexed_column_answers_like_a_full_scan() {
     ];
     let query = |db: &Database, ctx: &OpCtx, sql: &str| {
         let p = db.prepare(sql).unwrap();
-        db.execute_in(ctx, &p, &[]).1.unwrap().rows.unwrap().rows
+        db.execute_in(ctx, &p, &[]).unwrap().0.rows.unwrap().rows
     };
     let check_at = |db: &Database, ctx: &OpCtx, when: &str| {
         for q in QUERIES {

@@ -513,9 +513,6 @@ fn render(s: &Statement) -> String {
             }
             s
         }
-        Statement::Begin => "BEGIN".into(),
-        Statement::Commit => "COMMIT".into(),
-        Statement::Rollback => "ROLLBACK".into(),
     }
 }
 
@@ -536,18 +533,6 @@ fn generated_statements_roundtrip_through_the_parser() {
             assert_eq!(got, want, "case {case}: roundtrip changed the AST\n  sql: {sql}");
         }
     });
-}
-
-#[test]
-fn control_statements_roundtrip() {
-    for (sql, want) in [
-        ("BEGIN", Statement::Begin),
-        ("COMMIT", Statement::Commit),
-        ("ROLLBACK", Statement::Rollback),
-    ] {
-        assert_eq!(parse(sql).unwrap(), want);
-        assert_eq!(parse(&render(&want)).unwrap(), want);
-    }
 }
 
 // ---------- malformed input must error, never panic ----------

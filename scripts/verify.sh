@@ -15,11 +15,17 @@
 #                      a file above its first `#[cfg(test)]`)
 #   verify.sh crash    WAL crash-recovery matrix (*_truncation tests;
 #                      the create case cuts a 17-attribute create, whose
-#                      group holds two multi-row attribute INSERTs), and
-#                      the catalog durability tests, which pin what one
+#                      group holds two multi-row attribute INSERTs), the
+#                      catalog durability tests, which pin what one
 #                      create logs (three statements, under 1,300 B for
-#                      ten attributes) and replay a log of the older
-#                      one-INSERT-per-attribute shape to the same catalog
+#                      ten attributes), replay a log of the older
+#                      one-INSERT-per-attribute shape to the same catalog,
+#                      and reopen a failed create and a checkpoint after
+#                      a delete without shifting a later file's id, and
+#                      the golden durability corpus (wal_golden: a v2 log,
+#                      an RSSNAP01 snapshot and a v1 log written by the
+#                      engine before every write was a commit group open
+#                      to their pinned tables)
 #   verify.sh stress   concurrent-commit stress runs (*_stress tests)
 #   verify.sh async-durability
 #                      the async epoch/ack contract: mixed-durability
@@ -176,6 +182,7 @@ case "$lane" in
     start=$(date +%s)
     run _truncation
     run -p mcs --test durability
+    run -p relstore --test wal_golden
     echo "crash lane: $(($(date +%s) - start))s elapsed"
     ;;
   stress)
