@@ -280,9 +280,10 @@ fn explain_query_over_the_wire() {
         .unwrap();
     assert_eq!(plan.len(), 2);
     // gps >= 5 keeps 3 of 8 rows and seeds; channel = H1 matches all 8,
-    // and walking 8 index entries costs less than probing 3 survivors.
+    // and its dive over the seed's id span prices the walk of the 3
+    // entries there, which the run then weighs against probing.
     assert!(plan[0].starts_with("seed: gps >= via index ua_name_int range"), "{plan:?}");
-    assert!(plan[1].starts_with("intersect: channel = via index ua_name_str eq"), "{plan:?}");
+    assert!(plan[1].starts_with("walk or probe: channel = via index ua_name_str eq"), "{plan:?}");
 
     // Empty predicate lists fault, like the query itself.
     assert!(c.explain_query(&[]).is_err());

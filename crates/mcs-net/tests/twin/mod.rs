@@ -467,9 +467,10 @@ struct Group {
     cfg: Config,
     /// The in-process path first, then the wires.
     subjects: Vec<Subject>,
-    /// Explained plan steps that folded several range bounds, residual
-    /// steps whose dive stopped at its bound, and intersections whose
-    /// walk the seed's id span bounded.
+    /// Explained plan steps that folded several range bounds, steps whose
+    /// dive stopped at its bound, and steps whose dive over the seed's id
+    /// span ran to its end, so that they walk or probe by the candidates
+    /// they face.
     folded: usize,
     cut: usize,
     spanned: usize,
@@ -750,6 +751,30 @@ fn run_seed(seed: u64, suite: &str) {
     assert!(queries >= 100, "seed {seed}: only {queries} attribute queries");
     let missed: Vec<Op> = Op::ALL.iter().copied().filter(|op| !t.seen.contains(op)).collect();
     assert!(missed.is_empty(), "seed {seed}: the stream never ran {missed:?}");
+
+    // A block of 16 files, eight per `run` value, then conjunctions over
+    // them: the stream often leaves a catalog too small for a seed of
+    // more than one candidate, and a seed of one candidate never dives,
+    // so this is where every configuration, and each shard of a sharded
+    // one, is sure to run span dives and walks against the reference.
+    let specs: Vec<FileSpec> = (0..16i64)
+        .map(|i| {
+            FileSpec::named(format!("w{i:02}.dat"))
+                .attr("run", i % 2)
+                .attr("site", format!("s{}", i % 3))
+                .attr("quality", (i % 4) as f64 / 2.0)
+        })
+        .collect();
+    t.call(&a, plain, Call::CreateFiles { specs: &specs });
+    let p = |name: &str, op, value: Value| AttrPredicate { name: name.into(), op, value };
+    for preds in [
+        vec![p("run", AttrOp::Eq, Value::Int(0)), p("site", AttrOp::Like, "s%".into())],
+        vec![p("run", AttrOp::Eq, Value::Int(1)), p("quality", AttrOp::Ge, Value::Float(0.5))],
+        vec![p("site", AttrOp::Like, "s1%".into()), p("run", AttrOp::Ge, Value::Int(0))],
+    ] {
+        t.call(&a, plain, Call::QueryByAttributes { preds: &preds });
+        t.check_explain(&preds);
+    }
 
     // Final sweep: every pooled object's state, as the admin.
     let mut objects: Vec<ObjectRef> =

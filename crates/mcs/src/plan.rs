@@ -20,32 +20,48 @@
 //! range is counted only up to the best seed so far. The smallest count
 //! **seeds** the candidate set (a dive stopped at its cap ranks strictly
 //! above the cap, so it never wins a tie); the seed reads its object ids
-//! straight from its postings. Every other step is bounded to the
-//! candidates' object-id span: it either **intersects** — walks its
-//! groups, checking each group's value once and reading only the entries
-//! inside the span — or runs as a **residual** (probes the unique
-//! `ua_object` index once per surviving candidate), whichever costs fewer
-//! µs. A span dive prices the walk from the groups it visits and the
-//! entries it would read inside the span (estimated from each group's
-//! ends, sampled after the first [`SAMPLED_GROUPS`] groups), stopped at
-//! the probes' cost; steps go most selective in the span first. Under
-//! MVCC a walk still fetches each row in the span and re-checks it on its
-//! visible image. Estimates pick the plan shape, never change answers.
+//! straight from its postings. Every other step with an access path gets
+//! one **span dive** over the seed's object-id span: it counts the groups
+//! its walk visits and estimates the entries it reads inside the span
+//! (from each group's ends, sampled after the first [`SAMPLED_GROUPS`]
+//! groups), and stops once that walk costs as many µs as probing the
+//! seed's candidates, the most any later step can face. Steps go most
+//! selective in the span first. A seed of one candidate gets no dives:
+//! its probes cost one cold probe and then warm ones, no more than the
+//! descents that would start a dive and a walk.
 //!
-//! **Cost constants.** [`PROBE_US`], [`GROUP_US`] and [`SPAN_ENTRY_US`]
-//! were measured by the ignored test `calibrate_probe_and_scan_costs` on
-//! a 50 000-file catalog laid out like perfbench's (2-vCPU KVM guest,
-//! pinned to one CPU, a fresh candidate set, key range or span per pass
-//! after 8 MiB of other memory was touched, median of 15 passes, three
-//! runs): a probe costs 1.5–1.7 µs when the candidates are one
-//! collection's consecutive files and 2.5–3.1 µs when they are spread
-//! over the catalog; a span walk costs 0.22–0.38 µs per group it visits
-//! and 0.026–0.035 µs per entry it reads inside the span; starting a walk
-//! costs 0.7–1.2 µs, which the price leaves out. The planner prices the
-//! spread-out probe, 3.0 µs, the residual case of the eq-heavy mixes.
-//! Two other ways to cut residual cost measured worse and are not built
-//! (DESIGN §7.6): one merged walk of `ua_object` over all candidates, and
-//! residual checks that read the value column without fetching the row.
+//! The plan fixes no step's role: [`Mcs::run_attr_plan`] decides each one
+//! on the candidates it has. It **walks** the step's groups over the
+//! running candidates' id span and intersects — checking each group's
+//! value once, reading only the entries inside the span — when the dive
+//! prices that walk below probing the current candidates, and otherwise
+//! **probes** the unique `ua_object` index once per candidate; a probe of
+//! a candidate an earlier step probed is priced warm. Both return the same
+//! ids: under MVCC a walk fetches each row in the span and re-checks it on
+//! its visible image. Estimates pick the work, never change answers.
+//!
+//! **Cost constants.** [`PROBE_US`], [`WARM_PROBE_US`], [`GROUP_US`] and
+//! [`SPAN_ENTRY_US`] were measured by the ignored test
+//! `calibrate_probe_and_scan_costs` on a 50 000-file catalog laid out like
+//! perfbench's (2-vCPU KVM guest, pinned to one CPU, a fresh candidate
+//! set, key range or span per pass after 8 MiB of other memory was
+//! touched, median of 15 passes, three runs): a probe costs 1.5–1.7 µs
+//! when the candidates are one collection's consecutive files, 2.5–3.1 µs
+//! when they are spread over the catalog, and 0.8–1.0 µs when the same 50
+//! spread candidates were probed for another attribute just before; a
+//! span walk costs 0.2–0.38 µs per group it visits and 0.012–0.035 µs
+//! per entry it reads inside the span (the constant keeps the top of the
+//! range); starting a walk or a dive costs 0.7–1.2 µs, which the price
+//! leaves out. The planner prices the
+//! spread-out probe, 3.0 µs, the first probe of the eq-heavy mixes.
+//!
+//! **Not fixed here.** perfbench's LIKE queries own discover-cold's p99:
+//! their `wl_seq >= lo` step walks up to ~1 050 one-entry groups
+//! (≈ 190 µs) where probing the ~200 candidates would cost ≈ 300 µs, so
+//! the walk stays, and resolving the ~200 hits adds ≈ 90 µs. Two other
+//! ways to cut probe cost measured worse and are not built (DESIGN §7.6):
+//! one merged walk of `ua_object` over all candidates, and probes that
+//! read the value column without fetching the row.
 //!
 //! **One evaluator.** [`Mcs::plan_attrs`] alone reads the profile and
 //! the planner bypass ([`Mcs::with_planner_bypass`], which also skips the
@@ -70,11 +86,15 @@ use crate::error::{McsError, Result};
 use crate::model::{AttrOp, AttrPredicate, AttrType, Credential, ObjectType, Permission};
 use crate::schema::IndexProfile;
 
-/// µs one residual probe costs: a `ua_object` descent for
+/// µs the first probe of a candidate costs: a `ua_object` descent for
 /// `(File, id, name)` plus the row fetch, over candidates spread across
 /// the catalog (measured 2.5–3.1 µs; 1.5–1.7 µs over one collection's
 /// consecutive files; see the module doc).
 pub(crate) const PROBE_US: f64 = 3.0;
+
+/// µs a probe costs of a candidate this query already probed for another
+/// attribute: its `ua_object` entries share a leaf (measured 0.8–1.0 µs).
+pub(crate) const WARM_PROBE_US: f64 = 0.85;
 
 /// µs a span walk spends on each group it visits: stepping to the
 /// group's key, checking it, and seeking the span in its posting
@@ -93,11 +113,6 @@ const SAMPLED_GROUPS: usize = 16;
 
 /// Every object id: the span of a walk that no candidate set bounds.
 const ALL_IDS: (i64, i64) = (i64::MIN, i64::MAX);
-
-/// µs to filter `candidates` with one probe each.
-fn probe_us(candidates: f64) -> f64 {
-    candidates * PROBE_US
-}
 
 /// µs a span walk costs that visits `groups` groups and reads `entries`
 /// entries inside the span.
@@ -145,57 +160,41 @@ pub(crate) enum Access {
     },
 }
 
-/// How one step participates in the plan.
-#[derive(Debug, Clone)]
-enum Role {
-    /// Produce the initial candidate set from the typed index.
-    SeedIndex(Access),
-    /// Produce the initial candidate set from the `ua_name` posting
-    /// list (no predicate in the conjunction is index-accessible).
-    SeedPosting,
-    /// Walk the typed index over the candidates' id span and intersect.
-    Intersect(Access),
-    /// Filter surviving candidates with per-candidate `ua_object`
-    /// probes instead of walking this step's own index entries.
-    Residual,
-    /// The 2003 evaluation: scan the `ua_name` posting list and intersect
-    /// with the candidates so far, if any.
-    Posting,
-}
-
-/// One planned evaluation step.
+/// One step of a plan: one predicate, or every range bound folded onto
+/// one attribute.
 struct Step {
-    /// Positions in the caller's checked-predicate slice: one predicate,
-    /// or every range bound folded onto one attribute.
+    /// Positions in the caller's checked-predicate slice.
     preds: Vec<usize>,
-    role: Role,
-    /// Entries for a seed (in every id), entries inside the seed's id
-    /// span for an intersection, estimated surviving candidates for a
-    /// residual.
-    est: usize,
-    /// Groups an intersection's walk visits.
-    groups: usize,
-    /// For a residual with an access path whose span dive stopped at the
-    /// probes' cost: the groups and entries it had counted.
-    cut: Option<(usize, usize)>,
+    /// Its typed-index access path, if it has one.
+    access: Option<Access>,
+    /// What its dive over the seed's id span counted: `None` for the seed,
+    /// a step with no access path, and every step of a seed too small to
+    /// dive for.
+    dive: Option<SpanDive>,
 }
 
-/// A compiled plan for a conjunction of attribute predicates.
+/// A compiled plan for a conjunction of attribute predicates: the seed,
+/// then the other steps in the order they run.
 pub(crate) struct AttrPlan {
     steps: Vec<Step>,
-    /// The seed's object-id span, which bounds every intersection's walk
-    /// (at run time, the running candidates' narrower one).
+    /// The seed's candidates: the file entries of its index access, or
+    /// its posting list's rows. `None` for the 2003 evaluation, which runs
+    /// every step as a `ua_name` posting scan in syntactic order.
+    seed_rows: Option<usize>,
+    /// The seed's object-id span, which bounds every dive.
     span: Option<(i64, i64)>,
 }
 
 impl AttrPlan {
-    /// Human-readable plan, one line per step (the `explain` surface —
-    /// plan-shape tests pin these strings, so keep them stable). A folded
-    /// step names each of its predicates, joined by `AND`.
+    /// Human-readable plan, one line per step: the seed, then each other
+    /// step in run order with its dive and the rule that picks its work
+    /// (the `explain` surface — plan-shape tests pin these strings). A
+    /// folded step names each of its predicates, joined by `AND`.
     pub(crate) fn lines(&self, checked: &[(&AttrPredicate, AttrType)]) -> Vec<String> {
         self.steps
             .iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(k, s)| {
                 let preds = s
                     .preds
                     .iter()
@@ -203,30 +202,36 @@ impl AttrPlan {
                     .collect::<Vec<_>>()
                     .join(" AND ");
                 let ix = value_index_name(checked[s.preds[0]].1);
-                match &s.role {
-                    Role::SeedIndex(a) => {
-                        format!("seed: {preds} via index {ix} {} ({} rows)", a.shape(), s.est)
+                let Some(rows) = self.seed_rows else {
+                    return format!("posting scan: {preds} via ua_name");
+                };
+                match (k, &s.access, s.dive) {
+                    (0, Some(a), _) => {
+                        format!("seed: {preds} via index {ix} {} ({rows} rows)", a.shape())
                     }
-                    Role::SeedPosting => {
-                        format!("seed: {preds} via posting scan ua_name ({} rows)", s.est)
-                    }
-                    Role::Intersect(a) => {
-                        let (lo, hi) = self.span.expect("an intersection has a seed span");
+                    (0, None, _) => format!("seed: {preds} via posting scan ua_name ({rows} rows)"),
+                    (_, Some(a), Some(d)) if !d.stopped => {
+                        let (lo, hi) = self.span.expect("a finished dive has a seed span");
+                        let us = walk_us(d.groups, d.entries);
+                        let at = |price: f64| (us / price).floor() as usize + 1;
                         format!(
-                            "intersect: {preds} via index {ix} {} over ids {lo}..={hi} \
-                             ({} groups, ~{} rows)",
+                            "walk or probe: {preds} via index {ix} {} over ids {lo}..={hi} \
+                             ({} groups, ~{} rows): walks at >= {} candidates, >= {} once probed",
                             a.shape(),
-                            s.groups,
-                            s.est
+                            d.groups,
+                            d.entries,
+                            at(PROBE_US),
+                            at(WARM_PROBE_US)
                         )
                     }
-                    Role::Residual => {
-                        let cut = s.cut.map_or(String::new(), |(g, n)| {
-                            format!("; dive stopped at {g} groups, ~{n} rows")
-                        });
-                        format!("residual: {preds} via ua_object probes (~{} candidates{cut})", s.est)
+                    (_, _, Some(d)) => format!(
+                        "probe: {preds} via ua_object (dive stopped at {} groups, ~{} rows)",
+                        d.groups, d.entries
+                    ),
+                    (_, Some(_), None) => {
+                        format!("probe: {preds} via ua_object (no dive at {rows} candidates)")
                     }
-                    Role::Posting => format!("posting scan: {preds} via ua_name"),
+                    (_, None, None) => format!("probe: {preds} via ua_object"),
                 }
             })
             .collect()
@@ -430,12 +435,10 @@ pub(crate) fn plan_conjunction(
     t: &Table,
     checked: &[(&AttrPredicate, AttrType)],
 ) -> Result<AttrPlan> {
-    /// A step before its role is known.
+    /// A step before the seed is chosen: file entries counted in every id
+    /// (0 for an uncounted part, the cap for a dive stopped at one).
     struct Part {
-        preds: Vec<usize>,
-        access: Option<Access>,
-        /// File entries counted in every id; for an uncounted part (no
-        /// access path) 0, and for a dive stopped at its cap that cap.
+        step: Step,
         est: usize,
         capped: bool,
     }
@@ -445,7 +448,7 @@ pub(crate) fn plan_conjunction(
     for (i, (p, ty)) in checked.iter().enumerate() {
         let access = access_for(p, *ty, &coerced_value(p, *ty));
         if let Some(a @ Access::Range { .. }) = &access {
-            let same = parts.iter_mut().find(|g| {
+            let same = parts.iter_mut().map(|g| &mut g.step).find(|g| {
                 matches!(g.access, Some(Access::Range { .. }))
                     && checked[g.preds[0]].0.name == p.name
             });
@@ -455,12 +458,13 @@ pub(crate) fn plan_conjunction(
                 continue;
             }
         }
-        parts.push(Part { preds: vec![i], access, est: 0, capped: false });
+        let step = Step { preds: vec![i], access, dive: None };
+        parts.push(Part { step, est: 0, capped: false });
     }
 
-    // Walk one part's index over `span`, handing `visit` each group of
+    // Walk one step's index over `span`, handing `visit` each group of
     // its access path and whether it counts.
-    let walk = |g: &Part, span, visit: &mut dyn FnMut(Group<'_>, bool) -> Result<bool>| {
+    let walk = |g: &Step, span, visit: &mut dyn FnMut(Group<'_>, bool) -> Result<bool>| {
         let (p, ty) = checked[g.preds[0]];
         let access = g.access.as_ref().expect("a walk needs an access path");
         let checks = step_checks(checked, &g.preds);
@@ -469,7 +473,7 @@ pub(crate) fn plan_conjunction(
     // A dive returns `(count, false)`, or `(cap, true)` when it stopped
     // at `cap`: past its cap a dive knows nothing, so dives stopped at
     // one cap tie, and keep the order the query gave them.
-    let dive = |g: &Part, cap: usize| -> Result<(usize, bool)> {
+    let dive = |g: &Step, cap: usize| -> Result<(usize, bool)> {
         let mut n = 0usize;
         walk(g, ALL_IDS, &mut |group, counts| {
             n += if counts { group.count() } else { 0 };
@@ -482,12 +486,12 @@ pub(crate) fn plan_conjunction(
     // only up to the best seed so far — reaching it means the range
     // cannot seed, since a capped dive ranks above its cap.
     let mut best = usize::MAX;
-    for g in parts.iter_mut().filter(|g| matches!(g.access, Some(Access::Point(_)))) {
-        g.est = dive(g, usize::MAX)?.0;
+    for g in parts.iter_mut().filter(|g| matches!(g.step.access, Some(Access::Point(_)))) {
+        g.est = dive(&g.step, usize::MAX)?.0;
         best = best.min(g.est);
     }
-    for g in parts.iter_mut().filter(|g| matches!(g.access, Some(Access::Range { .. }))) {
-        (g.est, g.capped) = dive(g, best)?;
+    for g in parts.iter_mut().filter(|g| matches!(g.step.access, Some(Access::Range { .. }))) {
+        (g.est, g.capped) = dive(&g.step, best)?;
         if !g.capped {
             best = g.est;
         }
@@ -496,18 +500,16 @@ pub(crate) fn plan_conjunction(
     // Seed from the cheapest index-accessible part; when none is
     // accessible (all-`!=` conjunctions), from the smallest posting
     // list — never a full scan of rows that can't match.
-    let name_ix = index(t, "ua_name")?;
-    let posting = |preds: &[usize]| {
-        name_ix.count_eq(std::slice::from_ref(&Value::from(checked[preds[0]].0.name.as_str())))
-    };
-    if parts.iter().all(|g| g.access.is_none()) {
+    if parts.iter().all(|g| g.step.access.is_none()) {
+        let name_ix = index(t, "ua_name")?;
         for g in &mut parts {
-            g.est = posting(&g.preds);
+            let name = Value::from(checked[g.step.preds[0]].0.name.as_str());
+            g.est = name_ix.count_eq(std::slice::from_ref(&name));
         }
     }
-    let rank = |g: &Part| (g.access.is_none(), g.est, g.capped);
+    let rank = |g: &Part| (g.step.access.is_none(), g.est, g.capped);
     let seed = (0..parts.len()).min_by_key(|&i| rank(&parts[i])).expect("non-empty conjunction");
-    let seed = parts.remove(seed);
+    let Part { step: seed, est: rows, .. } = parts.remove(seed);
     // The seed's object-id span: the least and greatest id over its
     // counted groups.
     let mut span: Option<(i64, i64)> = None;
@@ -519,26 +521,17 @@ pub(crate) fn plan_conjunction(
             Ok(true)
         })?;
     }
-    let role = match seed.access {
-        Some(a) => Role::SeedIndex(a),
-        None => Role::SeedPosting,
-    };
-    let mut steps = vec![Step { preds: seed.preds, role, est: seed.est, groups: 0, cut: None }];
 
     // Every other step with an access path dives over the seed's id
     // span, counting the groups its walk visits and estimating the
     // entries it reads inside the span (`Group::estimate` reads a group's
     // two ends, not its entries), and stops once that walk costs as many
-    // µs as probing the seed's candidates. Steps then go most selective
-    // in the span first, so each intersection narrows the candidates
-    // before the next decision: a step intersects while its walk costs
-    // fewer µs than probing the candidates left, and narrows their
-    // estimate by the share of the span's ids it keeps, as if the
-    // predicates were independent. A step whose walk costs more probes;
-    // if its first dive ran to the end, it dives again up to the lower
-    // cost, so that every probing step's dive reports where it stopped.
-    // Residuals run after every intersection.
-    let dive_span = |g: &Part, (lo, hi): (i64, i64), budget: f64| -> Result<SpanDive> {
+    // µs as probing the seed's candidates. A seed that found nothing
+    // leaves no candidate to probe, so every dive stops before its first
+    // group; a seed of one candidate leaves a dive nothing to save, so
+    // none runs.
+    let budget = rows as f64 * PROBE_US;
+    let dive_span = |g: &Step, (lo, hi): (i64, i64)| -> Result<SpanDive> {
         let (mut groups, mut entries, mut stopped) = (0usize, 0.0f64, false);
         // The first counted groups are estimated one by one; after them,
         // a group's size times the share of entries they had in the span.
@@ -558,57 +551,21 @@ pub(crate) fn plan_conjunction(
         })?;
         Ok(SpanDive { groups, entries: entries.round() as usize, stopped })
     };
-    // A seed that found nothing leaves no candidate to probe, so every
-    // dive stops before its first group.
-    let mut dived = Vec::with_capacity(parts.len());
-    for g in parts {
-        let d = match (&g.access, span) {
+    let dives = rows != 1;
+    let mut steps = Vec::with_capacity(parts.len() + 1);
+    for Part { mut step, .. } in parts {
+        step.dive = match (&step.access, span) {
             (None, _) => None,
+            _ if !dives => None,
             (Some(_), None) => Some(SpanDive { stopped: true, ..SpanDive::default() }),
-            (Some(_), Some(span)) => Some(dive_span(&g, span, probe_us(seed.est as f64))?),
+            (Some(_), Some(span)) => Some(dive_span(&step, span)?),
         };
-        dived.push((g, d));
+        steps.push(step);
     }
-    // Steps with no access path go last.
-    dived.sort_by_key(|(_, d)| d.map_or((true, true, 0), |d| (false, d.stopped, d.entries)));
-    let mut running = seed.est as f64;
-    let mut residuals = Vec::new();
-    for (g, d) in dived {
-        let Some(mut d) = d else {
-            residuals.push((g.preds, None));
-            continue;
-        };
-        let (Some(access), Some((lo, hi))) = (g.access.clone(), span) else {
-            residuals.push((g.preds, Some((d.groups, d.entries))));
-            continue;
-        };
-        let budget = probe_us(running);
-        if !d.stopped && walk_us(d.groups, d.entries) < budget {
-            let ids = (hi as f64 - lo as f64 + 1.0).max(d.entries as f64).max(1.0);
-            running *= d.entries as f64 / ids;
-            steps.push(Step {
-                preds: g.preds,
-                role: Role::Intersect(access),
-                est: d.entries,
-                groups: d.groups,
-                cut: None,
-            });
-            continue;
-        }
-        if !d.stopped {
-            d = dive_span(&g, (lo, hi), budget)?;
-        }
-        residuals.push((g.preds, Some((d.groups, d.entries))));
-    }
-    let est = running.ceil() as usize;
-    steps.extend(residuals.into_iter().map(|(preds, cut)| Step {
-        preds,
-        role: Role::Residual,
-        est,
-        groups: 0,
-        cut,
-    }));
-    Ok(AttrPlan { steps, span })
+    // Most selective in the span first; undived steps last.
+    steps.sort_by_key(|g| g.dive.map_or((true, true, 0), |d| (false, d.stopped, d.entries)));
+    steps.insert(0, seed);
+    Ok(AttrPlan { steps, seed_rows: Some(rows), span })
 }
 
 impl Mcs {
@@ -634,10 +591,9 @@ impl Mcs {
         if self.profile == IndexProfile::ValueIndexed && !self.ctx.planner_bypass {
             return plan_conjunction(t, checked);
         }
-        let steps = (0..checked.len())
-            .map(|i| Step { preds: vec![i], role: Role::Posting, est: 0, groups: 0, cut: None })
-            .collect();
-        Ok(AttrPlan { steps, span: None })
+        let steps =
+            (0..checked.len()).map(|i| Step { preds: vec![i], access: None, dive: None }).collect();
+        Ok(AttrPlan { steps, seed_rows: None, span: None })
     }
 
     /// EXPLAIN for [`Mcs::query_by_attributes`]: the plan it would run
@@ -667,41 +623,55 @@ impl Mcs {
         checked: &[(&AttrPredicate, AttrType)],
         plan: &AttrPlan,
     ) -> Result<Vec<i64>> {
-        let mut acc: Option<Vec<i64>> = None;
+        self.run_steps(t, checked, plan, |_, _| {})
+    }
+
+    /// [`Mcs::run_attr_plan`], telling `chose` for each step after the
+    /// seed that runs whether it walked (`true`) or probed, in run order.
+    /// A step walks when its dive prices the walk below probing the
+    /// candidates it faces; a candidate an earlier step probed probes warm.
+    fn run_steps(
+        &self,
+        t: &Table,
+        checked: &[(&AttrPredicate, AttrType)],
+        plan: &AttrPlan,
+        mut chose: impl FnMut(&[usize], bool),
+    ) -> Result<Vec<i64>> {
+        let mut ids: Option<Vec<i64>> = None;
+        let mut price = PROBE_US;
         for step in &plan.steps {
             let (p, ty) = checked[step.preds[0]];
             // The `(op, coerced literal)` tests every row of the step passes.
             let checks = step_checks(checked, &step.preds);
-            acc = Some(match (&step.role, acc) {
-                (Role::SeedIndex(a), None) => {
+            let posting = || self.posting_scan(t, p, ty.full_row_column(), &checks[0].1);
+            ids = Some(match (ids, &step.access) {
+                (None, Some(a)) if plan.seed_rows.is_some() => {
                     self.eval_access(t, &p.name, ty, &checks, a, ALL_IDS)?
                 }
-                (Role::SeedPosting, None) => {
-                    self.posting_scan(t, p, ty.full_row_column(), &checks[0].1)?
-                }
-                (Role::Posting, prev) => {
-                    let ids = self.posting_scan(t, p, ty.full_row_column(), &checks[0].1)?;
-                    match prev {
-                        None => ids,
-                        Some(prev) => intersect_sorted(&prev, &ids),
-                    }
-                }
-                (Role::Intersect(a), Some(prev)) => {
+                (None, _) => posting()?,
+                (Some(prev), _) if plan.seed_rows.is_none() => intersect_sorted(&prev, &posting()?),
+                (Some(prev), Some(a))
+                    if step.dive.is_some_and(|d| {
+                        !d.stopped && walk_us(d.groups, d.entries) < prev.len() as f64 * price
+                    }) =>
+                {
+                    chose(&step.preds, true);
                     // The candidates are ascending: their span is the
                     // first and last.
                     let span = (prev[0], prev[prev.len() - 1]);
                     intersect_sorted(&prev, &self.eval_access(t, &p.name, ty, &checks, a, span)?)
                 }
-                (Role::Residual, Some(prev)) => {
-                    self.residual_filter(t, &prev, &p.name, ty, &checks)?
+                (Some(prev), _) => {
+                    chose(&step.preds, false);
+                    price = WARM_PROBE_US;
+                    self.probe_filter(t, &prev, &p.name, ty, &checks)?
                 }
-                _ => return Err(McsError::Internal("malformed attribute plan".into())),
             });
-            if acc.as_ref().is_some_and(Vec::is_empty) {
+            if ids.as_ref().is_some_and(Vec::is_empty) {
                 break;
             }
         }
-        Ok(acc.unwrap_or_default())
+        Ok(ids.unwrap_or_default())
     }
 
     /// Evaluate one access path on the typed index of `ty` for the
@@ -752,7 +722,7 @@ impl Mcs {
         Ok(sorted_ids(out))
     }
 
-    /// Residual evaluation: keep the candidates whose `(File, id, name)`
+    /// Probe evaluation: keep the candidates whose `(File, id, name)`
     /// attribute row — found via the unique `ua_object` index, one probe
     /// per candidate — passes every one of `checks`. Same semantics as a
     /// posting scan: the attribute must exist on the file (so `!=`
@@ -761,7 +731,7 @@ impl Mcs {
     /// `prev` is ascending, so consecutive probes descend the same
     /// B-tree path, and one probe key per step serves them all — only
     /// its object-id slot changes.
-    fn residual_filter(
+    fn probe_filter(
         &self,
         t: &Table,
         prev: &[i64],
@@ -962,64 +932,171 @@ mod tests {
         assert_eq!(difference_sorted(&[1, 1, 2], &[2]), vec![1]);
     }
 
-    /// Calibration of [`PROBE_US`], [`GROUP_US`] and [`SPAN_ENTRY_US`]:
-    /// on a catalog of 50 000 files laid out like perfbench's
-    /// (collections of 1 000 consecutive files, ten attributes each),
-    /// time one residual probe over dense candidates (one collection's
-    /// files) and over sparse ones (every 50th file of the catalog), one
-    /// group visit of a span walk (the 1 000 `seq` groups walked over a
-    /// one-id span, which holds one entry of one of them), one entry read
-    /// inside the span (one `kind` group of 2 500 entries walked over
-    /// every id), and the start of a walk (a one-entry point lookup).
-    /// Each of 15 passes takes a fresh candidate set, key range or span
-    /// and starts after 8 MiB of other memory has been touched, as
-    /// another query's work would between two; the medians are printed.
-    /// Run with `cargo test --release -p mcs --lib calibrate -- --ignored
-    /// --nocapture` on an otherwise idle CPU.
-    #[test]
-    #[ignore = "builds a 50 000-file catalog; prints cost constants"]
-    fn calibrate_probe_and_scan_costs() {
+    /// The ten attributes of perfbench's catalog (`workload::spec`).
+    const WL_ATTRS: [(&str, AttrType); 10] = [
+        ("wl_site", AttrType::Str),
+        ("wl_type", AttrType::Str),
+        ("wl_seq", AttrType::Int),
+        ("wl_coll", AttrType::Int),
+        ("wl_freq", AttrType::Float),
+        ("wl_snr", AttrType::Float),
+        ("wl_date", AttrType::Date),
+        ("wl_caldate", AttrType::Date),
+        ("wl_start", AttrType::DateTime),
+        ("wl_end", AttrType::DateTime),
+    ];
+
+    /// Attribute `a`'s value on object index `i`, as `workload::spec`
+    /// gives it (`wl_site` = i % 50, `wl_type` = i % 20, `wl_seq` =
+    /// i % 1000, `wl_coll` = i / 1000, …).
+    fn wl_value(a: usize, i: i64) -> Value {
+        use relstore::{Date, DateTime};
+        let (day, sec) = (12_341, 1_066_262_400);
+        match a {
+            0 => Value::from(format!("site_{:02}", i % 50)),
+            1 => Value::from(format!("type_{:02}", i % 20)),
+            2 => Value::Int(i % 1000),
+            3 => Value::Int(i / 1000),
+            4 => Value::Float((i % 997) as f64 * 0.5),
+            5 => Value::Float((i % 101) as f64 * 1.25),
+            6 => Value::Date(Date::from_days_from_epoch(day + i % 365)),
+            7 => Value::Date(Date::from_days_from_epoch(day + i % 30)),
+            8 => Value::DateTime(DateTime::from_seconds_from_epoch(sec + (i % 86_400) * 7)),
+            _ => Value::DateTime(DateTime::from_seconds_from_epoch(sec + (i % 3_600) * 11)),
+        }
+    }
+
+    /// A catalog laid out like perfbench's: `files` files with ids
+    /// 1..=files in collections of 1 000 consecutive ones, every file
+    /// `i` and every collection `c` carrying the ten attributes with
+    /// [`wl_value`]`(a, i)` and `(a, c)`. No read cache.
+    fn perfbench_catalog(files: i64) -> (Mcs, Credential) {
         use std::sync::Arc;
-        use std::time::Instant;
 
-        use crate::{FileSpec, IndexProfile, ManualClock};
+        use crate::{Attribute, FileSpec, IndexProfile, ManualClock, ObjectRef};
 
-        const FILES: i64 = 50_000;
-        const PASSES: i64 = 15;
         let cred = Credential::new("/O=Grid/CN=admin");
         let clock = Arc::new(ManualClock::default());
         let m = Mcs::with_options(&cred, IndexProfile::ValueIndexed, clock).unwrap();
-        // perfbench's ten attributes with its value cycles; the two
-        // string ones keep their types, the rest are Int.
-        let attrs = ["site", "kind", "seq", "coll", "a4", "a5", "a6", "a7", "a8", "a9"];
-        let cycles = [50, 20, 1000, 0, 997, 101, 365, 30, 86_400, 3_600];
-        for (k, name) in attrs.iter().enumerate() {
-            let ty = if k < 2 { AttrType::Str } else { AttrType::Int };
+        for (name, ty) in WL_ATTRS {
             m.define_attribute(&cred, name, ty, "").unwrap();
         }
-        for batch in (0..FILES).collect::<Vec<_>>().chunks(1000) {
-            let specs: Vec<FileSpec> = batch
-                .iter()
-                .map(|&i| {
-                    attrs.iter().zip(cycles).enumerate().fold(
-                        FileSpec::named(format!("lfn.{i:09}.dat")),
-                        |spec, (k, (name, cycle))| match k {
-                            0 => spec.attr(*name, format!("site_{:02}", i % cycle)),
-                            1 => spec.attr(*name, format!("type_{:02}", i % cycle)),
-                            3 => spec.attr(*name, i / 1000),
-                            _ => spec.attr(*name, i % cycle),
-                        },
-                    )
+        for c in 0..(files + 999) / 1000 {
+            let coll = format!("coll.{c:06}");
+            m.create_collection(&cred, &coll, None, "").unwrap();
+            for (a, (name, _)) in WL_ATTRS.iter().enumerate() {
+                let attr = Attribute { name: name.to_string(), value: wl_value(a, c) };
+                m.set_attribute(&cred, &ObjectRef::Collection(coll.clone()), &attr).unwrap();
+            }
+            let specs: Vec<FileSpec> = (c * 1000..files.min(c * 1000 + 1000))
+                .map(|i| {
+                    let spec = FileSpec::named(format!("lfn.{i:09}.dat")).in_collection(&coll);
+                    WL_ATTRS.iter().enumerate().fold(spec, |s, (a, (name, _))| {
+                        s.attr(*name, wl_value(a, i))
+                    })
                 })
                 .collect();
             m.create_files(&cred, &specs).unwrap();
         }
+        (m, cred)
+    }
 
+    fn wl_pred(a: usize, op: AttrOp, value: Value) -> AttrPredicate {
+        AttrPredicate { name: WL_ATTRS[a].0.into(), op, value }
+    }
+
+    /// Plan and run `preds` on `m`, checking the answer against the
+    /// planner bypass: the plan, its explain lines, and for each step after
+    /// the seed that ran, its attribute and whether it walked.
+    fn run_choices(
+        m: &Mcs,
+        preds: &[AttrPredicate],
+    ) -> (AttrPlan, Vec<String>, Vec<(String, bool)>) {
+        let checked = m.check_predicates(preds).unwrap();
+        let handle = m.db.table("user_attributes").unwrap();
+        let (plan, ids, chose) = {
+            let t = handle.read();
+            let plan = m.plan_attrs(&t, &checked).unwrap();
+            let mut chose = Vec::new();
+            let ids = m
+                .run_steps(&t, &checked, &plan, |preds, walked| {
+                    chose.push((checked[preds[0]].0.name.clone(), walked))
+                })
+                .unwrap();
+            (plan, ids, chose)
+        };
+        let oracle = m.with_planner_bypass(|b| b.eval_conjunction(&checked)).unwrap();
+        assert_eq!(ids, oracle, "{preds:?}");
+        let lines = plan.lines(&checked);
+        (plan, lines, chose)
+    }
+
+    /// The run-time choices on perfbench's nested moduli (`wl_site` =
+    /// i % 50 and `wl_type` = i % 20 are functions of `wl_seq` = i % 1000)
+    /// over 5 000 files: eq3's `wl_seq` seed holds 5 candidates and every
+    /// one passes both later steps, so each step faces all 5 and walks;
+    /// a one-candidate seed (eq10's `wl_start`) runs no dive and probes
+    /// its nine `=` steps; and the LIKE shape's `wl_seq >= 50` still walks
+    /// its 950 one-entry groups rather than probing the LIKE's 200
+    /// survivors.
+    #[test]
+    fn steps_decide_on_the_candidates_they_have() {
+        let (m, _) = perfbench_catalog(5_000);
+        let eq = |k: usize, i: i64| -> Vec<AttrPredicate> {
+            (0..k).map(|a| wl_pred(a, AttrOp::Eq, wl_value(a, i))).collect()
+        };
+        let walked = |names: &[&str]| -> Vec<(String, bool)> {
+            names.iter().map(|n| (n.to_string(), true)).collect()
+        };
+        let (_, lines, chose) = run_choices(&m, &eq(3, 1_234));
+        assert_eq!(chose, walked(&["wl_site", "wl_type"]), "{lines:?}");
+
+        let (plan, lines, chose) = run_choices(&m, &eq(10, 1_234));
+        assert_eq!(lines[0], "seed: wl_start = via index ua_name_datetime eq (1 rows)");
+        assert!(plan.steps.iter().all(|s| s.dive.is_none()), "{lines:?}");
+        assert_eq!(chose.len(), 9, "{lines:?}");
+        assert!(chose.iter().all(|(_, walked)| !walked), "{chose:?}");
+
+        let like = [
+            wl_pred(0, AttrOp::Like, Value::from("site_3%")),
+            wl_pred(2, AttrOp::Ge, Value::Int(50)),
+            wl_pred(3, AttrOp::Eq, Value::Int(2)),
+        ];
+        let (_, lines, chose) = run_choices(&m, &like);
+        assert_eq!(lines[0], "seed: wl_coll = via index ua_name_int eq (1000 rows)");
+        assert_eq!(chose, walked(&["wl_site", "wl_seq"]), "{lines:?}");
+    }
+
+    /// Calibration of [`PROBE_US`], [`WARM_PROBE_US`], [`GROUP_US`] and
+    /// [`SPAN_ENTRY_US`] on the 50 000-file [`perfbench_catalog`]: time
+    /// one probe over dense candidates (one collection's files) and over
+    /// sparse ones (every 50th file of the catalog), one warm probe (the
+    /// 50 files of one `wl_seq` value probed for another attribute right
+    /// after a first probe, as a conjunction's later steps probe them),
+    /// one group visit of a span walk (the 1 000 `wl_seq` groups walked
+    /// over a one-id span, which holds one entry of one of them), one
+    /// entry read inside the span (one 2 500-entry `wl_type` group walked
+    /// over every id), and the start of a walk (a one-entry point
+    /// lookup). Each of 15 passes takes a fresh candidate set, key range
+    /// or span and starts after 8 MiB of other memory has been touched,
+    /// as another query's work would between two; the medians are
+    /// printed. Run with `cargo test --release -p mcs --lib calibrate --
+    /// --ignored --nocapture` on an otherwise idle CPU.
+    #[test]
+    #[ignore = "builds a 50 000-file catalog; prints cost constants"]
+    fn calibrate_probe_and_scan_costs() {
+        use std::time::Instant;
+
+        const PASSES: i64 = 15;
+        let (m, _) = perfbench_catalog(50_000);
         let handle = m.db.table("user_attributes").unwrap();
         let t = handle.read();
         let eq = |v: Value| vec![(AttrOp::Eq, v)];
-        let point = |name: &str, v: Value, span: (i64, i64)| {
-            let ty = if v.as_str().is_ok() { AttrType::Str } else { AttrType::Int };
+        // The files whose attribute `a` equals its value on object `i`,
+        // read by a point walk over `span`.
+        let point = |a: usize, i: i64, span: (i64, i64)| {
+            let (name, ty) = WL_ATTRS[a];
+            let v = wl_value(a, i);
             m.eval_access(&t, name, ty, &eq(v.clone()), &Access::Point(v), span).unwrap()
         };
         // Between passes, touch 8 MiB, so that what a pass reads is no
@@ -1032,53 +1109,133 @@ mod tests {
             std::hint::black_box(&filler);
         };
         // µs per unit for each pass's (units, work), median over passes.
-        let mut per_unit = |work: &mut dyn FnMut(i64) -> usize| {
+        // A pass with untimed set-up restarts the clock it is handed.
+        let mut per_unit = |work: &mut dyn FnMut(i64, &mut Instant) -> usize| {
             let mut v: Vec<f64> = (0..PASSES)
                 .map(|k| {
                     evict();
-                    let start = Instant::now();
-                    let units = work(k);
+                    let mut start = Instant::now();
+                    let units = work(k, &mut start);
                     start.elapsed().as_secs_f64() * 1e6 / units.max(1) as f64
                 })
                 .collect();
             v.sort_by(f64::total_cmp);
             v[v.len() / 2]
         };
-        let probe = |cands: &[i64]| {
-            let checks = eq(Value::from("type_07"));
-            let out = m.residual_filter(&t, cands, "kind", AttrType::Str, &checks).unwrap();
+        // Probe `cands` for attribute `a` = its value on file 7.
+        let probe = |cands: &[i64], a: usize| {
+            let (name, ty) = WL_ATTRS[a];
+            let out = m.probe_filter(&t, cands, name, ty, &eq(wl_value(a, 7))).unwrap();
             std::hint::black_box(out);
             cands.len()
         };
-        let dense = per_unit(&mut |k| probe(&point("coll", Value::Int(3 * k + 1), ALL_IDS)));
-        let sparse = per_unit(&mut |k| {
-            probe(&point("site", Value::from(format!("site_{:02}", 3 * k + 1)), ALL_IDS))
+        let dense = per_unit(&mut |k, _| probe(&point(3, (3 * k + 1) * 1000, ALL_IDS), 1));
+        let sparse = per_unit(&mut |k, _| probe(&point(0, 3 * k + 1, ALL_IDS), 1));
+        // The 50 spread files of one `wl_seq` value (eq3's seed), probed
+        // for `wl_type`, then timed on a probe for `wl_snr`.
+        let warm = per_unit(&mut |k, start| {
+            let cands = point(2, 37 * k + 2, ALL_IDS);
+            probe(&cands, 1);
+            *start = Instant::now();
+            probe(&cands, 5)
         });
-        // Every `seq` group, each seen through the one id of another
+        // Every `wl_seq` group, each seen through the one id of another
         // collection's file.
         let all_seq =
             Access::Range { low: Bound::Unbounded, high: Bound::Unbounded, like: false };
-        let group = per_unit(&mut |k| {
-            let id = point("a8", Value::Int(2_017 * k + 500), ALL_IDS)[0];
-            let out = m.eval_access(&t, "seq", AttrType::Int, &[], &all_seq, (id, id)).unwrap();
+        let group = per_unit(&mut |k, _| {
+            let id = point(8, 2_017 * k + 500, ALL_IDS)[0];
+            let out = m.eval_access(&t, "wl_seq", AttrType::Int, &[], &all_seq, (id, id)).unwrap();
             std::hint::black_box(out);
             1000
         });
-        // One `kind` group of 2 500 entries, over every id.
-        let entry = per_unit(&mut |k| {
-            point("kind", Value::from(format!("type_{:02}", k + 1)), ALL_IDS).len()
-        });
-        let start = per_unit(&mut |k| {
+        // One `wl_type` group of 2 500 entries, over every id.
+        let entry = per_unit(&mut |k, _| point(1, k + 1, ALL_IDS).len());
+        let start = per_unit(&mut |k, _| {
             for j in 0..100 {
-                std::hint::black_box(point("a8", Value::Int(3_000 * k + j), ALL_IDS));
+                std::hint::black_box(point(8, 3_000 * k + j, ALL_IDS));
             }
             100
         });
         println!(
-            "probe: dense {dense:.3} µs, sparse {sparse:.3} µs; group visit {group:.3} µs; \
-             entry in span {entry:.3} µs; walk start {start:.3} µs \
-             (PROBE_US {PROBE_US}, GROUP_US {GROUP_US}, SPAN_ENTRY_US {SPAN_ENTRY_US})"
+            "probe: dense {dense:.3} µs, sparse {sparse:.3} µs, warm {warm:.3} µs; \
+             group visit {group:.3} µs; entry in span {entry:.3} µs; walk start {start:.3} µs \
+             (PROBE_US {PROBE_US}, WARM_PROBE_US {WARM_PROBE_US}, GROUP_US {GROUP_US}, \
+             SPAN_ENTRY_US {SPAN_ENTRY_US})"
         );
+    }
+
+    /// The per-class driver of perfbench's discover-cold mix, called
+    /// directly on the 50 000-file [`perfbench_catalog`] with no read
+    /// cache: each query picks a uniform file `i`; 14 in 20 are the
+    /// equality conjunction of its first 3 to 10 attributes, 3 in 20 a
+    /// `wl_seq` range of up to 50 values in its collection, and 3 in 20
+    /// `wl_site LIKE 'site_<d>%' AND wl_seq >= lo AND wl_coll = c` with a
+    /// uniform `lo` at most `i`'s `wl_seq`. Prints each class's p50, p90
+    /// and p99 in µs, with LIKE split at `lo` = 100, and checks the size
+    /// of every answer. Run with `cargo test --release -p mcs --lib
+    /// discover_cold_classes -- --ignored --nocapture` pinned to an idle
+    /// CPU.
+    #[test]
+    #[ignore = "builds a 50 000-file catalog; prints per-class latencies"]
+    fn discover_cold_classes() {
+        use std::time::Instant;
+
+        const FILES: i64 = 50_000;
+        const QUERIES: usize = 20_000;
+        let (m, cred) = perfbench_catalog(FILES);
+        let mut classes: Vec<(String, Vec<f64>)> = (3..=10)
+            .map(|k| format!("eq{k}"))
+            .chain(["range".into(), "LIKE lo < 100".into(), "LIKE lo >= 100".into()])
+            .map(|name| (name, Vec::new()))
+            .collect();
+        let mut rng = testkit::Rng::new(34);
+        let mut between = |lo: i64, hi: i64| lo + rng.below((hi - lo + 1) as u64) as i64;
+        for _ in 0..QUERIES {
+            let i = between(0, FILES - 1);
+            let (coll, seq) = (i / 1000, i % 1000);
+            let int = |a: usize, op, v: i64| wl_pred(a, op, Value::Int(v));
+            let (class, preds, want) = match between(0, 19) {
+                0..=13 => {
+                    let k = between(3, 10) as usize;
+                    let preds = (0..k).map(|a| wl_pred(a, AttrOp::Eq, wl_value(a, i))).collect();
+                    (k - 3, preds, if k == 3 { FILES / 1000 } else { 1 })
+                }
+                14..=16 => {
+                    let width = between(0, 49);
+                    let lo = seq - between(0, width).min(seq);
+                    let hi = (lo + width).min(999);
+                    let preds = vec![
+                        int(2, AttrOp::Ge, lo),
+                        int(2, AttrOp::Le, hi),
+                        int(3, AttrOp::Eq, coll),
+                    ];
+                    (8, preds, hi - lo + 1)
+                }
+                _ => {
+                    let (tens, lo) = ((i % 50) / 10, between(0, seq));
+                    let like = Value::from(format!("site_{tens}%"));
+                    let preds = vec![
+                        wl_pred(0, AttrOp::Like, like),
+                        int(2, AttrOp::Ge, lo),
+                        int(3, AttrOp::Eq, coll),
+                    ];
+                    let want = (0..1000).filter(|j| (j % 50) / 10 == tens && *j >= lo).count();
+                    (if lo < 100 { 9 } else { 10 }, preds, want as i64)
+                }
+            };
+            let start = Instant::now();
+            let hits = m.query_by_attributes(&cred, &preds).unwrap();
+            classes[class].1.push(start.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(hits.len() as i64, want, "{preds:?}");
+        }
+        let head = ["class", "queries", "p50 µs", "p90 µs", "p99 µs"];
+        println!("{:<16}{:>8}{:>10}{:>10}{:>10}", head[0], head[1], head[2], head[3], head[4]);
+        for (name, mut us) in classes {
+            us.sort_by(f64::total_cmp);
+            let q = |q: f64| us[((q * us.len() as f64).ceil() as usize).max(1) - 1];
+            println!("{name:<16}{:>8}{:>10.1}{:>10.1}{:>10.1}", us.len(), q(0.5), q(0.9), q(0.99));
+        }
     }
 
     #[test]

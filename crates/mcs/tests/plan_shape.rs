@@ -1,9 +1,10 @@
-//! Plan-shape regression tests: `explain_query` pins the access path the
-//! cost-based planner chooses for canonical conjunctions, so an
-//! accidental cost-model change shows up as a readable string diff:
-//! folded ranges, walks bounded to the seed's object-id span and priced
-//! in µs against probes, dives stopped at their bound, perfbench's LIKE
-//! shape — plus edge cases (empty catalog, all-duplicate and NULL-heavy
+//! Plan-shape regression tests: `explain_query` pins the plan the
+//! cost-based planner builds for canonical conjunctions, so an accidental
+//! cost-model change shows up as a readable string diff: folded ranges,
+//! dives bounded to the seed's object-id span and the candidate counts at
+//! which each step walks instead of probing, dives stopped at their bound,
+//! small seeds that dive for nothing, perfbench's LIKE shape — plus edge
+//! cases (empty catalog, all-duplicate and NULL-heavy
 //! columns, staleness after bulk deletes) that the estimates must survive
 //! without panicking or mis-planning.
 
@@ -54,38 +55,25 @@ fn selective_eq_seeds_unselective_eq_probes() {
     let plan = m
         .explain_query(&a, &[pred("site", AttrOp::Eq, "s3"), pred("run", AttrOp::Eq, 3i64)])
         .unwrap();
-    // run = 3 hits exactly one row, file 4 — it seeds. The walk of
-    // site = s3 visits one group and reads only what lies inside that
-    // one-id span (its two entries, 30 ids apart, put ~0 there), which
-    // costs less than one probe, so it intersects.
+    // run = 3 hits exactly one row, file 4 — it seeds. Probing one
+    // candidate warm costs less than one cold probe, so no step dives:
+    // site = s3 probes.
     assert_eq!(
         plan,
         vec![
             "seed: run = via index ua_name_int eq (1 rows)".to_string(),
-            "intersect: site = via index ua_name_str eq over ids 4..=4 (1 groups, ~0 rows)"
-                .to_string(),
+            "probe: site = via ua_object (no dive at 1 candidates)".to_string(),
         ]
     );
-    // However many rows share the site, the span bounds the walk: at 30
-    // rows per site it still reads about one entry.
+    // Five candidates 298 ids apart (run = i % 298 hits files 2, 300, …,
+    // 1194) hold nearly all 600 of site = s1's entries in their span: the
+    // dive stops once walking them costs more than probing the five.
     let m = catalog();
-    load(&m, 60, 2);
-    let plan = m
-        .explain_query(&a, &[pred("site", AttrOp::Eq, "s1"), pred("run", AttrOp::Eq, 3i64)])
-        .unwrap();
-    assert_eq!(
-        plan[1],
-        "intersect: site = via index ua_name_str eq over ids 4..=4 (1 groups, ~1 rows)"
-    );
-    // Two candidates 598 ids apart (run = i % 598 hits files 1 and 599)
-    // hold all 300 of site = s1's entries in their span: walking them
-    // costs more than probing the two candidates.
-    let m = catalog();
-    let specs: Vec<FileSpec> = (0..600i64)
+    let specs: Vec<FileSpec> = (0..1200i64)
         .map(|i| {
             FileSpec::named(format!("f{i:04}"))
                 .attr("site", format!("s{}", i % 2))
-                .attr("run", i % 598)
+                .attr("run", i % 298)
         })
         .collect();
     m.create_files(&a, &specs).unwrap();
@@ -93,14 +81,12 @@ fn selective_eq_seeds_unselective_eq_probes() {
     assert_eq!(
         m.explain_query(&a, &preds).unwrap(),
         vec![
-            "seed: run = via index ua_name_int eq (2 rows)".to_string(),
-            "residual: site = via ua_object probes (~2 candidates; dive stopped at 1 groups, \
-             ~300 rows)"
-                .to_string(),
+            "seed: run = via index ua_name_int eq (5 rows)".to_string(),
+            "probe: site = via ua_object (dive stopped at 1 groups, ~597 rows)".to_string(),
         ]
     );
     let hits = m.query_by_attributes(&a, &preds).unwrap();
-    assert_eq!(hits.len(), 2);
+    assert_eq!(hits.len(), 5);
     assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
 }
 
@@ -116,19 +102,20 @@ fn broad_range_intersects_when_cheaper_than_probes() {
         )
         .unwrap();
     // run < 5 keeps files 1–5 and seeds; site = s0's walk reads its 3
-    // entries in that span, less than probing the 5 survivors.
+    // entries in that span, less than probing even one candidate.
     assert_eq!(
         plan,
         vec![
             "seed: run < via index ua_name_int range (5 rows)".to_string(),
-            "intersect: site = via index ua_name_str eq over ids 1..=5 (1 groups, ~3 rows)"
+            "walk or probe: site = via index ua_name_str eq over ids 1..=5 (1 groups, ~3 rows): \
+             walks at >= 1 candidates, >= 1 once probed"
                 .to_string(),
         ]
     );
     // Flip the selectivities: now the equality seeds, over files 1–39.
-    // The range's dive stops at 20 entries in the seed round; its span
-    // walk visits all 40 `run` groups for 39 entries, still cheaper
-    // than 20 probes.
+    // The range's count stops at 20 entries; its span walk visits all 40
+    // `run` groups for 39 entries, cheaper than probing 6 or more of the
+    // 20 candidates cold.
     let plan = m
         .explain_query(
             &a,
@@ -139,7 +126,8 @@ fn broad_range_intersects_when_cheaper_than_probes() {
         plan,
         vec![
             "seed: site = via index ua_name_str eq (20 rows)".to_string(),
-            "intersect: run < via index ua_name_int range over ids 1..=39 (40 groups, ~40 rows)"
+            "walk or probe: run < via index ua_name_int range over ids 1..=39 (40 groups, \
+             ~40 rows): walks at >= 6 candidates, >= 18 once probed"
                 .to_string(),
         ]
     );
@@ -173,13 +161,14 @@ fn bounds_on_one_attribute_fold_into_one_range() {
     ];
     // run in (12, 16] keeps files 14–17 and seeds under all four
     // bounds; site = s0 has one entry in that span, cheaper to walk to
-    // than 4 probes.
+    // than one probe.
     assert_eq!(
         m.explain_query(&a, &folded).unwrap(),
         vec![
             "seed: run >= AND run < AND run > AND run <= via index ua_name_int range (4 rows)"
                 .to_string(),
-            "intersect: site = via index ua_name_str eq over ids 14..=17 (1 groups, ~1 rows)"
+            "walk or probe: site = via index ua_name_str eq over ids 14..=17 (1 groups, ~1 rows): \
+             walks at >= 1 candidates, >= 1 once probed"
                 .to_string(),
         ]
     );
@@ -222,8 +211,8 @@ fn bounds_on_one_attribute_fold_into_one_range() {
 
 /// 50 candidates against a 300-entry range over 15 `run` values:
 /// counting entries against candidates one to one would probe; priced in
-/// µs, walking 15 groups and 300 entries costs less than 50 probes, so
-/// the range intersects.
+/// µs, walking 15 groups and 300 entries costs less than probing 5 cold
+/// candidates, so with 50 the range walks.
 #[test]
 fn cheaper_walk_intersects_instead_of_probing() {
     let m = catalog();
@@ -241,7 +230,8 @@ fn cheaper_walk_intersects_instead_of_probing() {
         m.explain_query(&a, &preds).unwrap(),
         vec![
             "seed: site = via index ua_name_str eq (50 rows)".to_string(),
-            "intersect: run < via index ua_name_int range over ids 1..=589 (15 groups, ~300 rows)"
+            "walk or probe: run < via index ua_name_int range over ids 1..=589 (15 groups, \
+             ~300 rows): walks at >= 5 candidates, >= 17 once probed"
                 .to_string(),
         ]
     );
@@ -251,11 +241,11 @@ fn cheaper_walk_intersects_instead_of_probing() {
 }
 
 /// A LIKE whose prefix range holds more `site` entries than an `=` has
-/// rows stops its dive at the `=` count it ties with: a stopped dive
-/// ranks above its cap, so the equality seeds. The LIKE's span walk then
-/// prices each group it visits: 111 groups cost less than probing the 20
-/// candidates, but the 400 of a one-letter prefix do not, so that dive
-/// stops at the probes' cost and the LIKE probes.
+/// rows stops its count at the `=` count it ties with: a stopped count
+/// ranks above its cap, so the equality seeds. The LIKE's span dive then
+/// prices each group it visits: 111 groups cost less than probing 14 of
+/// the 20 candidates, but the 400 of a one-letter prefix cost more than
+/// probing all 20, so that dive stops there and the LIKE probes.
 #[test]
 fn capped_like_dive_never_seeds_on_a_tie() {
     let m = catalog();
@@ -277,8 +267,8 @@ fn capped_like_dive_never_seeds_on_a_tie() {
         m.explain_query(&a, &preds).unwrap(),
         vec![
             "seed: run = via index ua_name_int eq (20 rows)".to_string(),
-            "intersect: site LIKE via index ua_name_str prefix-range over ids 8..=388 \
-             (111 groups, ~104 rows)"
+            "walk or probe: site LIKE via index ua_name_str prefix-range over ids 8..=388 \
+             (111 groups, ~104 rows): walks at >= 14 candidates, >= 50 once probed"
                 .to_string(),
         ]
     );
@@ -287,9 +277,7 @@ fn capped_like_dive_never_seeds_on_a_tie() {
         m.explain_query(&a, &preds).unwrap(),
         vec![
             "seed: run = via index ua_name_int eq (20 rows)".to_string(),
-            "residual: site LIKE via ua_object probes (~20 candidates; dive stopped at \
-             160 groups, ~140 rows)"
-                .to_string(),
+            "probe: site LIKE via ua_object (dive stopped at 160 groups, ~140 rows)".to_string(),
         ]
     );
     let hits = m.query_by_attributes(&a, &preds).unwrap();
@@ -301,11 +289,12 @@ fn capped_like_dive_never_seeds_on_a_tie() {
 /// AND wl_coll = c` with `lo` above 750, on its layout (collections of
 /// 1 000 consecutive files; site = i % 50, seq = i % 1000). The LIKE's
 /// literal prefix is only `site` (`_` is a wildcard), so `wl_coll = c`
-/// seeds. Each later step walks only the collection's id span:
-/// `wl_seq >= 800` reads about its 200 entries there, not the 1 000 its
-/// range holds over the catalog (the 11 000–12 500 of a 50 000-file
+/// seeds. Each later step dives over the collection's id span only:
+/// `wl_seq >= 800` would read about its 200 entries there, not the 1 000
+/// its range holds over the catalog (the 11 000–12 500 of a 50 000-file
 /// catalog), and the LIKE checks each of the 50 site groups once and
-/// reads entries only in the ten that match.
+/// reads entries only in the ten that match. Both walk at the candidate
+/// counts they face (1 000, then the LIKE's 200 survivors).
 #[test]
 fn like_shape_walks_only_the_collections_span() {
     let a = admin();
@@ -337,11 +326,11 @@ fn like_shape_walks_only_the_collections_span() {
         m.explain_query(&a, &preds).unwrap(),
         vec![
             "seed: wl_coll = via index ua_name_int eq (1000 rows)".to_string(),
-            "intersect: wl_site LIKE via index ua_name_str prefix-range over ids 2001..=3000 \
-             (50 groups, ~202 rows)"
+            "walk or probe: wl_site LIKE via index ua_name_str prefix-range over ids \
+             2001..=3000 (50 groups, ~202 rows): walks at >= 8 candidates, >= 28 once probed"
                 .to_string(),
-            "intersect: wl_seq >= via index ua_name_int range over ids 2001..=3000 \
-             (200 groups, ~250 rows)"
+            "walk or probe: wl_seq >= via index ua_name_int range over ids 2001..=3000 \
+             (200 groups, ~250 rows): walks at >= 26 candidates, >= 92 once probed"
                 .to_string(),
         ]
     );
@@ -357,8 +346,8 @@ fn ne_never_seeds_when_an_indexed_predicate_exists() {
     load(&m, 50, 25);
     let a = admin();
     // Regression for the old behavior of scanning the full posting list
-    // for the negated predicate: `!=` must ride as a residual probe off
-    // the selective equality, not drive the evaluation.
+    // for the negated predicate: `!=` must ride as a probe off the
+    // selective equality, not drive the evaluation.
     let plan = m
         .explain_query(&a, &[pred("run", AttrOp::Ne, 7i64), pred("site", AttrOp::Eq, "s3")])
         .unwrap();
@@ -366,7 +355,7 @@ fn ne_never_seeds_when_an_indexed_predicate_exists() {
         plan,
         vec![
             "seed: site = via index ua_name_str eq (2 rows)".to_string(),
-            "residual: run != via ua_object probes (~2 candidates)".to_string(),
+            "probe: run != via ua_object".to_string(),
         ]
     );
     // Alone, `!=` has no access path and falls back to its posting list.
