@@ -251,9 +251,11 @@ fn delete_file_is_atomic_under_any_wal_truncation() {
 /// never applying half a transaction.
 ///
 /// Determinism: three writers on disjoint same-length tables commit under
-/// `Durability::Group { max_batch: 3 }` with a generous `max_wait`, so
-/// the leader provably waits for all three groups and batches them into
-/// one write (asserted via the sync/batch counters). Equal-length SQL
+/// `Durability::Group { max_batch: 3 }` with a generous `max_wait`, and
+/// meet at a barrier inside their transactions, so all three units are
+/// started before any enqueues: the leader provably waits for all three
+/// groups and batches them into one write (asserted via the sync/batch
+/// counters). Equal-length SQL
 /// texts make the three encoded groups byte-identical in size, so the
 /// truncation offset tells us exactly how many complete groups survive.
 #[test]
@@ -278,14 +280,17 @@ fn batched_group_write_recovers_framed_prefix_under_any_truncation() {
         .unwrap();
         let syncs0 = db.wal_stats().sync_count();
         let batches0 = db.wal_stats().batch_count();
+        let all_started = Arc::new(std::sync::Barrier::new(3));
         let writers: Vec<_> = (1..=3)
             .map(|i| {
                 let db = Arc::clone(&db);
+                let all_started = Arc::clone(&all_started);
                 std::thread::spawn(move || {
                     let table = format!("t{i}");
                     db.transaction(&[(table.as_str(), Access::Write)], |s| {
                         s.execute(&format!("INSERT INTO t{i} (v) VALUES ({}1)", i), &[])?;
                         s.execute(&format!("INSERT INTO t{i} (v) VALUES ({}2)", i), &[])?;
+                        all_started.wait();
                         Ok::<_, relstore::Error>(())
                     })
                     .unwrap();

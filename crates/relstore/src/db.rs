@@ -473,19 +473,22 @@ impl Database {
             return Ok((exec_statement(self, stmt, params, None, None)?, 0));
         }
         self.log_usable()?;
+        let unit = self.start_unit();
         let claims: Vec<(&str, Access)> =
             tables.iter().map(|t| (t.as_str(), Access::Write)).collect();
         let barriers = self.barriers.transaction_guard(&claims)?;
         let r = exec_statement(self, stmt, params, None, None)?;
         self.bump_table_versions(tables);
-        let epoch = self.commit(ctx.durability, Some(barriers), tables, &[(sql, params)])?;
+        let epoch =
+            self.commit(ctx.durability, Some(unit), Some(barriers), tables, &[(sql, params)])?;
         Ok((r, epoch))
     }
 
     /// Commit a unit — an autocommit write or a transaction — whose writes
     /// are applied and whose claimed `barriers` are still held: the one
-    /// commit path. `records` (the unit's write statements) go to the
-    /// commit queue as one `Begin, Stmt…, Commit` group, whose log
+    /// commit path. `unit` counts it as started until its enqueue. `records`
+    /// (the unit's write statements) go to the commit queue as one
+    /// `Begin, Stmt…, Commit` group, whose log
     /// position the FIFO queue fixes at the enqueue; under MVCC the row
     /// stamps of `touched` convert to the group's epoch. Returns that
     /// epoch (0 when nothing was logged).
@@ -501,6 +504,7 @@ impl Database {
     fn commit(
         &self,
         durability: Option<Durability>,
+        unit: Option<crate::group_commit::UnitStart<'_>>,
         barriers: Option<TransactionGuard>,
         touched: &[String],
         records: &[(&str, &[Value])],
@@ -519,7 +523,7 @@ impl Database {
         let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1;
         let group = crate::wal::WalWriter::encode_transaction(txn_id, records);
         let durability = durability.unwrap_or_else(|| self.durability());
-        let (ticket, epoch) = self.group_enqueue(group, durability);
+        let (ticket, epoch) = self.group_enqueue(group, durability, unit);
         // Every allocated epoch must publish, also over zero touched
         // tables, or the visibility watermark stalls behind the gap.
         let stamp = || {
@@ -574,7 +578,7 @@ impl Database {
             exec_statement(self, &stmt, params, None, None)?;
         }
         self.bump_table_versions(&tables);
-        self.commit(None, None, &tables, &[]).map(drop)
+        self.commit(None, None, None, &tables, &[]).map(drop)
     }
 
     /// Parse and execute one statement outside any transaction.
@@ -724,6 +728,7 @@ impl Database {
         if !pure_read {
             self.log_usable().map_err(E::from)?;
         }
+        let unit = (!pure_read).then(|| self.start_unit());
         let barriers = if self.mvcc && pure_read {
             None
         } else if self.mvcc {
@@ -753,7 +758,7 @@ impl Database {
                     .iter()
                     .map(|(sql, p)| (sql.as_str(), p.as_slice()))
                     .collect();
-                let epoch = self.commit(ctx.durability, barriers, &touched, &records);
+                let epoch = self.commit(ctx.durability, unit, barriers, &touched, &records);
                 Ok((v, epoch.map_err(E::from)?))
             }
             Err(e) => {

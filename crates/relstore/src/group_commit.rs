@@ -8,9 +8,11 @@
 //!
 //! 1. The first committer to find no active leader **becomes the
 //!    leader**: it waits up to `max_wait` for the queue to reach
-//!    `max_batch` groups (new arrivals poke the condvar), then drains up
-//!    to `max_batch` entries, appends them all in one buffered write, and
-//!    issues a **single** `sync_data` under the WAL mutex.
+//!    `max_batch` groups (new arrivals poke the condvar) while any other
+//!    write unit is between its start and its enqueue and so could still
+//!    join, then drains up to `max_batch` entries, appends them all in
+//!    one buffered write, and issues a **single** `sync_data` under the
+//!    WAL mutex. A lone committer never sleeps out its window.
 //! 2. The leader publishes one result per drained ticket, steps down, and
 //!    wakes everyone. Woken followers whose ticket resolved return it;
 //!    a follower whose ticket is still queued (the drained batch was
@@ -60,7 +62,7 @@
 //! byte-granular proof).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
@@ -79,11 +81,36 @@ pub(crate) struct GroupCommitQueue {
     /// Single condvar for both roles: followers wait on it for their
     /// result, a collecting leader waits on it for the queue to fill.
     cond: Condvar,
+    /// Write units between their start and their enqueue ([`UnitStart`]):
+    /// the committers a `Group` leader's batch can still gain.
+    starting: AtomicUsize,
 }
 
 impl GroupCommitQueue {
     fn lock(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A write unit — an autocommit write or a writing transaction — from
+/// before it takes its barriers until it enqueues its group or ends
+/// without one (an error, a rollback, nothing to log): counted in
+/// [`GroupCommitQueue::starting`] meanwhile.
+pub(crate) struct UnitStart<'a>(&'a Database);
+
+impl Drop for UnitStart<'_> {
+    /// The unit ended without an enqueue: wake a collecting leader that
+    /// may now have nobody left to wait for.
+    fn drop(&mut self) {
+        let q = self.0.commit_queue();
+        if q.starting.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Under the queue lock, so a leader between its check of the
+            // count and its wait cannot miss the wake-up.
+            let st = q.lock();
+            if st.leader_active {
+                q.cond.notify_all();
+            }
+        }
     }
 }
 
@@ -126,6 +153,13 @@ struct QueueState {
 }
 
 impl Database {
+    /// Count a write unit as started, until the returned guard is
+    /// enqueued or dropped. Call it before the unit takes its barriers.
+    pub(crate) fn start_unit(&self) -> UnitStart<'_> {
+        self.commit_queue().starting.fetch_add(1, Ordering::AcqRel);
+        UnitStart(self)
+    }
+
     /// Enqueue an encoded group committed under `durability`; returns
     /// `(ticket, epoch)`. The queue is FIFO, so from this point the
     /// group's position in the log relative to every other enqueued group
@@ -135,7 +169,12 @@ impl Database {
     /// before releasing its barriers, a `Group` committer with
     /// [`Database::group_commit_wait`] after; an `Async` one never does
     /// and tracks the epoch instead.
-    pub(crate) fn group_enqueue(&self, group: Vec<u8>, durability: Durability) -> (u64, u64) {
+    pub(crate) fn group_enqueue(
+        &self,
+        group: Vec<u8>,
+        durability: Durability,
+        unit: Option<UnitStart<'_>>,
+    ) -> (u64, u64) {
         let wants_result = !matches!(durability, Durability::Async { .. });
         let q = self.commit_queue();
         let mut st = q.lock();
@@ -154,6 +193,12 @@ impl Database {
             stats.max_epoch_lag.fetch_max(lag, Ordering::Relaxed);
         }
         st.pending.push_back(PendingGroup { ticket, epoch, bytes: group, wants_result });
+        // The unit stops counting as starting in the same critical section
+        // in which its group becomes visible to the leader.
+        if let Some(unit) = unit {
+            std::mem::forget(unit);
+            q.starting.fetch_sub(1, Ordering::AcqRel);
+        }
         // A leader may be sitting in its collection window — let it see
         // the new entry (also wakes followers, who harmlessly re-check).
         // Nobody else waits for an enqueue, so with no leader there is
@@ -211,7 +256,9 @@ impl Database {
     /// the window the moment a `wants_result` group appears — that
     /// committer is parked and is owed *its* latency bound, not the
     /// flusher's. A synchronous `Group` leader never yields (collecting
-    /// parked peers is the whole point of its window).
+    /// parked peers is the whole point of its window), but ends its window
+    /// once no other write unit is between its start and its enqueue:
+    /// nobody is left who could join the batch.
     fn lead_batch(&self, max_wait: Duration, max_batch: usize, yield_to_sync: bool) {
         let q = self.commit_queue();
         let deadline = Instant::now() + max_wait;
@@ -225,6 +272,9 @@ impl Database {
             while !st.pending.is_empty() && st.pending.len() < max_batch && st.sync_waiters == 0
             {
                 if yield_to_sync && st.pending.iter().any(|g| g.wants_result) {
+                    break;
+                }
+                if !yield_to_sync && q.starting.load(Ordering::Acquire) == 0 {
                     break;
                 }
                 let now = Instant::now();
@@ -422,6 +472,33 @@ mod tests {
         } // crash
         let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
         assert_eq!(db.query("SELECT COUNT(*) FROM t", &[]).unwrap().rows[0][0], Value::Int(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lone `Group` committer does not sleep out its collection window:
+    /// with no other write unit started, nobody can join its batch. Five
+    /// commits (three autocommit writes, two transactions) under a
+    /// one-second window finish inside one window.
+    #[test]
+    fn lone_group_committer_skips_its_window() {
+        let dir = tmpdir("lone");
+        let window = Durability::Group { max_wait: Duration::from_secs(1), max_batch: 64 };
+        let db = Database::open_durable_with(&dir, SyncPolicy::EveryWrite, window).unwrap();
+        db.execute("CREATE TABLE t (v INTEGER)", &[]).unwrap();
+        let started = std::time::Instant::now();
+        for v in 0..3 {
+            db.execute(&format!("INSERT INTO t (v) VALUES ({v})"), &[]).unwrap();
+        }
+        for v in 3..5 {
+            db.transaction(&[("t", Access::Write)], |s| {
+                s.execute(&format!("INSERT INTO t (v) VALUES ({v})"), &[])?;
+                Ok::<_, crate::Error>(())
+            })
+            .unwrap();
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "5 lone commits took {took:?}");
+        assert_eq!(db.query("SELECT COUNT(*) FROM t", &[]).unwrap().rows[0][0], Value::Int(5));
         std::fs::remove_dir_all(&dir).ok();
     }
 
