@@ -3,7 +3,7 @@
 //! cost-model change shows up as a readable string diff: folded ranges,
 //! dives bounded to the seed's object-id span and the candidate counts at
 //! which each step walks instead of probing, dives stopped at their bound,
-//! small seeds that dive for nothing, perfbench's LIKE shape — plus edge
+//! one-candidate seeds that run no dive, perfbench's LIKE shape — plus edge
 //! cases (empty catalog, all-duplicate and NULL-heavy
 //! columns, staleness after bulk deletes) that the estimates must survive
 //! without panicking or mis-planning.
@@ -56,8 +56,8 @@ fn selective_eq_seeds_unselective_eq_probes() {
         .explain_query(&a, &[pred("site", AttrOp::Eq, "s3"), pred("run", AttrOp::Eq, 3i64)])
         .unwrap();
     // run = 3 hits exactly one row, file 4 — it seeds. Probing one
-    // candidate warm costs less than one cold probe, so no step dives:
-    // site = s3 probes.
+    // candidate costs one cold probe, no more than starting a dive and a
+    // walk, so no step dives: site = s3 probes.
     assert_eq!(
         plan,
         vec![
@@ -65,15 +65,23 @@ fn selective_eq_seeds_unselective_eq_probes() {
             "probe: site = via ua_object (no dive at 1 candidates)".to_string(),
         ]
     );
-    // Five candidates 298 ids apart (run = i % 298 hits files 2, 300, …,
-    // 1194) hold nearly all 600 of site = s1's entries in their span: the
-    // dive stops once walking them costs more than probing the five.
+    // However many rows share the site: at 30 rows per site the
+    // one-candidate seed still probes without a dive.
     let m = catalog();
-    let specs: Vec<FileSpec> = (0..1200i64)
+    load(&m, 60, 2);
+    let plan = m
+        .explain_query(&a, &[pred("site", AttrOp::Eq, "s1"), pred("run", AttrOp::Eq, 3i64)])
+        .unwrap();
+    assert_eq!(plan[1], "probe: site = via ua_object (no dive at 1 candidates)");
+    // Two candidates 598 ids apart (run = i % 598 hits files 1 and 599)
+    // hold all 300 of site = s1's entries in their span: the dive stops
+    // once walking them costs more than probing the two candidates.
+    let m = catalog();
+    let specs: Vec<FileSpec> = (0..600i64)
         .map(|i| {
             FileSpec::named(format!("f{i:04}"))
                 .attr("site", format!("s{}", i % 2))
-                .attr("run", i % 298)
+                .attr("run", i % 598)
         })
         .collect();
     m.create_files(&a, &specs).unwrap();
@@ -81,12 +89,12 @@ fn selective_eq_seeds_unselective_eq_probes() {
     assert_eq!(
         m.explain_query(&a, &preds).unwrap(),
         vec![
-            "seed: run = via index ua_name_int eq (5 rows)".to_string(),
-            "probe: site = via ua_object (dive stopped at 1 groups, ~597 rows)".to_string(),
+            "seed: run = via index ua_name_int eq (2 rows)".to_string(),
+            "probe: site = via ua_object (dive stopped at 1 groups, ~300 rows)".to_string(),
         ]
     );
     let hits = m.query_by_attributes(&a, &preds).unwrap();
-    assert_eq!(hits.len(), 5);
+    assert_eq!(hits.len(), 2);
     assert_eq!(hits, m.with_planner_bypass(|b| b.query_by_attributes(&a, &preds)).unwrap());
 }
 

@@ -82,7 +82,11 @@ pub(crate) struct GroupCommitQueue {
     /// result, a collecting leader waits on it for the queue to fill.
     cond: Condvar,
     /// Write units between their start and their enqueue ([`UnitStart`]):
-    /// the committers a `Group` leader's batch can still gain.
+    /// the committers a `Group` leader's batch can still gain. It publishes
+    /// no other data: a leader reads it under the queue lock, an enqueue
+    /// lowers it under that lock, and a unit that ends without an enqueue
+    /// takes the lock after lowering it to wake the leader, so the lock
+    /// orders every read that matters.
     starting: AtomicUsize,
 }
 

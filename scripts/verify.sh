@@ -85,26 +85,34 @@
 #                      the rebuild of a store's two-column typed
 #                      indexes on open
 #                      (old_two_column_typed_indexes_are_rebuilt_once_on_open),
-#                      the LIKE matcher tests, plan construction
-#                      and sorted intersection, union and difference
-#                      unit tests, the general boolean query unit tests
+#                      the LIKE matcher tests, plan construction,
+#                      the run-time walk-or-probe choices (eq3 on
+#                      perfbench's nested moduli walks both later steps,
+#                      a one-candidate seed probes without a dive, the
+#                      LIKE shape walks wl_seq), and sorted intersection,
+#                      union and difference unit tests, the general boolean query unit tests
 #                      (an ill-typed leaf fails as the conjunctive query
 #                      fails, whatever the data and its position), the
 #                      catalog against its reference model (files,
 #                      attributes, conjunctive and random boolean
 #                      queries, both profiles), the
-#                      plan-shape regressions (folded ranges, walks
-#                      bounded to the seed's id span and priced against
-#                      probes, dives stopped at their bound, perfbench's
-#                      LIKE shape in like_shape_walks_only_the_collections_span,
-#                      edge cases), the planner twin (answers against
-#                      the posting-scan oracle on 1 shard, MVCC and 4
-#                      shards, with folded ranges, stopped dives and
-#                      span-bounded walks in every seed), the
-#                      resolve-pass tests on both engines, the
-#                      explainQuery SOAP round-trip, and the
-#                      calibration run that prints the probe, group and
-#                      span-entry costs (release build)
+#                      plan-shape regressions (folded ranges, dives
+#                      bounded to the seed's id span and the candidate
+#                      counts at which each step walks, dives stopped at
+#                      their bound, no dives after a one-candidate seed,
+#                      perfbench's LIKE shape in
+#                      like_shape_walks_only_the_collections_span, edge
+#                      cases), the planner twin (answers against the
+#                      posting-scan oracle on 1 shard, MVCC and 4 shards,
+#                      with folded ranges, stopped dives and span dives
+#                      in every seed), the resolve-pass tests on both
+#                      engines, the explainQuery SOAP round-trip, and two
+#                      release runs on a 50 000-file perfbench-shaped
+#                      catalog: the calibration that prints the probe,
+#                      warm-probe, group and span-entry costs, and the
+#                      per-class driver that prints the p50/p90/p99 of
+#                      each discover-cold class (eq3 to eq10, range, LIKE
+#                      below and above lo = 100), read cache bypassed
 #   verify.sh wire     both wire contracts (DESIGN.md §7.7, §7.7.1):
 #                      frame codec unit tests (an oversize frame
 #                      is refused by the writer and an oversize answer
@@ -259,6 +267,7 @@ case "$lane" in
     run -p mcs --test catalog_tests resolve_pass
     run -p mcs-net --test roundtrip explain
     run --release -p mcs --lib calibrate -- --ignored --nocapture
+    run --release -p mcs --lib discover_cold_classes -- --ignored --nocapture
     echo "planner lane: $(($(date +%s) - start))s elapsed"
     ;;
   wire)
