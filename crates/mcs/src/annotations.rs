@@ -3,7 +3,7 @@
 
 use relstore::Value;
 
-use crate::catalog::Mcs;
+use crate::catalog::{datetime, Mcs};
 use crate::error::{McsError, Result};
 use crate::model::*;
 
@@ -21,18 +21,15 @@ impl Mcs {
         self.txn(
             &[("annotations", relstore::Access::Write), ("audit_log", relstore::Access::Write)],
             |s| {
-                s.execute(
-                    "INSERT INTO annotations \
-                     (object_type, object_id, annotation, creator, created) \
-                     VALUES (?, ?, ?, ?, ?)",
-                    &[
-                        ot.code().into(),
-                        id.into(),
-                        text.into(),
-                        cred.dn.as_str().into(),
-                        self.now(),
-                    ],
-                )?;
+                let row = vec![
+                    Value::Null,
+                    ot.code().into(),
+                    id.into(),
+                    text.into(),
+                    cred.dn.as_str().into(),
+                    self.now(),
+                ];
+                s.insert("annotations", row)?;
                 if audit {
                     self.audit_action_in(s, ot, id, "annotate", cred, &name)?;
                 }
@@ -64,10 +61,7 @@ impl Mcs {
                     object_id: id,
                     text: r[0].as_str()?.to_owned(),
                     creator: r[1].as_str()?.to_owned(),
-                    created: match &r[2] {
-                        Value::DateTime(dt) => *dt,
-                        _ => return Err(McsError::Internal("bad created column".into())),
-                    },
+                    created: datetime(&r[2])?,
                 })
             })
             .collect()

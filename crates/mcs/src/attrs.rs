@@ -7,11 +7,38 @@
 //! is indexed — value predicates scan the name's posting list, which is
 //! what makes complex queries scale with database size (Figures 7/10/11).
 
-use relstore::Value;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::catalog::Mcs;
+use relstore::{RowId, Value};
+
+use crate::catalog::{delete_keyed, text, Mcs};
 use crate::error::{McsError, Result};
 use crate::model::*;
+
+/// The attribute definitions as of one write version of the
+/// `attribute_definitions` table. Every catalog keeps one
+/// ([`Mcs::attr_defs`]) and reads it again only when the table's version
+/// has moved, the validation the read cache uses (DESIGN.md §7.3), so a
+/// create or a query type-checks its attributes without a statement.
+#[derive(Debug, Default)]
+pub(crate) struct AttrDefs {
+    /// The table version the map was read at; 0, which no existing table
+    /// has, before the first read.
+    version: u64,
+    by_name: BTreeMap<String, AttributeDefinition>,
+}
+
+impl AttrDefs {
+    /// The defined type of attribute `name`; an undefined name is a
+    /// [`McsError::BadAttribute`].
+    pub(crate) fn type_of(&self, name: &str) -> Result<AttrType> {
+        self.by_name
+            .get(name)
+            .map(|d| d.attr_type)
+            .ok_or_else(|| McsError::BadAttribute(format!("`{name}` is not defined")))
+    }
+}
 
 impl AttrType {
     /// Column position of this type's value column in a full
@@ -68,72 +95,54 @@ impl Mcs {
         })
     }
 
-    /// Look up an attribute definition. Served from the read cache when
-    /// one is enabled — including the negative ("not defined") answer,
-    /// which the version stamp keeps honest across later `define`s.
-    pub fn attribute_definition(&self, name: &str) -> Result<Option<AttributeDefinition>> {
-        use crate::cache::{CacheKey, CacheValue, Lookup};
-        let Some(cache) = self.read_cache() else {
-            return self.attribute_definition_uncached(name);
-        };
-        let key = CacheKey::AttrDef(name.to_owned());
-        let stamp = match cache.lookup(&self.db, &key) {
-            Lookup::Hit(CacheValue::AttrDef(d)) => return Ok(d),
-            Lookup::Hit(_) => return self.attribute_definition_uncached(name),
-            Lookup::Miss(stamp) => stamp,
-        };
-        let d = self.attribute_definition_uncached(name)?;
-        cache.insert(key, CacheValue::AttrDef(d.clone()), stamp);
-        Ok(d)
+    /// The attribute definitions as the table holds them now: this
+    /// catalog's map, read again from the table when the table's write
+    /// version has moved since the map was read. The version is taken
+    /// before the read, so a define that commits during it leaves the
+    /// map stale, never wrong.
+    pub(crate) fn attr_defs(&self) -> Result<Arc<AttrDefs>> {
+        let version = self.db.table_version("attribute_definitions");
+        let held = Arc::clone(&self.defs.read());
+        if held.version == version {
+            return Ok(held);
+        }
+        let by_name = self.db.read_table(None, "attribute_definitions", |t, at| {
+            (0..t.slot_count() as u64)
+                .filter_map(|i| relstore::snapshot_row(t, RowId(i), at))
+                .map(|r| {
+                    // layout: id, name, attr_type, description, creator, created
+                    let d = AttributeDefinition {
+                        name: r[1].as_str()?.to_owned(),
+                        attr_type: AttrType::from_code(r[2].as_int()?)
+                            .ok_or_else(|| McsError::Internal("bad attr_type code".into()))?,
+                        description: text(&r[3]),
+                    };
+                    Ok((d.name.clone(), d))
+                })
+                .collect::<Result<BTreeMap<_, _>>>()
+        })??;
+        let fresh = Arc::new(AttrDefs { version, by_name });
+        let mut slot = self.defs.write();
+        if slot.version < version {
+            *slot = Arc::clone(&fresh);
+        }
+        Ok(fresh)
     }
 
-    fn attribute_definition_uncached(&self, name: &str) -> Result<Option<AttributeDefinition>> {
-        let rs = self.exec(&self.stmts.sel_attrdef, &[name.into()])?;
-        let rows = rs.rows.expect("select");
-        rows.rows
-            .first()
-            .map(|r| {
-                Ok(AttributeDefinition {
-                    name: r[0].as_str()?.to_owned(),
-                    attr_type: AttrType::from_code(r[1].as_int()?)
-                        .ok_or_else(|| McsError::Internal("bad attr_type code".into()))?,
-                    description: match &r[2] {
-                        Value::Str(s) => s.to_string(),
-                        _ => String::new(),
-                    },
-                })
-            })
-            .transpose()
+    /// Look up an attribute definition.
+    pub fn attribute_definition(&self, name: &str) -> Result<Option<AttributeDefinition>> {
+        Ok(self.attr_defs()?.by_name.get(name).cloned())
     }
 
     /// All attribute definitions, sorted by name.
     pub fn attribute_definitions(&self) -> Result<Vec<AttributeDefinition>> {
-        let rs = self.query_sql(
-            "SELECT name, attr_type, description FROM attribute_definitions ORDER BY name",
-            &[],
-        )?;
-        rs.rows
-            .iter()
-            .map(|r| {
-                Ok(AttributeDefinition {
-                    name: r[0].as_str()?.to_owned(),
-                    attr_type: AttrType::from_code(r[1].as_int()?)
-                        .ok_or_else(|| McsError::Internal("bad attr_type code".into()))?,
-                    description: match &r[2] {
-                        Value::Str(s) => s.to_string(),
-                        _ => String::new(),
-                    },
-                })
-            })
-            .collect()
+        Ok(self.attr_defs()?.by_name.values().cloned().collect())
     }
 
     /// The defined type of attribute `name`; an undefined name is a
     /// [`McsError::BadAttribute`].
     pub(crate) fn defined_type(&self, name: &str) -> Result<AttrType> {
-        self.attribute_definition(name)?
-            .map(|d| d.attr_type)
-            .ok_or_else(|| McsError::BadAttribute(format!("`{name}` is not defined")))
+        self.attr_defs()?.type_of(name)
     }
 
     /// Resolve an [`ObjectRef`] to its type/id/audit flag/name.
@@ -178,15 +187,9 @@ impl Mcs {
         self.txn(
             &[("audit_log", relstore::Access::Write), ("user_attributes", relstore::Access::Write)],
             |s| {
-                s.execute_prepared(
-                    &self.stmts.del_attr_named,
-                    &[ot.code().into(), id.into(), attr.name.as_str().into()],
-                )?;
-                let mut params: Vec<Value> = Vec::with_capacity(10);
-                params.push(ot.code().into());
-                params.push(id.into());
-                params.extend(vals);
-                s.execute_prepared(&self.stmts.ins_attrs[0], &params)?;
+                let key = [ot.code().into(), id.into(), attr.name.as_str().into()];
+                delete_keyed(s, "user_attributes", "ua_object", &key)?;
+                s.insert("user_attributes", object_attr_row(ot, id, vals))?;
                 if audit {
                     self.audit_action_in(
                         s,
@@ -215,11 +218,9 @@ impl Mcs {
         self.txn(
             &[("audit_log", relstore::Access::Write), ("user_attributes", relstore::Access::Write)],
             |s| {
-                let res = s.execute_prepared(
-                    &self.stmts.del_attr_named,
-                    &[ot.code().into(), id.into(), attr_name.into()],
-                )?;
-                if audit && res.rows_affected > 0 {
+                let key = [ot.code().into(), id.into(), attr_name.into()];
+                let removed = delete_keyed(s, "user_attributes", "ua_object", &key)? > 0;
+                if audit && removed {
                     self.audit_action_in(
                         s,
                         ot,
@@ -229,7 +230,7 @@ impl Mcs {
                         &format!("{name}:{attr_name}"),
                     )?;
                 }
-                Ok(res.rows_affected > 0)
+                Ok(removed)
             },
         )
     }
@@ -249,18 +250,12 @@ impl Mcs {
         rows.rows
             .iter()
             .map(|r| {
-                // layout: name, attr_type, str, int, float, date, time, datetime
+                // layout: name, attr_type, str, int, float, date, time,
+                // datetime: full-row columns 3..=10
                 let ty = AttrType::from_code(r[1].as_int()?)
                     .ok_or_else(|| McsError::Internal("bad attr_type code".into()))?;
-                let col = match ty {
-                    AttrType::Str => 2,
-                    AttrType::Int => 3,
-                    AttrType::Float => 4,
-                    AttrType::Date => 5,
-                    AttrType::Time => 6,
-                    AttrType::DateTime => 7,
-                };
-                Ok(Attribute { name: r[0].as_str()?.to_owned(), value: r[col].clone() })
+                let value = r[ty.full_row_column() - 3].clone();
+                Ok(Attribute { name: r[0].as_str()?.to_owned(), value })
             })
             .collect()
     }
@@ -277,6 +272,15 @@ impl Mcs {
             .into_iter()
             .find(|a| a.name == attr_name))
     }
+}
+
+/// A full `user_attributes` row of object `(ot, id)` from the columns
+/// [`attr_row`] builds, its id left to AUTO_INCREMENT.
+pub(crate) fn object_attr_row(ot: ObjectType, id: i64, cols: [Value; 8]) -> Vec<Value> {
+    let mut row = Vec::with_capacity(11);
+    row.extend([Value::Null, ot.code().into(), id.into()]);
+    row.extend(cols);
+    row
 }
 
 /// Type-check `attr` against its defined type `def` and build its

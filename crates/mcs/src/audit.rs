@@ -3,15 +3,15 @@
 
 use relstore::Value;
 
-use crate::catalog::Mcs;
+use crate::catalog::{datetime, text, Mcs};
 use crate::error::{McsError, Result};
 use crate::model::*;
 
 impl Mcs {
     /// Append an audit record. Called internally whenever an audited
-    /// object is touched by a single-statement (read) path; write paths
-    /// use [`Mcs::audit_action_in`] so the audit row commits atomically
-    /// with the operation it records.
+    /// object is touched by a read path; write paths use
+    /// [`Mcs::audit_action_in`] so the audit row commits atomically with
+    /// the operation it records.
     pub(crate) fn audit_action(
         &self,
         ot: ObjectType,
@@ -20,8 +20,9 @@ impl Mcs {
         cred: &Credential,
         details: &str,
     ) -> Result<()> {
-        self.exec(&self.stmts.ins_audit, &self.audit_params(ot, id, action, cred, details))?;
-        Ok(())
+        self.txn(&[("audit_log", relstore::Access::Write)], |s| {
+            self.audit_action_in(s, ot, id, action, cred, details)
+        })
     }
 
     /// Append an audit record inside an open catalog transaction (the
@@ -35,26 +36,17 @@ impl Mcs {
         cred: &Credential,
         details: &str,
     ) -> Result<()> {
-        s.execute_prepared(&self.stmts.ins_audit, &self.audit_params(ot, id, action, cred, details))?;
-        Ok(())
-    }
-
-    fn audit_params(
-        &self,
-        ot: ObjectType,
-        id: i64,
-        action: &str,
-        cred: &Credential,
-        details: &str,
-    ) -> [Value; 6] {
-        [
+        let row = vec![
+            Value::Null,
             ot.code().into(),
             id.into(),
             action.into(),
             cred.dn.as_str().into(),
             self.now(),
             details.into(),
-        ]
+        ];
+        s.insert("audit_log", row)?;
+        Ok(())
     }
 
     /// Fetch the audit trail of an object, oldest first. Requires Read.
@@ -80,14 +72,8 @@ impl Mcs {
                     object_id: id,
                     action: r[0].as_str()?.to_owned(),
                     actor: r[1].as_str()?.to_owned(),
-                    at: match &r[2] {
-                        Value::DateTime(dt) => *dt,
-                        _ => return Err(McsError::Internal("bad at column".into())),
-                    },
-                    details: match &r[3] {
-                        Value::Str(s) => s.to_string(),
-                        _ => String::new(),
-                    },
+                    at: datetime(&r[2])?,
+                    details: text(&r[3]),
                 })
             })
             .collect()

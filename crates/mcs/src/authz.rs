@@ -7,15 +7,13 @@
 //! those of its collection and every ancestor collection — exactly the
 //! paper's rule. Logical views never affect authorization.
 
+use relstore::Value;
 
-use crate::catalog::Mcs;
+use crate::catalog::{delete_keyed, Mcs};
 use crate::error::{McsError, Result};
 use crate::model::*;
 
 impl Mcs {
-    const INS_ACE_SQL: &'static str = "INSERT INTO acl_entries \
-         (object_type, object_id, principal, permission) VALUES (?, ?, ?, ?)";
-
     pub(crate) fn insert_ace(
         &self,
         ot: ObjectType,
@@ -23,15 +21,9 @@ impl Mcs {
         principal: &str,
         perm: Permission,
     ) -> Result<()> {
-        match self.exec_sql(
-            Self::INS_ACE_SQL,
-            &[ot.code().into(), id.into(), principal.into(), perm.code().into()],
-        ) {
-            Ok(_) => Ok(()),
-            // granting twice is idempotent
-            Err(McsError::Db(relstore::Error::UniqueViolation { .. })) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.txn(&[("acl_entries", relstore::Access::Write)], |s| {
+            self.insert_ace_in(s, ot, id, principal, perm)
+        })
     }
 
     /// Like [`Mcs::insert_ace`], but inside an open catalog transaction
@@ -44,12 +36,10 @@ impl Mcs {
         principal: &str,
         perm: Permission,
     ) -> Result<()> {
-        match s.execute(
-            Self::INS_ACE_SQL,
-            &[ot.code().into(), id.into(), principal.into(), perm.code().into()],
-        ) {
-            Ok(_) => Ok(()),
-            Err(relstore::Error::UniqueViolation { .. }) => Ok(()),
+        let row = [ot.code().into(), id.into(), principal.into(), perm.code().into()];
+        match s.insert("acl_entries", [Value::Null].into_iter().chain(row).collect()) {
+            // granting twice is idempotent
+            Ok(_) | Err(relstore::Error::UniqueViolation { .. }) => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
@@ -78,12 +68,10 @@ impl Mcs {
     ) -> Result<()> {
         let (ot, id, _, _) = self.resolve_ref(object)?;
         self.require_admin(cred, object)?;
-        self.exec_sql(
-            "DELETE FROM acl_entries WHERE object_type = ? AND object_id = ? \
-             AND principal = ? AND permission = ?",
-            &[ot.code().into(), id.into(), principal.into(), perm.code().into()],
-        )?;
-        Ok(())
+        let key = [ot.code().into(), id.into(), principal.into(), perm.code().into()];
+        self.txn(&[("acl_entries", relstore::Access::Write)], |s| {
+            delete_keyed(s, "acl_entries", "acl_unique", &key).map(drop)
+        })
     }
 
     /// List the ACL of an object. Requires Admin on it.
@@ -97,19 +85,13 @@ impl Mcs {
     /// `acl_entries` write version, so grants and revokes invalidate it
     /// like any other write).
     fn acl_entries(&self, ot: ObjectType, id: i64) -> Result<Vec<(String, Permission)>> {
-        use crate::cache::{CacheKey, CacheValue, Lookup};
-        let Some(cache) = self.read_cache() else {
-            return self.acl_entries_uncached(ot, id);
+        use crate::cache::{CacheKey, CacheValue};
+        let entry = |v| match v {
+            CacheValue::Acl(aces) => Some(aces),
+            _ => None,
         };
-        let key = CacheKey::Acl(ot.code(), id);
-        let stamp = match cache.lookup(&self.db, &key) {
-            Lookup::Hit(CacheValue::Acl(v)) => return Ok(v),
-            Lookup::Hit(_) => return self.acl_entries_uncached(ot, id),
-            Lookup::Miss(stamp) => stamp,
-        };
-        let v = self.acl_entries_uncached(ot, id)?;
-        cache.insert(key, CacheValue::Acl(v.clone()), stamp);
-        Ok(v)
+        let key = || CacheKey::Acl(ot.code(), id);
+        self.cached(key, CacheValue::Acl, entry, || self.acl_entries_uncached(ot, id))
     }
 
     fn acl_entries_uncached(&self, ot: ObjectType, id: i64) -> Result<Vec<(String, Permission)>> {

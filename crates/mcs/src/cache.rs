@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use relstore::{Database, Value};
 
 use crate::catalog::Mcs;
-use crate::model::{AttrOp, AttrPredicate, AttributeDefinition, Collection, LogicalFile};
+use crate::model::{AttrOp, AttrPredicate, Collection, LogicalFile};
 use crate::schema::IndexProfile;
 
 /// Sizing knobs for the read cache; see [`crate::StoreConfig::cache`].
@@ -72,8 +72,6 @@ pub(crate) enum CacheKey {
     FileByNameVer(String, i64),
     /// `resolve_collection`.
     CollByName(String),
-    /// `attribute_definition` (negative results cached too).
-    AttrDef(String),
     /// The ACE list of one object (`object_type code`, `object id`) —
     /// the authorization check every catalog call makes.
     Acl(i64, i64),
@@ -88,7 +86,6 @@ impl CacheKey {
             }
             CacheKey::FileByName(_) | CacheKey::FileByNameVer(..) => &["logical_files"],
             CacheKey::CollByName(_) => &["logical_collections"],
-            CacheKey::AttrDef(_) => &["attribute_definitions"],
             CacheKey::Acl(..) => &["acl_entries"],
         }
     }
@@ -103,8 +100,6 @@ pub(crate) enum CacheValue {
     File(LogicalFile),
     /// A resolved collection.
     Collection(Collection),
-    /// An attribute-definition lookup (including "not defined").
-    AttrDef(Option<AttributeDefinition>),
     /// An object's ACE list (principal, permission).
     Acl(Vec<(String, crate::model::Permission)>),
 }
@@ -321,6 +316,28 @@ impl Mcs {
         self.cache.as_ref()
     }
 
+    /// `compute`'s answer, served from the read cache while the entry
+    /// under `key` (built only when a cache is on) is valid, and stored
+    /// there otherwise; `unwrap` takes the answer out of an entry of
+    /// `key`'s kind. Errors are never cached.
+    pub(crate) fn cached<T: Clone>(
+        &self,
+        key: impl FnOnce() -> CacheKey,
+        wrap: fn(T) -> CacheValue,
+        unwrap: fn(CacheValue) -> Option<T>,
+        compute: impl FnOnce() -> crate::error::Result<T>,
+    ) -> crate::error::Result<T> {
+        let Some(cache) = self.read_cache() else { return compute() };
+        let key = key();
+        let stamp = match cache.lookup(&self.db, &key) {
+            Lookup::Hit(v) => return unwrap(v).map_or_else(compute, Ok),
+            Lookup::Miss(stamp) => stamp,
+        };
+        let v = compute()?;
+        cache.insert(key, wrap(v.clone()), stamp);
+        Ok(v)
+    }
+
     /// True when this catalog was opened with a read cache.
     pub fn cache_enabled(&self) -> bool {
         self.cache.is_some()
@@ -345,7 +362,11 @@ mod tests {
     use super::*;
 
     fn key(n: u64) -> CacheKey {
-        CacheKey::AttrDef(format!("k{n}"))
+        CacheKey::FileByName(format!("k{n}"))
+    }
+
+    fn value() -> CacheValue {
+        CacheValue::Hits(Vec::new())
     }
 
     fn stamp(versions: Vec<u64>) -> FillStamp {
@@ -355,10 +376,10 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_first() {
         let mut s = Shard::new(2);
-        assert_eq!(s.insert(key(1), CacheValue::AttrDef(None), stamp(vec![0])), 0);
-        assert_eq!(s.insert(key(2), CacheValue::AttrDef(None), stamp(vec![0])), 0);
+        assert_eq!(s.insert(key(1), value(), stamp(vec![0])), 0);
+        assert_eq!(s.insert(key(2), value(), stamp(vec![0])), 0);
         s.touch(&key(1)); // 2 is now the oldest
-        assert_eq!(s.insert(key(3), CacheValue::AttrDef(None), stamp(vec![0])), 1);
+        assert_eq!(s.insert(key(3), value(), stamp(vec![0])), 1);
         assert!(s.map.contains_key(&key(1)));
         assert!(!s.map.contains_key(&key(2)));
         assert!(s.map.contains_key(&key(3)));
@@ -368,9 +389,9 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_eviction() {
         let mut s = Shard::new(2);
-        s.insert(key(1), CacheValue::AttrDef(None), stamp(vec![0]));
-        s.insert(key(2), CacheValue::AttrDef(None), stamp(vec![0]));
-        assert_eq!(s.insert(key(1), CacheValue::AttrDef(None), stamp(vec![9])), 0);
+        s.insert(key(1), value(), stamp(vec![0]));
+        s.insert(key(2), value(), stamp(vec![0]));
+        assert_eq!(s.insert(key(1), value(), stamp(vec![9])), 0);
         assert_eq!(s.map.len(), 2);
         assert_eq!(s.map.get(&key(1)).unwrap().1.versions, vec![9]);
     }

@@ -14,15 +14,12 @@ use relstore::{
     Access, Database, DateTime, ExecResult, OpCtx, Prepared, ResultSet, Session, Value,
 };
 
+use crate::cache::{CacheKey, CacheValue};
 use crate::clock::{Clock, SystemClock};
 use crate::error::{McsError, Result};
 use crate::model::*;
 use crate::schema::{bootstrap, IndexProfile};
 use crate::shard::Outcome;
-
-/// Most attribute rows one INSERT carries: a file's attributes go in as
-/// one multi-row statement, a longer list in chunks of this many.
-const ATTR_ROWS_PER_INSERT: usize = 16;
 
 /// The tables a file create writes, claimed by its transaction.
 const FILE_CREATE_CLAIMS: &[(&str, Access)] = &[
@@ -34,78 +31,33 @@ const FILE_CREATE_CLAIMS: &[(&str, Access)] = &[
 /// Prepared statements for the catalog's hot paths (the original MCS used
 /// JDBC prepared statements against MySQL for the same reason).
 pub(crate) struct Statements {
-    pub ins_file: Prepared,
     pub sel_file_name_ver: Prepared,
     pub sel_file_versions: Prepared,
     pub sel_file_by_id: Prepared,
-    pub del_file_by_id: Prepared,
-    /// `ins_attrs[n - 1]` inserts `n` attribute rows, for `n` up to
-    /// [`ATTR_ROWS_PER_INSERT`].
-    pub ins_attrs: Vec<Prepared>,
     pub sel_attrs_obj: Prepared,
-    pub del_attrs_obj: Prepared,
-    pub del_attr_named: Prepared,
-    pub ins_audit: Prepared,
     pub sel_acl_obj: Prepared,
-    pub sel_attrdef: Prepared,
     pub sel_coll_by_id: Prepared,
     pub sel_coll_by_name: Prepared,
     pub files_in_coll: Prepared,
     pub sel_subcolls: Prepared,
     pub count_subcolls: Prepared,
-    pub ins_coll: Prepared,
-    pub del_coll_by_id: Prepared,
-    pub del_annot_obj: Prepared,
-    pub del_hist_file: Prepared,
-    pub del_acl_obj: Prepared,
-    pub del_view_member: Prepared,
-    pub upd_file_coll: Prepared,
 }
 
 impl Statements {
     fn prepare(db: &Database) -> Result<Statements> {
         Ok(Statements {
-            ins_file: db.prepare(
-                "INSERT INTO logical_files (name, version, data_type, valid, collection_id, \
-                 container_id, container_service, creator, created, master_copy, audit_enabled) \
-                 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            )?,
             sel_file_name_ver: db
                 .prepare("SELECT * FROM logical_files WHERE name = ? AND version = ?")?,
             sel_file_versions: db.prepare("SELECT * FROM logical_files WHERE name = ?")?,
             sel_file_by_id: db.prepare("SELECT * FROM logical_files WHERE id = ?")?,
-            del_file_by_id: db.prepare("DELETE FROM logical_files WHERE id = ?")?,
-            ins_attrs: (1..=ATTR_ROWS_PER_INSERT)
-                .map(|n| {
-                    db.prepare(&format!(
-                        "INSERT INTO user_attributes (object_type, object_id, name, attr_type, \
-                         str_value, int_value, float_value, date_value, time_value, \
-                         datetime_value) VALUES {}",
-                        vec!["(?,?,?,?,?,?,?,?,?,?)"; n].join(",")
-                    ))
-                })
-                .collect::<relstore::Result<_>>()?,
             sel_attrs_obj: db.prepare(
                 "SELECT name, attr_type, str_value, int_value, float_value, date_value, \
                  time_value, datetime_value FROM user_attributes \
                  WHERE object_type = ? AND object_id = ? ORDER BY name",
             )?,
-            del_attrs_obj: db
-                .prepare("DELETE FROM user_attributes WHERE object_type = ? AND object_id = ?")?,
-            del_attr_named: db.prepare(
-                "DELETE FROM user_attributes \
-                 WHERE object_type = ? AND object_id = ? AND name = ?",
-            )?,
-            ins_audit: db.prepare(
-                "INSERT INTO audit_log (object_type, object_id, action, actor, at, details) \
-                 VALUES (?, ?, ?, ?, ?, ?)",
-            )?,
             sel_acl_obj: db.prepare(
                 "SELECT principal, permission FROM acl_entries \
                  WHERE object_type = ? AND object_id = ?",
-            )?,
-            sel_attrdef: db.prepare(
-                "SELECT name, attr_type, description FROM attribute_definitions WHERE name = ?",
             )?,
             sel_coll_by_id: db.prepare("SELECT * FROM logical_collections WHERE id = ?")?,
             sel_coll_by_name: db.prepare("SELECT * FROM logical_collections WHERE name = ?")?,
@@ -116,22 +68,6 @@ impl Statements {
             )?,
             count_subcolls: db.prepare(
                 "SELECT COUNT(*) AS n FROM logical_collections WHERE parent_id = ?",
-            )?,
-            ins_coll: db.prepare(
-                "INSERT INTO logical_collections \
-                 (name, description, parent_id, creator, created) VALUES (?, ?, ?, ?, ?)",
-            )?,
-            del_coll_by_id: db.prepare("DELETE FROM logical_collections WHERE id = ?")?,
-            del_annot_obj: db
-                .prepare("DELETE FROM annotations WHERE object_type = ? AND object_id = ?")?,
-            del_hist_file: db.prepare("DELETE FROM transformation_history WHERE file_id = ?")?,
-            del_acl_obj: db
-                .prepare("DELETE FROM acl_entries WHERE object_type = ? AND object_id = ?")?,
-            del_view_member: db
-                .prepare("DELETE FROM view_members WHERE member_type = ? AND member_id = ?")?,
-            upd_file_coll: db.prepare(
-                "UPDATE logical_files SET collection_id = ?, last_modifier = ?, \
-                 last_modified = ? WHERE id = ?",
             )?,
         })
     }
@@ -253,6 +189,9 @@ pub struct McsState {
     /// Version-validated read cache ([`crate::cache`]); `None` unless
     /// opened with [`StoreConfig::cache`] / [`Mcs::with_database_cached`].
     pub(crate) cache: Option<crate::cache::McsCache>,
+    /// The attribute definitions, as of one write version of their table
+    /// ([`Mcs::attr_defs`]).
+    pub(crate) defs: parking_lot::RwLock<Arc<crate::attrs::AttrDefs>>,
     /// Trusted communities for CAS assertions (community -> shared secret).
     pub(crate) cas_trust: parking_lot::RwLock<std::collections::HashMap<String, u64>>,
 }
@@ -349,6 +288,7 @@ impl Mcs {
             stmts,
             profile,
             cache: cache.as_ref().map(crate::cache::McsCache::new),
+            defs: Default::default(),
             cas_trust: parking_lot::RwLock::new(std::collections::HashMap::new()),
         });
         let mcs = Mcs { state, ctx: OpCtx::default(), epoch: AtomicU64::new(0) };
@@ -489,34 +429,23 @@ impl Mcs {
     // ---------- row decoding ----------
 
     pub(crate) fn file_from_row(row: &[Value]) -> Result<LogicalFile> {
-        let get_str = |v: &Value| -> Option<String> {
-            match v {
-                Value::Str(s) => Some(s.to_string()),
-                _ => None,
-            }
-        };
-        let get_dt = |v: &Value| match v {
-            Value::DateTime(dt) => Some(*dt),
-            _ => None,
-        };
         Ok(LogicalFile {
             id: row[0].as_int()?,
             name: row[1].as_str()?.to_owned(),
             version: row[2].as_int()?,
-            data_type: get_str(&row[3]),
+            data_type: opt_text(&row[3]),
             valid: row[4].as_bool()?,
             collection_id: match &row[5] {
                 Value::Null => None,
                 v => Some(v.as_int()?),
             },
-            container_id: get_str(&row[6]),
-            container_service: get_str(&row[7]),
+            container_id: opt_text(&row[6]),
+            container_service: opt_text(&row[7]),
             creator: row[8].as_str()?.to_owned(),
-            created: get_dt(&row[9])
-                .ok_or_else(|| McsError::Internal("bad created column".into()))?,
-            last_modifier: get_str(&row[10]),
-            last_modified: get_dt(&row[11]),
-            master_copy: get_str(&row[12]),
+            created: datetime(&row[9])?,
+            last_modifier: opt_text(&row[10]),
+            last_modified: opt_datetime(&row[11]),
+            master_copy: opt_text(&row[12]),
             audit_enabled: row[13].as_bool()?,
         })
     }
@@ -525,27 +454,15 @@ impl Mcs {
         Ok(Collection {
             id: row[0].as_int()?,
             name: row[1].as_str()?.to_owned(),
-            description: match &row[2] {
-                Value::Str(s) => s.to_string(),
-                _ => String::new(),
-            },
+            description: text(&row[2]),
             parent_id: match &row[3] {
                 Value::Null => None,
                 v => Some(v.as_int()?),
             },
             creator: row[4].as_str()?.to_owned(),
-            created: match &row[5] {
-                Value::DateTime(dt) => *dt,
-                _ => return Err(McsError::Internal("bad created column".into())),
-            },
-            last_modifier: match &row[6] {
-                Value::Str(s) => Some(s.to_string()),
-                _ => None,
-            },
-            last_modified: match &row[7] {
-                Value::DateTime(dt) => Some(*dt),
-                _ => None,
-            },
+            created: datetime(&row[5])?,
+            last_modifier: opt_text(&row[6]),
+            last_modified: opt_datetime(&row[7]),
             audit_enabled: row[8].as_bool()?,
         })
     }
@@ -557,19 +474,8 @@ impl Mcs {
     /// Served from the read cache when one is enabled; only successful
     /// resolutions are cached (errors always re-execute).
     pub(crate) fn resolve_file(&self, name: &str) -> Result<LogicalFile> {
-        use crate::cache::{CacheKey, CacheValue, Lookup};
-        let Some(cache) = self.read_cache() else {
-            return self.resolve_file_uncached(name);
-        };
-        let key = CacheKey::FileByName(name.to_owned());
-        let stamp = match cache.lookup(&self.db, &key) {
-            Lookup::Hit(CacheValue::File(f)) => return Ok(f),
-            Lookup::Hit(_) => return self.resolve_file_uncached(name),
-            Lookup::Miss(stamp) => stamp,
-        };
-        let f = self.resolve_file_uncached(name)?;
-        cache.insert(key, CacheValue::File(f.clone()), stamp);
-        Ok(f)
+        let key = || CacheKey::FileByName(name.to_owned());
+        self.cached(key, CacheValue::File, file_entry, || self.resolve_file_uncached(name))
     }
 
     fn resolve_file_uncached(&self, name: &str) -> Result<LogicalFile> {
@@ -587,19 +493,9 @@ impl Mcs {
     /// Look up a specific version of a logical file (cached like
     /// [`Mcs::resolve_file`]).
     pub(crate) fn resolve_file_version(&self, name: &str, version: i64) -> Result<LogicalFile> {
-        use crate::cache::{CacheKey, CacheValue, Lookup};
-        let Some(cache) = self.read_cache() else {
-            return self.resolve_file_version_uncached(name, version);
-        };
-        let key = CacheKey::FileByNameVer(name.to_owned(), version);
-        let stamp = match cache.lookup(&self.db, &key) {
-            Lookup::Hit(CacheValue::File(f)) => return Ok(f),
-            Lookup::Hit(_) => return self.resolve_file_version_uncached(name, version),
-            Lookup::Miss(stamp) => stamp,
-        };
-        let f = self.resolve_file_version_uncached(name, version)?;
-        cache.insert(key, CacheValue::File(f.clone()), stamp);
-        Ok(f)
+        let key = || CacheKey::FileByNameVer(name.to_owned(), version);
+        let compute = || self.resolve_file_version_uncached(name, version);
+        self.cached(key, CacheValue::File, file_entry, compute)
     }
 
     pub(crate) fn resolve_file_version_uncached(
@@ -607,61 +503,37 @@ impl Mcs {
         name: &str,
         version: i64,
     ) -> Result<LogicalFile> {
-        let rs = self
-            .db
-            .execute_prepared(&self.stmts.sel_file_name_ver, &[name.into(), version.into()])?;
-        let rows = rs.rows.expect("select");
-        rows.rows
-            .first()
-            .map(|r| Self::file_from_row(r))
-            .transpose()?
+        let params = [name.into(), version.into()];
+        let rs = self.db.execute_prepared(&self.stmts.sel_file_name_ver, &params)?;
+        first_row(rs, Self::file_from_row)?
             .ok_or_else(|| McsError::NotFound(ObjectRef::FileVersion(name.to_owned(), version)))
     }
 
     pub(crate) fn resolve_file_by_id(&self, id: i64) -> Result<LogicalFile> {
         let rs = self.exec(&self.stmts.sel_file_by_id, &[id.into()])?;
-        let rows = rs.rows.expect("select");
-        rows.rows
-            .first()
-            .map(|r| Self::file_from_row(r))
-            .transpose()?
+        first_row(rs, Self::file_from_row)?
             .ok_or_else(|| McsError::NotFound(ObjectRef::File(format!("#{id}"))))
     }
 
     /// Look up a collection by name (cached like [`Mcs::resolve_file`]).
     pub(crate) fn resolve_collection(&self, name: &str) -> Result<Collection> {
-        use crate::cache::{CacheKey, CacheValue, Lookup};
-        let Some(cache) = self.read_cache() else {
-            return self.resolve_collection_uncached(name);
+        let key = || CacheKey::CollByName(name.to_owned());
+        let entry = |v| match v {
+            CacheValue::Collection(c) => Some(c),
+            _ => None,
         };
-        let key = CacheKey::CollByName(name.to_owned());
-        let stamp = match cache.lookup(&self.db, &key) {
-            Lookup::Hit(CacheValue::Collection(c)) => return Ok(c),
-            Lookup::Hit(_) => return self.resolve_collection_uncached(name),
-            Lookup::Miss(stamp) => stamp,
-        };
-        let c = self.resolve_collection_uncached(name)?;
-        cache.insert(key, CacheValue::Collection(c.clone()), stamp);
-        Ok(c)
+        self.cached(key, CacheValue::Collection, entry, || self.resolve_collection_uncached(name))
     }
 
     fn resolve_collection_uncached(&self, name: &str) -> Result<Collection> {
         let rs = self.exec(&self.stmts.sel_coll_by_name, &[name.into()])?;
-        let rows = rs.rows.expect("select");
-        rows.rows
-            .first()
-            .map(|r| Self::collection_from_row(r))
-            .transpose()?
+        first_row(rs, Self::collection_from_row)?
             .ok_or_else(|| McsError::NotFound(ObjectRef::Collection(name.to_owned())))
     }
 
     pub(crate) fn resolve_collection_by_id(&self, id: i64) -> Result<Collection> {
         let rs = self.exec(&self.stmts.sel_coll_by_id, &[id.into()])?;
-        let rows = rs.rows.expect("select");
-        rows.rows
-            .first()
-            .map(|r| Self::collection_from_row(r))
-            .transpose()?
+        first_row(rs, Self::collection_from_row)?
             .ok_or_else(|| McsError::NotFound(ObjectRef::Collection(format!("#{id}"))))
     }
 
@@ -715,6 +587,7 @@ impl Mcs {
         cred: &Credential,
         specs: &'a [FileSpec],
     ) -> Result<Vec<CheckedSpec<'a>>> {
+        let defined = self.attr_defs()?;
         // name -> (defined type, shared name value, last spec that used it)
         let mut defs: HashMap<&str, (AttrType, Value, usize)> = HashMap::new();
         let mut checked = Vec::with_capacity(specs.len());
@@ -736,7 +609,7 @@ impl Mcs {
                 let (ty, name, last) = match defs.entry(a.name.as_str()) {
                     Entry::Occupied(e) => e.into_mut(),
                     Entry::Vacant(e) => {
-                        let ty = self.defined_type(&a.name)?;
+                        let ty = defined.type_of(&a.name)?;
                         e.insert((ty, a.name.as_str().into(), usize::MAX))
                     }
                 };
@@ -760,9 +633,8 @@ impl Mcs {
     }
 
     /// Phase 2 of [`Mcs::create_files`], inside its transaction: per
-    /// spec, the file row, its attribute rows as multi-row INSERTs of up
-    /// to [`ATTR_ROWS_PER_INSERT`] rows, and the audit record. Returns
-    /// the files as inserted, so no row is read back.
+    /// spec, the file row, its attribute rows and the audit record, as
+    /// row writes. Returns the files as inserted, so no row is read back.
     fn insert_files(
         &self,
         s: &mut Session,
@@ -771,44 +643,34 @@ impl Mcs {
         now: DateTime,
     ) -> Result<Vec<LogicalFile>> {
         let mut files = Vec::with_capacity(checked.len());
-        let mut params: Vec<Value> = Vec::new();
         for c in checked {
             let spec = c.spec;
-            let res = s.execute_prepared(
-                &self.stmts.ins_file,
-                &[
-                    spec.name.as_str().into(),
-                    c.version.into(),
-                    opt_str(&spec.data_type),
-                    true.into(),
-                    c.collection_id.map_or(Value::Null, Value::from),
-                    opt_str(&spec.container_id),
-                    opt_str(&spec.container_service),
-                    cred.dn.as_str().into(),
-                    Value::DateTime(now),
-                    opt_str(&spec.master_copy),
-                    spec.audit.into(),
-                ],
-            );
-            let id = match res {
+            let row = vec![
+                Value::Null,
+                spec.name.as_str().into(),
+                c.version.into(),
+                opt_str(&spec.data_type),
+                true.into(),
+                c.collection_id.map_or(Value::Null, Value::from),
+                opt_str(&spec.container_id),
+                opt_str(&spec.container_service),
+                cred.dn.as_str().into(),
+                Value::DateTime(now),
+                Value::Null,
+                Value::Null,
+                opt_str(&spec.master_copy),
+                spec.audit.into(),
+            ];
+            let id = match s.insert("logical_files", row) {
                 Err(relstore::Error::UniqueViolation { .. }) => {
                     return Err(McsError::AlreadyExists(format!("{}.v{}", spec.name, c.version)))
                 }
-                other => other?
-                    .last_insert_id
-                    .ok_or_else(|| McsError::Internal("no insert id".into()))?,
+                other => other.map(|_| s.last_insert_id())?,
             };
-            let mut rows = c.attr_rows.into_iter().peekable();
-            while rows.peek().is_some() {
-                params.clear();
-                let mut n = 0;
-                for row in rows.by_ref().take(ATTR_ROWS_PER_INSERT) {
-                    params.push(ObjectType::File.code().into());
-                    params.push(id.into());
-                    params.extend(row);
-                    n += 1;
-                }
-                s.execute_prepared(&self.stmts.ins_attrs[n - 1], &params)?;
+            let id = id.ok_or_else(|| McsError::Internal("no insert id".into()))?;
+            for attr in c.attr_rows {
+                let row = crate::attrs::object_attr_row(ObjectType::File, id, attr);
+                s.insert("user_attributes", row)?;
             }
             if spec.audit {
                 self.audit_action_in(s, ObjectType::File, id, "create", cred, &spec.name)?;
@@ -851,8 +713,8 @@ impl Mcs {
         self.require_file_perm(cred, f, Permission::Delete)?;
         // The file row and every dependent row (attributes, annotations,
         // history, ACEs, view memberships) go in one transaction: a crash
-        // at any statement boundary leaves either the whole file or none
-        // of it — never orphaned dependents.
+        // at any point leaves either the whole file or none of it — never
+        // orphaned dependents.
         self.txn(
             &[
                 ("acl_entries", Access::Write),
@@ -867,25 +729,9 @@ impl Mcs {
                 if f.audit_enabled {
                     self.audit_action_in(s, ObjectType::File, f.id, "delete", cred, &f.name)?;
                 }
-                s.execute_prepared(&self.stmts.del_file_by_id, &[f.id.into()])?;
-                s.execute_prepared(
-                    &self.stmts.del_attrs_obj,
-                    &[ObjectType::File.code().into(), f.id.into()],
-                )?;
-                s.execute_prepared(
-                    &self.stmts.del_annot_obj,
-                    &[ObjectType::File.code().into(), f.id.into()],
-                )?;
-                s.execute_prepared(&self.stmts.del_hist_file, &[f.id.into()])?;
-                s.execute_prepared(
-                    &self.stmts.del_acl_obj,
-                    &[ObjectType::File.code().into(), f.id.into()],
-                )?;
-                s.execute_prepared(
-                    &self.stmts.del_view_member,
-                    &[ObjectType::File.code().into(), f.id.into()],
-                )?;
-                Ok(())
+                delete_keyed(s, "logical_files", "pk_logical_files", &[f.id.into()])?;
+                delete_keyed(s, "transformation_history", "hist_file", &[f.id.into()])?;
+                delete_object_rows(s, ObjectType::File, f.id)
             },
         )
     }
@@ -947,38 +793,24 @@ impl Mcs {
     ) -> Result<LogicalFile> {
         let f = self.resolve_file(name)?;
         self.require_file_perm(cred, &f, Permission::Write)?;
-        let mut sets: Vec<&str> = Vec::new();
-        let mut params: Vec<Value> = Vec::new();
-        if let Some(dt) = &update.data_type {
-            sets.push("data_type = ?");
-            params.push(dt.as_str().into());
-        }
-        if let Some(v) = update.valid {
-            sets.push("valid = ?");
-            params.push(v.into());
-        }
-        if let Some(mc) = &update.master_copy {
-            sets.push("master_copy = ?");
-            params.push(mc.as_str().into());
-        }
-        if let Some(c) = &update.container_id {
-            sets.push("container_id = ?");
-            params.push(c.as_str().into());
-        }
-        if let Some(cs) = &update.container_service {
-            sets.push("container_service = ?");
-            params.push(cs.as_str().into());
-        }
-        sets.push("last_modifier = ?");
-        params.push(cred.dn.as_str().into());
-        sets.push("last_modified = ?");
-        params.push(self.now());
-        params.push(f.id.into());
-        let sql = format!("UPDATE logical_files SET {} WHERE id = ?", sets.join(", "));
+        let text = |col, v: &Option<String>| v.as_deref().map(|v| (col, Value::from(v)));
+        let mut cols: Vec<(&str, Value)> = [
+            text("data_type", &update.data_type),
+            update.valid.map(|v| ("valid", v.into())),
+            text("master_copy", &update.master_copy),
+            text("container_id", &update.container_id),
+            text("container_service", &update.container_service),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        cols.extend([("last_modifier", cred.dn.as_str().into()), ("last_modified", self.now())]);
         self.txn(
             &[("audit_log", Access::Write), ("logical_files", Access::Write)],
             |s| {
-                s.execute(&sql, &params)?;
+                for id in s.lookup("logical_files", "pk_logical_files", &[f.id.into()])? {
+                    s.update("logical_files", id, &cols)?;
+                }
                 if f.audit_enabled {
                     self.audit_action_in(s, ObjectType::File, f.id, "modify", cred, &f.name)?;
                 }
@@ -1020,23 +852,24 @@ impl Mcs {
             }
         };
         let id = self.txn(&[("logical_collections", Access::Write)], |s| {
-            let res = s.execute_prepared(
-                &self.stmts.ins_coll,
-                &[
-                    name.into(),
-                    description.into(),
-                    parent_id.map_or(Value::Null, Value::Int),
-                    cred.dn.as_str().into(),
-                    self.now(),
-                ],
-            );
-            let res = match res {
+            let row = vec![
+                Value::Null,
+                name.into(),
+                description.into(),
+                parent_id.map_or(Value::Null, Value::Int),
+                cred.dn.as_str().into(),
+                self.now(),
+                Value::Null,
+                Value::Null,
+                false.into(),
+            ];
+            match s.insert("logical_collections", row) {
                 Err(relstore::Error::UniqueViolation { .. }) => {
                     return Err(McsError::AlreadyExists(name.to_owned()))
                 }
                 other => other?,
             };
-            res.last_insert_id.ok_or_else(|| McsError::Internal("no insert id".into()))
+            s.last_insert_id().ok_or_else(|| McsError::Internal("no insert id".into()))
         })?;
         self.resolve_collection_by_id(id)
     }
@@ -1077,13 +910,8 @@ impl Mcs {
                 if c.audit_enabled {
                     self.audit_action_in(s, ObjectType::Collection, c.id, "delete", cred, &c.name)?;
                 }
-                s.execute_prepared(&self.stmts.del_coll_by_id, &[c.id.into()])?;
-                let obj = [Value::Int(ObjectType::Collection.code()), Value::Int(c.id)];
-                s.execute_prepared(&self.stmts.del_attrs_obj, &obj)?;
-                s.execute_prepared(&self.stmts.del_annot_obj, &obj)?;
-                s.execute_prepared(&self.stmts.del_acl_obj, &obj)?;
-                s.execute_prepared(&self.stmts.del_view_member, &obj)?;
-                Ok(())
+                delete_keyed(s, "logical_collections", "pk_logical_collections", &[c.id.into()])?;
+                delete_object_rows(s, ObjectType::Collection, c.id)
             },
         )
     }
@@ -1123,11 +951,17 @@ impl Mcs {
             }
             None => Value::Null,
         };
-        self.exec(
-            &self.stmts.upd_file_coll,
-            &[new_id, cred.dn.as_str().into(), self.now(), f.id.into()],
-        )?;
-        Ok(())
+        let cols = [
+            ("collection_id", new_id),
+            ("last_modifier", cred.dn.as_str().into()),
+            ("last_modified", self.now()),
+        ];
+        self.txn(&[("logical_files", Access::Write)], |s| {
+            for id in s.lookup("logical_files", "pk_logical_files", &[f.id.into()])? {
+                s.update("logical_files", id, &cols)?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -1154,6 +988,71 @@ pub(crate) struct CheckedSpec<'a> {
     /// `user_attributes` columns after the object's (see
     /// [`crate::attrs::attr_row`]).
     attr_rows: Vec<[Value; 8]>,
+}
+
+/// Delete every row of claimed table `table` whose key in `index` starts
+/// with `key`; returns how many there were.
+pub(crate) fn delete_keyed(
+    s: &mut Session,
+    table: &str,
+    index: &str,
+    key: &[Value],
+) -> Result<usize> {
+    let ids = s.lookup(table, index, key)?;
+    for &id in &ids {
+        s.delete(table, id)?;
+    }
+    Ok(ids.len())
+}
+
+/// Delete the rows that hang off object `(ot, id)`: its attributes,
+/// annotations, ACEs and view memberships.
+pub(crate) fn delete_object_rows(s: &mut Session, ot: ObjectType, id: i64) -> Result<()> {
+    let key = [Value::Int(ot.code()), Value::Int(id)];
+    delete_keyed(s, "user_attributes", "ua_object", &key)?;
+    delete_keyed(s, "annotations", "ann_object", &key)?;
+    delete_keyed(s, "acl_entries", "acl_unique", &key)?;
+    delete_keyed(s, "view_members", "vm_member", &key)?;
+    Ok(())
+}
+
+/// The file a cache entry holds.
+fn file_entry(v: CacheValue) -> Option<LogicalFile> {
+    match v {
+        CacheValue::File(f) => Some(f),
+        _ => None,
+    }
+}
+
+/// The first row of a SELECT's result, decoded.
+pub(crate) fn first_row<T>(r: ExecResult, decode: fn(&[Value]) -> Result<T>) -> Result<Option<T>> {
+    r.rows.expect("select").rows.first().map(|r| decode(r)).transpose()
+}
+
+/// A nullable string column.
+pub(crate) fn opt_text(v: &Value) -> Option<String> {
+    match v {
+        Value::Str(s) => Some(s.to_string()),
+        _ => None,
+    }
+}
+
+/// A string column, `""` for NULL.
+pub(crate) fn text(v: &Value) -> String {
+    opt_text(v).unwrap_or_default()
+}
+
+/// A nullable DATETIME column.
+pub(crate) fn opt_datetime(v: &Value) -> Option<DateTime> {
+    match v {
+        Value::DateTime(dt) => Some(*dt),
+        _ => None,
+    }
+}
+
+/// A NOT NULL DATETIME column.
+pub(crate) fn datetime(v: &Value) -> Result<DateTime> {
+    opt_datetime(v).ok_or_else(|| McsError::Internal("bad datetime column".into()))
 }
 
 pub(crate) fn opt_str(s: &Option<String>) -> Value {

@@ -1,9 +1,7 @@
 //! External catalog pointers (paper §5): metadata may be spread across
 //! multiple heterogeneous catalogs; the MCS records how to reach them.
 
-use relstore::Value;
-
-use crate::catalog::Mcs;
+use crate::catalog::{text, Mcs};
 use crate::error::{McsError, Result};
 use crate::model::*;
 
@@ -46,18 +44,12 @@ impl Mcs {
         rs.rows
             .iter()
             .map(|r| {
-                let s = |v: &Value| -> String {
-                    match v {
-                        Value::Str(s) => s.to_string(),
-                        _ => String::new(),
-                    }
-                };
                 Ok(ExternalCatalog {
                     name: r[0].as_str()?.to_owned(),
                     catalog_type: r[1].as_str()?.to_owned(),
                     host: r[2].as_str()?.to_owned(),
-                    ip: s(&r[3]),
-                    description: s(&r[4]),
+                    ip: text(&r[3]),
+                    description: text(&r[4]),
                 })
             })
             .collect()

@@ -4,8 +4,8 @@
 
 use relstore::Value;
 
-use crate::catalog::Mcs;
-use crate::error::{McsError, Result};
+use crate::catalog::{datetime, Mcs};
+use crate::error::Result;
 use crate::model::*;
 
 impl Mcs {
@@ -19,11 +19,8 @@ impl Mcs {
                 ("transformation_history", relstore::Access::Write),
             ],
             |s| {
-                s.execute(
-                    "INSERT INTO transformation_history (file_id, description, actor, at) \
-                     VALUES (?, ?, ?, ?)",
-                    &[f.id.into(), description.into(), cred.dn.as_str().into(), self.now()],
-                )?;
+                let row = [f.id.into(), description.into(), cred.dn.as_str().into(), self.now()];
+                s.insert("transformation_history", [Value::Null].into_iter().chain(row).collect())?;
                 if f.audit_enabled {
                     self.audit_action_in(s, ObjectType::File, f.id, "add_history", cred, &f.name)?;
                 }
@@ -50,10 +47,7 @@ impl Mcs {
                     file_id: f.id,
                     description: r[0].as_str()?.to_owned(),
                     actor: r[1].as_str()?.to_owned(),
-                    at: match &r[2] {
-                        Value::DateTime(dt) => *dt,
-                        _ => return Err(McsError::Internal("bad at column".into())),
-                    },
+                    at: datetime(&r[2])?,
                 })
             })
             .collect()

@@ -123,14 +123,8 @@ fn walk_us(groups: usize, entries: usize) -> f64 {
 /// The typed `(name, value, object_type, object_id)` index serving one
 /// attribute type.
 pub(crate) fn value_index_name(ty: AttrType) -> &'static str {
-    match ty {
-        AttrType::Str => "ua_name_str",
-        AttrType::Int => "ua_name_int",
-        AttrType::Float => "ua_name_float",
-        AttrType::Date => "ua_name_date",
-        AttrType::Time => "ua_name_time",
-        AttrType::DateTime => "ua_name_datetime",
-    }
+    // VALUE_INDEXES lists them in the order of the value columns.
+    crate::schema::VALUE_INDEXES[ty.full_row_column() - AttrType::Str.full_row_column()]
 }
 
 /// Coerce the comparison literal the way the attribute store does:
@@ -778,27 +772,7 @@ impl Mcs {
     /// returning its declared type. Shared by every query entry point so
     /// all paths reject the same malformed predicates identically.
     pub(crate) fn check_predicate_type(&self, p: &AttrPredicate) -> Result<AttrType> {
-        let def = self
-            .attribute_definition(&p.name)?
-            .ok_or_else(|| McsError::BadAttribute(format!("`{}` is not defined", p.name)))?;
-        let given = AttrType::of_value(&p.value).ok_or_else(|| {
-            McsError::BadAttribute(format!("`{}`: unsupported comparison value", p.name))
-        })?;
-        let ok =
-            given == def.attr_type || (given == AttrType::Int && def.attr_type == AttrType::Float);
-        if !ok {
-            return Err(McsError::BadAttribute(format!(
-                "`{}` is {:?}, got {given:?}",
-                p.name, def.attr_type
-            )));
-        }
-        if p.op == AttrOp::Like && def.attr_type != AttrType::Str {
-            return Err(McsError::BadAttribute(format!(
-                "LIKE requires a string attribute, `{}` is {:?}",
-                p.name, def.attr_type
-            )));
-        }
-        Ok(def.attr_type)
+        predicate_type(&*self.attr_defs()?, p)
     }
 
     /// [`Mcs::check_predicate_type`] over a slice, preserving order.
@@ -806,7 +780,8 @@ impl Mcs {
         &self,
         preds: &'p [AttrPredicate],
     ) -> Result<Vec<(&'p AttrPredicate, AttrType)>> {
-        preds.iter().map(|p| Ok((p, self.check_predicate_type(p)?))).collect()
+        let defs = self.attr_defs()?;
+        preds.iter().map(|p| Ok((p, predicate_type(&defs, p)?))).collect()
     }
 }
 
@@ -873,6 +848,24 @@ fn merge_sorted(a: &[i64], b: &[i64], keep: impl Fn(bool, bool) -> bool) -> Vec<
             out.push(id);
         }
     }
+}
+
+/// The declared type of `p`'s attribute, once `p` is checked against it.
+fn predicate_type(defs: &crate::attrs::AttrDefs, p: &AttrPredicate) -> Result<AttrType> {
+    let def = defs.type_of(&p.name)?;
+    let given = AttrType::of_value(&p.value).ok_or_else(|| {
+        McsError::BadAttribute(format!("`{}`: unsupported comparison value", p.name))
+    })?;
+    if !(given == def || (given == AttrType::Int && def == AttrType::Float)) {
+        return Err(McsError::BadAttribute(format!("`{}` is {def:?}, got {given:?}", p.name)));
+    }
+    if p.op == AttrOp::Like && def != AttrType::Str {
+        return Err(McsError::BadAttribute(format!(
+            "LIKE requires a string attribute, `{}` is {def:?}",
+            p.name
+        )));
+    }
+    Ok(def)
 }
 
 #[cfg(test)]

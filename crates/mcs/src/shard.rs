@@ -67,7 +67,7 @@ use relstore::{Access, Database, OpCtx, Value};
 use soapstack::threadpool::ThreadPool;
 
 use crate::cache::{CacheConfig, CacheStats};
-use crate::catalog::{Mcs, StoreConfig};
+use crate::catalog::{datetime, delete_keyed, text, Mcs, StoreConfig};
 use crate::clock::Clock;
 use crate::error::{McsError, Result};
 use crate::general_query::QueryExpr;
@@ -100,39 +100,11 @@ pub fn shard_of_name(name: &str, n_shards: usize) -> usize {
     (fnv1a64(name.as_bytes()) % n_shards as u64) as usize
 }
 
-/// The global tables mirrored from shard 0 onto every shard, with the
-/// column lists used for diff-sync (`id` first). The non-file rows of
-/// `acl_entries` are mirrored too, by content ([`ShardedCatalog::sync_mirrors`]).
-const MIRRORED: &[(&str, &[&str])] = &[
-    (
-        "logical_collections",
-        &[
-            "id",
-            "name",
-            "description",
-            "parent_id",
-            "creator",
-            "created",
-            "last_modifier",
-            "last_modified",
-            "audit_enabled",
-        ],
-    ),
-    (
-        "logical_views",
-        &[
-            "id",
-            "name",
-            "description",
-            "creator",
-            "created",
-            "last_modifier",
-            "last_modified",
-            "audit_enabled",
-        ],
-    ),
-    ("attribute_definitions", &["id", "name", "attr_type", "description", "creator", "created"]),
-];
+/// The global tables mirrored from shard 0 onto every shard, row for
+/// row under shard 0's ids (diff-sync). The non-file rows of
+/// `acl_entries` are mirrored too, by content
+/// ([`ShardedCatalog::sync_mirrors`]).
+const MIRRORED: [&str; 3] = ["logical_collections", "logical_views", "attribute_definitions"];
 
 /// A non-file access-control entry: `(object_type, object_id, principal,
 /// permission)`, unique per shard.
@@ -407,13 +379,8 @@ impl ShardedCatalog {
     // ---------- mirror maintenance ----------
 
     /// Snapshot a mirrored table keyed by id.
-    fn mirror_rows(
-        db: &Database,
-        table: &str,
-        cols: &[&str],
-    ) -> Result<BTreeMap<i64, Vec<Value>>> {
-        let sql = format!("SELECT {} FROM {table}", cols.join(", "));
-        let rs = db.query(&sql, &[])?;
+    fn mirror_rows(db: &Database, table: &str) -> Result<BTreeMap<i64, Vec<Value>>> {
+        let rs = db.query(&format!("SELECT * FROM {table}"), &[])?;
         let mut out = BTreeMap::new();
         for row in rs.rows {
             out.insert(row[0].as_int()?, row);
@@ -453,18 +420,14 @@ impl ShardedCatalog {
         }
         replica.txn(&[("acl_entries", Access::Write)], |s| {
             for id in &dels {
-                s.execute("DELETE FROM acl_entries WHERE id = ?", &[(*id).into()])?;
+                delete_keyed(s, "acl_entries", "pk_acl_entries", &[(*id).into()])?;
             }
             for (ot, oid, who, perm) in ins {
-                s.execute(
-                    "INSERT INTO acl_entries (object_type, object_id, principal, permission) \
-                     VALUES (?, ?, ?, ?)",
-                    &[(*ot).into(), (*oid).into(), who.as_str().into(), (*perm).into()],
-                )?;
+                let row = vec![Value::Null, (*ot).into(), (*oid).into(), who.as_str().into(), (*perm).into()];
+                s.insert("acl_entries", row)?;
             }
-            Ok::<_, McsError>(())
-        })?;
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Force one replica's copy of `table` to `want` (shard 0's rows):
@@ -473,10 +436,9 @@ impl ShardedCatalog {
     fn sync_mirror_table(
         replica: &Mcs,
         table: &str,
-        cols: &[&str],
         want: &BTreeMap<i64, Vec<Value>>,
     ) -> Result<()> {
-        let have = Self::mirror_rows(replica.database(), table, cols)?;
+        let have = Self::mirror_rows(replica.database(), table)?;
         let dels: Vec<i64> = have
             .iter()
             .filter(|(id, row)| want.get(id) != Some(row))
@@ -490,22 +452,16 @@ impl ShardedCatalog {
         if dels.is_empty() && ins.is_empty() {
             return Ok(());
         }
-        let del_sql = format!("DELETE FROM {table} WHERE id = ?");
-        let ins_sql = format!(
-            "INSERT INTO {table} ({}) VALUES ({})",
-            cols.join(", "),
-            vec!["?"; cols.len()].join(", ")
-        );
+        let pk = format!("pk_{table}");
         replica.txn(&[(table, Access::Write)], |s| {
             for id in &dels {
-                s.execute(&del_sql, &[(*id).into()])?;
+                delete_keyed(s, table, &pk, &[(*id).into()])?;
             }
-            for row in &ins {
-                s.execute(&ins_sql, row)?;
+            for row in ins {
+                s.insert(table, row.clone())?;
             }
-            Ok::<_, McsError>(())
-        })?;
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Phase two of every global write: push shard 0's mirrored tables to
@@ -514,10 +470,10 @@ impl ShardedCatalog {
     fn sync_mirrors(&self) -> Result<()> {
         let replicas: Vec<Mcs> =
             self.shards[1..].iter().map(|r| r.handle(self.ctx.clone())).collect();
-        for (table, cols) in MIRRORED {
-            let want = Self::mirror_rows(self.shards[0].database(), table, cols)?;
+        for table in MIRRORED {
+            let want = Self::mirror_rows(self.shards[0].database(), table)?;
             for replica in &replicas {
-                Self::sync_mirror_table(replica, table, cols, &want)?;
+                Self::sync_mirror_table(replica, table, &want)?;
             }
         }
         let want = Self::global_aces(self.shards[0].database())?;
@@ -845,17 +801,14 @@ impl ShardedCatalog {
             return Ok(());
         }
         zero.txn(&[("audit_log", Access::Write)], |s| {
-            for row in &rows {
-                s.execute(
-                    "INSERT INTO audit_log (object_type, object_id, action, actor, at, details) \
-                     VALUES (?, ?, ?, ?, ?, ?)",
-                    row,
-                )?;
+            for row in rows {
+                s.insert("audit_log", [Value::Null].into_iter().chain(row).collect())?;
             }
-            Ok::<_, McsError>(())
+            Ok(())
         })?;
-        owner.exec_sql("DELETE FROM audit_log WHERE object_type = ? AND object_id = ?", &key)?;
-        Ok(())
+        owner.txn(&[("audit_log", Access::Write)], |s| {
+            delete_keyed(s, "audit_log", "audit_object", &key).map(drop)
+        })
     }
 
     /// See [`Mcs::list_view`]: shard 0 resolves, authorizes, audits and
@@ -1029,14 +982,8 @@ fn audit_rows_local(m: &Mcs, ot: ObjectType, id: i64) -> Result<Vec<AuditRecord>
                 object_id: id,
                 action: r[0].as_str()?.to_owned(),
                 actor: r[1].as_str()?.to_owned(),
-                at: match &r[2] {
-                    Value::DateTime(dt) => *dt,
-                    _ => return Err(McsError::Internal("bad at column".into())),
-                },
-                details: match &r[3] {
-                    Value::Str(s) => s.to_string(),
-                    _ => String::new(),
-                },
+                at: datetime(&r[2])?,
+                details: text(&r[3]),
             })
         })
         .collect()
@@ -1131,6 +1078,30 @@ mod tests {
                 sc.shard(k).get_collection(&a, "run-a"),
                 Err(McsError::NotFound(_))
             ));
+        }
+    }
+
+    /// A define made through shard 0 reaches every shard's definitions,
+    /// so a file on any shard can carry the attribute, and so does an
+    /// undefine.
+    #[test]
+    fn attribute_definitions_mirror_to_every_shard() {
+        let a = admin();
+        let sc = catalog(3);
+        sc.run(Global, |m| m.define_attribute(&a, "band", AttrType::Str, "")).unwrap();
+        for k in 0..3 {
+            assert!(sc.shard(k).attribute_definition("band").unwrap().is_some(), "shard {k}");
+        }
+        for i in 0..6 {
+            create_file(&sc, &a, &FileSpec::named(format!("b{i}.dat")).attr("band", "r")).unwrap();
+        }
+        sc.shard(0)
+            .database()
+            .execute("DELETE FROM attribute_definitions WHERE name = 'band'", &[])
+            .unwrap();
+        sc.sync_mirrors().unwrap();
+        for k in 0..3 {
+            assert_eq!(sc.shard(k).attribute_definition("band").unwrap(), None, "shard {k}");
         }
     }
 

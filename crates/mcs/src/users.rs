@@ -1,9 +1,9 @@
 //! Registered metadata writers (paper §5 "User metadata": distinguished
 //! name, description, institution, contact information).
 
-use relstore::Value;
+use relstore::{Access, Value};
 
-use crate::catalog::Mcs;
+use crate::catalog::{text, Mcs};
 use crate::error::{McsError, Result};
 use crate::model::*;
 
@@ -11,41 +11,22 @@ impl Mcs {
     /// Register (or update) a metadata writer. Requires service Write.
     pub fn register_user(&self, cred: &Credential, user: &UserRecord) -> Result<()> {
         self.require_service_perm(cred, Permission::Write)?;
-        let exists = self
-            .db
-            .query("SELECT id FROM mcs_users WHERE dn = ?", &[user.dn.as_str().into()])?
-            .rows
-            .first()
-            .map(|r| r[0].clone());
-        match exists {
-            Some(id) => {
-                self.exec_sql(
-                    "UPDATE mcs_users SET description = ?, institution = ?, email = ?, \
-                     phone = ? WHERE id = ?",
-                    &[
-                        user.description.as_str().into(),
-                        user.institution.as_str().into(),
-                        user.email.as_str().into(),
-                        user.phone.as_str().into(),
-                        id,
-                    ],
-                )?;
+        let cols = [
+            ("description", user.description.as_str().into()),
+            ("institution", user.institution.as_str().into()),
+            ("email", user.email.as_str().into()),
+            ("phone", user.phone.as_str().into()),
+        ];
+        self.txn(&[("mcs_users", Access::Write)], |s| {
+            match s.lookup("mcs_users", "uq_mcs_users_dn", &[user.dn.as_str().into()])?.first() {
+                Some(&id) => s.update("mcs_users", id, &cols)?,
+                None => {
+                    let head = [Value::Null, user.dn.as_str().into()];
+                    s.insert("mcs_users", head.into_iter().chain(cols.map(|(_, v)| v)).collect())?;
+                }
             }
-            None => {
-                self.exec_sql(
-                    "INSERT INTO mcs_users (dn, description, institution, email, phone) \
-                     VALUES (?, ?, ?, ?, ?)",
-                    &[
-                        user.dn.as_str().into(),
-                        user.description.as_str().into(),
-                        user.institution.as_str().into(),
-                        user.email.as_str().into(),
-                        user.phone.as_str().into(),
-                    ],
-                )?;
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Look up a writer by DN.
@@ -74,17 +55,11 @@ impl Mcs {
 }
 
 fn user_from_row(r: &Vec<Value>) -> Result<UserRecord> {
-    let s = |v: &Value| -> String {
-        match v {
-            Value::Str(s) => s.to_string(),
-            _ => String::new(),
-        }
-    };
     Ok(UserRecord {
         dn: r[0].as_str()?.to_owned(),
-        description: s(&r[1]),
-        institution: s(&r[2]),
-        email: s(&r[3]),
-        phone: s(&r[4]),
+        description: text(&r[1]),
+        institution: text(&r[2]),
+        email: text(&r[3]),
+        phone: text(&r[4]),
     })
 }

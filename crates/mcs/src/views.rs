@@ -4,7 +4,7 @@
 
 use relstore::Value;
 
-use crate::catalog::Mcs;
+use crate::catalog::{first_row, datetime, delete_keyed, delete_object_rows, opt_datetime, opt_text, text, Mcs};
 use crate::error::{McsError, Result};
 use crate::model::*;
 
@@ -21,23 +21,14 @@ pub struct ViewContents {
 
 impl Mcs {
     pub(crate) fn resolve_view(&self, name: &str) -> Result<View> {
-        let rs =
-            self.exec_sql("SELECT * FROM logical_views WHERE name = ?", &[name.into()])?;
-        let rows = rs.rows.expect("select");
-        rows.rows
-            .first()
-            .map(|r| Self::view_from_row(r))
-            .transpose()?
+        let rs = self.exec_sql("SELECT * FROM logical_views WHERE name = ?", &[name.into()])?;
+        first_row(rs, Self::view_from_row)?
             .ok_or_else(|| McsError::NotFound(ObjectRef::View(name.to_owned())))
     }
 
     pub(crate) fn resolve_view_by_id(&self, id: i64) -> Result<View> {
         let rs = self.exec_sql("SELECT * FROM logical_views WHERE id = ?", &[id.into()])?;
-        let rows = rs.rows.expect("select");
-        rows.rows
-            .first()
-            .map(|r| Self::view_from_row(r))
-            .transpose()?
+        first_row(rs, Self::view_from_row)?
             .ok_or_else(|| McsError::NotFound(ObjectRef::View(format!("#{id}"))))
     }
 
@@ -45,23 +36,11 @@ impl Mcs {
         Ok(View {
             id: row[0].as_int()?,
             name: row[1].as_str()?.to_owned(),
-            description: match &row[2] {
-                Value::Str(s) => s.to_string(),
-                _ => String::new(),
-            },
+            description: text(&row[2]),
             creator: row[3].as_str()?.to_owned(),
-            created: match &row[4] {
-                Value::DateTime(dt) => *dt,
-                _ => return Err(McsError::Internal("bad created column".into())),
-            },
-            last_modifier: match &row[5] {
-                Value::Str(s) => Some(s.to_string()),
-                _ => None,
-            },
-            last_modified: match &row[6] {
-                Value::DateTime(dt) => Some(*dt),
-                _ => None,
-            },
+            created: datetime(&row[4])?,
+            last_modifier: opt_text(&row[5]),
+            last_modified: opt_datetime(&row[6]),
             audit_enabled: row[7].as_bool()?,
         })
     }
@@ -118,20 +97,10 @@ impl Mcs {
                 if v.audit_enabled {
                     self.audit_action_in(s, ObjectType::View, v.id, "delete", cred, &v.name)?;
                 }
-                s.execute("DELETE FROM logical_views WHERE id = ?", &[v.id.into()])?;
-                s.execute("DELETE FROM view_members WHERE view_id = ?", &[v.id.into()])?;
-                // memberships of this view in other views
-                s.execute(
-                    "DELETE FROM view_members WHERE member_type = ? AND member_id = ?",
-                    &[ObjectType::View.code().into(), v.id.into()],
-                )?;
-                for table in ["user_attributes", "annotations", "acl_entries"] {
-                    s.execute(
-                        &format!("DELETE FROM {table} WHERE object_type = ? AND object_id = ?"),
-                        &[ObjectType::View.code().into(), v.id.into()],
-                    )?;
-                }
-                Ok(())
+                delete_keyed(s, "logical_views", "pk_logical_views", &[v.id.into()])?;
+                delete_keyed(s, "view_members", "vm_unique", &[v.id.into()])?;
+                // and its memberships in other views
+                delete_object_rows(s, ObjectType::View, v.id)
             },
         )
     }
@@ -199,11 +168,10 @@ impl Mcs {
         let v = self.resolve_view(view)?;
         self.require_view_perm(cred, &v, Permission::Write)?;
         let (mt, mid, _, _) = self.resolve_ref(member)?;
-        let res = self.exec_sql(
-            "DELETE FROM view_members WHERE view_id = ? AND member_type = ? AND member_id = ?",
-            &[v.id.into(), mt.code().into(), mid.into()],
-        )?;
-        Ok(res.rows_affected > 0)
+        let key = [v.id.into(), mt.code().into(), mid.into()];
+        self.txn(&[("view_members", relstore::Access::Write)], |s| {
+            Ok(delete_keyed(s, "view_members", "vm_unique", &key)? > 0)
+        })
     }
 
     /// Raw member list of a view.

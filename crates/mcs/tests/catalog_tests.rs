@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use mcs::*;
-use relstore::{Date, Value};
+use relstore::{Date, DateTime, Value};
 
 fn admin() -> Credential {
     Credential::new("/O=Grid/OU=ISI/CN=admin")
@@ -904,4 +904,70 @@ fn writes_invalidate_only_touched_tables() {
         "collection/attrdef entries must not be invalidated: {still_warm:?}"
     );
     assert!(still_warm.hits >= after_query.hits + 2);
+}
+
+// ---------------- attribute definitions ----------------
+
+/// A catalog with and without the read cache: definitions are read the
+/// same way by both.
+fn both_catalogs() -> [(Mcs, Credential); 2] {
+    let a = admin();
+    let cached = Mcs::with_options_cached(
+        &a,
+        IndexProfile::ValueIndexed,
+        Arc::new(ManualClock::default()),
+        CacheConfig::default(),
+    )
+    .unwrap();
+    [setup(), (cached, a)]
+}
+
+/// A definition is used as soon as it is made, and once its row is gone
+/// from the table (undefined behind the catalog's back) every create and
+/// query refuses the name again.
+#[test]
+fn attribute_definitions_follow_their_table() {
+    for (m, a) in both_catalogs() {
+        let undefined = |e: McsError| matches!(e, McsError::BadAttribute(_));
+        let spec = |name: &str| FileSpec::named(name).attr("tier", 1i64);
+        let preds = [AttrPredicate::eq("tier", 1i64)];
+        assert!(undefined(m.create_file(&a, &spec("early.dat")).unwrap_err()));
+        m.define_attribute(&a, "tier", AttrType::Int, "").unwrap();
+        m.create_file(&a, &spec("used.dat")).unwrap();
+        assert_eq!(m.query_by_attributes(&a, &preds).unwrap().len(), 1);
+        m.database()
+            .execute("DELETE FROM attribute_definitions WHERE name = 'tier'", &[])
+            .unwrap();
+        assert_eq!(m.attribute_definition("tier").unwrap(), None);
+        assert!(undefined(m.create_file(&a, &spec("late.dat")).unwrap_err()));
+        assert!(undefined(m.query_by_attributes(&a, &preds).unwrap_err()));
+        m.define_attribute(&a, "tier", AttrType::Int, "").unwrap();
+        m.create_file(&a, &spec("again.dat")).unwrap();
+    }
+}
+
+/// A define rolled back with its failing transaction is not visible,
+/// also when the catalog read the definitions while it was open.
+#[test]
+fn attribute_definitions_forget_a_rolled_back_define() {
+    for (m, a) in both_catalogs() {
+        let db = Arc::clone(m.database());
+        let r: std::result::Result<(), relstore::Error> =
+            db.transaction(&[("attribute_definitions", relstore::Access::Write)], |s| {
+                s.execute(
+                    "INSERT INTO attribute_definitions (name, attr_type, creator, created) \
+                     VALUES ('ghost', ?, 'x', ?)",
+                    &[
+                        AttrType::Str.code().into(),
+                        Value::DateTime(DateTime::from_seconds_from_epoch(0)),
+                    ],
+                )?;
+                assert!(m.attribute_definition("ghost").unwrap().is_some());
+                Err(relstore::Error::ExecError("abort".into()))
+            });
+        assert!(r.is_err());
+        assert_eq!(m.attribute_definition("ghost").unwrap(), None);
+        let ghost = FileSpec::named("ghost.dat").attr("ghost", "boo");
+        assert!(matches!(m.create_file(&a, &ghost), Err(McsError::BadAttribute(_))));
+    }
 }

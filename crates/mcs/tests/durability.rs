@@ -236,11 +236,12 @@ fn wal_len(dir: &std::path::Path) -> u64 {
 }
 
 /// A create of a file with the workload's ten attributes logs three
-/// statements — the file row, one INSERT of all ten attribute rows and,
-/// when audited, the audit record: 1,247 B, or 1,442 B audited, where
-/// one statement per attribute row logged 2,885 B and 3,080 B. Pinned:
-/// under 1,300 B unaudited (the benchmark's publish shape), under
-/// 1,500 B audited.
+/// row records — the file row, its ten attribute rows and, when
+/// audited, the audit row: 819 B, or 936 B audited, where three SQL
+/// statements (one multi-row attribute INSERT) logged 1,247 B and
+/// 1,442 B, and one statement per attribute row 2,885 B and 3,080 B.
+/// Pinned: under 1,300 B unaudited (the benchmark's publish shape),
+/// under 1,500 B audited.
 #[test]
 fn ten_attribute_create_logs_three_statements() {
     let dir = tmpdir("create-bytes");
@@ -262,10 +263,12 @@ fn ten_attribute_create_logs_three_statements() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A log whose creates carry one single-row INSERT per attribute — the
-/// statement shape every earlier release wrote — replays to the same
-/// catalog as one written by today's multi-row create: the same file
-/// fields, attributes, audit trail and query answers.
+/// A create run as the earlier create path's SQL — one single-row INSERT
+/// per attribute — recovers to the same catalog as one made by today's
+/// typed writes: the same file fields, attributes, audit trail and query
+/// answers. SQL writes log row images like typed ones; what the
+/// statement logs of earlier releases recover to is pinned by relstore's
+/// `wal_golden` corpus.
 #[test]
 fn single_row_attribute_log_replays_like_a_multi_row_one() {
     use relstore::{Access, Value};

@@ -170,6 +170,81 @@ fn mvcc_recovery_is_atomic_and_single_version_under_any_wal_truncation() {
     }
 }
 
+/// Byte offsets at which each frame of the log at `dir` starts, from
+/// `from` (a frame boundary) to the end: `[len: u32][checksum: u64]`
+/// then `len` payload bytes.
+fn frame_starts(dir: &Path, from: u64) -> Vec<u64> {
+    let log = std::fs::read(dir.join(WAL)).unwrap();
+    let mut at = from as usize;
+    let mut starts = Vec::new();
+    while at < log.len() {
+        starts.push(at as u64);
+        at += 12 + u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+    }
+    assert_eq!(at, log.len(), "the log ends on a frame boundary");
+    starts
+}
+
+/// The row-image groups of an audited file's life — its create (file
+/// row, attribute rows, audit row), an attribute set (delete and insert
+/// of one attribute row, audit row) and its delete (audit row, file row,
+/// attribute rows) — cut at every frame boundary reopen to exactly the
+/// committed prefix, on the barrier and the MVCC engine alike.
+#[test]
+fn row_image_groups_reopen_to_their_committed_prefix_at_every_frame_truncation() {
+    let dir = tmpdir("rows");
+    let admin = Credential::new("/CN=admin");
+    let name = "audited.dat";
+    // Read with SQL: a catalog read of an audited file writes an audit row.
+    let observe = |m: &Mcs| {
+        let db = m.database();
+        let rows = |sql: &str| db.query(sql, &[]).unwrap().rows;
+        format!(
+            "files={:?} attrs={:?} audit={:?}",
+            rows("SELECT id, name FROM logical_files ORDER BY id"),
+            rows("SELECT id, object_id, name, str_value FROM user_attributes ORDER BY id"),
+            rows("SELECT id, object_id, action FROM audit_log ORDER BY id"),
+        )
+    };
+    // The state after each committed group, and the log length there.
+    let mut states = Vec::new();
+    {
+        let m = open(&dir, &admin, false);
+        for i in 0..3 {
+            m.define_attribute(&admin, &format!("a{i}"), AttrType::Str, "").unwrap();
+        }
+        states.push((wal_len(&dir), observe(&m)));
+        let mut spec = FileSpec { audit: true, ..FileSpec::named(name) };
+        for i in 0..3 {
+            spec = spec.attr(format!("a{i}"), format!("v{i}"));
+        }
+        m.create_file(&admin, &spec).unwrap();
+        states.push((wal_len(&dir), observe(&m)));
+        let set = mcs::Attribute { name: "a1".into(), value: "w1".into() };
+        m.set_attribute(&admin, &ObjectRef::File(name.into()), &set).unwrap();
+        states.push((wal_len(&dir), observe(&m)));
+        m.delete_file(&admin, name).unwrap();
+        states.push((wal_len(&dir), observe(&m)));
+    }
+    let frames = frame_starts(&dir, states[0].0);
+    // Begin, file, attributes, audit, Commit; Begin, attribute delete,
+    // attribute insert, audit, Commit; Begin, audit, file delete,
+    // attribute deletes, Commit.
+    assert_eq!(frames.len(), 15, "frames at {frames:?}");
+    let cut = tmpdir("rows-cut");
+    for at in frames.into_iter().chain([states[3].0]) {
+        let committed = states.iter().rev().find(|(len, _)| *len <= at).unwrap();
+        for mvcc in [false, true] {
+            copy_truncated(&dir, &cut, at);
+            let m = open(&cut, &admin, mvcc);
+            assert_eq!(observe(&m), committed.1, "cut at byte {at}, mvcc {mvcc}");
+        }
+    }
+    for d in [dir, cut] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
 /// The targeted snapshot-isolation contract at the catalog level: a
 /// snapshot pinned *before* a commit never sees it, one pinned *after*
 /// always does — regardless of when the read actually executes.

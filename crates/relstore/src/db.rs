@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,14 +18,14 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 
 use crate::error::{Error, Result};
-use crate::executor::{exec_statement, ExecResult, ResultSet};
+use crate::executor::{exec_ddl, exec_select, exec_write, ExecResult, ResultSet};
 use crate::lock::{Access, BarrierMap, TransactionGuard};
 use crate::mvcc::{MvccState, SnapshotPin};
 use crate::row::{Row, RowId};
 use crate::sql::ast::Statement;
 use crate::sql::parser::parse;
 use crate::table::Table;
-use crate::txn::UndoLog;
+use crate::txn::Writes;
 use crate::value::Value;
 
 /// When a commit's WAL group must reach the log — the one durability
@@ -222,11 +223,9 @@ impl Database {
     /// then publish it to the visibility watermark. The stamp-then-publish
     /// order is what makes a snapshot a consistent cut: once a reader pins
     /// `S`, every row stamp of every epoch `<= S` is already in place.
-    pub(crate) fn mvcc_commit(&self, tables: &[String], epoch: u64) {
-        for name in tables {
-            if let Ok(t) = self.table(name) {
-                t.write().stamp_pending(epoch);
-            }
+    fn mvcc_commit(&self, tables: &[crate::txn::Touched], epoch: u64) {
+        for t in tables {
+            t.handle.write().stamp_pending(epoch);
         }
         self.mvcc_state.publish(epoch);
     }
@@ -374,7 +373,7 @@ impl Database {
 
     /// The write-version counter for `key` (already lowercased),
     /// get-or-create.
-    fn version_counter(&self, key: &str) -> Arc<AtomicU64> {
+    pub(crate) fn version_counter(&self, key: &str) -> Arc<AtomicU64> {
         if let Some(c) = self.versions.read().get(key) {
             return Arc::clone(c);
         }
@@ -417,8 +416,9 @@ impl Database {
         self.wal.lock()
     }
 
-    fn is_write(stmt: &Statement) -> bool {
-        !matches!(stmt, Statement::Select(_))
+    /// A fresh commit-group id (journalled in Begin/Commit WAL frames).
+    pub(crate) fn next_txn_id(&self) -> u64 {
+        self.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The tables a statement references, lowercased, sorted, deduped —
@@ -463,35 +463,58 @@ impl Database {
         sql: &str,
         params: &[Value],
     ) -> Result<(ExecResult, u64)> {
-        if !Self::is_write(stmt) {
+        if let Statement::Select(sel) = stmt {
             if self.mvcc {
                 let own = if ctx.snapshot.is_none() { self.pin_snapshot() } else { None };
                 let at = ctx.snapshot.as_ref().or(own.as_ref());
-                return Ok((exec_statement(self, stmt, params, None, at)?, 0));
+                return Ok((select(exec_select(self, sel, params, at)?), 0));
             }
             let _barriers = self.barriers.statement_guard(tables);
-            return Ok((exec_statement(self, stmt, params, None, None)?, 0));
+            return Ok((select(exec_select(self, sel, params, None)?), 0));
         }
         self.log_usable()?;
         let unit = self.start_unit();
         let claims: Vec<(&str, Access)> =
             tables.iter().map(|t| (t.as_str(), Access::Write)).collect();
         let barriers = self.barriers.transaction_guard(&claims)?;
-        let r = exec_statement(self, stmt, params, None, None)?;
-        self.bump_table_versions(tables);
-        let epoch =
-            self.commit(ctx.durability, Some(unit), Some(barriers), tables, &[(sql, params)])?;
+        let mut writes = Writes::new(self);
+        let r = self.write_statement(&mut writes, stmt, tables, sql, params, true)?;
+        let epoch = self.commit(ctx.durability, Some(unit), Some(barriers), writes)?;
         Ok((r, epoch))
+    }
+
+    /// Run one write statement of a unit: INSERT, UPDATE and DELETE as
+    /// the unit's row writes, logged as row images; DDL executed and
+    /// logged as its SQL. A statement that fails undoes its rows, and
+    /// with `give_back` the AUTO_INCREMENT values it drew.
+    fn write_statement(
+        &self,
+        writes: &mut Writes,
+        stmt: &Statement,
+        tables: &[String],
+        sql: &str,
+        params: &[Value],
+        give_back: bool,
+    ) -> Result<ExecResult> {
+        if let Some(r) = exec_write(self, stmt, params, writes, give_back) {
+            return r;
+        }
+        let r = exec_ddl(self, stmt)?;
+        self.bump_table_versions(tables);
+        writes.stmt(self, sql, params);
+        Ok(r)
     }
 
     /// Commit a unit — an autocommit write or a transaction — whose writes
     /// are applied and whose claimed `barriers` are still held: the one
-    /// commit path. `unit` counts it as started until its enqueue. `records`
-    /// (the unit's write statements) go to the commit queue as one
-    /// `Begin, Stmt…, Commit` group, whose log
-    /// position the FIFO queue fixes at the enqueue; under MVCC the row
-    /// stamps of `touched` convert to the group's epoch. Returns that
-    /// epoch (0 when nothing was logged).
+    /// commit path. `unit` counts it as started until its enqueue. The
+    /// unit's WAL group, if it logged anything, goes to the commit queue,
+    /// whose FIFO order fixes its log position at the enqueue; under MVCC
+    /// the row stamps of the tables it wrote convert to the group's epoch,
+    /// and only then are their write versions bumped (once per unit,
+    /// before the barriers drop), so a reader that sees a new version
+    /// also sees the commit. Returns the epoch (0 when nothing was
+    /// logged).
     ///
     /// Once the group is enqueued no conflicting unit can reach the log
     /// ahead of it, so a `Group` or `Async` commit releases its barriers
@@ -506,30 +529,35 @@ impl Database {
         durability: Option<Durability>,
         unit: Option<crate::group_commit::UnitStart<'_>>,
         barriers: Option<TransactionGuard>,
-        touched: &[String],
-        records: &[(&str, &[Value])],
+        writes: Writes,
     ) -> Result<u64> {
-        if records.is_empty() || !self.is_durable() {
+        let (group, touched) = writes.finish();
+        let bump = || {
+            for t in &touched {
+                t.version.fetch_add(1, Ordering::AcqRel);
+            }
+        };
+        let Some(group) = group else {
             // Non-durable commits still need an epoch: the writes are
             // applied and their stamps must become visible. Nothing
             // touched means nothing stamped — skip the allocation, no
             // epoch exists here to leak.
             if self.mvcc && !touched.is_empty() {
                 let epoch = self.alloc_local_epoch();
-                self.mvcc_commit(touched, epoch);
+                self.mvcc_commit(&touched, epoch);
             }
+            bump();
             return Ok(0);
-        }
-        let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let group = crate::wal::WalWriter::encode_transaction(txn_id, records);
+        };
         let durability = durability.unwrap_or_else(|| self.durability());
         let (ticket, epoch) = self.group_enqueue(group, durability, unit);
         // Every allocated epoch must publish, also over zero touched
         // tables, or the visibility watermark stalls behind the gap.
         let stamp = || {
             if self.mvcc {
-                self.mvcc_commit(touched, epoch);
+                self.mvcc_commit(&touched, epoch);
             }
+            bump();
         };
         match durability {
             Durability::Always => {
@@ -564,21 +592,62 @@ impl Database {
         }
     }
 
-    /// Replay one WAL record at open, before the log is attached. A
-    /// statement of a committed group ran once already and must apply
+    /// Replay one statement record at open, before the log is attached.
+    /// A statement of a committed group ran once already and must apply
     /// again. A `bare` record of an older log was logged before it ran,
     /// so it replays as it first ran: it may fail, and a failure keeps
     /// the AUTO_INCREMENT values it drew.
     pub(crate) fn replay(&self, sql: &str, params: &[Value], bare: bool) -> Result<()> {
         let stmt = parse(sql)?;
         let tables = Self::stmt_tables(&stmt);
-        if bare {
-            crate::executor::exec_bare(self, &stmt, params)?;
-        } else {
-            exec_statement(self, &stmt, params, None, None)?;
+        let mut writes = Writes::new(self);
+        self.write_statement(&mut writes, &stmt, &tables, sql, params, !bare)?;
+        self.commit(None, None, None, writes).map(drop)
+    }
+
+    /// Replay one row record of a committed group at open, straight into
+    /// its table: no parser, no planner, no barrier. An insert takes the
+    /// drawn ids its images carry, so the counters move past them; an
+    /// update or delete finds its row by key. A row that does not apply
+    /// — an inserted key that exists, a keyed row that is missing, an
+    /// image of the wrong width — fails the replay.
+    pub(crate) fn replay_rows(&self, rec: crate::wal::RowRecord) -> Result<()> {
+        use crate::wal::RowOp;
+        let handle = self.table(&rec.table)?;
+        let mut writes = Writes::new(self);
+        {
+            let mut t = handle.write();
+            let ix = writes.touch(self, &handle, &t);
+            let (key, arity) = (t.key_columns(), t.schema.arity());
+            let want = match rec.op {
+                RowOp::Insert => (0, arity),
+                RowOp::Update => (key, arity),
+                RowOp::Delete => (key, 0),
+            };
+            if (rec.key, rec.arity) != want {
+                return Err(Error::ExecError(format!(
+                    "a row record of `{}` with {} key and {} image columns",
+                    rec.table, rec.key, rec.arity
+                )));
+            }
+            let mut values = rec.values.into_iter();
+            while values.len() > 0 {
+                let key: Row = values.by_ref().take(rec.key).collect();
+                let row: Row = values.by_ref().take(rec.arity).collect();
+                let found = (rec.op != RowOp::Insert).then(|| t.find_key(&key));
+                let id = || {
+                    found.flatten().ok_or_else(|| {
+                        Error::ExecError(format!("no row of `{}` has key {key:?}", rec.table))
+                    })
+                };
+                match rec.op {
+                    RowOp::Insert => writes.insert(self, ix, &mut t, row).map(drop),
+                    RowOp::Update => writes.update(self, ix, &mut t, id()?, row),
+                    RowOp::Delete => writes.delete(self, ix, &mut t, id()?),
+                }?;
+            }
         }
-        self.bump_table_versions(&tables);
-        self.commit(None, None, None, &tables, &[]).map(drop)
+        self.commit(None, None, None, writes).map(drop)
     }
 
     /// Parse and execute one statement outside any transaction.
@@ -738,32 +807,26 @@ impl Database {
         } else {
             Some(self.barriers.transaction_guard(&norm).map_err(E::from)?)
         };
+        let allowed: Vec<String> = norm.into_iter().map(|(n, _)| n.into_owned()).collect();
         let mut session = Session {
             db: Arc::clone(self),
-            undo: UndoLog::default(),
-            pending_log: Vec::new(),
-            allowed: norm.into_iter().map(|(n, _)| n.into_owned()).collect(),
+            writes: Writes::new(self),
+            handles: vec![None; allowed.len()],
+            allowed,
             snapshot: None,
+            last_insert_id: None,
         };
         if self.mvcc && pure_read {
             session.snapshot = ctx.snapshot.clone().or_else(|| self.pin_snapshot());
         }
         match f(&mut session) {
             Ok(v) => {
-                // MVCC: the tables whose pending row stamps convert to the
-                // commit's epoch.
-                let touched = if self.mvcc { session.undo.touched_tables() } else { Vec::new() };
-                let records: Vec<(&str, &[Value])> = session
-                    .pending_log
-                    .iter()
-                    .map(|(sql, p)| (sql.as_str(), p.as_slice()))
-                    .collect();
-                let epoch = self.commit(ctx.durability, unit, barriers, &touched, &records);
+                let epoch = self.commit(ctx.durability, unit, barriers, session.writes);
                 Ok((v, epoch.map_err(E::from)?))
             }
             Err(e) => {
                 // Preserve the original error even if rollback also fails.
-                let _ = session.rollback();
+                let _ = session.writes.rollback();
                 drop(barriers); // release only after rollback finished
                 Err(e)
             }
@@ -789,13 +852,6 @@ pub struct Prepared {
     stmt: Statement,
     tables: Vec<String>,
     text: String,
-}
-
-impl Prepared {
-    /// The original SQL text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
 }
 
 /// Split a script on `;` while respecting string literals.
@@ -827,18 +883,38 @@ fn split_statements(script: &str) -> Vec<String> {
 }
 
 /// The handle a [`Database::transaction`] closure runs its statements
-/// through: every statement is checked against the claimed tables, and
-/// writes are recorded for rollback and for the commit's WAL group.
+/// and row writes through: every one is checked against the claimed
+/// tables, and every write goes through the unit's `Writes` — undone on
+/// rollback, logged as a row image at commit.
 pub struct Session {
     db: Arc<Database>,
-    undo: UndoLog,
-    /// Writes made in the transaction, logged to the WAL only at commit
-    /// so a rolled-back transaction never replays.
-    pending_log: Vec<(String, Vec<Value>)>,
+    writes: Writes,
     /// The claimed table set (lowercased, sorted).
     allowed: Vec<String>,
+    /// Handles of the claimed tables, parallel to `allowed`, resolved at
+    /// first use.
+    handles: Vec<Option<Arc<RwLock<Table>>>>,
     /// The snapshot a pure-read transaction on an MVCC database reads at.
     snapshot: Option<SnapshotPin>,
+    last_insert_id: Option<i64>,
+}
+
+/// The handle of claimed table `table`; [`Error::TxnState`] if it is not
+/// claimed.
+fn claimed<'h>(
+    db: &Database,
+    allowed: &[String],
+    handles: &'h mut [Option<Arc<RwLock<Table>>>],
+    table: &str,
+) -> Result<&'h Arc<RwLock<Table>>> {
+    let name = lowercase(table);
+    let Some(i) = allowed.iter().position(|a| *a == name) else {
+        return Err(Error::TxnState(format!("table '{name}' not declared by this transaction")));
+    };
+    if handles[i].is_none() {
+        handles[i] = Some(db.table(&name)?);
+    }
+    Ok(handles[i].as_ref().expect("just resolved"))
 }
 
 impl Session {
@@ -872,35 +948,99 @@ impl Session {
         if let Some(t) = tables.iter().find(|t| !self.allowed.contains(t)) {
             return Err(Error::TxnState(format!("table '{t}' not declared by this transaction")));
         }
-        if !Database::is_write(stmt) {
+        if let Statement::Select(sel) = stmt {
             // its barriers already cover every table checked above, so
             // the statement-scope acquire would be a re-entrant no-op
-            return exec_statement(&self.db, stmt, params, None, self.snapshot.as_ref());
+            return exec_select(&self.db, sel, params, self.snapshot.as_ref()).map(select);
         }
-        let r = exec_statement(&self.db, stmt, params, Some(&mut self.undo), None)?;
-        // bump while the transaction's exclusive barriers still hide the
-        // write; bump-before-visible only causes spurious cache misses,
-        // never stale hits
-        self.db.bump_table_versions(tables);
-        if self.db.is_durable() {
-            self.pending_log.push((sql.to_owned(), params.to_vec()));
-        }
+        let r = self.db.write_statement(&mut self.writes, stmt, tables, sql, params, true)?;
+        self.last_insert_id = r.last_insert_id.or(self.last_insert_id);
         Ok(r)
     }
 
-    /// Apply the undo log in reverse; the buffered WAL records are
-    /// discarded unlogged.
-    fn rollback(self) -> Result<()> {
-        // Undo mutates the touched tables back to their old contents, so
-        // their write versions must advance too (a cache entry filled from
-        // the pre-rollback state would otherwise validate against the
-        // restored state). Bump after the undo is applied, while the
-        // transaction's barriers are still held by the caller.
-        let touched = self.undo.touched_tables();
-        let r = self.undo.rollback();
-        self.db.bump_table_versions(&touched);
-        r
+    /// Run `f` on claimed table `table`, write-locked, as a write of this
+    /// unit: `f` gets the table's position among the unit's touched
+    /// tables. A write that fails gives back the AUTO_INCREMENT values it
+    /// drew.
+    fn write<R>(
+        &mut self,
+        table: &str,
+        f: impl FnOnce(&Database, &mut Writes, usize, &mut Table) -> Result<R>,
+    ) -> Result<R> {
+        let Session { db, writes, allowed, handles, .. } = self;
+        let handle = claimed(db, allowed, handles, table)?;
+        let mut t = handle.write();
+        let ix = writes.touch(db, handle, &t);
+        t.giving_back(|t| f(db, writes, ix, t))
     }
+
+    /// Insert `row` (every column, in schema order; NULL in an
+    /// AUTO_INCREMENT column draws the next value) into claimed table
+    /// `table`. Returns the new row's id. A failed insert changes nothing
+    /// and draws no AUTO_INCREMENT value.
+    pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<RowId> {
+        let (id, drawn) = self.write(table, |db, writes, ix, t| {
+            Ok((writes.insert(db, ix, t, row)?, t.last_auto_value()))
+        })?;
+        self.last_insert_id = drawn.or(self.last_insert_id);
+        Ok(id)
+    }
+
+    /// The AUTO_INCREMENT value drawn by this transaction's latest insert
+    /// that drew one.
+    pub fn last_insert_id(&self) -> Option<i64> {
+        self.last_insert_id
+    }
+
+    /// Set columns `cols` (name, value) of row `id` of claimed table
+    /// `table`. A failed update changes nothing.
+    pub fn update(&mut self, table: &str, id: RowId, cols: &[(&str, Value)]) -> Result<()> {
+        self.write(table, |db, writes, ix, t| {
+            let mut row = t.get(id).ok_or(Error::NoSuchRow(id.0))?.clone();
+            for (name, v) in cols {
+                row[t.schema.column_index(name)?] = v.clone();
+            }
+            writes.update(db, ix, t, id, row)
+        })
+    }
+
+    /// Delete row `id` of claimed table `table`.
+    pub fn delete(&mut self, table: &str, id: RowId) -> Result<()> {
+        self.write(table, |db, writes, ix, t| writes.delete(db, ix, t, id))
+    }
+
+    /// The rows of claimed table `table` whose key in index `index` starts
+    /// with `key` (all of the index's columns, or a leading part): in
+    /// index order, or row order on an MVCC database.
+    pub fn lookup(&mut self, table: &str, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
+        let Session { db, allowed, handles, snapshot, .. } = self;
+        let handle = claimed(db, allowed, handles, table)?;
+        let t = handle.read();
+        let ix = t.index(index).ok_or_else(|| Error::NoSuchIndex(index.to_owned()))?;
+        let mut ids = Vec::new();
+        if key.len() == ix.def.columns.len() {
+            ids.extend(ix.get_eq(key));
+        } else {
+            ix.scan_prefix_range(key, Bound::Unbounded, Bound::Unbounded, &mut ids);
+        }
+        if t.is_mvcc() {
+            // The index keeps the keys of superseded images until vacuum:
+            // keep each row once, and only where its own image carries
+            // the key.
+            let carries = |row: &Row| {
+                ix.def.columns.iter().zip(key).all(|(&c, v)| row[c].index_cmp(v).is_eq())
+            };
+            ids.retain(|&id| snapshot_row(&t, id, snapshot.as_ref()).is_some_and(carries));
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        Ok(ids)
+    }
+}
+
+/// The result of a SELECT.
+fn select(rows: ResultSet) -> ExecResult {
+    ExecResult { rows: Some(rows), ..Default::default() }
 }
 
 #[cfg(test)]
@@ -1496,5 +1636,77 @@ mod tests {
         // the rolled-back name is free again
         db.execute("INSERT INTO files (name) VALUES ('tmp')", &[]).unwrap();
         db.table("files").unwrap().read().check_integrity().unwrap();
+    }
+
+    /// Typed writes: an insert draws its id, a lookup finds rows by a
+    /// whole key or a leading part of one, and an update and a delete
+    /// change what the lookup found.
+    #[test]
+    fn typed_writes_round_trip() {
+        let db = db();
+        let claims = [("files", Access::Write), ("attrs", Access::Write)];
+        db.transaction(&claims, |s| {
+            s.insert("files", vec![Value::Null, "a".into(), Value::Int(1), Value::Bool(true)])?;
+            assert_eq!(s.last_insert_id(), Some(1));
+            for name in ["x", "y"] {
+                s.insert("attrs", vec![Value::Null, Value::Int(1), name.into(), Value::Null])?;
+            }
+            let both = s.lookup("attrs", "attrs_by_file", &[Value::Int(1)])?;
+            assert_eq!(both.len(), 2);
+            let y = s.lookup("attrs", "attrs_by_file", &[Value::Int(1), "y".into()])?;
+            s.update("attrs", y[0], &[("value", "Y".into())])?;
+            let file = s.lookup("files", "by_name", &["a".into()])?;
+            s.delete("files", file[0])?;
+            assert!(s.lookup("files", "by_name", &["a".into()])?.is_empty());
+            Ok::<_, Error>(())
+        })
+        .unwrap();
+        assert_eq!(db.query("SELECT COUNT(*) FROM files", &[]).unwrap().rows[0][0], Value::Int(0));
+        let rs = db.query("SELECT name, value FROM attrs ORDER BY id", &[]).unwrap();
+        assert_eq!(rs.rows, vec![vec!["x".into(), Value::Null], vec!["y".into(), "Y".into()]]);
+    }
+
+    /// A typed insert that fails changes nothing and takes no id, a
+    /// rolled-back transaction gives back what it drew, and a write to an
+    /// unclaimed table is refused.
+    #[test]
+    fn typed_writes_give_back_ids_and_keep_to_their_claims() {
+        let db = db();
+        let row = |name: &str| vec![Value::Null, name.into(), Value::Null, Value::Bool(true)];
+        let r: Result<()> = db.transaction(&[("files", Access::Write)], |s| {
+            s.insert("files", row("a"))?;
+            assert!(matches!(s.insert("files", row("a")), Err(Error::UniqueViolation { .. })));
+            s.insert("files", row("b"))?;
+            assert_eq!(s.last_insert_id(), Some(2));
+            let refused = s.insert("attrs", vec![Value::Null; 4]);
+            assert!(matches!(refused, Err(Error::TxnState(_))), "{refused:?}");
+            Err(Error::ExecError("roll back".into()))
+        });
+        assert!(r.is_err());
+        let next = db.execute("INSERT INTO files (name) VALUES ('c')", &[]).unwrap();
+        assert_eq!(next.last_insert_id, Some(1));
+    }
+
+    /// Under MVCC an index keeps a superseded image's key until vacuum;
+    /// an UPDATE or DELETE whose range covers the old and the new key
+    /// still writes the row once.
+    #[test]
+    fn mvcc_writes_match_a_rekeyed_row_once() {
+        let db = Arc::new(Database::new_mvcc());
+        db.execute_script(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT, v INTEGER);
+             CREATE INDEX t_v ON t (v);
+             INSERT INTO t (v) VALUES (1);
+             UPDATE t SET v = 2 WHERE v = 1;",
+        )
+        .unwrap();
+        for v in 100..200 {
+            db.execute("INSERT INTO t (v) VALUES (?)", &[Value::Int(v)]).unwrap();
+        }
+        let r = db.execute("UPDATE t SET v = 3 WHERE v < 10", &[]).unwrap();
+        assert_eq!(r.rows_affected, 1);
+        let r = db.execute("DELETE FROM t WHERE v < 10", &[]).unwrap();
+        assert_eq!(r.rows_affected, 1);
+        assert_eq!(db.query("SELECT COUNT(*) FROM t", &[]).unwrap().rows[0][0], Value::Int(100));
     }
 }

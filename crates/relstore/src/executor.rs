@@ -1,5 +1,6 @@
 //! Statement execution: SELECT pipelines (scan/index → filter → sort →
-//! project/aggregate) and the write statements with undo logging.
+//! project/aggregate), DDL, and the row-write statements, which run as
+//! their unit's typed row writes (`crate::txn::Writes`).
 
 use std::sync::Arc;
 
@@ -10,12 +11,12 @@ use crate::mvcc::SnapshotPin;
 use crate::error::{Error, Result};
 use crate::index::IndexDef;
 use crate::planner::{candidate_iter, candidates, plan_table, plan_table_costed, AccessPath};
-use crate::predicate::{bind, BoundExpr, CmpOp, Expr, Scope, ScopeEntry};
+use crate::predicate::{bind, BoundExpr, Expr, Scope, ScopeEntry};
 use crate::row::RowId;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::sql::ast::*;
 use crate::table::Table;
-use crate::txn::{UndoLog, UndoOp};
+use crate::txn::Writes;
 use crate::value::Value;
 
 /// A query result: column labels plus data rows.
@@ -25,19 +26,6 @@ pub struct ResultSet {
     pub columns: Vec<String>,
     /// Data rows, one `Vec<Value>` per row.
     pub rows: Vec<Vec<Value>>,
-}
-
-impl ResultSet {
-    /// Position of an output column by label.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.eq_ignore_ascii_case(name))
-    }
-
-    /// Iterate one output column's values.
-    pub fn column_values<'a>(&'a self, name: &str) -> Option<impl Iterator<Item = &'a Value>> {
-        let i = self.column_index(name)?;
-        Some(self.rows.iter().map(move |r| &r[i]))
-    }
 }
 
 /// Result of executing any statement.
@@ -51,36 +39,8 @@ pub struct ExecResult {
     pub rows: Option<ResultSet>,
 }
 
-/// Execute a parsed statement atomically: a statement that fails leaves
-/// its table as it found it, AUTO_INCREMENT counters included. `undo`,
-/// when present, records inverse operations for rollback; a SELECT reads
-/// at snapshot `at` (the latest images when `None`).
-pub(crate) fn exec_statement(
-    db: &Database,
-    stmt: &Statement,
-    params: &[Value],
-    undo: Option<&mut UndoLog>,
-    at: Option<&SnapshotPin>,
-) -> Result<ExecResult> {
-    exec(db, stmt, params, undo, at, true)
-}
-
-/// Execute a bare record of an older log the way the engine that wrote it
-/// ran the statement: a failure keeps the AUTO_INCREMENT values it drew.
-pub(crate) fn exec_bare(db: &Database, stmt: &Statement, params: &[Value]) -> Result<ExecResult> {
-    exec(db, stmt, params, None, None, false)
-}
-
-/// [`exec_statement`]; a failed INSERT or UPDATE gives back the
-/// AUTO_INCREMENT values it drew when `give_back` is set.
-fn exec(
-    db: &Database,
-    stmt: &Statement,
-    params: &[Value],
-    mut undo: Option<&mut UndoLog>,
-    at: Option<&SnapshotPin>,
-    give_back: bool,
-) -> Result<ExecResult> {
+/// Execute a DDL statement. A SELECT or a row write is not DDL.
+pub(crate) fn exec_ddl(db: &Database, stmt: &Statement) -> Result<ExecResult> {
     match stmt {
         Statement::CreateTable { name, columns, primary_key, if_not_exists } => {
             exec_create_table(db, name, columns, primary_key, *if_not_exists)
@@ -107,25 +67,52 @@ fn exec(
             handle.write().drop_index(name)?;
             Ok(ExecResult::default())
         }
-        Statement::Insert { table, columns, rows } => {
-            exec_insert(db, table, columns, rows, params, undo.as_deref_mut(), give_back)
-        }
-        Statement::Select(sel) => {
-            Ok(ExecResult { rows: Some(exec_select(db, sel, params, at)?), ..Default::default() })
-        }
-        Statement::Update { table, sets, where_clause } => exec_update(
-            db,
-            table,
-            sets,
-            where_clause.as_ref(),
-            params,
-            undo.as_deref_mut(),
-            give_back,
-        ),
-        Statement::Delete { table, where_clause } => {
-            exec_delete(db, table, where_clause.as_ref(), params, undo.as_deref_mut())
-        }
+        Statement::Select(_)
+        | Statement::Insert { .. }
+        | Statement::Update { .. }
+        | Statement::Delete { .. } => Err(Error::ExecError("not a DDL statement".into())),
     }
+}
+
+/// Execute an INSERT, UPDATE or DELETE as row writes of `writes`' unit;
+/// `None` for any other statement. The statement is atomic: one that
+/// fails undoes the rows it wrote and, with `give_back`, gives back the
+/// AUTO_INCREMENT values it drew (a bare record of an older log replays
+/// without, as it first ran).
+pub(crate) fn exec_write(
+    db: &Database,
+    stmt: &Statement,
+    params: &[Value],
+    writes: &mut Writes,
+    give_back: bool,
+) -> Option<Result<ExecResult>> {
+    let table = match stmt {
+        Statement::Insert { table, .. }
+        | Statement::Update { table, .. }
+        | Statement::Delete { table, .. } => table,
+        _ => return None,
+    };
+    let handle = match db.table(table) {
+        Ok(h) => h,
+        Err(e) => return Some(Err(e)),
+    };
+    let mut t = handle.write();
+    let ix = writes.touch(db, &handle, &t);
+    let mark = writes.mark();
+    let mut run = |t: &mut Table| {
+        let w = Rows { db, writes: &mut *writes, ix, params };
+        match stmt {
+            Statement::Insert { columns, rows, .. } => w.insert(t, columns, rows),
+            Statement::Update { sets, where_clause, .. } => w.update(t, sets, where_clause.as_ref()),
+            Statement::Delete { where_clause, .. } => w.delete(t, where_clause.as_ref()),
+            _ => unreachable!("matched above"),
+        }
+    };
+    let r = if give_back { t.giving_back(run) } else { run(&mut t) };
+    if r.is_err() {
+        writes.undo_since(mark, &mut t);
+    }
+    Some(r)
 }
 
 fn exec_create_table(
@@ -193,29 +180,25 @@ fn eval_const(expr: &Expr, params: &[Value]) -> Result<Value> {
     }
 }
 
-fn exec_insert(
-    db: &Database,
-    table: &str,
-    columns: &[String],
-    rows: &[Vec<Expr>],
-    params: &[Value],
-    mut undo: Option<&mut UndoLog>,
-    give_back: bool,
-) -> Result<ExecResult> {
-    let handle = db.table(table)?;
-    let mut t = handle.write();
-    let drawn = t.auto_counters().to_vec();
-    let arity = t.schema.arity();
-    // Map supplied columns to schema positions.
-    let positions: Vec<usize> = if columns.is_empty() {
-        (0..arity).collect()
-    } else {
-        columns.iter().map(|c| t.schema.column_index(c)).collect::<Result<_>>()?
-    };
-    let mut affected = 0;
-    let mut last_id = None;
-    let mut inserted: Vec<RowId> = Vec::new();
-    let result: Result<()> = (|| {
+/// One row-write statement's access to its unit.
+struct Rows<'a> {
+    db: &'a Database,
+    writes: &'a mut Writes,
+    /// The table's position among the unit's touched tables.
+    ix: usize,
+    params: &'a [Value],
+}
+
+impl Rows<'_> {
+    fn insert(self, t: &mut Table, columns: &[String], rows: &[Vec<Expr>]) -> Result<ExecResult> {
+        let arity = t.schema.arity();
+        // Map supplied columns to schema positions.
+        let positions: Vec<usize> = if columns.is_empty() {
+            (0..arity).collect()
+        } else {
+            columns.iter().map(|c| t.schema.column_index(c)).collect::<Result<_>>()?
+        };
+        let mut last_id = None;
         for row_exprs in rows {
             if row_exprs.len() != positions.len() {
                 return Err(Error::ExecError(format!(
@@ -232,178 +215,89 @@ fn exec_insert(
                 .map(|c| c.default.clone().unwrap_or(Value::Null))
                 .collect();
             for (pos, e) in positions.iter().zip(row_exprs) {
-                full[*pos] = eval_const(e, params)?;
+                full[*pos] = eval_const(e, self.params)?;
             }
-            let id = t.insert(full)?;
-            inserted.push(id);
-            affected += 1;
-            if let Some(v) = t.last_auto_value() {
-                last_id = Some(v);
-            }
+            self.writes.insert(self.db, self.ix, t, full)?;
+            last_id = t.last_auto_value().or(last_id);
         }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            if let Some(log) = undo.as_deref_mut() {
-                for id in inserted {
-                    log.push(handle.clone(), UndoOp::UndoInsert(id));
-                }
-                if t.auto_counters() != drawn {
-                    log.push(handle.clone(), UndoOp::UndoCounters(drawn));
-                }
-            }
-            Ok(ExecResult { rows_affected: affected, last_insert_id: last_id, rows: None })
-        }
-        Err(e) => {
-            // Multi-row INSERT is atomic: roll back rows already inserted.
-            for id in inserted.into_iter().rev() {
-                let _ = t.rollback_insert(id);
-            }
-            if give_back {
-                t.restore_auto_counters(drawn);
-            }
-            Err(e)
-        }
+        Ok(ExecResult { rows_affected: rows.len(), last_insert_id: last_id, rows: None })
     }
-}
 
-fn exec_update(
-    db: &Database,
-    table: &str,
-    sets: &[(String, Expr)],
-    where_clause: Option<&Expr>,
-    params: &[Value],
-    mut undo: Option<&mut UndoLog>,
-    give_back: bool,
-) -> Result<ExecResult> {
-    let handle = db.table(table)?;
-    let mut t = handle.write();
-    let drawn = t.auto_counters().to_vec();
-    let scope = Scope::single(&t.schema);
-    let pred = where_clause.map(|w| bind(w, &scope, params)).transpose()?;
-    let set_pos: Vec<(usize, Value)> = sets
-        .iter()
-        .map(|(c, e)| Ok((t.schema.column_index(c)?, eval_const(e, params)?)))
-        .collect::<Result<_>>()?;
-    let path = plan_table(&t, pred.as_ref(), 0);
-    let ids = candidates(&t, &path);
-    let mut matched = Vec::new();
-    for id in ids {
-        let Some(row) = t.get(id) else { continue };
-        if match &pred {
-            Some(p) => p.matches(row)?,
-            None => true,
-        } {
-            matched.push(id);
+    /// The latest rows of `t` that `where_clause` matches.
+    fn matching(&self, t: &Table, where_clause: Option<&Expr>) -> Result<Vec<RowId>> {
+        let scope = Scope::single(&t.schema);
+        let pred = where_clause.map(|w| bind(w, &scope, self.params)).transpose()?;
+        let path = plan_table(t, pred.as_ref(), 0);
+        let mut matched = Vec::new();
+        for id in candidates(t, &path) {
+            let Some(row) = t.get(id) else { continue };
+            if pred.as_ref().map_or(Ok(true), |p| p.matches(row))? {
+                matched.push(id);
+            }
         }
+        if t.is_mvcc() {
+            // An index keeps a superseded image's key until vacuum, so a
+            // row can be a candidate twice.
+            matched.sort_unstable();
+            matched.dedup();
+        }
+        Ok(matched)
     }
-    let mut changed = Vec::new(); // (id, old_row) for rollback on mid-way error
-    let result: Result<()> = (|| {
+
+    fn update(
+        self,
+        t: &mut Table,
+        sets: &[(String, Expr)],
+        where_clause: Option<&Expr>,
+    ) -> Result<ExecResult> {
+        let set_pos: Vec<(usize, Value)> = sets
+            .iter()
+            .map(|(c, e)| Ok((t.schema.column_index(c)?, eval_const(e, self.params)?)))
+            .collect::<Result<_>>()?;
+        let matched = self.matching(t, where_clause)?;
         for &id in &matched {
             let mut new_row = t.get(id).expect("matched row exists").clone();
             for (pos, v) in &set_pos {
                 new_row[*pos] = v.clone();
             }
-            let old = t.update(id, new_row)?;
-            changed.push((id, old));
+            self.writes.update(self.db, self.ix, t, id, new_row)?;
         }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            let n = changed.len();
-            if let Some(log) = undo.as_deref_mut() {
-                for (id, old) in changed {
-                    log.push(handle.clone(), UndoOp::UndoUpdate(id, old));
-                }
-                if t.auto_counters() != drawn {
-                    log.push(handle.clone(), UndoOp::UndoCounters(drawn));
-                }
-            }
-            Ok(ExecResult { rows_affected: n, ..Default::default() })
-        }
-        Err(e) => {
-            for (id, old) in changed.into_iter().rev() {
-                let _ = t.rollback_update(id, old);
-            }
-            if give_back {
-                t.restore_auto_counters(drawn);
-            }
-            Err(e)
-        }
+        Ok(ExecResult { rows_affected: matched.len(), ..Default::default() })
     }
-}
 
-fn exec_delete(
-    db: &Database,
-    table: &str,
-    where_clause: Option<&Expr>,
-    params: &[Value],
-    mut undo: Option<&mut UndoLog>,
-) -> Result<ExecResult> {
-    let handle = db.table(table)?;
-    let mut t = handle.write();
-    let scope = Scope::single(&t.schema);
-    let pred = where_clause.map(|w| bind(w, &scope, params)).transpose()?;
-    let path = plan_table(&t, pred.as_ref(), 0);
-    let ids = candidates(&t, &path);
-    let mut affected = 0;
-    for id in ids {
-        let Some(row) = t.get(id) else { continue };
-        if match &pred {
-            Some(p) => p.matches(row)?,
-            None => true,
-        } {
-            let old = t.delete(id)?;
-            if let Some(log) = undo.as_deref_mut() {
-                log.push(handle.clone(), UndoOp::UndoDelete(id, old));
-            } // else: old row dropped
-            affected += 1;
+    fn delete(self, t: &mut Table, where_clause: Option<&Expr>) -> Result<ExecResult> {
+        let matched = self.matching(t, where_clause)?;
+        for &id in &matched {
+            self.writes.delete(self.db, self.ix, t, id)?;
         }
+        Ok(ExecResult { rows_affected: matched.len(), ..Default::default() })
     }
-    Ok(ExecResult { rows_affected: affected, ..Default::default() })
 }
 
 /// Execute a SELECT and materialize the result set.
-pub(crate) fn exec_select(
+/// A SELECT's tables, in FROM-then-JOIN order, bound for `f`: each
+/// read-locked once, in name order (which keeps concurrent multi-table
+/// readers and writers from deadlocking; a self-join shares its guard),
+/// with the scope of their columns, the bound WHERE clause and the bound
+/// ON clause of each join.
+fn with_bound<R>(
     db: &Database,
     sel: &Select,
     params: &[Value],
-    at: Option<&SnapshotPin>,
-) -> Result<ResultSet> {
-    // Resolve all tables, sort lock acquisition by table name to avoid
-    // deadlocks with concurrent multi-table readers/writers.
-    let mut names: Vec<&str> = std::iter::once(sel.from.table.as_str())
-        .chain(sel.joins.iter().map(|j| j.table.table.as_str()))
-        .collect();
-    let handles: Vec<(String, Arc<RwLock<Table>>)> = {
-        let mut hs = Vec::new();
-        for n in &names {
-            hs.push(((*n).to_owned(), db.table(n)?));
-        }
-        hs
-    };
-    names.sort_unstable();
-    names.dedup();
-    // Acquire guards in name order; keep them addressable by position.
-    // (Self-joins share a guard via the map below.)
-    let mut guard_map: std::collections::BTreeMap<String, parking_lot::RwLockReadGuard<'_, Table>> =
-        std::collections::BTreeMap::new();
-    for n in &names {
-        let (_, h) = handles.iter().find(|(hn, _)| hn == n).expect("resolved above");
-        // Safety of lifetime: guards borrow from `handles`, both live to fn end.
-        guard_map.insert((*n).to_owned(), h.read());
-    }
-    let table_for = |r: &TableRef| -> &Table { &guard_map[&r.table] };
-
-    // Build the scope.
+    f: impl FnOnce(&[&Table], &Scope<'_>, Option<BoundExpr>, Vec<BoundExpr>) -> Result<R>,
+) -> Result<R> {
+    let refs: Vec<&TableRef> =
+        std::iter::once(&sel.from).chain(sel.joins.iter().map(|j| &j.table)).collect();
+    let mut handles: Vec<(&str, Arc<RwLock<Table>>)> =
+        refs.iter().map(|r| Ok((r.table.as_str(), db.table(&r.table)?))).collect::<Result<_>>()?;
+    handles.sort_by(|a, b| a.0.cmp(b.0));
+    handles.dedup_by(|a, b| a.0 == b.0);
+    let guards: std::collections::BTreeMap<&str, parking_lot::RwLockReadGuard<'_, Table>> =
+        handles.iter().map(|(n, h)| (*n, h.read())).collect();
+    let tables: Vec<&Table> = refs.iter().map(|r| &*guards[r.table.as_str()]).collect();
     let mut scope = Scope::default();
     let mut base = 0usize;
-    let all_refs: Vec<&TableRef> =
-        std::iter::once(&sel.from).chain(sel.joins.iter().map(|j| &j.table)).collect();
-    for r in &all_refs {
-        let t = table_for(r);
+    for (r, t) in refs.iter().zip(&tables) {
         scope.entries.push(ScopeEntry {
             alias: r.alias.clone().unwrap_or_else(|| r.table.clone()),
             schema: &t.schema,
@@ -411,15 +305,31 @@ pub(crate) fn exec_select(
         });
         base += t.schema.arity();
     }
-
-    // Bind predicates: WHERE plus each JOIN ON.
     let where_bound = sel.where_clause.as_ref().map(|w| bind(w, &scope, params)).transpose()?;
-    let on_bound: Vec<BoundExpr> = sel
-        .joins
-        .iter()
-        .map(|j| bind(&j.on, &scope, params))
-        .collect::<Result<_>>()?;
+    let on_bound: Vec<BoundExpr> =
+        sel.joins.iter().map(|j| bind(&j.on, &scope, params)).collect::<Result<_>>()?;
+    f(&tables, &scope, where_bound, on_bound)
+}
 
+pub(crate) fn exec_select(
+    db: &Database,
+    sel: &Select,
+    params: &[Value],
+    at: Option<&SnapshotPin>,
+) -> Result<ResultSet> {
+    with_bound(db, sel, params, |tables, scope, where_bound, on_bound| {
+        select_rows(sel, tables, scope, where_bound, &on_bound, at)
+    })
+}
+
+fn select_rows(
+    sel: &Select,
+    tables: &[&Table],
+    scope: &Scope<'_>,
+    where_bound: Option<BoundExpr>,
+    on_bound: &[BoundExpr],
+    at: Option<&SnapshotPin>,
+) -> Result<ResultSet> {
     let keys: Vec<(usize, bool)> = sel
         .order_by
         .iter()
@@ -434,7 +344,6 @@ pub(crate) fn exec_select(
     let mut matched: Vec<Vec<Value>> = Vec::new();
     let mut pre_sorted = false;
     {
-        let tables: Vec<&Table> = all_refs.iter().map(|r| table_for(r)).collect();
         let bases: Vec<usize> = scope.entries.iter().map(|e| e.base).collect();
         if tables.len() == 1 {
             let t = tables[0];
@@ -464,11 +373,11 @@ pub(crate) fn exec_select(
             // 0..=i+1 are joined; WHERE only at the end (except that the
             // planner mines it for single-table constraints at every level).
             join_level(
-                &tables,
+                tables,
                 &bases,
                 0,
                 &mut vec![Value::Null; scope.width()],
-                &on_bound,
+                on_bound,
                 where_bound.as_ref(),
                 &mut matched,
                 at,
@@ -568,46 +477,18 @@ fn index_satisfies_order(t: &Table, path: &AccessPath, keys: &[(usize, bool)]) -
 /// values exist only per outer row), so those lines show the path shape
 /// without row estimates.
 pub(crate) fn explain_select(db: &Database, sel: &Select, params: &[Value]) -> Result<Vec<String>> {
-    let mut names: Vec<&str> = std::iter::once(sel.from.table.as_str())
-        .chain(sel.joins.iter().map(|j| j.table.table.as_str()))
-        .collect();
-    let handles: Vec<(String, Arc<RwLock<Table>>)> = {
-        let mut hs = Vec::new();
-        for n in &names {
-            hs.push(((*n).to_owned(), db.table(n)?));
-        }
-        hs
-    };
-    names.sort_unstable();
-    names.dedup();
-    let mut guard_map: std::collections::BTreeMap<String, parking_lot::RwLockReadGuard<'_, Table>> =
-        std::collections::BTreeMap::new();
-    for n in &names {
-        let (_, h) = handles.iter().find(|(hn, _)| hn == n).expect("resolved above");
-        guard_map.insert((*n).to_owned(), h.read());
-    }
-    let table_for = |r: &TableRef| -> &Table { &guard_map[&r.table] };
+    with_bound(db, sel, params, |tables, scope, where_bound, on_bound| {
+        explain_lines(sel, tables, scope, where_bound, &on_bound)
+    })
+}
 
-    let mut scope = Scope::default();
-    let mut base = 0usize;
-    let all_refs: Vec<&TableRef> =
-        std::iter::once(&sel.from).chain(sel.joins.iter().map(|j| &j.table)).collect();
-    for r in &all_refs {
-        let t = table_for(r);
-        scope.entries.push(ScopeEntry {
-            alias: r.alias.clone().unwrap_or_else(|| r.table.clone()),
-            schema: &t.schema,
-            base,
-        });
-        base += t.schema.arity();
-    }
-    let where_bound = sel.where_clause.as_ref().map(|w| bind(w, &scope, params)).transpose()?;
-    let on_bound: Vec<BoundExpr> = sel
-        .joins
-        .iter()
-        .map(|j| bind(&j.on, &scope, params))
-        .collect::<Result<_>>()?;
-    let tables: Vec<&Table> = all_refs.iter().map(|r| table_for(r)).collect();
+fn explain_lines(
+    sel: &Select,
+    tables: &[&Table],
+    scope: &Scope<'_>,
+    where_bound: Option<BoundExpr>,
+    on_bound: &[BoundExpr],
+) -> Result<Vec<String>> {
     let bases: Vec<usize> = scope.entries.iter().map(|e| e.base).collect();
 
     let mut lines = Vec::new();
@@ -883,7 +764,3 @@ fn inline_known(e: &BoundExpr, base: usize, buf: &[Value]) -> BoundExpr {
         ),
     }
 }
-
-/// Placeholder for the unused CmpOp import when compiled without tests.
-#[allow(dead_code)]
-fn _keep(_: CmpOp) {}

@@ -130,11 +130,6 @@ impl TableSchema {
     pub fn arity(&self) -> usize {
         self.columns.len()
     }
-
-    /// All column names, in declaration order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
 }
 
 #[cfg(test)]

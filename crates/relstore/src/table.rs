@@ -67,6 +67,8 @@ pub struct Table {
     /// Next value handed out per AUTO_INCREMENT column (indexed by column
     /// position; non-auto columns keep 1).
     auto_next: Vec<i64>,
+    /// `auto_next`'s storage while [`Table::giving_back`] holds a copy.
+    spare_counters: Vec<i64>,
     last_auto: Option<i64>,
     /// Version chains enabled (set once by the database at registration;
     /// never flips at runtime). All fields below stay empty when off.
@@ -93,6 +95,7 @@ impl Table {
             live: 0,
             indexes: Vec::new(),
             auto_next,
+            spare_counters: Vec::new(),
             last_auto: None,
             schema,
             mvcc: false,
@@ -122,7 +125,8 @@ impl Table {
         self.live == 0
     }
 
-    /// The value assigned by the most recent AUTO_INCREMENT insert.
+    /// The AUTO_INCREMENT value the most recent insert or update drew
+    /// (`None` if it drew none).
     pub fn last_auto_value(&self) -> Option<i64> {
         self.last_auto
     }
@@ -336,25 +340,26 @@ impl Table {
         self.indexes.iter().find(|ix| ix.def.name.eq_ignore_ascii_case(name))
     }
 
-    /// Validate a full row (schema order) and fill AUTO_INCREMENT slots.
-    fn prepare_row(&mut self, values: Vec<Value>) -> Result<Row> {
-        if values.len() != self.schema.arity() {
+    /// Validate a full row (schema order) in place and fill
+    /// AUTO_INCREMENT slots.
+    fn prepare_row(&mut self, mut row: Row) -> Result<Row> {
+        if row.len() != self.schema.arity() {
             return Err(Error::ExecError(format!(
                 "table `{}` has {} columns, {} values given",
                 self.schema.name,
                 self.schema.arity(),
-                values.len()
+                row.len()
             )));
         }
-        let mut row = Vec::with_capacity(values.len());
-        for (i, v) in values.into_iter().enumerate() {
+        self.last_auto = None;
+        for (i, slot) in row.iter_mut().enumerate() {
             let col = &self.schema.columns[i];
-            let v = col.check(v)?;
+            let v = col.check(std::mem::replace(slot, Value::Null))?;
             if v.is_null() && col.auto_increment {
                 let next = self.auto_next[i];
                 self.auto_next[i] = next + 1;
                 self.last_auto = Some(next);
-                row.push(Value::Int(next));
+                *slot = Value::Int(next);
             } else {
                 if let (Value::Int(given), true) = (&v, col.auto_increment) {
                     // Explicit value supplied for an auto column: advance
@@ -363,10 +368,58 @@ impl Table {
                         self.auto_next[i] = given + 1;
                     }
                 }
-                row.push(v);
+                *slot = v;
             }
         }
         Ok(row)
+    }
+
+    /// Run `f` on this table; if it fails, give back the AUTO_INCREMENT
+    /// values it drew (a failed statement or typed write takes no id).
+    pub(crate) fn giving_back<T>(&mut self, f: impl FnOnce(&mut Table) -> Result<T>) -> Result<T> {
+        let mut saved = std::mem::take(&mut self.spare_counters);
+        saved.clone_from(&self.auto_next);
+        let last = self.last_auto;
+        let r = f(self);
+        if r.is_err() {
+            std::mem::swap(&mut self.auto_next, &mut saved);
+            self.last_auto = last;
+        }
+        self.spare_counters = saved;
+        r
+    }
+
+    /// Columns that name a row in the log: the primary key, or every
+    /// column of a table without one.
+    pub(crate) fn key_columns(&self) -> usize {
+        match self.schema.primary_key.len() {
+            0 => self.schema.arity(),
+            n => n,
+        }
+    }
+
+    /// The values of `row` that name it in the log (see
+    /// [`Table::key_columns`]), in key order.
+    pub(crate) fn key_of<'r>(
+        &self,
+        row: &'r [Value],
+    ) -> impl Iterator<Item = &'r Value> + use<'r, '_> {
+        let pk = &self.schema.primary_key;
+        let all = pk.is_empty();
+        (0..if all { row.len() } else { pk.len() }).map(move |i| &row[if all { i } else { pk[i] }])
+    }
+
+    /// The live row [`Table::key_of`] names `key`: found through the
+    /// primary-key index, or by a scan when the table has none.
+    pub(crate) fn find_key(&self, key: &[Value]) -> Option<RowId> {
+        let carries = |row: &Row| {
+            self.key_of(row).zip(key).all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
+        };
+        if self.schema.primary_key.is_empty() {
+            return self.scan().find(|(_, row)| carries(row)).map(|(id, _)| id);
+        }
+        // The primary-key index is the first (`Table::new`).
+        self.indexes[0].get_eq(key).find(|&id| self.get(id).is_some_and(carries))
     }
 
     /// Insert a row (values in schema order; use [`Value::Null`] to request

@@ -397,15 +397,6 @@ impl Value {
         }
     }
 
-    /// Extract an `f64` (accepting INTEGER), erroring on any other type.
-    pub fn as_float(&self) -> Result<f64> {
-        match self {
-            Value::Float(f) => Ok(*f),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(Error::EvalError(format!("expected DOUBLE, got {other}"))),
-        }
-    }
-
     /// Extract a `bool`, erroring on any other type.
     pub fn as_bool(&self) -> Result<bool> {
         match self {

@@ -2,16 +2,15 @@
 //!
 //! MySQL — the backend the original MCS ran on — survives restarts; an
 //! in-memory stand-in needs an explicit persistence story to be a fair
-//! substitute. `relstore` uses *logical* write-ahead logging: every
-//! committed write — an autocommit statement or a transaction — is
-//! journalled as one group of its statements (SQL text + parameters),
-//! and a *snapshot* serializes full table contents so the log can be
-//! truncated. A unit's group is encoded after its statements ran and
-//! handed to the commit queue ([`crate::group_commit`]), whose leader is
-//! the one writer of commit bytes. Recovery = load snapshot, replay log;
-//! statements are deterministic, so replay converges to the pre-crash
-//! state. Torn tails (a crash mid-append) are detected by the per-record
-//! checksum and cleanly ignored.
+//! substitute. `relstore` logs every committed write — an autocommit
+//! statement or a transaction — as one group of **row images**: each row
+//! write (`crate::txn::Writes`) encodes its image into the unit's group
+//! as it is made, and DDL is logged as its SQL text. A *snapshot*
+//! serializes full table contents so the log can be truncated. The
+//! finished group goes to the commit queue ([`crate::group_commit`]),
+//! whose leader is the one writer of commit bytes. Recovery = load
+//! snapshot, replay log. Torn tails (a crash mid-append) are detected by
+//! the per-record checksum and cleanly ignored.
 //!
 //! # Log format v2 (`RSWAL002`)
 //!
@@ -19,24 +18,42 @@
 //! records `[len: u32][fnv1a(payload): u64][payload]`. The payload's first
 //! byte is a tag:
 //!
-//! * `0x00` **Stmt** — `[sql: str][n: u32][n values]`: one write statement.
+//! * `0x00` **Stmt** — `[sql: str][n: u32][n values]`: one statement (DDL,
+//!   or any write statement of a log written before row images).
 //! * `0x01` **Begin** — `[txn_id: u64]`: opens a transaction group.
 //! * `0x02` **Commit** — `[txn_id: u64]`: closes the open group.
+//! * `0x03` **Insert**, `0x04` **Update**, `0x05` **Delete** — row
+//!   records, `[table: str][key: u32][image: u32]` then rows of `key`
+//!   key values followed by `image` image values each, until the end of
+//!   the payload. An Insert row is the after-image (key 0, image = the
+//!   table's arity), AUTO_INCREMENT values included; an Update row is
+//!   the old row's key and the after-image; a Delete row is the key
+//!   alone. Consecutive writes of one kind to one table share a record.
 //!
-//! Every committed unit is journalled as `Begin, Stmt…, Commit`, and only
-//! statements that succeeded are in it. Several units' groups may share
+//! A row is named by its **primary key**, or by all its columns when the
+//! table has none — never by its slot: a checkpoint compacts slots, so a
+//! row's slot after a reopen is not the slot it had when it was logged.
+//!
+//! Every committed unit is journalled as `Begin, record…, Commit`, and
+//! only writes that succeeded are in it. Several units' groups may share
 //! one physical write and one `fsync` (group commit) — each group stays
 //! self-delimiting, so a torn tail discards only the group(s) whose
 //! Commit frame is missing while earlier groups from the same physical
-//! write survive. Recovery buffers a group's statements until its Commit
+//! write survive. Recovery buffers a group's records until its Commit
 //! frame: a torn or uncommitted tail — including a crash anywhere between
-//! Begin and Commit — is discarded **as a unit**, never
-//! statement-by-statement, so a multi-statement catalog operation is
-//! atomic across crashes. A statement of a committed group ran once
-//! already, so it must replay: one that fails fails the open, naming the
-//! record's byte offset.
+//! Begin and Commit — is discarded **as a unit**, never record by
+//! record, so a multi-statement catalog operation is atomic across
+//! crashes. A record of a committed group ran once already, so it must
+//! replay: one that fails fails the open, naming the record's byte
+//! offset. A row record replays straight into its table, without the
+//! parser, the planner or a barrier: an insert whose key exists, or an
+//! update or delete whose row is missing, fails. An insert image carries
+//! the id it drew, so replay moves each AUTO_INCREMENT counter past it;
+//! since a failed write and a rolled-back transaction give their ids back
+//! and log nothing, the counters end where the original run left them.
 //!
-//! Logs written by earlier versions also hold **bare** Stmt records: an
+//! Logs written by earlier versions hold Stmt records for row writes too,
+//! which replay through SQL, and also **bare** Stmt records: an
 //! autocommit statement was appended before it ran, failed or not.
 //! Recovery replays them tolerantly, as they first ran: an error is
 //! ignored, and a failed statement keeps the AUTO_INCREMENT values it
@@ -182,6 +199,30 @@ pub const WAL_MAGIC: &[u8; 8] = b"RSWAL002";
 const TAG_STMT: u8 = 0x00;
 const TAG_BEGIN: u8 = 0x01;
 const TAG_COMMIT: u8 = 0x02;
+const TAG_INSERT: u8 = 0x03;
+const TAG_UPDATE: u8 = 0x04;
+const TAG_DELETE: u8 = 0x05;
+
+/// What a row record does to each row it carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowOp {
+    /// Insert the row's after-image.
+    Insert,
+    /// Find the row by its key, then replace it with the after-image.
+    Update,
+    /// Find the row by its key, then delete it.
+    Delete,
+}
+
+impl RowOp {
+    fn tag(self) -> u8 {
+        match self {
+            RowOp::Insert => TAG_INSERT,
+            RowOp::Update => TAG_UPDATE,
+            RowOp::Delete => TAG_DELETE,
+        }
+    }
+}
 
 // ---------- binary value encoding ----------
 
@@ -333,6 +374,135 @@ fn fnv1a(data: &[u8]) -> u64 {
 
 // ---------- the write-ahead log ----------
 
+/// Frame header bytes: `[len: u32][fnv1a(payload): u64]`.
+const FRAME_HEADER: usize = 12;
+
+/// Open a frame in `out`: a header to fill in by [`close_frame`].
+/// Returns the frame's start.
+fn open_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    start
+}
+
+/// Fill in the header of the frame at `start`, whose payload runs to the
+/// end of `out`.
+fn close_frame(out: &mut [u8], start: usize) {
+    let (head, payload) = out[start..].split_at_mut(FRAME_HEADER);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
+}
+
+fn marker(out: &mut Vec<u8>, tag: u8, txn_id: u64) {
+    let start = open_frame(out);
+    out.push(tag);
+    put_u64(out, txn_id);
+    close_frame(out, start);
+}
+
+fn stmt_frame(out: &mut Vec<u8>, sql: &str, params: &[Value]) {
+    let start = open_frame(out);
+    out.push(TAG_STMT);
+    put_str(out, sql);
+    put_u32(out, params.len() as u32);
+    for p in params {
+        encode_value(p, out);
+    }
+    close_frame(out, start);
+}
+
+/// A row record still taking rows: the writes of one kind to one table
+/// that follow each other in a unit share a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpenRecord {
+    op: RowOp,
+    /// The table's position among the unit's touched tables.
+    table: usize,
+    start: usize,
+}
+
+/// A point in a [`Group`] to cut back to.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupMark {
+    len: usize,
+    open: Option<OpenRecord>,
+}
+
+/// The WAL group of one write unit, encoded as its writes are made:
+/// `Begin`, one frame per run of same-kind row writes to one table (or
+/// per DDL statement), and `Commit` once the unit commits. The group is
+/// self-delimiting: recovery applies it only once its Commit frame is
+/// intact, so any number of groups can share one physical write and
+/// still recover independently.
+#[derive(Debug)]
+pub(crate) struct Group {
+    txn_id: u64,
+    buf: Vec<u8>,
+    open: Option<OpenRecord>,
+}
+
+impl Group {
+    pub(crate) fn new(txn_id: u64) -> Group {
+        let mut buf = Vec::with_capacity(1024);
+        marker(&mut buf, TAG_BEGIN, txn_id);
+        Group { txn_id, buf, open: None }
+    }
+
+    fn close(&mut self) {
+        if let Some(r) = self.open.take() {
+            close_frame(&mut self.buf, r.start);
+        }
+    }
+
+    /// Append one row of `op` on `table` (the touched table at `ix`):
+    /// `key` key values followed by `arity` image values.
+    pub(crate) fn row<'v>(
+        &mut self,
+        op: RowOp,
+        ix: usize,
+        table: &str,
+        key: usize,
+        arity: usize,
+        values: impl Iterator<Item = &'v Value>,
+    ) {
+        if !matches!(self.open, Some(r) if r.op == op && r.table == ix) {
+            self.close();
+            let start = open_frame(&mut self.buf);
+            self.buf.push(op.tag());
+            put_str(&mut self.buf, table);
+            put_u32(&mut self.buf, key as u32);
+            put_u32(&mut self.buf, arity as u32);
+            self.open = Some(OpenRecord { op, table: ix, start });
+        }
+        for v in values {
+            encode_value(v, &mut self.buf);
+        }
+    }
+
+    /// Append a statement record (DDL).
+    pub(crate) fn stmt(&mut self, sql: &str, params: &[Value]) {
+        self.close();
+        stmt_frame(&mut self.buf, sql, params);
+    }
+
+    pub(crate) fn mark(&self) -> GroupMark {
+        GroupMark { len: self.buf.len(), open: self.open }
+    }
+
+    /// Drop everything appended since `m`.
+    pub(crate) fn cut(&mut self, m: GroupMark) {
+        self.buf.truncate(m.len);
+        self.open = m.open;
+    }
+
+    /// The framed bytes, `Commit` included.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.close();
+        marker(&mut self.buf, TAG_COMMIT, self.txn_id);
+        self.buf
+    }
+}
+
 /// Appends encoded commit groups to the log file. Only the commit-queue
 /// leader writes through it ([`crate::group_commit`]); a checkpoint
 /// replaces it with a fresh writer over an emptied log.
@@ -373,31 +543,6 @@ impl WalWriter {
         Ok(writer)
     }
 
-    /// Frame `payload` as `[len][checksum][payload]` into `out`.
-    fn frame(out: &mut Vec<u8>, payload: &[u8]) {
-        put_u32(out, payload.len() as u32);
-        put_u64(out, fnv1a(payload));
-        out.extend_from_slice(payload);
-    }
-
-    fn stmt_payload(sql: &str, params: &[Value]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(sql.len() + 17);
-        payload.push(TAG_STMT);
-        put_str(&mut payload, sql);
-        put_u32(&mut payload, params.len() as u32);
-        for p in params {
-            encode_value(p, &mut payload);
-        }
-        payload
-    }
-
-    fn marker_payload(tag: u8, txn_id: u64) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(9);
-        payload.push(tag);
-        put_u64(&mut payload, txn_id);
-        payload
-    }
-
     /// Fail fast if an earlier append left the log tail in an unknown
     /// state (see the `poisoned` field).
     fn usable(&self) -> Result<()> {
@@ -421,12 +566,14 @@ impl WalWriter {
         }
     }
 
-    fn flush_and_sync(&mut self) -> Result<()> {
+    /// Flush, and sync if `force` or the policy says so; poisons the
+    /// writer on failure.
+    fn flush_and_sync(&mut self, force: bool) -> Result<()> {
         if let Err(e) = self.file.flush() {
             self.poisoned = true;
             return Err(Error::ExecError(format!("wal flush: {e}")));
         }
-        if self.policy == SyncPolicy::EveryWrite {
+        if force || self.policy == SyncPolicy::EveryWrite {
             self.stats.syncs.fetch_add(1, Ordering::Relaxed);
             if let Err(e) = self.file.get_ref().sync_data() {
                 self.poisoned = true;
@@ -439,34 +586,10 @@ impl WalWriter {
     /// Flush **and** sync regardless of [`SyncPolicy`] — the physical half
     /// of [`Database::sync_now`](crate::db::Database::sync_now), which must
     /// put already-acknowledged bytes on stable storage even under
-    /// [`SyncPolicy::OsBuffered`]. Poisons the writer on failure like every
-    /// other write path.
+    /// [`SyncPolicy::OsBuffered`].
     pub(crate) fn force_sync(&mut self) -> Result<()> {
         self.usable()?;
-        if let Err(e) = self.file.flush() {
-            self.poisoned = true;
-            return Err(Error::ExecError(format!("wal flush: {e}")));
-        }
-        self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.file.get_ref().sync_data() {
-            self.poisoned = true;
-            return Err(Error::ExecError(format!("wal sync: {e}")));
-        }
-        Ok(())
-    }
-
-    /// Encode a committed unit's write statements as the framed byte run
-    /// `Begin, Stmt…, Commit`. The run is self-delimiting: recovery applies
-    /// it only once its Commit frame is intact, so any number of runs can
-    /// share one physical write and still recover independently.
-    pub(crate) fn encode_transaction(txn_id: u64, records: &[(&str, &[Value])]) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(64 * (records.len() + 2));
-        Self::frame(&mut rec, &Self::marker_payload(TAG_BEGIN, txn_id));
-        for (sql, params) in records {
-            Self::frame(&mut rec, &Self::stmt_payload(sql, params));
-        }
-        Self::frame(&mut rec, &Self::marker_payload(TAG_COMMIT, txn_id));
-        rec
+        self.flush_and_sync(true)
     }
 
     /// Append already-encoded commit groups in one buffered write followed
@@ -489,7 +612,7 @@ impl WalWriter {
         }
         self.stats.group_commits.fetch_add(n, Ordering::Relaxed);
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.flush_and_sync()
+        self.flush_and_sync(false)
     }
 }
 
@@ -497,8 +620,20 @@ impl WalWriter {
 #[derive(Debug)]
 enum WalEntry {
     Stmt(String, Vec<Value>),
+    Rows(RowRecord),
     Begin(u64),
     Commit(u64),
+}
+
+/// A decoded row record: rows of `key` key values then `arity` image
+/// values each, for one table.
+#[derive(Debug)]
+pub(crate) struct RowRecord {
+    pub(crate) op: RowOp,
+    pub(crate) table: String,
+    pub(crate) key: usize,
+    pub(crate) arity: usize,
+    pub(crate) values: Vec<Value>,
 }
 
 /// Read all intact records from a log; a torn tail ends replay cleanly.
@@ -551,6 +686,9 @@ fn read_wal(path: &Path) -> Result<(Vec<(u64, WalEntry)>, bool, u64)> {
                 TAG_STMT => decode_stmt(&mut c)?,
                 TAG_BEGIN => WalEntry::Begin(c.u64()?),
                 TAG_COMMIT => WalEntry::Commit(c.u64()?),
+                TAG_INSERT => decode_rows(&mut c, RowOp::Insert)?,
+                TAG_UPDATE => decode_rows(&mut c, RowOp::Update)?,
+                TAG_DELETE => decode_rows(&mut c, RowOp::Delete)?,
                 _ => return Err(Cursor::corrupt("unknown wal record tag")),
             }
         };
@@ -558,6 +696,20 @@ fn read_wal(path: &Path) -> Result<(Vec<(u64, WalEntry)>, bool, u64)> {
         valid_len += (header.len() + len) as u64;
     }
     Ok((out, legacy, valid_len))
+}
+
+fn decode_rows(c: &mut Cursor<'_>, op: RowOp) -> Result<WalEntry> {
+    let table = c.str()?;
+    let key = c.u32()? as usize;
+    let arity = c.u32()? as usize;
+    let mut values = Vec::new();
+    while !c.done() {
+        values.push(decode_value(c)?);
+    }
+    if key + arity == 0 || values.len() % (key + arity) != 0 {
+        return Err(Cursor::corrupt("row record of a partial row"));
+    }
+    Ok(WalEntry::Rows(RowRecord { op, table, key, arity, values }))
 }
 
 fn decode_stmt(c: &mut Cursor<'_>) -> Result<WalEntry> {
@@ -775,19 +927,26 @@ impl Database {
                     .map_err(|e| Error::ExecError(format!("wal truncate torn tail: {e}")))?;
             }
         }
-        // Statements inside a Begin..Commit group apply only once the
-        // Commit frame is seen, and must apply; a group cut off by the end
-        // of the log is discarded as a unit. Bare statements (older logs)
-        // apply immediately, as tolerantly as they first ran.
-        let mut group: Option<(u64, Vec<(u64, String, Vec<Value>)>)> = None;
+        // Records inside a Begin..Commit group apply only once the Commit
+        // frame is seen, and must apply; a group cut off by the end of the
+        // log is discarded as a unit. Bare statements (older logs) apply
+        // immediately, as tolerantly as they first ran.
+        let mut group: Option<(u64, Vec<(u64, WalEntry)>)> = None;
         for (offset, entry) in entries {
             match entry {
-                WalEntry::Stmt(sql, params) => match &mut group {
-                    Some((_, buf)) => buf.push((offset, sql, params)),
-                    None => {
-                        let _ = db.replay(&sql, &params, true);
-                    }
-                },
+                WalEntry::Stmt(..) | WalEntry::Rows(_) if group.is_some() => {
+                    group.as_mut().expect("checked").1.push((offset, entry));
+                }
+                WalEntry::Stmt(sql, params) => {
+                    let _ = db.replay(&sql, &params, true);
+                }
+                // The engine writes row records only inside groups.
+                WalEntry::Rows(_) => {
+                    return Err(Cursor::corrupt(&format!(
+                        "a row record outside a commit group at byte {offset} of {}",
+                        wal_path.display()
+                    )))
+                }
                 // Begin while a group is open means the previous group
                 // never committed — drop it (defensive; the writer never
                 // interleaves groups).
@@ -796,11 +955,16 @@ impl Database {
                     // a Commit applies only the group its id opened;
                     // a stray or mismatched Commit discards nothing bare
                     match group.take() {
-                        Some((begin_id, stmts)) if begin_id == id => {
-                            for (offset, sql, params) in stmts {
-                                db.replay(&sql, &params, false).map_err(|e| {
+                        Some((begin_id, records)) if begin_id == id => {
+                            for (offset, record) in records {
+                                let applied = match record {
+                                    WalEntry::Stmt(sql, params) => db.replay(&sql, &params, false),
+                                    WalEntry::Rows(rows) => db.replay_rows(rows),
+                                    _ => unreachable!("groups hold statements and rows"),
+                                };
+                                applied.map_err(|e| {
                                     Cursor::corrupt(&format!(
-                                        "the committed statement at byte {offset} of {} \
+                                        "the committed record at byte {offset} of {} \
                                          fails to replay: {e}",
                                         wal_path.display()
                                     ))
@@ -897,6 +1061,18 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// A committed group of statement records, the shape the engine
+    /// logged before row images.
+    fn stmt_group(txn_id: u64, records: &[(&str, &[Value])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        marker(&mut out, TAG_BEGIN, txn_id);
+        for (sql, params) in records {
+            stmt_frame(&mut out, sql, params);
+        }
+        marker(&mut out, TAG_COMMIT, txn_id);
+        out
     }
 
     fn seed(db: &Database) {
@@ -1058,7 +1234,7 @@ mod tests {
             let stats = Arc::new(WalStats::default());
             let mut w =
                 WalWriter::open_append(&dir.join(WAL_FILE), SyncPolicy::EveryWrite, stats).unwrap();
-            let group = WalWriter::encode_transaction(
+            let group = stmt_group(
                 7,
                 &[
                     ("INSERT INTO t (name, v) VALUES (?, ?)", &[Value::from("c"), Value::Int(3)]),
@@ -1085,15 +1261,9 @@ mod tests {
         {
             use std::io::Write;
             let mut rec = Vec::new();
-            WalWriter::frame(&mut rec, &WalWriter::marker_payload(TAG_BEGIN, 9));
-            WalWriter::frame(
-                &mut rec,
-                &WalWriter::stmt_payload("INSERT INTO t (name, v) VALUES ('x', 8)", &[]),
-            );
-            WalWriter::frame(
-                &mut rec,
-                &WalWriter::stmt_payload("DELETE FROM t WHERE name = 'a'", &[]),
-            );
+            marker(&mut rec, TAG_BEGIN, 9);
+            stmt_frame(&mut rec, "INSERT INTO t (name, v) VALUES ('x', 8)", &[]);
+            stmt_frame(&mut rec, "DELETE FROM t WHERE name = 'a'", &[]);
             let mut f = OpenOptions::new().append(true).open(dir.join(WAL_FILE)).unwrap();
             f.write_all(&rec).unwrap();
         }
@@ -1118,7 +1288,7 @@ mod tests {
             let mut w =
                 WalWriter::open_append(&wal_path, SyncPolicy::EveryWrite, stats).unwrap();
             let insert = "INSERT INTO t (name, v) VALUES ('y', 9)";
-            let group = WalWriter::encode_transaction(11, &[(insert, &[])]);
+            let group = stmt_group(11, &[(insert, &[])]);
             w.append_batch([group.as_slice()]).unwrap();
         }
         // cut into the trailing Commit frame (12-byte header + 9 payload)
@@ -1142,10 +1312,10 @@ mod tests {
             "CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32))",
             "INSERT INTO t (name) VALUES ('v1-row')",
         ] {
-            let mut payload = Vec::new();
-            put_str(&mut payload, sql);
-            put_u32(&mut payload, 0);
-            WalWriter::frame(&mut log, &payload);
+            let start = open_frame(&mut log);
+            put_str(&mut log, sql);
+            put_u32(&mut log, 0);
+            close_frame(&mut log, start);
         }
         std::fs::write(dir.join(WAL_FILE), &log).unwrap();
         let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
@@ -1174,7 +1344,7 @@ mod tests {
             poisoned: false,
         };
         let group = |v: i64| {
-            WalWriter::encode_transaction(7, &[("INSERT INTO t (v) VALUES (?)", &[Value::Int(v)])])
+            stmt_group(7, &[("INSERT INTO t (v) VALUES (?)", &[Value::Int(v)])])
         };
         assert!(w.append_batch([group(1).as_slice()]).is_err());
         assert!(w.poisoned);
@@ -1296,7 +1466,7 @@ mod tests {
         {
             let mut w =
                 WalWriter::open_append(&wal_path, SyncPolicy::EveryWrite, Arc::default()).unwrap();
-            let group = WalWriter::encode_transaction(
+            let group = stmt_group(
                 5,
                 &[
                     ("INSERT INTO t (name, v) VALUES ('m', 1)", &[]),
@@ -1307,11 +1477,96 @@ mod tests {
         }
         // the second statement's frame follows the Begin frame (12-byte
         // header + 9) and the first statement's
-        let first = WalWriter::stmt_payload("INSERT INTO t (name, v) VALUES ('m', 1)", &[]);
-        let at = offset + 21 + 12 + first.len() as u64;
+        let mut first = Vec::new();
+        stmt_frame(&mut first, "INSERT INTO t (name, v) VALUES ('m', 1)", &[]);
+        let at = offset + 21 + first.len() as u64;
         let err = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap_err().to_string();
         assert!(err.contains(&format!("at byte {at} ")), "{err}");
         assert!(err.contains("missing"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A row record of a committed group that does not apply — an insert
+    /// whose primary key exists, a delete whose row is missing — fails the
+    /// open, naming the record's byte offset.
+    #[test]
+    fn row_image_that_does_not_apply_fails_the_open() {
+        let cases: [(RowOp, usize, usize, Vec<Value>); 2] = [
+            (RowOp::Insert, 0, 3, vec![Value::Int(1), Value::from("z"), Value::Int(5)]),
+            (RowOp::Delete, 1, 0, vec![Value::Int(99)]),
+        ];
+        for (op, key, arity, values) in cases {
+            let dir = tmpdir(&format!("rows-fail-{op:?}"));
+            seed(&Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap());
+            let wal_path = dir.join(WAL_FILE);
+            let offset = std::fs::metadata(&wal_path).unwrap().len();
+            let mut group = Group::new(5);
+            group.row(op, 0, "t", key, arity, values.iter());
+            let mut w =
+                WalWriter::open_append(&wal_path, SyncPolicy::EveryWrite, Arc::default()).unwrap();
+            w.append_batch([group.finish().as_slice()]).unwrap();
+            drop(w);
+            // the record follows the Begin frame (12-byte header + 9)
+            let err = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap_err().to_string();
+            assert!(err.contains(&format!("at byte {} ", offset + 21)), "{op:?}: {err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// The engine writes row records only inside commit groups: one found
+    /// outside fails the open instead of being skipped.
+    #[test]
+    fn row_image_outside_a_group_fails_the_open() {
+        let dir = tmpdir("rows-stray");
+        seed(&Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap());
+        let mut log = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let start = open_frame(&mut log);
+        log.push(TAG_INSERT);
+        put_str(&mut log, "t");
+        put_u32(&mut log, 0);
+        put_u32(&mut log, 3);
+        for v in [Value::Int(9), Value::from("z"), Value::Int(5)] {
+            encode_value(&v, &mut log);
+        }
+        close_frame(&mut log, start);
+        std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+        let err = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap_err().to_string();
+        assert!(err.contains("outside a commit group"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log of statement groups, as the engine wrote before row images,
+    /// followed by row-image groups opens to both: the rows, and counters
+    /// past every id an image carries.
+    #[test]
+    fn row_image_groups_after_statement_groups_open() {
+        let dir = tmpdir("rows-after-stmts");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut log = WAL_MAGIC.to_vec();
+        log.extend(stmt_group(
+            1,
+            &[
+                ("CREATE TABLE t (id INTEGER PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), v INTEGER)", &[]),
+                ("INSERT INTO t (name, v) VALUES ('a', 1), ('b', 2)", &[]),
+            ],
+        ));
+        std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+        {
+            let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
+            db.transaction(&[("t", crate::lock::Access::Write)], |s| {
+                s.insert("t", vec![Value::Null, "c".into(), Value::Int(3)])?;
+                let a = s.lookup("t", "pk_t", &[Value::Int(1)])?;
+                s.delete("t", a[0])
+            })
+            .unwrap();
+            db.execute("UPDATE t SET v = 9 WHERE name = 'b'", &[]).unwrap();
+        }
+        let db = Database::open_durable(&dir, SyncPolicy::EveryWrite).unwrap();
+        let rs = db.query("SELECT id, name, v FROM t ORDER BY id", &[]).unwrap();
+        let row = |id: i64, name: &str, v: i64| vec![Value::Int(id), name.into(), Value::Int(v)];
+        assert_eq!(rs.rows, vec![row(2, "b", 9), row(3, "c", 3)]);
+        let next = db.execute("INSERT INTO t (name) VALUES ('d')", &[]).unwrap();
+        assert_eq!(next.last_insert_id, Some(4));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

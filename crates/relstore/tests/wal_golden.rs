@@ -14,16 +14,21 @@
 //!   highest file id was deleted, and a v2 log written after it.
 //! * `wal-v1` — a v1 log: no magic, every record an untagged statement,
 //!   one of them a duplicate INSERT.
+//! * `wal-rows` — a log of row images: DDL statement groups, then groups
+//!   of typed row writes — two creates (a file row and its attribute
+//!   rows), a create that failed and logged nothing, an attribute set (a
+//!   delete and an insert), an SQL UPDATE, a delete of a file and its
+//!   attributes — and a last create cut inside its Commit frame.
 //!
 //! The test copies each directory, opens the copy, and dumps every
 //! table: its indexes, its rows in id order, and the id the next
 //! AUTO_INCREMENT insert draws (found by inserting a probe row). The
-//! dump must equal `tests/golden/wal.txt`. The fixtures are never
-//! rewritten: a change that opens one of them differently is a change
-//! in what an existing store recovers to.
+//! dump must equal `tests/golden/wal.txt` (`wal-rows.txt` for the row
+//! images). The fixtures are never rewritten: a change that opens one of
+//! them differently is a change in what an existing store recovers to.
 //!
 //! On a mismatch the dump is written to
-//! `$CARGO_TARGET_TMPDIR/wal_golden.actual.txt`.
+//! `$CARGO_TARGET_TMPDIR/<fixture>.actual.txt`.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -111,24 +116,35 @@ fn dump(db: &Database, out: &mut String) {
     }
 }
 
-#[test]
-fn old_stores_open_to_their_pinned_tables() {
+/// Open a copy of each store in `stores` and compare the dump of all of
+/// them with `fixture` (`name`).
+fn check(stores: &[&str], fixture: &str, name: &str) {
     let mut out = String::new();
-    for name in STORES {
-        let dir = copy(name);
+    for store in stores {
+        let dir = copy(store);
         let db = Database::open_durable(&dir, SyncPolicy::OsBuffered).unwrap();
-        writeln!(out, "== {name}").unwrap();
+        writeln!(out, "== {store}").unwrap();
         dump(&db, &mut out);
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
     }
-    if out != FIXTURE {
-        let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join("wal_golden.actual.txt");
+    if out != fixture {
+        let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
         std::fs::write(&actual, &out).unwrap();
         panic!(
             "the golden stores opened to different tables; diff {} against \
-             crates/relstore/tests/golden/wal.txt",
+             crates/relstore/tests/golden/{name}.txt",
             actual.display()
         );
     }
+}
+
+#[test]
+fn old_stores_open_to_their_pinned_tables() {
+    check(&STORES, FIXTURE, "wal");
+}
+
+#[test]
+fn row_image_store_opens_to_its_pinned_tables() {
+    check(&["wal-rows"], include_str!("golden/wal-rows.txt"), "wal-rows");
 }

@@ -14,18 +14,23 @@
 #                      crates/relstore/src or crates/mcs/src (the part of
 #                      a file above its first `#[cfg(test)]`)
 #   verify.sh crash    WAL crash-recovery matrix (*_truncation tests;
-#                      the create case cuts a 17-attribute create, whose
-#                      group holds two multi-row attribute INSERTs), the
-#                      catalog durability tests, which pin what one
-#                      create logs (three statements, under 1,300 B for
-#                      ten attributes), replay a log of the older
-#                      one-INSERT-per-attribute shape to the same catalog,
-#                      and reopen a failed create and a checkpoint after
-#                      a delete without shifting a later file's id, and
-#                      the golden durability corpus (wal_golden: a v2 log,
-#                      an RSSNAP01 snapshot and a v1 log written by the
-#                      engine before every write was a commit group open
-#                      to their pinned tables)
+#                      the create case cuts a 17-attribute create at
+#                      every byte, and the row-image case cuts a create,
+#                      an attribute set and a delete at every frame
+#                      boundary on both engines), the row-image replay
+#                      tests (an image that does not apply fails the open
+#                      at its byte offset; statement groups followed by
+#                      row groups open), the catalog durability tests,
+#                      which pin what one create logs (three row records,
+#                      under 1,300 B for ten attributes), replay a log of
+#                      the older one-INSERT-per-attribute shape to the
+#                      same catalog, and reopen a failed create and a
+#                      checkpoint after a delete without shifting a later
+#                      file's id, and the golden durability corpus
+#                      (wal_golden: a v2 log, an RSSNAP01 snapshot and a
+#                      v1 log written by the engine before every write was
+#                      a commit group, and a log of row images, open to
+#                      their pinned tables)
 #   verify.sh stress   concurrent-commit stress runs (*_stress tests)
 #   verify.sh async-durability
 #                      the async epoch/ack contract: mixed-durability
@@ -43,8 +48,11 @@
 #                      §7.3): table-version unit tests, case-insensitive
 #                      table lookup (a version probe borrows a lowercase
 #                      name and copies any other), cache unit tests, the
-#                      touched-tables invalidation test, and the SOAP
-#                      bypass/stats round-trip
+#                      touched-tables invalidation test, the attribute
+#                      definitions map (a define is used at once, an
+#                      undefine and a rolled-back define are not seen,
+#                      with and without the cache; the shard lane checks
+#                      its mirror), and the SOAP bypass/stats round-trip
 #   verify.sh shard    the sharded-catalog contract (DESIGN.md §7.4):
 #                      the router's unit tests (routing, mirrors,
 #                      cross-shard ops, reopening with another shard
@@ -125,7 +133,10 @@
 #                      8×200 pipelining stress test, the SOAP
 #                      decoders' rejection of any boolean text but
 #                      true/false, the SOAP codec's allocation ceiling
-#                      (soap_alloc), and the whole of xmlkit and
+#                      (soap_alloc) and the catalog write path's
+#                      (catalog_alloc: one direct ten-attribute create
+#                      and one delete on a durable store), and the whole
+#                      of xmlkit and
 #                      soapstack: the XML serialize→parse properties
 #                      (entities, CDATA, the depth cap), the HTTP
 #                      framing properties and the header cap, the
@@ -189,6 +200,7 @@ case "$lane" in
   crash)
     start=$(date +%s)
     run _truncation
+    run -p relstore --lib row_image
     run -p mcs --test durability
     run -p relstore --test wal_golden
     echo "crash lane: $(($(date +%s) - start))s elapsed"
@@ -228,6 +240,7 @@ case "$lane" in
     run -p relstore --lib table_lookup_is_case_insensitive
     run -p mcs --lib cache
     run -p mcs --test catalog_tests writes_invalidate_only_touched_tables
+    run -p mcs --test catalog_tests attribute_definitions
     run -p mcs-net --test cache_over_net
     run -p soapstack --test keep_alive
     echo "cache lane: $(($(date +%s) - start))s elapsed"
@@ -289,6 +302,7 @@ case "$lane" in
     done
     run -p mcs-net --test bin_pipeline_stress
     run -p mcs-net --test soap_alloc
+    run -p mcs --test catalog_alloc
     run -p xmlkit
     run -p soapstack
     echo "wire lane: $(($(date +%s) - start))s elapsed"
